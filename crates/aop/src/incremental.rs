@@ -1,6 +1,10 @@
 //! Incremental re-weaving: splice a dirty subset of classes into the
 //! previous [`WeaveResult`] instead of re-weaving the whole program.
 //!
+//! It runs the same per-class unit as [`Weaver::weave`]
+//! (`weave_classes` in `weaver.rs`), only over the classes its cache
+//! cannot reuse.
+//!
 //! ## Why per-class splicing is sound
 //!
 //! The critical-pair argument in `index.rs` established that classes
@@ -52,13 +56,11 @@
 //! changes must be handled by the owner (the lifecycle fingerprints its
 //! aspect list and replaces the whole `IncrementalWeaver`).
 
-use crate::index::{call_advice_candidates, index_class};
 use crate::weaver::{
-    effective_aspects, use_sequential, weave_class, WeaveError, WeavePath, WeaveResult, Weaver,
-    WovenJoinPoint,
+    effective_aspects, record_weave_trace, weave_classes, WeaveError, WeaveResult, Weaver,
+    WovenClass, WovenJoinPoint,
 };
 use comet_codegen::{ClassDecl, Program};
-use rayon::prelude::*;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -84,14 +86,6 @@ struct CachedClass {
     input: ClassDecl,
     calls: usize,
     execs: usize,
-}
-
-/// One freshly woven slot, staged for splicing.
-struct FreshClass {
-    slot: usize,
-    woven: ClassDecl,
-    calls: Vec<WovenJoinPoint>,
-    execs: Vec<WovenJoinPoint>,
 }
 
 #[derive(Debug, Clone)]
@@ -135,16 +129,6 @@ impl IncrementalWeaver {
         IncrementalWeaver { weaver, cached: None }
     }
 
-    /// The underlying weaver (e.g. for oracle comparisons).
-    pub fn weaver(&self) -> &Weaver {
-        &self.weaver
-    }
-
-    /// Drops the cached result; the next weave runs in full.
-    pub fn invalidate(&mut self) {
-        self.cached = None;
-    }
-
     /// Weaves `program` at model `revision`, reusing the previous
     /// result where the dirty-class set allows:
     ///
@@ -158,6 +142,11 @@ impl IncrementalWeaver {
     /// program in every case (the handle is shared with the internal
     /// cache; see the module docs for the cost model).
     ///
+    /// An enabled `obs` records one `weave` span, one `class:<Name>`
+    /// span per advised class and one `weave.advice` event per join
+    /// point, derived from the result alone: a cache hit traces
+    /// byte-identically to a cold weave, at any thread count.
+    ///
     /// # Errors
     /// Same conditions as [`Weaver::weave`].
     pub fn weave_at(
@@ -165,7 +154,13 @@ impl IncrementalWeaver {
         revision: u64,
         program: &Program,
         dirty: Option<&BTreeSet<String>>,
+        obs: &comet_obs::Collector,
     ) -> Result<(Arc<WeaveResult>, IncrementalStats), WeaveError> {
+        let record = |result: &WeaveResult| {
+            if obs.is_enabled() {
+                record_weave_trace(obs, self.weaver.aspects().len(), result);
+            }
+        };
         let total = program.classes.len();
         if let Some(cached) = &self.cached {
             // Revision equality alone is not trusted (restored
@@ -177,6 +172,7 @@ impl IncrementalWeaver {
                 && cached.classes.len() == total
                 && cached.classes.iter().zip(&program.classes).all(|(cc, c)| cc.input == *c)
             {
+                record(&cached.result);
                 let result = Arc::clone(&cached.result);
                 return Ok((result, IncrementalStats { hit: true, rewoven: 0, total }));
             }
@@ -184,7 +180,6 @@ impl IncrementalWeaver {
 
         let instrumentation = self.weaver.validate_and_instrument()?;
         let aspects = effective_aspects(self.weaver.aspects(), instrumentation.as_ref());
-        let call_advices = call_advice_candidates(&aspects);
 
         // Which cached slot each output slot reuses. Duplicate class
         // names are consumed in declaration order.
@@ -211,22 +206,10 @@ impl IncrementalWeaver {
 
         let rewoven = plan.iter().filter(|p| p.is_none()).count();
         let hit = self.cached.is_some() && rewoven < total;
-        let sequential = use_sequential(rewoven);
-        let path = if sequential { WeavePath::Sequential } else { WeavePath::Parallel };
 
         // Weave the slots the plan could not fill.
         let todo: Vec<usize> = (0..total).filter(|i| plan[*i].is_none()).collect();
-        let weave_one = |i: &usize| -> FreshClass {
-            let class = &program.classes[*i];
-            let matches = index_class(&aspects, &call_advices, class);
-            let (woven, calls, execs) = weave_class(&aspects, class, &matches);
-            FreshClass { slot: *i, woven, calls, execs }
-        };
-        let fresh: Vec<FreshClass> = if sequential {
-            todo.iter().map(weave_one).collect()
-        } else {
-            todo.par_iter().map(weave_one).collect()
-        };
+        let fresh = weave_classes(&aspects, program, &todo);
 
         // In-place splice needs an unchanged topology (every reused
         // slot keeps its position) and sole ownership of the buffer.
@@ -254,31 +237,12 @@ impl IncrementalWeaver {
         }
 
         let (result, classes) = match taken {
-            Some((owned, slots)) => splice_in_place(owned, slots, fresh, program, path),
-            None => reassemble(self.cached.as_ref(), &plan, fresh, program, path),
+            Some((owned, slots)) => splice_in_place(owned, slots, fresh, program),
+            None => reassemble(self.cached.as_ref(), &plan, fresh, program),
         };
+        record(&result);
         self.cached = Some(CachedWeave { revision, classes, result: Arc::clone(&result) });
         Ok((result, IncrementalStats { hit, rewoven, total }))
-    }
-
-    /// [`IncrementalWeaver::weave_at`] plus the same post-hoc trace
-    /// spans [`Weaver::weave_traced`] records — derived purely from the
-    /// result, so a cache hit traces byte-identically to a full weave.
-    ///
-    /// # Errors
-    /// Same conditions as [`Weaver::weave`].
-    pub fn weave_at_traced(
-        &mut self,
-        revision: u64,
-        program: &Program,
-        dirty: Option<&BTreeSet<String>>,
-        obs: &comet_obs::Collector,
-    ) -> Result<(Arc<WeaveResult>, IncrementalStats), WeaveError> {
-        let (result, stats) = self.weave_at(revision, program, dirty)?;
-        if obs.is_enabled() {
-            crate::weaver::record_weave_trace(obs, self.weaver.aspects().len(), &result);
-        }
-        Ok((result, stats))
     }
 }
 
@@ -291,9 +255,8 @@ impl IncrementalWeaver {
 fn splice_in_place(
     mut owned: WeaveResult,
     mut slots: Vec<CachedClass>,
-    mut fresh: Vec<FreshClass>,
+    mut fresh: Vec<WovenClass>,
     program: &Program,
-    path: WeavePath,
 ) -> (Arc<WeaveResult>, Vec<CachedClass>) {
     let (call_off, exec_off) = trace_offsets(&slots);
     for f in fresh.iter_mut().rev() {
@@ -315,7 +278,6 @@ fn splice_in_place(
         slots[f.slot].input = program.classes[f.slot].clone();
     }
     owned.program.name.clone_from(&program.name);
-    owned.path = path;
     let result = Arc::new(owned);
     (result, slots)
 }
@@ -326,9 +288,8 @@ fn splice_in_place(
 fn reassemble(
     cached: Option<&CachedWeave>,
     plan: &[Option<usize>],
-    fresh: Vec<FreshClass>,
+    fresh: Vec<WovenClass>,
     program: &Program,
-    path: WeavePath,
 ) -> (Arc<WeaveResult>, Vec<CachedClass>) {
     let offsets = cached.map(|c| trace_offsets(&c.classes));
     let mut fresh = fresh.into_iter();
@@ -372,7 +333,7 @@ fn reassemble(
     for seg in exec_segs {
         trace.extend(seg);
     }
-    let result = Arc::new(WeaveResult { program: out, trace, path });
+    let result = Arc::new(WeaveResult { program: out, trace });
     (result, slots)
 }
 
@@ -382,6 +343,11 @@ mod tests {
     use crate::advice::{Advice, AdviceKind, Aspect};
     use crate::pointcut::parse_pointcut;
     use comet_codegen::{Block, Expr, MethodDecl, Stmt};
+    use comet_obs::Collector;
+
+    fn off() -> Collector {
+        Collector::disabled()
+    }
 
     fn program(n: usize) -> Program {
         let mut p = Program::new("app");
@@ -421,10 +387,10 @@ mod tests {
     fn unchanged_revision_is_a_full_hit() {
         let p = program(5);
         let mut iw = IncrementalWeaver::new(Weaver::new(aspects()));
-        let (first, s0) = iw.weave_at(1, &p, None).unwrap();
+        let (first, s0) = iw.weave_at(1, &p, None, &off()).unwrap();
         assert!(!s0.hit);
         assert_eq!(s0.rewoven, 5);
-        let (again, s1) = iw.weave_at(1, &p, None).unwrap();
+        let (again, s1) = iw.weave_at(1, &p, None, &off()).unwrap();
         assert!(s1.hit);
         assert_eq!(s1.rewoven, 0, "unchanged revision must not re-weave");
         assert_eq!(first, again);
@@ -436,8 +402,8 @@ mod tests {
     fn empty_delta_reweaves_zero_classes() {
         let p = program(5);
         let mut iw = IncrementalWeaver::new(Weaver::new(aspects()));
-        iw.weave_at(1, &p, None).unwrap();
-        let (spliced, stats) = iw.weave_at(2, &p, Some(&BTreeSet::new())).unwrap();
+        iw.weave_at(1, &p, None, &off()).unwrap();
+        let (spliced, stats) = iw.weave_at(2, &p, Some(&BTreeSet::new()), &off()).unwrap();
         assert!(stats.hit);
         assert_eq!(stats.rewoven, 0, "empty dirty set must splice everything");
         assert_eq!(*spliced, Weaver::new(aspects()).weave(&p).unwrap());
@@ -447,12 +413,12 @@ mod tests {
     fn dirty_subset_reweaves_only_that_subset_byte_identically() {
         let mut p = program(6);
         let mut iw = IncrementalWeaver::new(Weaver::new(aspects()));
-        iw.weave_at(1, &p, None).unwrap();
+        iw.weave_at(1, &p, None, &off()).unwrap();
         // Edit one class: add a method that the execution pointcut
         // doesn't select but that changes the declaration.
         p.classes[2].methods.push(MethodDecl::new("extra"));
         let dirty: BTreeSet<String> = ["C2".to_owned()].into();
-        let (spliced, stats) = iw.weave_at(2, &p, Some(&dirty)).unwrap();
+        let (spliced, stats) = iw.weave_at(2, &p, Some(&dirty), &off()).unwrap();
         assert!(stats.hit);
         assert_eq!(stats.rewoven, 1);
         assert_eq!(stats.total, 6);
@@ -463,17 +429,17 @@ mod tests {
     fn splice_reuses_the_result_buffer_once_the_caller_drops_it() {
         let mut p = program(6);
         let mut iw = IncrementalWeaver::new(Weaver::new(aspects()));
-        iw.weave_at(1, &p, None).unwrap(); // handle dropped immediately
+        iw.weave_at(1, &p, None, &off()).unwrap(); // handle dropped immediately
         p.classes[2].methods.push(MethodDecl::new("extra"));
         let dirty: BTreeSet<String> = ["C2".to_owned()].into();
-        let (spliced, _) = iw.weave_at(2, &p, Some(&dirty)).unwrap();
+        let (spliced, _) = iw.weave_at(2, &p, Some(&dirty), &off()).unwrap();
         // A reused class must be the same woven output, and the whole
         // result byte-identical to the oracle even on the in-place path.
         assert_eq!(*spliced, Weaver::new(aspects()).weave(&p).unwrap());
         // Holding the handle forces the copy fallback; still identical.
         p.classes[3].methods.push(MethodDecl::new("extra2"));
         let dirty: BTreeSet<String> = ["C3".to_owned()].into();
-        let (again, stats) = iw.weave_at(3, &p, Some(&dirty)).unwrap();
+        let (again, stats) = iw.weave_at(3, &p, Some(&dirty), &off()).unwrap();
         assert_eq!(stats.rewoven, 1);
         assert_eq!(*again, Weaver::new(aspects()).weave(&p).unwrap());
         drop(spliced);
@@ -483,12 +449,12 @@ mod tests {
     fn changed_declaration_outside_dirty_set_is_still_rewoven() {
         let mut p = program(4);
         let mut iw = IncrementalWeaver::new(Weaver::new(aspects()));
-        iw.weave_at(1, &p, None).unwrap();
+        iw.weave_at(1, &p, None, &off()).unwrap();
         // Lie about the dirty set: change C1 but only name C3 dirty.
         // The input-equality guard must catch C1 anyway.
         p.classes[1].methods.push(MethodDecl::new("sneaky"));
         let dirty: BTreeSet<String> = ["C3".to_owned()].into();
-        let (spliced, stats) = iw.weave_at(2, &p, Some(&dirty)).unwrap();
+        let (spliced, stats) = iw.weave_at(2, &p, Some(&dirty), &off()).unwrap();
         assert_eq!(stats.rewoven, 2);
         assert_eq!(*spliced, Weaver::new(aspects()).weave(&p).unwrap());
     }
@@ -497,8 +463,8 @@ mod tests {
     fn unknown_delta_forces_full_reweave() {
         let p = program(4);
         let mut iw = IncrementalWeaver::new(Weaver::new(aspects()));
-        iw.weave_at(1, &p, None).unwrap();
-        let (_, stats) = iw.weave_at(2, &p, None).unwrap();
+        iw.weave_at(1, &p, None, &off()).unwrap();
+        let (_, stats) = iw.weave_at(2, &p, None, &off()).unwrap();
         assert_eq!(stats.rewoven, 4, "None delta means nothing can be trusted");
     }
 
@@ -506,26 +472,29 @@ mod tests {
     fn class_addition_and_removal_splice_correctly() {
         let mut p = program(5);
         let mut iw = IncrementalWeaver::new(Weaver::new(aspects()));
-        iw.weave_at(1, &p, None).unwrap();
+        iw.weave_at(1, &p, None, &off()).unwrap();
         // Remove C4, add C9.
         p.classes.pop();
         let mut fresh = ClassDecl::new("C9");
         fresh.methods.push(MethodDecl::new("run"));
         p.classes.push(fresh);
         let dirty: BTreeSet<String> = ["C4".to_owned(), "C9".to_owned()].into();
-        let (spliced, stats) = iw.weave_at(2, &p, Some(&dirty)).unwrap();
+        let (spliced, stats) = iw.weave_at(2, &p, Some(&dirty), &off()).unwrap();
         assert_eq!(stats.rewoven, 1, "only the new class is woven work");
         assert_eq!(*spliced, Weaver::new(aspects()).weave(&p).unwrap());
     }
 
     #[test]
-    fn invalidate_drops_the_cache() {
-        let p = program(3);
+    fn full_hit_traces_byte_identically_to_a_cold_weave() {
+        let p = program(5);
         let mut iw = IncrementalWeaver::new(Weaver::new(aspects()));
-        iw.weave_at(1, &p, None).unwrap();
-        iw.invalidate();
-        let (_, stats) = iw.weave_at(1, &p, Some(&BTreeSet::new())).unwrap();
-        assert!(!stats.hit);
-        assert_eq!(stats.rewoven, 3);
+        let cold = Collector::enabled();
+        iw.weave_at(1, &p, None, &cold).unwrap();
+        let hit = Collector::enabled();
+        let (_, stats) = iw.weave_at(1, &p, None, &hit).unwrap();
+        assert_eq!((stats.hit, stats.rewoven), (true, 0));
+        let (cold, hit) = (cold.take(), hit.take());
+        assert!(cold.events.iter().any(|e| e.name == "weave.advice"));
+        assert_eq!(cold.to_chrome_json(), hit.to_chrome_json());
     }
 }

@@ -1,10 +1,11 @@
-//! Precomputed pointcut-match tables: the [`MatchIndex`].
+//! Per-class pointcut-match tables, built inside the one weaving unit.
 //!
 //! The naive weaver re-evaluates every aspect's every pointcut at every
 //! join-point shadow it visits — for call shadows that means once per
 //! *statement*, so a method that calls `log` in a loop body pays the
-//! full pointcut tree again for each occurrence. The `MatchIndex` is
-//! built in one pass over the program before any weaving happens:
+//! full pointcut tree again for each occurrence. The weaving unit
+//! (`weave_classes` in `weaver.rs`) instead builds one class's tables
+//! with `index_class` right before it weaves that class:
 //!
 //! * **Execution table** — per method, the matched advice list grouped
 //!   by aspect in precedence order (`exec_layers`). Each pointcut is
@@ -14,15 +15,14 @@
 //!   matching call advices. Each pointcut is evaluated once per
 //!   *distinct* callee in a method, not once per call statement.
 //!
-//! Both tables are immutable once built, which is what makes the weave
-//! itself parallelizable.
+//! The tables are immutable once built and cover one class only.
 //!
 //! ## Why per-class parallel weaving is sound
 //!
 //! Weaving a class only ever (a) rewrites the bodies of that class's
 //! own methods and (b) appends `__`-suffixed helper methods to that
-//! same class; the decision of *what* to weave comes entirely from this
-//! read-only index. In critical-pair terms (Altahat et al., see
+//! same class; the decision of *what* to weave comes entirely from that
+//! class's read-only tables. In critical-pair terms (Altahat et al., see
 //! PAPERS.md): two aspect applications conflict only when their
 //! join-point shadows overlap or one application's rewrite creates or
 //! destroys a shadow the other matches. Shadows here are (class,
@@ -39,8 +39,7 @@
 
 use crate::advice::{AdviceKind, Aspect};
 use crate::weaver::call_at_statement;
-use comet_codegen::{ClassDecl, MethodDecl, Program, Stmt};
-use rayon::prelude::*;
+use comet_codegen::{ClassDecl, MethodDecl, Stmt};
 use std::collections::{HashMap, HashSet};
 
 /// Identity of a call shadow's match-relevant data inside one container
@@ -62,43 +61,6 @@ pub(crate) struct MethodMatches {
     /// True when at least one callee in `calls` has a match; a `false`
     /// lets the weave pass skip rebuilding the method body entirely.
     pub has_call_matches: bool,
-}
-
-/// Match results for every method of one class, in declaration order.
-#[derive(Debug)]
-pub(crate) struct ClassMatches {
-    /// One entry per method, same order as `ClassDecl::methods`.
-    pub methods: Vec<MethodMatches>,
-}
-
-/// The full per-program index; see the module docs.
-#[derive(Debug)]
-pub(crate) struct MatchIndex {
-    classes: Vec<ClassMatches>,
-}
-
-impl MatchIndex {
-    /// Builds the index in one (parallel) pass over `program`.
-    /// `aspects` is the effective list in precedence order, including
-    /// any synthesized cflow instrumentation aspect.
-    pub(crate) fn build(aspects: &[&Aspect], program: &Program) -> Self {
-        let call_advices = call_advice_candidates(aspects);
-        let classes: Vec<ClassMatches> = if crate::weaver::use_sequential(program.classes.len()) {
-            program.classes.iter().map(|c| index_class(aspects, &call_advices, c)).collect()
-        } else {
-            let class_indices: Vec<usize> = (0..program.classes.len()).collect();
-            class_indices
-                .par_iter()
-                .map(|&ci| index_class(aspects, &call_advices, &program.classes[ci]))
-                .collect()
-        };
-        MatchIndex { classes }
-    }
-
-    /// The match tables for the class at position `i` in the program.
-    pub(crate) fn class(&self, i: usize) -> &ClassMatches {
-        &self.classes[i]
-    }
 }
 
 /// Call advice candidates: only before/after participate at call
@@ -125,20 +87,19 @@ pub(crate) fn call_advice_candidates(aspects: &[&Aspect]) -> Vec<(usize, usize)>
         .collect()
 }
 
-/// Builds the match tables for one class — the per-class unit the
-/// incremental weaver re-indexes when splicing.
+/// Builds the match tables for one class: one entry per method, in
+/// declaration order.
 pub(crate) fn index_class(
     aspects: &[&Aspect],
     call_advices: &[(usize, usize)],
     class: &ClassDecl,
-) -> ClassMatches {
+) -> Vec<MethodMatches> {
     let method_names: HashSet<&str> = class.methods.iter().map(|m| m.name.as_str()).collect();
-    let methods = class
+    class
         .methods
         .iter()
         .map(|method| index_method(aspects, call_advices, class, method, &method_names))
-        .collect();
-    ClassMatches { methods }
+        .collect()
 }
 
 fn index_method(

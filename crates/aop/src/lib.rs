@@ -56,6 +56,4 @@ pub use incremental::{IncrementalStats, IncrementalWeaver};
 pub use metrics::{concern_metrics, ConcernMetrics, MetricsReport};
 pub use pattern::NamePattern;
 pub use pointcut::{parse_pointcut, Pointcut, PointcutParseError};
-pub use weaver::{
-    Shadow, WeaveError, WeavePath, WeaveResult, Weaver, WovenJoinPoint, PARALLEL_MIN_CLASSES,
-};
+pub use weaver::{Shadow, WeaveError, WeaveResult, Weaver, WovenJoinPoint, PARALLEL_MIN_CLASSES};

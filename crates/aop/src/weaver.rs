@@ -21,15 +21,15 @@
 //! and `after` advice. Calls to weaver-generated helpers (names
 //! containing `__`) are never advised, so woven code is not re-advised.
 //!
-//! ## Performance: match indexing and per-class parallelism
+//! ## One mechanism: the per-class unit
 //!
-//! [`Weaver::weave`] first builds a read-only [`MatchIndex`] (one pass,
-//! every pointcut evaluated once per method / once per distinct callee
-//! — see `index.rs` for the tables and for the critical-pair argument
-//! that classes are independent units of work), then weaves classes in
-//! parallel with rayon, cloning each class exactly once as it is woven
-//! instead of cloning the whole program up front. The trace is
-//! assembled phase-by-phase in class order, so output and trace are
+//! Every indexed weave runs `weave_classes`: per class, it builds the
+//! class's pointcut-match tables (see `index.rs`, also for the
+//! critical-pair argument that classes are independent units of work)
+//! and weaves the class against them, cloning it once. [`Weaver::weave`]
+//! runs it over every class, `IncrementalWeaver::weave_at` over the
+//! classes its cache cannot reuse. The trace is assembled
+//! phase-by-phase in class order, so output and trace are
 //! byte-identical to the sequential reference implementation
 //! [`Weaver::weave_naive`], which is retained as the differential
 //! oracle for the property tests and as the "before" benchmark
@@ -38,7 +38,7 @@
 //! does) to pin it.
 
 use crate::advice::{Advice, AdviceKind, Aspect};
-use crate::index::{ClassMatches, MatchIndex, MethodMatches};
+use crate::index::{call_advice_candidates, index_class, MethodMatches};
 use comet_codegen::marks::intrinsics::{CFLOW_ACTIVE, CFLOW_ENTER, CFLOW_EXIT};
 use comet_codegen::{Block, ClassDecl, Expr, IrType, IrUnOp, LValue, MethodDecl, Program, Stmt};
 use rayon::prelude::*;
@@ -109,49 +109,18 @@ pub struct WovenJoinPoint {
     pub shadow: Shadow,
 }
 
-/// Which execution strategy a weave actually used. Recorded on the
-/// [`WeaveResult`] (not in the obs trace: the strategy depends on the
-/// ambient rayon pool, and traces must stay byte-identical across
-/// thread counts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WeavePath {
-    /// Plain loop on the calling thread — chosen when the pool has one
-    /// worker or the class count is below [`PARALLEL_MIN_CLASSES`],
-    /// where rayon dispatch costs more than it buys.
-    Sequential,
-    /// rayon per-class parallel weave.
-    Parallel,
-}
-
 /// Class count below which the per-class parallel weave is not worth
 /// its dispatch overhead (the BENCH_weaver thread sweep shows the
 /// 2-thread run *losing* to 1 thread on small inputs).
 pub const PARALLEL_MIN_CLASSES: usize = 8;
 
-/// Decides the weave path for a unit of `classes` independent classes.
-pub(crate) fn use_sequential(classes: usize) -> bool {
-    rayon::current_num_threads() == 1 || classes < PARALLEL_MIN_CLASSES
-}
-
 /// Result of weaving: the transformed program plus the trace.
-///
-/// Equality compares `program` and `trace` only — `path` is an
-/// execution detail that legitimately varies with the ambient thread
-/// pool while the output stays byte-identical.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeaveResult {
     /// The woven program.
     pub program: Program,
     /// One record per advice application.
     pub trace: Vec<WovenJoinPoint>,
-    /// Which strategy produced the result.
-    pub path: WeavePath,
-}
-
-impl PartialEq for WeaveResult {
-    fn eq(&self, other: &Self) -> bool {
-        self.program == other.program && self.trace == other.trace
-    }
 }
 
 /// The weaver: an ordered list of aspects (order = precedence, earlier =
@@ -163,10 +132,9 @@ pub struct Weaver {
 
 /// Records the post-hoc weave spans/events for a finished weave: one
 /// `weave` pass span, one `class:<name>` child span per advised class,
-/// one `weave.advice` event per join point. Shared by the full and the
-/// incremental weavers so a cached re-weave traces byte-identically to
-/// a fresh one (the trace is derived from the result, never from the
-/// execution path that produced it).
+/// one `weave.advice` event per join point — the code-level link of
+/// the provenance chain. Derived from the result, never from the path
+/// that produced it.
 pub(crate) fn record_weave_trace(
     obs: &comet_obs::Collector,
     aspect_count: usize,
@@ -216,8 +184,8 @@ impl Weaver {
         &self.aspects
     }
 
-    /// Weaves all aspects into a copy of `program` using the
-    /// match-indexed, per-class-parallel pipeline (see module docs).
+    /// Weaves all aspects into a copy of `program` by running the
+    /// per-class unit over every class (see module docs).
     ///
     /// # Errors
     /// Returns [`WeaveError`] when an aspect combines a `call(...)`
@@ -226,61 +194,19 @@ impl Weaver {
     pub fn weave(&self, program: &Program) -> Result<WeaveResult, WeaveError> {
         let instrumentation = self.validate_and_instrument()?;
         let aspects = effective_aspects(&self.aspects, instrumentation.as_ref());
-        let index = MatchIndex::build(&aspects, program);
-        let sequential = use_sequential(program.classes.len());
-        let woven_classes: Vec<(ClassDecl, Vec<WovenJoinPoint>, Vec<WovenJoinPoint>)> =
-            if sequential {
-                (0..program.classes.len())
-                    .map(|i| weave_class(&aspects, &program.classes[i], index.class(i)))
-                    .collect()
-            } else {
-                let class_indices: Vec<usize> = (0..program.classes.len()).collect();
-                class_indices
-                    .par_iter()
-                    .map(|&i| weave_class(&aspects, &program.classes[i], index.class(i)))
-                    .collect()
-            };
+        let slots: Vec<usize> = (0..program.classes.len()).collect();
         // Reassemble in class order with the naive weaver's global phase
         // order: all call records first, then all execution records.
         let mut out = Program::new(program.name.clone());
         let mut trace = Vec::new();
-        let mut exec_traces = Vec::with_capacity(woven_classes.len());
-        for (class, call_trace, exec_trace) in woven_classes {
-            out.classes.push(class);
-            trace.extend(call_trace);
-            exec_traces.push(exec_trace);
+        let mut exec_traces = Vec::with_capacity(slots.len());
+        for woven in weave_classes(&aspects, program, &slots) {
+            out.classes.push(woven.woven);
+            trace.extend(woven.calls);
+            exec_traces.push(woven.execs);
         }
-        for exec_trace in exec_traces {
-            trace.extend(exec_trace);
-        }
-        let path = if sequential { WeavePath::Sequential } else { WeavePath::Parallel };
-        Ok(WeaveResult { program: out, trace, path })
-    }
-
-    /// [`Weaver::weave`] wrapped in trace spans: one `weave` span over
-    /// the whole pass, one `class:<Name>` child span per class that
-    /// received advice, and one `weave.advice` event per woven join
-    /// point (aspect, advice kind, shadow, class, method) — the
-    /// code-level link of the provenance chain.
-    ///
-    /// The spans are recorded *after* the parallel weave finishes, from
-    /// the already-deterministic [`WeaveResult::trace`], grouped in
-    /// program class order — so enabling tracing cannot perturb the
-    /// parallel weave, and the recorded trace is byte-identical across
-    /// runs and thread counts.
-    ///
-    /// # Errors
-    /// Same conditions as [`Weaver::weave`].
-    pub fn weave_traced(
-        &self,
-        program: &Program,
-        obs: &comet_obs::Collector,
-    ) -> Result<WeaveResult, WeaveError> {
-        let result = self.weave(program)?;
-        if obs.is_enabled() {
-            record_weave_trace(obs, self.aspects.len(), &result);
-        }
-        Ok(result)
+        trace.extend(exec_traces.into_iter().flatten());
+        Ok(WeaveResult { program: out, trace })
     }
 
     /// The sequential reference weaver: re-evaluates every pointcut at
@@ -304,7 +230,7 @@ impl Weaver {
         // containers, so call shadows must be found before that move.
         naive_weave_calls(&aspects, &mut woven, &mut trace);
         naive_weave_executions(&aspects, &mut woven, &mut trace);
-        Ok(WeaveResult { program: woven, trace, path: WeavePath::Sequential })
+        Ok(WeaveResult { program: woven, trace })
     }
 
     /// Validates advice kinds at call shadows and cflow positions, and
@@ -368,32 +294,59 @@ pub(crate) fn effective_aspects<'a>(
 }
 
 // ---------------------------------------------------------------------
-// Indexed per-class weaving (the parallel work unit)
+// The per-class weaving unit
 // ---------------------------------------------------------------------
 
-/// Weaves one class against the precomputed match tables, returning the
-/// woven class plus its call-phase and execution-phase trace records.
-/// Reads only `class` and the index — see `index.rs` for why this makes
-/// classes independent (and therefore parallelizable) work units.
-pub(crate) fn weave_class(
+/// One class woven by [`weave_classes`]: its slot in the program, the
+/// woven declaration, and its call- and execution-phase trace records.
+pub(crate) struct WovenClass {
+    pub slot: usize,
+    pub woven: ClassDecl,
+    pub calls: Vec<WovenJoinPoint>,
+    pub execs: Vec<WovenJoinPoint>,
+}
+
+/// The one weaving unit: weaves the classes at `slots` of `program`, in
+/// `slots` order. Each reads only its class and the aspects, so they run
+/// on rayon unless the pool has one worker or there are fewer than
+/// [`PARALLEL_MIN_CLASSES`] of them.
+pub(crate) fn weave_classes(
     aspects: &[&Aspect],
-    class: &ClassDecl,
-    matches: &ClassMatches,
-) -> (ClassDecl, Vec<WovenJoinPoint>, Vec<WovenJoinPoint>) {
+    program: &Program,
+    slots: &[usize],
+) -> Vec<WovenClass> {
+    let call_advices = call_advice_candidates(aspects);
+    let weave_one = |&slot: &usize| weave_class(aspects, &call_advices, program, slot);
+    if rayon::current_num_threads() == 1 || slots.len() < PARALLEL_MIN_CLASSES {
+        slots.iter().map(weave_one).collect()
+    } else {
+        slots.par_iter().map(weave_one).collect()
+    }
+}
+
+/// Weaves the class at `slot` against its freshly built match tables.
+fn weave_class(
+    aspects: &[&Aspect],
+    call_advices: &[(usize, usize)],
+    program: &Program,
+    slot: usize,
+) -> WovenClass {
+    let class = &program.classes[slot];
+    let matches = index_class(aspects, call_advices, class);
     let mut woven = class.clone();
     let aspect_names: Vec<&str> = aspects.iter().map(|a| a.name.as_str()).collect();
 
     // Call pass. Only methods with at least one matched call shadow are
     // rebuilt; everything else keeps its already-cloned body.
-    let mut call_trace = Vec::new();
+    let mut calls = Vec::new();
     for (mi, method) in class.methods.iter().enumerate() {
-        let mm = &matches.methods[mi];
+        let mm = &matches[mi];
         if !mm.has_call_matches {
             continue;
         }
         let mut new_stmts = Vec::new();
         for stmt in &method.body.stmts {
-            rewrite_call_stmt(stmt, mm, aspects, class, method, &mut new_stmts, &mut call_trace);
+            rewrite_call_stmt(stmt, mm, aspects, class, method, &mut new_stmts, &mut calls);
         }
         woven.methods[mi].body = Block::of(new_stmts);
     }
@@ -401,9 +354,9 @@ pub(crate) fn weave_class(
     // Execution pass, after the call pass (same phase order as the
     // naive weaver: the functional helper must reify the call-woven
     // body).
-    let mut exec_trace = Vec::new();
+    let mut execs = Vec::new();
     for (mi, method) in class.methods.iter().enumerate() {
-        let mm = &matches.methods[mi];
+        let mm = &matches[mi];
         if mm.exec_layers.is_empty() {
             continue;
         }
@@ -412,9 +365,9 @@ pub(crate) fn weave_class(
             .iter()
             .map(|(k, js)| (*k, js.iter().map(|&j| &aspects[*k].advices[j]).collect()))
             .collect();
-        apply_execution_layers(&mut woven, &method.name, &layers, &aspect_names, &mut exec_trace);
+        apply_execution_layers(&mut woven, &method.name, &layers, &aspect_names, &mut execs);
     }
-    (woven, call_trace, exec_trace)
+    WovenClass { slot, woven, calls, execs }
 }
 
 /// Emits `stmt` into `out`, wrapped with the advice the call table
@@ -720,7 +673,7 @@ fn naive_weave_one_execution(
     }
     // Gather matching advice per aspect, preserving aspect order —
     // evaluated from scratch for every method, which is exactly what the
-    // MatchIndex exists to avoid.
+    // match tables exist to avoid.
     let method_snapshot =
         class.find_method(method_name).expect("caller iterates real names").clone();
     let mut layers: Vec<(usize, Vec<&Advice>)> = Vec::new();
@@ -1090,6 +1043,7 @@ fn subst_proceed_expr(expr: &mut Expr, inner: &str, params: &[Expr]) {
 mod tests {
     use super::*;
     use crate::pointcut::parse_pointcut;
+    use crate::IncrementalWeaver;
     use comet_codegen::{check_program, Param};
 
     fn sample_program() -> Program {
@@ -1361,12 +1315,18 @@ mod tests {
         ]
     }
 
+    /// A cold `weave_at` with `obs` — the only traced weave.
+    fn cold_weave_at(weaver: &Weaver, p: &Program, obs: &comet_obs::Collector) -> WeaveResult {
+        let (result, _) = IncrementalWeaver::new(weaver.clone()).weave_at(0, p, None, obs).unwrap();
+        WeaveResult::clone(&result)
+    }
+
     #[test]
-    fn weave_traced_records_one_event_per_join_point() {
+    fn weave_at_records_one_event_per_join_point() {
         let weaver = Weaver::new(mixed_aspects());
         let p = mixed_program();
         let obs = comet_obs::Collector::enabled();
-        let traced = weaver.weave_traced(&p, &obs).unwrap();
+        let traced = cold_weave_at(&weaver, &p, &obs);
         let plain = weaver.weave(&p).unwrap();
         assert_eq!(traced, plain, "tracing must not perturb the weave");
         let trace = obs.take();
@@ -1389,10 +1349,31 @@ mod tests {
         let retrace = |threads: usize| {
             let obs = comet_obs::Collector::enabled();
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-            pool.install(|| weaver.weave_traced(&p, &obs)).unwrap();
+            pool.install(|| cold_weave_at(&weaver, &p, &obs));
             obs.take()
         };
         assert_eq!(retrace(1), retrace(4));
+    }
+
+    #[test]
+    fn cold_weave_at_equals_weave_and_naive_across_the_parallel_cutoff() {
+        let weaver = Weaver::new(mixed_aspects());
+        let mut p = mixed_program();
+        for i in 0..PARALLEL_MIN_CLASSES {
+            let mut copy = p.classes[i % 2].clone();
+            copy.name = format!("{}{i}", copy.name);
+            p.classes.push(copy);
+        }
+        let reference = weaver.weave_naive(&p).unwrap();
+        let off = comet_obs::Collector::disabled();
+        // One thread takes the sequential side, two and four the rayon side.
+        for threads in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            let full = pool.install(|| weaver.weave(&p)).unwrap();
+            let cold = pool.install(|| cold_weave_at(&weaver, &p, &off));
+            assert_eq!(full, reference, "weave diverged at {threads} threads");
+            assert_eq!(cold, reference, "weave_at diverged at {threads} threads");
+        }
     }
 
     #[test]

@@ -202,10 +202,11 @@ proptest! {
         let full = Weaver::new(aspects.clone());
         let mut incremental = IncrementalWeaver::new(Weaver::new(aspects));
         let mut revision = 0u64;
+        let off = comet_obs::Collector::disabled();
 
         // Prime the cache with the base program.
         let oracle = full.weave(&program).expect("pool aspects are weavable");
-        let (got, _) = incremental.weave_at(revision, &program, None).expect("weavable");
+        let (got, _) = incremental.weave_at(revision, &program, None, &off).expect("weavable");
         prop_assert_eq!(&*got, &oracle, "priming weave diverged");
 
         for (edit, claim) in &edits {
@@ -225,7 +226,7 @@ proptest! {
             };
             let oracle = full.weave(&program).expect("pool aspects are weavable");
             let (got, stats) =
-                incremental.weave_at(revision, &program, dirty.as_ref()).expect("weavable");
+                incremental.weave_at(revision, &program, dirty.as_ref(), &off).expect("weavable");
             prop_assert_eq!(&got.program, &oracle.program, "programs diverged after {:?}", edit);
             prop_assert_eq!(&got.trace, &oracle.trace, "traces diverged after {:?}", edit);
             prop_assert!(stats.rewoven <= stats.total);

@@ -74,7 +74,7 @@ fn bench(c: &mut Criterion) {
 
     // The headline comparison: the 100-class / 8-aspect mixed workload
     // (execution + call advice, method bodies with call shadows) through
-    // the naive full-scan weaver versus the MatchIndex-backed one.
+    // the naive full-scan weaver versus the per-class match-table one.
     let big = weaver_program(100, 6);
     let weaver = Weaver::new(weaver_aspects(8));
     group.sample_size(10).measurement_time(Duration::from_secs(3));

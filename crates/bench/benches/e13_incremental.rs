@@ -8,6 +8,7 @@
 use comet_aop::{IncrementalWeaver, Weaver};
 use comet_bench::{weaver_aspects, weaver_program};
 use comet_codegen::{Expr, Program, Stmt};
+use comet_obs::Collector;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeSet;
 use std::hint::black_box;
@@ -35,6 +36,7 @@ fn bench(c: &mut Criterion) {
     let edit = edited(&base);
     let weaver = Weaver::new(weaver_aspects(ASPECTS));
     let dirty: BTreeSet<String> = [base.classes[0].name.clone()].into();
+    let off = Collector::disabled();
 
     group.bench_function("full_weave", |b| {
         b.iter(|| weaver.weave(black_box(&edit)).expect("weaves"));
@@ -42,19 +44,21 @@ fn bench(c: &mut Criterion) {
 
     group.bench_function("splice_one_dirty_class", |b| {
         let mut iw = IncrementalWeaver::new(weaver.clone());
-        iw.weave_at(0, &base, None).expect("weaves");
+        iw.weave_at(0, &base, None, &off).expect("weaves");
         let mut revision = 0u64;
         b.iter(|| {
             revision += 1;
             let program = if revision.is_multiple_of(2) { &base } else { &edit };
-            black_box(iw.weave_at(revision, black_box(program), Some(&dirty)).expect("weaves"))
+            black_box(
+                iw.weave_at(revision, black_box(program), Some(&dirty), &off).expect("weaves"),
+            )
         });
     });
 
     group.bench_function("unchanged_revision_hit", |b| {
         let mut iw = IncrementalWeaver::new(weaver.clone());
-        iw.weave_at(1, &base, Some(&dirty)).expect("weaves");
-        b.iter(|| black_box(iw.weave_at(1, black_box(&base), Some(&dirty)).expect("weaves")));
+        iw.weave_at(1, &base, Some(&dirty), &off).expect("weaves");
+        b.iter(|| black_box(iw.weave_at(1, black_box(&base), Some(&dirty), &off).expect("weaves")));
     });
 
     group.bench_function("unknown_delta_full_reweave", |b| {
@@ -62,7 +66,7 @@ fn bench(c: &mut Criterion) {
         let mut revision = 0u64;
         b.iter(|| {
             revision += 1;
-            black_box(iw.weave_at(revision, black_box(&edit), None).expect("weaves"))
+            black_box(iw.weave_at(revision, black_box(&edit), None, &off).expect("weaves"))
         });
     });
 

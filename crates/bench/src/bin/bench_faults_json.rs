@@ -160,7 +160,7 @@ fn main() {
 
     let per_call_us = (exec_after - exec_before) / f64::from(TRANSFERS) * 1e6;
     let json = format!(
-        "{{\n  \"experiment\": \"pr3_fault_tolerance_overhead\",\n  \"workload\": {{\"transfers\": {TRANSFERS}, \"baseline_concerns\": \"distribution+transactions\", \"ft_concerns\": \"distribution+faulttolerance+transactions\"}},\n  \"fault_free_execution\": {{\n    \"baseline\": {{\"impl\": \"woven dist+tx, no FT advice\", \"median_secs\": {exec_before:.6}}},\n    \"with_ft\": {{\"impl\": \"woven dist+ft+tx (retry loop + breaker + deadline bookkeeping)\", \"median_secs\": {exec_after:.6}}},\n    \"overhead_ratio\": {:.3},\n    \"overhead_us_per_call\": {per_call_us:.3}\n  }},\n  \"weave\": {{\n    \"advice_applications\": {shadows},\n    \"before\": {{\"impl\": \"weave_naive (sequential full-scan)\", \"median_secs\": {weave_before:.6}}},\n    \"after\": {{\"impl\": \"weave (MatchIndex + per-class parallel)\", \"median_secs\": {weave_after:.6}}},\n    \"speedup\": {:.3}\n  }}\n}}\n",
+        "{{\n  \"experiment\": \"pr3_fault_tolerance_overhead\",\n  \"workload\": {{\"transfers\": {TRANSFERS}, \"baseline_concerns\": \"distribution+transactions\", \"ft_concerns\": \"distribution+faulttolerance+transactions\"}},\n  \"fault_free_execution\": {{\n    \"baseline\": {{\"impl\": \"woven dist+tx, no FT advice\", \"median_secs\": {exec_before:.6}}},\n    \"with_ft\": {{\"impl\": \"woven dist+ft+tx (retry loop + breaker + deadline bookkeeping)\", \"median_secs\": {exec_after:.6}}},\n    \"overhead_ratio\": {:.3},\n    \"overhead_us_per_call\": {per_call_us:.3}\n  }},\n  \"weave\": {{\n    \"advice_applications\": {shadows},\n    \"before\": {{\"impl\": \"weave_naive (sequential full-scan)\", \"median_secs\": {weave_before:.6}}},\n    \"after\": {{\"impl\": \"weave (per-class match tables + per-class parallel)\", \"median_secs\": {weave_after:.6}}},\n    \"speedup\": {:.3}\n  }}\n}}\n",
         exec_after / exec_before,
         weave_before / weave_after,
     );

@@ -18,6 +18,7 @@ use comet::run_banking_serve;
 use comet_aop::{IncrementalWeaver, Weaver};
 use comet_bench::{weaver_aspects, weaver_program};
 use comet_codegen::{Expr, Program, Stmt};
+use comet_obs::Collector;
 use comet_serve::WorkloadPlan;
 use std::collections::BTreeSet;
 use std::hint::black_box;
@@ -62,13 +63,14 @@ fn main() {
     let edit = edited(&base);
     let weaver = Weaver::new(weaver_aspects(ASPECTS));
     let dirty: BTreeSet<String> = [base.classes[0].name.clone()].into();
+    let off = Collector::disabled();
 
     // Sanity: the spliced result is byte-identical to the full weave,
     // and the dirty set really confines the re-weave to one class.
     let oracle = weaver.weave(&edit).expect("weaves");
     let mut iw = IncrementalWeaver::new(weaver.clone());
-    iw.weave_at(0, &base, None).expect("weaves");
-    let (got, stats) = iw.weave_at(1, &edit, Some(&dirty)).expect("weaves");
+    iw.weave_at(0, &base, None, &off).expect("weaves");
+    let (got, stats) = iw.weave_at(1, &edit, Some(&dirty), &off).expect("weaves");
     assert_eq!(got.program, oracle.program, "incremental weave diverged");
     assert_eq!(got.trace, oracle.trace, "incremental trace diverged");
     assert!(stats.hit, "edit re-weave missed the cache");
@@ -84,13 +86,14 @@ fn main() {
     // dirty class and splices the other 99 from the previous result.
     eprintln!("timing incremental re-weave of the dirty class (after) ...");
     let mut iw = IncrementalWeaver::new(weaver.clone());
-    iw.weave_at(0, &base, None).expect("weaves");
+    iw.weave_at(0, &base, None, &off).expect("weaves");
     let mut revision = 0u64;
     let after = median_secs(|| {
         revision += 1;
         let program = if revision.is_multiple_of(2) { &base } else { &edit };
-        let (_, stats) =
-            black_box(iw.weave_at(revision, black_box(program), Some(&dirty)).expect("weaves"));
+        let (_, stats) = black_box(
+            iw.weave_at(revision, black_box(program), Some(&dirty), &off).expect("weaves"),
+        );
         assert_eq!(stats.rewoven, 1);
     });
     let speedup = before / after;
@@ -100,10 +103,10 @@ fn main() {
     // Prime once so the cache holds `base` at the probed revision.
     eprintln!("timing unchanged-revision full hit ...");
     revision += 1;
-    iw.weave_at(revision, &base, Some(&dirty)).expect("weaves");
+    iw.weave_at(revision, &base, Some(&dirty), &off).expect("weaves");
     let hit = median_secs(|| {
         let (_, stats) =
-            black_box(iw.weave_at(revision, black_box(&base), Some(&dirty)).expect("weaves"));
+            black_box(iw.weave_at(revision, black_box(&base), Some(&dirty), &off).expect("weaves"));
         assert_eq!(stats.rewoven, 0);
     });
 

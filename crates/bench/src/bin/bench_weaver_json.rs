@@ -1,7 +1,7 @@
 //! Emits `BENCH_weaver.json`: machine-readable before/after numbers for
 //! the weaver pipeline on the E10 100-class / 8-aspect workload —
 //! "before" is the retained sequential full-scan weaver
-//! (`Weaver::weave_naive`), "after" the MatchIndex-backed parallel
+//! (`Weaver::weave_naive`), "after" the per-class match-table parallel
 //! weaver (`Weaver::weave`) — plus a worker-thread sweep.
 //!
 //! Usage: `cargo run --release -p comet-bench --bin bench_weaver_json
@@ -119,7 +119,7 @@ fn main() {
     });
 
     let json = format!(
-        "{{\n  \"experiment\": \"e10_weaver_pipeline\",\n  \"workload\": {{\"classes\": {CLASSES}, \"methods_per_class\": {METHODS}, \"aspects\": {ASPECTS}, \"advice_applications\": {shadows}}},\n  \"host_cores\": {cores},\n  \"before\": {{\"impl\": \"weave_naive (sequential full-scan)\", \"median_secs\": {before:.6}}},\n  \"after\": {{\"impl\": \"weave (MatchIndex + per-class parallel)\", \"median_secs\": {after:.6}}},\n  \"speedup\": {:.3},\n  \"thread_sweep\": [\n{}\n  ],\n  \"repository_queries\": {{\n    \"workload\": {{\"classes\": {QUERY_CLASSES}, \"pattern\": \"e6 queries: feature walks + ancestor closures + stereotype lookup\"}},\n    \"before\": {{\"impl\": \"full-scan `_scan` queries\", \"median_secs\": {q_before:.6}}},\n    \"after\": {{\"impl\": \"ModelIndex-backed queries (warm)\", \"median_secs\": {q_after:.6}}},\n    \"speedup\": {:.3}\n  }}\n}}\n",
+        "{{\n  \"experiment\": \"e10_weaver_pipeline\",\n  \"workload\": {{\"classes\": {CLASSES}, \"methods_per_class\": {METHODS}, \"aspects\": {ASPECTS}, \"advice_applications\": {shadows}}},\n  \"host_cores\": {cores},\n  \"before\": {{\"impl\": \"weave_naive (sequential full-scan)\", \"median_secs\": {before:.6}}},\n  \"after\": {{\"impl\": \"weave (per-class match tables + per-class parallel)\", \"median_secs\": {after:.6}}},\n  \"speedup\": {:.3},\n  \"thread_sweep\": [\n{}\n  ],\n  \"repository_queries\": {{\n    \"workload\": {{\"classes\": {QUERY_CLASSES}, \"pattern\": \"e6 queries: feature walks + ancestor closures + stereotype lookup\"}},\n    \"before\": {{\"impl\": \"full-scan `_scan` queries\", \"median_secs\": {q_before:.6}}},\n    \"after\": {{\"impl\": \"ModelIndex-backed queries (warm)\", \"median_secs\": {q_after:.6}}},\n    \"speedup\": {:.3}\n  }}\n}}\n",
         before / after,
         sweep_entries.join(",\n"),
         q_before / q_after,

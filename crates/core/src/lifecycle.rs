@@ -654,12 +654,8 @@ impl MdaLifecycle {
             let dirty = self.dirty_since.borrow();
             dirty.as_ref().and_then(|d| d.dirty_classes(&self.model))
         };
-        let weave = state.weaver.weave_at_traced(
-            self.model.revision(),
-            &functional,
-            dirty_classes.as_ref(),
-            obs,
-        );
+        let weave =
+            state.weaver.weave_at(self.model.revision(), &functional, dirty_classes.as_ref(), obs);
         let (result, stats) = match weave {
             Ok(r) => r,
             Err(e) => {

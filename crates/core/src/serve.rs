@@ -38,11 +38,11 @@ use crate::lifecycle::{LifecycleError, MdaLifecycle};
 use comet_aspectgen::ConcernPair;
 use comet_interaction::{build_matrix, pair_key, InteractionMatrix};
 use comet_middleware::{FaultLog, FaultPlan, Middleware, MiddlewareConfig};
-use comet_obs::Collector;
+use comet_obs::{fnv1a64, Collector};
 use comet_repo::DurableRepository;
 use comet_serve::{
-    fnv1a64, EngineFactory, QuerySelector, Request, RunConfig, ServeError, TenantEngine,
-    WorkloadPlan, WorkloadPlanError,
+    EngineFactory, QuerySelector, Request, RunConfig, ServeError, TenantEngine, WorkloadPlan,
+    WorkloadPlanError,
 };
 use comet_transform::{ParamSet, ParamValue};
 use comet_workflow::WorkflowModel;

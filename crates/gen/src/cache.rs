@@ -14,9 +14,10 @@
 //! dropped whenever the model *instance* is replaced, because revision
 //! counters are per instance; see [`GenCache::forget_revision`].
 
-use crate::{fnv1a64, GenInput, Generator};
+use crate::{GenInput, Generator};
 use comet_codegen::BodyProvider;
 use comet_model::Model;
+use comet_obs::fnv1a64;
 use comet_xmi::export_model;
 use std::collections::BTreeMap;
 use std::fmt::Write;

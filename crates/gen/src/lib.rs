@@ -37,17 +37,6 @@ use comet_codegen::{BodyProvider, Program};
 use comet_model::Model;
 use std::fmt;
 
-/// FNV-1a over raw bytes — the segment-store content-hash discipline,
-/// reused here so cache keys are stable across processes and platforms.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 /// The registered generation targets, mirroring the RAISE
 /// `TransformationDomain` enum: one variant per backend, each with a
 /// stable string id used in workload plans, CLI flags, and cache keys.

@@ -32,6 +32,7 @@
 
 use crate::clock::SimClock;
 use crate::error::MiddlewareError;
+use crate::plan_text::{plan_lines, PlanLine, PlanLineError};
 use comet_obs::Collector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -196,6 +197,15 @@ impl fmt::Display for FaultPlanError {
 
 impl std::error::Error for FaultPlanError {}
 
+impl From<PlanLineError> for FaultPlanError {
+    fn from(e: PlanLineError) -> Self {
+        match e {
+            PlanLineError::BadLine(l) => FaultPlanError::BadLine(l),
+            PlanLineError::Duplicate(k) => FaultPlanError::Duplicate(k),
+        }
+    }
+}
+
 /// A deterministic description of what to inject, either drawn per
 /// operation from a seeded RNG or dictated by an explicit schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,55 +278,21 @@ impl FaultPlan {
     /// bus.send@3 = "partition server 3000"
     /// ```
     ///
-    /// Only `key = value` lines, `[section]` headers, blank lines and
-    /// `#` comments are understood (hand-rolled: the build carries no
-    /// TOML dependency). Duplicate keys, repeated section headers, and
-    /// trailing garbage after a header are rejected — a plan that pins
-    /// a chaos run must have exactly one meaning.
+    /// Lines are read by the shared [`plan_lines`] reader (hand-rolled:
+    /// the build carries no TOML dependency), which rejects duplicate
+    /// keys, repeated section headers, and trailing garbage after a
+    /// header — a plan that pins a chaos run must have exactly one
+    /// meaning.
     ///
     /// # Errors
     /// Returns a [`FaultPlanError`] describing the first bad line.
     pub fn parse_toml(text: &str) -> Result<FaultPlan, FaultPlanError> {
         let mut plan = FaultPlan::new(0);
-        let mut section = String::new();
-        let mut seen_sections: std::collections::BTreeSet<String> =
-            std::collections::BTreeSet::new();
-        let mut seen_keys: std::collections::BTreeSet<(String, String)> =
-            std::collections::BTreeSet::new();
-        for raw in text.lines() {
-            let line = match raw.find('#') {
-                Some(i) => &raw[..i],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
+        for entry in plan_lines(text) {
+            let PlanLine::Entry { section, key, value, line } = entry? else {
                 continue;
-            }
-            if line.starts_with('[') {
-                // A header must be exactly `[name]` — anything trailing
-                // the `]` (or a missing one) is garbage, not a key line.
-                let name = line
-                    .strip_prefix('[')
-                    .and_then(|l| l.strip_suffix(']'))
-                    .map(str::trim)
-                    .filter(|n| !n.is_empty() && !n.contains('[') && !n.contains(']'))
-                    .ok_or_else(|| FaultPlanError::BadLine(line.to_owned()))?;
-                if !seen_sections.insert(name.to_owned()) {
-                    return Err(FaultPlanError::Duplicate(format!("[{name}]")));
-                }
-                section = name.to_owned();
-                continue;
-            }
-            // Keys may be quoted (standard TOML requires it for dotted
-            // names like `"tx.commit"`) or bare.
-            let (key, value) = line
-                .split_once('=')
-                .map(|(k, v)| (k.trim().trim_matches('"'), v.trim().trim_matches('"')))
-                .ok_or_else(|| FaultPlanError::BadLine(line.to_owned()))?;
-            if !seen_keys.insert((section.clone(), key.to_owned())) {
-                return Err(FaultPlanError::Duplicate(key.to_owned()));
-            }
-            match section.as_str() {
+            };
+            match section {
                 "" => match key {
                     "seed" => {
                         plan.seed = value

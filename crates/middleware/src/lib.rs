@@ -49,6 +49,7 @@ mod faults;
 mod locks;
 mod logging;
 mod naming;
+mod plan_text;
 mod security;
 mod store;
 mod tx;
@@ -63,6 +64,7 @@ pub use faults::{
 pub use locks::{LockManager, LockStats};
 pub use logging::{LogRecord, LogService};
 pub use naming::{NamingService, Registration};
+pub use plan_text::{plan_lines, PlanLine, PlanLineError};
 pub use security::{AuditEntry, SecurityManager};
 pub use store::{StoreBytes, StoreService, StoreStats, FAULT_POINT_STORE_TORN};
 pub use tx::{

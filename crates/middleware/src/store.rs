@@ -20,6 +20,7 @@
 
 use crate::error::MiddlewareError;
 use crate::faults::{FaultHook, FaultInjector, FaultOp};
+use comet_obs::fnv1a64;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -70,17 +71,6 @@ impl StoreBytes for i64 {
     fn from_store_bytes(bytes: &[u8]) -> Option<i64> {
         Some(i64::from_le_bytes(bytes.try_into().ok()?))
     }
-}
-
-/// FNV-1a 64 (local copy: `comet-repo` sits above this crate in the
-/// dependency order, so the hash cannot be imported from there).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// Durable-mode state. The codec is captured as monomorphized function

@@ -24,6 +24,8 @@
 //!   element or woven statement, the chain
 //!   `concern → CMT(Si) → advice → runtime events`, queryable via
 //!   `comet-cli provenance <element>`.
+//! * [`fnv1a64`] / [`fnv1a64_extend`] — the workspace's one content
+//!   hash, kept here because this crate is the dependency-free leaf.
 //!
 //! ## Determinism contract
 //!
@@ -60,9 +62,11 @@
 
 mod collector;
 mod export;
+mod hash;
 mod json;
 mod provenance;
 
 pub use collector::{Collector, Event, Span, SpanId, Trace, TraceMark};
+pub use hash::{fnv1a64, fnv1a64_extend};
 pub use json::{escape as json_escape, JsonValue};
 pub use provenance::{AdviceEntry, ModelEntry, ProvenanceIndex, ProvenanceReport, RuntimeEntry};

@@ -42,7 +42,6 @@
 
 mod colors;
 mod diff;
-mod hash;
 mod recover;
 mod repo;
 mod segment;
@@ -50,7 +49,6 @@ mod wal;
 
 pub use colors::ColorReport;
 pub use diff::{diff_models, ModelDiff};
-pub use hash::fnv1a64;
 pub use recover::{CompactionReport, DurableRepository, FsckReport, RecoveryReport};
 pub use repo::{
     Commit, CommitDelta, CommitId, RepoError, Repository, FAULT_POINT_COMMIT, FAULT_POINT_UNDO,

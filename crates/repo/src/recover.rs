@@ -328,7 +328,7 @@ impl DurableRepository {
         // Always export: the durable backend trades the empty-delta
         // snapshot-reuse optimization for verification.
         let snapshot = export_model(model);
-        let hash = crate::hash::fnv1a64(snapshot.as_bytes());
+        let hash = comet_obs::fnv1a64(snapshot.as_bytes());
         if delta.as_ref().is_some_and(CommitDelta::is_empty) {
             if let Some(parent) = self.repo.head() {
                 if parent.hash != hash || parent.snapshot != snapshot {
@@ -609,7 +609,7 @@ impl DurableRepository {
             if !found {
                 report.problems.push(format!("commit {id}: snapshot missing from segment store"));
             }
-            if crate::hash::fnv1a64(snapshot.as_bytes()) != *hash {
+            if comet_obs::fnv1a64(snapshot.as_bytes()) != *hash {
                 report.problems.push(format!("commit {id}: content hash mismatch"));
             }
         }

@@ -1,9 +1,9 @@
 //! The repository proper: XMI snapshots, branches, tags, undo/redo.
 
 use crate::diff::{diff_models, ModelDiff};
-use crate::hash::fnv1a64;
 use comet_middleware::{FaultHook, MiddlewareError};
 use comet_model::{ElementId, Model};
+use comet_obs::fnv1a64;
 use comet_xmi::{export_model, import_model, XmiError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;

@@ -18,7 +18,7 @@
 //! payloads are stored side by side and addressed by `(hash, ordinal)`
 //! — the [`SegmentId`] — so a collision can never alias two snapshots.
 
-use crate::hash::fnv1a64;
+use comet_obs::fnv1a64;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};

@@ -16,9 +16,9 @@
 //! flushed first (an orphan segment is garbage, a dangling commit
 //! record would be corruption).
 
-use crate::hash::fnv1a64;
 use crate::repo::{CommitDelta, CommitId};
 use comet_model::ElementId;
+use comet_obs::fnv1a64;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};

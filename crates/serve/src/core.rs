@@ -1,12 +1,12 @@
 //! The server: tenant→shard routing and the parallel run loop.
 
 use crate::error::ServeError;
-use crate::fnv1a64;
 use crate::plan::WorkloadPlan;
 use crate::report::ServeReport;
 use crate::request::EngineFactory;
 use crate::shard::{run_shard, TenantOutcome};
 use comet_metrics::MetricsSnapshot;
+use comet_obs::fnv1a64;
 use comet_obs::Trace;
 use rayon::prelude::*;
 

@@ -42,18 +42,6 @@ pub use plan::{
 pub use report::{ServeReport, TenantStats};
 pub use request::{EngineFactory, QuerySelector, Request, TenantEngine};
 
-/// FNV-1a 64-bit hash — tenant→shard routing and per-tenant seed
-/// derivation use it so routing never depends on process-specific
-/// state (`DefaultHasher` is randomized per process).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,6 +13,7 @@
 use std::fmt;
 
 use comet_metrics::SloPolicy;
+use comet_middleware::{plan_lines, PlanLine, PlanLineError};
 
 /// Errors from [`WorkloadPlan::parse_toml`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,6 +68,15 @@ impl fmt::Display for WorkloadPlanError {
 }
 
 impl std::error::Error for WorkloadPlanError {}
+
+impl From<PlanLineError> for WorkloadPlanError {
+    fn from(e: PlanLineError) -> Self {
+        match e {
+            PlanLineError::BadLine(l) => WorkloadPlanError::BadLine(l),
+            PlanLineError::Duplicate(k) => WorkloadPlanError::Duplicate(k),
+        }
+    }
+}
 
 /// The backend a `Generate` request targets when the plan has no
 /// `[mix.generate]` section. This is the pre-factory behaviour — the
@@ -401,60 +411,31 @@ impl WorkloadPlan {
     ///
     /// Unspecified keys keep their defaults; the parsed plan is
     /// [`validate`](WorkloadPlan::validate)d before being returned.
-    /// Duplicate keys, repeated section headers, and trailing garbage
-    /// after a header are rejected (same rules and messages as
-    /// `FaultPlan::parse_toml` in `comet-middleware`).
+    /// Lines are read by `comet-middleware`'s shared `plan_lines`
+    /// reader, the one `FaultPlan::parse_toml` uses: duplicate keys,
+    /// repeated section headers, and trailing garbage after a header
+    /// are rejected with the same messages.
     ///
     /// # Errors
     /// Returns a [`WorkloadPlanError`] describing the first bad line.
     pub fn parse_toml(text: &str) -> Result<WorkloadPlan, WorkloadPlanError> {
         let mut plan = WorkloadPlan::default();
-        let mut section = String::new();
         // `[sampling]` keys may arrive in any order; combined at the end.
         let mut sampling_mode: Option<String> = None;
         let mut sampling_rate: Option<f64> = None;
-        let mut seen_sections: std::collections::BTreeSet<String> =
-            std::collections::BTreeSet::new();
-        let mut seen_keys: std::collections::BTreeSet<(String, String)> =
-            std::collections::BTreeSet::new();
-        for raw in text.lines() {
-            let line = match raw.find('#') {
-                Some(i) => &raw[..i],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                // A header must be exactly `[name]` — anything trailing
-                // the `]` (or a missing one) is garbage, not a key line.
-                let name = line
-                    .strip_prefix('[')
-                    .and_then(|l| l.strip_suffix(']'))
-                    .map(str::trim)
-                    .filter(|n| !n.is_empty() && !n.contains('[') && !n.contains(']'))
-                    .ok_or_else(|| WorkloadPlanError::BadLine(line.to_owned()))?;
-                if !seen_sections.insert(name.to_owned()) {
-                    return Err(WorkloadPlanError::Duplicate(format!("[{name}]")));
-                }
-                section = name.to_owned();
+        for entry in plan_lines(text) {
+            let (section, key, value, line) = match entry? {
                 // An `[slo]`/`[slo.tenants]` header enables the policy
                 // even when every key keeps its default.
-                if section == "slo" || section == "slo.tenants" {
+                PlanLine::Section("slo" | "slo.tenants") => {
                     plan.slo.get_or_insert_with(SloPolicy::default);
+                    continue;
                 }
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .map(|(k, v)| (k.trim().trim_matches('"'), v.trim().trim_matches('"')))
-                .ok_or_else(|| WorkloadPlanError::BadLine(line.to_owned()))?;
-            if !seen_keys.insert((section.clone(), key.to_owned())) {
-                return Err(WorkloadPlanError::Duplicate(key.to_owned()));
-            }
+                PlanLine::Section(_) => continue,
+                PlanLine::Entry { section, key, value, line } => (section, key, value, line),
+            };
             let bad_value = || WorkloadPlanError::BadValue(value.to_owned());
-            match section.as_str() {
+            match section {
                 "" => match key {
                     "seed" => plan.seed = value.parse().map_err(|_| bad_value())?,
                     "tenants" => plan.tenants = value.parse().map_err(|_| bad_value())?,

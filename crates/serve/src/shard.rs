@@ -41,7 +41,6 @@
 
 use crate::core::RunConfig;
 use crate::error::ServeError;
-use crate::fnv1a64;
 use crate::plan::{SampleMode, WorkloadPlan, DEFAULT_BACKEND};
 use crate::report::TenantStats;
 use crate::request::{EngineFactory, QuerySelector, Request, TenantEngine};
@@ -49,7 +48,7 @@ use comet_metrics::{
     CounterHandle, HistogramHandle, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     SloVerdict, WindowHandle,
 };
-use comet_obs::{Collector, Trace};
+use comet_obs::{fnv1a64, fnv1a64_extend, Collector, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -230,7 +229,7 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
             planned_depth: 0,
             stats: TenantStats::default(),
             latencies: Vec::new(),
-            hash: 0xcbf29ce484222325, // FNV offset basis
+            hash: fnv1a64(&[]),
             metrics,
             meters,
             slo_target_us: plan.slo.as_ref().map_or(u64::MAX, |s| s.target_for(tenant)),
@@ -319,13 +318,9 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
     }
 
     /// FNV-1a fold of one bookkeeping record into the outcome hash.
+    /// Each record ends with a `0xff` separator byte.
     fn fold(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x100000001b3);
-        }
-        self.hash ^= 0xff;
-        self.hash = self.hash.wrapping_mul(0x100000001b3);
+        self.hash = fnv1a64_extend(fnv1a64_extend(self.hash, bytes), &[0xff]);
     }
 
     fn think_jitter(&mut self) -> u64 {
