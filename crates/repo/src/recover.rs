@@ -15,6 +15,15 @@
 //! truncates on the next open. [`DurableRepository::open`] therefore
 //! recovers exactly the state of the last completed operation.
 //!
+//! Replay applies commit records from the segment bytes without any
+//! XMI work. Undo and redo records only move the head position, through
+//! the same step core as [`Repository::undo`]/[`Repository::redo`]; the
+//! snapshot each one lands on is still XMI-imported as a corruption
+//! check, but each distinct content only once per open (keyed by hash
+//! plus full bytes). A churn journal — many undos over a handful of
+//! contents — therefore replays in time linear in its records plus a
+//! few decodes, not one full decode per undo.
+//!
 //! Recovery invariants (checked by [`DurableRepository::fsck`]):
 //!
 //! * every WAL commit record resolves to a byte-verified segment;
@@ -28,7 +37,7 @@
 //!   address), so a crash between the renames still recovers — see
 //!   [`DurableRepository::compact`].
 
-use crate::repo::{CommitDelta, CommitId, RepoError, Repository};
+use crate::repo::{decode, Commit, CommitDelta, CommitId, RepoError, Repository, Step};
 use crate::segment::{SegmentId, SegmentStore};
 use crate::wal::{CheckpointCommit, CheckpointState, Wal, WalRecord};
 use comet_model::Model;
@@ -65,6 +74,10 @@ pub struct RecoveryReport {
     pub segments: usize,
     /// Torn/corrupt segment tail bytes truncated.
     pub segment_truncated_bytes: u64,
+    /// Snapshot XMI imports replay ran to verify undo/redo landings —
+    /// at most one per distinct landed content, zero for a journal
+    /// without undo/redo records.
+    pub snapshots_decoded: usize,
 }
 
 impl RecoveryReport {
@@ -238,8 +251,9 @@ impl DurableRepository {
         let wal_path = dir.join(WAL_FILE);
         let (records, wal_report, end) = Wal::read_all(&wal_path).map_err(io_err)?;
         let mut repo: Option<Repository> = None;
+        let mut landings = LandingCheck::default();
         for record in &records {
-            replay(&mut repo, record, &mut segments)?;
+            replay(&mut repo, record, &mut segments, &mut landings)?;
         }
         let repo = repo.ok_or_else(|| {
             RepoError::Storage(format!("journal in {} has no init record", dir.display()))
@@ -250,6 +264,7 @@ impl DurableRepository {
             wal_truncated_bytes: wal_report.truncated_bytes,
             segments: seg_report.segments,
             segment_truncated_bytes: seg_report.truncated_bytes,
+            snapshots_decoded: landings.decoded,
         };
         Ok((DurableRepository { repo, wal, segments, dir: dir.to_owned(), poisoned: None }, report))
     }
@@ -633,11 +648,45 @@ impl DurableRepository {
     }
 }
 
-/// Applies one journal record to the repository being rebuilt.
+/// Replay's check of the snapshots undo/redo records land on: each
+/// distinct content is XMI-imported once per open, then remembered.
+/// Keyed by content — the FNV-1a hash plus a full-byte compare, the way
+/// [`SegmentStore::append`] dedupes — so a hash collision can never
+/// skip a decode.
+#[derive(Debug, Default)]
+struct LandingCheck {
+    /// Contents that decoded, bucketed by hash.
+    verified: BTreeMap<u64, Vec<String>>,
+    /// Imports performed (reported as
+    /// [`RecoveryReport::snapshots_decoded`]).
+    decoded: usize,
+}
+
+impl LandingCheck {
+    /// Verifies the commit a replayed undo/redo lands on (`None` = the
+    /// root, which has no snapshot).
+    fn check(&mut self, landed: Option<&Commit>) -> Result<(), RepoError> {
+        let Some(commit) = landed else { return Ok(()) };
+        let seen = self.verified.entry(commit.hash).or_default();
+        if seen.contains(&commit.snapshot) {
+            return Ok(());
+        }
+        self.decoded += 1;
+        decode(commit)?;
+        seen.push(commit.snapshot.clone());
+        Ok(())
+    }
+}
+
+/// Applies one journal record to the repository being rebuilt. Undo
+/// and redo move the head through the same step core as
+/// [`Repository::undo`]/[`Repository::redo`], with `landings` in place
+/// of a decode whose model replay would only drop.
 fn replay(
     repo: &mut Option<Repository>,
     record: &WalRecord,
     segments: &mut SegmentStore,
+    landings: &mut LandingCheck,
 ) -> Result<(), RepoError> {
     fn need(repo: &mut Option<Repository>) -> Result<&mut Repository, RepoError> {
         repo.as_mut()
@@ -651,13 +700,9 @@ fn replay(
             let snapshot = fetch_snapshot(segments, *hash, *ordinal)?;
             need(repo)?.commit_raw(snapshot, *hash, message, concern.as_deref(), delta.clone());
         }
-        WalRecord::Undo => {
-            if let Some(Err(e)) = need(repo)?.undo() {
-                return Err(e);
-            }
-        }
-        WalRecord::Redo => {
-            if let Some(Err(e)) = need(repo)?.redo() {
+        WalRecord::Undo | WalRecord::Redo => {
+            let dir = if matches!(record, WalRecord::Undo) { Step::Back } else { Step::Forward };
+            if let Some(Err(e)) = need(repo)?.step(dir, |landed| landings.check(landed)) {
                 return Err(e);
             }
         }
@@ -944,6 +989,110 @@ mod tests {
         let (dur, _) = DurableRepository::open(&dir).unwrap();
         assert_eq!(dur.head_model().unwrap().unwrap(), v2);
         assert_eq!(dur.checkout_tag("still-alive").unwrap(), v2);
+    }
+
+    #[test]
+    fn compensated_failed_redo_keeps_journal_matching_memory() {
+        let dir = tmp("compensate-redo");
+        let (v1, v2) = two_models();
+        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        dur.commit(&v1, "initial", None).unwrap();
+        dur.commit(&v2, "distribution", Some("distribution")).unwrap();
+        dur.undo().unwrap().unwrap();
+        // Corrupt — in memory only — the snapshot redo would restore:
+        // the in-memory redo fails after its journal record is appended,
+        // and must leave the head where it was for the compensating
+        // `Undo` to cancel exactly that record.
+        let last = *dur.repo.commits.keys().last().unwrap();
+        dur.repo.commits.get_mut(&last).unwrap().snapshot = "<not xmi".to_owned();
+        let err = dur.redo().unwrap().unwrap_err();
+        assert!(matches!(err, RepoError::Corrupt(_)), "unexpected error: {err}");
+        assert_eq!(dur.undo_depth(), 1, "a failed redo must not move the head");
+        dur.tag("still-alive").unwrap();
+        let live = dur.repo().clone();
+        drop(dur);
+        // Replay: Undo, Redo cancelled by Undo — the head memory saw.
+        let (dur, _) = DurableRepository::open(&dir).unwrap();
+        assert_same_state(&live, dur.repo());
+        assert_eq!(dur.head_model().unwrap().unwrap(), v1);
+        assert_eq!(dur.checkout_tag("still-alive").unwrap(), v1);
+    }
+
+    /// Journals a commit of `bytes` straight into the segment store and
+    /// the WAL, bypassing the export a real commit performs.
+    fn journal_raw_commit(dur: &mut DurableRepository, bytes: &[u8]) {
+        let seg = dur.segments.append(bytes).unwrap();
+        dur.wal
+            .append(&WalRecord::Commit {
+                message: "raw".to_owned(),
+                concern: None,
+                hash: seg.hash,
+                ordinal: seg.ordinal,
+                delta: None,
+            })
+            .unwrap();
+    }
+
+    #[test]
+    fn undo_landing_on_undecodable_snapshot_still_fails_open() {
+        let dir = tmp("corrupt-undo");
+        let (v1, _) = two_models();
+        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        // A checksum-valid segment that is not XMI, then a good commit
+        // on top: the commit records replay fine, the undo lands on the
+        // bad snapshot.
+        journal_raw_commit(&mut dur, b"<not xmi");
+        journal_raw_commit(&mut dur, comet_xmi::export_model(&v1).as_bytes());
+        dur.wal.append(&WalRecord::Undo).unwrap();
+        drop(dur);
+        let err = DurableRepository::open(&dir).unwrap_err();
+        assert!(matches!(err, RepoError::Corrupt(_)), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn redo_landing_on_undecodable_snapshot_still_fails_open() {
+        let dir = tmp("corrupt-redo");
+        let (v1, _) = two_models();
+        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        journal_raw_commit(&mut dur, comet_xmi::export_model(&v1).as_bytes());
+        journal_raw_commit(&mut dur, b"<not xmi");
+        // The undo lands on the good snapshot; the redo on the bad one.
+        dur.wal.append(&WalRecord::Undo).unwrap();
+        dur.wal.append(&WalRecord::Redo).unwrap();
+        drop(dur);
+        let err = DurableRepository::open(&dir).unwrap_err();
+        assert!(matches!(err, RepoError::Corrupt(_)), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn replay_decodes_each_landed_content_once() {
+        let dir = tmp("decode-once");
+        let (v1, v2) = two_models();
+        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        dur.commit(&v1, "initial", None).unwrap();
+        for i in 0..20 {
+            // Churn over two contents: every undo lands on v1 and every
+            // redo on v2, re-committed content included.
+            dur.commit(&v2, &format!("apply {i}"), Some("distribution")).unwrap();
+            dur.undo().unwrap().unwrap();
+            dur.redo().unwrap().unwrap();
+            dur.undo().unwrap().unwrap();
+        }
+        dur.undo().unwrap().unwrap();
+        drop(dur);
+        let (dur, report) = DurableRepository::open(&dir).unwrap();
+        assert_eq!(report.segments, 2);
+        assert_eq!(report.snapshots_decoded, 2, "one decode per distinct landed content");
+        assert_eq!(dur.undo_depth(), 0);
+        drop(dur);
+        // A commit-only journal decodes nothing.
+        let dir = tmp("decode-none");
+        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        dur.commit(&v1, "initial", None).unwrap();
+        dur.commit(&v2, "distribution", None).unwrap();
+        drop(dur);
+        let (_, report) = DurableRepository::open(&dir).unwrap();
+        assert_eq!(report.snapshots_decoded, 0);
     }
 
     #[test]

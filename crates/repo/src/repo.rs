@@ -104,6 +104,20 @@ impl fmt::Display for RepoError {
 
 impl std::error::Error for RepoError {}
 
+/// Imports a commit's XMI snapshot.
+pub(crate) fn decode(commit: &Commit) -> Result<Model, RepoError> {
+    import_model(&commit.snapshot).map_err(RepoError::Corrupt)
+}
+
+/// Direction of one head step through the current branch's history.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Undo: one commit back.
+    Back,
+    /// Redo: one commit forward.
+    Forward,
+}
+
 /// A versioned model repository with linear history per branch.
 ///
 /// Undo/redo is a position pointer into the current branch's history;
@@ -326,7 +340,7 @@ impl Repository {
     /// # Errors
     /// Fails only on snapshot corruption.
     pub fn head_model(&self) -> Option<Result<Model, RepoError>> {
-        self.head().map(|c| import_model(&c.snapshot).map_err(RepoError::Corrupt))
+        self.head().map(decode)
     }
 
     /// Checks out an arbitrary commit.
@@ -334,8 +348,7 @@ impl Repository {
     /// # Errors
     /// Fails on unknown ids or snapshot corruption.
     pub fn checkout(&self, id: CommitId) -> Result<Model, RepoError> {
-        let c = self.commits.get(&id).ok_or(RepoError::UnknownCommit(id))?;
-        import_model(&c.snapshot).map_err(RepoError::Corrupt)
+        decode(self.commits.get(&id).ok_or(RepoError::UnknownCommit(id))?)
     }
 
     /// Steps the visible head one commit back; returns the model now at
@@ -346,38 +359,59 @@ impl Repository {
     /// the head position does not move, so callers never need a
     /// compensating [`redo`](Self::redo).
     pub fn undo(&mut self) -> Option<Result<Model, RepoError>> {
-        if self.position == 0 {
-            return None;
-        }
-        if self.fail_next_undo {
-            self.fail_next_undo = false;
-            return Some(Err(RepoError::Storage("injected undo failure".to_owned())));
-        }
-        let restored = if self.position == 1 {
-            // Undoing the initial commit: the "model before anything"
-            // is not stored; report an empty model of the same name.
-            Ok(Model::new(self.name.clone()))
-        } else {
-            let id = self.branch_history()[self.position - 2];
-            match self.commits.get(&id) {
-                None => Err(RepoError::UnknownCommit(id)),
-                Some(c) => import_model(&c.snapshot).map_err(RepoError::Corrupt),
-            }
-        };
-        if restored.is_ok() {
-            self.position -= 1;
-        }
-        Some(restored)
+        self.step_model(Step::Back)
     }
 
     /// Steps the visible head one commit forward; returns the restored
     /// model, or `None` when there is nothing to redo.
+    ///
+    /// Atomic like [`undo`](Self::undo): on a snapshot-corruption `Err`
+    /// the head position does not move.
     pub fn redo(&mut self) -> Option<Result<Model, RepoError>> {
-        if self.position >= self.branch_history().len() {
-            return None;
+        self.step_model(Step::Forward)
+    }
+
+    /// One undo/redo step that decodes the snapshot it lands on.
+    fn step_model(&mut self, dir: Step) -> Option<Result<Model, RepoError>> {
+        let landed = self.step(dir, |commit| commit.map(decode).transpose())?;
+        // Undoing the initial commit lands on the root: the "model before
+        // anything" is not stored; report an empty model of the same name.
+        Some(landed.map(|model| model.unwrap_or_else(|| Model::new(self.name.clone()))))
+    }
+
+    /// The position-step core under [`undo`](Self::undo),
+    /// [`redo`](Self::redo) and journal replay: finds the commit one
+    /// step in `dir` lands on (`None` at the root), runs `check` on it,
+    /// and moves the head only when `check` succeeds. Returns `None`
+    /// when there is nothing to step over.
+    pub(crate) fn step<T>(
+        &mut self,
+        dir: Step,
+        check: impl FnOnce(Option<&Commit>) -> Result<T, RepoError>,
+    ) -> Option<Result<T, RepoError>> {
+        let target = match dir {
+            Step::Back => self.position.checked_sub(1)?,
+            Step::Forward if self.position < self.branch_history().len() => self.position + 1,
+            Step::Forward => return None,
+        };
+        if dir == Step::Back && self.take_undo_fault() {
+            return Some(Err(RepoError::Storage("injected undo failure".to_owned())));
         }
-        self.position += 1;
-        self.head_model()
+        let landed = match target.checked_sub(1) {
+            None => None,
+            Some(index) => {
+                let id = self.branch_history()[index];
+                match self.commits.get(&id) {
+                    None => return Some(Err(RepoError::UnknownCommit(id))),
+                    some => some,
+                }
+            }
+        };
+        let checked = check(landed);
+        if checked.is_ok() {
+            self.position = target;
+        }
+        Some(checked)
     }
 
     /// Number of undoable steps.
