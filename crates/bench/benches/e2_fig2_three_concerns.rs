@@ -43,7 +43,7 @@ fn bench(c: &mut Criterion) {
         let mda = lifecycle();
         let system =
             mda.generate(&banking_bodies(), comet::Backend::JavaFunctional).expect("weaves");
-        let (mut interp, bank) = ready_interp(system.woven);
+        let (mut interp, bank) = ready_interp(system.woven().clone());
         b.iter(|| {
             interp
                 .call(
@@ -59,7 +59,7 @@ fn bench(c: &mut Criterion) {
         let mda = lifecycle();
         let system =
             mda.generate(&banking_bodies(), comet::Backend::JavaFunctional).expect("weaves");
-        let (mut interp, bank) = ready_interp(system.woven);
+        let (mut interp, bank) = ready_interp(system.woven().clone());
         interp.middleware_mut().bus.set_current_node("client").expect("node");
         b.iter(|| {
             interp

@@ -4,7 +4,10 @@
 
 use crate::ir::*;
 use comet_model::{Model, Multiplicity, Primitive, TypeRef};
+use comet_obs::fnv1a64;
 use std::collections::BTreeMap;
+use std::fmt::Write;
+use std::sync::OnceLock;
 
 /// Supplies method bodies for generated operations, keyed by
 /// `Class::method`. Operations without a provided body get a default
@@ -12,6 +15,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Default)]
 pub struct BodyProvider {
     bodies: BTreeMap<String, Block>,
+    /// [`BodyProvider::fingerprint`], computed on first use.
+    fingerprint: OnceLock<u64>,
 }
 
 impl BodyProvider {
@@ -23,7 +28,22 @@ impl BodyProvider {
     /// Registers a body for `Class::method`, builder style.
     pub fn provide(mut self, qualified: &str, body: Block) -> Self {
         self.bodies.insert(qualified.to_owned(), body);
+        self.fingerprint = OnceLock::new();
         self
+    }
+
+    /// FNV-1a over a canonical serialization of the `(qualified name,
+    /// body)` pairs, computed once per provider. A rendered artifact
+    /// depends on the bodies as much as on the model, so cache layers
+    /// key on this to keep two different providers from aliasing.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut repr = String::new();
+            for (name, body) in self.entries() {
+                write!(repr, "{name}\0{body:?}\0").expect("writing to a String cannot fail");
+            }
+            fnv1a64(repr.as_bytes())
+        })
     }
 
     /// Looks up the body for `class::method`.
@@ -271,6 +291,23 @@ mod tests {
         // Default body returns the default of the return type.
         assert_eq!(withdraw.body.stmts, vec![Stmt::ret(Expr::bool(false))]);
         assert!(account.find_method("deposit").unwrap().body.stmts.is_empty());
+    }
+
+    #[test]
+    fn fingerprint_is_equal_for_equal_providers_and_moved_by_provide() {
+        let body = || Block::of(vec![Stmt::ret(Expr::int(1))]);
+        let a = BodyProvider::new().provide("A::f", body());
+        let b = BodyProvider::new().provide("A::f", body());
+        assert_eq!(a.fingerprint(), b.fingerprint(), "equal providers fingerprint equal");
+        assert_eq!(a.fingerprint(), a.fingerprint(), "repeat reads agree");
+        assert_ne!(a.fingerprint(), BodyProvider::new().fingerprint());
+        // `provide` after a read resets the cached value, including on
+        // a clone that carried it over.
+        let before = a.fingerprint();
+        let grown = a.clone().provide("A::g", body());
+        assert_ne!(grown.fingerprint(), before, "provide must change the fingerprint");
+        let replaced = a.provide("A::f", Block::of(vec![Stmt::ret(Expr::int(2))]));
+        assert_ne!(replaced.fingerprint(), before, "a replaced body must change it too");
     }
 
     #[test]

@@ -583,9 +583,9 @@ fn cmd_pipeline(args: &[String]) -> Result<(), CliError> {
     .map_err(|e| e.to_string())?;
     println!(
         "generated {} classes, wove {} aspects: {} advice applications",
-        system.woven.classes.len(),
+        system.woven().classes.len(),
         system.aspect_sources.len(),
-        system.weave_trace.len()
+        system.weave_trace().len()
     );
     print!("{}", mda.colors());
     let chaos_outcome = if plan.is_some() {
@@ -942,7 +942,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), CliError> {
     let system = mda
         .generate(&BodyProvider::default(), comet::Backend::JavaFunctional)
         .map_err(|e| e.to_string())?;
-    let report = concern_metrics(&system.woven, &["net", "tx", "sec", "log", "lock"]);
+    let report = concern_metrics(system.woven(), &["net", "tx", "sec", "log", "lock"]);
     if json {
         print!("{}", report.to_json());
     } else {

@@ -380,7 +380,7 @@ pub fn run_banking_chaos_traced(
     let system = mda.generate(&banking_bodies(), comet_gen::Backend::JavaFunctional)?;
 
     let config = MiddlewareConfig { seed: cfg.seed, ..MiddlewareConfig::default() };
-    let mut interp = Interp::with_config(system.woven, config);
+    let mut interp = Interp::with_config(system.woven().clone(), config);
     interp.set_collector(obs.clone());
     interp.add_node("client");
     interp.add_node("server");

@@ -42,7 +42,7 @@
 //! mda.apply_concern(&transactions::pair(), si)?;
 //! let system = mda.generate(&BodyProvider::default(), Backend::JavaFunctional)?;
 //! assert_eq!(system.aspect_sources.len(), 1);
-//! assert!(system.woven.find_method("Bank", "transfer__functional").is_some());
+//! assert!(system.woven().find_method("Bank", "transfer__functional").is_some());
 //! assert!(system.artifact.contains("transfer__functional"));
 //! # Ok(())
 //! # }

@@ -1,6 +1,6 @@
 //! The MDA lifecycle engine: the paper's Fig. 1 pipeline end to end.
 
-use comet_aop::{Aspect, IncrementalWeaver, WeaveError, Weaver, WovenJoinPoint};
+use comet_aop::{Aspect, IncrementalWeaver, WeaveError, WeaveResult, Weaver, WovenJoinPoint};
 use comet_aspectgen::{AspectBackend, AspectGenError, AspectJBackend, ConcernPair};
 use comet_codegen::{
     pretty_print, BodyProvider, FunctionalGenerator, MonolithicGenerator, Program,
@@ -14,9 +14,11 @@ use comet_transform::{
     ApplyReport, ConcreteTransformation, ConditionCache, ParamSet, TransformError,
 };
 use comet_workflow::{WorkflowBuildError, WorkflowEngine, WorkflowError, WorkflowModel};
+use comet_xmi::export_model;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Lifecycle failures; each wraps the failing subsystem's error.
 #[derive(Debug)]
@@ -135,25 +137,37 @@ pub struct AppliedConcern {
     pub report: ApplyReport,
 }
 
-/// Everything the code-generation phase produces.
-#[derive(Debug, Clone)]
+/// Everything the code-generation phase produces. The products of the
+/// lifecycle's state are shared with the lifecycle's own memo, not
+/// copied, so a repeated `generate` hands out the same buffers.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedSystem {
     /// The functional program (concern-free behaviour).
-    pub functional: Program,
-    /// The woven program (aspects applied, precedence = application
-    /// order).
-    pub woven: Program,
+    pub functional: Arc<Program>,
     /// Pretty-printed functional source (the code generator's artifact).
-    pub functional_source: String,
+    pub functional_source: Arc<str>,
     /// Per-aspect platform artifacts `(aspect name, source)`.
-    pub aspect_sources: Vec<(String, String)>,
-    /// Every advice application the weaver performed.
-    pub weave_trace: Vec<WovenJoinPoint>,
+    pub aspect_sources: Arc<[(String, String)]>,
+    /// The weaver's result: the woven program (aspects applied,
+    /// precedence = application order) and every advice application.
+    pub weave: Arc<WeaveResult>,
     /// The backend that rendered [`GeneratedSystem::artifact`].
     pub backend: Backend,
     /// The backend's rendered artifact (possibly served from the
     /// content-addressed generation cache — byte-identical either way).
     pub artifact: String,
+}
+
+impl GeneratedSystem {
+    /// The woven program.
+    pub fn woven(&self) -> &Program {
+        &self.weave.program
+    }
+
+    /// Every advice application the weaver performed.
+    pub fn weave_trace(&self) -> &[WovenJoinPoint] {
+        &self.weave.trace
+    }
 }
 
 /// The repository behind a lifecycle: either the plain in-memory
@@ -210,11 +224,51 @@ impl RepoBackend {
 /// The weave half of the lifecycle's incrementality state: an
 /// [`IncrementalWeaver`] valid for one aspect list (the fingerprint is
 /// the aspect names in precedence order — applying or undoing a concern
-/// changes it and forces a rebuild).
+/// changes it and forces a rebuild), plus the products of the last
+/// `generate`, which live and die with it.
 #[derive(Debug)]
 struct WeaveCacheState {
     fingerprint: Vec<String>,
     weaver: IncrementalWeaver,
+    products: Option<StateProducts>,
+}
+
+/// What `generate` derives from one lifecycle state before any backend
+/// renders: a pure function of the model, the aspect list and the
+/// method bodies. Valid while the model stays at `key.0` (its revision)
+/// and the caller's bodies have fingerprint `key.1`; the aspect list is
+/// pinned by the enclosing [`WeaveCacheState`].
+#[derive(Debug)]
+struct StateProducts {
+    key: (u64, u64),
+    functional: Arc<Program>,
+    functional_source: Arc<str>,
+    aspect_sources: Arc<[(String, String)]>,
+    weave: Arc<WeaveResult>,
+    /// Applied concern names in precedence order (the cache key's list).
+    concerns: Vec<String>,
+}
+
+/// The content address of the state the model is at: the FNV-1a hash
+/// and canonical XMI of the repository commit it equals, shared with
+/// that commit.
+#[derive(Debug, Clone)]
+struct ContentAddress {
+    hash: u64,
+    xmi: Arc<str>,
+}
+
+impl ContentAddress {
+    /// The address of `repo`'s visible head commit.
+    fn of_head(repo: &Repository) -> Option<Self> {
+        repo.head().map(|c| ContentAddress { hash: c.hash, xmi: c.snapshot_shared() })
+    }
+
+    /// The address of a model with no commit behind it: one export.
+    fn of_model(model: &Model) -> Self {
+        let xmi: Arc<str> = export_model(model).into();
+        ContentAddress { hash: comet_obs::fnv1a64(xmi.as_bytes()), xmi }
+    }
 }
 
 /// The MDA lifecycle: model + repository + workflow + applied concerns.
@@ -230,13 +284,24 @@ struct WeaveCacheState {
 /// * **Weave cache** — [`MdaLifecycle::generate`] re-weaves only the
 ///   classes reachable from the dirty set accumulated since the last
 ///   generation ([`DirtySet::dirty_classes`]); everything else is
-///   spliced from the previous weave. A repeated `generate` at an
-///   unchanged revision returns the cached result outright.
+///   spliced from the previous weave. Beside the weaver it keeps the
+///   last `generate`'s products — functional program and source,
+///   aspect sources, woven result — so a repeated `generate` at an
+///   unchanged revision with the same bodies reuses them outright and
+///   pays only the artifact lookup.
 ///
 /// Both caches are dropped on [`MdaLifecycle::undo_last`] (the restored
 /// snapshot restarts the revision counter) and the full engines remain
 /// the differential oracles in the test suite; results are
 /// byte-identical to the non-incremental paths in every case.
+///
+/// The lifecycle also holds the content address of its state: the
+/// hash and canonical XMI of the commit its model equals, taken from
+/// the repository at construction, recovery, each apply and each undo.
+/// The generation cache keys on that hash and
+/// [`MdaLifecycle::snapshot_xmi`] returns those bytes, so neither reads
+/// export the model. Repository edits made through
+/// [`MdaLifecycle::repository_mut`] do not move it.
 #[derive(Debug)]
 pub struct MdaLifecycle {
     model: Model,
@@ -261,6 +326,8 @@ pub struct MdaLifecycle {
     /// fingerprint, backend, concern list)`; its own hit/miss counters
     /// feed [`MdaLifecycle::gen_cache_stats`].
     gen_cache: RefCell<GenCache>,
+    /// Hash and XMI of the commit `model` equals.
+    content: ContentAddress,
 }
 
 impl MdaLifecycle {
@@ -274,7 +341,7 @@ impl MdaLifecycle {
         let engine = WorkflowEngine::try_new(workflow)?;
         let mut repo = Repository::new(format!("{}-models", pim.name()));
         repo.commit(&pim, "initial PIM", None)?;
-        Ok(Self::assemble(pim, RepoBackend::Memory(repo), engine, Vec::new()))
+        Self::assemble(pim, RepoBackend::Memory(repo), engine, Vec::new())
     }
 
     /// Starts a lifecycle whose repository journals every operation to
@@ -294,7 +361,7 @@ impl MdaLifecycle {
         let engine = WorkflowEngine::try_new(workflow)?;
         let mut repo = DurableRepository::create(dir, &format!("{}-models", pim.name()))?;
         repo.commit(&pim, "initial PIM", None)?;
-        Ok(Self::assemble(pim, RepoBackend::Durable(repo), engine, Vec::new()))
+        Self::assemble(pim, RepoBackend::Durable(repo), engine, Vec::new())
     }
 
     /// Rebuilds a lifecycle from the durable journal in `dir`:
@@ -361,16 +428,20 @@ impl MdaLifecycle {
             };
             applied.push(AppliedConcern { cmt, aspect, report });
         }
-        Ok((Self::assemble(model, RepoBackend::Durable(repo), engine, applied), report))
+        Ok((Self::assemble(model, RepoBackend::Durable(repo), engine, applied)?, report))
     }
 
+    /// Builds the lifecycle around `model`, which must equal `repo`'s
+    /// visible head commit.
     fn assemble(
         model: Model,
         repo: RepoBackend,
         workflow: WorkflowEngine,
         applied: Vec<AppliedConcern>,
-    ) -> Self {
-        MdaLifecycle {
+    ) -> Result<Self, LifecycleError> {
+        let content = ContentAddress::of_head(repo.as_repository())
+            .ok_or_else(|| LifecycleError::Recovery("repository has no head commit".to_owned()))?;
+        Ok(MdaLifecycle {
             model,
             repo,
             workflow,
@@ -383,7 +454,8 @@ impl MdaLifecycle {
             weave_misses: Cell::new(0),
             factory: GeneratorFactory::with_standard_backends(),
             gen_cache: RefCell::new(GenCache::new()),
-        }
+            content,
+        })
     }
 
     /// Whether the repository journals to disk.
@@ -437,6 +509,18 @@ impl MdaLifecycle {
         &self.model
     }
 
+    /// The canonical XMI export of [`MdaLifecycle::model`], shared with
+    /// the repository commit the model equals — no export happens here.
+    pub fn snapshot_xmi(&self) -> &str {
+        &self.content.xmi
+    }
+
+    /// FNV-1a over [`MdaLifecycle::snapshot_xmi`]: the model's content
+    /// hash, the key the generation cache addresses artifacts by.
+    pub fn content_hash(&self) -> u64 {
+        self.content.hash
+    }
+
     /// The model repository (versions, tags, diffs).
     pub fn repository(&self) -> &Repository {
         self.repo.as_repository()
@@ -444,7 +528,8 @@ impl MdaLifecycle {
 
     /// Mutable repository access (tagging, branching, arming test
     /// faults). In durable mode this bypasses the journal — commits and
-    /// undos must go through the lifecycle itself.
+    /// undos must go through the lifecycle itself. Moving the head here
+    /// does not change the lifecycle's model or what it generates.
     pub fn repository_mut(&mut self) -> &mut Repository {
         self.repo.as_repository_mut()
     }
@@ -530,6 +615,7 @@ impl MdaLifecycle {
             modified: report.modified.clone(),
             removed: report.removed.clone(),
         };
+        let unchanged = delta.is_empty();
         if let Err(e) =
             self.repo.commit_with_delta(&self.model, &cmt.full_name(), Some(pair.concern()), delta)
         {
@@ -550,6 +636,12 @@ impl MdaLifecycle {
             None => *self.dirty_since.borrow_mut() = None,
         }
         self.model.commit_journal();
+        // An empty delta left the model, and so its address, as it was
+        // (the commit reused its parent's snapshot).
+        if !unchanged {
+            self.content = ContentAddress::of_head(self.repo.as_repository())
+                .expect("the commit just made is the visible head");
+        }
         self.applied.push(AppliedConcern { cmt, aspect, report });
         Ok(self.applied.last().expect("just pushed"))
     }
@@ -589,19 +681,23 @@ impl MdaLifecycle {
             Some(Err(e)) => return Err(LifecycleError::Repo(e)),
             Some(Ok(model)) => model,
         };
-        // Commit point: everything fallible is done.
+        // Commit point: everything fallible is done. The model now
+        // equals the commit the head landed on (the root, which stores
+        // no snapshot, only after repository edits outside the
+        // lifecycle).
+        self.content = ContentAddress::of_head(self.repo.as_repository())
+            .unwrap_or_else(|| ContentAddress::of_model(&restored));
         self.applied.pop();
         self.workflow = engine;
         self.model = restored;
         // The restored snapshot is a fresh model instance (its revision
         // counter restarts), so both incrementality caches are stale.
-        // The generation cache only drops its revision memo — entries
-        // are content-addressed, so the restored state re-hits the
-        // artifacts rendered before the undone step.
+        // Generation-cache entries are content-addressed and stay: the
+        // restored state re-hits the artifacts rendered before the
+        // undone step.
         self.conditions.invalidate_all();
         *self.weave_cache.borrow_mut() = None;
         *self.dirty_since.borrow_mut() = Some(DirtySet::default());
-        self.gen_cache.borrow_mut().forget_revision();
         Ok(())
     }
 
@@ -614,10 +710,14 @@ impl MdaLifecycle {
     /// the functional model **plus** aspect generators for the concerns,
     /// then weaving with precedence = transformation order, then the
     /// chosen `backend` rendering its artifact through the
-    /// content-addressed generation cache (an unchanged model is an
-    /// O(1) cache hit whose artifact is byte-identical to a cold
-    /// render; hits/misses surface as `gen.cache.hit|miss` trace
-    /// counters and via [`MdaLifecycle::gen_cache_stats`]).
+    /// content-addressed generation cache (an unchanged model is a
+    /// cache hit whose artifact is byte-identical to a cold render;
+    /// hits/misses surface as `gen.cache.hit|miss` trace counters and
+    /// via [`MdaLifecycle::gen_cache_stats`]).
+    ///
+    /// At an unchanged state (same revision, same bodies) everything
+    /// before the backend render is reused from the previous call; a
+    /// traced call still records the same spans and counters.
     ///
     /// # Errors
     /// Propagates weaving failures.
@@ -628,36 +728,9 @@ impl MdaLifecycle {
     ) -> Result<GeneratedSystem, LifecycleError> {
         let obs = &self.obs;
         let phase = obs.begin_span("lifecycle", "generate", 0);
-        let fspan = obs.begin_span("codegen", "functional", 0);
-        let functional = FunctionalGenerator::new().generate(&self.model, bodies);
-        if obs.is_enabled() {
-            obs.span_attr(fspan, "classes", &functional.classes.len().to_string());
-        }
-        obs.end_span(fspan, 0);
-        let aspects = self.aspects();
-        // Reuse (or rebuild) the incremental weaver for this aspect
-        // list, feed it the dirty classes accumulated since the last
-        // generation, and splice everything else from the cached weave.
-        let fingerprint: Vec<String> = aspects.iter().map(|a| a.name.clone()).collect();
         let mut cache = self.weave_cache.borrow_mut();
-        let state = match cache.as_mut() {
-            Some(state) if state.fingerprint == fingerprint => state,
-            _ => {
-                *cache = Some(WeaveCacheState {
-                    fingerprint,
-                    weaver: IncrementalWeaver::new(Weaver::new(aspects.clone())),
-                });
-                cache.as_mut().expect("just stored")
-            }
-        };
-        let dirty_classes = {
-            let dirty = self.dirty_since.borrow();
-            dirty.as_ref().and_then(|d| d.dirty_classes(&self.model))
-        };
-        let weave =
-            state.weaver.weave_at(self.model.revision(), &functional, dirty_classes.as_ref(), obs);
-        let (result, stats) = match weave {
-            Ok(r) => r,
+        let products = match self.state_products(&mut cache, bodies) {
+            Ok(products) => products,
             Err(e) => {
                 if obs.is_enabled() {
                     obs.span_attr(phase, "outcome", &format!("error: {e}"));
@@ -666,6 +739,86 @@ impl MdaLifecycle {
                 return Err(e.into());
             }
         };
+        // Backend dispatch through the per-lifecycle factory, behind
+        // the content-addressed cache: key = (model content hash,
+        // bodies fingerprint, backend id, applied concerns in
+        // precedence order).
+        let generator =
+            self.factory.get(backend).expect("standard factory registers every Backend variant");
+        let input = GenInput {
+            model: &self.model,
+            functional: &products.functional,
+            woven: &products.weave.program,
+            concerns: &products.concerns,
+            bodies,
+        };
+        let (artifact, cache_hit) =
+            self.gen_cache.borrow_mut().render(generator, &input, self.content.hash);
+        if obs.is_enabled() {
+            obs.incr(if cache_hit { "gen.cache.hit" } else { "gen.cache.miss" }, 1);
+        }
+        obs.end_span(phase, 0);
+        Ok(GeneratedSystem {
+            functional: Arc::clone(&products.functional),
+            functional_source: Arc::clone(&products.functional_source),
+            aspect_sources: Arc::clone(&products.aspect_sources),
+            weave: Arc::clone(&products.weave),
+            backend,
+            artifact,
+        })
+    }
+
+    /// The backend-independent products of the current state, from
+    /// the memo in the weave cache state when the model and bodies are
+    /// unchanged since the last `generate`, computed (and memoized)
+    /// otherwise.
+    fn state_products<'c>(
+        &self,
+        cache: &'c mut Option<WeaveCacheState>,
+        bodies: &BodyProvider,
+    ) -> Result<&'c StateProducts, WeaveError> {
+        let obs = &self.obs;
+        let names = self.applied.iter().map(|a| &a.aspect.name);
+        // Reuse (or rebuild) the incremental weaver for this aspect
+        // list, feed it the dirty classes accumulated since the last
+        // generation, and splice everything else from the cached weave.
+        if !cache.as_ref().is_some_and(|state| state.fingerprint.iter().eq(names)) {
+            let aspects = self.aspects();
+            *cache = Some(WeaveCacheState {
+                fingerprint: aspects.iter().map(|a| a.name.clone()).collect(),
+                weaver: IncrementalWeaver::new(Weaver::new(aspects)),
+                products: None,
+            });
+        }
+        let state = cache.as_mut().expect("just ensured");
+        let revision = self.model.revision();
+        let key = (revision, bodies.fingerprint());
+        // A stale memo is dropped here, before the weave, so the weaver
+        // can splice into its previous result in place.
+        let mut memo = state.products.take().filter(|p| p.key == key);
+        if !obs.is_enabled() {
+            if let Some(products) = memo.take() {
+                self.weave_hits.set(self.weave_hits.get() + 1);
+                return Ok(state.products.insert(products));
+            }
+        }
+        // Traced, a memo hit walks the same phases as a cold call so the
+        // spans and counters match; every product comes from the memo.
+        let fspan = obs.begin_span("codegen", "functional", 0);
+        let functional = match &memo {
+            Some(p) => Arc::clone(&p.functional),
+            None => Arc::new(FunctionalGenerator::new().generate(&self.model, bodies)),
+        };
+        if obs.is_enabled() {
+            obs.span_attr(fspan, "classes", &functional.classes.len().to_string());
+        }
+        obs.end_span(fspan, 0);
+        let dirty_classes = {
+            let dirty = self.dirty_since.borrow();
+            dirty.as_ref().and_then(|d| d.dirty_classes(&self.model))
+        };
+        let (weave, stats) =
+            state.weaver.weave_at(revision, &functional, dirty_classes.as_ref(), obs)?;
         // The cache now matches the current model: start a fresh delta.
         *self.dirty_since.borrow_mut() = Some(DirtySet::default());
         if stats.hit {
@@ -679,42 +832,29 @@ impl MdaLifecycle {
             obs.incr("weave.incremental.total", stats.total as u64);
         }
         let rspan = obs.begin_span("codegen", "render:aspects", 0);
-        let aspectj = AspectJBackend::new();
-        let aspect_sources: Vec<(String, String)> =
-            aspects.iter().map(|a| (a.name.clone(), aspectj.render(a))).collect();
+        let aspect_sources: Arc<[(String, String)]> = match &memo {
+            Some(p) => Arc::clone(&p.aspect_sources),
+            None => {
+                let aspectj = AspectJBackend::new();
+                self.applied
+                    .iter()
+                    .map(|a| (a.aspect.name.clone(), aspectj.render(&a.aspect)))
+                    .collect()
+            }
+        };
         if obs.is_enabled() {
             obs.span_attr(rspan, "aspects", &aspect_sources.len().to_string());
         }
         obs.end_span(rspan, 0);
-        // Backend dispatch through the per-lifecycle factory, behind
-        // the content-addressed cache: key = (model content hash,
-        // bodies fingerprint, backend id, applied concerns in
-        // precedence order).
-        let generator =
-            self.factory.get(backend).expect("standard factory registers every Backend variant");
-        let concerns: Vec<String> =
-            self.applied.iter().map(|a| a.cmt.concern().to_owned()).collect();
-        let input = GenInput {
-            model: &self.model,
-            functional: &functional,
-            woven: &result.program,
-            concerns: &concerns,
-            bodies,
-        };
-        let (artifact, cache_hit) = self.gen_cache.borrow_mut().render(generator, &input);
-        if obs.is_enabled() {
-            obs.incr(if cache_hit { "gen.cache.hit" } else { "gen.cache.miss" }, 1);
-        }
-        obs.end_span(phase, 0);
-        Ok(GeneratedSystem {
-            functional_source: pretty_print(&functional),
+        let products = memo.unwrap_or_else(|| StateProducts {
+            key,
+            functional_source: pretty_print(&functional).into(),
             functional,
-            woven: result.program.clone(),
             aspect_sources,
-            weave_trace: result.trace.clone(),
-            backend,
-            artifact,
-        })
+            weave,
+            concerns: self.applied.iter().map(|a| a.cmt.concern().to_owned()).collect(),
+        });
+        Ok(state.products.insert(products))
     }
 
     /// The baseline the paper argues against: one monolithic generator
@@ -803,13 +943,13 @@ mod tests {
         assert!(system.functional_source.contains("class Bank"));
         // transfer was advised by all three concerns.
         let advising: Vec<&str> = system
-            .weave_trace
+            .weave_trace()
             .iter()
             .filter(|jp| jp.method == "transfer")
             .map(|jp| jp.aspect.as_str())
             .collect();
         assert_eq!(advising.len(), 3);
-        assert!(comet_codegen::check_program(&system.woven).is_empty());
+        assert!(comet_codegen::check_program(system.woven()).is_empty());
     }
 
     #[test]
@@ -844,6 +984,28 @@ mod tests {
         assert_eq!(cats, ["codegen", "weave", "codegen"]);
     }
 
+    /// A span's subtree as `(depth, cat, name, attrs)` rows in open
+    /// order, each span's events (`cat`, `name`, attrs) following it.
+    fn subtree(trace: &comet_obs::Trace, root: &comet_obs::Span) -> Vec<String> {
+        fn walk(
+            trace: &comet_obs::Trace,
+            span: &comet_obs::Span,
+            depth: usize,
+            out: &mut Vec<String>,
+        ) {
+            out.push(format!("{depth} span {}/{} {:?}", span.cat, span.name, span.attrs));
+            for e in trace.events_of(span.id) {
+                out.push(format!("{depth} event {}/{} {:?}", e.cat, e.name, e.attrs));
+            }
+            for child in trace.children(span.id) {
+                walk(trace, child, depth + 1, out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(trace, root, 0, &mut out);
+        out
+    }
+
     #[test]
     fn repeated_generate_hits_the_weave_cache_byte_identically() {
         let obs = comet_obs::Collector::enabled();
@@ -852,14 +1014,85 @@ mod tests {
         let bodies = BodyProvider::default();
         let first = mda.generate(&bodies, Backend::JavaFunctional).unwrap();
         let second = mda.generate(&bodies, Backend::JavaFunctional).unwrap();
-        assert_eq!(first.woven, second.woven);
-        assert_eq!(first.weave_trace, second.weave_trace);
+        assert_eq!(first.woven(), second.woven());
+        assert_eq!(first.weave_trace(), second.weave_trace());
         let trace = obs.take();
         assert_eq!(trace.counters.get("weave.incremental.miss"), Some(&1));
         assert_eq!(trace.counters.get("weave.incremental.hit"), Some(&1));
         // The hit re-wove nothing; only the first (cold) weave worked.
         let total = trace.counters["weave.incremental.total"];
         assert_eq!(trace.counters["weave.incremental.rewoven"], total / 2);
+        // The hit records the cold call's span tree: same spans, attrs,
+        // events and order.
+        let roots = trace.roots();
+        let generates: Vec<_> = roots.iter().filter(|s| s.name == "generate").collect();
+        assert_eq!(generates.len(), 2);
+        let cold = subtree(&trace, generates[0]);
+        assert!(cold.iter().any(|row| row.contains("weave.advice")), "{cold:#?}");
+        assert_eq!(cold, subtree(&trace, generates[1]));
+    }
+
+    #[test]
+    fn repository_edits_outside_the_lifecycle_do_not_change_what_it_renders() {
+        let bodies = BodyProvider::default();
+        let mut mda = full_lifecycle();
+        let before = mda.generate(&bodies, Backend::JavaFunctional).unwrap().artifact;
+        let xmi = mda.snapshot_xmi().to_owned();
+        // Move the repository head behind the lifecycle's back.
+        mda.repository_mut().undo().unwrap().unwrap();
+        mda.repository_mut().branch("side").unwrap();
+        mda.repository_mut().switch_branch("main").unwrap();
+        mda.repository_mut().undo().unwrap().unwrap();
+        assert_ne!(mda.repository().head().unwrap().snapshot_xmi(), xmi);
+        assert_eq!(mda.snapshot_xmi(), xmi);
+        assert_eq!(mda.snapshot_xmi(), export_model(mda.model()));
+        // Every backend still renders the lifecycle's own model, equal
+        // to a cache-less render of it.
+        let functional = FunctionalGenerator::new().generate(mda.model(), &bodies);
+        let woven = Weaver::new(mda.aspects()).weave(&functional).unwrap().program;
+        let concerns: Vec<String> =
+            mda.applied().iter().map(|a| a.cmt.concern().to_owned()).collect();
+        let input = GenInput {
+            model: mda.model(),
+            functional: &functional,
+            woven: &woven,
+            concerns: &concerns,
+            bodies: &bodies,
+        };
+        for backend in Backend::ALL {
+            let system = mda.generate(&bodies, backend).unwrap();
+            let direct = mda.generator_factory().get(backend).unwrap().generate(&input);
+            assert_eq!(system.artifact, direct, "{backend} rendered another model");
+        }
+        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().artifact, before);
+        // An undo the bypass walked down to the root (which stores no
+        // snapshot) still leaves an address that matches the model.
+        mda.repository_mut().undo().unwrap().unwrap();
+        mda.repository_mut().undo().unwrap().unwrap();
+        mda.undo_last().unwrap();
+        assert!(mda.repository().head().is_none());
+        assert_eq!(mda.snapshot_xmi(), export_model(mda.model()));
+        assert_eq!(mda.content_hash(), comet_obs::fnv1a64(mda.snapshot_xmi().as_bytes()));
+    }
+
+    #[test]
+    fn other_bodies_at_an_unchanged_state_are_not_served_the_memo() {
+        use comet_codegen::{Block, Expr, Stmt};
+        let mda = full_lifecycle();
+        let plain = BodyProvider::default();
+        let audited = BodyProvider::new().provide(
+            "Bank::transfer",
+            Block::of(vec![Stmt::Expr(Expr::intrinsic("audit.log", vec![Expr::str("transfer")]))]),
+        );
+        let first = mda.generate(&plain, Backend::JavaFunctional).unwrap();
+        let other = mda.generate(&audited, Backend::JavaFunctional).unwrap();
+        let expected = FunctionalGenerator::new().generate(mda.model(), &audited);
+        assert_eq!(*other.functional, expected, "the memo of other bodies was served");
+        assert_ne!(first.functional_source, other.functional_source);
+        assert_ne!(first.artifact, other.artifact);
+        assert_eq!(*other.weave, Weaver::new(mda.aspects()).weave(&expected).unwrap());
+        // Back to the first bodies: the same state again, same bytes.
+        assert_eq!(mda.generate(&plain, Backend::JavaFunctional).unwrap(), first);
     }
 
     #[test]
@@ -910,16 +1143,16 @@ mod tests {
         };
         let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
         mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
-        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().woven, oracle(&mda));
+        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().woven(), &oracle(&mda));
         mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
-        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().woven, oracle(&mda));
+        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().woven(), &oracle(&mda));
         mda.undo_last().unwrap();
-        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().woven, oracle(&mda));
+        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().woven(), &oracle(&mda));
         mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
         mda.apply_concern(&security::pair(), sec_si()).unwrap();
-        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().woven, oracle(&mda));
+        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().woven(), &oracle(&mda));
         // And a repeat at an unchanged model is still the same bytes.
-        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().woven, oracle(&mda));
+        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().woven(), &oracle(&mda));
     }
 
     #[test]
@@ -990,10 +1223,10 @@ mod tests {
         let bodies = BodyProvider::default();
         let mono = mda.generate_monolithic(&bodies);
         let system = mda.generate(&bodies, Backend::JavaFunctional).unwrap();
-        assert_ne!(mono, system.woven);
+        assert_ne!(&mono, system.woven());
         // Both contain transactional machinery for Bank.transfer.
         let mono_src = pretty_print(&mono);
-        let woven_src = pretty_print(&system.woven);
+        let woven_src = pretty_print(system.woven());
         assert!(mono_src.contains("tx.begin"));
         assert!(woven_src.contains("tx.begin"));
     }

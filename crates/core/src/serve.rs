@@ -13,13 +13,13 @@
 //! requests exactly the way the chaos harness degrades individual
 //! transfers — and never poisons the session.
 //!
-//! | request    | choke point              | lifecycle work              |
-//! |------------|--------------------------|-----------------------------|
-//! | apply      | `tx.begin`/`tx.commit`   | `apply_concern` (CMT + Si)  |
-//! | undo       | `store.load`             | `undo_last`                 |
-//! | generate   | `bus.send`               | `generate` (backend render) |
-//! | query      | `naming.lookup`          | `ModelIndex` reads          |
-//! | snapshot   | `store.save`             | XMI export into the store   |
+//! | request    | choke point              | lifecycle work                   |
+//! |------------|--------------------------|----------------------------------|
+//! | apply      | `tx.begin`/`tx.commit`   | `apply_concern` (CMT + Si)       |
+//! | undo       | `store.load`             | `undo_last`                      |
+//! | generate   | `bus.send`               | `generate` (backend render)      |
+//! | query      | `naming.lookup`          | `ModelIndex` reads               |
+//! | snapshot   | `store.save`             | head commit's XMI into the store |
 //!
 //! Because each tenant owns a private [`MdaLifecycle`], the lifecycle's
 //! incrementality caches (dirty-set weave cache, condition cache, and
@@ -36,6 +36,7 @@
 use crate::chaos::{banking_bodies, executable_banking_pim};
 use crate::lifecycle::{LifecycleError, MdaLifecycle};
 use comet_aspectgen::ConcernPair;
+use comet_codegen::BodyProvider;
 use comet_interaction::{build_matrix, pair_key, InteractionMatrix};
 use comet_middleware::{FaultLog, FaultPlan, Middleware, MiddlewareConfig};
 use comet_obs::{fnv1a64, Collector};
@@ -215,6 +216,8 @@ pub struct KillPoint {
 /// shard creates and drives it on a single worker thread.
 pub struct BankingSession {
     mda: MdaLifecycle,
+    /// The run's method bodies, shared with every session.
+    bodies: Arc<BodyProvider>,
     mw: Middleware<String>,
     /// The run's shared workflow + conflict-table profile.
     profile: Arc<ServeProfile>,
@@ -274,6 +277,7 @@ impl BankingSession {
         }
         let mut session = BankingSession {
             mda,
+            bodies: Arc::clone(&factory.bodies),
             mw,
             profile,
             conflict_reported: BTreeSet::new(),
@@ -390,13 +394,12 @@ impl TenantEngine for BankingSession {
                 let be = comet_gen::Backend::parse(backend)
                     .ok_or_else(|| ServeError::UnknownBackend(backend.clone()))?;
                 self.mw.bus.send("client", "server", 512).map_err(ServeError::engine)?;
-                let system =
-                    self.mda.generate(&banking_bodies(), be).map_err(ServeError::engine)?;
-                Ok(format!("generated:{backend}:{}", system.woven.classes.len()))
+                let system = self.mda.generate(&self.bodies, be).map_err(ServeError::engine)?;
+                Ok(format!("generated:{backend}:{}", system.woven().classes.len()))
             }
             Request::Query(_) => unreachable!("queries are batched via execute_queries"),
             Request::Snapshot => {
-                let xmi = comet_xmi::export_model(self.mda.model());
+                let xmi = self.mda.snapshot_xmi().to_owned();
                 self.snapshots += 1;
                 let key = format!("model/v{}", self.snapshots);
                 self.mw.store.save(&key, xmi).map_err(ServeError::engine)?;
@@ -465,12 +468,14 @@ impl TenantEngine for BankingSession {
 }
 
 /// Creates [`BankingSession`]s for the server core. Construction runs
-/// interaction analysis over the workflow steps once; every session
-/// shares the resulting [`ServeProfile`].
+/// interaction analysis over the workflow steps once and builds the
+/// banking method bodies once; every session shares the resulting
+/// [`ServeProfile`] and bodies.
 pub struct BankingFactory {
     seed: u64,
     fault_plan: Option<FaultPlan>,
     profile: Arc<ServeProfile>,
+    bodies: Arc<BodyProvider>,
     data_dir: Option<PathBuf>,
     kill: Option<KillPoint>,
     recoveries: Arc<AtomicU64>,
@@ -499,6 +504,7 @@ impl BankingFactory {
             seed,
             fault_plan,
             profile: serve_profile(steps)?,
+            bodies: Arc::new(banking_bodies()),
             data_dir: None,
             kill: None,
             recoveries: Arc::new(AtomicU64::new(0)),

@@ -1,20 +1,30 @@
 //! Integration tests for the generator factory and the
 //! content-addressed generation cache across the full stack: every
 //! backend renders the complete functional element set from a real
-//! lifecycle, cached artifacts stay byte-identical to direct renders
-//! under arbitrary apply/undo/generate interleavings, and serve runs
-//! with backend-weighted `Generate` traffic remain shard-invariant
-//! with the gen cache observable in both trace counters and the
-//! Prometheus exposition.
+//! lifecycle, served systems stay equal to from-scratch generation
+//! under arbitrary apply/undo/generate interleavings, the lifecycle's
+//! content address always matches an export of its model (in memory,
+//! durable and after recovery), and serve runs with backend-weighted
+//! `Generate` traffic remain shard-invariant with the gen cache
+//! observable in both trace counters and the Prometheus exposition.
 
 use comet::chaos::{banking_bodies, executable_banking_pim};
 use comet::{
-    run_banking_serve, run_banking_serve_cfg, Backend, GenInput, GeneratorFactory, MdaLifecycle,
+    run_banking_serve, run_banking_serve_cfg, Backend, GenInput, GeneratedSystem, GeneratorFactory,
+    MdaLifecycle,
 };
+use comet_aop::Weaver;
+use comet_aspectgen::{AspectBackend, AspectJBackend, ConcernPair};
+use comet_codegen::{pretty_print, FunctionalGenerator};
+use comet_obs::fnv1a64;
 use comet_serve::{RunConfig, ServeError, WorkloadPlan, WorkloadPlanError};
 use comet_transform::{ParamSet, ParamValue};
 use comet_workflow::WorkflowModel;
+use comet_xmi::export_model;
 use proptest::prelude::*;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn fig2_workflow() -> WorkflowModel {
     WorkflowModel::new("fig2")
@@ -59,21 +69,66 @@ fn full_lifecycle() -> MdaLifecycle {
     mda
 }
 
-/// Renders `mda`'s current state directly through the backend,
-/// bypassing the lifecycle's cache — the oracle every cached artifact
-/// must match byte for byte.
-fn direct_render(mda: &MdaLifecycle, backend: Backend, system: &comet::GeneratedSystem) -> String {
-    let factory = GeneratorFactory::with_standard_backends();
-    let generator = factory.get(backend).expect("standard backend");
+/// Recomputes everything `generate` returns for `mda`'s current state
+/// from scratch — the functional generator, a full weave over
+/// `mda.aspects()`, AspectJ rendering and the backend through a factory
+/// with no cache — the oracle every served system must equal, field by
+/// field.
+fn direct_system(mda: &MdaLifecycle, backend: Backend) -> GeneratedSystem {
+    let bodies = banking_bodies();
+    let functional = FunctionalGenerator::new().generate(mda.model(), &bodies);
+    let aspects = mda.aspects();
+    let weave = Weaver::new(aspects.clone()).weave(&functional).expect("weaves");
+    let aspectj = AspectJBackend::new();
+    let aspect_sources = aspects.iter().map(|a| (a.name.clone(), aspectj.render(a))).collect();
     let concerns: Vec<String> = mda.applied().iter().map(|a| a.cmt.concern().to_owned()).collect();
+    let factory = GeneratorFactory::with_standard_backends();
     let input = GenInput {
         model: mda.model(),
-        functional: &system.functional,
-        woven: &system.woven,
+        functional: &functional,
+        woven: &weave.program,
         concerns: &concerns,
-        bodies: &banking_bodies(),
+        bodies: &bodies,
     };
-    generator.generate(&input)
+    let artifact = factory.get(backend).expect("standard backend").generate(&input);
+    GeneratedSystem {
+        functional_source: pretty_print(&functional).into(),
+        functional: Arc::new(functional),
+        aspect_sources,
+        weave: Arc::new(weave),
+        backend,
+        artifact,
+    }
+}
+
+/// The content-address invariant: the lifecycle's XMI is the export of
+/// its model and its hash is FNV-1a over that export.
+fn check_content_address(mda: &MdaLifecycle) -> Result<(), TestCaseError> {
+    let export = export_model(mda.model());
+    prop_assert_eq!(mda.snapshot_xmi(), export.as_str());
+    prop_assert_eq!(mda.content_hash(), fnv1a64(export.as_bytes()));
+    Ok(())
+}
+
+/// Maps a journalled concern back to its fig. 2 binding.
+fn fig2_resolver(concern: &str) -> Option<(ConcernPair, ParamSet)> {
+    let (name, si) = fig2_steps().into_iter().find(|(name, _)| *name == concern)?;
+    Some((comet_concerns::by_name(name)?, si))
+}
+
+static CASE: AtomicUsize = AtomicUsize::new(0);
+
+/// A fresh journal directory per call (parallel tests, one process).
+fn journal_dir() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "comet-codegen-backends-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    if dir.exists() {
+        std::fs::remove_dir_all(&dir).expect("stale scratch dir removable");
+    }
+    dir
 }
 
 #[test]
@@ -98,27 +153,26 @@ fn every_backend_renders_the_full_lifecycle_element_set() {
 fn cached_artifacts_match_direct_renders_and_rehit_after_undo() {
     let mda = &mut full_lifecycle();
     let first = mda.generate(&banking_bodies(), Backend::RustSkeleton).unwrap();
-    assert_eq!(first.artifact, direct_render(mda, Backend::RustSkeleton, &first));
+    assert_eq!(first, direct_system(mda, Backend::RustSkeleton));
     // Repeat at an unchanged model: a hit, byte-identical.
     let again = mda.generate(&banking_bodies(), Backend::RustSkeleton).unwrap();
-    assert_eq!(first.artifact, again.artifact);
+    assert_eq!(first, again);
     let (hits, misses) = mda.gen_cache_stats();
     assert_eq!((hits, misses), (1, 1));
     // Undo one concern: different content, different artifact, miss.
     mda.undo_last().unwrap();
     let undone = mda.generate(&banking_bodies(), Backend::RustSkeleton).unwrap();
     assert_ne!(first.artifact, undone.artifact);
-    assert_eq!(undone.artifact, direct_render(mda, Backend::RustSkeleton, &undone));
+    assert_eq!(undone, direct_system(mda, Backend::RustSkeleton));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Lying-revision guard, end to end: across arbitrary interleavings
-    /// of apply / undo / generate, every artifact served (cache hit or
-    /// cold render alike) is byte-identical to a direct render of the
-    /// lifecycle's current state through a factory with no cache at
-    /// all.
+    /// of apply / undo / generate, every system served (memo and cache
+    /// hits or cold renders alike) equals, in every field, the same
+    /// state generated from scratch with no cache at all.
     #[test]
     fn cache_served_artifacts_equal_direct_renders(
         ops in prop::collection::vec(0usize..6, 1..14),
@@ -148,10 +202,71 @@ proptest! {
                 k => {
                     let backend = Backend::ALL[(k - 2) % Backend::ALL.len()];
                     let system = mda.generate(&banking_bodies(), backend).unwrap();
-                    let oracle = direct_render(&mda, backend, &system);
-                    prop_assert_eq!(&system.artifact, &oracle, "{} diverged from oracle", backend);
+                    let oracle = direct_system(&mda, backend);
+                    prop_assert_eq!(&system, &oracle, "{} diverged from oracle", backend);
                 }
             }
+        }
+    }
+
+    /// The content address never drifts from the model: after every
+    /// apply, undo, generate and snapshot read — in memory, journalled,
+    /// and across `MdaLifecycle::recover` of the journal — the
+    /// lifecycle's XMI is the export of its model and its hash is
+    /// FNV-1a over it.
+    #[test]
+    fn content_address_tracks_the_model(
+        durable in any::<bool>(),
+        ops in prop::collection::vec(0usize..6, 1..16),
+    ) {
+        let dir = journal_dir();
+        let mut mda = if durable {
+            MdaLifecycle::new_durable(executable_banking_pim(), fig2_workflow(), &dir).unwrap()
+        } else {
+            MdaLifecycle::new(executable_banking_pim(), fig2_workflow()).unwrap()
+        };
+        check_content_address(&mda)?;
+        let steps = fig2_steps();
+        for op in ops {
+            let applied = mda.applied().len();
+            match op {
+                0 => {
+                    if applied < steps.len() {
+                        let (name, si) = &steps[applied];
+                        let pair = comet_concerns::by_name(name).expect("standard concern");
+                        mda.apply_concern(&pair, si.clone()).unwrap();
+                    }
+                }
+                1 => {
+                    if applied > 0 {
+                        mda.undo_last().unwrap();
+                    }
+                }
+                2 => {
+                    let system = mda.generate(&banking_bodies(), Backend::Report).unwrap();
+                    prop_assert_eq!(&system, &direct_system(&mda, Backend::Report));
+                }
+                3 => {
+                    let snapshot = mda.snapshot_xmi().to_owned();
+                    prop_assert_eq!(snapshot, export_model(mda.model()));
+                }
+                // Crash and recover (durable only): the rebuilt
+                // lifecycle starts from the journal's head commit.
+                _ => {
+                    if durable {
+                        drop(mda);
+                        mda = MdaLifecycle::recover(&dir, fig2_workflow(), fig2_resolver)
+                            .unwrap()
+                            .0;
+                        prop_assert_eq!(mda.applied().len(), applied);
+                    }
+                }
+            }
+            check_content_address(&mda)?;
+        }
+        drop(mda);
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).expect("scratch dir removable");
         }
     }
 }

@@ -1,53 +1,28 @@
 //! The content-addressed generation cache. Artifacts are keyed by
-//! *what was generated from what*: the FNV-1a hash of the model's
-//! canonical XMI export, a fingerprint of the supplied method bodies
-//! (the remaining caller-controlled input a render depends on), the
-//! backend id, and the applied-concern list in precedence order.
-//! Content addressing makes the cache immune to lying revision
-//! counters — two models with identical content share entries, and an
-//! `undo` that restores an earlier snapshot re-hits the artifact
-//! rendered before the edit.
+//! *what was generated from what*: the model's content hash, a
+//! fingerprint of the supplied method bodies (the remaining
+//! caller-controlled input a render depends on), the backend id, and
+//! the applied-concern list in precedence order. Content addressing
+//! makes the cache immune to lying revision counters — two models with
+//! identical content share entries, and an `undo` that restores an
+//! earlier snapshot re-hits the artifact rendered before the edit.
 //!
-//! Hashing the XMI export is O(model), so the hash is memoized against
-//! [`Model::revision`] — the same generation counter the incremental
-//! weaver keys its cache on. The memo (never the artifact map) must be
-//! dropped whenever the model *instance* is replaced, because revision
-//! counters are per instance; see [`GenCache::forget_revision`].
+//! The content hash is the caller's: FNV-1a over the model's canonical
+//! XMI export, which the lifecycle already holds for the repository
+//! commit its model equals, so a lookup never exports the model.
 
 use crate::{GenInput, Generator};
-use comet_codegen::BodyProvider;
-use comet_model::Model;
-use comet_obs::fnv1a64;
-use comet_xmi::export_model;
 use std::collections::BTreeMap;
-use std::fmt::Write;
 
 /// Cache key: (content hash, bodies fingerprint, backend id, applied
 /// concerns in order).
-type CacheKey = (u64, u64, String, Vec<String>);
+type CacheKey = (u64, u64, &'static str, Vec<String>);
 
-/// FNV-1a over a canonical serialization of the provider's
-/// `(qualified name, body)` pairs. The rendered artifact depends on the
-/// bodies just as much as on the model, so two providers with different
-/// bodies must never alias one cache entry.
-fn bodies_fingerprint(bodies: &BodyProvider) -> u64 {
-    let mut repr = String::new();
-    for (name, body) in bodies.entries() {
-        write!(repr, "{name}\0{body:?}\0").expect("writing to a String cannot fail");
-    }
-    fnv1a64(repr.as_bytes())
-}
-
-/// Content-addressed artifact cache with a revision-memoized content
-/// hash, so a `Generate` against an unchanged model costs one map
-/// lookup instead of a render.
+/// Content-addressed artifact cache: a `Generate` against unchanged
+/// content costs one map lookup instead of a render.
 #[derive(Debug, Default)]
 pub struct GenCache {
     entries: BTreeMap<CacheKey, String>,
-    /// `(revision, content hash)` of the most recently hashed model
-    /// state — valid only while the same model instance stays at the
-    /// same revision.
-    memo: Option<(u64, u64)>,
     hits: u64,
     misses: u64,
 }
@@ -58,32 +33,19 @@ impl GenCache {
         GenCache::default()
     }
 
-    /// The model's content hash: FNV-1a over the canonical XMI export,
-    /// memoized by [`Model::revision`]. Two calls against an unchanged
-    /// instance pay one export; an edited model re-exports once.
-    pub fn content_hash(&mut self, model: &Model) -> u64 {
-        let revision = model.revision();
-        if let Some((memo_revision, hash)) = self.memo {
-            if memo_revision == revision {
-                return hash;
-            }
-        }
-        let hash = fnv1a64(export_model(model).as_bytes());
-        self.memo = Some((revision, hash));
-        hash
-    }
-
     /// Renders `input` through `generator`, consulting the cache first.
-    /// Returns the artifact and whether it was a cache hit. A hit is
-    /// byte-identical to the cold render that populated the entry.
-    pub fn render(&mut self, generator: &dyn Generator, input: &GenInput<'_>) -> (String, bool) {
-        let hash = self.content_hash(input.model);
-        let key = (
-            hash,
-            bodies_fingerprint(input.bodies),
-            generator.id().to_owned(),
-            input.concerns.to_vec(),
-        );
+    /// `content_hash` must be FNV-1a over the canonical XMI export of
+    /// `input.model`. Returns the artifact and whether it was a cache
+    /// hit. A hit is byte-identical to the cold render that populated
+    /// the entry.
+    pub fn render(
+        &mut self,
+        generator: &dyn Generator,
+        input: &GenInput<'_>,
+        content_hash: u64,
+    ) -> (String, bool) {
+        let key =
+            (content_hash, input.bodies.fingerprint(), generator.id(), input.concerns.to_vec());
         if let Some(artifact) = self.entries.get(&key) {
             self.hits += 1;
             return (artifact.clone(), true);
@@ -92,16 +54,6 @@ impl GenCache {
         self.entries.insert(key, artifact.clone());
         self.misses += 1;
         (artifact, false)
-    }
-
-    /// Drops the revision memo (not the artifact entries). Call this
-    /// whenever the model *instance* behind the cache may have been
-    /// replaced — snapshot restore, journal rollback, recovery — since
-    /// a fresh instance restarts its revision counter and could
-    /// otherwise alias a stale hash. Entries stay: they are addressed
-    /// by content, so a restored state re-hits its old artifacts.
-    pub fn forget_revision(&mut self) {
-        self.memo = None;
     }
 
     /// `(hits, misses)` since construction.
@@ -126,6 +78,12 @@ mod tests {
     use crate::{Backend, GeneratorFactory};
     use comet_codegen::{BodyProvider, FunctionalGenerator};
     use comet_model::sample::banking_pim;
+    use comet_model::Model;
+
+    /// The content hash a caller passes in: FNV-1a over the export.
+    fn hash(model: &Model) -> u64 {
+        comet_obs::fnv1a64(comet_xmi::export_model(model).as_bytes())
+    }
 
     fn fixture() -> (Model, comet_codegen::Program, Vec<String>, BodyProvider) {
         let model = banking_pim();
@@ -151,9 +109,9 @@ mod tests {
         for backend in Backend::ALL {
             let generator = factory.get(backend).expect("registered");
             let gen_input = input(&model, &program, &concerns, &bodies);
-            let (cold, hit0) = cache.render(generator, &gen_input);
+            let (cold, hit0) = cache.render(generator, &gen_input, hash(&model));
             assert!(!hit0, "first render must miss");
-            let (warm, hit1) = cache.render(generator, &gen_input);
+            let (warm, hit1) = cache.render(generator, &gen_input, hash(&model));
             assert!(hit1, "second render must hit");
             assert_eq!(cold, warm);
         }
@@ -170,12 +128,12 @@ mod tests {
         let functional = factory.get(Backend::JavaFunctional).expect("registered");
         let report = factory.get(Backend::Report).expect("registered");
         let gen_input = input(&model, &program, &concerns, &bodies);
-        cache.render(functional, &gen_input);
-        let (_, hit) = cache.render(report, &gen_input);
+        cache.render(functional, &gen_input, hash(&model));
+        let (_, hit) = cache.render(report, &gen_input, hash(&model));
         assert!(!hit, "different backend must be a different entry");
         let reordered = vec!["transactions".to_owned()];
         let other = input(&model, &program, &reordered, &bodies);
-        let (_, hit) = cache.render(functional, &other);
+        let (_, hit) = cache.render(functional, &other, hash(&model));
         assert!(!hit, "different concern list must be a different entry");
     }
 
@@ -189,18 +147,20 @@ mod tests {
         let mut cache = GenCache::new();
         let bodies1 = BodyProvider::default();
         let program1 = FunctionalGenerator::new().generate(&model, &bodies1);
-        let (cold1, hit) = cache.render(generator, &input(&model, &program1, &concerns, &bodies1));
+        let input1 = input(&model, &program1, &concerns, &bodies1);
+        let (cold1, hit) = cache.render(generator, &input1, hash(&model));
         assert!(!hit);
         let bodies2 = BodyProvider::new().provide(
             "Bank::transfer",
             Block::of(vec![Stmt::Expr(Expr::intrinsic("audit.log", vec![Expr::str("transfer")]))]),
         );
         let program2 = FunctionalGenerator::new().generate(&model, &bodies2);
-        let (cold2, hit) = cache.render(generator, &input(&model, &program2, &concerns, &bodies2));
+        let input2 = input(&model, &program2, &concerns, &bodies2);
+        let (cold2, hit) = cache.render(generator, &input2, hash(&model));
         assert!(!hit, "same model and concerns with different bodies must be a different entry");
         assert_ne!(cold1, cold2, "the two providers render different artifacts");
         // Each provider re-hits its own entry, byte-identically.
-        let (warm, hit) = cache.render(generator, &input(&model, &program1, &concerns, &bodies1));
+        let (warm, hit) = cache.render(generator, &input1, hash(&model));
         assert!(hit);
         assert_eq!(warm, cold1);
     }
@@ -211,41 +171,21 @@ mod tests {
         let factory = GeneratorFactory::with_standard_backends();
         let generator = factory.get(Backend::Report).expect("registered");
         let mut cache = GenCache::new();
-        let hash_before = cache.content_hash(&model);
-        {
-            let gen_input = input(&model, &program, &concerns, &bodies);
-            cache.render(generator, &gen_input);
-        }
+        let hash_before = hash(&model);
+        cache.render(generator, &input(&model, &program, &concerns, &bodies), hash_before);
         // Edit: new class changes the content hash → miss.
         let root = model.root();
         let added = model.add_class(root, "Ledger").expect("fresh name");
-        assert_ne!(cache.content_hash(&model), hash_before);
-        {
-            let gen_input = input(&model, &program, &concerns, &bodies);
-            let (_, hit) = cache.render(generator, &gen_input);
-            assert!(!hit, "edited model must miss");
-        }
+        assert_ne!(hash(&model), hash_before);
+        let gen_input = input(&model, &program, &concerns, &bodies);
+        let (_, hit) = cache.render(generator, &gen_input, hash(&model));
+        assert!(!hit, "edited model must miss");
         // Undo the edit: content is back, so the original entry re-hits
         // even though the revision counter moved on.
         model.remove_element(added).expect("removable");
-        assert_eq!(cache.content_hash(&model), hash_before);
+        assert_eq!(hash(&model), hash_before);
         let gen_input = input(&model, &program, &concerns, &bodies);
-        let (_, hit) = cache.render(generator, &gen_input);
+        let (_, hit) = cache.render(generator, &gen_input, hash(&model));
         assert!(hit, "restored content must re-hit the original entry");
-    }
-
-    #[test]
-    fn forget_revision_guards_against_instance_swaps() {
-        let (model, program, concerns, bodies) = fixture();
-        let mut cache = GenCache::new();
-        let hash = cache.content_hash(&model);
-        // A *different* instance with different content could reuse the
-        // same revision number; forgetting the memo forces a re-hash.
-        cache.forget_revision();
-        let mut other = banking_pim();
-        let root = other.root();
-        other.add_class(root, "Imposter").expect("fresh name");
-        assert_ne!(cache.content_hash(&other), hash);
-        let _ = (program, concerns, bodies);
     }
 }

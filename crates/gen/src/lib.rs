@@ -17,11 +17,12 @@
 //! On top sits [`GenCache`], a content-addressed artifact cache: key =
 //! `(fnv1a64 over the canonical XMI export, fingerprint of the supplied
 //! method bodies, backend id, applied-concern list in precedence
-//! order)`, value = the rendered artifact bytes. The
-//! content hash is memoized per [`Model::revision`], so a `Generate`
-//! request against an unchanged model is an O(1) map hit whose artifact
-//! is byte-identical to a cold render — the same hashing discipline the
-//! durable segment store uses for snapshot identity.
+//! order)`, value = the rendered artifact bytes. The caller supplies
+//! the content hash — the lifecycle reuses the one its repository
+//! commit already computed — so a `Generate` request against an
+//! unchanged model is one map lookup whose artifact is byte-identical
+//! to a cold render, under the same hashing discipline the durable
+//! segment store uses for snapshot identity.
 
 mod cache;
 mod java;

@@ -46,6 +46,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const WAL_FILE: &str = "wal.log";
 const SEGMENTS_FILE: &str = "segments.log";
@@ -346,7 +347,7 @@ impl DurableRepository {
         let hash = comet_obs::fnv1a64(snapshot.as_bytes());
         if delta.as_ref().is_some_and(CommitDelta::is_empty) {
             if let Some(parent) = self.repo.head() {
-                if parent.hash != hash || parent.snapshot != snapshot {
+                if parent.hash != hash || *parent.snapshot != *snapshot {
                     return Err(RepoError::Storage(format!(
                         "empty CommitDelta for `{message}` but the model content differs \
                          from parent commit {} — refusing to journal a lying delta",
@@ -365,7 +366,7 @@ impl DurableRepository {
                 delta: delta.clone(),
             })
             .map_err(io_err)?;
-        Ok(self.repo.commit_raw(snapshot, hash, message, concern, delta))
+        Ok(self.repo.commit_raw(snapshot.into(), hash, message, concern, delta))
     }
 
     /// Journals and applies an undo; see [`Repository::undo`].
@@ -604,8 +605,8 @@ impl DurableRepository {
             ..FsckReport::default()
         };
         let mut live: BTreeSet<SegmentId> = BTreeSet::new();
-        let commits: Vec<(CommitId, u64, String)> =
-            dur.repo.commits.values().map(|c| (c.id, c.hash, c.snapshot.clone())).collect();
+        let commits: Vec<(CommitId, u64, Arc<str>)> =
+            dur.repo.commits.values().map(|c| (c.id, c.hash, c.snapshot_shared())).collect();
         for (id, hash, snapshot) in &commits {
             let mut found = false;
             // Locate the segment holding this commit's bytes (ordinal
@@ -656,7 +657,7 @@ impl DurableRepository {
 #[derive(Debug, Default)]
 struct LandingCheck {
     /// Contents that decoded, bucketed by hash.
-    verified: BTreeMap<u64, Vec<String>>,
+    verified: BTreeMap<u64, Vec<Arc<str>>>,
     /// Imports performed (reported as
     /// [`RecoveryReport::snapshots_decoded`]).
     decoded: usize,
@@ -673,7 +674,7 @@ impl LandingCheck {
         }
         self.decoded += 1;
         decode(commit)?;
-        seen.push(commit.snapshot.clone());
+        seen.push(commit.snapshot_shared());
         Ok(())
     }
 }
@@ -726,11 +727,12 @@ fn fetch_snapshot(
     segments: &mut SegmentStore,
     hash: u64,
     ordinal: u32,
-) -> Result<String, RepoError> {
+) -> Result<Arc<str>, RepoError> {
     let bytes = segments.get(SegmentId { hash, ordinal }).map_err(io_err)?.ok_or_else(|| {
         RepoError::Storage(format!("commit references missing segment {hash:016x}/{ordinal}"))
     })?;
     String::from_utf8(bytes)
+        .map(Arc::from)
         .map_err(|_| RepoError::Storage(format!("segment {hash:016x}/{ordinal} is not UTF-8")))
 }
 
@@ -978,7 +980,7 @@ mod tests {
         // so the in-memory undo fails *after* its journal record is
         // already appended and the compensating append must cancel it.
         let first = *dur.repo.commits.keys().next().unwrap();
-        dur.repo.commits.get_mut(&first).unwrap().snapshot = "<not xmi".to_owned();
+        dur.repo.commits.get_mut(&first).unwrap().snapshot = "<not xmi".into();
         let err = dur.undo().unwrap().unwrap_err();
         assert!(matches!(err, RepoError::Corrupt(_)), "unexpected error: {err}");
         // Compensation succeeded: the handle stays usable...
@@ -1004,7 +1006,7 @@ mod tests {
         // and must leave the head where it was for the compensating
         // `Undo` to cancel exactly that record.
         let last = *dur.repo.commits.keys().last().unwrap();
-        dur.repo.commits.get_mut(&last).unwrap().snapshot = "<not xmi".to_owned();
+        dur.repo.commits.get_mut(&last).unwrap().snapshot = "<not xmi".into();
         let err = dur.redo().unwrap().unwrap_err();
         assert!(matches!(err, RepoError::Corrupt(_)), "unexpected error: {err}");
         assert_eq!(dur.undo_depth(), 1, "a failed redo must not move the head");
@@ -1104,7 +1106,7 @@ mod tests {
         dur.commit(&v1, "initial", None).unwrap();
         dur.commit(&v2, "distribution", Some("distribution")).unwrap();
         let first = *dur.repo.commits.keys().next().unwrap();
-        dur.repo.commits.get_mut(&first).unwrap().snapshot = "<not xmi".to_owned();
+        dur.repo.commits.get_mut(&first).unwrap().snapshot = "<not xmi".into();
         dur.repo_mut_unjournaled().arm_fault(crate::repo::FAULT_POINT_WAL_COMPENSATION).unwrap();
         let err = dur.undo().unwrap().unwrap_err();
         assert!(

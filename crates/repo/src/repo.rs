@@ -7,6 +7,7 @@ use comet_obs::fnv1a64;
 use comet_xmi::{export_model, import_model, XmiError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Fault point name: the next commit fails ([`FaultHook`]).
 pub const FAULT_POINT_COMMIT: &str = "repo.commit";
@@ -61,13 +62,20 @@ pub struct Commit {
     /// Element-level delta over the parent, when the committer supplied
     /// one (see [`Repository::commit_with_delta`]).
     pub delta: Option<CommitDelta>,
-    pub(crate) snapshot: String,
+    /// Shared, not copied: a commit that reuses its parent's content
+    /// and a lifecycle reading its head hold the same bytes.
+    pub(crate) snapshot: Arc<str>,
 }
 
 impl Commit {
     /// The XMI snapshot text.
     pub fn snapshot_xmi(&self) -> &str {
         &self.snapshot
+    }
+
+    /// A shared handle on the XMI snapshot (an `Arc` clone, no copy).
+    pub fn snapshot_shared(&self) -> Arc<str> {
+        Arc::clone(&self.snapshot)
     }
 }
 
@@ -238,7 +246,7 @@ impl Repository {
             None => {
                 let snapshot = export_model(model);
                 let hash = fnv1a64(snapshot.as_bytes());
-                (snapshot, hash)
+                (snapshot.into(), hash)
             }
         };
         Ok(self.commit_raw(snapshot, hash, message, concern, delta))
@@ -266,7 +274,7 @@ impl Repository {
     /// commits the truncation orphaned.
     pub(crate) fn commit_raw(
         &mut self,
-        snapshot: String,
+        snapshot: Arc<str>,
         hash: u64,
         message: &str,
         concern: Option<&str>,

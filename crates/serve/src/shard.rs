@@ -527,28 +527,32 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
                 self.stats.batches += 1;
                 self.stats.batched_queries += batch.len() as u64;
             }
-            let span = self.begin_request_span(&batch[0], batch.len());
-            let outs: Vec<Result<String, String>> =
-                match self.engine.execute_queries(&selectors, &self.obs) {
-                    Ok(counts) => counts.iter().map(|n| Ok(format!("ok:{n}"))).collect(),
-                    // One failed pass degrades the whole batch —
-                    // every member is a read, none saw bad data.
-                    Err(err) => {
-                        let text = err.to_string();
-                        batch.iter().map(|_| Err(text.clone())).collect()
-                    }
-                };
-            self.end_request_span(span, outs.first());
+            let span = self.obs.begin_span("serve", "serve.request", self.now);
+            let answer = self.engine.execute_queries(&selectors, &self.obs);
+            self.obs.end_span(span, self.now);
+            let outs: Vec<Result<String, String>> = match answer {
+                Ok(counts) => counts.iter().map(|n| Ok(format!("ok:{n}"))).collect(),
+                // One failed pass degrades the whole batch —
+                // every member is a read, none saw bad data.
+                Err(err) => {
+                    let text = err.to_string();
+                    batch.iter().map(|_| Err(text.clone())).collect()
+                }
+            };
+            self.tag_request_span(span, &batch[0], batch.len(), outs.first());
             // Batch members beyond the head get their own
             // (zero-length) request spans for provenance.
             for (q, out) in batch.iter().zip(&outs).skip(1) {
-                let s = self.begin_request_span(q, batch.len());
-                self.end_request_span(s, Some(out));
+                let s = self.obs.begin_span("serve", "serve.request", self.now);
+                self.obs.end_span(s, self.now);
+                self.tag_request_span(s, q, batch.len(), Some(out));
             }
             outs
         } else {
-            let span = self.begin_request_span(&batch[0], 1);
-            let result = match self.engine.execute(&batch[0].req, &self.obs) {
+            let span = self.obs.begin_span("serve", "serve.request", self.now);
+            let answer = self.engine.execute(&batch[0].req, &self.obs);
+            self.obs.end_span(span, self.now);
+            let result = match answer {
                 Ok(token) => Ok(token),
                 Err(err) => {
                     // Count typed admission-gate rejections before the
@@ -560,7 +564,7 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
                     Err(err.to_string())
                 }
             };
-            self.end_request_span(span, Some(&result));
+            self.tag_request_span(span, &batch[0], 1, Some(&result));
             vec![result]
         };
         for (q, out) in batch.iter().zip(&outcomes) {
@@ -603,8 +607,18 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
         (until, outcomes.iter().map(Result::is_ok).collect())
     }
 
-    fn begin_request_span(&mut self, q: &Queued, batch_len: usize) -> comet_obs::SpanId {
-        let span = self.obs.begin_span("serve", "serve.request", self.now);
+    /// Attaches a closed request span's attributes. A request span
+    /// brackets the engine call alone; its attributes, and the outcome
+    /// text they carry, are written after the close so the span's wall
+    /// time is the request's work, not the scheduler's bookkeeping
+    /// around it.
+    fn tag_request_span(
+        &mut self,
+        span: comet_obs::SpanId,
+        q: &Queued,
+        batch_len: usize,
+        outcome: Option<&Result<String, String>>,
+    ) {
         if self.obs.is_enabled() {
             self.obs.span_attr(span, "tenant", &self.tenant);
             self.obs.span_attr(span, "kind", q.req.kind());
@@ -612,16 +626,6 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
             if batch_len > 1 {
                 self.obs.span_attr(span, "batch", &batch_len.to_string());
             }
-        }
-        span
-    }
-
-    fn end_request_span(
-        &mut self,
-        span: comet_obs::SpanId,
-        outcome: Option<&Result<String, String>>,
-    ) {
-        if self.obs.is_enabled() {
             let text = match outcome {
                 Some(Ok(token)) => token.clone(),
                 Some(Err(err)) => format!("error:{err}"),
@@ -629,7 +633,6 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
             };
             self.obs.span_attr(span, "outcome", &text);
         }
-        self.obs.end_span(span, self.now);
     }
 
     /// The in-service batch finishes at `at`.

@@ -131,7 +131,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("remaining: {:?}", mda.remaining_concerns());
 
     let system = mda.generate(&bodies(), comet::Backend::JavaFunctional)?;
-    let mut interp = Interp::new(system.woven);
+    let mut interp = Interp::new(system.woven().clone());
     for node in ["auction-node", "bidder-east", "bidder-west"] {
         interp.add_node(node);
     }

@@ -144,12 +144,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "functional: {} stmts | woven: {} stmts | advice applications: {}",
         system.functional.statement_count(),
-        system.woven.statement_count(),
-        system.weave_trace.len()
+        system.woven().statement_count(),
+        system.weave_trace().len()
     );
 
     // ----- execution on the simulated middleware -----------------------
-    let mut interp = Interp::new(system.woven);
+    let mut interp = Interp::new(system.woven().clone());
     interp.add_node("client");
     interp.add_node("server");
     interp.add_principal("alice", &["teller"]);

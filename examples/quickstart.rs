@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", system.aspect_sources[0].1);
 
     // 4. Execution: the woven program on the simulated middleware.
-    let mut interp = Interp::new(system.woven);
+    let mut interp = Interp::new(system.woven().clone());
     let account = interp.create("Account")?;
     interp.set_field(&account, "balance", Value::Int(100))?;
 

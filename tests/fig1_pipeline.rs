@@ -58,12 +58,12 @@ fn ca_implements_the_concern_at_code_level() {
     let functional_src = system.functional_source.clone();
     assert!(!functional_src.contains("tx.begin"));
     // The woven program does, via the CA.
-    let woven_src = comet_codegen::pretty_print(&system.woven);
+    let woven_src = comet_codegen::pretty_print(system.woven());
     assert!(woven_src.contains("tx.begin"));
 
     // And the behaviour is observable: the crash at amount 13 rolls the
     // debit back.
-    let mut interp = Interp::new(system.woven);
+    let mut interp = Interp::new(system.woven().clone());
     let (bank, a1, a2) = setup_bank(&mut interp);
     let err = interp
         .call(bank, "transfer", vec![Value::from("A-1"), Value::from("A-2"), Value::Int(13)])
@@ -81,7 +81,7 @@ fn without_the_aspect_the_same_crash_corrupts_state() {
     let mut mda = MdaLifecycle::new(executable_banking_pim(), workflow).unwrap();
     mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
     let system = mda.generate(&banking_bodies(), comet::Backend::JavaFunctional).unwrap();
-    let mut interp = Interp::new(system.functional);
+    let mut interp = Interp::new((*system.functional).clone());
     let (bank, a1, a2) = setup_bank(&mut interp);
     let _ =
         interp.call(bank, "transfer", vec![Value::from("A-1"), Value::from("A-2"), Value::Int(13)]);

@@ -43,7 +43,7 @@ fn aspect_list_order_equals_transformation_order() {
 fn weave_nesting_follows_precedence() {
     let mda = full_lifecycle();
     let system = mda.generate(&banking_bodies(), comet::Backend::JavaFunctional).unwrap();
-    let bank = system.woven.find_class("Bank").unwrap();
+    let bank = system.woven().find_class("Bank").unwrap();
     // Layer/around helper suffixes encode the aspect index: aspect 0
     // (distribution) must be the outermost wrapper of `transfer`.
     let public = bank.find_method("transfer").unwrap();
@@ -56,7 +56,7 @@ fn weave_nesting_follows_precedence() {
     assert!(bank.find_method("transfer__functional").is_some());
     // All three aspects advised transfer.
     let advisors: Vec<&str> = system
-        .weave_trace
+        .weave_trace()
         .iter()
         .filter(|t| t.method == "transfer")
         .map(|t| t.aspect.as_str())
@@ -68,7 +68,7 @@ fn weave_nesting_follows_precedence() {
 fn end_to_end_behaviour_of_the_three_concerns() {
     let mda = full_lifecycle();
     let system = mda.generate(&banking_bodies(), comet::Backend::JavaFunctional).unwrap();
-    let mut interp = Interp::new(system.woven);
+    let mut interp = Interp::new(system.woven().clone());
     let (bank, a1, a2) = setup_bank(&mut interp);
     interp.call(bank.clone(), "registerRemote", vec![]).unwrap();
     interp.middleware_mut().bus.set_current_node("client").unwrap();
@@ -121,7 +121,7 @@ fn permuting_precedence_changes_observable_behaviour() {
             mda.apply_concern(&security::pair(), sec_si()).unwrap();
         }
         let system = mda.generate(&banking_bodies(), comet::Backend::JavaFunctional).unwrap();
-        let mut interp = Interp::new(system.woven);
+        let mut interp = Interp::new(system.woven().clone());
         let (bank, _, _) = setup_bank(&mut interp);
         // Execute on the hosting node so the distribution layer proceeds
         // locally and the tx/security interplay is isolated.
@@ -150,7 +150,7 @@ fn runtime_call_trace_shows_the_nesting() {
     // last.
     let mda = full_lifecycle();
     let system = mda.generate(&banking_bodies(), comet::Backend::JavaFunctional).unwrap();
-    let mut interp = Interp::new(system.woven);
+    let mut interp = Interp::new(system.woven().clone());
     let (bank, _, _) = setup_bank(&mut interp);
     interp.middleware_mut().bus.set_current_node("server").unwrap();
     interp.login("alice").unwrap();
@@ -199,5 +199,5 @@ fn the_weaver_honours_a_manually_permuted_aspect_list() {
         delegate.contains("transfer__layer_0"),
         "reversed order puts the security layer outermost: {delegate}"
     );
-    assert_ne!(reversed.program, system_fwd.woven);
+    assert_ne!(&reversed.program, system_fwd.woven());
 }

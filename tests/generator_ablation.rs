@@ -73,7 +73,7 @@ fn observe(program: comet_codegen::Program) -> (Value, Value, Result<Value, Stri
 fn both_generators_produce_observationally_equivalent_systems() {
     let mda = lifecycle();
     let bodies = banking_bodies();
-    let woven = mda.generate(&bodies, comet::Backend::JavaFunctional).unwrap().woven;
+    let woven = mda.generate(&bodies, comet::Backend::JavaFunctional).unwrap().woven().clone();
     let mono = mda.generate_monolithic(&bodies);
 
     let (a1_w, a2_w, denied_w, denials_w, rb_w) = observe(woven);
@@ -103,10 +103,10 @@ fn woven_system_localizes_concern_code_baseline_tangles_it() {
     // tangled in the business methods, in the woven system it lives in
     // weaver-generated layers, leaving every `__functional` body clean.
     let mono_metrics = concern_metrics(&mono, prefixes);
-    let woven_metrics = concern_metrics(&system.woven, prefixes);
+    let woven_metrics = concern_metrics(system.woven(), prefixes);
     assert!(mono_metrics.concerns["tx"].statements > 0);
     assert!(woven_metrics.concerns["tx"].statements > 0);
-    let woven_bank = system.woven.find_class("Bank").unwrap();
+    let woven_bank = system.woven().find_class("Bank").unwrap();
     let functional_body = &woven_bank.find_method("transfer__functional").unwrap().body;
     let mut probe = comet_codegen::Program::new("probe");
     let mut c = comet_codegen::ClassDecl::new("P");

@@ -69,7 +69,7 @@ fn drive(program: comet_codegen::Program) -> Interp {
 #[test]
 fn woven_persistence_saves_and_reloads() {
     let system = lifecycle().generate(&bodies(), comet::Backend::JavaFunctional).unwrap();
-    let interp = drive(system.woven);
+    let interp = drive(system.woven().clone());
     let stats = interp.middleware().store.stats();
     assert_eq!(stats.saves, 2, "one save per mutator call");
     assert_eq!(stats.loads, 1);
@@ -91,7 +91,7 @@ fn monolithic_baseline_is_equivalent() {
 fn functional_program_knows_nothing_about_the_store() {
     let system = lifecycle().generate(&bodies(), comet::Backend::JavaFunctional).unwrap();
     assert!(!system.functional_source.contains("store."));
-    let mut interp = Interp::new(system.functional);
+    let mut interp = Interp::new((*system.functional).clone());
     let item = interp.create("Item").unwrap();
     interp.set_field(&item, "sku", Value::from("SKU-7")).unwrap();
     interp.call(item.clone(), "receive", vec![Value::Int(10)]).unwrap();
@@ -104,7 +104,7 @@ fn functional_program_knows_nothing_about_the_store() {
 #[test]
 fn reload_miss_returns_cleanly() {
     let system = lifecycle().generate(&bodies(), comet::Backend::JavaFunctional).unwrap();
-    let mut interp = Interp::new(system.woven);
+    let mut interp = Interp::new(system.woven().clone());
     let item = interp.create("Item").unwrap();
     interp.set_field(&item, "sku", Value::from("NEVER-SAVED")).unwrap();
     interp.set_field(&item, "stock", Value::Int(5)).unwrap();
@@ -119,7 +119,7 @@ fn transactional_rollback_undoes_a_reload() {
     // store.load writes go through the transaction log: a rollback after
     // reload restores the pre-reload state.
     let system = lifecycle().generate(&bodies(), comet::Backend::JavaFunctional).unwrap();
-    let mut interp = Interp::new(system.woven);
+    let mut interp = Interp::new(system.woven().clone());
     let item = interp.create("Item").unwrap();
     interp.set_field(&item, "sku", Value::from("SKU-9")).unwrap();
     interp.call(item.clone(), "receive", vec![Value::Int(4)]).unwrap(); // saved
