@@ -6,12 +6,20 @@
 //! synthetic model sizes. The journal pays O(delta) on failure where
 //! the clone engine pays O(model), so the gap widens with model size.
 //!
+//! The `undo` rows time stepping back over one committed application
+//! of the same body: "decode" is the repository undo that imports the
+//! landed XMI snapshot ([`Repository::undo`], O(model)), "revert" the
+//! head-only step plus the change journal's inverse replay
+//! ([`Repository::undo_head`] + [`Model::revert`], O(delta)) — the two
+//! paths of `MdaLifecycle::undo_last`.
+//!
 //! Usage: `cargo run --release -p comet-bench --bin bench_transform_json
 //! [output-path]` (default `BENCH_transform.json` in the working
 //! directory).
 
 use comet_bench::synthetic;
-use comet_model::Model;
+use comet_model::{Model, UndoLog};
+use comet_repo::{CommitDelta, Repository};
 use comet_transform::{
     specialize, ConcreteTransformation, ParamSet, TransformError, TransformationBuilder,
 };
@@ -26,18 +34,54 @@ const SAMPLES: usize = 9;
 
 /// Median wall-clock seconds of `SAMPLES` runs (after `WARMUP` runs).
 fn median_secs(mut run: impl FnMut()) -> f64 {
+    median_secs_after(&mut (), |_| (), |_, ()| run())
+}
+
+/// [`median_secs`] of `run` on `state`, each run fed by an untimed
+/// `setup` on the same state.
+fn median_secs_after<S, I>(
+    state: &mut S,
+    mut setup: impl FnMut(&mut S) -> I,
+    mut run: impl FnMut(&mut S, I),
+) -> f64 {
     for _ in 0..WARMUP {
-        run();
+        let input = setup(state);
+        run(state, input);
     }
     let mut times: Vec<f64> = (0..SAMPLES)
         .map(|_| {
+            let input = setup(state);
             let t0 = Instant::now();
-            run();
+            run(state, input);
             t0.elapsed().as_secs_f64()
         })
         .collect();
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     times[times.len() / 2]
+}
+
+/// Applies `cmt` to `model` under a journal and commits the result to
+/// `repo`, as `MdaLifecycle::apply_concern` does; returns the step's
+/// undo log.
+fn apply_and_commit(
+    cmt: &ConcreteTransformation,
+    model: &mut Model,
+    repo: &mut Repository,
+) -> UndoLog {
+    model.begin_journal();
+    let report = cmt.apply(model).expect("applies");
+    let (_, log) = model.commit_journal().expect("journal opened above");
+    let delta =
+        CommitDelta { created: report.created, modified: report.modified, removed: report.removed };
+    repo.commit_with_delta(model, &cmt.full_name(), None, delta).expect("commits");
+    log.expect("outermost segment")
+}
+
+/// A repository holding `model` as its one commit.
+fn repo_at(model: &Model) -> Repository {
+    let mut repo = Repository::new("bench");
+    repo.commit(model, "base", None).expect("commits");
+    repo
 }
 
 /// A constant-size body: one class, one operation, one stereotype. The
@@ -84,11 +128,21 @@ fn main() {
         let mut f = pristine.clone();
         assert!(failing.apply(&mut f).is_err());
         assert_eq!(f, pristine, "journal rollback left residue");
+        // Both undo paths restore the same model, id watermark included.
+        let mut repo = repo_at(&pristine);
+        let mut reverted = pristine.clone();
+        let log = apply_and_commit(&ok, &mut reverted, &mut repo);
+        let decoded = repo.clone().undo().expect("one step").expect("decodes");
+        repo.undo_head().expect("one step").expect("steps");
+        reverted.revert(log);
+        assert_eq!(reverted, decoded, "revert and decode undo diverged");
     }
 
     let mut rollback_rows = Vec::new();
     let mut success_rows = Vec::new();
+    let mut undo_rows = Vec::new();
     let mut speedup_at_100 = 0.0f64;
+    let mut undo_speedup_at_100 = 0.0f64;
     for classes in SIZES {
         let mut model = synthetic(classes, ATTRS, OPS);
         let elements = model.iter().count();
@@ -129,18 +183,45 @@ fn main() {
             "    {{\"classes\": {classes}, \"elements\": {elements}, \"before_median_secs\": {s_before:.9}, \"after_median_secs\": {s_after:.9}, \"speedup\": {:.3}}}",
             s_before / s_after
         ));
+
+        // Undo of one committed application: each run re-applies and
+        // re-commits the step untimed, then times only the undo.
+        let mut state = (model.clone(), repo_at(&model));
+        let step = |(model, repo): &mut (Model, Repository)| apply_and_commit(&ok, model, repo);
+        eprintln!("[{classes} classes] timing decode undo (before) ...");
+        let decode = median_secs_after(&mut state, step, |(model, repo), _log| {
+            *model = black_box(repo.undo().expect("one step").expect("decodes"));
+        });
+        eprintln!("[{classes} classes] timing revert undo (after) ...");
+        let revert = median_secs_after(&mut state, step, |(model, repo), log| {
+            repo.undo_head().expect("one step").expect("steps");
+            model.revert(black_box(log));
+        });
+        let undo_speedup = decode / revert;
+        if classes == 100 {
+            undo_speedup_at_100 = undo_speedup;
+        }
+        undo_rows.push(format!(
+            "    {{\"classes\": {classes}, \"elements\": {elements}, \"decode_median_secs\": {decode:.9}, \"revert_median_secs\": {revert:.9}, \"speedup\": {undo_speedup:.3}}}"
+        ));
     }
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"experiment\": \"e11_transform_rollback\",\n  \"workload\": {{\"sizes\": [10, 50, 100, 200], \"attrs_per_class\": {ATTRS}, \"ops_per_class\": {OPS}, \"body\": \"constant 3-element delta, then induced failure\"}},\n  \"before\": \"apply_cloned (upfront clone, restore on failure, before/after sweep report)\",\n  \"after\": \"apply (change journal: inverse-op rollback, journal-derived report)\",\n  \"rollback\": [\n{}\n  ],\n  \"successful_apply\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"e11_transform_rollback\",\n  \"host_cores\": {cores},\n  \"workload\": {{\"sizes\": [10, 50, 100, 200], \"attrs_per_class\": {ATTRS}, \"ops_per_class\": {OPS}, \"body\": \"constant 3-element delta, then induced failure\"}},\n  \"before\": \"apply_cloned (upfront clone, restore on failure, before/after sweep report)\",\n  \"after\": \"apply (change journal: inverse-op rollback, journal-derived report)\",\n  \"decode\": \"undo of one committed apply: Repository::undo, importing the landed XMI snapshot\",\n  \"revert\": \"undo of one committed apply: Repository::undo_head + Model::revert of the apply's UndoLog\",\n  \"rollback\": [\n{}\n  ],\n  \"successful_apply\": [\n{}\n  ],\n  \"undo\": [\n{}\n  ]\n}}\n",
         rollback_rows.join(",\n"),
         success_rows.join(",\n"),
+        undo_rows.join(",\n"),
     );
     std::fs::write(&out_path, &json).expect("writable output path");
     println!("{json}");
-    eprintln!("wrote {out_path} (rollback speedup at 100 classes: {speedup_at_100:.2}x)");
+    eprintln!(
+        "wrote {out_path} (rollback speedup at 100 classes: {speedup_at_100:.2}x, undo: \
+         {undo_speedup_at_100:.2}x)"
+    );
     assert!(
         speedup_at_100 > 1.0,
         "journal rollback must beat clone rollback on the 100-class model"
     );
+    assert!(undo_speedup_at_100 > 1.0, "revert undo must beat decode undo on the 100-class model");
 }

@@ -6,7 +6,7 @@ use comet_codegen::{
     pretty_print, BodyProvider, FunctionalGenerator, MonolithicGenerator, Program,
 };
 use comet_gen::{Backend, GenCache, GenInput, GeneratorFactory};
-use comet_model::{DirtySet, Model};
+use comet_model::{DirtySet, Model, UndoLog};
 use comet_repo::{
     ColorReport, CommitDelta, CommitId, DurableRepository, RecoveryReport, RepoError, Repository,
 };
@@ -16,6 +16,7 @@ use comet_transform::{
 use comet_workflow::{WorkflowBuildError, WorkflowEngine, WorkflowError, WorkflowModel};
 use comet_xmi::export_model;
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -219,6 +220,13 @@ impl RepoBackend {
             RepoBackend::Durable(d) => d.undo(),
         }
     }
+
+    fn undo_head(&mut self) -> Option<Result<(), RepoError>> {
+        match self {
+            RepoBackend::Memory(r) => r.undo_head(),
+            RepoBackend::Durable(d) => d.undo_head(),
+        }
+    }
 }
 
 /// The weave half of the lifecycle's incrementality state: an
@@ -249,11 +257,12 @@ struct StateProducts {
     concerns: Vec<String>,
 }
 
-/// The content address of the state the model is at: the FNV-1a hash
-/// and canonical XMI of the repository commit it equals, shared with
-/// that commit.
+/// The content address of the state the model is at: the repository
+/// commit it equals (`None` at the root), and that commit's FNV-1a hash
+/// and canonical XMI, shared with it.
 #[derive(Debug, Clone)]
 struct ContentAddress {
+    commit: Option<CommitId>,
     hash: u64,
     xmi: Arc<str>,
 }
@@ -261,14 +270,28 @@ struct ContentAddress {
 impl ContentAddress {
     /// The address of `repo`'s visible head commit.
     fn of_head(repo: &Repository) -> Option<Self> {
-        repo.head().map(|c| ContentAddress { hash: c.hash, xmi: c.snapshot_shared() })
+        repo.head().map(|c| ContentAddress {
+            commit: Some(c.id),
+            hash: c.hash,
+            xmi: c.snapshot_shared(),
+        })
     }
 
     /// The address of a model with no commit behind it: one export.
     fn of_model(model: &Model) -> Self {
         let xmi: Arc<str> = export_model(model).into();
-        ContentAddress { hash: comet_obs::fnv1a64(xmi.as_bytes()), xmi }
+        ContentAddress { commit: None, hash: comet_obs::fnv1a64(xmi.as_bytes()), xmi }
     }
+}
+
+/// How to undo one applied step in place: the commit the step created,
+/// its change journal's inverse ops, and the metamodel kinds it touched
+/// (the condition cache evicts by those; `None` = not localized).
+#[derive(Debug)]
+struct StepRevert {
+    commit: CommitId,
+    log: UndoLog,
+    kinds: Option<BTreeSet<&'static str>>,
 }
 
 /// The MDA lifecycle: model + repository + workflow + applied concerns.
@@ -290,10 +313,13 @@ impl ContentAddress {
 ///   unchanged revision with the same bodies reuses them outright and
 ///   pays only the artifact lookup.
 ///
-/// Both caches are dropped on [`MdaLifecycle::undo_last`] (the restored
-/// snapshot restarts the revision counter) and the full engines remain
-/// the differential oracles in the test suite; results are
-/// byte-identical to the non-incremental paths in every case.
+/// [`MdaLifecycle::undo_last`] reverts the undone step's change journal
+/// in place, so the condition cache only evicts the kinds that step
+/// touched; the weave cache is rebuilt for the shorter aspect list. An
+/// undo that has to decode its landing snapshot instead (see
+/// `undo_last`) drops both. The full engines remain the differential
+/// oracles in the test suite; results are byte-identical to the
+/// non-incremental paths in every case.
 ///
 /// The lifecycle also holds the content address of its state: the
 /// hash and canonical XMI of the commit its model equals, taken from
@@ -328,6 +354,10 @@ pub struct MdaLifecycle {
     gen_cache: RefCell<GenCache>,
     /// Hash and XMI of the commit `model` equals.
     content: ContentAddress,
+    /// Parallel to `applied`: how to revert each step in place, `None`
+    /// for steps rebuilt by `recover` or applied while the model was
+    /// not at the repository head.
+    reverts: Vec<Option<StepRevert>>,
 }
 
 impl MdaLifecycle {
@@ -441,11 +471,13 @@ impl MdaLifecycle {
     ) -> Result<Self, LifecycleError> {
         let content = ContentAddress::of_head(repo.as_repository())
             .ok_or_else(|| LifecycleError::Recovery("repository has no head commit".to_owned()))?;
+        let reverts = applied.iter().map(|_| None).collect();
         Ok(MdaLifecycle {
             model,
             repo,
             workflow,
             applied,
+            reverts,
             obs: comet_obs::Collector::disabled(),
             conditions: ConditionCache::new(),
             weave_cache: RefCell::new(None),
@@ -534,6 +566,13 @@ impl MdaLifecycle {
         self.repo.as_repository_mut()
     }
 
+    /// Whether the model equals the repository's visible head commit
+    /// (repository edits through `repository_mut` can move the head
+    /// away from it).
+    fn model_at_head(&self) -> bool {
+        self.content.commit == self.repo.as_repository().head().map(|c| c.id)
+    }
+
     /// The workflow engine (guidance).
     pub fn workflow(&self) -> &WorkflowEngine {
         &self.workflow
@@ -564,7 +603,8 @@ impl MdaLifecycle {
     ///    nothing observable remains of the step;
     /// 4. only after the repository accepted the new version (committed
     ///    from the journal's delta) is the journal released and the
-    ///    step pushed onto `applied`.
+    ///    step pushed onto `applied`, keeping the journal's inverse ops
+    ///    for an in-place [`MdaLifecycle::undo_last`].
     ///
     /// # Errors
     /// Model, repository, and workflow are all unchanged on any error.
@@ -615,7 +655,9 @@ impl MdaLifecycle {
             modified: report.modified.clone(),
             removed: report.removed.clone(),
         };
-        let unchanged = delta.is_empty();
+        // The step's log can revert the model to the commit the head
+        // undoes to only if the model is that commit now.
+        let revertible = self.model_at_head();
         if let Err(e) =
             self.repo.commit_with_delta(&self.model, &cmt.full_name(), Some(pair.concern()), delta)
         {
@@ -627,21 +669,16 @@ impl MdaLifecycle {
         }
         // Fold this step's delta (the whole outer segment) into the
         // dirty set the weave cache consumes at the next `generate`.
-        match self.model.journal_dirty() {
-            Some(delta) => {
-                if let Some(acc) = self.dirty_since.borrow_mut().as_mut() {
-                    acc.merge(&delta);
-                }
-            }
-            None => *self.dirty_since.borrow_mut() = None,
+        let dirty = self.model.journal_dirty().expect("the step's segment is open");
+        if let Some(acc) = self.dirty_since.borrow_mut().as_mut() {
+            acc.merge(&dirty);
         }
-        self.model.commit_journal();
-        // An empty delta left the model, and so its address, as it was
-        // (the commit reused its parent's snapshot).
-        if !unchanged {
-            self.content = ContentAddress::of_head(self.repo.as_repository())
-                .expect("the commit just made is the visible head");
-        }
+        let kinds = dirty.kinds(&self.model);
+        let (_, log) = self.model.commit_journal().expect("the step's segment is open");
+        self.content = ContentAddress::of_head(self.repo.as_repository())
+            .expect("the commit just made is the visible head");
+        let commit = self.content.commit.expect("a head commit has an id");
+        self.reverts.push(log.filter(|_| revertible).map(|log| StepRevert { commit, log, kinds }));
         self.applied.push(AppliedConcern { cmt, aspect, report });
         Ok(self.applied.last().expect("just pushed"))
     }
@@ -649,16 +686,26 @@ impl MdaLifecycle {
     /// Undoes the most recent refinement step: repository undo, workflow
     /// rewind, aspect removal.
     ///
+    /// The model steps back in place: the step's change journal is
+    /// reverted in O(delta) ([`Model::revert`]) while the repository
+    /// head steps back without decoding anything. That needs the step's
+    /// inverse ops and a model still at the commit the step created, at
+    /// the head. Otherwise — a step rebuilt by
+    /// [`MdaLifecycle::recover`], or a head moved through
+    /// [`MdaLifecycle::repository_mut`] — the undo decodes the snapshot
+    /// the head lands on, as a full model import.
+    ///
     /// All fallible work happens before any state is touched: the
     /// shortened workflow is replayed into a scratch engine first, the
-    /// repository steps back second (rolled forward again if its
-    /// snapshot fails to decode), and only then are model, workflow,
-    /// and the `applied` record swapped — so a failed undo never loses
-    /// the step it could not undo.
+    /// repository steps back second (its head stays put if the step
+    /// fails), and only then are model, workflow, and the `applied`
+    /// record changed — so a failed undo never loses the step it could
+    /// not undo, nor the inverse ops a retry reverts with.
     ///
     /// # Errors
-    /// Fails when nothing was applied, the snapshot is corrupt, or the
-    /// remaining sequence no longer replays
+    /// Fails when nothing was applied, the repository step fails (on
+    /// the decode path also when the landing snapshot is corrupt), or
+    /// the remaining sequence no longer replays
     /// ([`LifecycleError::WorkflowReplay`]); the lifecycle state is
     /// unchanged on every error.
     pub fn undo_last(&mut self) -> Result<(), LifecycleError> {
@@ -674,28 +721,44 @@ impl MdaLifecycle {
                 source,
             })?;
         }
-        let restored = match self.repo.undo() {
-            None => return Err(LifecycleError::NothingToUndo),
-            // `Repository::undo` is atomic — the head position does
-            // not move on error — so nothing needs compensating here.
-            Some(Err(e)) => return Err(LifecycleError::Repo(e)),
-            Some(Ok(model)) => model,
+        let revert = matches!(
+            self.reverts.last(),
+            Some(Some(step)) if self.content.commit == Some(step.commit) && self.model_at_head()
+        );
+        // Both repository steps are atomic — the head position does not
+        // move on error — so nothing needs compensating here.
+        let decoded = if revert {
+            self.repo.undo_head().ok_or(LifecycleError::NothingToUndo)??;
+            None
+        } else {
+            Some(self.repo.undo().ok_or(LifecycleError::NothingToUndo)??)
         };
-        // Commit point: everything fallible is done. The model now
-        // equals the commit the head landed on (the root, which stores
-        // no snapshot, only after repository edits outside the
-        // lifecycle).
-        self.content = ContentAddress::of_head(self.repo.as_repository())
-            .unwrap_or_else(|| ContentAddress::of_model(&restored));
+        // Commit point: everything fallible is done.
         self.applied.pop();
+        let step = self.reverts.pop().flatten();
         self.workflow = engine;
-        self.model = restored;
-        // The restored snapshot is a fresh model instance (its revision
-        // counter restarts), so both incrementality caches are stale.
-        // Generation-cache entries are content-addressed and stay: the
-        // restored state re-hits the artifacts rendered before the
-        // undone step.
-        self.conditions.invalidate_all();
+        match decoded {
+            Some(model) => {
+                // A fresh model instance (its revision counter
+                // restarts): every cached verdict is stale.
+                self.model = model;
+                self.conditions.invalidate_all();
+            }
+            None => {
+                let step = step.expect("chosen to revert above");
+                self.model.revert(step.log);
+                // The revert touched exactly the kinds the apply did.
+                self.conditions.note_delta(step.kinds.as_ref());
+            }
+        }
+        // The model now equals the commit the head landed on (the root,
+        // which stores no snapshot, only after repository edits outside
+        // the lifecycle). Generation-cache entries are content-addressed
+        // and stay: the restored state re-hits the artifacts rendered
+        // before the undone step. The weave cache is keyed by the
+        // aspect list, which just shrank.
+        self.content = ContentAddress::of_head(self.repo.as_repository())
+            .unwrap_or_else(|| ContentAddress::of_model(&self.model));
         *self.weave_cache.borrow_mut() = None;
         *self.dirty_since.borrow_mut() = Some(DirtySet::default());
         Ok(())
@@ -1198,6 +1261,56 @@ mod tests {
         mda.undo_last().unwrap();
         assert!(matches!(mda.undo_last(), Err(LifecycleError::NothingToUndo)));
         assert_eq!(mda.model(), &banking_pim());
+    }
+
+    mod condition_cache {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Undo evicts the undone step's dirty kinds instead of the
+            /// whole condition cache: after every apply or undo of a random
+            /// sequence, each condition the three CMTs check answers from
+            /// the cache exactly as a fresh evaluation does.
+            #[test]
+            fn stays_exact_across_apply_and_undo(
+                ops in prop::collection::vec((0..5u8, 0..3usize), 1..14),
+            ) {
+                let pairs = [
+                    (distribution::pair(), dist_si()),
+                    (transactions::pair(), tx_si()),
+                    (security::pair(), sec_si()),
+                ];
+                let conditions: Vec<String> = pairs
+                    .iter()
+                    .flat_map(|(pair, si)| {
+                        let (cmt, _) = pair.specialize(si.clone()).unwrap();
+                        cmt.preconditions().into_iter().chain(cmt.postconditions())
+                    })
+                    .collect();
+                let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
+                for (kind, n) in ops {
+                    if kind < 3 {
+                        let (pair, si) = &pairs[n];
+                        // Re-applying an applied concern is a workflow
+                        // rejection: no state change, still a valid op.
+                        let _ = mda.apply_concern(pair, si.clone());
+                    } else {
+                        let _ = mda.undo_last();
+                    }
+                    for condition in &conditions {
+                        let fresh = comet_ocl::evaluate_bool(
+                            condition,
+                            &comet_ocl::Context::for_model(&mda.model),
+                        );
+                        let cached = mda.conditions.check(condition, &mda.model);
+                        prop_assert_eq!(cached.ok(), fresh.ok(), "stale `{}`", condition);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,13 +11,23 @@
 //! * the repository undo (`FaultHook` point `repo.undo`), and
 //! * workflow replay during undo (a constraint-violating workflow
 //!   double built from a `MutuallyExclusive` plan).
+//!
+//! `undo_last` reverts the step's change journal in place and decodes
+//! the landing snapshot only when it has no log to revert with; the
+//! tail of this file pins when each path runs and that a failed undo
+//! keeps the log for its retry. Which path ran shows in
+//! [`Model::revision`](comet_model::Model::revision): a revert keeps
+//! counting on the same model, a decoded snapshot is a fresh model
+//! whose counter restarts.
 
 use comet::{LifecycleError, MdaLifecycle};
+use comet_aspectgen::ConcernPair;
 use comet_concerns::{distribution, security, transactions};
 use comet_middleware::FaultHook;
 use comet_model::sample::banking_pim;
 use comet_transform::{ParamSet, ParamValue};
 use comet_workflow::WorkflowModel;
+use std::path::PathBuf;
 
 fn fig2_workflow() -> WorkflowModel {
     WorkflowModel::new("fig2")
@@ -186,4 +196,155 @@ fn interleaved_faults_never_desync() {
         assert_consistent(&mda);
     }
     assert_eq!(mda.model(), &banking_pim());
+}
+
+/// How `undo_last` restored the model.
+#[derive(Debug, PartialEq)]
+enum UndoPath {
+    Reverted,
+    Decoded,
+}
+
+/// Runs one successful `undo_last` and reports which path it took. The
+/// model lands on the repository head either way (the root stores no
+/// snapshot to compare with).
+fn undo(mda: &mut MdaLifecycle) -> UndoPath {
+    let before = mda.model().revision();
+    mda.undo_last().expect("undo succeeds");
+    if let Some(head) = mda.repository().head_model() {
+        assert_eq!(mda.model(), &head.expect("snapshot decodes"), "model diverged from HEAD");
+    }
+    if mda.model().revision() > before {
+        UndoPath::Reverted
+    } else {
+        UndoPath::Decoded
+    }
+}
+
+fn fig2_resolver(concern: &str) -> Option<(ConcernPair, ParamSet)> {
+    match concern {
+        "distribution" => Some((distribution::pair(), dist_si())),
+        "transactions" => Some((transactions::pair(), tx_si())),
+        "security" => Some((security::pair(), sec_si())),
+        _ => None,
+    }
+}
+
+fn tmp(name: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("comet-lifecycle-faults-{}-{name}", std::process::id()));
+    if dir.exists() {
+        std::fs::remove_dir_all(&dir).expect("stale scratch dir removable");
+    }
+    dir
+}
+
+#[test]
+fn undo_reverts_in_place_while_the_model_is_at_the_head() {
+    let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
+    mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
+    mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
+    // Moving the head away and back leaves it at the step's commit.
+    mda.repository_mut().undo().unwrap().unwrap();
+    mda.repository_mut().redo().unwrap().unwrap();
+    assert_eq!(undo(&mut mda), UndoPath::Reverted);
+    assert_eq!(undo(&mut mda), UndoPath::Reverted);
+    assert_eq!(mda.model(), &banking_pim());
+}
+
+#[test]
+fn undo_after_repository_mut_moved_the_head_decodes_the_landed_commit() {
+    let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
+    mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
+    mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
+    let after_distribution = mda.repository().log()[1].id;
+    // The head moves behind the lifecycle's back: the model is no
+    // longer the head, so the undo decodes where the head lands — the
+    // initial PIM, as before in-place undo existed.
+    mda.repository_mut().undo().unwrap().unwrap();
+    assert_eq!(mda.repository().head().unwrap().id, after_distribution);
+    assert_eq!(undo(&mut mda), UndoPath::Decoded);
+    assert_eq!(mda.model(), &banking_pim());
+    // The remaining step's commit is not the head any more either: the
+    // undo decodes the root, an empty model.
+    assert_eq!(undo(&mut mda), UndoPath::Decoded);
+    assert!(mda.repository().head().is_none());
+    assert_eq!(mda.model().len(), 1);
+    assert_eq!(mda.snapshot_xmi(), comet_xmi::export_model(mda.model()));
+}
+
+#[test]
+fn a_step_applied_while_the_head_was_elsewhere_undoes_by_decoding() {
+    let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
+    mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
+    // The head steps back to the initial PIM; the model stays refined,
+    // and the next step commits on top of the PIM.
+    mda.repository_mut().undo().unwrap().unwrap();
+    mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
+    // Its journal would revert to the distributed model, but the head
+    // undoes to the PIM: only a decode lands where the head does.
+    assert_eq!(undo(&mut mda), UndoPath::Decoded);
+    assert_eq!(mda.model(), &banking_pim());
+}
+
+#[test]
+fn recovered_steps_undo_by_decoding_later_steps_revert() {
+    let dir = tmp("recover");
+    let mut mda = MdaLifecycle::new_durable(banking_pim(), fig2_workflow(), &dir).unwrap();
+    mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
+    mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
+    drop(mda);
+    let (mut mda, _) = MdaLifecycle::recover(&dir, fig2_workflow(), fig2_resolver).unwrap();
+    mda.apply_concern(&security::pair(), sec_si()).unwrap();
+    assert_eq!(undo(&mut mda), UndoPath::Reverted, "a step applied after recovery");
+    assert_eq!(undo(&mut mda), UndoPath::Decoded, "the first recovered step");
+    // Decoding left the model at the head: a step applied now reverts,
+    // and the remaining recovered step still decodes.
+    mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
+    assert_eq!(undo(&mut mda), UndoPath::Reverted);
+    assert_eq!(undo(&mut mda), UndoPath::Decoded);
+    assert_eq!(mda.model(), &banking_pim());
+    assert_consistent(&mda);
+    drop(mda);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn armed_undo_fault_keeps_the_undo_log_so_the_retry_reverts() {
+    let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
+    mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
+    mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
+    let before = mda.model().clone();
+    mda.repository_mut().arm_fault(comet_repo::FAULT_POINT_UNDO).unwrap();
+    assert!(matches!(mda.undo_last(), Err(LifecycleError::Repo(_))));
+    assert_eq!(mda.model(), &before);
+    assert_eq!(mda.applied().len(), 2);
+    assert_consistent(&mda);
+    assert_eq!(undo(&mut mda), UndoPath::Reverted, "the failed undo lost its log");
+    assert_eq!(mda.applied().len(), 1);
+    assert_consistent(&mda);
+}
+
+#[test]
+fn durable_in_place_undo_journals_exactly_one_undo_record() {
+    let dir = tmp("one-record");
+    let mut mda = MdaLifecycle::new_durable(banking_pim(), fig2_workflow(), &dir).unwrap();
+    mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
+    mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
+    let fsyncs = mda.wal_fsyncs();
+    // A faulted undo fails before it reaches the journal...
+    mda.repository_mut().arm_fault(comet_repo::FAULT_POINT_UNDO).unwrap();
+    assert!(mda.undo_last().is_err());
+    assert_eq!(mda.wal_fsyncs(), fsyncs);
+    // ...and its retry appends one record, one fsync.
+    assert_eq!(undo(&mut mda), UndoPath::Reverted);
+    assert_eq!(mda.wal_fsyncs(), fsyncs + 1);
+    let model = mda.model().clone();
+    drop(mda);
+    // The record is a plain `Undo`: replay lands where memory did.
+    let (repo, report) = comet_repo::DurableRepository::open(&dir).unwrap();
+    assert_eq!(report.records_replayed, 5, "init, three commits, one undo");
+    assert_eq!(repo.head_model().unwrap().unwrap(), model);
+    drop(repo);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

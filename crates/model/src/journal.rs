@@ -37,10 +37,17 @@
 //! commit/rollback operate on the ops recorded since the innermost
 //! savepoint. A nested commit folds its ops into the enclosing segment
 //! (so an outer rollback still unwinds them); the outermost commit
-//! discards the journal. This is what lets the MDA lifecycle wrap a
-//! whole refinement step — transformation body *plus* repository
-//! bookkeeping — in one atomic unit while the transformation engine
-//! keeps its own inner bracket.
+//! closes the journal and hands its ops back as an [`UndoLog`]. This is
+//! what lets the MDA lifecycle wrap a whole refinement step —
+//! transformation body *plus* repository bookkeeping — in one atomic
+//! unit while the transformation engine keeps its own inner bracket.
+//!
+//! ## Undo after commit
+//!
+//! The [`UndoLog`] is the committed step's inverse, kept for later:
+//! [`Model::revert`](crate::Model::revert) replays it through the same
+//! unwind loop a rollback uses, stepping the model back over the step in
+//! O(delta) instead of re-reading a stored snapshot of the whole model.
 
 use crate::element::Element;
 use crate::id::ElementId;
@@ -127,6 +134,16 @@ impl JournalSummary {
     }
 }
 
+/// The inverse ops of one committed outermost journal segment, handed
+/// back by [`Model::commit_journal`](crate::Model::commit_journal) and
+/// consumed by [`Model::revert`](crate::Model::revert). Opaque: it is
+/// only meaningful for the model that recorded it, in the state that
+/// segment left it (later steps already reverted).
+#[derive(Debug)]
+pub struct UndoLog {
+    pub(crate) ops: Vec<JournalOp>,
+}
+
 /// The active journal stored inside a [`Model`](crate::Model).
 ///
 /// Derived bookkeeping like the index cache: never cloned with the
@@ -196,12 +213,13 @@ impl Journal {
     }
 
     /// Closes the innermost segment, summarizing it against the final
-    /// element state. Returns the summary and whether the journal as a
-    /// whole is now finished (last savepoint popped).
+    /// element state. Returns the summary and, when the journal as a
+    /// whole is now finished (last savepoint popped), its ops as the
+    /// [`UndoLog`] of everything it recorded.
     pub(crate) fn commit(
         &mut self,
         elements: &BTreeMap<ElementId, Element>,
-    ) -> (JournalSummary, bool) {
+    ) -> (JournalSummary, Option<UndoLog>) {
         let sp = self.savepoints.pop().expect("active journal has a savepoint");
         let summary = summarize(&self.ops[sp..], elements);
         // A nested segment's ops stay: the enclosing segment must still
@@ -212,7 +230,8 @@ impl Journal {
         if let Some(enclosing) = self.mutated.last_mut() {
             enclosing.extend(folded);
         }
-        (summary, self.savepoints.is_empty())
+        let finished = self.savepoints.is_empty();
+        (summary, finished.then(|| UndoLog { ops: std::mem::take(&mut self.ops) }))
     }
 
     /// Summarizes the innermost segment *without* closing it: what a
@@ -239,26 +258,38 @@ impl Journal {
         // pre-imaged are still covered by its own set.
         self.mutated.pop().expect("active journal has a segment");
         let undone = self.ops.len() - sp;
-        for op in self.ops.drain(sp..).rev() {
-            match op {
-                JournalOp::Create { id, prev_next_id } => {
-                    elements.remove(&id);
-                    *next_id = prev_next_id;
-                }
-                JournalOp::Mutate { id, before } => {
-                    elements.insert(id, *before);
-                }
-                JournalOp::Remove { before } => {
-                    for e in before {
-                        elements.insert(e.id(), e);
-                    }
-                }
-                JournalOp::SetName { prev } => {
-                    *name = prev;
+        unwind(self.ops.drain(sp..), elements, next_id, name);
+        (undone, self.savepoints.is_empty())
+    }
+}
+
+/// Replays inverse ops newest-first: the one unwind loop under both a
+/// rollback of an open segment and [`Model::revert`](crate::Model::revert)
+/// of a committed one.
+pub(crate) fn unwind(
+    ops: impl DoubleEndedIterator<Item = JournalOp>,
+    elements: &mut BTreeMap<ElementId, Element>,
+    next_id: &mut u64,
+    name: &mut String,
+) {
+    for op in ops.rev() {
+        match op {
+            JournalOp::Create { id, prev_next_id } => {
+                elements.remove(&id);
+                *next_id = prev_next_id;
+            }
+            JournalOp::Mutate { id, before } => {
+                elements.insert(id, *before);
+            }
+            JournalOp::Remove { before } => {
+                for e in before {
+                    elements.insert(e.id(), e);
                 }
             }
+            JournalOp::SetName { prev } => {
+                *name = prev;
+            }
         }
-        (undone, self.savepoints.is_empty())
     }
 }
 

@@ -49,7 +49,7 @@ pub use dirty::DirtySet;
 pub use element::{Element, ElementCore, ElementKind};
 pub use error::{ModelError, Result};
 pub use id::ElementId;
-pub use journal::{JournalSummary, RemovedElement};
+pub use journal::{JournalSummary, RemovedElement, UndoLog};
 pub use kinds::{
     AggregationKind, AssociationData, AssociationEnd, AttributeData, ClassData, ConstraintData,
     DataTypeData, DependencyData, Direction, EnumerationData, GeneralizationData, InterfaceData,

@@ -5,7 +5,7 @@ use crate::element::{Element, ElementCore, ElementKind};
 use crate::error::{ModelError, Result};
 use crate::id::ElementId;
 use crate::index::IndexCache;
-use crate::journal::{Journal, JournalOp, JournalSummary};
+use crate::journal::{self, Journal, JournalOp, JournalSummary, UndoLog};
 use crate::kinds::*;
 use crate::CONCERN_TAG;
 use std::collections::BTreeMap;
@@ -29,7 +29,10 @@ use std::collections::BTreeMap;
 /// [`Model::commit_journal`] every mutation records an inverse
 /// operation, and [`Model::rollback_journal`] unwinds the segment in
 /// O(delta). Like the cache, the journal is transient bookkeeping:
-/// ignored by `PartialEq`, not carried over by `Clone`.
+/// ignored by `PartialEq`, not carried over by `Clone`. The outermost
+/// commit hands the segment's inverse ops back as an [`UndoLog`], which
+/// [`Model::revert`] replays later to step back over the committed
+/// change in O(delta) as well.
 #[derive(Debug)]
 pub struct Model {
     name: String,
@@ -188,8 +191,9 @@ impl Model {
     /// observe identical content, which makes the revision a sound key
     /// for derived-artifact caches (incremental weaving, condition
     /// verdicts). The counter is *per instance*: clones and snapshot
-    /// restores reset it, so caches keyed by revision must be dropped
-    /// when the model object itself is replaced.
+    /// restores reset it (an in-place [`Model::revert`] keeps counting),
+    /// so caches keyed by revision must be dropped when the model object
+    /// itself is replaced.
     pub fn revision(&self) -> u64 {
         self.cache.generation()
     }
@@ -689,14 +693,18 @@ impl Model {
 
     /// Closes the innermost journal segment, keeping its effects, and
     /// returns what the segment changed (derived from the recorded ops,
-    /// no model sweep). Returns `None` when no journal is active.
-    pub fn commit_journal(&mut self) -> Option<JournalSummary> {
+    /// no model sweep). When that closes the outermost segment, the
+    /// journal's inverse ops come back too, as the [`UndoLog`]
+    /// [`Model::revert`] takes; a nested commit folds its ops into the
+    /// enclosing segment and returns no log. Returns `None` when no
+    /// journal is active.
+    pub fn commit_journal(&mut self) -> Option<(JournalSummary, Option<UndoLog>)> {
         let j = self.journal.as_mut()?;
-        let (summary, finished) = j.commit(&self.elements);
-        if finished {
+        let (summary, log) = j.commit(&self.elements);
+        if log.is_some() {
             self.journal = None;
         }
-        Some(summary)
+        Some((summary, log))
     }
 
     /// Unwinds the innermost journal segment by replaying inverse
@@ -711,6 +719,23 @@ impl Model {
             self.journal = None;
         }
         Some(undone)
+    }
+
+    /// Steps the model back over a committed journal: replays `log`'s
+    /// inverse ops newest-first through the unwind loop
+    /// [`Model::rollback_journal`] uses, then sets the id watermark to
+    /// max id + 1 as [`Model::from_parts`] does. The result equals the
+    /// state before the journal began, reassembled from that state's
+    /// elements — what a snapshot of it would import as — in O(delta).
+    ///
+    /// `log` must be the newest committed log not yet reverted on this
+    /// model, and no journal may be open: a revert is not itself
+    /// journaled.
+    pub fn revert(&mut self, log: UndoLog) {
+        debug_assert!(self.journal.is_none(), "revert under an open journal segment");
+        self.cache.invalidate();
+        journal::unwind(log.ops.into_iter(), &mut self.elements, &mut self.next_id, &mut self.name);
+        self.next_id = next_free_id(&self.elements);
     }
 
     /// All distinct concerns recorded anywhere in the model ("association
@@ -742,16 +767,11 @@ impl Model {
         root: ElementId,
         elements: Vec<Element>,
     ) -> std::result::Result<Model, Vec<crate::validate::Violation>> {
-        let mut map = BTreeMap::new();
-        let mut max_id = 0u64;
-        for e in elements {
-            max_id = max_id.max(e.id().raw());
-            map.insert(e.id(), e);
-        }
+        let map: BTreeMap<ElementId, Element> = elements.into_iter().map(|e| (e.id(), e)).collect();
         let model = Model {
             name: name.into(),
+            next_id: next_free_id(&map),
             elements: map,
-            next_id: max_id + 1,
             root,
             cache: IndexCache::default(),
             journal: None,
@@ -771,6 +791,11 @@ impl Model {
         model.validate()?;
         Ok(model)
     }
+}
+
+/// The id watermark of a reassembled model: max id + 1.
+fn next_free_id(elements: &BTreeMap<ElementId, Element>) -> u64 {
+    elements.keys().next_back().map_or(0, |id| id.raw()) + 1
 }
 
 impl Default for Model {
@@ -951,7 +976,7 @@ mod tests {
         // Read-only mutable borrow: must not be reported as modified.
         let _ = m.element_mut(b).unwrap();
         m.remove_element(b).unwrap();
-        let summary = m.commit_journal().unwrap();
+        let (summary, _) = m.commit_journal().unwrap();
         assert_eq!(summary.created, vec![c]);
         assert_eq!(summary.modified, vec![a]);
         assert_eq!(summary.removed, vec![b]);
@@ -968,7 +993,7 @@ mod tests {
         m.begin_journal();
         let c = m.add_class(m.root(), "Ghost").unwrap();
         m.remove_element(c).unwrap();
-        let summary = m.commit_journal().unwrap();
+        let (summary, _) = m.commit_journal().unwrap();
         assert!(summary.is_empty(), "create+remove inside one segment is a no-op: {summary:?}");
     }
 
@@ -989,8 +1014,9 @@ mod tests {
         m.begin_journal();
         let c = m.add_class(m.root(), "C").unwrap();
         assert_eq!(m.journal_created(), vec![c]);
-        let inner = m.commit_journal().unwrap();
+        let (inner, log) = m.commit_journal().unwrap();
         assert_eq!(inner.created, vec![c]);
+        assert!(log.is_none(), "a nested commit hands back no undo log");
         assert!(m.journal_active());
         // ...so the outer rollback unwinds both A and C.
         m.rollback_journal().unwrap();

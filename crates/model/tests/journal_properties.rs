@@ -7,7 +7,11 @@
 //!   name, same id watermark (checked by re-allocating);
 //! * **commit summary = sweep diff**: the journal-derived
 //!   created/modified/removed summary must match the classic
-//!   before/after full-model sweep the transform engine used to do.
+//!   before/after full-model sweep the transform engine used to do;
+//! * **revert = reassembled snapshot**: reverting committed journals
+//!   newest-first must leave the model equal to its pre-journal
+//!   elements reassembled by `Model::from_parts` — the model a snapshot
+//!   import builds, id watermark (max id + 1) included.
 
 use comet_model::{AssociationEnd, ElementId, Model, Primitive};
 use proptest::prelude::*;
@@ -213,7 +217,7 @@ proptest! {
         for op in &journaled {
             apply_op(&mut m, op, &mut counter);
         }
-        let summary = m.commit_journal().expect("journal is active");
+        let (summary, _) = m.commit_journal().expect("journal is active");
         let (created, modified, removed) = sweep_diff(&before, &m);
         prop_assert_eq!(&summary.created, &created, "created sets diverged");
         prop_assert_eq!(&summary.modified, &modified, "modified sets diverged");
@@ -242,6 +246,45 @@ proptest! {
         prop_assert_eq!(&m, &mid, "inner rollback diverged from mid snapshot");
         m.rollback_journal().expect("outer segment");
         prop_assert_eq!(&m, &base, "outer rollback diverged from base snapshot");
+        prop_assert!(!m.journal_active());
+    }
+    #[test]
+    fn revert_equals_the_reassembled_pre_journal_state(
+        prefix in prop::collection::vec(arb_op(), 0..15),
+        first in prop::collection::vec(arb_op(), 0..15),
+        inner in prop::collection::vec(arb_op(), 0..10),
+        second in prop::collection::vec(arb_op(), 0..15),
+    ) {
+        let reassembled = |m: &Model| {
+            Model::from_parts(m.name(), m.root(), m.iter().cloned().collect())
+                .expect("a model built through the API is well formed")
+        };
+        let mut m = build(&prefix);
+        let base = reassembled(&m);
+        let mut counter = 1000usize;
+        // Step one, with a nested segment committed into it.
+        m.begin_journal();
+        for op in &first {
+            apply_op(&mut m, op, &mut counter);
+        }
+        m.begin_journal();
+        for op in &inner {
+            apply_op(&mut m, op, &mut counter);
+        }
+        let (_, nested) = m.commit_journal().expect("inner segment");
+        prop_assert!(nested.is_none(), "a nested commit handed back an undo log");
+        let (_, one) = m.commit_journal().expect("outer segment");
+        let mid = reassembled(&m);
+        // Step two on top.
+        m.begin_journal();
+        for op in &second {
+            apply_op(&mut m, op, &mut counter);
+        }
+        let (_, two) = m.commit_journal().expect("second segment");
+        m.revert(two.expect("outermost commit hands back its log"));
+        prop_assert_eq!(&m, &mid, "reverting step two diverged from its reassembled pre-state");
+        m.revert(one.expect("outermost commit hands back its log"));
+        prop_assert_eq!(&m, &base, "reverting step one diverged from its reassembled pre-state");
         prop_assert!(!m.journal_active());
     }
 }

@@ -371,6 +371,22 @@ impl DurableRepository {
 
     /// Journals and applies an undo; see [`Repository::undo`].
     pub fn undo(&mut self) -> Option<Result<Model, RepoError>> {
+        self.journal_undo(Repository::undo)
+    }
+
+    /// Journals and applies a head-only undo; see
+    /// [`Repository::undo_head`]. The journal record is the same `Undo`
+    /// [`undo`](Self::undo) appends, so replay cannot tell them apart.
+    pub fn undo_head(&mut self) -> Option<Result<(), RepoError>> {
+        self.journal_undo(Repository::undo_head)
+    }
+
+    /// Appends an `Undo` record, then runs the in-memory `step`;
+    /// compensates the record when the step fails.
+    fn journal_undo<T>(
+        &mut self,
+        step: fn(&mut Repository) -> Option<Result<T, RepoError>>,
+    ) -> Option<Result<T, RepoError>> {
         if let Err(e) = self.check_poisoned() {
             return Some(Err(e));
         }
@@ -383,14 +399,13 @@ impl DurableRepository {
         if let Err(e) = self.wal.append(&WalRecord::Undo) {
             return Some(Err(io_err(e)));
         }
-        match self.repo.undo() {
-            Some(Ok(model)) => Some(Ok(model)),
+        match step(&mut self.repo) {
             Some(Err(e)) => {
                 // The in-memory undo did not happen; compensate the
                 // journal so replay matches memory.
                 Some(Err(self.compensate(WalRecord::Redo, "undo", e)))
             }
-            None => None,
+            other => other,
         }
     }
 
@@ -1132,6 +1147,41 @@ mod tests {
         // silent.
         let (dur, report) = DurableRepository::open(&dir).unwrap();
         assert!(report.clean());
+        assert_eq!(dur.head_model().unwrap().unwrap(), v1);
+    }
+
+    #[test]
+    fn head_only_undo_journals_one_undo_and_compensates_like_undo() {
+        use comet_middleware::FaultHook;
+        let dir = tmp("undo-head");
+        let (v1, v2) = two_models();
+        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        dur.commit(&v1, "initial", None).unwrap();
+        dur.commit(&v2, "distribution", Some("distribution")).unwrap();
+        dur.commit(&v1, "back", None).unwrap();
+        let fsyncs = dur.wal_fsyncs();
+        dur.undo_head().unwrap().unwrap();
+        assert_eq!(dur.wal_fsyncs(), fsyncs + 1, "one journal record per undo");
+        assert_eq!(dur.head().unwrap().message, "distribution");
+        // Drop — in memory only — the commit the next undo lands on, so
+        // the in-memory step fails after its record is appended and the
+        // compensating `Redo` must cancel it.
+        let first = *dur.repo.commits.keys().next().unwrap();
+        let landing = dur.repo.commits.remove(&first).unwrap();
+        assert_eq!(dur.undo_head().unwrap().unwrap_err(), RepoError::UnknownCommit(first));
+        assert_eq!(dur.wal_fsyncs(), fsyncs + 3, "undo record plus its compensation");
+        assert_eq!(dur.head().unwrap().message, "distribution", "a failed step moved the head");
+        // A failed compensation poisons the handle, as for `undo`.
+        dur.repo_mut_unjournaled().arm_fault(crate::repo::FAULT_POINT_WAL_COMPENSATION).unwrap();
+        let err = dur.undo_head().unwrap().unwrap_err();
+        assert!(matches!(&err, RepoError::Storage(d) if d.contains("no longer matches")), "{err}");
+        assert!(dur.poisoned.is_some());
+        dur.repo.commits.insert(first, landing);
+        drop(dur);
+        // Replay: the compensated pair cancels; the un-compensated undo
+        // stands — exactly as for `undo`.
+        let (dur, _) = DurableRepository::open(&dir).unwrap();
+        assert_eq!(dur.head().unwrap().message, "initial");
         assert_eq!(dur.head_model().unwrap().unwrap(), v1);
     }
 

@@ -379,6 +379,15 @@ impl Repository {
         self.step_model(Step::Forward)
     }
 
+    /// Steps the visible head one commit back *without* decoding the
+    /// snapshot it lands on — for a caller that restores that commit's
+    /// model itself (the lifecycle reverting the undone step's change
+    /// journal). `None` when there is nothing to undo; atomic like
+    /// [`undo`](Self::undo), and it fails on the same armed fault.
+    pub fn undo_head(&mut self) -> Option<Result<(), RepoError>> {
+        self.step(Step::Back, |_| Ok(()))
+    }
+
     /// One undo/redo step that decodes the snapshot it lands on.
     fn step_model(&mut self, dir: Step) -> Option<Result<Model, RepoError>> {
         let landed = self.step(dir, |commit| commit.map(decode).transpose())?;
@@ -581,6 +590,25 @@ mod tests {
         repo.redo();
         assert_eq!(repo.redo().unwrap().unwrap(), v2);
         assert!(repo.redo().is_none());
+    }
+
+    #[test]
+    fn head_only_undo_moves_the_head_without_decoding() {
+        let (mut repo, _v1, v2) = repo_with_two_versions();
+        repo.arm_fault(FAULT_POINT_UNDO).unwrap();
+        assert!(matches!(repo.undo_head(), Some(Err(RepoError::Storage(_)))));
+        assert_eq!(repo.head_model().unwrap().unwrap(), v2, "a faulted step moved the head");
+        let first = repo.log()[0].id;
+        repo.commits.get_mut(&first).unwrap().snapshot = "<not xmi".into();
+        // `undo` decodes the landing snapshot, fails, and stays put...
+        assert!(matches!(repo.undo(), Some(Err(RepoError::Corrupt(_)))));
+        assert_eq!(repo.undo_depth(), 2);
+        // ...while the head-only step reads no snapshot at all.
+        repo.undo_head().unwrap().unwrap();
+        assert_eq!(repo.head().unwrap().id, first);
+        repo.undo_head().unwrap().unwrap();
+        assert!(repo.head().is_none());
+        assert!(repo.undo_head().is_none(), "nothing left to undo");
     }
 
     #[test]

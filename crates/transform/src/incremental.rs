@@ -214,8 +214,11 @@ fn walk(expr: &Expr, bound: &mut HashSet<String>, kinds: &mut BTreeSet<&'static 
 
 /// Verdict cache for specialized OCL conditions, evicted by dirty-kind
 /// intersection. One instance lives per model lineage (the lifecycle
-/// owns one); it must be [`ConditionCache::invalidate_all`]-ed whenever
-/// the model is replaced wholesale (undo restore, snapshot load).
+/// owns one). Every change to the model must be reported: a localized
+/// one through [`ConditionCache::note_delta`] (an apply's dirty kinds,
+/// or the same kinds when that apply is reverted in place), a
+/// wholesale replacement (a decoded snapshot) through
+/// [`ConditionCache::invalidate_all`].
 #[derive(Debug, Default)]
 pub struct ConditionCache {
     entries: HashMap<String, (Footprint, bool)>,

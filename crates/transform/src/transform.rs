@@ -246,7 +246,7 @@ impl ConcreteTransformation {
         let result = self.apply_body_journaled(model);
         match result {
             Ok(()) => {
-                let summary = model.commit_journal().expect("journal opened above");
+                let (summary, _) = model.commit_journal().expect("journal opened above");
                 Ok(ApplyReport {
                     created: summary.created,
                     modified: summary.modified,
@@ -290,9 +290,10 @@ impl ConcreteTransformation {
     /// segment's dirty kinds are reported to the cache (evicting stale
     /// entries) before the postconditions are checked. The caller owns
     /// the cache across applications on one model lineage and must
-    /// [`ConditionCache::invalidate_all`] it whenever the model changes
-    /// outside this method (undo, snapshot restore, direct edits
-    /// without a reported delta).
+    /// report every model change made outside this method: an in-place
+    /// revert through [`ConditionCache::note_delta`], anything it cannot
+    /// localize (snapshot restore, direct edits without a reported
+    /// delta) through [`ConditionCache::invalidate_all`].
     ///
     /// # Errors
     /// See [`TransformError`]; the model is unchanged on every error
@@ -308,7 +309,7 @@ impl ConcreteTransformation {
         let result = self.apply_body_incremental(model, cache);
         match result {
             Ok(()) => {
-                let summary = model.commit_journal().expect("journal opened above");
+                let (summary, _) = model.commit_journal().expect("journal opened above");
                 Ok(ApplyReport {
                     created: summary.created,
                     modified: summary.modified,
