@@ -44,7 +44,6 @@
 //! ```
 
 mod advice;
-mod incremental;
 mod index;
 mod metrics;
 mod pattern;
@@ -52,7 +51,6 @@ mod pointcut;
 mod weaver;
 
 pub use advice::{Advice, AdviceKind, Aspect};
-pub use incremental::{IncrementalStats, IncrementalWeaver};
 pub use metrics::{concern_metrics, ConcernMetrics, MetricsReport};
 pub use pattern::NamePattern;
 pub use pointcut::{parse_pointcut, Pointcut, PointcutParseError};

@@ -23,19 +23,21 @@
 //!
 //! ## One mechanism: the per-class unit
 //!
-//! Every indexed weave runs `weave_classes`: per class, it builds the
+//! [`Weaver::weave`] runs `weave_classes`: per class, it builds the
 //! class's pointcut-match tables (see `index.rs`, also for the
 //! critical-pair argument that classes are independent units of work)
-//! and weaves the class against them, cloning it once. [`Weaver::weave`]
-//! runs it over every class, `IncrementalWeaver::weave_at` over the
-//! classes its cache cannot reuse. The trace is assembled
-//! phase-by-phase in class order, so output and trace are
+//! and weaves the class against them, cloning it once. The trace is
+//! assembled phase-by-phase in class order, so output and trace are
 //! byte-identical to the sequential reference implementation
 //! [`Weaver::weave_naive`], which is retained as the differential
 //! oracle for the property tests and as the "before" benchmark
 //! baseline. The worker thread count follows the ambient rayon pool:
 //! wrap the call in `ThreadPool::install` (as `comet-cli --threads`
 //! does) to pin it.
+//!
+//! The weave itself records nothing. [`Weaver::record_trace`] derives
+//! the weave's spans and events from a finished [`WeaveResult`], so a
+//! caller that reuses a result traces it exactly as a fresh weave.
 
 use crate::advice::{Advice, AdviceKind, Aspect};
 use crate::index::{call_advice_candidates, index_class, MethodMatches};
@@ -130,49 +132,6 @@ pub struct Weaver {
     aspects: Vec<Aspect>,
 }
 
-/// Records the post-hoc weave spans/events for a finished weave: one
-/// `weave` pass span, one `class:<name>` child span per advised class,
-/// one `weave.advice` event per join point — the code-level link of
-/// the provenance chain. Derived from the result, never from the path
-/// that produced it.
-pub(crate) fn record_weave_trace(
-    obs: &comet_obs::Collector,
-    aspect_count: usize,
-    result: &WeaveResult,
-) {
-    let pass = obs.begin_span("weave", "weave", 0);
-    obs.span_attr(pass, "aspects", &aspect_count.to_string());
-    obs.span_attr(pass, "joinpoints", &result.trace.len().to_string());
-    for class in &result.program.classes {
-        let records: Vec<&WovenJoinPoint> =
-            result.trace.iter().filter(|r| r.class == class.name).collect();
-        if records.is_empty() {
-            continue;
-        }
-        let span = obs.begin_span("weave", &format!("class:{}", class.name), 0);
-        for r in records {
-            let shadow = match &r.shadow {
-                Shadow::Execution => format!("execution({}.{})", r.class, r.method),
-                Shadow::Call { callee } => format!("call({callee})"),
-            };
-            obs.event(
-                "weave",
-                "weave.advice",
-                0,
-                vec![
-                    ("aspect".to_owned(), r.aspect.clone()),
-                    ("advice".to_owned(), r.kind.to_string()),
-                    ("shadow".to_owned(), shadow),
-                    ("class".to_owned(), r.class.clone()),
-                    ("method".to_owned(), r.method.clone()),
-                ],
-            );
-        }
-        obs.end_span(span, 0);
-    }
-    obs.end_span(pass, 0);
-}
-
 impl Weaver {
     /// Creates a weaver over the given aspects (earlier = outer).
     pub fn new(aspects: Vec<Aspect>) -> Self {
@@ -194,19 +153,62 @@ impl Weaver {
     pub fn weave(&self, program: &Program) -> Result<WeaveResult, WeaveError> {
         let instrumentation = self.validate_and_instrument()?;
         let aspects = effective_aspects(&self.aspects, instrumentation.as_ref());
-        let slots: Vec<usize> = (0..program.classes.len()).collect();
         // Reassemble in class order with the naive weaver's global phase
         // order: all call records first, then all execution records.
         let mut out = Program::new(program.name.clone());
         let mut trace = Vec::new();
-        let mut exec_traces = Vec::with_capacity(slots.len());
-        for woven in weave_classes(&aspects, program, &slots) {
+        let mut exec_traces = Vec::with_capacity(program.classes.len());
+        for woven in weave_classes(&aspects, program) {
             out.classes.push(woven.woven);
             trace.extend(woven.calls);
             exec_traces.push(woven.execs);
         }
         trace.extend(exec_traces.into_iter().flatten());
         Ok(WeaveResult { program: out, trace })
+    }
+
+    /// Records the spans and events of a finished weave on `obs`: one
+    /// `weave` pass span, one `class:<name>` child span per advised
+    /// class, one `weave.advice` event per join point — the code-level
+    /// link of the provenance chain. Derived from `result` alone, never
+    /// from the path that produced it, so a reused result traces
+    /// byte-identically to a fresh weave at any thread count. Records
+    /// nothing when `obs` is disabled.
+    pub fn record_trace(&self, result: &WeaveResult, obs: &comet_obs::Collector) {
+        if !obs.is_enabled() {
+            return;
+        }
+        let pass = obs.begin_span("weave", "weave", 0);
+        obs.span_attr(pass, "aspects", &self.aspects.len().to_string());
+        obs.span_attr(pass, "joinpoints", &result.trace.len().to_string());
+        for class in &result.program.classes {
+            let records: Vec<&WovenJoinPoint> =
+                result.trace.iter().filter(|r| r.class == class.name).collect();
+            if records.is_empty() {
+                continue;
+            }
+            let span = obs.begin_span("weave", &format!("class:{}", class.name), 0);
+            for r in records {
+                let shadow = match &r.shadow {
+                    Shadow::Execution => format!("execution({}.{})", r.class, r.method),
+                    Shadow::Call { callee } => format!("call({callee})"),
+                };
+                obs.event(
+                    "weave",
+                    "weave.advice",
+                    0,
+                    vec![
+                        ("aspect".to_owned(), r.aspect.clone()),
+                        ("advice".to_owned(), r.kind.to_string()),
+                        ("shadow".to_owned(), shadow),
+                        ("class".to_owned(), r.class.clone()),
+                        ("method".to_owned(), r.method.clone()),
+                    ],
+                );
+            }
+            obs.end_span(span, 0);
+        }
+        obs.end_span(pass, 0);
     }
 
     /// The sequential reference weaver: re-evaluates every pointcut at
@@ -238,7 +240,7 @@ impl Weaver {
     /// `cflow(...)` conjunct is present (the AspectJ strategy:
     /// enter/exit counters around the cflow-defining join points, an
     /// `active` check guarding the advice bodies).
-    pub(crate) fn validate_and_instrument(&self) -> Result<Option<Aspect>, WeaveError> {
+    fn validate_and_instrument(&self) -> Result<Option<Aspect>, WeaveError> {
         for aspect in &self.aspects {
             for advice in &aspect.advices {
                 if advice.pointcut.selects_calls()
@@ -283,7 +285,7 @@ impl Weaver {
 /// instrumentation (outermost) followed by the user aspects — borrowed,
 /// so the common no-cflow case costs nothing (previously this path
 /// cloned the entire weaver, aspect bodies and all).
-pub(crate) fn effective_aspects<'a>(
+fn effective_aspects<'a>(
     own: &'a [Aspect],
     instrumentation: Option<&'a Aspect>,
 ) -> Vec<&'a Aspect> {
@@ -297,41 +299,34 @@ pub(crate) fn effective_aspects<'a>(
 // The per-class weaving unit
 // ---------------------------------------------------------------------
 
-/// One class woven by [`weave_classes`]: its slot in the program, the
-/// woven declaration, and its call- and execution-phase trace records.
-pub(crate) struct WovenClass {
-    pub slot: usize,
-    pub woven: ClassDecl,
-    pub calls: Vec<WovenJoinPoint>,
-    pub execs: Vec<WovenJoinPoint>,
+/// One class woven by [`weave_classes`]: the woven declaration and its
+/// call- and execution-phase trace records.
+struct WovenClass {
+    woven: ClassDecl,
+    calls: Vec<WovenJoinPoint>,
+    execs: Vec<WovenJoinPoint>,
 }
 
-/// The one weaving unit: weaves the classes at `slots` of `program`, in
-/// `slots` order. Each reads only its class and the aspects, so they run
-/// on rayon unless the pool has one worker or there are fewer than
+/// The one weaving unit: weaves every class of `program`, in order.
+/// Each reads only its class and the aspects, so they run on rayon
+/// unless the pool has one worker or there are fewer than
 /// [`PARALLEL_MIN_CLASSES`] of them.
-pub(crate) fn weave_classes(
-    aspects: &[&Aspect],
-    program: &Program,
-    slots: &[usize],
-) -> Vec<WovenClass> {
+fn weave_classes(aspects: &[&Aspect], program: &Program) -> Vec<WovenClass> {
     let call_advices = call_advice_candidates(aspects);
-    let weave_one = |&slot: &usize| weave_class(aspects, &call_advices, program, slot);
-    if rayon::current_num_threads() == 1 || slots.len() < PARALLEL_MIN_CLASSES {
-        slots.iter().map(weave_one).collect()
+    let weave_one = |class: &ClassDecl| weave_class(aspects, &call_advices, class);
+    if rayon::current_num_threads() == 1 || program.classes.len() < PARALLEL_MIN_CLASSES {
+        program.classes.iter().map(weave_one).collect()
     } else {
-        slots.par_iter().map(weave_one).collect()
+        program.classes.par_iter().map(weave_one).collect()
     }
 }
 
-/// Weaves the class at `slot` against its freshly built match tables.
+/// Weaves `class` against its freshly built match tables.
 fn weave_class(
     aspects: &[&Aspect],
     call_advices: &[(usize, usize)],
-    program: &Program,
-    slot: usize,
+    class: &ClassDecl,
 ) -> WovenClass {
-    let class = &program.classes[slot];
     let matches = index_class(aspects, call_advices, class);
     let mut woven = class.clone();
     let aspect_names: Vec<&str> = aspects.iter().map(|a| a.name.as_str()).collect();
@@ -367,7 +362,7 @@ fn weave_class(
             .collect();
         apply_execution_layers(&mut woven, &method.name, &layers, &aspect_names, &mut execs);
     }
-    WovenClass { slot, woven, calls, execs }
+    WovenClass { woven, calls, execs }
 }
 
 /// Emits `stmt` into `out`, wrapped with the advice the call table
@@ -1043,7 +1038,6 @@ fn subst_proceed_expr(expr: &mut Expr, inner: &str, params: &[Expr]) {
 mod tests {
     use super::*;
     use crate::pointcut::parse_pointcut;
-    use crate::IncrementalWeaver;
     use comet_codegen::{check_program, Param};
 
     fn sample_program() -> Program {
@@ -1315,18 +1309,19 @@ mod tests {
         ]
     }
 
-    /// A cold `weave_at` with `obs` — the only traced weave.
-    fn cold_weave_at(weaver: &Weaver, p: &Program, obs: &comet_obs::Collector) -> WeaveResult {
-        let (result, _) = IncrementalWeaver::new(weaver.clone()).weave_at(0, p, None, obs).unwrap();
-        WeaveResult::clone(&result)
+    /// A weave recorded on `obs`, the way the lifecycle traces one.
+    fn traced_weave(weaver: &Weaver, p: &Program, obs: &comet_obs::Collector) -> WeaveResult {
+        let result = weaver.weave(p).unwrap();
+        weaver.record_trace(&result, obs);
+        result
     }
 
     #[test]
-    fn weave_at_records_one_event_per_join_point() {
+    fn record_trace_records_one_event_per_join_point() {
         let weaver = Weaver::new(mixed_aspects());
         let p = mixed_program();
         let obs = comet_obs::Collector::enabled();
-        let traced = cold_weave_at(&weaver, &p, &obs);
+        let traced = traced_weave(&weaver, &p, &obs);
         let plain = weaver.weave(&p).unwrap();
         assert_eq!(traced, plain, "tracing must not perturb the weave");
         let trace = obs.take();
@@ -1349,14 +1344,14 @@ mod tests {
         let retrace = |threads: usize| {
             let obs = comet_obs::Collector::enabled();
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-            pool.install(|| cold_weave_at(&weaver, &p, &obs));
+            pool.install(|| traced_weave(&weaver, &p, &obs));
             obs.take()
         };
         assert_eq!(retrace(1), retrace(4));
     }
 
     #[test]
-    fn cold_weave_at_equals_weave_and_naive_across_the_parallel_cutoff() {
+    fn weave_and_traced_weave_equal_naive_across_the_parallel_cutoff() {
         let weaver = Weaver::new(mixed_aspects());
         let mut p = mixed_program();
         for i in 0..PARALLEL_MIN_CLASSES {
@@ -1365,14 +1360,14 @@ mod tests {
             p.classes.push(copy);
         }
         let reference = weaver.weave_naive(&p).unwrap();
-        let off = comet_obs::Collector::disabled();
         // One thread takes the sequential side, two and four the rayon side.
         for threads in [1, 2, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
             let full = pool.install(|| weaver.weave(&p)).unwrap();
-            let cold = pool.install(|| cold_weave_at(&weaver, &p, &off));
+            let obs = comet_obs::Collector::enabled();
+            let traced = pool.install(|| traced_weave(&weaver, &p, &obs));
             assert_eq!(full, reference, "weave diverged at {threads} threads");
-            assert_eq!(cold, reference, "weave_at diverged at {threads} threads");
+            assert_eq!(traced, reference, "traced weave diverged at {threads} threads");
         }
     }
 

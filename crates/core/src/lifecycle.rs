@@ -1,12 +1,12 @@
 //! The MDA lifecycle engine: the paper's Fig. 1 pipeline end to end.
 
-use comet_aop::{Aspect, IncrementalWeaver, WeaveError, WeaveResult, Weaver, WovenJoinPoint};
+use comet_aop::{Aspect, WeaveError, WeaveResult, Weaver, WovenJoinPoint};
 use comet_aspectgen::{AspectBackend, AspectGenError, AspectJBackend, ConcernPair};
 use comet_codegen::{
     pretty_print, BodyProvider, FunctionalGenerator, MonolithicGenerator, Program,
 };
 use comet_gen::{Backend, GenCache, GenInput, GeneratorFactory};
-use comet_model::{DirtySet, Model, UndoLog};
+use comet_model::{Model, UndoLog};
 use comet_repo::{
     ColorReport, CommitDelta, CommitId, DurableRepository, RecoveryReport, RepoError, Repository,
 };
@@ -229,15 +229,14 @@ impl RepoBackend {
     }
 }
 
-/// The weave half of the lifecycle's incrementality state: an
-/// [`IncrementalWeaver`] valid for one aspect list (the fingerprint is
-/// the aspect names in precedence order — applying or undoing a concern
-/// changes it and forces a rebuild), plus the products of the last
-/// `generate`, which live and die with it.
+/// The weave half of the lifecycle's incrementality state: a [`Weaver`]
+/// over one aspect list (its aspect names in precedence order are the
+/// fingerprint — applying or undoing a concern changes them and forces
+/// a rebuild), plus the products of the last `generate`, which live and
+/// die with it.
 #[derive(Debug)]
 struct WeaveCacheState {
-    fingerprint: Vec<String>,
-    weaver: IncrementalWeaver,
+    weaver: Weaver,
     products: Option<StateProducts>,
 }
 
@@ -304,22 +303,22 @@ struct StepRevert {
 ///   [`ConcreteTransformation::apply_incremental_traced`], so pre- and
 ///   postconditions whose [`comet_transform::Footprint`] is disjoint
 ///   from each application's dirty kinds are answered from cache;
-/// * **Weave cache** — [`MdaLifecycle::generate`] re-weaves only the
-///   classes reachable from the dirty set accumulated since the last
-///   generation ([`DirtySet::dirty_classes`]); everything else is
-///   spliced from the previous weave. Beside the weaver it keeps the
-///   last `generate`'s products — functional program and source,
-///   aspect sources, woven result — so a repeated `generate` at an
-///   unchanged revision with the same bodies reuses them outright and
-///   pays only the artifact lookup.
+/// * **Weave cache** — [`MdaLifecycle::generate`] memoizes the last
+///   call's products — functional program and source, aspect sources,
+///   woven result — keyed by the model revision and the bodies'
+///   fingerprint, under the applied aspect list. A repeated `generate`
+///   at an unchanged state reuses them outright and pays only the
+///   artifact lookup; any other call generates and weaves the whole
+///   program with [`Weaver::weave`].
 ///
 /// [`MdaLifecycle::undo_last`] reverts the undone step's change journal
 /// in place, so the condition cache only evicts the kinds that step
-/// touched; the weave cache is rebuilt for the shorter aspect list. An
-/// undo that has to decode its landing snapshot instead (see
-/// `undo_last`) drops both. The full engines remain the differential
-/// oracles in the test suite; results are byte-identical to the
-/// non-incremental paths in every case.
+/// touched, and drops the weave cache: the aspect list shrank, and a
+/// decoding undo (see `undo_last`) restarts the revision counter the
+/// memo is keyed by. Such an undo drops the condition cache too. The
+/// full engines remain the differential oracles in the test suite;
+/// results are byte-identical to the non-incremental paths in every
+/// case.
 ///
 /// The lifecycle also holds the content address of its state: the
 /// hash and canonical XMI of the commit its model equals, taken from
@@ -337,9 +336,6 @@ pub struct MdaLifecycle {
     obs: comet_obs::Collector,
     conditions: ConditionCache,
     weave_cache: RefCell<Option<WeaveCacheState>>,
-    /// Model changes since the weave cache last saw the model; `None`
-    /// means "unknown — do a full re-weave".
-    dirty_since: RefCell<Option<DirtySet>>,
     /// Weave-cache hits/misses, counted unconditionally (unlike the
     /// `Collector` counters, which exist only when tracing is on) so
     /// serving hosts can bridge them into metrics.
@@ -481,7 +477,6 @@ impl MdaLifecycle {
             obs: comet_obs::Collector::disabled(),
             conditions: ConditionCache::new(),
             weave_cache: RefCell::new(None),
-            dirty_since: RefCell::new(Some(DirtySet::default())),
             weave_hits: Cell::new(0),
             weave_misses: Cell::new(0),
             factory: GeneratorFactory::with_standard_backends(),
@@ -667,13 +662,10 @@ impl MdaLifecycle {
             self.workflow.unrecord(pair.concern());
             return Err(e.into());
         }
-        // Fold this step's delta (the whole outer segment) into the
-        // dirty set the weave cache consumes at the next `generate`.
-        let dirty = self.model.journal_dirty().expect("the step's segment is open");
-        if let Some(acc) = self.dirty_since.borrow_mut().as_mut() {
-            acc.merge(&dirty);
-        }
-        let kinds = dirty.kinds(&self.model);
+        // The kinds this step (the whole outer segment) touched: what
+        // an in-place undo evicts from the condition cache.
+        let kinds =
+            self.model.journal_dirty().expect("the step's segment is open").kinds(&self.model);
         let (_, log) = self.model.commit_journal().expect("the step's segment is open");
         self.content = ContentAddress::of_head(self.repo.as_repository())
             .expect("the commit just made is the visible head");
@@ -756,11 +748,11 @@ impl MdaLifecycle {
         // the lifecycle). Generation-cache entries are content-addressed
         // and stay: the restored state re-hits the artifacts rendered
         // before the undone step. The weave cache is keyed by the
-        // aspect list, which just shrank.
+        // aspect list, which just shrank, and by the revision, which a
+        // decoded model restarted.
         self.content = ContentAddress::of_head(self.repo.as_repository())
             .unwrap_or_else(|| ContentAddress::of_model(&self.model));
         *self.weave_cache.borrow_mut() = None;
-        *self.dirty_since.borrow_mut() = Some(DirtySet::default());
         Ok(())
     }
 
@@ -842,22 +834,14 @@ impl MdaLifecycle {
     ) -> Result<&'c StateProducts, WeaveError> {
         let obs = &self.obs;
         let names = self.applied.iter().map(|a| &a.aspect.name);
-        // Reuse (or rebuild) the incremental weaver for this aspect
-        // list, feed it the dirty classes accumulated since the last
-        // generation, and splice everything else from the cached weave.
-        if !cache.as_ref().is_some_and(|state| state.fingerprint.iter().eq(names)) {
-            let aspects = self.aspects();
-            *cache = Some(WeaveCacheState {
-                fingerprint: aspects.iter().map(|a| a.name.clone()).collect(),
-                weaver: IncrementalWeaver::new(Weaver::new(aspects)),
-                products: None,
-            });
+        if !cache
+            .as_ref()
+            .is_some_and(|state| state.weaver.aspects().iter().map(|a| &a.name).eq(names))
+        {
+            *cache = Some(WeaveCacheState { weaver: Weaver::new(self.aspects()), products: None });
         }
         let state = cache.as_mut().expect("just ensured");
-        let revision = self.model.revision();
-        let key = (revision, bodies.fingerprint());
-        // A stale memo is dropped here, before the weave, so the weaver
-        // can splice into its previous result in place.
+        let key = (self.model.revision(), bodies.fingerprint());
         let mut memo = state.products.take().filter(|p| p.key == key);
         if !obs.is_enabled() {
             if let Some(products) = memo.take() {
@@ -876,23 +860,23 @@ impl MdaLifecycle {
             obs.span_attr(fspan, "classes", &functional.classes.len().to_string());
         }
         obs.end_span(fspan, 0);
-        let dirty_classes = {
-            let dirty = self.dirty_since.borrow();
-            dirty.as_ref().and_then(|d| d.dirty_classes(&self.model))
+        let weave = match &memo {
+            Some(p) => Arc::clone(&p.weave),
+            None => Arc::new(state.weaver.weave(&functional)?),
         };
-        let (weave, stats) =
-            state.weaver.weave_at(revision, &functional, dirty_classes.as_ref(), obs)?;
-        // The cache now matches the current model: start a fresh delta.
-        *self.dirty_since.borrow_mut() = Some(DirtySet::default());
-        if stats.hit {
+        state.weaver.record_trace(&weave, obs);
+        let total = functional.classes.len() as u64;
+        let (counter, rewoven) = if memo.is_some() {
             self.weave_hits.set(self.weave_hits.get() + 1);
+            ("weave.incremental.hit", 0)
         } else {
             self.weave_misses.set(self.weave_misses.get() + 1);
-        }
+            ("weave.incremental.miss", total)
+        };
         if obs.is_enabled() {
-            obs.incr(if stats.hit { "weave.incremental.hit" } else { "weave.incremental.miss" }, 1);
-            obs.incr("weave.incremental.rewoven", stats.rewoven as u64);
-            obs.incr("weave.incremental.total", stats.total as u64);
+            obs.incr(counter, 1);
+            obs.incr("weave.incremental.rewoven", rewoven);
+            obs.incr("weave.incremental.total", total);
         }
         let rspan = obs.begin_span("codegen", "render:aspects", 0);
         let aspect_sources: Arc<[(String, String)]> = match &memo {
@@ -1156,6 +1140,41 @@ mod tests {
         assert_eq!(*other.weave, Weaver::new(mda.aspects()).weave(&expected).unwrap());
         // Back to the first bodies: the same state again, same bytes.
         assert_eq!(mda.generate(&plain, Backend::JavaFunctional).unwrap(), first);
+    }
+
+    #[test]
+    fn other_bodies_at_an_unchanged_state_reweave_in_full_traced() {
+        use comet_codegen::{Block, Expr, Stmt};
+        let plain = BodyProvider::default();
+        let audited = BodyProvider::new().provide(
+            "Bank::transfer",
+            Block::of(vec![Stmt::Expr(Expr::intrinsic("audit.log", vec![Expr::str("transfer")]))]),
+        );
+        // One generate's counters and span tree on a traced lifecycle.
+        let traced = |mda: &MdaLifecycle, bodies: &BodyProvider| {
+            mda.generate(bodies, Backend::JavaFunctional).unwrap();
+            let trace = mda.collector().take();
+            let generate = trace.roots().into_iter().find(|s| s.name == "generate").unwrap();
+            let tree = subtree(&trace, generate);
+            (trace.counters, tree)
+        };
+        let mut mda = full_lifecycle();
+        mda.set_collector(comet_obs::Collector::enabled());
+        // A, B, A: the memo holds one bodies fingerprint, so none of the
+        // three is served from it.
+        for bodies in [&plain, &audited, &plain] {
+            let (counters, tree) = traced(&mda, bodies);
+            assert_eq!(counters.get("weave.incremental.miss"), Some(&1));
+            assert_eq!(counters.get("weave.incremental.hit"), None);
+            let total = counters["weave.incremental.total"];
+            assert!(total > 0);
+            assert_eq!(counters["weave.incremental.rewoven"], total, "a miss re-weaves in full");
+            let mut fresh = full_lifecycle();
+            fresh.set_collector(comet_obs::Collector::enabled());
+            let (_, cold) = traced(&fresh, bodies);
+            assert_eq!(tree, cold, "a miss traces as a fresh lifecycle's cold generate");
+        }
+        assert_eq!(mda.weave_cache_stats(), (0, 3));
     }
 
     #[test]

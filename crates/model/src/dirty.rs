@@ -3,25 +3,16 @@
 //!
 //! The journal already records exactly which elements an apply touched
 //! ([`JournalSummary`]); this module packages that as a [`DirtySet`]
-//! and answers the two questions incremental consumers ask:
+//! and answers the question incremental consumers ask:
+//! [`DirtySet::kinds`] — which metamodel *kinds* were touched, so an
+//! OCL condition whose `allInstances` footprint is disjoint can skip
+//! re-evaluation (comet-transform's condition cache).
 //!
-//! * [`DirtySet::kinds`] — which metamodel *kinds* were touched, so an
-//!   OCL condition whose `allInstances` footprint is disjoint can skip
-//!   re-evaluation (comet-transform's condition cache);
-//! * [`DirtySet::dirty_classes`] — which *classes* can have different
-//!   pointcut matches, so the weaver re-weaves only those (comet-aop's
-//!   incremental weaver). The mapping is conservative: an element is
-//!   localized to its owning classifier, the generalization
-//!   specialization closure is added (subclasses inherit changed
-//!   members), and `Dependency` clients of dirty classifiers ride
-//!   along (call-shadow dependents).
-//!
-//! Both return `Option`: `None` means "could not localize — invalidate
+//! It returns `Option`: `None` means "could not localize — invalidate
 //! everything". Soundness never depends on precision; a consumer that
 //! gets `None` falls back to the full recompute it would have done
 //! without the journal.
 
-use crate::element::ElementKind;
 use crate::id::ElementId;
 use crate::journal::{JournalSummary, RemovedElement};
 use crate::model::Model;
@@ -54,30 +45,10 @@ impl DirtySet {
         self.created.is_empty() && self.modified.is_empty() && self.removed.is_empty()
     }
 
-    /// Total elements touched.
-    pub fn touched(&self) -> usize {
-        self.created.len() + self.modified.len() + self.removed.len()
-    }
-
-    /// Folds another dirty set in (set union per bucket). Used by
-    /// consumers that accumulate deltas across several segments before
-    /// reconciling a cache.
-    pub fn merge(&mut self, other: &DirtySet) {
-        merge_ids(&mut self.created, &other.created);
-        merge_ids(&mut self.modified, &other.modified);
-        for r in &other.removed {
-            if !self.removed.iter().any(|mine| mine.id == r.id) {
-                self.removed.push(r.clone());
-            }
-        }
-        self.removed.sort_by_key(|r| r.id);
-    }
-
     /// The metamodel kind names touched, resolved against `model` for
     /// surviving elements and taken from the removal records otherwise.
-    /// `None` when a created/modified id no longer resolves (e.g. a
-    /// merged set spanning a later removal outside the journal) — the
-    /// caller must treat every kind as dirty.
+    /// `None` when a created/modified id no longer resolves in `model`
+    /// — the caller must treat every kind as dirty.
     pub fn kinds(&self, model: &Model) -> Option<BTreeSet<&'static str>> {
         let mut out: BTreeSet<&'static str> = BTreeSet::new();
         for &id in self.created.iter().chain(&self.modified) {
@@ -88,119 +59,6 @@ impl DirtySet {
         }
         Some(out)
     }
-
-    /// The names of classifiers whose *weave* can have changed:
-    /// every touched element localized to its owning classifier, plus
-    /// the transitive specialization closure (subclasses see inherited
-    /// members change), plus `Dependency` clients of anything dirty
-    /// (their call shadows may resolve differently) — closed under the
-    /// same two rules. `None` when some touched element cannot be
-    /// localized (package-level change, removed classifier, dangling
-    /// id): the caller must re-weave everything.
-    pub fn dirty_classes(&self, model: &Model) -> Option<BTreeSet<String>> {
-        let ix = model.index();
-        let mut seed: BTreeSet<ElementId> = BTreeSet::new();
-        for &id in self.created.iter().chain(&self.modified) {
-            let e = model.element(id).ok()?;
-            match e.kind() {
-                // Relationship elements are localized to the
-                // classifiers they connect, not their owning package.
-                ElementKind::Generalization(g) => {
-                    seed.insert(g.child);
-                    seed.insert(g.parent);
-                }
-                ElementKind::Association(a) => {
-                    seed.insert(a.ends[0].class);
-                    seed.insert(a.ends[1].class);
-                }
-                ElementKind::Dependency(d) => {
-                    seed.insert(d.client);
-                    seed.insert(d.supplier);
-                }
-                ElementKind::Constraint(c) => {
-                    seed.insert(owning_classifier(model, c.constrained)?);
-                }
-                _ => {
-                    seed.insert(owning_classifier(model, id)?);
-                }
-            }
-        }
-        for r in &self.removed {
-            // A removed classifier takes its whole match neighbourhood
-            // with it — generalizations and dependencies that referred
-            // to it no longer say which classes they touched. Give up
-            // and let the caller re-weave in full.
-            if is_classifier_kind(r.kind) || is_relationship_kind(r.kind) {
-                return None;
-            }
-            // A removed feature is localized via its former owner; the
-            // owner may itself be gone (same cascade), which the
-            // classifier rule above already turned into `None`.
-            let owner = r.owner?;
-            seed.insert(owning_classifier(model, owner)?);
-        }
-
-        // Close under specializations and dependency clients together:
-        // a dirty superclass dirties its subclasses, a dirty supplier
-        // dirties its clients, and those may cascade into each other.
-        let mut dirty: BTreeSet<ElementId> = BTreeSet::new();
-        let mut frontier: Vec<ElementId> = seed.into_iter().collect();
-        while let Some(id) = frontier.pop() {
-            if !dirty.insert(id) {
-                continue;
-            }
-            if let Some(subs) = ix.specializations.get(&id) {
-                frontier.extend(subs.iter().copied());
-            }
-            for dep_id in ix.by_kind.get("Dependency").into_iter().flatten() {
-                if let Ok(e) = model.element(*dep_id) {
-                    if let ElementKind::Dependency(d) = e.kind() {
-                        if d.supplier == id {
-                            frontier.push(d.client);
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut names = BTreeSet::new();
-        for id in dirty {
-            names.insert(model.element(id).ok()?.name().to_owned());
-        }
-        Some(names)
-    }
-}
-
-/// Union of two sorted id vectors, kept sorted and deduplicated.
-fn merge_ids(into: &mut Vec<ElementId>, from: &[ElementId]) {
-    into.extend_from_slice(from);
-    into.sort_unstable();
-    into.dedup();
-}
-
-/// Walks the owner chain from `id` (inclusive) to the nearest
-/// classifier. `None` when the chain tops out at a package first — a
-/// package-level change is not localizable to one class.
-fn owning_classifier(model: &Model, id: ElementId) -> Option<ElementId> {
-    let mut cur = id;
-    loop {
-        let e = model.element(cur).ok()?;
-        if e.is_classifier() {
-            return Some(cur);
-        }
-        if matches!(e.kind(), ElementKind::Package(_)) {
-            return None;
-        }
-        cur = e.owner()?;
-    }
-}
-
-fn is_classifier_kind(kind: &str) -> bool {
-    matches!(kind, "Class" | "Interface" | "DataType" | "Enumeration")
-}
-
-fn is_relationship_kind(kind: &str) -> bool {
-    matches!(kind, "Generalization" | "Association" | "Dependency")
 }
 
 #[cfg(test)]
@@ -222,93 +80,29 @@ mod tests {
         m.begin_journal();
         let d = m.journal_dirty().unwrap();
         assert!(d.is_empty());
-        assert_eq!(d.dirty_classes(&m).unwrap(), BTreeSet::new());
         assert_eq!(d.kinds(&m).unwrap(), BTreeSet::new());
         m.rollback_journal();
     }
 
     #[test]
-    fn feature_edit_localizes_to_its_class_and_subclasses() {
-        let mut m = Model::new("m");
-        let parent = m.add_class(m.root(), "Parent").unwrap();
-        let child = m.add_class(m.root(), "Child").unwrap();
-        m.add_generalization(child, parent).unwrap();
+    fn feature_edit_reports_only_the_feature_kinds() {
+        let (mut m, a, _) = setup();
         m.begin_journal();
-        let op = m.add_operation(parent, "poke").unwrap();
+        let op = m.add_operation(a, "poke").unwrap();
         m.add_parameter(op, "x", TypeRef::Primitive(crate::Primitive::Int)).unwrap();
-        let d = m.journal_dirty().unwrap();
-        let classes = d.dirty_classes(&m).unwrap();
-        assert!(classes.contains("Parent"));
-        assert!(classes.contains("Child"), "subclass rides along: {classes:?}");
-        let kinds = d.kinds(&m).unwrap();
+        let kinds = m.journal_dirty().unwrap().kinds(&m).unwrap();
         assert!(kinds.contains("Operation") && kinds.contains("Parameter"));
         assert!(!kinds.contains("Class"));
         m.commit_journal();
     }
 
     #[test]
-    fn dependency_client_is_dragged_in() {
-        let (mut m, a, b) = setup();
-        let c = m.add_class(m.root(), "C").unwrap();
-        m.add_dependency(c, a).unwrap(); // C depends on A
-        m.begin_journal();
-        m.add_attribute(a, "x", TypeRef::Primitive(crate::Primitive::Int)).unwrap();
-        let d = m.journal_dirty().unwrap();
-        let classes = d.dirty_classes(&m).unwrap();
-        assert!(classes.contains("A"));
-        assert!(classes.contains("C"), "dependency client rides along: {classes:?}");
-        let _ = b;
-        m.rollback_journal();
-    }
-
-    #[test]
-    fn removed_class_forces_full_invalidation() {
+    fn removed_class_reports_its_kind() {
         let (mut m, a, _) = setup();
         m.begin_journal();
         m.remove_element(a).unwrap();
         let d = m.journal_dirty().unwrap();
-        assert!(d.dirty_classes(&m).is_none(), "classifier removal cannot be localized");
         assert!(d.kinds(&m).unwrap().contains("Class"));
         m.rollback_journal();
-    }
-
-    #[test]
-    fn removed_feature_stays_localized() {
-        let (mut m, a, _) = setup();
-        let op = m.add_operation(a, "gone").unwrap();
-        m.begin_journal();
-        m.remove_element(op).unwrap();
-        let d = m.journal_dirty().unwrap();
-        let classes = d.dirty_classes(&m).unwrap();
-        assert!(classes.contains("A"), "{classes:?}");
-        m.rollback_journal();
-    }
-
-    #[test]
-    fn merge_unions_without_duplicates() {
-        let mut a = DirtySet {
-            created: vec![ElementId::from_raw(1), ElementId::from_raw(3)],
-            modified: vec![ElementId::from_raw(2)],
-            removed: vec![],
-        };
-        let b = DirtySet {
-            created: vec![ElementId::from_raw(3), ElementId::from_raw(4)],
-            modified: vec![ElementId::from_raw(2)],
-            removed: vec![RemovedElement {
-                id: ElementId::from_raw(9),
-                kind: "Operation",
-                name: "gone".into(),
-                owner: None,
-            }],
-        };
-        a.merge(&b);
-        a.merge(&b); // idempotent
-        assert_eq!(
-            a.created,
-            vec![ElementId::from_raw(1), ElementId::from_raw(3), ElementId::from_raw(4)]
-        );
-        assert_eq!(a.modified, vec![ElementId::from_raw(2)]);
-        assert_eq!(a.removed.len(), 1);
-        assert_eq!(a.touched(), 5);
     }
 }

@@ -90,9 +90,8 @@ pub(crate) enum JournalOp {
 /// removal after the element is gone. Captured from the `Remove`
 /// snapshots at summary time — the ids in
 /// [`JournalSummary::removed`] no longer resolve against the model, so
-/// downstream dirty-set consumers (incremental weaving, condition
-/// caching) would otherwise have to treat every removal as a global
-/// invalidation.
+/// downstream dirty-set consumers (condition caching) would otherwise
+/// have to treat every removal as a global invalidation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemovedElement {
     /// The removed element's id.

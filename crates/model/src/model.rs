@@ -189,8 +189,8 @@ impl Model {
     /// that invalidates the [`ModelIndex`](crate) cache). Two reads of
     /// the same revision on the same model instance are guaranteed to
     /// observe identical content, which makes the revision a sound key
-    /// for derived-artifact caches (incremental weaving, condition
-    /// verdicts). The counter is *per instance*: clones and snapshot
+    /// for derived-artifact caches (the lifecycle's per-state weave memo,
+    /// condition verdicts). The counter is *per instance*: clones and snapshot
     /// restores reset it (an in-place [`Model::revert`] keeps counting),
     /// so caches keyed by revision must be dropped when the model object
     /// itself is replaced.

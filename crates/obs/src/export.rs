@@ -346,6 +346,25 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_input_is_a_typed_error() {
+        let arrays = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let objects = format!("{}1{}", "{\"traceEvents\":".repeat(100_000), "}".repeat(100_000));
+        for text in [arrays, objects] {
+            assert!(Trace::from_chrome_json(&text).is_err());
+        }
+        // Span nesting is not JSON nesting: a trace far deeper than the
+        // parser's bound still round-trips.
+        let obs = Collector::enabled();
+        let spans: Vec<_> =
+            (0..1_000).map(|i| obs.begin_span("deep", &format!("s{i}"), 0)).collect();
+        for span in spans.into_iter().rev() {
+            obs.end_span(span, 0);
+        }
+        let trace = obs.take();
+        assert_eq!(Trace::from_chrome_json(&trace.to_chrome_json()).unwrap(), trace);
+    }
+
+    #[test]
     fn chrome_json_is_wall_clock_free() {
         let json = sample_trace().to_chrome_json();
         assert!(!json.contains("wall"), "wall time must not leak into the deterministic export");

@@ -153,9 +153,10 @@ impl JsonValue {
     /// Parses a complete JSON document.
     ///
     /// # Errors
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error,
+    /// or of the first array or object nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -221,9 +222,17 @@ impl fmt::Display for JsonValue {
     }
 }
 
+/// How deeply arrays and objects may nest before [`JsonValue::parse`]
+/// rejects the document. The parser recurses once per level, so the
+/// bound keeps a hostile input from overflowing the stack; everything
+/// the repo writes nests fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -250,8 +259,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(JsonValue::Str),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -451,6 +467,22 @@ mod tests {
         );
         // Pretty output is still parseable (Fixed parses back as Num).
         assert!(JsonValue::parse(&text).is_ok());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, leaf: &str, close: &str, n: usize| {
+            format!("{}{leaf}{}", open.repeat(n), close.repeat(n))
+        };
+        for (open, leaf, close) in [("[", "1", "]"), ("{\"k\":", "1", "}")] {
+            assert!(JsonValue::parse(&nested(open, leaf, close, MAX_DEPTH)).is_ok());
+            let err = JsonValue::parse(&nested(open, leaf, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+            // Far past the bound, an unterminated document is still a
+            // typed error, not a stack overflow.
+            assert!(JsonValue::parse(&open.repeat(100_000)).is_err());
+            assert!(JsonValue::parse(&nested(open, leaf, close, 100_000)).is_err());
+        }
     }
 
     #[test]

@@ -453,6 +453,28 @@ mod tests {
     }
 
     #[test]
+    fn deep_models_round_trip_under_the_xml_nesting_bound() {
+        // Ownership depth does not nest the document (elements are
+        // listed flat); a nested tagged-value list does, one level each.
+        let mut m = Model::new("deep");
+        let mut owner = m.root();
+        for i in 0..300 {
+            owner = m.add_package(owner, &format!("p{i}")).unwrap();
+        }
+        let class = m.add_class(owner, "Leaf").unwrap();
+        m.add_operation(class, "run").unwrap();
+        let mut list = TagValue::Int(1);
+        for _ in 0..200 {
+            list = TagValue::List(vec![list, TagValue::Str("x".into())]);
+        }
+        m.set_tag(class, "nested", list).unwrap();
+        assert_eq!(import_model(&export_model(&m)).unwrap(), m);
+        // A hostile document far past the bound is a typed error.
+        let deep = format!("{}{}", "<a>".repeat(100_000), "</a>".repeat(100_000));
+        assert!(matches!(import_model(&deep), Err(XmiError::Xml(_))));
+    }
+
+    #[test]
     fn import_rejects_garbage() {
         assert!(matches!(import_model("<html/>"), Err(XmiError::Missing(_))));
         assert!(matches!(import_model("not xml"), Err(XmiError::Xml(_))));

@@ -128,9 +128,10 @@ fn write_node(node: &XmlNode, indent: usize, out: &mut String) {
 /// Parses a document into its root element.
 ///
 /// # Errors
-/// Returns [`XmlError`] describing the first syntax problem.
+/// Returns [`XmlError`] describing the first syntax problem, or the
+/// first element nested more than 256 levels deep.
 pub fn parse_xml(source: &str) -> Result<XmlNode, XmlError> {
-    let mut p = XmlParser { src: source.as_bytes(), pos: 0 };
+    let mut p = XmlParser { src: source.as_bytes(), pos: 0, depth: 0 };
     p.skip_prolog();
     let root = p.element()?;
     p.skip_misc();
@@ -140,9 +141,17 @@ pub fn parse_xml(source: &str) -> Result<XmlNode, XmlError> {
     Ok(root)
 }
 
+/// How deeply elements may nest before [`parse_xml`] rejects the
+/// document. The parser recurses once per level, so the bound keeps a
+/// hostile input from overflowing the stack; `export_model` writes five
+/// levels plus one per nested tagged-value list.
+const MAX_DEPTH: usize = 256;
+
 struct XmlParser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Elements currently open.
+    depth: usize,
 }
 
 impl<'a> XmlParser<'a> {
@@ -276,6 +285,18 @@ impl<'a> XmlParser<'a> {
     }
 
     fn element(&mut self) -> Result<XmlNode, XmlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("elements nested deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let node = self.element_at_depth();
+        self.depth -= 1;
+        node
+    }
+
+    /// Parses one element and its content; [`XmlParser::element`]
+    /// accounts for its depth.
+    fn element_at_depth(&mut self) -> Result<XmlNode, XmlError> {
         self.skip_ws();
         if self.peek() != Some(b'<') {
             return Err(self.err("expected `<`"));
@@ -403,6 +424,17 @@ mod tests {
         assert!(parse_xml("no tags").is_err());
         let e = parse_xml("<a></b>").unwrap_err();
         assert!(e.to_string().contains("mismatched"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert!(parse_xml(&nested(MAX_DEPTH)).is_ok());
+        let e = parse_xml(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.message.contains("nested deeper than"), "{e}");
+        // Far past the bound: a typed error, not a stack overflow.
+        assert!(parse_xml(&nested(100_000)).is_err());
+        assert!(parse_xml(&"<a>".repeat(100_000)).is_err());
     }
 
     #[test]
