@@ -10,13 +10,10 @@ use comet_model::{Model, UndoLog};
 use comet_repo::{
     ColorReport, CommitDelta, CommitId, DurableRepository, RecoveryReport, RepoError, Repository,
 };
-use comet_transform::{
-    ApplyReport, ConcreteTransformation, ConditionCache, ParamSet, TransformError,
-};
+use comet_transform::{ApplyReport, ConcreteTransformation, ParamSet, TransformError};
 use comet_workflow::{WorkflowBuildError, WorkflowEngine, WorkflowError, WorkflowModel};
 use comet_xmi::export_model;
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -283,42 +280,33 @@ impl ContentAddress {
     }
 }
 
-/// How to undo one applied step in place: the commit the step created,
-/// its change journal's inverse ops, and the metamodel kinds it touched
-/// (the condition cache evicts by those; `None` = not localized).
+/// How to undo one applied step in place: the commit the step created
+/// and its change journal's inverse ops.
 #[derive(Debug)]
 struct StepRevert {
     commit: CommitId,
     log: UndoLog,
-    kinds: Option<BTreeSet<&'static str>>,
 }
 
 /// The MDA lifecycle: model + repository + workflow + applied concerns.
 ///
 /// # Incrementality
 ///
-/// The lifecycle threads the change journal's deltas into two caches:
-///
-/// * **Condition cache** — every CMT application goes through
-///   [`ConcreteTransformation::apply_incremental_traced`], so pre- and
-///   postconditions whose [`comet_transform::Footprint`] is disjoint
-///   from each application's dirty kinds are answered from cache;
-/// * **Weave cache** — [`MdaLifecycle::generate`] memoizes the last
-///   call's products — functional program and source, aspect sources,
-///   woven result — keyed by the model revision and the bodies'
-///   fingerprint, under the applied aspect list. A repeated `generate`
-///   at an unchanged state reuses them outright and pays only the
-///   artifact lookup; any other call generates and weaves the whole
-///   program with [`Weaver::weave`].
+/// Every CMT application goes through
+/// [`ConcreteTransformation::apply_traced`], which evaluates each pre-
+/// and postcondition afresh. [`MdaLifecycle::generate`] memoizes the
+/// last call's products — functional program and source, aspect
+/// sources, woven result — keyed by the model revision and the bodies'
+/// fingerprint, under the applied aspect list. A repeated `generate` at
+/// an unchanged state reuses them outright and pays only the artifact
+/// lookup; any other call generates and weaves the whole program with
+/// [`Weaver::weave`].
 ///
 /// [`MdaLifecycle::undo_last`] reverts the undone step's change journal
-/// in place, so the condition cache only evicts the kinds that step
-/// touched, and drops the weave cache: the aspect list shrank, and a
+/// in place and drops the weave cache: the aspect list shrank, and a
 /// decoding undo (see `undo_last`) restarts the revision counter the
-/// memo is keyed by. Such an undo drops the condition cache too. The
-/// full engines remain the differential oracles in the test suite;
-/// results are byte-identical to the non-incremental paths in every
-/// case.
+/// memo is keyed by. Results are byte-identical to a cold weave and
+/// render in every case.
 ///
 /// The lifecycle also holds the content address of its state: the
 /// hash and canonical XMI of the commit its model equals, taken from
@@ -334,7 +322,6 @@ pub struct MdaLifecycle {
     workflow: WorkflowEngine,
     applied: Vec<AppliedConcern>,
     obs: comet_obs::Collector,
-    conditions: ConditionCache,
     weave_cache: RefCell<Option<WeaveCacheState>>,
     /// Weave-cache hits/misses, counted unconditionally (unlike the
     /// `Collector` counters, which exist only when tracing is on) so
@@ -407,7 +394,7 @@ impl MdaLifecycle {
     ///    were journalled as undos and replay as such, leaving them out
     ///    of the visible history exactly as a live `undo_last` would.
     ///
-    /// Both incrementality caches restart cold; cached results are
+    /// The weave and generation caches restart cold; cached results are
     /// byte-identical to full recomputation, so post-recovery behaviour
     /// does not diverge.
     ///
@@ -475,7 +462,6 @@ impl MdaLifecycle {
             applied,
             reverts,
             obs: comet_obs::Collector::disabled(),
-            conditions: ConditionCache::new(),
             weave_cache: RefCell::new(None),
             weave_hits: Cell::new(0),
             weave_misses: Cell::new(0),
@@ -636,8 +622,7 @@ impl MdaLifecycle {
         let (cmt, aspect) = pair.specialize(si)?;
         self.workflow.record(pair.concern())?;
         self.model.begin_journal();
-        let report = match cmt.apply_incremental_traced(&mut self.model, obs, &mut self.conditions)
-        {
+        let report = match cmt.apply_traced(&mut self.model, obs) {
             Ok(report) => report,
             Err(e) => {
                 self.model.rollback_journal();
@@ -657,20 +642,14 @@ impl MdaLifecycle {
             self.repo.commit_with_delta(&self.model, &cmt.full_name(), Some(pair.concern()), delta)
         {
             self.model.rollback_journal();
-            // The condition cache saw the now-unwound delta; drop it.
-            self.conditions.invalidate_all();
             self.workflow.unrecord(pair.concern());
             return Err(e.into());
         }
-        // The kinds this step (the whole outer segment) touched: what
-        // an in-place undo evicts from the condition cache.
-        let kinds =
-            self.model.journal_dirty().expect("the step's segment is open").kinds(&self.model);
         let (_, log) = self.model.commit_journal().expect("the step's segment is open");
         self.content = ContentAddress::of_head(self.repo.as_repository())
             .expect("the commit just made is the visible head");
         let commit = self.content.commit.expect("a head commit has an id");
-        self.reverts.push(log.filter(|_| revertible).map(|log| StepRevert { commit, log, kinds }));
+        self.reverts.push(log.filter(|_| revertible).map(|log| StepRevert { commit, log }));
         self.applied.push(AppliedConcern { cmt, aspect, report });
         Ok(self.applied.last().expect("just pushed"))
     }
@@ -730,18 +709,8 @@ impl MdaLifecycle {
         let step = self.reverts.pop().flatten();
         self.workflow = engine;
         match decoded {
-            Some(model) => {
-                // A fresh model instance (its revision counter
-                // restarts): every cached verdict is stale.
-                self.model = model;
-                self.conditions.invalidate_all();
-            }
-            None => {
-                let step = step.expect("chosen to revert above");
-                self.model.revert(step.log);
-                // The revert touched exactly the kinds the apply did.
-                self.conditions.note_delta(step.kinds.as_ref());
-            }
+            Some(model) => self.model = model,
+            None => self.model.revert(step.expect("chosen to revert above").log),
         }
         // The model now equals the commit the head landed on (the root,
         // which stores no snapshot, only after repository edits outside
@@ -1280,56 +1249,6 @@ mod tests {
         mda.undo_last().unwrap();
         assert!(matches!(mda.undo_last(), Err(LifecycleError::NothingToUndo)));
         assert_eq!(mda.model(), &banking_pim());
-    }
-
-    mod condition_cache {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-
-            /// Undo evicts the undone step's dirty kinds instead of the
-            /// whole condition cache: after every apply or undo of a random
-            /// sequence, each condition the three CMTs check answers from
-            /// the cache exactly as a fresh evaluation does.
-            #[test]
-            fn stays_exact_across_apply_and_undo(
-                ops in prop::collection::vec((0..5u8, 0..3usize), 1..14),
-            ) {
-                let pairs = [
-                    (distribution::pair(), dist_si()),
-                    (transactions::pair(), tx_si()),
-                    (security::pair(), sec_si()),
-                ];
-                let conditions: Vec<String> = pairs
-                    .iter()
-                    .flat_map(|(pair, si)| {
-                        let (cmt, _) = pair.specialize(si.clone()).unwrap();
-                        cmt.preconditions().into_iter().chain(cmt.postconditions())
-                    })
-                    .collect();
-                let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
-                for (kind, n) in ops {
-                    if kind < 3 {
-                        let (pair, si) = &pairs[n];
-                        // Re-applying an applied concern is a workflow
-                        // rejection: no state change, still a valid op.
-                        let _ = mda.apply_concern(pair, si.clone());
-                    } else {
-                        let _ = mda.undo_last();
-                    }
-                    for condition in &conditions {
-                        let fresh = comet_ocl::evaluate_bool(
-                            condition,
-                            &comet_ocl::Context::for_model(&mda.model),
-                        );
-                        let cached = mda.conditions.check(condition, &mda.model);
-                        prop_assert_eq!(cached.ok(), fresh.ok(), "stale `{}`", condition);
-                    }
-                }
-            }
-        }
     }
 
     #[test]

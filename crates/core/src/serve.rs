@@ -22,9 +22,9 @@
 //! | snapshot   | `store.save`             | head commit's XMI into the store |
 //!
 //! Because each tenant owns a private [`MdaLifecycle`], the lifecycle's
-//! incrementality caches (the per-state weave memo, condition cache,
-//! and the content-addressed generation cache behind the generator
-//! factory) are **per-tenant automatically**: a steady-state tenant
+//! incrementality caches (the per-state weave memo and the
+//! content-addressed generation cache behind the generator factory)
+//! are **per-tenant automatically**: a steady-state tenant
 //! that repeats `Generate` at an unchanged model revision pays one
 //! cold weave + render and then hits both caches
 //! (`weave.incremental.hit` / `gen.cache.hit` in the trace counters,

@@ -86,25 +86,6 @@ pub(crate) enum JournalOp {
     },
 }
 
-/// What a removed element *was*: the identity needed to localize the
-/// removal after the element is gone. Captured from the `Remove`
-/// snapshots at summary time — the ids in
-/// [`JournalSummary::removed`] no longer resolve against the model, so
-/// downstream dirty-set consumers (condition caching) would otherwise
-/// have to treat every removal as a global invalidation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RemovedElement {
-    /// The removed element's id.
-    pub id: ElementId,
-    /// Its metamodel kind name (`"Class"`, `"Operation"`, ...).
-    pub kind: &'static str,
-    /// Its name at removal time.
-    pub name: String,
-    /// Its owner at removal time; the owner may itself have been
-    /// removed by the same cascade (then it appears in the same list).
-    pub owner: Option<ElementId>,
-}
-
 /// What one committed journal segment changed, derived purely from the
 /// recorded ops — no before/after model sweep.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -115,8 +96,6 @@ pub struct JournalSummary {
     pub modified: Vec<ElementId>,
     /// Pre-existing elements removed by the segment, in id order.
     pub removed: Vec<ElementId>,
-    /// Kind/name/owner of each entry in `removed`, same order.
-    pub removed_detail: Vec<RemovedElement>,
     /// Number of raw ops the segment recorded (diagnostics).
     pub ops: usize,
 }
@@ -233,15 +212,6 @@ impl Journal {
         (summary, finished.then(|| UndoLog { ops: std::mem::take(&mut self.ops) }))
     }
 
-    /// Summarizes the innermost segment *without* closing it: what a
-    /// commit right now would report. This is how callers learn the
-    /// dirty set of an in-flight segment (e.g. to judge postconditions
-    /// incrementally) while keeping the option to roll back.
-    pub(crate) fn summarize_open(&self, elements: &BTreeMap<ElementId, Element>) -> JournalSummary {
-        let sp = *self.savepoints.last().expect("active journal has a savepoint");
-        summarize(&self.ops[sp..], elements)
-    }
-
     /// Unwinds the innermost segment: replays inverses newest-first and
     /// drops the segment's ops. Returns the mutations undone and
     /// whether the journal is now finished.
@@ -317,25 +287,12 @@ fn summarize(ops: &[JournalOp], elements: &BTreeMap<ElementId, Element>) -> Jour
                 for e in before {
                     if !created.contains(&e.id()) {
                         removed.insert(e.id());
-                        pre_image.entry(e.id()).or_insert(e);
                     }
                 }
             }
             JournalOp::SetName { .. } => {}
         }
     }
-    let removed_detail = removed
-        .iter()
-        .map(|id| {
-            let e = pre_image[id];
-            RemovedElement {
-                id: *id,
-                kind: e.kind().kind_name(),
-                name: e.name().to_owned(),
-                owner: e.owner(),
-            }
-        })
-        .collect();
     JournalSummary {
         created: created.iter().copied().filter(|id| elements.contains_key(id)).collect(),
         modified: pre_image
@@ -348,7 +305,6 @@ fn summarize(ops: &[JournalOp], elements: &BTreeMap<ElementId, Element>) -> Jour
             .map(|(id, _)| *id)
             .collect(),
         removed: removed.into_iter().collect(),
-        removed_detail,
         ops: ops.len(),
     }
 }

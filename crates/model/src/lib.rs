@@ -31,7 +31,6 @@
 //! ```
 
 mod builder;
-mod dirty;
 mod element;
 mod error;
 mod id;
@@ -45,11 +44,10 @@ mod validate;
 mod visitor;
 
 pub use builder::{ClassBuilder, ModelBuilder, OperationBuilder};
-pub use dirty::DirtySet;
 pub use element::{Element, ElementCore, ElementKind};
 pub use error::{ModelError, Result};
 pub use id::ElementId;
-pub use journal::{JournalSummary, RemovedElement, UndoLog};
+pub use journal::{JournalSummary, UndoLog};
 pub use kinds::{
     AggregationKind, AssociationData, AssociationEnd, AttributeData, ClassData, ConstraintData,
     DataTypeData, DependencyData, Direction, EnumerationData, GeneralizationData, InterfaceData,

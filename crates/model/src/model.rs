@@ -189,8 +189,8 @@ impl Model {
     /// that invalidates the [`ModelIndex`](crate) cache). Two reads of
     /// the same revision on the same model instance are guaranteed to
     /// observe identical content, which makes the revision a sound key
-    /// for derived-artifact caches (the lifecycle's per-state weave memo,
-    /// condition verdicts). The counter is *per instance*: clones and snapshot
+    /// for derived-artifact caches (the lifecycle's per-state weave
+    /// memo). The counter is *per instance*: clones and snapshot
     /// restores reset it (an in-place [`Model::revert`] keeps counting),
     /// so caches keyed by revision must be dropped when the model object
     /// itself is replaced.
@@ -678,17 +678,6 @@ impl Model {
         ids.sort();
         ids.dedup();
         ids
-    }
-
-    /// The dirty set of the innermost *open* segment: what a commit
-    /// right now would report, as a [`DirtySet`](crate::DirtySet).
-    /// Returns `None` when no journal is active. Unlike
-    /// [`Model::commit_journal`] this does not close the segment, so a
-    /// caller can judge an in-flight delta (e.g. check postconditions
-    /// incrementally) and still roll back.
-    pub fn journal_dirty(&self) -> Option<crate::DirtySet> {
-        let j = self.journal.as_ref()?;
-        Some(crate::DirtySet::from_summary(&j.summarize_open(&self.elements)))
     }
 
     /// Closes the innermost journal segment, keeping its effects, and

@@ -46,7 +46,7 @@ mod value;
 pub use ast::{BinOp, Expr, UnOp};
 pub use eval::{evaluate as evaluate_expr, Context, EvalError};
 pub use lexer::{LexError, Token, TokenKind};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_DEPTH};
 pub use value::Value;
 
 /// Parses and evaluates an expression in the given context.

@@ -4,6 +4,15 @@ use crate::ast::{BinOp, Expr, UnOp};
 use crate::lexer::{lex, LexError, Token, TokenKind};
 use std::fmt;
 
+/// Deepest expression tree [`parse`] accepts. Evaluation, printing and
+/// dropping an [`Expr`] all recurse over the tree, and constraint bodies
+/// can come from outside the program (an imported XMI file), so the
+/// parser refuses anything deeper instead of letting a later walk
+/// overflow the stack. Left-associative chains (`a + b + c`,
+/// `x.f.g`) count one level per link; a parenthesised group counts as
+/// a level of nesting too.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parsing failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParseError {
@@ -23,6 +32,11 @@ pub enum ParseError {
         /// Byte offset of the first extra token.
         offset: usize,
     },
+    /// The expression nests deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of the token that crossed the limit.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -34,6 +48,9 @@ impl fmt::Display for ParseError {
             }
             ParseError::TrailingInput { offset } => {
                 write!(f, "trailing input at offset {offset}")
+            }
+            ParseError::TooDeep { offset } => {
+                write!(f, "expression nests deeper than {MAX_DEPTH} levels at offset {offset}")
             }
         }
     }
@@ -50,23 +67,69 @@ impl From<LexError> for ParseError {
 /// Parses a complete expression.
 ///
 /// # Errors
-/// Returns a [`ParseError`] on malformed input or trailing tokens.
+/// Returns a [`ParseError`] on malformed input, trailing tokens, or a
+/// tree deeper than [`MAX_DEPTH`].
 pub fn parse(source: &str) -> Result<Expr, ParseError> {
     let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let expr = p.expression()?;
+    let mut p = Parser { tokens, pos: 0, nesting: 0 };
+    let node = p.expression()?;
     if !matches!(p.peek().kind, TokenKind::Eof) {
         return Err(ParseError::TrailingInput { offset: p.peek().offset });
     }
-    Ok(expr)
+    Ok(node.expr)
+}
+
+/// A parsed subtree and its height (a leaf is 1).
+struct Node {
+    expr: Expr,
+    height: usize,
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Open [`Parser::descend`] calls: bounds the parser's own
+    /// recursion, which parentheses deepen without adding tree nodes.
+    nesting: usize,
 }
 
 impl Parser {
+    fn too_deep(&self) -> ParseError {
+        ParseError::TooDeep { offset: self.peek().offset }
+    }
+
+    /// Builds a node over children whose highest is `children` high,
+    /// refusing it when the tree would exceed [`MAX_DEPTH`]. Every
+    /// inner node goes through here, so no deeper tree is ever built.
+    fn node(&self, expr: Expr, children: usize) -> Result<Node, ParseError> {
+        if children >= MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(Node { expr, height: children + 1 })
+    }
+
+    /// Runs `rule` one nesting level down. Every recursive call goes
+    /// through here, so input nested past [`MAX_DEPTH`] is refused
+    /// before it can exhaust the stack.
+    fn descend(
+        &mut self,
+        rule: fn(&mut Self) -> Result<Node, ParseError>,
+    ) -> Result<Node, ParseError> {
+        if self.nesting >= MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        let result = rule(self);
+        self.nesting -= 1;
+        result
+    }
+
+    /// The node `lhs op rhs`.
+    fn binary(&self, op: BinOp, lhs: Node, rhs: Node) -> Result<Node, ParseError> {
+        let children = lhs.height.max(rhs.height);
+        self.node(Expr::Binary { op, lhs: Box::new(lhs.expr), rhs: Box::new(rhs.expr) }, children)
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -107,47 +170,55 @@ impl Parser {
         }
     }
 
-    fn expression(&mut self) -> Result<Expr, ParseError> {
+    fn expression(&mut self) -> Result<Node, ParseError> {
         match self.peek().kind {
             TokenKind::Let => {
                 self.bump();
                 let var = self.ident("let variable name")?;
                 self.expect(&TokenKind::Eq, "`=` in let binding")?;
-                let value = self.expression()?;
+                let value = self.descend(Self::expression)?;
                 self.expect(&TokenKind::In, "`in` after let binding")?;
-                let body = self.expression()?;
-                Ok(Expr::Let { var, value: Box::new(value), body: Box::new(body) })
+                let body = self.descend(Self::expression)?;
+                let children = value.height.max(body.height);
+                self.node(
+                    Expr::Let { var, value: Box::new(value.expr), body: Box::new(body.expr) },
+                    children,
+                )
             }
             TokenKind::If => {
                 self.bump();
-                let cond = self.expression()?;
+                let cond = self.descend(Self::expression)?;
                 self.expect(&TokenKind::Then, "`then`")?;
-                let then_branch = self.expression()?;
+                let then_branch = self.descend(Self::expression)?;
                 self.expect(&TokenKind::Else, "`else`")?;
-                let else_branch = self.expression()?;
+                let else_branch = self.descend(Self::expression)?;
                 self.expect(&TokenKind::Endif, "`endif`")?;
-                Ok(Expr::If {
-                    cond: Box::new(cond),
-                    then_branch: Box::new(then_branch),
-                    else_branch: Box::new(else_branch),
-                })
+                let children = cond.height.max(then_branch.height).max(else_branch.height);
+                self.node(
+                    Expr::If {
+                        cond: Box::new(cond.expr),
+                        then_branch: Box::new(then_branch.expr),
+                        else_branch: Box::new(else_branch.expr),
+                    },
+                    children,
+                )
             }
             _ => self.implies(),
         }
     }
 
-    fn implies(&mut self) -> Result<Expr, ParseError> {
+    fn implies(&mut self) -> Result<Node, ParseError> {
         let lhs = self.or_expr()?;
         // `implies` is right-associative.
         if matches!(self.peek().kind, TokenKind::Implies) {
             self.bump();
-            let rhs = self.implies()?;
-            return Ok(Expr::Binary { op: BinOp::Implies, lhs: Box::new(lhs), rhs: Box::new(rhs) });
+            let rhs = self.descend(Self::implies)?;
+            return self.binary(BinOp::Implies, lhs, rhs);
         }
         Ok(lhs)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
+    fn or_expr(&mut self) -> Result<Node, ParseError> {
         let mut lhs = self.and_expr()?;
         loop {
             let op = match self.peek().kind {
@@ -157,22 +228,22 @@ impl Parser {
             };
             self.bump();
             let rhs = self.and_expr()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
+    fn and_expr(&mut self) -> Result<Node, ParseError> {
         let mut lhs = self.comparison()?;
         while matches!(self.peek().kind, TokenKind::And) {
             self.bump();
             let rhs = self.comparison()?;
-            lhs = Expr::Binary { op: BinOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+            lhs = self.binary(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn comparison(&mut self) -> Result<Expr, ParseError> {
+    fn comparison(&mut self) -> Result<Node, ParseError> {
         let lhs = self.additive()?;
         let op = match self.peek().kind {
             TokenKind::Eq => BinOp::Eq,
@@ -185,10 +256,10 @@ impl Parser {
         };
         self.bump();
         let rhs = self.additive()?;
-        Ok(Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) })
+        self.binary(op, lhs, rhs)
     }
 
-    fn additive(&mut self) -> Result<Expr, ParseError> {
+    fn additive(&mut self) -> Result<Node, ParseError> {
         let mut lhs = self.multiplicative()?;
         loop {
             let op = match self.peek().kind {
@@ -198,12 +269,12 @@ impl Parser {
             };
             self.bump();
             let rhs = self.multiplicative()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
+    fn multiplicative(&mut self) -> Result<Node, ParseError> {
         let mut lhs = self.unary()?;
         loop {
             let op = match self.peek().kind {
@@ -214,41 +285,40 @@ impl Parser {
             };
             self.bump();
             let rhs = self.unary()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().kind {
-            TokenKind::Minus => {
-                self.bump();
-                let operand = self.unary()?;
-                Ok(Expr::Unary { op: UnOp::Neg, operand: Box::new(operand) })
-            }
-            TokenKind::Not => {
-                self.bump();
-                let operand = self.unary()?;
-                Ok(Expr::Unary { op: UnOp::Not, operand: Box::new(operand) })
-            }
-            _ => self.postfix(),
-        }
+    fn unary(&mut self) -> Result<Node, ParseError> {
+        let op = match self.peek().kind {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Not => UnOp::Not,
+            _ => return self.postfix(),
+        };
+        self.bump();
+        let operand = self.descend(Self::unary)?;
+        self.node(Expr::Unary { op, operand: Box::new(operand.expr) }, operand.height)
     }
 
-    fn postfix(&mut self) -> Result<Expr, ParseError> {
-        let mut expr = self.primary()?;
+    fn postfix(&mut self) -> Result<Node, ParseError> {
+        let mut node = self.primary()?;
         loop {
             match self.peek().kind {
                 TokenKind::Dot => {
                     self.bump();
                     let name = self.ident("property or method name")?;
-                    if matches!(self.peek().kind, TokenKind::LParen) {
+                    let recv = Box::new(node.expr);
+                    node = if matches!(self.peek().kind, TokenKind::LParen) {
                         self.bump();
-                        let args = self.arguments()?;
-                        expr = Expr::MethodCall { recv: Box::new(expr), method: name, args };
+                        let (args, height) = self.arguments()?;
+                        self.node(
+                            Expr::MethodCall { recv, method: name, args },
+                            node.height.max(height),
+                        )?
                     } else {
-                        expr = Expr::Property { recv: Box::new(expr), prop: name };
-                    }
+                        self.node(Expr::Property { recv, prop: name }, node.height)?
+                    };
                 }
                 TokenKind::Arrow => {
                     self.bump();
@@ -260,36 +330,42 @@ impl Parser {
                             self.tokens.get(self.pos + 1).map(|t| &t.kind),
                             Some(TokenKind::Pipe)
                         );
-                    if is_iter {
+                    let recv = Box::new(node.expr);
+                    node = if is_iter {
                         let var = self.ident("iterator variable")?;
                         self.expect(&TokenKind::Pipe, "`|`")?;
-                        let body = self.expression()?;
+                        let body = self.descend(Self::expression)?;
                         self.expect(&TokenKind::RParen, "`)`")?;
-                        expr = Expr::Iterate {
-                            recv: Box::new(expr),
-                            op: name,
-                            var,
-                            body: Box::new(body),
-                        };
+                        self.node(
+                            Expr::Iterate { recv, op: name, var, body: Box::new(body.expr) },
+                            node.height.max(body.height),
+                        )?
                     } else {
-                        let args = self.arguments()?;
-                        expr = Expr::CollectionCall { recv: Box::new(expr), op: name, args };
-                    }
+                        let (args, height) = self.arguments()?;
+                        self.node(
+                            Expr::CollectionCall { recv, op: name, args },
+                            node.height.max(height),
+                        )?
+                    };
                 }
                 _ => break,
             }
         }
-        Ok(expr)
+        Ok(node)
     }
 
-    fn arguments(&mut self) -> Result<Vec<Expr>, ParseError> {
+    /// A call's arguments after its `(`, with the height of the highest.
+    fn arguments(&mut self) -> Result<(Vec<Expr>, usize), ParseError> {
         let mut args = Vec::new();
+        let mut height = 0;
         if matches!(self.peek().kind, TokenKind::RParen) {
             self.bump();
-            return Ok(args);
+            return Ok((args, height));
         }
         loop {
-            args.push(self.expression()?);
+            let arg = self.descend(Self::expression)?;
+            height = height.max(arg.height);
+            args.push(arg.expr);
             match self.peek().kind {
                 TokenKind::Comma => {
                     self.bump();
@@ -301,44 +377,28 @@ impl Parser {
                 _ => return Err(self.unexpected("`,` or `)`")),
             }
         }
-        Ok(args)
+        Ok((args, height))
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self) -> Result<Node, ParseError> {
         let t = self.peek().clone();
-        match t.kind {
-            TokenKind::Int(i) => {
-                self.bump();
-                Ok(Expr::Int(i))
-            }
-            TokenKind::Real(r) => {
-                self.bump();
-                Ok(Expr::Real(r))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::Str(s))
-            }
-            TokenKind::Bool(b) => {
-                self.bump();
-                Ok(Expr::Bool(b))
-            }
-            TokenKind::SelfKw => {
-                self.bump();
-                Ok(Expr::SelfRef)
-            }
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(Expr::Var(name))
-            }
+        let leaf = match t.kind {
+            TokenKind::Int(i) => Expr::Int(i),
+            TokenKind::Real(r) => Expr::Real(r),
+            TokenKind::Str(s) => Expr::Str(s),
+            TokenKind::Bool(b) => Expr::Bool(b),
+            TokenKind::SelfKw => Expr::SelfRef,
+            TokenKind::Ident(name) => Expr::Var(name),
             TokenKind::LParen => {
                 self.bump();
-                let e = self.expression()?;
+                let e = self.descend(Self::expression)?;
                 self.expect(&TokenKind::RParen, "`)`")?;
-                Ok(e)
+                return Ok(e);
             }
-            _ => Err(self.unexpected("an expression")),
-        }
+            _ => return Err(self.unexpected("an expression")),
+        };
+        self.bump();
+        Ok(Node { expr: leaf, height: 1 })
     }
 }
 
@@ -406,6 +466,82 @@ mod tests {
         assert!(matches!(parse("let = 3 in x"), Err(ParseError::Unexpected { .. })));
         assert!(matches!(parse("if a then b else c"), Err(ParseError::Unexpected { .. })));
         assert!(matches!(parse("#"), Err(ParseError::Lex(_))));
+    }
+
+    /// Far past the limit: each of these overflowed the stack (in the
+    /// parser, or in evaluating, printing or dropping the tree it built)
+    /// before the depth bound existed.
+    const HOSTILE: usize = 100_000;
+
+    fn too_deep(source: &str) -> bool {
+        matches!(parse(source), Err(ParseError::TooDeep { .. }))
+    }
+
+    /// Runs `f` on a thread with a main thread's 8 MiB stack: the
+    /// harness's 2 MiB test threads are too small for an unoptimized
+    /// parser at [`MAX_DEPTH`].
+    fn on_main_sized_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(f)
+            .expect("thread spawns")
+            .join()
+            .expect("assertions hold");
+    }
+
+    #[test]
+    fn deeply_nested_input_is_rejected() {
+        on_main_sized_stack(|| {
+            let n = HOSTILE;
+            assert!(too_deep(&format!("{}1{}", "(".repeat(n), ")".repeat(n))));
+            assert!(too_deep(&format!("{}true", "not ".repeat(n))));
+            assert!(too_deep(&format!("{}1", "- ".repeat(n))));
+            assert!(too_deep(&format!("{}true", "true implies ".repeat(n))));
+            assert!(too_deep(&format!("{}1", "let x = 1 in ".repeat(n))));
+            assert!(too_deep(&format!(
+                "{}1{}",
+                "if true then ".repeat(n),
+                " else 2 endif".repeat(n)
+            )));
+            assert!(too_deep(&format!("{}1{}", "x.f(".repeat(n), ")".repeat(n))));
+            assert!(too_deep(&format!(
+                "s->forAll(x | {}true{})",
+                "s->exists(y | ".repeat(n),
+                ")".repeat(n)
+            )));
+        });
+    }
+
+    #[test]
+    fn long_left_associative_chains_are_rejected() {
+        on_main_sized_stack(|| {
+            let n = HOSTILE;
+            assert!(too_deep(&format!("1{}", " + 1".repeat(n))));
+            assert!(too_deep(&format!("1{}", " * 1".repeat(n))));
+            assert!(too_deep(&format!("true{}", " and true".repeat(n))));
+            assert!(too_deep(&format!("true{}", " or true".repeat(n))));
+            assert!(too_deep(&format!("self{}", ".owner".repeat(n))));
+            assert!(too_deep(&format!("s{}", "->size()".repeat(n))));
+            let err = parse(&format!("1{}", " + 1".repeat(n))).unwrap_err();
+            assert!(err.to_string().contains(&format!("deeper than {MAX_DEPTH} levels")), "{err}");
+        });
+    }
+
+    #[test]
+    fn trees_at_the_limit_parse_and_evaluate() {
+        on_main_sized_stack(|| {
+            let chain = format!("1{}", " + 1".repeat(MAX_DEPTH - 1));
+            let model = comet_model::Model::new("m");
+            let ctx = crate::Context::for_model(&model);
+            assert_eq!(crate::evaluate(&chain, &ctx).unwrap(), crate::Value::Int(MAX_DEPTH as i64));
+            assert_eq!(parse(&parse(&chain).unwrap().to_string()).unwrap(), parse(&chain).unwrap());
+            assert!(too_deep(&format!("{chain} + 1")));
+            let negations = format!("{}true", "not ".repeat(MAX_DEPTH - 1));
+            assert_eq!(crate::evaluate(&negations, &ctx).unwrap(), crate::Value::Bool(false));
+            assert!(too_deep(&format!("not {negations}")));
+            let parens = MAX_DEPTH - 1;
+            assert!(parse(&format!("{}1{}", "(".repeat(parens), ")".repeat(parens))).is_ok());
+        });
     }
 
     #[test]

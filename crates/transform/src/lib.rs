@@ -46,12 +46,10 @@
 //! ```
 
 mod builder;
-mod incremental;
 mod params;
 mod transform;
 
 pub use builder::TransformationBuilder;
-pub use incremental::{ConditionCache, Footprint};
 pub use params::{ParamError, ParamSchema, ParamSet, ParamSpec, ParamType, ParamValue};
 pub use transform::{
     specialize, ApplyReport, ConcreteTransformation, GenericTransformation, MappingKind,

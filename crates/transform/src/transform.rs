@@ -1,7 +1,6 @@
 //! The transformation trait, specialization, and the application engine
 //! with pre/postcondition checking and automatic concern coloring.
 
-use crate::incremental::ConditionCache;
 use crate::params::{ParamError, ParamSchema, ParamSet};
 use comet_model::{ElementId, Model};
 use comet_obs::Collector;
@@ -279,80 +278,11 @@ impl ConcreteTransformation {
         if !obs.is_enabled() {
             return self.apply(model);
         }
-        self.apply_traced_inner(model, obs, |cmt, m| cmt.apply(m))
-    }
-
-    /// Journaled application with cached pre/postcondition checking.
-    ///
-    /// Identical to [`ConcreteTransformation::apply`] except that every
-    /// condition verdict is looked up in `cache` first and only
-    /// evaluated on a miss; after the body runs, the open journal
-    /// segment's dirty kinds are reported to the cache (evicting stale
-    /// entries) before the postconditions are checked. The caller owns
-    /// the cache across applications on one model lineage and must
-    /// report every model change made outside this method: an in-place
-    /// revert through [`ConditionCache::note_delta`], anything it cannot
-    /// localize (snapshot restore, direct edits without a reported
-    /// delta) through [`ConditionCache::invalidate_all`].
-    ///
-    /// # Errors
-    /// See [`TransformError`]; the model is unchanged on every error
-    /// (the cache is cleared on rollback, trading re-evaluation for
-    /// simplicity on the failure path).
-    pub fn apply_incremental(
-        &self,
-        model: &mut Model,
-        cache: &mut ConditionCache,
-    ) -> Result<ApplyReport, TransformError> {
-        self.check_conditions_cached(model, cache, self.preconditions(), /* pre: */ true)?;
-        model.begin_journal();
-        let result = self.apply_body_incremental(model, cache);
-        match result {
-            Ok(()) => {
-                let (summary, _) = model.commit_journal().expect("journal opened above");
-                Ok(ApplyReport {
-                    created: summary.created,
-                    modified: summary.modified,
-                    removed: summary.removed,
-                })
-            }
-            Err(e) => {
-                model.rollback_journal();
-                cache.invalidate_all();
-                Err(e)
-            }
-        }
-    }
-
-    /// [`ConcreteTransformation::apply_incremental`] under the same
-    /// trace span and journal-delta events as
-    /// [`ConcreteTransformation::apply_traced`].
-    ///
-    /// # Errors
-    /// See [`ConcreteTransformation::apply_incremental`].
-    pub fn apply_incremental_traced(
-        &self,
-        model: &mut Model,
-        obs: &Collector,
-        cache: &mut ConditionCache,
-    ) -> Result<ApplyReport, TransformError> {
-        if !obs.is_enabled() {
-            return self.apply_incremental(model, cache);
-        }
-        self.apply_traced_inner(model, obs, |cmt, m| cmt.apply_incremental(m, cache))
-    }
-
-    fn apply_traced_inner(
-        &self,
-        model: &mut Model,
-        obs: &Collector,
-        apply: impl FnOnce(&Self, &mut Model) -> Result<ApplyReport, TransformError>,
-    ) -> Result<ApplyReport, TransformError> {
         let span = obs.begin_span("transform", &format!("apply:{}", self.full_name()), 0);
         obs.span_attr(span, "concern", self.concern());
         obs.span_attr(span, "cmt", &self.full_name());
         obs.span_attr(span, "si", &self.params.angle_signature());
-        let result = apply(self, model);
+        let result = self.apply(model);
         match &result {
             Ok(report) => {
                 obs.span_attr(span, "outcome", "ok");
@@ -423,57 +353,6 @@ impl ConcreteTransformation {
             }
         }
         Ok(())
-    }
-
-    /// [`ConcreteTransformation::check_conditions`] answering from the
-    /// cache where possible; verdicts and error mapping are identical.
-    fn check_conditions_cached(
-        &self,
-        model: &Model,
-        cache: &mut ConditionCache,
-        conditions: Vec<String>,
-        pre: bool,
-    ) -> Result<(), TransformError> {
-        for condition in conditions {
-            match cache.check(&condition, model) {
-                Ok(true) => {}
-                Ok(false) => {
-                    return Err(if pre {
-                        TransformError::PreconditionFailed {
-                            transformation: self.full_name(),
-                            condition,
-                        }
-                    } else {
-                        TransformError::PostconditionFailed {
-                            transformation: self.full_name(),
-                            condition,
-                        }
-                    })
-                }
-                Err(e) => return Err(TransformError::Condition { condition, source: e }),
-            }
-        }
-        Ok(())
-    }
-
-    /// [`ConcreteTransformation::apply_body_journaled`] with cached
-    /// postconditions: the open segment's dirty kinds evict stale cache
-    /// entries *before* the postconditions consult the cache.
-    fn apply_body_incremental(
-        &self,
-        model: &mut Model,
-        cache: &mut ConditionCache,
-    ) -> Result<(), TransformError> {
-        self.gmt.transform(model, &self.params)?;
-        for id in model.journal_created() {
-            model.mark_concern(id, self.gmt.concern())?;
-        }
-        if let Err(violations) = model.validate() {
-            return Err(TransformError::WellFormedness(violations));
-        }
-        let kinds = model.journal_dirty().and_then(|d| d.kinds(model));
-        cache.note_delta(kinds.as_ref());
-        self.check_conditions_cached(model, cache, self.postconditions(), /* pre: */ false)
     }
 
     /// Body + coloring + postcondition phase of the journaled engine.

@@ -1,9 +1,10 @@
 //! Differential tests for the two transformation engines:
 //! [`ConcreteTransformation::apply`] (journal rollback, journal-derived
 //! report) against [`ConcreteTransformation::apply_cloned`] (the
-//! retained clone-and-sweep oracle). For arbitrary bodies — including
-//! failing ones — both engines must produce the same outcome, the same
-//! report, and byte-for-byte the same final model.
+//! retained clone-and-sweep oracle). For arbitrary sequences of bodies
+//! and conditions — including failing ones — both engines must produce
+//! the same outcome, the same report, and byte-for-byte the same model
+//! after every step.
 
 use comet_model::sample::banking_pim;
 use comet_model::{Model, Primitive};
@@ -11,6 +12,19 @@ use comet_transform::{
     specialize, ConcreteTransformation, ParamSet, TransformError, TransformationBuilder,
 };
 use proptest::prelude::*;
+
+/// Conditions whose verdicts depend on the model state the earlier
+/// steps left, so a sequence sees them flip between steps.
+const CONDITIONS: [&str; 8] = [
+    "Class.allInstances()->notEmpty()",
+    "Class.allInstances()->exists(c | c.name = 'Bank')",
+    "Class.allInstances()->forAll(c | c.operations->size() <= 9)",
+    "Operation.allInstances()->size() >= 0",
+    "Attribute.allInstances()->size() <= 30",
+    "Class.allInstances()->exists(c | c.hasStereotype('Marked'))",
+    "Class.allInstances()->size() <= 6",
+    "Constraint.allInstances()->isEmpty()",
+];
 
 /// One interpreted body instruction. Indices select targets modulo the
 /// current class list, so every generated program is runnable.
@@ -38,7 +52,8 @@ fn arb_body_op() -> impl Strategy<Value = BodyOp> {
         "[A-Z][a-z]{2,6}".prop_map(BodyOp::AddClass),
         (any::<u8>(), "[a-z]{2,6}").prop_map(|(c, s)| BodyOp::AddOperation(c, s)),
         (any::<u8>(), "[a-z]{2,6}").prop_map(|(c, s)| BodyOp::AddAttribute(c, s)),
-        (any::<u8>(), "[A-Z][a-z]{2,6}").prop_map(|(c, s)| BodyOp::Stereotype(c, s)),
+        (any::<u8>(), prop_oneof![Just("Marked".to_owned()), "[A-Z][a-z]{2,6}".boxed()])
+            .prop_map(|(c, s)| BodyOp::Stereotype(c, s)),
         (any::<u8>(), "[A-Z][a-z]{2,6}").prop_map(|(c, s)| BodyOp::Rename(c, s)),
         any::<u8>().prop_map(BodyOp::Remove),
     ]
@@ -100,7 +115,11 @@ fn run_body(model: &mut Model, ops: &[BodyOp]) -> Result<(), TransformError> {
     Ok(())
 }
 
-fn build_cmt(ops: Vec<BodyOp>, outcome: &Outcome) -> ConcreteTransformation {
+/// `(body ops, outcome, precondition seeds, postcondition seeds)`; the
+/// seeds pick from [`CONDITIONS`].
+type StepSpec = (Vec<BodyOp>, Outcome, Vec<u8>, Vec<u8>);
+
+fn build_cmt((ops, outcome, pres, posts): StepSpec) -> ConcreteTransformation {
     let fail = matches!(outcome, Outcome::FailCustom);
     let mut builder =
         TransformationBuilder::new("prop-body", "prop-concern").body(move |model, _params| {
@@ -110,6 +129,12 @@ fn build_cmt(ops: Vec<BodyOp>, outcome: &Outcome) -> ConcreteTransformation {
             }
             Ok(())
         });
+    for seed in pres {
+        builder = builder.precondition(CONDITIONS[seed as usize % CONDITIONS.len()]);
+    }
+    for seed in posts {
+        builder = builder.postcondition(CONDITIONS[seed as usize % CONDITIONS.len()]);
+    }
     match outcome {
         Outcome::FailPostcondition => builder = builder.postcondition("false"),
         Outcome::FailPrecondition => builder = builder.precondition("false"),
@@ -123,24 +148,40 @@ proptest! {
 
     #[test]
     fn journaled_apply_equals_cloned_apply(
-        ops in prop::collection::vec(arb_body_op(), 0..20),
-        outcome in arb_outcome(),
+        steps in prop::collection::vec(
+            (
+                prop::collection::vec(arb_body_op(), 0..20),
+                arb_outcome(),
+                prop::collection::vec(any::<u8>(), 0..3),
+                prop::collection::vec(any::<u8>(), 0..3),
+            ),
+            1..8,
+        ),
     ) {
-        let cmt = build_cmt(ops, &outcome);
         let mut journaled = banking_pim();
         let mut cloned = banking_pim();
-        let r1 = cmt.apply(&mut journaled);
-        let r2 = cmt.apply_cloned(&mut cloned);
-        match (&r1, &r2) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "reports diverged"),
-            (Err(_), Err(_)) => {
-                // Both failed: both models must equal the pristine input.
-                prop_assert_eq!(&journaled, &banking_pim(), "journal rollback left residue");
+        for (i, step) in steps.into_iter().enumerate() {
+            let before = journaled.clone();
+            let cmt = build_cmt(step);
+            let r1 = cmt.apply(&mut journaled);
+            let r2 = cmt.apply_cloned(&mut cloned);
+            match (&r1, &r2) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "reports diverged at step {}", i),
+                (Err(a), Err(b)) => {
+                    prop_assert_eq!(
+                        a.to_string(), b.to_string(),
+                        "failures diverged at step {}", i
+                    );
+                    prop_assert_eq!(
+                        &journaled, &before,
+                        "journal rollback left residue at step {}", i
+                    );
+                }
+                _ => prop_assert!(false, "engines disagreed at step {i}: {r1:?} vs {r2:?}"),
             }
-            _ => prop_assert!(false, "engines disagreed: {:?} vs {:?}", r1, r2),
+            prop_assert_eq!(&journaled, &cloned, "models diverged at step {}", i);
+            prop_assert!(!journaled.journal_active(), "apply leaked an open journal");
         }
-        prop_assert_eq!(&journaled, &cloned, "final models diverged");
-        prop_assert!(!journaled.journal_active(), "apply leaked an open journal");
     }
 }
 

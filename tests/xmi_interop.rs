@@ -43,6 +43,34 @@ fn import_rejects_tampered_snapshots() {
     assert!(import_model(&tampered).is_err());
 }
 
+/// A constraint body is text from the imported file; one nested far
+/// past the OCL parser's depth bound is reported as undecidable instead
+/// of overflowing the stack. Runs on a main thread's 8 MiB stack: the
+/// harness's 2 MiB test threads are too small for an unoptimized parser
+/// at the bound.
+#[test]
+fn imported_constraint_nested_too_deep_is_undecidable() {
+    let mut model = executable_banking_pim();
+    let bank = model.find_class("Bank").unwrap();
+    let n = 100_000;
+    let body = format!("{}true{}", "(".repeat(n), ")".repeat(n));
+    model.add_constraint(bank, "deep", &body).unwrap();
+    let back = import_model(&export_model(&model)).unwrap();
+    let outcomes = std::thread::Builder::new()
+        .stack_size(8 << 20)
+        .spawn(move || comet_ocl::check_model_constraints(&back))
+        .unwrap()
+        .join()
+        .unwrap();
+    let (_, _, outcome) = outcomes.iter().find(|(_, name, _)| name == "deep").unwrap();
+    match outcome {
+        comet_ocl::ConstraintOutcome::Undecidable(reason) => {
+            assert!(reason.contains("nests deeper than"), "{reason}");
+        }
+        other => panic!("expected undecidable, got {other:?}"),
+    }
+}
+
 /// Every concern stereotype the standard library can mark a model
 /// with, paired with a representative `comet.*` tag from its concern
 /// space — including the fault-tolerance triple and its `ft.*` tags.
