@@ -6,13 +6,14 @@ use comet_codegen::{
     pretty_print, BodyProvider, FunctionalGenerator, MonolithicGenerator, Program,
 };
 use comet_gen::{Backend, GenCache, GenInput, GeneratorFactory};
+use comet_middleware::{FaultHook, MiddlewareError};
 use comet_model::{Model, UndoLog};
 use comet_repo::{
-    ColorReport, CommitDelta, CommitId, DurableRepository, RecoveryReport, RepoError, Repository,
+    ColorReport, Commit, CommitDelta, CommitId, DurableRepository, RecoveryReport, RepoError,
+    Repository,
 };
 use comet_transform::{ApplyReport, ConcreteTransformation, ParamSet, TransformError};
 use comet_workflow::{WorkflowBuildError, WorkflowEngine, WorkflowError, WorkflowModel};
-use comet_xmi::export_model;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::path::Path;
@@ -37,20 +38,11 @@ pub enum LifecycleError {
     Repo(RepoError),
     /// Nothing to undo.
     NothingToUndo,
-    /// Replaying the remaining steps into a fresh workflow engine
-    /// failed during undo — the recorded sequence no longer validates
-    /// against the workflow model. The lifecycle state is left exactly
-    /// as it was before the undo attempt.
-    WorkflowReplay {
-        /// The step that failed to replay.
-        concern: String,
-        /// The underlying workflow violation.
-        source: WorkflowError,
-    },
     /// Rebuilding a lifecycle from a durable journal failed: the
     /// journal replayed, but its contents cannot be turned back into a
-    /// live lifecycle (no visible commit, or a journalled concern the
-    /// caller's resolver does not know).
+    /// live lifecycle (no visible commit, an oldest visible commit that
+    /// names a concern, or a journalled concern the caller's resolver
+    /// does not know).
     Recovery(String),
 }
 
@@ -64,9 +56,6 @@ impl fmt::Display for LifecycleError {
             LifecycleError::Weave(e) => write!(f, "weaving: {e}"),
             LifecycleError::Repo(e) => write!(f, "repository: {e}"),
             LifecycleError::NothingToUndo => write!(f, "nothing to undo"),
-            LifecycleError::WorkflowReplay { concern, source } => {
-                write!(f, "workflow replay of `{concern}` failed during undo: {source}")
-            }
             LifecycleError::Recovery(detail) => write!(f, "recovery: {detail}"),
         }
     }
@@ -81,7 +70,6 @@ impl std::error::Error for LifecycleError {
             LifecycleError::Transform(e) => Some(e),
             LifecycleError::Weave(e) => Some(e),
             LifecycleError::Repo(e) => Some(e),
-            LifecycleError::WorkflowReplay { source, .. } => Some(source),
             LifecycleError::NothingToUndo | LifecycleError::Recovery(_) => None,
         }
     }
@@ -187,17 +175,6 @@ impl RepoBackend {
         }
     }
 
-    fn as_repository_mut(&mut self) -> &mut Repository {
-        match self {
-            RepoBackend::Memory(r) => r,
-            // Unjournaled access: callers use this for tagging,
-            // branching via the lifecycle API surface and for arming
-            // test faults, not for commits (those go through the
-            // backend methods below).
-            RepoBackend::Durable(d) => d.repo_mut_unjournaled(),
-        }
-    }
-
     fn commit_with_delta(
         &mut self,
         model: &Model,
@@ -253,41 +230,6 @@ struct StateProducts {
     concerns: Vec<String>,
 }
 
-/// The content address of the state the model is at: the repository
-/// commit it equals (`None` at the root), and that commit's FNV-1a hash
-/// and canonical XMI, shared with it.
-#[derive(Debug, Clone)]
-struct ContentAddress {
-    commit: Option<CommitId>,
-    hash: u64,
-    xmi: Arc<str>,
-}
-
-impl ContentAddress {
-    /// The address of `repo`'s visible head commit.
-    fn of_head(repo: &Repository) -> Option<Self> {
-        repo.head().map(|c| ContentAddress {
-            commit: Some(c.id),
-            hash: c.hash,
-            xmi: c.snapshot_shared(),
-        })
-    }
-
-    /// The address of a model with no commit behind it: one export.
-    fn of_model(model: &Model) -> Self {
-        let xmi: Arc<str> = export_model(model).into();
-        ContentAddress { commit: None, hash: comet_obs::fnv1a64(xmi.as_bytes()), xmi }
-    }
-}
-
-/// How to undo one applied step in place: the commit the step created
-/// and its change journal's inverse ops.
-#[derive(Debug)]
-struct StepRevert {
-    commit: CommitId,
-    log: UndoLog,
-}
-
 /// The MDA lifecycle: model + repository + workflow + applied concerns.
 ///
 /// # Incrementality
@@ -308,13 +250,10 @@ struct StepRevert {
 /// memo is keyed by. Results are byte-identical to a cold weave and
 /// render in every case.
 ///
-/// The lifecycle also holds the content address of its state: the
-/// hash and canonical XMI of the commit its model equals, taken from
-/// the repository at construction, recovery, each apply and each undo.
-/// The generation cache keys on that hash and
-/// [`MdaLifecycle::snapshot_xmi`] returns those bytes, so neither reads
-/// export the model. Repository edits made through
-/// [`MdaLifecycle::repository_mut`] do not move it.
+/// The lifecycle is the repository's only writer, so its model always
+/// equals the repository's visible head commit. The generation cache
+/// keys on that commit's hash and [`MdaLifecycle::snapshot_xmi`]
+/// returns its bytes, so neither read exports the model.
 #[derive(Debug)]
 pub struct MdaLifecycle {
     model: Model,
@@ -335,12 +274,9 @@ pub struct MdaLifecycle {
     /// fingerprint, backend, concern list)`; its own hit/miss counters
     /// feed [`MdaLifecycle::gen_cache_stats`].
     gen_cache: RefCell<GenCache>,
-    /// Hash and XMI of the commit `model` equals.
-    content: ContentAddress,
-    /// Parallel to `applied`: how to revert each step in place, `None`
-    /// for steps rebuilt by `recover` or applied while the model was
-    /// not at the repository head.
-    reverts: Vec<Option<StepRevert>>,
+    /// Parallel to `applied`: each step's change-journal inverse ops
+    /// for an in-place undo, `None` for steps rebuilt by `recover`.
+    reverts: Vec<Option<UndoLog>>,
 }
 
 impl MdaLifecycle {
@@ -354,7 +290,7 @@ impl MdaLifecycle {
         let engine = WorkflowEngine::try_new(workflow)?;
         let mut repo = Repository::new(format!("{}-models", pim.name()));
         repo.commit(&pim, "initial PIM", None)?;
-        Self::assemble(pim, RepoBackend::Memory(repo), engine, Vec::new())
+        Ok(Self::assemble(pim, RepoBackend::Memory(repo), engine, Vec::new()))
     }
 
     /// Starts a lifecycle whose repository journals every operation to
@@ -374,7 +310,7 @@ impl MdaLifecycle {
         let engine = WorkflowEngine::try_new(workflow)?;
         let mut repo = DurableRepository::create(dir, &format!("{}-models", pim.name()))?;
         repo.commit(&pim, "initial PIM", None)?;
-        Self::assemble(pim, RepoBackend::Durable(repo), engine, Vec::new())
+        Ok(Self::assemble(pim, RepoBackend::Durable(repo), engine, Vec::new()))
     }
 
     /// Rebuilds a lifecycle from the durable journal in `dir`:
@@ -400,8 +336,10 @@ impl MdaLifecycle {
     ///
     /// # Errors
     /// Fails when the workflow model is malformed, `dir` has no
-    /// journal, the journal has no visible commit, or `resolve` does
-    /// not know a journalled concern.
+    /// journal, the journal has no visible commit, its oldest visible
+    /// commit names a concern (undoing every step must land on a
+    /// concern-free base), or `resolve` does not know a journalled
+    /// concern.
     pub fn recover<F>(
         dir: &Path,
         workflow: WorkflowModel,
@@ -420,6 +358,11 @@ impl MdaLifecycle {
                 ))
             }
         };
+        if let Some(base) = repo.log().first().and_then(|c| c.concern.as_deref()) {
+            return Err(LifecycleError::Recovery(format!(
+                "oldest visible commit names concern `{base}`: no base model to undo to"
+            )));
+        }
         let mut applied = Vec::new();
         let steps: Vec<(String, CommitDelta)> = repo
             .log()
@@ -441,21 +384,19 @@ impl MdaLifecycle {
             };
             applied.push(AppliedConcern { cmt, aspect, report });
         }
-        Ok((Self::assemble(model, RepoBackend::Durable(repo), engine, applied)?, report))
+        Ok((Self::assemble(model, RepoBackend::Durable(repo), engine, applied), report))
     }
 
     /// Builds the lifecycle around `model`, which must equal `repo`'s
-    /// visible head commit.
+    /// visible head commit, with one commit below it per applied step.
     fn assemble(
         model: Model,
         repo: RepoBackend,
         workflow: WorkflowEngine,
         applied: Vec<AppliedConcern>,
-    ) -> Result<Self, LifecycleError> {
-        let content = ContentAddress::of_head(repo.as_repository())
-            .ok_or_else(|| LifecycleError::Recovery("repository has no head commit".to_owned()))?;
+    ) -> Self {
         let reverts = applied.iter().map(|_| None).collect();
-        Ok(MdaLifecycle {
+        MdaLifecycle {
             model,
             repo,
             workflow,
@@ -467,8 +408,7 @@ impl MdaLifecycle {
             weave_misses: Cell::new(0),
             factory: GeneratorFactory::with_standard_backends(),
             gen_cache: RefCell::new(GenCache::new()),
-            content,
-        })
+        }
     }
 
     /// Whether the repository journals to disk.
@@ -522,36 +462,28 @@ impl MdaLifecycle {
         &self.model
     }
 
-    /// The canonical XMI export of [`MdaLifecycle::model`], shared with
-    /// the repository commit the model equals — no export happens here.
+    /// The canonical XMI export of [`MdaLifecycle::model`]: the bytes
+    /// of the repository head commit the model equals — no export
+    /// happens here.
     pub fn snapshot_xmi(&self) -> &str {
-        &self.content.xmi
+        self.head().snapshot_xmi()
     }
 
     /// FNV-1a over [`MdaLifecycle::snapshot_xmi`]: the model's content
     /// hash, the key the generation cache addresses artifacts by.
     pub fn content_hash(&self) -> u64 {
-        self.content.hash
+        self.head().hash
+    }
+
+    /// The visible head commit: every constructor commits or finds one,
+    /// and `undo_last` never steps below the oldest.
+    fn head(&self) -> &Commit {
+        self.repository().head().expect("a lifecycle always has a head commit")
     }
 
     /// The model repository (versions, tags, diffs).
     pub fn repository(&self) -> &Repository {
         self.repo.as_repository()
-    }
-
-    /// Mutable repository access (tagging, branching, arming test
-    /// faults). In durable mode this bypasses the journal — commits and
-    /// undos must go through the lifecycle itself. Moving the head here
-    /// does not change the lifecycle's model or what it generates.
-    pub fn repository_mut(&mut self) -> &mut Repository {
-        self.repo.as_repository_mut()
-    }
-
-    /// Whether the model equals the repository's visible head commit
-    /// (repository edits through `repository_mut` can move the head
-    /// away from it).
-    fn model_at_head(&self) -> bool {
-        self.content.commit == self.repo.as_repository().head().map(|c| c.id)
     }
 
     /// The workflow engine (guidance).
@@ -635,9 +567,6 @@ impl MdaLifecycle {
             modified: report.modified.clone(),
             removed: report.removed.clone(),
         };
-        // The step's log can revert the model to the commit the head
-        // undoes to only if the model is that commit now.
-        let revertible = self.model_at_head();
         if let Err(e) =
             self.repo.commit_with_delta(&self.model, &cmt.full_name(), Some(pair.concern()), delta)
         {
@@ -646,10 +575,7 @@ impl MdaLifecycle {
             return Err(e.into());
         }
         let (_, log) = self.model.commit_journal().expect("the step's segment is open");
-        self.content = ContentAddress::of_head(self.repo.as_repository())
-            .expect("the commit just made is the visible head");
-        let commit = self.content.commit.expect("a head commit has an id");
-        self.reverts.push(log.filter(|_| revertible).map(|log| StepRevert { commit, log }));
+        self.reverts.push(log);
         self.applied.push(AppliedConcern { cmt, aspect, report });
         Ok(self.applied.last().expect("just pushed"))
     }
@@ -659,68 +585,48 @@ impl MdaLifecycle {
     ///
     /// The model steps back in place: the step's change journal is
     /// reverted in O(delta) ([`Model::revert`]) while the repository
-    /// head steps back without decoding anything. That needs the step's
-    /// inverse ops and a model still at the commit the step created, at
-    /// the head. Otherwise — a step rebuilt by
-    /// [`MdaLifecycle::recover`], or a head moved through
-    /// [`MdaLifecycle::repository_mut`] — the undo decodes the snapshot
-    /// the head lands on, as a full model import.
+    /// head steps back without decoding anything. A step rebuilt by
+    /// [`MdaLifecycle::recover`] has no inverse ops; its undo decodes
+    /// the snapshot the head lands on, as a full model import. Either
+    /// way the head lands on a commit: every applied step sits above
+    /// the concern-free base commit.
     ///
-    /// All fallible work happens before any state is touched: the
-    /// shortened workflow is replayed into a scratch engine first, the
-    /// repository steps back second (its head stays put if the step
+    /// The repository steps back first (its head stays put if the step
     /// fails), and only then are model, workflow, and the `applied`
     /// record changed — so a failed undo never loses the step it could
     /// not undo, nor the inverse ops a retry reverts with.
     ///
     /// # Errors
-    /// Fails when nothing was applied, the repository step fails (on
-    /// the decode path also when the landing snapshot is corrupt), or
-    /// the remaining sequence no longer replays
-    /// ([`LifecycleError::WorkflowReplay`]); the lifecycle state is
-    /// unchanged on every error.
+    /// Fails when nothing was applied or the repository step fails (on
+    /// the decode path also when the landing snapshot is corrupt); the
+    /// lifecycle state is unchanged on every error.
     pub fn undo_last(&mut self) -> Result<(), LifecycleError> {
-        if self.applied.is_empty() {
+        let Some(last) = self.applied.last() else {
             return Err(LifecycleError::NothingToUndo);
-        }
-        // Rebuild the workflow state minus the undone step, before
-        // anything is mutated.
-        let mut engine = WorkflowEngine::new(self.workflow.model().clone());
-        for step in &self.applied[..self.applied.len() - 1] {
-            engine.record(step.cmt.concern()).map_err(|source| LifecycleError::WorkflowReplay {
-                concern: step.cmt.concern().to_owned(),
-                source,
-            })?;
-        }
-        let revert = matches!(
-            self.reverts.last(),
-            Some(Some(step)) if self.content.commit == Some(step.commit) && self.model_at_head()
-        );
+        };
         // Both repository steps are atomic — the head position does not
         // move on error — so nothing needs compensating here.
-        let decoded = if revert {
+        let decoded = if matches!(self.reverts.last(), Some(Some(_))) {
             self.repo.undo_head().ok_or(LifecycleError::NothingToUndo)??;
             None
         } else {
             Some(self.repo.undo().ok_or(LifecycleError::NothingToUndo)??)
         };
-        // Commit point: everything fallible is done.
+        // Commit point: everything fallible is done. Workflow
+        // constraints only look at which concerns are applied, so the
+        // remaining prefix of a recorded sequence stays valid.
+        self.workflow.unrecord(last.cmt.concern());
         self.applied.pop();
-        let step = self.reverts.pop().flatten();
-        self.workflow = engine;
+        let log = self.reverts.pop().flatten();
         match decoded {
             Some(model) => self.model = model,
-            None => self.model.revert(step.expect("chosen to revert above").log),
+            None => self.model.revert(log.expect("chosen to revert above")),
         }
-        // The model now equals the commit the head landed on (the root,
-        // which stores no snapshot, only after repository edits outside
-        // the lifecycle). Generation-cache entries are content-addressed
-        // and stay: the restored state re-hits the artifacts rendered
-        // before the undone step. The weave cache is keyed by the
-        // aspect list, which just shrank, and by the revision, which a
-        // decoded model restarted.
-        self.content = ContentAddress::of_head(self.repo.as_repository())
-            .unwrap_or_else(|| ContentAddress::of_model(&self.model));
+        // Generation-cache entries are content-addressed and stay: the
+        // restored state re-hits the artifacts rendered before the
+        // undone step. The weave cache is keyed by the aspect list,
+        // which just shrank, and by the revision, which a decoded model
+        // restarted.
         *self.weave_cache.borrow_mut() = None;
         Ok(())
     }
@@ -777,7 +683,7 @@ impl MdaLifecycle {
             bodies,
         };
         let (artifact, cache_hit) =
-            self.gen_cache.borrow_mut().render(generator, &input, self.content.hash);
+            self.gen_cache.borrow_mut().render(generator, &input, self.content_hash());
         if obs.is_enabled() {
             obs.incr(if cache_hit { "gen.cache.hit" } else { "gen.cache.miss" }, 1);
         }
@@ -887,6 +793,22 @@ impl MdaLifecycle {
     /// Remaining planned concerns (workflow guidance).
     pub fn remaining_concerns(&self) -> Vec<&str> {
         self.workflow.remaining()
+    }
+}
+
+/// The repository's one-shot fault points (`repo.commit`, `repo.undo`,
+/// and the durable backend's compensation append), so tests fail the
+/// lifecycle's next write without a handle on its repository.
+impl FaultHook for MdaLifecycle {
+    fn fault_points(&self) -> Vec<&'static str> {
+        self.repository().fault_points()
+    }
+
+    fn arm_fault(&mut self, point: &str) -> Result<(), MiddlewareError> {
+        match &mut self.repo {
+            RepoBackend::Memory(r) => r.arm_fault(point),
+            RepoBackend::Durable(d) => d.arm_fault(point),
+        }
     }
 }
 
@@ -1046,49 +968,6 @@ mod tests {
         let cold = subtree(&trace, generates[0]);
         assert!(cold.iter().any(|row| row.contains("weave.advice")), "{cold:#?}");
         assert_eq!(cold, subtree(&trace, generates[1]));
-    }
-
-    #[test]
-    fn repository_edits_outside_the_lifecycle_do_not_change_what_it_renders() {
-        let bodies = BodyProvider::default();
-        let mut mda = full_lifecycle();
-        let before = mda.generate(&bodies, Backend::JavaFunctional).unwrap().artifact;
-        let xmi = mda.snapshot_xmi().to_owned();
-        // Move the repository head behind the lifecycle's back.
-        mda.repository_mut().undo().unwrap().unwrap();
-        mda.repository_mut().branch("side").unwrap();
-        mda.repository_mut().switch_branch("main").unwrap();
-        mda.repository_mut().undo().unwrap().unwrap();
-        assert_ne!(mda.repository().head().unwrap().snapshot_xmi(), xmi);
-        assert_eq!(mda.snapshot_xmi(), xmi);
-        assert_eq!(mda.snapshot_xmi(), export_model(mda.model()));
-        // Every backend still renders the lifecycle's own model, equal
-        // to a cache-less render of it.
-        let functional = FunctionalGenerator::new().generate(mda.model(), &bodies);
-        let woven = Weaver::new(mda.aspects()).weave(&functional).unwrap().program;
-        let concerns: Vec<String> =
-            mda.applied().iter().map(|a| a.cmt.concern().to_owned()).collect();
-        let input = GenInput {
-            model: mda.model(),
-            functional: &functional,
-            woven: &woven,
-            concerns: &concerns,
-            bodies: &bodies,
-        };
-        for backend in Backend::ALL {
-            let system = mda.generate(&bodies, backend).unwrap();
-            let direct = mda.generator_factory().get(backend).unwrap().generate(&input);
-            assert_eq!(system.artifact, direct, "{backend} rendered another model");
-        }
-        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().artifact, before);
-        // An undo the bypass walked down to the root (which stores no
-        // snapshot) still leaves an address that matches the model.
-        mda.repository_mut().undo().unwrap().unwrap();
-        mda.repository_mut().undo().unwrap().unwrap();
-        mda.undo_last().unwrap();
-        assert!(mda.repository().head().is_none());
-        assert_eq!(mda.snapshot_xmi(), export_model(mda.model()));
-        assert_eq!(mda.content_hash(), comet_obs::fnv1a64(mda.snapshot_xmi().as_bytes()));
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //!   postcondition / custom error),
 //! * the repository commit (post-body — the failing-repository double,
 //!   armed through the unified `FaultHook` trait at `repo.commit`),
-//! * the repository undo (`FaultHook` point `repo.undo`), and
-//! * workflow replay during undo (a constraint-violating workflow
-//!   double built from a `MutuallyExclusive` plan).
+//! * the repository undo (`FaultHook` point `repo.undo`).
+//!
+//! Every fault is armed on the lifecycle itself, which forwards to its
+//! repository, in memory or durable.
 //!
 //! `undo_last` reverts the step's change journal in place and decodes
-//! the landing snapshot only when it has no log to revert with; the
-//! tail of this file pins when each path runs and that a failed undo
-//! keeps the log for its retry. Which path ran shows in
+//! the landing snapshot only for steps rebuilt by `recover`, which have
+//! no log to revert with; the tail of this file pins when each path
+//! runs and that a failed undo keeps the log for its retry. Which path
+//! ran shows in
 //! [`Model::revision`](comet_model::Model::revision): a revert keeps
 //! counting on the same model, a decoded snapshot is a fresh model
 //! whose counter restarts.
@@ -72,7 +74,7 @@ fn repo_commit_failure_unwinds_model_and_workflow() {
     mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
     let before = mda.model().clone();
 
-    mda.repository_mut().arm_fault(comet_repo::FAULT_POINT_COMMIT).unwrap();
+    mda.arm_fault(comet_repo::FAULT_POINT_COMMIT).unwrap();
     let err = mda.apply_concern(&transactions::pair(), tx_si()).unwrap_err();
     assert!(matches!(err, LifecycleError::Repo(_)), "unexpected error: {err}");
 
@@ -128,7 +130,7 @@ fn undo_failure_keeps_the_step_record() {
     mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
     let before = mda.model().clone();
 
-    mda.repository_mut().arm_fault(comet_repo::FAULT_POINT_UNDO).unwrap();
+    mda.arm_fault(comet_repo::FAULT_POINT_UNDO).unwrap();
     let err = mda.undo_last().unwrap_err();
     assert!(matches!(err, LifecycleError::Repo(_)), "unexpected error: {err}");
 
@@ -147,14 +149,10 @@ fn undo_failure_keeps_the_step_record() {
 
 #[test]
 fn undo_replay_failure_is_typed_not_a_panic() {
-    // A constraint-violating workflow double: logging and transactions
-    // are mutually exclusive, but the engine records logging first and
-    // transactions is applied via a plan without the constraint... that
-    // cannot happen through the public API, so instead we exercise the
-    // replay guard directly: a plan where undoing the *last* step makes
-    // the remaining prefix invalid is impossible by construction
-    // (prefixes of valid sequences stay valid for this constraint
-    // language). What CAN desync is the repository — covered above — so
+    // Undo rewinds the workflow by unrecording the last step: workflow
+    // constraints only look at which concerns are applied, so every
+    // prefix of a recorded sequence stays valid and there is no replay
+    // to fail. What CAN fail is the repository — covered above — so
     // here we assert the panic path is gone: undo on an empty lifecycle
     // and a double-undo both return typed errors.
     let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
@@ -166,36 +164,70 @@ fn undo_replay_failure_is_typed_not_a_panic() {
     assert_eq!(mda.model(), &banking_pim());
 }
 
-#[test]
-fn interleaved_faults_never_desync() {
-    // A small soak: walk the full three-concern pipeline injecting a
-    // commit failure before every step and an undo failure before every
-    // undo, checking the invariant after every operation.
+/// A small soak: walks the full three-concern pipeline injecting a
+/// commit failure before every step and an undo failure before every
+/// undo, checking the invariant after every operation, then applies
+/// one step again so the run ends above the PIM.
+fn soak(mda: &mut MdaLifecycle) {
     type SiFn = fn() -> ParamSet;
     let steps: [(&str, SiFn); 3] =
         [("distribution", dist_si), ("transactions", tx_si), ("security", sec_si)];
-    let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
     for (name, si) in steps {
         let pair = match name {
             "distribution" => distribution::pair(),
             "transactions" => transactions::pair(),
             _ => security::pair(),
         };
-        mda.repository_mut().arm_fault(comet_repo::FAULT_POINT_COMMIT).unwrap();
+        mda.arm_fault(comet_repo::FAULT_POINT_COMMIT).unwrap();
         assert!(mda.apply_concern(&pair, si()).is_err());
-        assert_consistent(&mda);
+        assert_consistent(mda);
         mda.apply_concern(&pair, si()).unwrap();
-        assert_consistent(&mda);
+        assert_consistent(mda);
     }
     assert_eq!(mda.applied().len(), 3);
     while !mda.applied().is_empty() {
-        mda.repository_mut().arm_fault(comet_repo::FAULT_POINT_UNDO).unwrap();
+        mda.arm_fault(comet_repo::FAULT_POINT_UNDO).unwrap();
         assert!(mda.undo_last().is_err());
-        assert_consistent(&mda);
+        assert_consistent(mda);
         mda.undo_last().unwrap();
-        assert_consistent(&mda);
+        assert_consistent(mda);
     }
     assert_eq!(mda.model(), &banking_pim());
+    mda.arm_fault(comet_repo::FAULT_POINT_COMMIT).unwrap();
+    assert!(mda.apply_concern(&distribution::pair(), dist_si()).is_err());
+    mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
+    assert_consistent(mda);
+}
+
+/// What a recovered lifecycle must reproduce: head XMI, applied
+/// concerns and repository log messages.
+fn observable(mda: &MdaLifecycle) -> (String, Vec<String>, Vec<String>) {
+    (
+        mda.snapshot_xmi().to_owned(),
+        mda.applied().iter().map(|a| a.cmt.concern().to_owned()).collect(),
+        mda.repository().log().iter().map(|c| c.message.clone()).collect(),
+    )
+}
+
+#[test]
+fn interleaved_faults_never_desync() {
+    let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
+    soak(&mut mda);
+    let in_memory = observable(&mda);
+    // The same soak on the durable backend, whose journal must recover
+    // to exactly the live run: no faulted operation reached it.
+    let dir = tmp("soak");
+    let mut mda = MdaLifecycle::new_durable(banking_pim(), fig2_workflow(), &dir).unwrap();
+    soak(&mut mda);
+    let live = observable(&mda);
+    assert_eq!(live, in_memory);
+    drop(mda);
+    let (recovered, report) = MdaLifecycle::recover(&dir, fig2_workflow(), fig2_resolver).unwrap();
+    assert!(report.clean());
+    assert_eq!(observable(&recovered), live);
+    assert_consistent(&recovered);
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// How `undo_last` restored the model.
@@ -206,14 +238,12 @@ enum UndoPath {
 }
 
 /// Runs one successful `undo_last` and reports which path it took. The
-/// model lands on the repository head either way (the root stores no
-/// snapshot to compare with).
+/// model lands on the repository head either way.
 fn undo(mda: &mut MdaLifecycle) -> UndoPath {
     let before = mda.model().revision();
     mda.undo_last().expect("undo succeeds");
-    if let Some(head) = mda.repository().head_model() {
-        assert_eq!(mda.model(), &head.expect("snapshot decodes"), "model diverged from HEAD");
-    }
+    let head = mda.repository().head_model().expect("undo lands on a commit");
+    assert_eq!(mda.model(), &head.expect("snapshot decodes"), "model diverged from HEAD");
     if mda.model().revision() > before {
         UndoPath::Reverted
     } else {
@@ -240,54 +270,6 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 #[test]
-fn undo_reverts_in_place_while_the_model_is_at_the_head() {
-    let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
-    mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
-    mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
-    // Moving the head away and back leaves it at the step's commit.
-    mda.repository_mut().undo().unwrap().unwrap();
-    mda.repository_mut().redo().unwrap().unwrap();
-    assert_eq!(undo(&mut mda), UndoPath::Reverted);
-    assert_eq!(undo(&mut mda), UndoPath::Reverted);
-    assert_eq!(mda.model(), &banking_pim());
-}
-
-#[test]
-fn undo_after_repository_mut_moved_the_head_decodes_the_landed_commit() {
-    let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
-    mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
-    mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
-    let after_distribution = mda.repository().log()[1].id;
-    // The head moves behind the lifecycle's back: the model is no
-    // longer the head, so the undo decodes where the head lands — the
-    // initial PIM, as before in-place undo existed.
-    mda.repository_mut().undo().unwrap().unwrap();
-    assert_eq!(mda.repository().head().unwrap().id, after_distribution);
-    assert_eq!(undo(&mut mda), UndoPath::Decoded);
-    assert_eq!(mda.model(), &banking_pim());
-    // The remaining step's commit is not the head any more either: the
-    // undo decodes the root, an empty model.
-    assert_eq!(undo(&mut mda), UndoPath::Decoded);
-    assert!(mda.repository().head().is_none());
-    assert_eq!(mda.model().len(), 1);
-    assert_eq!(mda.snapshot_xmi(), comet_xmi::export_model(mda.model()));
-}
-
-#[test]
-fn a_step_applied_while_the_head_was_elsewhere_undoes_by_decoding() {
-    let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
-    mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
-    // The head steps back to the initial PIM; the model stays refined,
-    // and the next step commits on top of the PIM.
-    mda.repository_mut().undo().unwrap().unwrap();
-    mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
-    // Its journal would revert to the distributed model, but the head
-    // undoes to the PIM: only a decode lands where the head does.
-    assert_eq!(undo(&mut mda), UndoPath::Decoded);
-    assert_eq!(mda.model(), &banking_pim());
-}
-
-#[test]
 fn recovered_steps_undo_by_decoding_later_steps_revert() {
     let dir = tmp("recover");
     let mut mda = MdaLifecycle::new_durable(banking_pim(), fig2_workflow(), &dir).unwrap();
@@ -310,12 +292,29 @@ fn recovered_steps_undo_by_decoding_later_steps_revert() {
 }
 
 #[test]
+fn recovery_refuses_a_journal_whose_oldest_commit_names_a_concern() {
+    let dir = tmp("no-base");
+    let mut distributed = banking_pim();
+    distribution::pair().specialize(dist_si()).unwrap().0.apply(&mut distributed).unwrap();
+    let mut repo = comet_repo::DurableRepository::create(&dir, "bank").unwrap();
+    repo.commit(&distributed, "distribution", Some("distribution")).unwrap();
+    drop(repo);
+    // Undoing the one journalled step would have no commit to land on.
+    let err = MdaLifecycle::recover(&dir, fig2_workflow(), fig2_resolver).unwrap_err();
+    assert!(
+        matches!(&err, LifecycleError::Recovery(d) if d.contains("`distribution`")),
+        "unexpected error: {err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn armed_undo_fault_keeps_the_undo_log_so_the_retry_reverts() {
     let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
     mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
     mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
     let before = mda.model().clone();
-    mda.repository_mut().arm_fault(comet_repo::FAULT_POINT_UNDO).unwrap();
+    mda.arm_fault(comet_repo::FAULT_POINT_UNDO).unwrap();
     assert!(matches!(mda.undo_last(), Err(LifecycleError::Repo(_))));
     assert_eq!(mda.model(), &before);
     assert_eq!(mda.applied().len(), 2);
@@ -333,7 +332,7 @@ fn durable_in_place_undo_journals_exactly_one_undo_record() {
     mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
     let fsyncs = mda.wal_fsyncs();
     // A faulted undo fails before it reaches the journal...
-    mda.repository_mut().arm_fault(comet_repo::FAULT_POINT_UNDO).unwrap();
+    mda.arm_fault(comet_repo::FAULT_POINT_UNDO).unwrap();
     assert!(mda.undo_last().is_err());
     assert_eq!(mda.wal_fsyncs(), fsyncs);
     // ...and its retry appends one record, one fsync.

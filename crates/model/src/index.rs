@@ -4,16 +4,16 @@
 //! element arena — fine for one lookup, quadratic the moment a
 //! transformation loops over classes calling `operations_of` /
 //! `ancestors_of` per class. The `ModelIndex` is built once per model
-//! *generation* and answers all of those queries from hash maps.
+//! *revision* and answers all of those queries from hash maps.
 //!
 //! ## Invalidation rules
 //!
-//! The [`Model`] carries a generation counter that is bumped at every
-//! mutation choke point — element allocation (all `add_*` constructors
-//! funnel through it), [`Model::element_mut`], [`Model::remove_element`]
-//! and [`Model::set_name`]. The cache slot stores `(generation, index)`;
-//! a query hitting a stale generation rebuilds the index lazily and
-//! atomically replaces the slot. Cloning a model resets the clone's
+//! The [`Model`] carries a mutation counter, [`Model::revision`], that
+//! is bumped at every mutation choke point — element allocation (all
+//! `add_*` constructors funnel through it), [`Model::element_mut`],
+//! [`Model::remove_element`] and [`Model::set_name`]. The cache slot
+//! stores `(revision, index)`; a query hitting a stale revision
+//! rebuilds the index lazily and atomically replaces the slot. Cloning a model resets the clone's
 //! cache (the index is derived data, never copied), and model equality
 //! ignores the cache entirely.
 //!
@@ -213,12 +213,12 @@ mod tests {
     fn element_mut_and_remove_invalidate() {
         let mut m = Model::new("m");
         let c = m.add_class(m.root(), "A").unwrap();
-        let g0 = m.generation();
+        let g0 = m.revision();
         let _ = m.element_mut(c).unwrap();
-        assert!(m.generation() > g0, "element_mut must bump the generation");
-        let g1 = m.generation();
+        assert!(m.revision() > g0, "element_mut must bump the revision");
+        let g1 = m.revision();
         m.remove_element(c).unwrap();
-        assert!(m.generation() > g1, "remove must bump the generation");
+        assert!(m.revision() > g1, "remove must bump the revision");
         assert!(m.index().classifiers.is_empty());
     }
 

@@ -178,17 +178,11 @@ impl Model {
         &self.cache
     }
 
-    /// The current mutation generation; bumped by every mutation choke
-    /// point. Exposed for tests and cache diagnostics.
-    pub fn generation(&self) -> u64 {
-        self.cache.generation()
-    }
-
     /// The model revision: a monotone counter that changes whenever the
-    /// model *may* have changed (built on the same generation counter
-    /// that invalidates the [`ModelIndex`](crate) cache). Two reads of
-    /// the same revision on the same model instance are guaranteed to
-    /// observe identical content, which makes the revision a sound key
+    /// model *may* have changed — it is bumped at every mutation choke
+    /// point and also invalidates the [`ModelIndex`](crate) cache. Two
+    /// reads of the same revision on the same model instance are
+    /// guaranteed to observe identical content, which makes the revision a sound key
     /// for derived-artifact caches (the lifecycle's per-state weave
     /// memo). The counter is *per instance*: clones and snapshot
     /// restores reset it (an in-place [`Model::revert`] keeps counting),

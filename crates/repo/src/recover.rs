@@ -40,6 +40,7 @@
 use crate::repo::{decode, Commit, CommitDelta, CommitId, RepoError, Repository, Step};
 use crate::segment::{SegmentId, SegmentStore};
 use crate::wal::{CheckpointCommit, CheckpointState, Wal, WalRecord};
+use comet_middleware::{FaultHook, MiddlewareError};
 use comet_model::Model;
 use comet_xmi::export_model;
 use std::collections::{BTreeMap, BTreeSet};
@@ -171,6 +172,18 @@ pub struct DurableRepository {
     poisoned: Option<String>,
 }
 
+/// The in-memory repository's one-shot fault points; arming one
+/// writes nothing to the journal.
+impl FaultHook for DurableRepository {
+    fn fault_points(&self) -> Vec<&'static str> {
+        self.repo.fault_points()
+    }
+
+    fn arm_fault(&mut self, point: &str) -> Result<(), MiddlewareError> {
+        self.repo.arm_fault(point)
+    }
+}
+
 impl Deref for DurableRepository {
     type Target = Repository;
 
@@ -201,14 +214,6 @@ impl DurableRepository {
     /// `Deref`).
     pub fn repo(&self) -> &Repository {
         &self.repo
-    }
-
-    /// Test-only mutable access to the in-memory view — mutations made
-    /// through it bypass the journal and will not survive a reopen; it
-    /// exists so fault-injection tests can arm the one-shot
-    /// [`FaultHook`](comet_middleware::FaultHook) points.
-    pub fn repo_mut_unjournaled(&mut self) -> &mut Repository {
-        &mut self.repo
     }
 
     /// Creates a fresh durable repository in `dir` (created if absent).
@@ -1114,7 +1119,6 @@ mod tests {
 
     #[test]
     fn failed_compensation_poisons_the_handle() {
-        use comet_middleware::FaultHook;
         let dir = tmp("poison");
         let (v1, v2) = two_models();
         let mut dur = DurableRepository::create(&dir, "bank").unwrap();
@@ -1122,7 +1126,7 @@ mod tests {
         dur.commit(&v2, "distribution", Some("distribution")).unwrap();
         let first = *dur.repo.commits.keys().next().unwrap();
         dur.repo.commits.get_mut(&first).unwrap().snapshot = "<not xmi".into();
-        dur.repo_mut_unjournaled().arm_fault(crate::repo::FAULT_POINT_WAL_COMPENSATION).unwrap();
+        dur.arm_fault(crate::repo::FAULT_POINT_WAL_COMPENSATION).unwrap();
         let err = dur.undo().unwrap().unwrap_err();
         assert!(
             matches!(&err, RepoError::Storage(d) if d.contains("no longer matches memory")),
@@ -1152,7 +1156,6 @@ mod tests {
 
     #[test]
     fn head_only_undo_journals_one_undo_and_compensates_like_undo() {
-        use comet_middleware::FaultHook;
         let dir = tmp("undo-head");
         let (v1, v2) = two_models();
         let mut dur = DurableRepository::create(&dir, "bank").unwrap();
@@ -1172,7 +1175,7 @@ mod tests {
         assert_eq!(dur.wal_fsyncs(), fsyncs + 3, "undo record plus its compensation");
         assert_eq!(dur.head().unwrap().message, "distribution", "a failed step moved the head");
         // A failed compensation poisons the handle, as for `undo`.
-        dur.repo_mut_unjournaled().arm_fault(crate::repo::FAULT_POINT_WAL_COMPENSATION).unwrap();
+        dur.arm_fault(crate::repo::FAULT_POINT_WAL_COMPENSATION).unwrap();
         let err = dur.undo_head().unwrap().unwrap_err();
         assert!(matches!(&err, RepoError::Storage(d) if d.contains("no longer matches")), "{err}");
         assert!(dur.poisoned.is_some());
@@ -1207,14 +1210,13 @@ mod tests {
 
     #[test]
     fn injected_faults_fail_before_touching_the_journal() {
-        use comet_middleware::FaultHook;
         let dir = tmp("faults");
         let (v1, v2) = two_models();
         let mut dur = DurableRepository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
-        dur.repo_mut_unjournaled().arm_fault(crate::repo::FAULT_POINT_COMMIT).unwrap();
+        dur.arm_fault(crate::repo::FAULT_POINT_COMMIT).unwrap();
         assert!(matches!(dur.commit(&v2, "x", None), Err(RepoError::Storage(_))));
-        dur.repo_mut_unjournaled().arm_fault(crate::repo::FAULT_POINT_UNDO).unwrap();
+        dur.arm_fault(crate::repo::FAULT_POINT_UNDO).unwrap();
         assert!(matches!(dur.undo(), Some(Err(RepoError::Storage(_)))));
         let before = dur.repo().clone();
         drop(dur);

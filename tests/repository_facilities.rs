@@ -94,16 +94,18 @@ fn colors_attribute_created_elements_to_their_concern() {
 
 #[test]
 fn branches_isolate_alternative_refinements() {
-    let mut mda = lifecycle();
+    let mda = lifecycle();
     let main_model = mda.model().clone();
+    // The lifecycle is its repository's only writer; explore a copy.
+    let mut repo = mda.repository().clone();
     // Tag the current state, branch off an experiment from one step back.
-    mda.repository_mut().tag("fig2-psm").unwrap();
-    mda.repository_mut().undo().unwrap().unwrap();
-    mda.repository_mut().branch("experiment").unwrap();
-    let experiment_head = mda.repository().head_model().unwrap().unwrap();
+    repo.tag("fig2-psm").unwrap();
+    repo.undo().unwrap().unwrap();
+    repo.branch("experiment").unwrap();
+    let experiment_head = repo.head_model().unwrap().unwrap();
     assert!(experiment_head.find_class("BankProxy").is_some());
     // Back on main, the tagged PSM is intact.
-    mda.repository_mut().switch_branch("main").unwrap();
-    assert_eq!(mda.repository().checkout_tag("fig2-psm").unwrap(), main_model);
-    assert_eq!(mda.repository().branch_names(), vec!["experiment", "main"]);
+    repo.switch_branch("main").unwrap();
+    assert_eq!(repo.checkout_tag("fig2-psm").unwrap(), main_model);
+    assert_eq!(repo.branch_names(), vec!["experiment", "main"]);
 }
