@@ -13,16 +13,23 @@
 //! ([`Repository::undo_head`] + [`Model::revert`], O(delta)) — the two
 //! paths of `MdaLifecycle::undo_last`.
 //!
+//! The `apply_by_size` rows time lifecycle-large's write on models of
+//! growing size: one committed 8-target `logging` apply through
+//! [`MdaLifecycle::apply_concern`], each sample taken after an untimed
+//! [`MdaLifecycle::undo_last`] of the same step.
+//!
 //! Usage: `cargo run --release -p comet-bench --bin bench_transform_json
 //! [output-path]` (default `BENCH_transform.json` in the working
 //! directory).
 
+use comet::MdaLifecycle;
 use comet_bench::synthetic;
 use comet_model::{Model, UndoLog};
 use comet_repo::{CommitDelta, Repository};
 use comet_transform::{
-    specialize, ConcreteTransformation, ParamSet, TransformError, TransformationBuilder,
+    specialize, ConcreteTransformation, ParamSet, ParamValue, TransformError, TransformationBuilder,
 };
+use comet_workflow::WorkflowModel;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -31,6 +38,12 @@ const ATTRS: usize = 4;
 const OPS: usize = 4;
 const WARMUP: usize = 2;
 const SAMPLES: usize = 9;
+/// The `apply_by_size` models: `synthetic(classes, APPLY_ATTRS,
+/// APPLY_OPS)`, lifecycle-large's shape.
+const APPLY_ATTRS: usize = 3;
+const APPLY_OPS: usize = 6;
+/// Classes the logging binding targets (`C<k>.*` each).
+const LOG_TARGETS: usize = 8;
 
 /// Median wall-clock seconds of `SAMPLES` runs (after `WARMUP` runs).
 fn median_secs(mut run: impl FnMut()) -> f64 {
@@ -108,6 +121,30 @@ fn failing_cmt() -> ConcreteTransformation {
 fn succeeding_cmt() -> ConcreteTransformation {
     let gmt = TransformationBuilder::new("bench-ok", "bench").body(|model, _| small_delta(model));
     specialize(gmt.build(), ParamSet::new()).expect("empty schema validates")
+}
+
+/// Median seconds of one committed `LOG_TARGETS`-target logging apply
+/// on `synthetic(classes, APPLY_ATTRS, APPLY_OPS)`, each sample taken
+/// after an untimed undo of the same step; also returns the model's
+/// element count.
+fn logging_apply(classes: usize) -> (usize, f64) {
+    let model = synthetic(classes, APPLY_ATTRS, APPLY_OPS);
+    let elements = model.len();
+    let workflow = WorkflowModel::new("apply-by-size").step("logging", false);
+    let mut mda = MdaLifecycle::new(model, workflow).expect("lifecycle opens");
+    let logging = comet_concerns::by_name("logging").expect("standard concern");
+    let targets: Vec<String> =
+        (0..LOG_TARGETS).map(|k| format!("C{}.*", k * classes / LOG_TARGETS)).collect();
+    let si = ParamSet::new().with("targets", ParamValue::from(targets));
+    mda.apply_concern(&logging, si.clone()).expect("applies");
+    let secs = median_secs_after(
+        &mut mda,
+        |mda| mda.undo_last().expect("undoes"),
+        |mda, ()| {
+            black_box(mda.apply_concern(&logging, si.clone()).expect("applies"));
+        },
+    );
+    (elements, secs)
 }
 
 fn main() {
@@ -206,12 +243,24 @@ fn main() {
         ));
     }
 
+    let apply_rows: Vec<String> = SIZES
+        .iter()
+        .map(|&classes| {
+            eprintln!("[{classes} classes] timing logging apply ...");
+            let (elements, secs) = logging_apply(classes);
+            format!(
+                "    {{\"classes\": {classes}, \"elements\": {elements}, \"median_secs\": {secs:.9}}}"
+            )
+        })
+        .collect();
+
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"experiment\": \"e11_transform_rollback\",\n  \"host_cores\": {cores},\n  \"workload\": {{\"sizes\": [10, 50, 100, 200], \"attrs_per_class\": {ATTRS}, \"ops_per_class\": {OPS}, \"body\": \"constant 3-element delta, then induced failure\"}},\n  \"before\": \"apply_cloned (upfront clone, restore on failure, before/after sweep report)\",\n  \"after\": \"apply (change journal: inverse-op rollback, journal-derived report)\",\n  \"decode\": \"undo of one committed apply: Repository::undo, importing the landed XMI snapshot\",\n  \"revert\": \"undo of one committed apply: Repository::undo_head + Model::revert of the apply's UndoLog\",\n  \"rollback\": [\n{}\n  ],\n  \"successful_apply\": [\n{}\n  ],\n  \"undo\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"e11_transform_rollback\",\n  \"host_cores\": {cores},\n  \"workload\": {{\"sizes\": [10, 50, 100, 200], \"attrs_per_class\": {ATTRS}, \"ops_per_class\": {OPS}, \"body\": \"constant 3-element delta, then induced failure\"}},\n  \"before\": \"apply_cloned (upfront clone, restore on failure, before/after sweep report)\",\n  \"after\": \"apply (change journal: inverse-op rollback, journal-derived report)\",\n  \"decode\": \"undo of one committed apply: Repository::undo, importing the landed XMI snapshot\",\n  \"revert\": \"undo of one committed apply: Repository::undo_head + Model::revert of the apply's UndoLog\",\n  \"apply\": \"MdaLifecycle::apply_concern of logging on {LOG_TARGETS} classes' operations, synthetic(classes, {APPLY_ATTRS}, {APPLY_OPS}), after an untimed undo_last\",\n  \"rollback\": [\n{}\n  ],\n  \"successful_apply\": [\n{}\n  ],\n  \"undo\": [\n{}\n  ],\n  \"apply_by_size\": [\n{}\n  ]\n}}\n",
         rollback_rows.join(",\n"),
         success_rows.join(",\n"),
         undo_rows.join(",\n"),
+        apply_rows.join(",\n"),
     );
     std::fs::write(&out_path, &json).expect("writable output path");
     println!("{json}");

@@ -7,8 +7,8 @@
 //! is active, every mutation choke point of [`Model`](crate::Model)
 //! (element allocation, [`element_mut`](crate::Model::element_mut),
 //! [`remove_element`](crate::Model::remove_element),
-//! [`set_name`](crate::Model::set_name) — the same choke points the
-//! index generation counter instruments) records an **inverse
+//! [`set_name`](crate::Model::set_name) — the same choke points that
+//! report touched ids to the model index) records an **inverse
 //! operation**, and a failed step is rolled back by replaying those
 //! inverses in reverse order — O(delta), not O(model).
 //!
@@ -213,13 +213,15 @@ impl Journal {
     }
 
     /// Unwinds the innermost segment: replays inverses newest-first and
-    /// drops the segment's ops. Returns the mutations undone and
-    /// whether the journal is now finished.
+    /// drops the segment's ops, reporting each element the replay
+    /// changes to `touch` (see [`unwind`]). Returns the mutations undone
+    /// and whether the journal is now finished.
     pub(crate) fn rollback(
         &mut self,
         elements: &mut BTreeMap<ElementId, Element>,
         next_id: &mut u64,
         name: &mut String,
+        touch: impl FnMut(ElementId, Option<Element>),
     ) -> (usize, bool) {
         let sp = self.savepoints.pop().expect("active journal has a savepoint");
         // The segment's ops are about to be drained, so its dedup set
@@ -227,32 +229,36 @@ impl Journal {
         // pre-imaged are still covered by its own set.
         self.mutated.pop().expect("active journal has a segment");
         let undone = self.ops.len() - sp;
-        unwind(self.ops.drain(sp..), elements, next_id, name);
+        unwind(self.ops.drain(sp..), elements, next_id, name, touch);
         (undone, self.savepoints.is_empty())
     }
 }
 
 /// Replays inverse ops newest-first: the one unwind loop under both a
 /// rollback of an open segment and [`Model::revert`](crate::Model::revert)
-/// of a committed one.
+/// of a committed one. Every element an op restores or deletes goes to
+/// `touch` with the state the op replaced (`None`: absent), which keeps
+/// the model index current.
 pub(crate) fn unwind(
     ops: impl DoubleEndedIterator<Item = JournalOp>,
     elements: &mut BTreeMap<ElementId, Element>,
     next_id: &mut u64,
     name: &mut String,
+    mut touch: impl FnMut(ElementId, Option<Element>),
 ) {
     for op in ops.rev() {
         match op {
             JournalOp::Create { id, prev_next_id } => {
-                elements.remove(&id);
+                touch(id, elements.remove(&id));
                 *next_id = prev_next_id;
             }
             JournalOp::Mutate { id, before } => {
-                elements.insert(id, *before);
+                touch(id, elements.insert(id, *before));
             }
             JournalOp::Remove { before } => {
                 for e in before {
-                    elements.insert(e.id(), e);
+                    let id = e.id();
+                    touch(id, elements.insert(id, e));
                 }
             }
             JournalOp::SetName { prev } => {

@@ -4,7 +4,7 @@
 use crate::element::{Element, ElementCore, ElementKind};
 use crate::error::{ModelError, Result};
 use crate::id::ElementId;
-use crate::index::IndexCache;
+use crate::index::{IndexCache, ModelIndex};
 use crate::journal::{self, Journal, JournalOp, JournalSummary, UndoLog};
 use crate::kinds::*;
 use crate::CONCERN_TAG;
@@ -18,11 +18,12 @@ use std::collections::BTreeMap;
 /// has an owner that exists, ids are never reused, and sibling names are
 /// unique per kind (for named elements).
 ///
-/// Queries are answered from a lazily built, generation-tagged
-/// [`ModelIndex`](crate::index::ModelIndex); every mutation choke point
-/// bumps the generation, invalidating the cached index (see `index.rs`
-/// for the invalidation rules). The cache is derived data: it is ignored
-/// by `PartialEq` and reset — not copied — by `Clone`.
+/// Queries are answered from a [`ModelIndex`](crate::index::ModelIndex)
+/// built on first use and kept current after that: every mutation
+/// choke point reports the ids it touches, and the next query patches
+/// just those into the index (see `index.rs` for the maintenance
+/// rules). The index is derived data: it is ignored by `PartialEq` and
+/// reset — not copied — by `Clone`.
 ///
 /// The same choke points feed an optional change [`Journal`] (see
 /// `journal.rs`): between [`Model::begin_journal`] and
@@ -89,7 +90,8 @@ impl Model {
 
     /// Renames the model and its root package.
     pub fn set_name(&mut self, name: impl Into<String>) {
-        self.cache.invalidate();
+        let (root, elements) = (self.root, &self.elements);
+        self.cache.touch(root, || elements.get(&root).cloned());
         let name = name.into();
         if let Some(j) = &mut self.journal {
             if j.wants_mutate(self.root) {
@@ -145,12 +147,12 @@ impl Model {
     /// Returns [`ModelError::UnknownElement`] when the id does not resolve.
     pub fn element_mut(&mut self, id: ElementId) -> Result<&mut Element> {
         // Handing out `&mut Element` may change anything the index
-        // covers (name, stereotypes, endpoints), so invalidate
-        // conservatively. The journal snapshots the pre-image just as
-        // conservatively; the commit-time summary filters out borrows
-        // that never wrote.
-        self.cache.invalidate();
+        // covers (name, stereotypes, endpoints), so the next query
+        // refiles the element. The journal snapshots the pre-image just
+        // as conservatively; the commit-time summary filters out
+        // borrows that never wrote.
         let e = self.elements.get_mut(&id).ok_or(ModelError::UnknownElement(id))?;
+        self.cache.touch(id, || Some(e.clone()));
         if let Some(j) = &mut self.journal {
             // First borrow per segment snapshots; repeats cost a set
             // lookup instead of an element clone.
@@ -163,9 +165,9 @@ impl Model {
 
     fn alloc(&mut self) -> ElementId {
         // Every element-creating path funnels through here, making it a
-        // mutation choke point for index invalidation and journaling.
-        self.cache.invalidate();
+        // mutation choke point for index maintenance and journaling.
         let id = ElementId::from_raw(self.next_id);
+        self.cache.touch(id, || None);
         if let Some(j) = &mut self.journal {
             j.record(JournalOp::Create { id, prev_next_id: self.next_id });
         }
@@ -179,8 +181,8 @@ impl Model {
     }
 
     /// The model revision: a monotone counter that changes whenever the
-    /// model *may* have changed — it is bumped at every mutation choke
-    /// point and also invalidates the [`ModelIndex`](crate) cache. Two
+    /// model *may* have changed — every mutation choke point bumps it
+    /// once per element it touches, whether or not an index exists. Two
     /// reads of the same revision on the same model instance are
     /// guaranteed to observe identical content, which makes the revision a sound key
     /// for derived-artifact caches (the lifecycle's per-state weave
@@ -189,7 +191,7 @@ impl Model {
     /// so caches keyed by revision must be dropped when the model object
     /// itself is replaced.
     pub fn revision(&self) -> u64 {
-        self.cache.generation()
+        self.cache.revision()
     }
 
     fn check_name(name: &str) -> Result<()> {
@@ -200,8 +202,11 @@ impl Model {
     }
 
     fn check_duplicate(&self, owner: ElementId, kind_name: &str, name: &str) -> Result<()> {
-        let clash = self.elements.values().any(|e| {
-            e.owner() == Some(owner) && e.kind().kind_name() == kind_name && e.name() == name
+        let clash = self.index().children.get(&owner).is_some_and(|siblings| {
+            siblings.iter().any(|id| {
+                let e = &self.elements[id];
+                e.kind().kind_name() == kind_name && e.name() == name
+            })
         });
         if clash {
             Err(ModelError::DuplicateName { owner, name: name.to_owned() })
@@ -422,10 +427,7 @@ impl Model {
     pub fn add_generalization(&mut self, child: ElementId, parent: ElementId) -> Result<ElementId> {
         self.check_classifier(child)?;
         self.check_classifier(parent)?;
-        // Scan variant on purpose: during bulk construction the index is
-        // invalidated by every `add_*`, so an indexed cycle check would
-        // rebuild the whole index per edge.
-        if child == parent || self.ancestors_of_scan(parent).contains(&child) {
+        if child == parent || self.ancestors_of(parent).contains(&child) {
             return Err(ModelError::InheritanceCycle(child));
         }
         let owner = self.element(child)?.owner().unwrap_or(self.root);
@@ -498,18 +500,10 @@ impl Model {
             return Err(ModelError::RootImmutable);
         }
         self.element(id)?;
-        self.cache.invalidate();
+        let ix = self.index();
         // Collect the owned subtree.
         let mut doomed = vec![id];
-        let mut frontier = vec![id];
-        while let Some(cur) = frontier.pop() {
-            for e in self.elements.values() {
-                if e.owner() == Some(cur) && !doomed.contains(&e.id()) {
-                    doomed.push(e.id());
-                    frontier.push(e.id());
-                }
-            }
-        }
+        collect_owned(&ix, id, &mut doomed);
         // Cascade: relationships that reference doomed elements die too.
         loop {
             let mut grew = false;
@@ -537,15 +531,7 @@ impl Model {
                 if dangling {
                     doomed.push(eid);
                     // The removed relationship may itself own children.
-                    let mut frontier = vec![eid];
-                    while let Some(cur) = frontier.pop() {
-                        for e in self.elements.values() {
-                            if e.owner() == Some(cur) && !doomed.contains(&e.id()) {
-                                doomed.push(e.id());
-                                frontier.push(e.id());
-                            }
-                        }
-                    }
+                    collect_owned(&ix, eid, &mut doomed);
                     grew = true;
                 }
             }
@@ -553,13 +539,17 @@ impl Model {
                 break;
             }
         }
+        // Release the index first: the next query then patches it in
+        // place instead of copying it.
+        drop(ix);
         if let Some(j) = &mut self.journal {
             let before: Vec<Element> =
                 doomed.iter().filter_map(|d| self.elements.get(d).cloned()).collect();
             j.record(JournalOp::Remove { before });
         }
         for d in &doomed {
-            self.elements.remove(d);
+            let gone = self.elements.remove(d);
+            self.cache.touch(*d, || gone);
         }
         doomed.sort();
         Ok(doomed)
@@ -567,7 +557,7 @@ impl Model {
 
     /// Direct children (owned elements) of `id`, in id order.
     pub fn children(&self, id: ElementId) -> Vec<ElementId> {
-        self.elements.values().filter(|e| e.owner() == Some(id)).map(Element::id).collect()
+        self.index().children.get(&id).cloned().unwrap_or_default()
     }
 
     /// Fully qualified name, segments joined with `::`, starting at the
@@ -695,9 +685,12 @@ impl Model {
     /// matching [`Model::begin_journal`]. Returns the number of ops
     /// undone, or `None` when no journal is active.
     pub fn rollback_journal(&mut self) -> Option<usize> {
-        self.cache.invalidate();
         let j = self.journal.as_mut()?;
-        let (undone, finished) = j.rollback(&mut self.elements, &mut self.next_id, &mut self.name);
+        let cache = &mut self.cache;
+        let (undone, finished) =
+            j.rollback(&mut self.elements, &mut self.next_id, &mut self.name, |id, filed| {
+                cache.touch(id, || filed)
+            });
         if finished {
             self.journal = None;
         }
@@ -716,8 +709,14 @@ impl Model {
     /// journaled.
     pub fn revert(&mut self, log: UndoLog) {
         debug_assert!(self.journal.is_none(), "revert under an open journal segment");
-        self.cache.invalidate();
-        journal::unwind(log.ops.into_iter(), &mut self.elements, &mut self.next_id, &mut self.name);
+        let cache = &mut self.cache;
+        journal::unwind(
+            log.ops.into_iter(),
+            &mut self.elements,
+            &mut self.next_id,
+            &mut self.name,
+            |id, filed| cache.touch(id, || filed),
+        );
         self.next_id = next_free_id(&self.elements);
     }
 
@@ -773,6 +772,20 @@ impl Model {
         }
         model.validate()?;
         Ok(model)
+    }
+}
+
+/// Pushes every element transitively owned by `id` onto `doomed`,
+/// walking the index's owner → children table.
+fn collect_owned(ix: &ModelIndex, id: ElementId, doomed: &mut Vec<ElementId>) {
+    let mut frontier = vec![id];
+    while let Some(cur) = frontier.pop() {
+        for &child in ix.children.get(&cur).into_iter().flatten() {
+            if !doomed.contains(&child) {
+                doomed.push(child);
+                frontier.push(child);
+            }
+        }
     }
 }
 

@@ -1,8 +1,9 @@
 //! Read-only navigation and lookup helpers over a [`Model`].
 //!
 //! Each query comes in two flavours: the public method, answered from
-//! the memoized [`ModelIndex`](crate::index::ModelIndex) (built lazily,
-//! invalidated on mutation — see `index.rs`), and a `*_scan` twin
+//! the maintained [`ModelIndex`](crate::index::ModelIndex) (built on
+//! first use, then patched with the ids each mutation touched — see
+//! `index.rs`), and a `*_scan` twin
 //! preserving the original full-arena scan. The scans are the
 //! differential oracles for the property tests in
 //! `tests/index_properties.rs` and the "before" baseline for the
@@ -11,7 +12,7 @@
 
 use crate::element::{Element, ElementKind};
 use crate::id::ElementId;
-use crate::index::kind_of;
+use crate::index::{ends, kind_of, name_of};
 use crate::model::Model;
 
 impl Model {
@@ -140,7 +141,7 @@ impl Model {
 
     /// Direct parents (generalization targets) of a classifier.
     pub fn parents_of(&self, classifier: ElementId) -> Vec<ElementId> {
-        self.index().parents.get(&classifier).cloned().unwrap_or_default()
+        ends(self.index().parents.get(&classifier))
     }
 
     /// Full-scan reference for [`Model::parents_of`].
@@ -155,7 +156,7 @@ impl Model {
 
     /// Direct children (generalization sources) of a classifier.
     pub fn specializations_of(&self, classifier: ElementId) -> Vec<ElementId> {
-        self.index().specializations.get(&classifier).cloned().unwrap_or_default()
+        ends(self.index().specializations.get(&classifier))
     }
 
     /// Full-scan reference for [`Model::specializations_of`].
@@ -174,9 +175,7 @@ impl Model {
         self.index().ancestors.get(&classifier).cloned().unwrap_or_default()
     }
 
-    /// Full-scan reference for [`Model::ancestors_of`]. Also used by the
-    /// generalization-cycle check in `add_generalization`, where the
-    /// index is guaranteed stale.
+    /// Full-scan reference for [`Model::ancestors_of`].
     pub fn ancestors_of_scan(&self, classifier: ElementId) -> Vec<ElementId> {
         let mut out = Vec::new();
         let mut frontier = self.parents_of_scan(classifier);
@@ -202,7 +201,7 @@ impl Model {
 
     /// Finds the first classifier with the given simple name (id order).
     pub fn find_classifier(&self, name: &str) -> Option<ElementId> {
-        self.index().classifier_by_name.get(name).copied()
+        self.index().classifier_by_name.get(name).map(|ids| ids[0])
     }
 
     /// Full-scan reference for [`Model::find_classifier`].
@@ -212,7 +211,7 @@ impl Model {
 
     /// Finds a class by simple name.
     pub fn find_class(&self, name: &str) -> Option<ElementId> {
-        self.index().class_by_name.get(name).copied()
+        self.index().class_by_name.get(name).map(|ids| ids[0])
     }
 
     /// Full-scan reference for [`Model::find_class`].
@@ -229,7 +228,7 @@ impl Model {
             .get(&classifier)?
             .iter()
             .copied()
-            .find(|&op| crate::index::name_of(self, op) == name)
+            .find(|&op| name_of(self, op) == name)
     }
 
     /// Full-scan reference for [`Model::find_operation`].
@@ -246,7 +245,7 @@ impl Model {
             .get(&classifier)?
             .iter()
             .copied()
-            .find(|&a| crate::index::name_of(self, a) == name)
+            .find(|&a| name_of(self, a) == name)
     }
 
     /// Full-scan reference for [`Model::find_attribute`].
@@ -269,7 +268,7 @@ impl Model {
         for seg in segments {
             // Greedy per-segment resolution, exactly like the scan: the
             // first (lowest-id) child with the segment name wins.
-            cur = *ix.child_by_name.get(&cur)?.get(seg)?;
+            cur = ix.children.get(&cur)?.iter().copied().find(|&c| name_of(self, c) == seg)?;
         }
         Some(cur)
     }
@@ -283,10 +282,7 @@ impl Model {
         }
         let mut cur = self.root();
         for seg in segments {
-            cur = self
-                .children(cur)
-                .into_iter()
-                .find(|&c| self.element(c).map(|e| e.name() == seg).unwrap_or(false))?;
+            cur = self.iter().find(|e| e.owner() == Some(cur) && e.name() == seg)?.id();
         }
         Some(cur)
     }
@@ -317,12 +313,6 @@ impl Model {
             })
             .map(Element::id)
             .collect()
-    }
-
-    /// Indexed children lookup (same contract as [`Model::children`],
-    /// which remains a scan in `model.rs` because mutators use it).
-    pub fn children_indexed(&self, id: ElementId) -> Vec<ElementId> {
-        self.index().children.get(&id).cloned().unwrap_or_default()
     }
 
     /// All data types, in id order (indexed).
@@ -435,6 +425,6 @@ mod tests {
         m.apply_stereotype(b, "Remote").unwrap();
         assert_eq!(m.stereotyped("Remote"), vec![b]);
         assert_eq!(m.classes(), m.classes_scan());
-        assert_eq!(m.children_indexed(m.root()), m.children(m.root()));
+        assert_eq!(m.children(m.root()), vec![b]);
     }
 }

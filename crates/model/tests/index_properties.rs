@@ -1,12 +1,13 @@
-//! Differential property tests for the memoized [`ModelIndex`]: after an
+//! Differential property tests for the maintained model index: after an
 //! arbitrary sequence of API-level mutations (including removals,
-//! renames via `element_mut`, stereotypes, associations and
-//! generalizations), every indexed query must answer exactly like its
-//! `*_scan` full-scan twin — same elements, same order. Queries are also
-//! interleaved *between* mutations, so a stale cache (a missing
-//! generation bump) shows up as a divergence.
+//! renames via `element_mut` and `set_name`, stereotypes, associations,
+//! generalizations, journal rollbacks and reverts of committed undo
+//! logs), every indexed query must answer exactly like its `*_scan`
+//! full-scan twin — same elements, same order. Queries are also
+//! interleaved *between* mutations, so an index patch that misses a
+//! touched id shows up as a divergence.
 
-use comet_model::{AssociationEnd, ElementId, Model, Primitive};
+use comet_model::{AssociationEnd, ElementId, Model, Primitive, UndoLog};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -23,8 +24,13 @@ enum Op {
     Stereotype(u8, String),
     Rename(u8, String),
     Remove(u8),
-    // Interleaved query: forces an index build mid-sequence so later
-    // mutations must invalidate it.
+    SetName(String),
+    Begin,
+    Commit,
+    Rollback,
+    Revert,
+    // Interleaved query: forces an index build or patch mid-sequence so
+    // later mutations must be patched in too.
     QueryNow,
 }
 
@@ -42,6 +48,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (any::<u8>(), "[a-z]{1,6}").prop_map(|(c, s)| Op::Stereotype(c, s)),
         (any::<u8>(), "[a-z]{2,6}").prop_map(|(c, s)| Op::Rename(c, s)),
         any::<u8>().prop_map(Op::Remove),
+        "[a-z]{2,6}".prop_map(Op::SetName),
+        Just(Op::Begin),
+        Just(Op::Commit),
+        Just(Op::Rollback),
+        Just(Op::Revert),
         Just(Op::QueryNow),
     ]
 }
@@ -56,11 +67,19 @@ fn pick(ids: &[ElementId], idx: u8) -> Option<ElementId> {
 
 /// Applies the ops; at each `QueryNow` runs a few indexed queries (to
 /// populate the cache mid-sequence) and returns the final model.
+/// `Revert` steps back over the newest committed journal not yet
+/// reverted; a mutation made outside any journal drops the pending
+/// logs, since they no longer describe the model's newest steps.
 fn apply_ops(ops: &[Op]) -> Model {
     let mut m = Model::new("prop");
     let mut counter = 0usize;
+    let mut logs: Vec<UndoLog> = Vec::new();
     for op in ops {
         let classifiers = m.classifiers();
+        let journals = matches!(op, Op::Begin | Op::Commit | Op::Rollback | Op::Revert);
+        if !journals && !m.journal_active() {
+            logs.clear();
+        }
         match op {
             Op::AddClass => {
                 counter += 1;
@@ -140,9 +159,26 @@ fn apply_ops(ops: &[Op]) -> Model {
                     let _ = m.remove_element(cl);
                 }
             }
+            Op::SetName(s) => m.set_name(s.as_str()),
+            Op::Begin => m.begin_journal(),
+            Op::Commit => {
+                if let Some((_, Some(log))) = m.commit_journal() {
+                    logs.push(log);
+                }
+            }
+            Op::Rollback => {
+                let _ = m.rollback_journal();
+            }
+            Op::Revert => {
+                if !m.journal_active() {
+                    if let Some(log) = logs.pop() {
+                        m.revert(log);
+                    }
+                }
+            }
             Op::QueryNow => {
-                // Touch the index so a later missing invalidation would
-                // leave this build stale.
+                // Query the index so a later mutation the patch misses
+                // leaves it stale.
                 let _ = m.classes();
                 let _ = m.stereotyped("hot");
             }
@@ -184,7 +220,9 @@ fn assert_index_matches_scans(m: &Model) -> Result<(), TestCaseError> {
         prop_assert_eq!(m.specializations_of(id), m.specializations_of_scan(id));
         prop_assert_eq!(m.ancestors_of(id), m.ancestors_of_scan(id));
         prop_assert_eq!(m.associations_of(id), m.associations_of_scan(id));
-        prop_assert_eq!(m.children_indexed(id), m.children(id));
+        let children: Vec<ElementId> =
+            m.iter().filter(|e| e.owner() == Some(id)).map(|e| e.id()).collect();
+        prop_assert_eq!(m.children(id), children);
         let name = m.element(id).expect("live id").name().to_owned();
         prop_assert_eq!(m.find_classifier(&name), m.find_classifier_scan(&name));
         prop_assert_eq!(m.find_class(&name), m.find_class_scan(&name));
@@ -242,7 +280,7 @@ proptest! {
         prop_assert_eq!(m.classifiers(), copy.classifiers());
         for id in m.iter().map(|e| e.id()) {
             prop_assert_eq!(m.ancestors_of(id), copy.ancestors_of(id));
-            prop_assert_eq!(m.children_indexed(id), copy.children_indexed(id));
+            prop_assert_eq!(m.children(id), copy.children(id));
         }
         assert_index_matches_scans(&copy)?;
     }
