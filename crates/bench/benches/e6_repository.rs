@@ -2,8 +2,8 @@
 //! undo/redo, structural diff, and the colors report.
 
 use comet_bench::synthetic;
-use comet_model::Model;
-use comet_repo::{diff_models, ColorReport, Repository};
+use comet_model::{Model, ModelDelta};
+use comet_repo::{ColorReport, Repository};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
@@ -50,7 +50,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("diff", classes),
             &(model.clone(), modified.clone()),
-            |b, (m1, m2)| b.iter(|| diff_models(black_box(m1), black_box(m2))),
+            |b, (m1, m2)| b.iter(|| ModelDelta::between(black_box(m1), black_box(m2))),
         );
 
         group.bench_with_input(BenchmarkId::new("colors_report", classes), &modified, |b, m| {

@@ -135,6 +135,8 @@ fn main() {
     let woven = Weaver::new(weaver_aspects(ASPECTS)).weave(&functional).expect("weaves").program;
     let concerns: Vec<String> =
         ["distribution", "transactions", "security"].map(str::to_owned).to_vec();
+    // Stands in for the lifecycle's steps fingerprint (concerns + `Si`).
+    let steps = comet_obs::fnv1a64(concerns.join("\0").as_bytes());
     let input = GenInput {
         model: &model,
         functional: &functional,
@@ -151,25 +153,27 @@ fn main() {
 
         // Sanity: the hit is byte-identical to the cold render.
         let mut probe = GenCache::new();
-        let (cold_artifact, miss) = probe.render(generator, &input, content_hash);
+        let (cold_artifact, miss) = probe.render(generator, &input, content_hash, steps);
         assert!(!miss, "fresh cache must miss");
-        let (warm_artifact, hit) = probe.render(generator, &input, content_hash);
+        let (warm_artifact, hit) = probe.render(generator, &input, content_hash, steps);
         assert!(hit, "repeat render must hit");
         assert_eq!(cold_artifact, warm_artifact, "{backend}: hit diverged from cold render");
 
         eprintln!("timing {backend} cold render ...");
         let cold = median_secs(|| {
             let mut cache = GenCache::new();
-            let (artifact, was_hit) = cache.render(generator, black_box(&input), content_hash);
+            let (artifact, was_hit) =
+                cache.render(generator, black_box(&input), content_hash, steps);
             assert!(!was_hit);
             black_box(artifact);
         });
 
         eprintln!("timing {backend} cache hit ...");
         let mut cache = GenCache::new();
-        cache.render(generator, &input, content_hash);
+        cache.render(generator, &input, content_hash, steps);
         let hit = median_secs(|| {
-            let (artifact, was_hit) = cache.render(generator, black_box(&input), content_hash);
+            let (artifact, was_hit) =
+                cache.render(generator, black_box(&input), content_hash, steps);
             assert!(was_hit);
             black_box(artifact);
         });

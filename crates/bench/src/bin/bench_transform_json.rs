@@ -25,7 +25,7 @@
 use comet::MdaLifecycle;
 use comet_bench::synthetic;
 use comet_model::{Model, UndoLog};
-use comet_repo::{CommitDelta, Repository};
+use comet_repo::Repository;
 use comet_transform::{
     specialize, ConcreteTransformation, ParamSet, ParamValue, TransformError, TransformationBuilder,
 };
@@ -82,10 +82,8 @@ fn apply_and_commit(
     repo: &mut Repository,
 ) -> UndoLog {
     model.begin_journal();
-    let report = cmt.apply(model).expect("applies");
+    let delta = cmt.apply(model).expect("applies");
     let (_, log) = model.commit_journal().expect("journal opened above");
-    let delta =
-        CommitDelta { created: report.created, modified: report.modified, removed: report.removed };
     repo.commit_with_delta(model, &cmt.full_name(), None, delta).expect("commits");
     log.expect("outermost segment")
 }

@@ -7,12 +7,12 @@ use comet_codegen::{
 };
 use comet_gen::{Backend, GenCache, GenInput, GeneratorFactory};
 use comet_middleware::{FaultHook, MiddlewareError};
-use comet_model::{Model, UndoLog};
+use comet_model::{Model, ModelDelta, UndoLog};
+use comet_obs::{fnv1a64, fnv1a64_extend};
 use comet_repo::{
-    ColorReport, Commit, CommitDelta, CommitId, DurableRepository, RecoveryReport, RepoError,
-    Repository,
+    ColorReport, Commit, CommitId, DurableRepository, RecoveryReport, RepoError, Repository,
 };
-use comet_transform::{ApplyReport, ConcreteTransformation, ParamSet, TransformError};
+use comet_transform::{ConcreteTransformation, ParamSet, TransformError};
 use comet_workflow::{WorkflowBuildError, WorkflowEngine, WorkflowError, WorkflowModel};
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -120,7 +120,7 @@ pub struct AppliedConcern {
     /// The concrete aspect (CA_Ci), generated from the same `Si`.
     pub aspect: Aspect,
     /// The model delta of the application.
-    pub report: ApplyReport,
+    pub report: ModelDelta,
 }
 
 /// Everything the code-generation phase produces. The products of the
@@ -180,7 +180,7 @@ impl RepoBackend {
         model: &Model,
         message: &str,
         concern: Option<&str>,
-        delta: CommitDelta,
+        delta: ModelDelta,
     ) -> Result<CommitId, RepoError> {
         match self {
             RepoBackend::Memory(r) => r.commit_with_delta(model, message, concern, delta),
@@ -203,30 +203,49 @@ impl RepoBackend {
     }
 }
 
-/// The weave half of the lifecycle's incrementality state: a [`Weaver`]
-/// over one aspect list (its aspect names in precedence order are the
-/// fingerprint — applying or undoing a concern changes them and forces
-/// a rebuild), plus the products of the last `generate`, which live and
-/// die with it.
+/// The private bookkeeping of one applied step, parallel to
+/// [`AppliedConcern`].
 #[derive(Debug)]
-struct WeaveCacheState {
-    weaver: Weaver,
-    products: Option<StateProducts>,
+struct StepState {
+    /// The step's change-journal inverse ops for an in-place undo;
+    /// `None` for steps rebuilt by `recover`.
+    revert: Option<UndoLog>,
+    /// [`steps_fingerprint`] of the steps up to and including this one.
+    fingerprint: u64,
+}
+
+impl StepState {
+    /// The state of step `cmt` applied on top of `below`.
+    fn new(revert: Option<UndoLog>, below: &[StepState], cmt: &ConcreteTransformation) -> Self {
+        let mut fingerprint = steps_fingerprint(below);
+        for part in [cmt.concern(), &cmt.full_name()] {
+            fingerprint = fnv1a64_extend(fnv1a64_extend(fingerprint, part.as_bytes()), b"\0");
+        }
+        StepState { revert, fingerprint }
+    }
+}
+
+/// FNV-1a over `concern\0full_name\0` of each step in order: the
+/// applied steps, each concern with its `Si`, as a cache-key component.
+fn steps_fingerprint(steps: &[StepState]) -> u64 {
+    steps.last().map_or(fnv1a64(b""), |s| s.fingerprint)
 }
 
 /// What `generate` derives from one lifecycle state before any backend
-/// renders: a pure function of the model, the aspect list and the
-/// method bodies. Valid while the model stays at `key.0` (its revision)
-/// and the caller's bodies have fingerprint `key.1`; the aspect list is
-/// pinned by the enclosing [`WeaveCacheState`].
+/// renders: a pure function of the model, the applied steps and the
+/// method bodies, so it is valid while
+/// `key = (content hash, steps fingerprint, bodies fingerprint)` holds.
 #[derive(Debug)]
 struct StateProducts {
-    key: (u64, u64),
+    key: (u64, u64, u64),
+    /// The weaver over the state's aspects; a traced memo hit records
+    /// its weave spans through it.
+    weaver: Weaver,
     functional: Arc<Program>,
     functional_source: Arc<str>,
     aspect_sources: Arc<[(String, String)]>,
     weave: Arc<WeaveResult>,
-    /// Applied concern names in precedence order (the cache key's list).
+    /// Applied concern names in precedence order (the generators' input).
     concerns: Vec<String>,
 }
 
@@ -238,30 +257,35 @@ struct StateProducts {
 /// [`ConcreteTransformation::apply_traced`], which evaluates each pre-
 /// and postcondition afresh. [`MdaLifecycle::generate`] memoizes the
 /// last call's products — functional program and source, aspect
-/// sources, woven result — keyed by the model revision and the bodies'
-/// fingerprint, under the applied aspect list. A repeated `generate` at
-/// an unchanged state reuses them outright and pays only the artifact
+/// sources, woven result — keyed by the model's content hash, the
+/// applied steps' fingerprint (each concern with its specialisation
+/// `Si`) and the bodies' fingerprint. A repeated `generate` at an
+/// unchanged state reuses them outright and pays only the artifact
 /// lookup; any other call generates and weaves the whole program with
-/// [`Weaver::weave`].
+/// [`Weaver::weave`]. The memo holds one state: a `generate` at any
+/// other state replaces it.
 ///
 /// [`MdaLifecycle::undo_last`] reverts the undone step's change journal
-/// in place and drops the weave cache: the aspect list shrank, and a
-/// decoding undo (see `undo_last`) restarts the revision counter the
-/// memo is keyed by. Results are byte-identical to a cold weave and
-/// render in every case.
+/// in place. Both caches are keyed by content, never by a revision
+/// counter, so an undo needs no cache reset: a restored state re-hits
+/// what was cached for it. Results are byte-identical to a cold weave
+/// and render in every case.
 ///
 /// The lifecycle is the repository's only writer, so its model always
-/// equals the repository's visible head commit. The generation cache
-/// keys on that commit's hash and [`MdaLifecycle::snapshot_xmi`]
-/// returns its bytes, so neither read exports the model.
+/// equals the repository's visible head commit. Both caches key on that
+/// commit's hash and [`MdaLifecycle::snapshot_xmi`] returns its bytes,
+/// so no read exports the model.
 #[derive(Debug)]
 pub struct MdaLifecycle {
     model: Model,
     repo: RepoBackend,
     workflow: WorkflowEngine,
     applied: Vec<AppliedConcern>,
+    /// Parallel to `applied`.
+    steps: Vec<StepState>,
     obs: comet_obs::Collector,
-    weave_cache: RefCell<Option<WeaveCacheState>>,
+    /// The products of the last `generate`.
+    products: RefCell<Option<StateProducts>>,
     /// Weave-cache hits/misses, counted unconditionally (unlike the
     /// `Collector` counters, which exist only when tracing is on) so
     /// serving hosts can bridge them into metrics.
@@ -270,13 +294,10 @@ pub struct MdaLifecycle {
     /// The per-lifecycle backend registry every `generate` dispatches
     /// through — one factory per tenant in the serving stack.
     factory: GeneratorFactory,
-    /// Content-addressed artifact cache over `(content hash, bodies
-    /// fingerprint, backend, concern list)`; its own hit/miss counters
-    /// feed [`MdaLifecycle::gen_cache_stats`].
+    /// Content-addressed artifact cache over `(content hash, steps
+    /// fingerprint, bodies fingerprint, backend)`; its own hit/miss
+    /// counters feed [`MdaLifecycle::gen_cache_stats`].
     gen_cache: RefCell<GenCache>,
-    /// Parallel to `applied`: each step's change-journal inverse ops
-    /// for an in-place undo, `None` for steps rebuilt by `recover`.
-    reverts: Vec<Option<UndoLog>>,
 }
 
 impl MdaLifecycle {
@@ -290,7 +311,7 @@ impl MdaLifecycle {
         let engine = WorkflowEngine::try_new(workflow)?;
         let mut repo = Repository::new(format!("{}-models", pim.name()));
         repo.commit(&pim, "initial PIM", None)?;
-        Ok(Self::assemble(pim, RepoBackend::Memory(repo), engine, Vec::new()))
+        Ok(Self::assemble(pim, RepoBackend::Memory(repo), engine, Vec::new(), Vec::new()))
     }
 
     /// Starts a lifecycle whose repository journals every operation to
@@ -310,7 +331,7 @@ impl MdaLifecycle {
         let engine = WorkflowEngine::try_new(workflow)?;
         let mut repo = DurableRepository::create(dir, &format!("{}-models", pim.name()))?;
         repo.commit(&pim, "initial PIM", None)?;
-        Ok(Self::assemble(pim, RepoBackend::Durable(repo), engine, Vec::new()))
+        Ok(Self::assemble(pim, RepoBackend::Durable(repo), engine, Vec::new(), Vec::new()))
     }
 
     /// Rebuilds a lifecycle from the durable journal in `dir`:
@@ -364,12 +385,13 @@ impl MdaLifecycle {
             )));
         }
         let mut applied = Vec::new();
-        let steps: Vec<(String, CommitDelta)> = repo
+        let mut steps: Vec<StepState> = Vec::new();
+        let journalled: Vec<(String, ModelDelta)> = repo
             .log()
             .iter()
             .filter_map(|c| c.concern.clone().map(|n| (n, c.delta.clone().unwrap_or_default())))
             .collect();
-        for (concern, delta) in steps {
+        for (concern, delta) in journalled {
             let (pair, si) = resolve(&concern).ok_or_else(|| {
                 LifecycleError::Recovery(format!(
                     "no resolver entry for journalled concern `{concern}`"
@@ -377,14 +399,10 @@ impl MdaLifecycle {
             })?;
             let (cmt, aspect) = pair.specialize(si)?;
             engine.record(&concern)?;
-            let report = ApplyReport {
-                created: delta.created,
-                modified: delta.modified,
-                removed: delta.removed,
-            };
-            applied.push(AppliedConcern { cmt, aspect, report });
+            steps.push(StepState::new(None, &steps, &cmt));
+            applied.push(AppliedConcern { cmt, aspect, report: delta });
         }
-        Ok((Self::assemble(model, RepoBackend::Durable(repo), engine, applied), report))
+        Ok((Self::assemble(model, RepoBackend::Durable(repo), engine, applied, steps), report))
     }
 
     /// Builds the lifecycle around `model`, which must equal `repo`'s
@@ -394,16 +412,16 @@ impl MdaLifecycle {
         repo: RepoBackend,
         workflow: WorkflowEngine,
         applied: Vec<AppliedConcern>,
+        steps: Vec<StepState>,
     ) -> Self {
-        let reverts = applied.iter().map(|_| None).collect();
         MdaLifecycle {
             model,
             repo,
             workflow,
             applied,
-            reverts,
+            steps,
             obs: comet_obs::Collector::disabled(),
-            weave_cache: RefCell::new(None),
+            products: RefCell::new(None),
             weave_hits: Cell::new(0),
             weave_misses: Cell::new(0),
             factory: GeneratorFactory::with_standard_backends(),
@@ -562,20 +580,18 @@ impl MdaLifecycle {
                 return Err(e.into());
             }
         };
-        let delta = CommitDelta {
-            created: report.created.clone(),
-            modified: report.modified.clone(),
-            removed: report.removed.clone(),
-        };
-        if let Err(e) =
-            self.repo.commit_with_delta(&self.model, &cmt.full_name(), Some(pair.concern()), delta)
-        {
+        if let Err(e) = self.repo.commit_with_delta(
+            &self.model,
+            &cmt.full_name(),
+            Some(pair.concern()),
+            report.clone(),
+        ) {
             self.model.rollback_journal();
             self.workflow.unrecord(pair.concern());
             return Err(e.into());
         }
         let (_, log) = self.model.commit_journal().expect("the step's segment is open");
-        self.reverts.push(log);
+        self.steps.push(StepState::new(log, &self.steps, &cmt));
         self.applied.push(AppliedConcern { cmt, aspect, report });
         Ok(self.applied.last().expect("just pushed"))
     }
@@ -606,7 +622,7 @@ impl MdaLifecycle {
         };
         // Both repository steps are atomic — the head position does not
         // move on error — so nothing needs compensating here.
-        let decoded = if matches!(self.reverts.last(), Some(Some(_))) {
+        let decoded = if self.steps.last().is_some_and(|s| s.revert.is_some()) {
             self.repo.undo_head().ok_or(LifecycleError::NothingToUndo)??;
             None
         } else {
@@ -617,17 +633,11 @@ impl MdaLifecycle {
         // remaining prefix of a recorded sequence stays valid.
         self.workflow.unrecord(last.cmt.concern());
         self.applied.pop();
-        let log = self.reverts.pop().flatten();
+        let log = self.steps.pop().and_then(|s| s.revert);
         match decoded {
             Some(model) => self.model = model,
             None => self.model.revert(log.expect("chosen to revert above")),
         }
-        // Generation-cache entries are content-addressed and stay: the
-        // restored state re-hits the artifacts rendered before the
-        // undone step. The weave cache is keyed by the aspect list,
-        // which just shrank, and by the revision, which a decoded model
-        // restarted.
-        *self.weave_cache.borrow_mut() = None;
         Ok(())
     }
 
@@ -645,9 +655,9 @@ impl MdaLifecycle {
     /// hits/misses surface as `gen.cache.hit|miss` trace counters and
     /// via [`MdaLifecycle::gen_cache_stats`]).
     ///
-    /// At an unchanged state (same revision, same bodies) everything
-    /// before the backend render is reused from the previous call; a
-    /// traced call still records the same spans and counters.
+    /// At an unchanged state (same content, same steps, same bodies)
+    /// everything before the backend render is reused from the previous
+    /// call; a traced call still records the same spans and counters.
     ///
     /// # Errors
     /// Propagates weaving failures.
@@ -658,8 +668,8 @@ impl MdaLifecycle {
     ) -> Result<GeneratedSystem, LifecycleError> {
         let obs = &self.obs;
         let phase = obs.begin_span("lifecycle", "generate", 0);
-        let mut cache = self.weave_cache.borrow_mut();
-        let products = match self.state_products(&mut cache, bodies) {
+        let mut memo = self.products.borrow_mut();
+        let products = match self.state_products(&mut memo, bodies) {
             Ok(products) => products,
             Err(e) => {
                 if obs.is_enabled() {
@@ -670,9 +680,7 @@ impl MdaLifecycle {
             }
         };
         // Backend dispatch through the per-lifecycle factory, behind
-        // the content-addressed cache: key = (model content hash,
-        // bodies fingerprint, backend id, applied concerns in
-        // precedence order).
+        // the content-addressed cache.
         let generator =
             self.factory.get(backend).expect("standard factory registers every Backend variant");
         let input = GenInput {
@@ -682,8 +690,9 @@ impl MdaLifecycle {
             concerns: &products.concerns,
             bodies,
         };
+        let (content, steps, _) = products.key;
         let (artifact, cache_hit) =
-            self.gen_cache.borrow_mut().render(generator, &input, self.content_hash());
+            self.gen_cache.borrow_mut().render(generator, &input, content, steps);
         if obs.is_enabled() {
             obs.incr(if cache_hit { "gen.cache.hit" } else { "gen.cache.miss" }, 1);
         }
@@ -699,29 +708,20 @@ impl MdaLifecycle {
     }
 
     /// The backend-independent products of the current state, from
-    /// the memo in the weave cache state when the model and bodies are
-    /// unchanged since the last `generate`, computed (and memoized)
-    /// otherwise.
+    /// the memo when it was computed for this state, computed (and
+    /// memoized) otherwise.
     fn state_products<'c>(
         &self,
-        cache: &'c mut Option<WeaveCacheState>,
+        slot: &'c mut Option<StateProducts>,
         bodies: &BodyProvider,
     ) -> Result<&'c StateProducts, WeaveError> {
         let obs = &self.obs;
-        let names = self.applied.iter().map(|a| &a.aspect.name);
-        if !cache
-            .as_ref()
-            .is_some_and(|state| state.weaver.aspects().iter().map(|a| &a.name).eq(names))
-        {
-            *cache = Some(WeaveCacheState { weaver: Weaver::new(self.aspects()), products: None });
-        }
-        let state = cache.as_mut().expect("just ensured");
-        let key = (self.model.revision(), bodies.fingerprint());
-        let mut memo = state.products.take().filter(|p| p.key == key);
+        let key = (self.content_hash(), steps_fingerprint(&self.steps), bodies.fingerprint());
+        let mut memo = slot.take().filter(|p| p.key == key);
         if !obs.is_enabled() {
             if let Some(products) = memo.take() {
                 self.weave_hits.set(self.weave_hits.get() + 1);
-                return Ok(state.products.insert(products));
+                return Ok(slot.insert(products));
             }
         }
         // Traced, a memo hit walks the same phases as a cold call so the
@@ -735,11 +735,16 @@ impl MdaLifecycle {
             obs.span_attr(fspan, "classes", &functional.classes.len().to_string());
         }
         obs.end_span(fspan, 0);
+        let mut fresh = None;
+        let weaver = match &memo {
+            Some(p) => &p.weaver,
+            None => &*fresh.insert(Weaver::new(self.aspects())),
+        };
         let weave = match &memo {
             Some(p) => Arc::clone(&p.weave),
-            None => Arc::new(state.weaver.weave(&functional)?),
+            None => Arc::new(weaver.weave(&functional)?),
         };
-        state.weaver.record_trace(&weave, obs);
+        weaver.record_trace(&weave, obs);
         let total = functional.classes.len() as u64;
         let (counter, rewoven) = if memo.is_some() {
             self.weave_hits.set(self.weave_hits.get() + 1);
@@ -770,13 +775,14 @@ impl MdaLifecycle {
         obs.end_span(rspan, 0);
         let products = memo.unwrap_or_else(|| StateProducts {
             key,
+            weaver: fresh.expect("built on a miss"),
             functional_source: pretty_print(&functional).into(),
             functional,
             aspect_sources,
             weave,
             concerns: self.applied.iter().map(|a| a.cmt.concern().to_owned()).collect(),
         });
-        Ok(state.products.insert(products))
+        Ok(slot.insert(products))
     }
 
     /// The baseline the paper argues against: one monolithic generator
@@ -1083,6 +1089,26 @@ mod tests {
         assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().woven(), &oracle(&mda));
         // And a repeat at an unchanged model is still the same bytes.
         assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap().woven(), &oracle(&mda));
+    }
+
+    #[test]
+    fn the_memo_is_keyed_by_state_not_by_history() {
+        let bodies = BodyProvider::default();
+        let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
+        mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
+        let first = mda.generate(&bodies, Backend::JavaFunctional).unwrap();
+        // A rolled-back apply leaves the state, and so the memo, as is.
+        let bad_si =
+            ParamSet::new().with("methods", ParamValue::from(vec!["Bank.launder".to_owned()]));
+        assert!(mda.apply_concern(&transactions::pair(), bad_si).is_err());
+        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap(), first);
+        assert_eq!(mda.weave_cache_stats(), (1, 1));
+        // Undo and re-apply the same step with no generate between: the
+        // state is the memo's again.
+        mda.undo_last().unwrap();
+        mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
+        assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap(), first);
+        assert_eq!(mda.weave_cache_stats(), (2, 1));
     }
 
     #[test]

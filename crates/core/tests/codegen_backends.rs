@@ -13,12 +13,13 @@ use comet::{
     run_banking_serve, run_banking_serve_cfg, Backend, GenInput, GeneratedSystem, GeneratorFactory,
     MdaLifecycle,
 };
-use comet_aop::Weaver;
-use comet_aspectgen::{AspectBackend, AspectJBackend, ConcernPair};
-use comet_codegen::{pretty_print, FunctionalGenerator};
+use comet_aop::{parse_pointcut, Advice, AdviceKind, Weaver};
+use comet_aspectgen::{AspectBackend, AspectBuilder, AspectJBackend, ConcernPair};
+use comet_codegen::marks::intrinsics;
+use comet_codegen::{pretty_print, Block, Expr, FunctionalGenerator, Stmt};
 use comet_obs::fnv1a64;
 use comet_serve::{RunConfig, ServeError, WorkloadPlan, WorkloadPlanError};
-use comet_transform::{ParamSet, ParamValue};
+use comet_transform::{ParamSchema, ParamSet, ParamValue, TransformationBuilder};
 use comet_workflow::WorkflowModel;
 use comet_xmi::export_model;
 use proptest::prelude::*;
@@ -164,6 +165,55 @@ fn cached_artifacts_match_direct_renders_and_rehit_after_undo() {
     let undone = mda.generate(&banking_bodies(), Backend::RustSkeleton).unwrap();
     assert_ne!(first.artifact, undone.artifact);
     assert_eq!(undone, direct_system(mda, Backend::RustSkeleton));
+}
+
+/// An `audit` concern whose aspect logs the `Si` value `msg` on entry
+/// to `Bank.transfer`, while its CMT only stereotypes `Bank`: two
+/// specialisations leave identical model content but weave different
+/// advice.
+fn audit_pair() -> ConcernPair {
+    let schema = || ParamSchema::new().string("msg", true, None);
+    let gmt = TransformationBuilder::new("audit", "audit")
+        .schema(schema())
+        .body(|model, _| {
+            let bank = model.find_class("Bank").expect("the banking PIM has Bank");
+            model.apply_stereotype(bank, "Audited")?;
+            Ok(())
+        })
+        .build();
+    let ga = AspectBuilder::new("audit-aspect", "audit")
+        .schema(schema())
+        .advice_fn(|params| {
+            let log = Expr::intrinsic(
+                intrinsics::LOG_EMIT,
+                vec![Expr::str("info"), Expr::str(params.str("msg")?)],
+            );
+            let pc = parse_pointcut("execution(Bank.transfer)").expect("valid pointcut");
+            Ok(vec![Advice::new(AdviceKind::Before, pc, Block::of(vec![Stmt::Expr(log)]))])
+        })
+        .build();
+    ConcernPair::new(gmt, ga)
+}
+
+#[test]
+fn re_specialised_step_at_unchanged_content_is_rendered_afresh() {
+    let workflow = WorkflowModel::new("audit").step("audit", false);
+    let mut mda = MdaLifecycle::new(executable_banking_pim(), workflow).unwrap();
+    let si = |msg: &str| ParamSet::new().with("msg", ParamValue::from(msg));
+    let bodies = banking_bodies();
+    mda.apply_concern(&audit_pair(), si("ALPHA")).unwrap();
+    for backend in Backend::ALL {
+        mda.generate(&bodies, backend).unwrap();
+    }
+    let alpha_content = mda.content_hash();
+    mda.undo_last().unwrap();
+    mda.apply_concern(&audit_pair(), si("BETA")).unwrap();
+    assert_eq!(mda.content_hash(), alpha_content, "`msg` never reaches the model");
+    for backend in Backend::ALL {
+        let system = mda.generate(&bodies, backend).unwrap();
+        assert!(!system.artifact.contains("ALPHA"), "{backend}: served the ALPHA step's artifact");
+        assert_eq!(system, direct_system(&mda, backend), "{backend}");
+    }
 }
 
 proptest! {

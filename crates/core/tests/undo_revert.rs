@@ -12,11 +12,17 @@
 //! * every backend's `generate` output is byte-identical to a twin
 //!   lifecycle that undid by decoding — a durable twin recovered from
 //!   its journal right before each undo, so it holds no undo log.
+//!
+//! After every op, each visible step's three records of its change
+//! agree: the delta the lifecycle reports (`applied()[i].report`), the
+//! delta its commit stores, and `ModelDelta::between` of the parent and
+//! child checkouts.
 
 use comet::{Backend, MdaLifecycle};
 use comet_aspectgen::ConcernPair;
 use comet_codegen::BodyProvider;
 use comet_model::sample::banking_pim;
+use comet_model::{Model, ModelDelta};
 use comet_transform::{ParamSet, ParamValue};
 use comet_workflow::WorkflowModel;
 use comet_xmi::import_model;
@@ -125,6 +131,23 @@ fn step(mda: &mut MdaLifecycle, op: &Op) {
     }
 }
 
+/// Checks that every visible step's reported delta and its commit's
+/// stored delta both equal the sweep between its parent and child
+/// checkouts.
+fn check_step_deltas(mda: &MdaLifecycle, op: usize) -> Result<(), TestCaseError> {
+    let repo = mda.repository();
+    let log = repo.log();
+    prop_assert_eq!(log.len(), mda.applied().len() + 1, "op {}: one commit per step", op);
+    let models: Vec<Model> =
+        log.iter().map(|c| repo.checkout(c.id).expect("snapshot decodes")).collect();
+    for (k, applied) in mda.applied().iter().enumerate() {
+        let swept = ModelDelta::between(&models[k], &models[k + 1]);
+        prop_assert_eq!(&applied.report, &swept, "op {}: step {} report", op, k);
+        prop_assert_eq!(log[k + 1].delta.as_ref(), Some(&swept), "op {}: step {} commit", op, k);
+    }
+    Ok(())
+}
+
 /// Runs `ops` on `subject` beside a twin that undoes by decoding,
 /// checking the undo contract after every undo. With `recover_at =
 /// (i, dir)`, the subject is recovered from its journal in `dir` before
@@ -153,6 +176,7 @@ fn check_against_decoding_twin(
         step(&mut subject, op);
         step(&mut twin, op);
         prop_assert_eq!(subject.model(), twin.model(), "op {}: models diverged", i);
+        check_step_deltas(&subject, i)?;
         if !matches!(op, Op::Undo) {
             continue;
         }

@@ -1,22 +1,26 @@
 //! The content-addressed generation cache. Artifacts are keyed by
 //! *what was generated from what*: the model's content hash, a
-//! fingerprint of the supplied method bodies (the remaining
-//! caller-controlled input a render depends on), the backend id, and
-//! the applied-concern list in precedence order. Content addressing
-//! makes the cache immune to lying revision counters — two models with
-//! identical content share entries, and an `undo` that restores an
-//! earlier snapshot re-hits the artifact rendered before the edit.
+//! fingerprint of the applied steps, a fingerprint of the supplied
+//! method bodies, and the backend id. Content addressing makes the
+//! cache immune to lying revision counters — two models with identical
+//! content share entries, and an `undo` that restores an earlier
+//! snapshot re-hits the artifact rendered before the edit.
 //!
-//! The content hash is the caller's: FNV-1a over the model's canonical
-//! XMI export, which the lifecycle already holds for the repository
-//! commit its model equals, so a lookup never exports the model.
+//! Both the content hash and the steps fingerprint are the caller's.
+//! The content hash is FNV-1a over the model's canonical XMI export,
+//! which the lifecycle already holds for the repository commit its
+//! model equals, so a lookup never exports the model. The steps
+//! fingerprint covers each applied concern *with its specialisation
+//! `Si`*: an aspect is a function of both, and an `Si` value the
+//! transformation never writes to the model still shapes the woven
+//! program.
 
 use crate::{GenInput, Generator};
 use std::collections::BTreeMap;
 
-/// Cache key: (content hash, bodies fingerprint, backend id, applied
-/// concerns in order).
-type CacheKey = (u64, u64, &'static str, Vec<String>);
+/// Cache key: (content hash, steps fingerprint, bodies fingerprint,
+/// backend id).
+type CacheKey = (u64, u64, u64, &'static str);
 
 /// Content-addressed artifact cache: a `Generate` against unchanged
 /// content costs one map lookup instead of a render.
@@ -35,17 +39,18 @@ impl GenCache {
 
     /// Renders `input` through `generator`, consulting the cache first.
     /// `content_hash` must be FNV-1a over the canonical XMI export of
-    /// `input.model`. Returns the artifact and whether it was a cache
-    /// hit. A hit is byte-identical to the cold render that populated
-    /// the entry.
+    /// `input.model`, and `steps` must fingerprint the applied concerns
+    /// with their `Si`, in precedence order. Returns the artifact and
+    /// whether it was a cache hit. A hit is byte-identical to the cold
+    /// render that populated the entry.
     pub fn render(
         &mut self,
         generator: &dyn Generator,
         input: &GenInput<'_>,
         content_hash: u64,
+        steps: u64,
     ) -> (String, bool) {
-        let key =
-            (content_hash, input.bodies.fingerprint(), generator.id(), input.concerns.to_vec());
+        let key = (content_hash, steps, input.bodies.fingerprint(), generator.id());
         if let Some(artifact) = self.entries.get(&key) {
             self.hits += 1;
             return (artifact.clone(), true);
@@ -80,6 +85,9 @@ mod tests {
     use comet_model::sample::banking_pim;
     use comet_model::Model;
 
+    /// The steps fingerprint a caller passes in.
+    const STEPS: u64 = 1;
+
     /// The content hash a caller passes in: FNV-1a over the export.
     fn hash(model: &Model) -> u64 {
         comet_obs::fnv1a64(comet_xmi::export_model(model).as_bytes())
@@ -109,9 +117,9 @@ mod tests {
         for backend in Backend::ALL {
             let generator = factory.get(backend).expect("registered");
             let gen_input = input(&model, &program, &concerns, &bodies);
-            let (cold, hit0) = cache.render(generator, &gen_input, hash(&model));
+            let (cold, hit0) = cache.render(generator, &gen_input, hash(&model), STEPS);
             assert!(!hit0, "first render must miss");
-            let (warm, hit1) = cache.render(generator, &gen_input, hash(&model));
+            let (warm, hit1) = cache.render(generator, &gen_input, hash(&model), STEPS);
             assert!(hit1, "second render must hit");
             assert_eq!(cold, warm);
         }
@@ -121,20 +129,18 @@ mod tests {
     }
 
     #[test]
-    fn keys_separate_backends_and_concern_lists() {
+    fn keys_separate_backends_and_steps() {
         let (model, program, concerns, bodies) = fixture();
         let factory = GeneratorFactory::with_standard_backends();
         let mut cache = GenCache::new();
         let functional = factory.get(Backend::JavaFunctional).expect("registered");
         let report = factory.get(Backend::Report).expect("registered");
         let gen_input = input(&model, &program, &concerns, &bodies);
-        cache.render(functional, &gen_input, hash(&model));
-        let (_, hit) = cache.render(report, &gen_input, hash(&model));
+        cache.render(functional, &gen_input, hash(&model), STEPS);
+        let (_, hit) = cache.render(report, &gen_input, hash(&model), STEPS);
         assert!(!hit, "different backend must be a different entry");
-        let reordered = vec!["transactions".to_owned()];
-        let other = input(&model, &program, &reordered, &bodies);
-        let (_, hit) = cache.render(functional, &other, hash(&model));
-        assert!(!hit, "different concern list must be a different entry");
+        let (_, hit) = cache.render(functional, &gen_input, hash(&model), STEPS + 1);
+        assert!(!hit, "different applied steps must be a different entry");
     }
 
     #[test]
@@ -148,7 +154,7 @@ mod tests {
         let bodies1 = BodyProvider::default();
         let program1 = FunctionalGenerator::new().generate(&model, &bodies1);
         let input1 = input(&model, &program1, &concerns, &bodies1);
-        let (cold1, hit) = cache.render(generator, &input1, hash(&model));
+        let (cold1, hit) = cache.render(generator, &input1, hash(&model), STEPS);
         assert!(!hit);
         let bodies2 = BodyProvider::new().provide(
             "Bank::transfer",
@@ -156,11 +162,11 @@ mod tests {
         );
         let program2 = FunctionalGenerator::new().generate(&model, &bodies2);
         let input2 = input(&model, &program2, &concerns, &bodies2);
-        let (cold2, hit) = cache.render(generator, &input2, hash(&model));
+        let (cold2, hit) = cache.render(generator, &input2, hash(&model), STEPS);
         assert!(!hit, "same model and concerns with different bodies must be a different entry");
         assert_ne!(cold1, cold2, "the two providers render different artifacts");
         // Each provider re-hits its own entry, byte-identically.
-        let (warm, hit) = cache.render(generator, &input1, hash(&model));
+        let (warm, hit) = cache.render(generator, &input1, hash(&model), STEPS);
         assert!(hit);
         assert_eq!(warm, cold1);
     }
@@ -172,20 +178,20 @@ mod tests {
         let generator = factory.get(Backend::Report).expect("registered");
         let mut cache = GenCache::new();
         let hash_before = hash(&model);
-        cache.render(generator, &input(&model, &program, &concerns, &bodies), hash_before);
+        cache.render(generator, &input(&model, &program, &concerns, &bodies), hash_before, STEPS);
         // Edit: new class changes the content hash → miss.
         let root = model.root();
         let added = model.add_class(root, "Ledger").expect("fresh name");
         assert_ne!(hash(&model), hash_before);
         let gen_input = input(&model, &program, &concerns, &bodies);
-        let (_, hit) = cache.render(generator, &gen_input, hash(&model));
+        let (_, hit) = cache.render(generator, &gen_input, hash(&model), STEPS);
         assert!(!hit, "edited model must miss");
         // Undo the edit: content is back, so the original entry re-hits
         // even though the revision counter moved on.
         model.remove_element(added).expect("removable");
         assert_eq!(hash(&model), hash_before);
         let gen_input = input(&model, &program, &concerns, &bodies);
-        let (_, hit) = cache.render(generator, &gen_input, hash(&model));
+        let (_, hit) = cache.render(generator, &gen_input, hash(&model), STEPS);
         assert!(hit, "restored content must re-hit the original entry");
     }
 }

@@ -35,14 +35,6 @@ pub struct Footprint {
     pub join_points: BTreeSet<(String, String)>,
 }
 
-impl Footprint {
-    /// Join points advised by both footprints — the overlap that makes
-    /// a pair order-sensitive unless the oracle proves otherwise.
-    pub fn shared_join_points(&self, other: &Footprint) -> BTreeSet<(String, String)> {
-        self.join_points.intersection(&other.join_points).cloned().collect()
-    }
-}
-
 /// Snapshot of every element's marks, keyed by qualified name.
 fn snapshot(model: &Model) -> BTreeMap<String, ElementMarks> {
     let mut map = BTreeMap::new();

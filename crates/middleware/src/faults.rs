@@ -617,17 +617,6 @@ impl FaultInjector {
         self.crashed.get(node).is_some_and(|&until| self.now_us() < until)
     }
 
-    /// Heals every partition and crash immediately.
-    pub fn heal_all(&mut self) {
-        let nodes: Vec<String> =
-            self.partitioned.keys().chain(self.crashed.keys()).cloned().collect();
-        self.partitioned.clear();
-        self.crashed.clear();
-        for node in nodes {
-            self.record(FaultEvent::Healed { node });
-        }
-    }
-
     fn heal_expired(&mut self) {
         let now = self.now_us();
         let healed: Vec<String> = self

@@ -37,12 +37,6 @@ impl ModelBuilder {
         ModelBuilder { model, current_package: root }
     }
 
-    /// Wraps an existing model for further building, rooted at its root.
-    pub fn from_model(model: Model) -> Self {
-        let root = model.root();
-        ModelBuilder { model, current_package: root }
-    }
-
     /// Adds a nested package and makes it current for subsequent calls.
     ///
     /// # Errors
@@ -143,15 +137,6 @@ impl<'a> ClassBuilder<'a> {
         Ok(self)
     }
 
-    /// Adds a parameterless `Void` operation.
-    ///
-    /// # Errors
-    /// Propagates [`crate::ModelError`] from the underlying model.
-    pub fn simple_operation(self, name: &str) -> Result<Self> {
-        self.model.add_operation(self.class, name)?;
-        Ok(self)
-    }
-
     /// Applies a stereotype to the class.
     ///
     /// # Errors
@@ -181,15 +166,6 @@ impl<'a> OperationBuilder<'a> {
     /// Propagates [`crate::ModelError`] from the underlying model.
     pub fn parameter(self, name: &str, ty: Primitive) -> Result<Self> {
         self.model.add_parameter(self.operation, name, ty.into())?;
-        Ok(self)
-    }
-
-    /// Adds an input parameter referencing a classifier.
-    ///
-    /// # Errors
-    /// Propagates [`crate::ModelError`] from the underlying model.
-    pub fn reference_parameter(self, name: &str, target: ElementId) -> Result<Self> {
-        self.model.add_parameter(self.operation, name, TypeRef::Element(target))?;
         Ok(self)
     }
 

@@ -231,34 +231,10 @@ impl Element {
         }
     }
 
-    /// Downcast helper: association payload.
-    pub fn as_association(&self) -> Option<&AssociationData> {
-        match &self.kind {
-            ElementKind::Association(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Downcast helper: generalization payload.
-    pub fn as_generalization(&self) -> Option<&GeneralizationData> {
-        match &self.kind {
-            ElementKind::Generalization(g) => Some(g),
-            _ => None,
-        }
-    }
-
     /// Downcast helper: constraint payload.
     pub fn as_constraint(&self) -> Option<&ConstraintData> {
         match &self.kind {
             ElementKind::Constraint(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Downcast helper: enumeration payload.
-    pub fn as_enumeration(&self) -> Option<&EnumerationData> {
-        match &self.kind {
-            ElementKind::Enumeration(e) => Some(e),
             _ => None,
         }
     }

@@ -315,13 +315,9 @@ impl Model {
     }
 }
 
-/// Convenience: look up an element known to exist during index-backed
-/// filtering (the index never holds dangling ids once patched).
-pub(crate) fn kind_of(model: &Model, id: ElementId) -> &ElementKind {
-    model.element(id).expect("indexed id resolves").kind()
-}
-
-/// Convenience mirror of [`kind_of`] for names.
+/// Convenience: the name of an element known to exist during
+/// index-backed filtering (the index never holds dangling ids once
+/// patched).
 pub(crate) fn name_of(model: &Model, id: ElementId) -> &str {
     model.element(id).expect("indexed id resolves").name()
 }

@@ -49,6 +49,7 @@
 //! unwind loop a rollback uses, stepping the model back over the step in
 //! O(delta) instead of re-reading a stored snapshot of the whole model.
 
+use crate::delta::ModelDelta;
 use crate::element::Element;
 use crate::id::ElementId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -84,32 +85,6 @@ pub(crate) enum JournalOp {
         /// The model name before the rename.
         prev: String,
     },
-}
-
-/// What one committed journal segment changed, derived purely from the
-/// recorded ops — no before/after model sweep.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct JournalSummary {
-    /// Elements created in the segment and still present, in id order.
-    pub created: Vec<ElementId>,
-    /// Pre-existing elements whose content actually changed, in id order.
-    pub modified: Vec<ElementId>,
-    /// Pre-existing elements removed by the segment, in id order.
-    pub removed: Vec<ElementId>,
-    /// Number of raw ops the segment recorded (diagnostics).
-    pub ops: usize,
-}
-
-impl JournalSummary {
-    /// True when the segment left the model untouched.
-    pub fn is_empty(&self) -> bool {
-        self.created.is_empty() && self.modified.is_empty() && self.removed.is_empty()
-    }
-
-    /// Total elements touched.
-    pub fn touched(&self) -> usize {
-        self.created.len() + self.modified.len() + self.removed.len()
-    }
 }
 
 /// The inverse ops of one committed outermost journal segment, handed
@@ -191,15 +166,15 @@ impl Journal {
     }
 
     /// Closes the innermost segment, summarizing it against the final
-    /// element state. Returns the summary and, when the journal as a
-    /// whole is now finished (last savepoint popped), its ops as the
-    /// [`UndoLog`] of everything it recorded.
+    /// element state. Returns the segment's delta and, when the journal
+    /// as a whole is now finished (last savepoint popped), its ops as
+    /// the [`UndoLog`] of everything it recorded.
     pub(crate) fn commit(
         &mut self,
         elements: &BTreeMap<ElementId, Element>,
-    ) -> (JournalSummary, Option<UndoLog>) {
+    ) -> (ModelDelta, Option<UndoLog>) {
         let sp = self.savepoints.pop().expect("active journal has a savepoint");
-        let summary = summarize(&self.ops[sp..], elements);
+        let delta = summarize(&self.ops[sp..], elements);
         // A nested segment's ops stay: the enclosing segment must still
         // be able to unwind them. Its pre-imaged ids fold into the
         // enclosing segment for the same reason — the enclosing replay
@@ -209,7 +184,7 @@ impl Journal {
             enclosing.extend(folded);
         }
         let finished = self.savepoints.is_empty();
-        (summary, finished.then(|| UndoLog { ops: std::mem::take(&mut self.ops) }))
+        (delta, finished.then(|| UndoLog { ops: std::mem::take(&mut self.ops) }))
     }
 
     /// Unwinds the innermost segment: replays inverses newest-first and
@@ -268,7 +243,8 @@ pub(crate) fn unwind(
     }
 }
 
-/// Derives created/modified/removed for one segment from its ops.
+/// Derives one segment's [`ModelDelta`] from its ops alone — no
+/// before/after model sweep.
 ///
 /// * created — `Create` ids still present (created-then-removed cancels
 ///   out; ids are never reused, so presence is unambiguous);
@@ -277,7 +253,7 @@ pub(crate) fn unwind(
 /// * modified — pre-existing elements with a recorded pre-image whose
 ///   final content differs from it (the *earliest* pre-image wins, so
 ///   a mutate-then-mutate-back sequence reports clean).
-fn summarize(ops: &[JournalOp], elements: &BTreeMap<ElementId, Element>) -> JournalSummary {
+fn summarize(ops: &[JournalOp], elements: &BTreeMap<ElementId, Element>) -> ModelDelta {
     let mut created: BTreeSet<ElementId> = BTreeSet::new();
     let mut removed: BTreeSet<ElementId> = BTreeSet::new();
     let mut pre_image: BTreeMap<ElementId, &Element> = BTreeMap::new();
@@ -299,7 +275,7 @@ fn summarize(ops: &[JournalOp], elements: &BTreeMap<ElementId, Element>) -> Jour
             JournalOp::SetName { .. } => {}
         }
     }
-    JournalSummary {
+    ModelDelta {
         created: created.iter().copied().filter(|id| elements.contains_key(id)).collect(),
         modified: pre_image
             .iter()
@@ -311,6 +287,5 @@ fn summarize(ops: &[JournalOp], elements: &BTreeMap<ElementId, Element>) -> Jour
             .map(|(id, _)| *id)
             .collect(),
         removed: removed.into_iter().collect(),
-        ops: ops.len(),
     }
 }

@@ -31,6 +31,7 @@
 //! ```
 
 mod builder;
+mod delta;
 mod element;
 mod error;
 mod id;
@@ -44,10 +45,11 @@ mod validate;
 mod visitor;
 
 pub use builder::{ClassBuilder, ModelBuilder, OperationBuilder};
+pub use delta::ModelDelta;
 pub use element::{Element, ElementCore, ElementKind};
 pub use error::{ModelError, Result};
 pub use id::ElementId;
-pub use journal::{JournalSummary, UndoLog};
+pub use journal::UndoLog;
 pub use kinds::{
     AggregationKind, AssociationData, AssociationEnd, AttributeData, ClassData, ConstraintData,
     DataTypeData, DependencyData, Direction, EnumerationData, GeneralizationData, InterfaceData,

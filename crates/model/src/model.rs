@@ -1,11 +1,12 @@
 //! The [`Model`]: an arena of elements with ownership, plus the mutation
 //! API used by transformations.
 
+use crate::delta::ModelDelta;
 use crate::element::{Element, ElementCore, ElementKind};
 use crate::error::{ModelError, Result};
 use crate::id::ElementId;
 use crate::index::{IndexCache, ModelIndex};
-use crate::journal::{self, Journal, JournalOp, JournalSummary, UndoLog};
+use crate::journal::{self, Journal, JournalOp, UndoLog};
 use crate::kinds::*;
 use crate::CONCERN_TAG;
 use std::collections::BTreeMap;
@@ -671,13 +672,13 @@ impl Model {
     /// [`Model::revert`] takes; a nested commit folds its ops into the
     /// enclosing segment and returns no log. Returns `None` when no
     /// journal is active.
-    pub fn commit_journal(&mut self) -> Option<(JournalSummary, Option<UndoLog>)> {
+    pub fn commit_journal(&mut self) -> Option<(ModelDelta, Option<UndoLog>)> {
         let j = self.journal.as_mut()?;
-        let (summary, log) = j.commit(&self.elements);
+        let (delta, log) = j.commit(&self.elements);
         if log.is_some() {
             self.journal = None;
         }
-        Some((summary, log))
+        Some((delta, log))
     }
 
     /// Unwinds the innermost journal segment by replaying inverse

@@ -12,7 +12,7 @@
 
 use crate::element::{Element, ElementKind};
 use crate::id::ElementId;
-use crate::index::{ends, kind_of, name_of};
+use crate::index::{ends, name_of};
 use crate::model::Model;
 
 impl Model {
@@ -315,19 +315,9 @@ impl Model {
             .collect()
     }
 
-    /// All data types, in id order (indexed).
-    pub fn data_types(&self) -> Vec<ElementId> {
-        self.elements_of_kind("DataType")
-    }
-
     /// All enumerations, in id order (indexed).
     pub fn enumerations(&self) -> Vec<ElementId> {
         self.elements_of_kind("Enumeration")
-    }
-
-    /// The kind name of an indexed element (diagnostic helper).
-    pub fn kind_name_of(&self, id: ElementId) -> Option<&'static str> {
-        self.element(id).ok().map(|e| kind_of(self, e.id()).kind_name())
     }
 }
 

@@ -5,15 +5,15 @@
 //!   mutation sequence, `rollback_journal` must leave the model equal
 //!   to a clone snapshot taken at `begin_journal` — same elements, same
 //!   name, same id watermark (checked by re-allocating);
-//! * **commit summary = sweep diff**: the journal-derived
-//!   created/modified/removed summary must match the classic
-//!   before/after full-model sweep the transform engine used to do;
+//! * **commit delta = sweep**: the journal-derived
+//!   created/modified/removed delta must match the before/after
+//!   full-model sweep [`ModelDelta::between`];
 //! * **revert = reassembled snapshot**: reverting committed journals
 //!   newest-first must leave the model equal to its pre-journal
 //!   elements reassembled by `Model::from_parts` — the model a snapshot
 //!   import builds, id watermark (max id + 1) included.
 
-use comet_model::{AssociationEnd, ElementId, Model, Primitive};
+use comet_model::{AssociationEnd, ElementId, Model, ModelDelta, Primitive};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -154,26 +154,6 @@ fn build(prefix: &[Op]) -> Model {
     m
 }
 
-/// The classic before/after sweep the transform engine used to run:
-/// the oracle the journal summary must reproduce.
-fn sweep_diff(before: &Model, after: &Model) -> (Vec<ElementId>, Vec<ElementId>, Vec<ElementId>) {
-    let created: Vec<ElementId> =
-        after.iter().map(|e| e.id()).filter(|id| !before.contains(*id)).collect();
-    let mut modified = Vec::new();
-    let mut removed = Vec::new();
-    for e in before.iter() {
-        match after.element(e.id()) {
-            Err(_) => removed.push(e.id()),
-            Ok(now) => {
-                if now != e {
-                    modified.push(e.id());
-                }
-            }
-        }
-    }
-    (created, modified, removed)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -206,7 +186,7 @@ proptest! {
     }
 
     #[test]
-    fn commit_summary_matches_sweep_diff(
+    fn commit_delta_matches_the_between_sweep(
         prefix in prop::collection::vec(arb_op(), 0..20),
         journaled in prop::collection::vec(arb_op(), 0..30),
     ) {
@@ -217,11 +197,8 @@ proptest! {
         for op in &journaled {
             apply_op(&mut m, op, &mut counter);
         }
-        let (summary, _) = m.commit_journal().expect("journal is active");
-        let (created, modified, removed) = sweep_diff(&before, &m);
-        prop_assert_eq!(&summary.created, &created, "created sets diverged");
-        prop_assert_eq!(&summary.modified, &modified, "modified sets diverged");
-        prop_assert_eq!(&summary.removed, &removed, "removed sets diverged");
+        let (delta, _) = m.commit_journal().expect("journal is active");
+        prop_assert_eq!(delta, ModelDelta::between(&before, &m));
     }
 
     #[test]

@@ -60,14 +60,6 @@ impl Value {
         }
     }
 
-    /// Element payload, if this is an element.
-    pub fn as_element(&self) -> Option<ElementId> {
-        match self {
-            Value::Element(id) => Some(*id),
-            _ => None,
-        }
-    }
-
     /// Collection payload, if this is a collection.
     pub fn as_collection(&self) -> Option<&[Value]> {
         match self {

@@ -8,8 +8,10 @@
 //! * [`Repository`] — linear-history-per-branch version store whose
 //!   snapshots are XMI documents (via `comet-xmi`), content-hashed with
 //!   FNV-1a; commit/undo/redo/branch/tag/checkout;
-//! * [`ModelDiff`] / [`diff_models`] — element-level structural diff
-//!   (added/removed/modified) between any two models or commits;
+//! * each [`Commit`] stores the [`ModelDelta`](comet_model::ModelDelta)
+//!   the transformation engine reported for its step, and
+//!   [`Repository::diff`] computes the same record between any two
+//!   commits;
 //! * [`ColorReport`] — the per-concern element listing a visual tool
 //!   would render as colors, plus the remaining-concern hint the paper
 //!   suggests;
@@ -41,17 +43,15 @@
 //! ```
 
 mod colors;
-mod diff;
 mod recover;
 mod repo;
 mod segment;
 mod wal;
 
 pub use colors::ColorReport;
-pub use diff::{diff_models, ModelDiff};
 pub use recover::{CompactionReport, DurableRepository, FsckReport, RecoveryReport};
 pub use repo::{
-    Commit, CommitDelta, CommitId, RepoError, Repository, FAULT_POINT_COMMIT, FAULT_POINT_UNDO,
+    Commit, CommitId, RepoError, Repository, FAULT_POINT_COMMIT, FAULT_POINT_UNDO,
     FAULT_POINT_WAL_COMPENSATION,
 };
 pub use segment::{SegmentId, SegmentOpenReport, SegmentStore};

@@ -37,11 +37,11 @@
 //!   address), so a crash between the renames still recovers — see
 //!   [`DurableRepository::compact`].
 
-use crate::repo::{decode, Commit, CommitDelta, CommitId, RepoError, Repository, Step};
+use crate::repo::{decode, Commit, CommitId, RepoError, Repository, Step};
 use crate::segment::{SegmentId, SegmentStore};
 use crate::wal::{CheckpointCommit, CheckpointState, Wal, WalRecord};
 use comet_middleware::{FaultHook, MiddlewareError};
-use comet_model::Model;
+use comet_model::{Model, ModelDelta};
 use comet_xmi::export_model;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -275,22 +275,6 @@ impl DurableRepository {
         Ok((DurableRepository { repo, wal, segments, dir: dir.to_owned(), poisoned: None }, report))
     }
 
-    /// [`open`](Self::open) when a journal exists, [`create`](Self::create)
-    /// otherwise.
-    ///
-    /// # Errors
-    /// See `open` / `create`.
-    pub fn open_or_create(
-        dir: &Path,
-        name: &str,
-    ) -> Result<(DurableRepository, RecoveryReport), RepoError> {
-        if Self::exists(dir) {
-            Self::open(dir)
-        } else {
-            Ok((Self::create(dir, name)?, RecoveryReport::default()))
-        }
-    }
-
     /// Commits a snapshot of `model`; see [`Repository::commit`].
     ///
     /// # Errors
@@ -317,7 +301,7 @@ impl DurableRepository {
         model: &Model,
         message: &str,
         concern: Option<&str>,
-        delta: CommitDelta,
+        delta: ModelDelta,
     ) -> Result<CommitId, RepoError> {
         self.commit_inner(model, message, concern, Some(delta))
     }
@@ -340,7 +324,7 @@ impl DurableRepository {
         model: &Model,
         message: &str,
         concern: Option<&str>,
-        delta: Option<CommitDelta>,
+        delta: Option<ModelDelta>,
     ) -> Result<CommitId, RepoError> {
         self.check_poisoned()?;
         if self.repo.take_commit_fault() {
@@ -350,11 +334,11 @@ impl DurableRepository {
         // snapshot-reuse optimization for verification.
         let snapshot = export_model(model);
         let hash = comet_obs::fnv1a64(snapshot.as_bytes());
-        if delta.as_ref().is_some_and(CommitDelta::is_empty) {
+        if delta.as_ref().is_some_and(ModelDelta::is_empty) {
             if let Some(parent) = self.repo.head() {
                 if parent.hash != hash || *parent.snapshot != *snapshot {
                     return Err(RepoError::Storage(format!(
-                        "empty CommitDelta for `{message}` but the model content differs \
+                        "empty ModelDelta for `{message}` but the model content differs \
                          from parent commit {} — refusing to journal a lying delta",
                         parent.id
                     )));
@@ -878,7 +862,7 @@ mod tests {
         let mut dur = DurableRepository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         let err = dur
-            .commit_with_delta(&v2, "lying", Some("distribution"), CommitDelta::default())
+            .commit_with_delta(&v2, "lying", Some("distribution"), ModelDelta::default())
             .unwrap_err();
         assert!(
             matches!(&err, RepoError::Storage(d) if d.contains("lying delta")),
@@ -894,7 +878,7 @@ mod tests {
         assert_eq!(dur.head_model().unwrap().unwrap(), v1);
         // An honest empty delta (model genuinely unchanged) is fine.
         let mut dur = dur;
-        dur.commit_with_delta(&v1, "no-op", None, CommitDelta::default()).unwrap();
+        dur.commit_with_delta(&v1, "no-op", None, ModelDelta::default()).unwrap();
         assert_eq!(dur.len(), 2);
     }
 

@@ -1,8 +1,7 @@
 //! The repository proper: XMI snapshots, branches, tags, undo/redo.
 
-use crate::diff::{diff_models, ModelDiff};
 use comet_middleware::{FaultHook, MiddlewareError};
-use comet_model::{ElementId, Model};
+use comet_model::{Model, ModelDelta};
 use comet_obs::fnv1a64;
 use comet_xmi::{export_model, import_model, XmiError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -21,31 +20,6 @@ pub const FAULT_POINT_WAL_COMPENSATION: &str = "repo.wal.compensation";
 /// Identifier of a commit within one repository.
 pub type CommitId = u64;
 
-/// The element-level delta a commit introduced over its parent, as
-/// reported by the transformation engine's change journal. Stored with
-/// the commit so adjacent-version comparisons need no snapshot decode.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CommitDelta {
-    /// Elements created by the step, in id order.
-    pub created: Vec<ElementId>,
-    /// Elements modified by the step, in id order.
-    pub modified: Vec<ElementId>,
-    /// Elements removed by the step, in id order.
-    pub removed: Vec<ElementId>,
-}
-
-impl CommitDelta {
-    /// True when the commit changed nothing over its parent.
-    pub fn is_empty(&self) -> bool {
-        self.created.is_empty() && self.modified.is_empty() && self.removed.is_empty()
-    }
-
-    /// Total elements touched.
-    pub fn touched(&self) -> usize {
-        self.created.len() + self.modified.len() + self.removed.len()
-    }
-}
-
 /// One committed model version.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Commit {
@@ -59,9 +33,11 @@ pub struct Commit {
     pub concern: Option<String>,
     /// FNV-1a content hash of the snapshot.
     pub hash: u64,
-    /// Element-level delta over the parent, when the committer supplied
-    /// one (see [`Repository::commit_with_delta`]).
-    pub delta: Option<CommitDelta>,
+    /// Element-level delta over the parent, as the transformation
+    /// engine's change journal reported it, when the committer supplied
+    /// one (see [`Repository::commit_with_delta`]). Stored so
+    /// adjacent-version comparisons need no snapshot decode.
+    pub delta: Option<ModelDelta>,
     /// Shared, not copied: a commit that reuses its parent's content
     /// and a lifecycle reading its head hold the same bytes.
     pub(crate) snapshot: Arc<str>,
@@ -210,7 +186,7 @@ impl Repository {
         model: &Model,
         message: &str,
         concern: Option<&str>,
-        delta: CommitDelta,
+        delta: ModelDelta,
     ) -> Result<CommitId, RepoError> {
         self.commit_inner(model, message, concern, Some(delta))
     }
@@ -220,14 +196,14 @@ impl Repository {
         model: &Model,
         message: &str,
         concern: Option<&str>,
-        delta: Option<CommitDelta>,
+        delta: Option<ModelDelta>,
     ) -> Result<CommitId, RepoError> {
         if self.take_commit_fault() {
             return Err(RepoError::Storage("injected commit failure".to_owned()));
         }
         let parent_visible = self.head();
         let reuse_parent =
-            parent_visible.filter(|_| delta.as_ref().map(CommitDelta::is_empty).unwrap_or(false));
+            parent_visible.filter(|_| delta.as_ref().map(ModelDelta::is_empty).unwrap_or(false));
         let (snapshot, hash) = match reuse_parent {
             Some(p) => {
                 // A lying journal (empty delta over a changed model)
@@ -237,7 +213,7 @@ impl Repository {
                 debug_assert_eq!(
                     fnv1a64(export_model(model).as_bytes()),
                     p.hash,
-                    "empty CommitDelta for `{message}` but the model content \
+                    "empty ModelDelta for `{message}` but the model content \
                      differs from parent commit {}",
                     p.id
                 );
@@ -278,7 +254,7 @@ impl Repository {
         hash: u64,
         message: &str,
         concern: Option<&str>,
-        delta: Option<CommitDelta>,
+        delta: Option<ModelDelta>,
     ) -> CommitId {
         let history =
             self.branches.get_mut(&self.current_branch).expect("current branch always exists");
@@ -494,12 +470,12 @@ impl Repository {
         self.checkout(id)
     }
 
-    /// Structural diff between two commits (from `a` to `b`).
+    /// Element-level delta between two commits (from `a` to `b`).
     ///
     /// # Errors
     /// Fails on unknown ids or snapshot corruption.
-    pub fn diff(&self, a: CommitId, b: CommitId) -> Result<ModelDiff, RepoError> {
-        Ok(diff_models(&self.checkout(a)?, &self.checkout(b)?))
+    pub fn diff(&self, a: CommitId, b: CommitId) -> Result<ModelDelta, RepoError> {
+        Ok(ModelDelta::between(&self.checkout(a)?, &self.checkout(b)?))
     }
 
     /// The visible commit log of the current branch, oldest first.
@@ -666,13 +642,13 @@ mod tests {
 
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "empty CommitDelta")]
+    #[should_panic(expected = "empty ModelDelta")]
     fn lying_empty_delta_trips_the_debug_verification() {
         let (mut repo, _v1, v2) = repo_with_two_versions();
         let mut v3 = v2.clone();
         v3.add_class(v3.root(), "Sneaky").unwrap();
         // The journal lies: the model changed but the delta says empty.
-        repo.commit_with_delta(&v3, "lying", None, CommitDelta::default()).unwrap();
+        repo.commit_with_delta(&v3, "lying", None, ModelDelta::default()).unwrap();
     }
 
     #[test]
@@ -680,7 +656,7 @@ mod tests {
         let (mut repo, _v1, v2) = repo_with_two_versions();
         let head_hash = repo.head().unwrap().hash;
         let id = repo
-            .commit_with_delta(&v2, "no-op step", Some("transactions"), CommitDelta::default())
+            .commit_with_delta(&v2, "no-op step", Some("transactions"), ModelDelta::default())
             .unwrap();
         let c = repo.commits.get(&id).unwrap();
         assert_eq!(c.hash, head_hash, "unchanged model shares the parent's content hash");
@@ -721,7 +697,7 @@ mod tests {
         let (repo, _, _) = repo_with_two_versions();
         let log: Vec<CommitId> = repo.log().iter().map(|c| c.id).collect();
         let d = repo.diff(log[0], log[1]).unwrap();
-        assert_eq!(d.added.len(), 0);
+        assert_eq!(d.created.len(), 0);
         assert_eq!(d.modified.len(), 1);
         assert!(matches!(repo.diff(999, log[0]), Err(RepoError::UnknownCommit(999))));
     }

@@ -117,16 +117,6 @@ impl SegmentStore {
         self.index.is_empty()
     }
 
-    /// Every stored segment's address, in `(hash, ordinal)` order.
-    pub fn segment_ids(&self) -> Vec<SegmentId> {
-        self.index
-            .iter()
-            .flat_map(|(&hash, refs)| {
-                (0..refs.len()).map(move |i| SegmentId { hash, ordinal: i as u32 })
-            })
-            .collect()
-    }
-
     /// Appends `payload`, deduplicating against stored segments with the
     /// same hash by **comparing the full bytes** — a 64-bit hash
     /// collision yields a new ordinal, never an alias.

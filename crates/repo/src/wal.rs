@@ -16,8 +16,8 @@
 //! flushed first (an orphan segment is garbage, a dangling commit
 //! record would be corruption).
 
-use crate::repo::{CommitDelta, CommitId};
-use comet_model::ElementId;
+use crate::repo::CommitId;
+use comet_model::{ElementId, ModelDelta};
 use comet_obs::fnv1a64;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -48,7 +48,7 @@ pub enum WalRecord {
         /// Ordinal among same-hash segments (collision disambiguator).
         ordinal: u32,
         /// Element-level delta over the parent, when supplied.
-        delta: Option<CommitDelta>,
+        delta: Option<ModelDelta>,
     },
     /// Head stepped one commit back.
     Undo,
@@ -110,7 +110,7 @@ pub struct CheckpointCommit {
     /// Segment ordinal.
     pub ordinal: u32,
     /// Element-level delta over the parent.
-    pub delta: Option<CommitDelta>,
+    pub delta: Option<ModelDelta>,
 }
 
 // ---- payload codec ----------------------------------------------------
@@ -154,7 +154,7 @@ fn put_ids(out: &mut Vec<u8>, ids: &[ElementId]) {
     }
 }
 
-fn put_opt_delta(out: &mut Vec<u8>, delta: Option<&CommitDelta>) {
+fn put_opt_delta(out: &mut Vec<u8>, delta: Option<&ModelDelta>) {
     match delta {
         None => out.push(0),
         Some(d) => {
@@ -213,10 +213,10 @@ impl<'a> Reader<'a> {
         Some(out)
     }
 
-    fn opt_delta(&mut self) -> Option<Option<CommitDelta>> {
+    fn opt_delta(&mut self) -> Option<Option<ModelDelta>> {
         match self.u8()? {
             0 => Some(None),
-            1 => Some(Some(CommitDelta {
+            1 => Some(Some(ModelDelta {
                 created: self.ids()?,
                 modified: self.ids()?,
                 removed: self.ids()?,
@@ -521,7 +521,7 @@ mod tests {
                 concern: Some("transactions".into()),
                 hash: 42,
                 ordinal: 1,
-                delta: Some(CommitDelta {
+                delta: Some(ModelDelta {
                     created: vec![ElementId::from_raw(7)],
                     modified: vec![ElementId::from_raw(8), ElementId::from_raw(9)],
                     removed: vec![],

@@ -6,8 +6,8 @@
 //! runs over a few repeated contents, the journals whose replay decodes
 //! each landed content only once.
 
-use comet_model::Model;
-use comet_repo::{CommitDelta, DurableRepository, Repository, Wal};
+use comet_model::{Model, ModelDelta};
+use comet_repo::{DurableRepository, Repository, Wal};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,7 +44,7 @@ fn drive(dur: &mut DurableRepository, model: &mut Model, op: u8, i: usize) -> bo
             match dur.head_model() {
                 Some(head) => {
                     *model = head.expect("decodes");
-                    dur.commit_with_delta(model, &format!("noop{i}"), None, CommitDelta::default())
+                    dur.commit_with_delta(model, &format!("noop{i}"), None, ModelDelta::default())
                         .expect("honest empty delta");
                     true
                 }

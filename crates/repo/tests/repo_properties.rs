@@ -1,8 +1,8 @@
 //! Property tests for the repository: undo/redo laws, snapshot
 //! fidelity, and diff algebra over random version chains.
 
-use comet_model::{Model, Primitive};
-use comet_repo::{diff_models, Repository};
+use comet_model::{Model, ModelDelta, Primitive};
+use comet_repo::Repository;
 use proptest::prelude::*;
 
 /// Builds a chain of model versions, each extending the previous.
@@ -89,22 +89,22 @@ proptest! {
     fn diff_is_empty_iff_models_equal(exts in prop::collection::vec(any::<u8>(), 1..10)) {
         let versions = version_chain(&exts);
         for w in versions.windows(2) {
-            let d = diff_models(&w[0], &w[1]);
+            let d = ModelDelta::between(&w[0], &w[1]);
             prop_assert_eq!(d.is_empty(), w[0] == w[1]);
-            let self_diff = diff_models(&w[1], &w[1]);
+            let self_diff = ModelDelta::between(&w[1], &w[1]);
             prop_assert!(self_diff.is_empty());
         }
     }
 
     #[test]
-    fn diff_added_removed_are_mirror_images(exts in prop::collection::vec(any::<u8>(), 1..10)) {
+    fn diff_created_removed_are_mirror_images(exts in prop::collection::vec(any::<u8>(), 1..10)) {
         let versions = version_chain(&exts);
         let first = versions.first().expect("non-empty");
         let last = versions.last().expect("non-empty");
-        let fwd = diff_models(first, last);
-        let bwd = diff_models(last, first);
-        prop_assert_eq!(&fwd.added, &bwd.removed);
-        prop_assert_eq!(&fwd.removed, &bwd.added);
+        let fwd = ModelDelta::between(first, last);
+        let bwd = ModelDelta::between(last, first);
+        prop_assert_eq!(&fwd.created, &bwd.removed);
+        prop_assert_eq!(&fwd.removed, &bwd.created);
         let mut fm = fwd.modified.clone();
         let mut bm = bwd.modified.clone();
         fm.sort();

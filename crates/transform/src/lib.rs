@@ -52,6 +52,5 @@ mod transform;
 pub use builder::TransformationBuilder;
 pub use params::{ParamError, ParamSchema, ParamSet, ParamSpec, ParamType, ParamValue};
 pub use transform::{
-    specialize, ApplyReport, ConcreteTransformation, GenericTransformation, MappingKind,
-    TransformError,
+    specialize, ConcreteTransformation, GenericTransformation, MappingKind, TransformError,
 };

@@ -2,7 +2,7 @@
 //! with pre/postcondition checking and automatic concern coloring.
 
 use crate::params::{ParamError, ParamSchema, ParamSet};
-use comet_model::{ElementId, Model};
+use comet_model::{Model, ModelDelta};
 use comet_obs::Collector;
 use comet_ocl::{evaluate_bool, Context, OclError};
 use std::fmt;
@@ -145,24 +145,6 @@ impl From<comet_model::ModelError> for TransformError {
     }
 }
 
-/// What one application changed.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ApplyReport {
-    /// Elements created by the transformation (auto-colored).
-    pub created: Vec<ElementId>,
-    /// Pre-existing elements the transformation modified.
-    pub modified: Vec<ElementId>,
-    /// Elements removed.
-    pub removed: Vec<ElementId>,
-}
-
-impl ApplyReport {
-    /// Total elements touched.
-    pub fn touched(&self) -> usize {
-        self.created.len() + self.modified.len() + self.removed.len()
-    }
-}
-
 /// A concrete model transformation CMT_Ci: a GMT closed over a validated
 /// parameter set.
 #[derive(Clone)]
@@ -231,7 +213,7 @@ impl ConcreteTransformation {
     ///    postcondition — on any failure the journal segment is rolled
     ///    back, restoring the model to its input state in O(delta).
     ///
-    /// The [`ApplyReport`] is derived from the committed journal
+    /// The [`ModelDelta`] is derived from the committed journal
     /// segment, not from a before/after sweep of the whole arena. The
     /// pre-journal clone-based engine is retained as
     /// [`ConcreteTransformation::apply_cloned`] and serves as the
@@ -239,19 +221,12 @@ impl ConcreteTransformation {
     ///
     /// # Errors
     /// See [`TransformError`]; the model is unchanged on every error.
-    pub fn apply(&self, model: &mut Model) -> Result<ApplyReport, TransformError> {
+    pub fn apply(&self, model: &mut Model) -> Result<ModelDelta, TransformError> {
         self.check_conditions(model, self.preconditions(), /* pre: */ true)?;
         model.begin_journal();
         let result = self.apply_body_journaled(model);
         match result {
-            Ok(()) => {
-                let (summary, _) = model.commit_journal().expect("journal opened above");
-                Ok(ApplyReport {
-                    created: summary.created,
-                    modified: summary.modified,
-                    removed: summary.removed,
-                })
-            }
+            Ok(()) => Ok(model.commit_journal().expect("journal opened above").0),
             Err(e) => {
                 model.rollback_journal();
                 Err(e)
@@ -274,7 +249,7 @@ impl ConcreteTransformation {
         &self,
         model: &mut Model,
         obs: &Collector,
-    ) -> Result<ApplyReport, TransformError> {
+    ) -> Result<ModelDelta, TransformError> {
         if !obs.is_enabled() {
             return self.apply(model);
         }
@@ -308,15 +283,15 @@ impl ConcreteTransformation {
     }
 
     /// The pre-journal engine: snapshots the whole model up front,
-    /// restores the snapshot on failure, and derives the report from a
-    /// before/after element sweep. O(model) per application regardless
+    /// restores the snapshot on failure, and derives the delta from a
+    /// before/after element sweep ([`ModelDelta::between`]). O(model) per application regardless
     /// of how little the body touches — kept as the differential oracle
     /// for [`ConcreteTransformation::apply`] and as the "before"
     /// baseline in the transform benchmarks.
     ///
     /// # Errors
     /// See [`TransformError`]; the model is unchanged on every error.
-    pub fn apply_cloned(&self, model: &mut Model) -> Result<ApplyReport, TransformError> {
+    pub fn apply_cloned(&self, model: &mut Model) -> Result<ModelDelta, TransformError> {
         self.check_conditions(model, self.preconditions(), /* pre: */ true)?;
         let before = model.clone();
         let result = self.apply_body_cloned(model, &before);
@@ -375,31 +350,19 @@ impl ConcreteTransformation {
         &self,
         model: &mut Model,
         before: &Model,
-    ) -> Result<ApplyReport, TransformError> {
+    ) -> Result<ModelDelta, TransformError> {
         self.gmt.transform(model, &self.params)?;
-        // Color created elements; compute the report.
-        let mut report = ApplyReport::default();
-        let created: Vec<ElementId> =
-            model.iter().map(|e| e.id()).filter(|id| !before.contains(*id)).collect();
-        for id in &created {
+        // Coloring touches only created elements, which `before` lacks,
+        // so the delta swept ahead of it is unchanged by it.
+        let delta = ModelDelta::between(before, model);
+        for id in &delta.created {
             model.mark_concern(*id, self.gmt.concern())?;
-        }
-        report.created = created;
-        for e in before.iter() {
-            match model.element(e.id()) {
-                Err(_) => report.removed.push(e.id()),
-                Ok(now) => {
-                    if now != e {
-                        report.modified.push(e.id());
-                    }
-                }
-            }
         }
         if let Err(violations) = model.validate() {
             return Err(TransformError::WellFormedness(violations));
         }
         self.check_conditions(model, self.postconditions(), /* pre: */ false)?;
-        Ok(report)
+        Ok(delta)
     }
 }
 

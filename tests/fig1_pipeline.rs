@@ -42,9 +42,9 @@ fn cmt_acts_on_the_concern_space_only() {
     let transfer = model.find_operation(bank, "transfer").unwrap();
     assert_eq!(report.modified[0], transfer);
     // Everything outside the concern space is untouched.
-    let diff = comet_repo::diff_models(&before, &model);
+    let diff = comet_model::ModelDelta::between(&before, &model);
     assert_eq!(diff.modified, vec![transfer]);
-    assert!(diff.added.is_empty() && diff.removed.is_empty());
+    assert!(diff.created.is_empty() && diff.removed.is_empty());
 }
 
 #[test]

@@ -6,7 +6,8 @@ mod common;
 
 use comet::MdaLifecycle;
 use comet_concerns::{distribution, transactions};
-use comet_repo::{diff_models, ColorReport, Repository};
+use comet_model::ModelDelta;
+use comet_repo::{ColorReport, Repository};
 use comet_workflow::WorkflowModel;
 use common::{dist_si, executable_banking_pim, tx_si};
 
@@ -39,16 +40,16 @@ fn diff_between_steps_shows_exactly_the_concern_space() {
     let ids: Vec<_> = mda.repository().log().iter().map(|c| c.id).collect();
     // PIM -> distribution: the proxy, register op, params and marks.
     let d1 = mda.repository().diff(ids[0], ids[1]).unwrap();
-    assert!(!d1.added.is_empty(), "distribution creates elements");
+    assert!(!d1.created.is_empty(), "distribution creates elements");
     assert!(d1.removed.is_empty());
     // distribution -> transactions: only the transfer op is modified.
     let d2 = mda.repository().diff(ids[1], ids[2]).unwrap();
-    assert!(d2.added.is_empty());
+    assert!(d2.created.is_empty());
     assert_eq!(d2.modified.len(), 1);
     // Diffs agree with direct model diffing.
     let m1 = mda.repository().checkout(ids[1]).unwrap();
     let m2 = mda.repository().checkout(ids[2]).unwrap();
-    assert_eq!(d2, diff_models(&m1, &m2));
+    assert_eq!(d2, ModelDelta::between(&m1, &m2));
 }
 
 #[test]
