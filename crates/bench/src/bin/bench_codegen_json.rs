@@ -1,46 +1,39 @@
 //! Emits `BENCH_codegen.json`: the generator-factory numbers.
 //!
-//! Workload: the E10 100-class / 6-method program woven with 8 aspects,
-//! paired with a 100-class synthetic model. For every registered
-//! backend the bench times (a) the **cold** path — a fresh [`GenCache`]
-//! rendering the artifact; the content hash is supplied, as the
-//! lifecycle takes it from the repository commit its model equals —
-//! and (b) the **hit** path — the same render repeated at unchanged
-//! content, which the content-addressed entry turns into one map
-//! lookup plus an artifact clone. Hits are asserted byte-identical to
-//! their cold renders before anything is timed, and the run gates on
-//! `hit ≥ 50× cold` for every backend.
-//!
-//! One row measures the whole lifecycle: `MdaLifecycle::generate`
-//! (java-functional) on a 100-class synthetic model refined by every
-//! standard concern, its cold first call against a repeat at the
-//! unchanged state, which reuses the state's functional program,
-//! sources and weave and pays only the artifact lookup. The repeat is
-//! asserted equal to the cold call, and gated at the same 50×.
+//! Workload: a 100-class / 6-method synthetic model refined by every
+//! standard concern, one aspect each. For every registered backend the
+//! bench times `MdaLifecycle::generate` (a) **cold** — the first call on
+//! a fresh lifecycle, which generates the functional program, weaves,
+//! renders the aspects and renders the artifact — and (b) the **hit**
+//! path — the same call repeated at the unchanged state, which the
+//! lifecycle's generate cache answers with one lookup plus an artifact
+//! clone. Hits are asserted equal to their cold calls before anything
+//! is timed, and the run gates on `hit ≥ 50× cold` for every backend.
 //!
 //! A serve steady-state sweep then runs a backend-weighted `Generate`
 //! mix over the banking engine and asserts the report and trace stay
 //! byte-identical across shard counts with `gen.cache.hit` live in the
 //! trace counters.
 //!
+//! The JSON records the host's cores and the measured revision
+//! (`git describe --always --dirty`, `unknown` outside a checkout).
+//!
 //! Usage: `cargo run --release -p comet-bench --bin bench_codegen_json
 //! [output-path]` (default `BENCH_codegen.json` in the working
 //! directory).
 
 use comet::{run_banking_serve, MdaLifecycle};
-use comet_aop::Weaver;
-use comet_bench::{weaver_aspects, weaver_program};
 use comet_codegen::BodyProvider;
-use comet_gen::{Backend, GenCache, GenInput, GeneratorFactory};
+use comet_gen::Backend;
 use comet_serve::WorkloadPlan;
 use comet_transform::{ParamSet, ParamValue};
 use comet_workflow::WorkflowModel;
 use std::hint::black_box;
+use std::process::Command;
 use std::time::Instant;
 
 const CLASSES: usize = 100;
 const METHODS: usize = 6;
-const ASPECTS: usize = 8;
 const WARMUP: usize = 2;
 const SAMPLES: usize = 9;
 const SHARDS: [usize; 3] = [1, 2, 4];
@@ -62,7 +55,7 @@ fn median_secs(mut run: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-/// The lifecycle row's concern bindings on `synthetic(CLASSES, 2,
+/// The concern bindings on `synthetic(CLASSES, 2,
 /// METHODS)`: every standard concern, each on its own classes.
 fn lifecycle_bindings() -> Vec<(&'static str, ParamSet)> {
     let ops = |classes: std::ops::Range<usize>| -> ParamValue {
@@ -125,57 +118,61 @@ fn refined_lifecycle() -> MdaLifecycle {
     mda
 }
 
+/// The measured code's revision: `git describe --always --dirty`, or
+/// `unknown` outside a git checkout.
+fn revision() -> String {
+    Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map_or_else(
+            || "unknown".to_owned(),
+            |out| String::from_utf8_lossy(&out.stdout).trim().to_owned(),
+        )
+}
+
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_codegen.json".to_owned());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let model = comet_model::sample::synthetic(CLASSES, 2, METHODS);
-    let content_hash = comet_obs::fnv1a64(comet_xmi::export_model(&model).as_bytes());
+    let aspects = lifecycle_bindings().len();
     let bodies = BodyProvider::default();
-    let functional = weaver_program(CLASSES, METHODS);
-    let woven = Weaver::new(weaver_aspects(ASPECTS)).weave(&functional).expect("weaves").program;
-    let concerns: Vec<String> =
-        ["distribution", "transactions", "security"].map(str::to_owned).to_vec();
-    // Stands in for the lifecycle's steps fingerprint (concerns + `Si`).
-    let steps = comet_obs::fnv1a64(concerns.join("\0").as_bytes());
-    let input = GenInput {
-        model: &model,
-        functional: &functional,
-        woven: &woven,
-        concerns: &concerns,
-        bodies: &bodies,
-    };
-    let factory = GeneratorFactory::with_standard_backends();
 
     let mut backend_rows = Vec::new();
     let mut worst_ratio = f64::INFINITY;
     for backend in Backend::ALL {
-        let generator = factory.get(backend).expect("standard backend registered");
+        let generate = |mda: &MdaLifecycle| mda.generate(&bodies, backend).expect("weaves");
 
-        // Sanity: the hit is byte-identical to the cold render.
-        let mut probe = GenCache::new();
-        let (cold_artifact, miss) = probe.render(generator, &input, content_hash, steps);
-        assert!(!miss, "fresh cache must miss");
-        let (warm_artifact, hit) = probe.render(generator, &input, content_hash, steps);
-        assert!(hit, "repeat render must hit");
-        assert_eq!(cold_artifact, warm_artifact, "{backend}: hit diverged from cold render");
+        // Sanity: the hit equals the cold call.
+        let warm = refined_lifecycle();
+        let first = generate(&warm);
+        assert_eq!(warm.gen_cache_stats(), (0, 1), "fresh lifecycle must miss");
+        let again = generate(&warm);
+        assert_eq!(warm.gen_cache_stats(), (1, 1), "repeat generate must hit");
+        assert_eq!(warm.weave_cache_stats(), (1, 1));
+        assert_eq!(first.artifact, again.artifact, "{backend}: hit diverged from cold call");
+        assert_eq!(first.woven(), again.woven());
+        assert_eq!(first.functional_source, again.functional_source);
+        assert_eq!(first.aspect_sources, again.aspect_sources);
 
-        eprintln!("timing {backend} cold render ...");
+        eprintln!("timing {backend} cold generate ...");
+        // One fresh lifecycle per run, built untimed and dropped after.
+        let mut fresh: Vec<MdaLifecycle> =
+            (0..WARMUP + SAMPLES).map(|_| refined_lifecycle()).collect();
+        let mut spent = Vec::with_capacity(fresh.len());
         let cold = median_secs(|| {
-            let mut cache = GenCache::new();
-            let (artifact, was_hit) =
-                cache.render(generator, black_box(&input), content_hash, steps);
-            assert!(!was_hit);
-            black_box(artifact);
+            let mda = fresh.pop().expect("one fresh lifecycle per run");
+            black_box(generate(black_box(&mda)));
+            assert_eq!(mda.gen_cache_stats(), (0, 1));
+            spent.push(mda);
         });
+        drop(spent);
 
-        eprintln!("timing {backend} cache hit ...");
-        let mut cache = GenCache::new();
-        cache.render(generator, &input, content_hash, steps);
+        eprintln!("timing {backend} generate at an unchanged state ...");
         let hit = median_secs(|| {
-            let (artifact, was_hit) =
-                cache.render(generator, black_box(&input), content_hash, steps);
-            assert!(was_hit);
-            black_box(artifact);
+            let (hits, _) = warm.gen_cache_stats();
+            black_box(generate(black_box(&warm)));
+            assert_eq!(warm.gen_cache_stats().0, hits + 1);
         });
 
         let ratio = cold / hit;
@@ -184,42 +181,9 @@ fn main() {
         backend_rows.push(format!(
             "    {{\"backend\": \"{backend}\", \"artifact_bytes\": {}, \"cold_median_secs\": \
              {cold:.6}, \"hit_median_secs\": {hit:.6}, \"hit_speedup\": {ratio:.3}}}",
-            cold_artifact.len()
+            first.artifact.len()
         ));
     }
-
-    // Lifecycle row: the cold first generate of a refined lifecycle
-    // (each sample on a fresh one, built untimed) against a repeat at
-    // the unchanged state.
-    let lifecycle_aspects = lifecycle_bindings().len();
-    let lifecycle_bodies = BodyProvider::default();
-    let generate = |mda: &MdaLifecycle| {
-        mda.generate(&lifecycle_bodies, Backend::JavaFunctional).expect("weaves")
-    };
-    let warm = refined_lifecycle();
-    let first = generate(&warm);
-    let again = generate(&warm);
-    assert_eq!(first.artifact, again.artifact, "lifecycle repeat diverged from the cold call");
-    assert_eq!(first.woven(), again.woven());
-    assert_eq!(first.functional_source, again.functional_source);
-    assert_eq!(first.aspect_sources, again.aspect_sources);
-    assert_eq!(warm.gen_cache_stats(), (1, 1));
-    assert_eq!(warm.weave_cache_stats(), (1, 1));
-    eprintln!("timing lifecycle cold first generate ...");
-    let mut fresh: Vec<MdaLifecycle> = (0..WARMUP + SAMPLES).map(|_| refined_lifecycle()).collect();
-    let lifecycle_cold = median_secs(|| {
-        let mda = fresh.pop().expect("one fresh lifecycle per run");
-        black_box(generate(black_box(&mda)));
-    });
-    eprintln!("timing lifecycle generate at an unchanged state ...");
-    let lifecycle_hit = median_secs(|| {
-        black_box(generate(black_box(&warm)));
-    });
-    let lifecycle_ratio = lifecycle_cold / lifecycle_hit;
-    eprintln!(
-        "  lifecycle: cold {lifecycle_cold:.6}s, hit {lifecycle_hit:.6}s, ratio \
-         {lifecycle_ratio:.1}x"
-    );
 
     // Serve steady-state sweep: backend-weighted Generate traffic,
     // reports byte-identical across shard counts, gen cache observable.
@@ -249,16 +213,14 @@ fn main() {
 
     let json = format!(
         "{{\n  \"experiment\": \"e14_codegen_backends\",\n  \"host_cores\": {cores},\n  \
-         \"workload\": {{\"classes\": {CLASSES}, \"methods_per_class\": {METHODS}, \
-         \"aspects\": {ASPECTS}}},\n  \"backends\": [\n{}\n  ],\n  \"worst_hit_speedup\": \
-         {worst_ratio:.3},\n  \"lifecycle_generate\": {{\"backend\": \"java-functional\", \
-         \"classes\": {CLASSES}, \"concern_aspects\": {lifecycle_aspects}, \
-         \"cold_median_secs\": {lifecycle_cold:.6}, \"hit_median_secs\": {lifecycle_hit:.6}, \
-         \"hit_speedup\": {lifecycle_ratio:.3}}},\n  \"serve_steady_state\": \
+         \"revision\": \"{}\",\n  \"workload\": {{\"classes\": {CLASSES}, \"methods_per_class\": \
+         {METHODS}, \"concern_aspects\": {aspects}}},\n  \"backends\": [\n{}\n  ],\n  \
+         \"worst_hit_speedup\": {worst_ratio:.3},\n  \"serve_steady_state\": \
          {{\n    \"plan\": \"WorkloadPlan(7), generate weight 2.0, all backends weighted \
          1.0\",\n    \
          \"gen_cache_counters\": {{\"hit\": {gen_hits}, \"miss\": {gen_misses}}},\n    \
          \"report_identical_across_shards\": true,\n    \"shard_sweep\": [\n{}\n    ]\n  }}\n}}\n",
+        revision(),
         backend_rows.join(",\n"),
         serve_medians.join(",\n"),
     );
@@ -268,9 +230,5 @@ fn main() {
     assert!(
         worst_ratio >= HIT_GATE,
         "cache-hit speedup {worst_ratio:.1}x below the {HIT_GATE}x target"
-    );
-    assert!(
-        lifecycle_ratio >= HIT_GATE,
-        "lifecycle generate speedup {lifecycle_ratio:.1}x below the {HIT_GATE}x target"
     );
 }

@@ -5,7 +5,7 @@ use comet_aspectgen::{AspectBackend, AspectGenError, AspectJBackend, ConcernPair
 use comet_codegen::{
     pretty_print, BodyProvider, FunctionalGenerator, MonolithicGenerator, Program,
 };
-use comet_gen::{Backend, GenCache, GenInput, GeneratorFactory};
+use comet_gen::{Backend, GenInput, GeneratorFactory};
 use comet_middleware::{FaultHook, MiddlewareError};
 use comet_model::{Model, ModelDelta, UndoLog};
 use comet_obs::{fnv1a64, fnv1a64_extend};
@@ -14,7 +14,8 @@ use comet_repo::{
 };
 use comet_transform::{ConcreteTransformation, ParamSet, TransformError};
 use comet_workflow::{WorkflowBuildError, WorkflowEngine, WorkflowError, WorkflowModel};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -124,12 +125,10 @@ pub struct AppliedConcern {
 }
 
 /// Everything the code-generation phase produces. The products of the
-/// lifecycle's state are shared with the lifecycle's own memo, not
-/// copied, so a repeated `generate` hands out the same buffers.
+/// lifecycle's state are shared with the lifecycle's generate cache,
+/// not copied, so a repeated `generate` hands out the same buffers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedSystem {
-    /// The functional program (concern-free behaviour).
-    pub functional: Arc<Program>,
     /// Pretty-printed functional source (the code generator's artifact).
     pub functional_source: Arc<str>,
     /// Per-aspect platform artifacts `(aspect name, source)`.
@@ -231,22 +230,62 @@ fn steps_fingerprint(steps: &[StepState]) -> u64 {
     steps.last().map_or(fnv1a64(b""), |s| s.fingerprint)
 }
 
-/// What `generate` derives from one lifecycle state before any backend
-/// renders: a pure function of the model, the applied steps and the
-/// method bodies, so it is valid while
-/// `key = (content hash, steps fingerprint, bodies fingerprint)` holds.
+/// What `generate` derives from one lifecycle state: a pure function of
+/// the model, the applied steps and the method bodies, so it is valid
+/// while its key `(content hash, steps fingerprint, bodies fingerprint)`
+/// holds. It keeps only what a hit hands out.
 #[derive(Debug)]
 struct StateProducts {
-    key: (u64, u64, u64),
-    /// The weaver over the state's aspects; a traced memo hit records
-    /// its weave spans through it.
-    weaver: Weaver,
-    functional: Arc<Program>,
     functional_source: Arc<str>,
     aspect_sources: Arc<[(String, String)]>,
     weave: Arc<WeaveResult>,
-    /// Applied concern names in precedence order (the generators' input).
-    concerns: Vec<String>,
+    /// The artifact of every backend rendered at this state.
+    artifacts: BTreeMap<Backend, String>,
+}
+
+/// A generate-cache key: (content hash, steps fingerprint, bodies
+/// fingerprint).
+type StateKey = (u64, u64, u64);
+
+/// The generate cache: the products of the last
+/// [`MdaLifecycle::CACHED_STATES`] states generated, least recently used
+/// first, and the lifetime hit/miss counts. The counts are kept
+/// unconditionally (unlike the `Collector` counters, which exist only
+/// when tracing is on) so serving hosts can bridge them into metrics.
+#[derive(Debug, Default)]
+struct GenerateCache {
+    states: Vec<(StateKey, StateProducts)>,
+    /// `(hits, misses)` of state products: a miss weaves.
+    weave: (u64, u64),
+    /// `(hits, misses)` of backend artifacts: a miss renders.
+    gen: (u64, u64),
+}
+
+impl GenerateCache {
+    /// Removes and returns `key`'s products, if cached.
+    fn take(&mut self, key: StateKey) -> Option<StateProducts> {
+        let at = self.states.iter().position(|(k, _)| *k == key)?;
+        Some(self.states.remove(at).1)
+    }
+
+    /// Stores `products` as the most recently used state, evicting the
+    /// least recently used one when the cache is full.
+    fn put(&mut self, key: StateKey, products: StateProducts) -> &mut StateProducts {
+        if self.states.len() == MdaLifecycle::CACHED_STATES {
+            self.states.remove(0);
+        }
+        self.states.push((key, products));
+        &mut self.states.last_mut().expect("just pushed").1
+    }
+}
+
+/// Adds one hit or one miss to `(hits, misses)`.
+fn count(stats: &mut (u64, u64), hit: bool) {
+    if hit {
+        stats.0 += 1;
+    } else {
+        stats.1 += 1;
+    }
 }
 
 /// The MDA lifecycle: model + repository + workflow + applied concerns.
@@ -255,24 +294,25 @@ struct StateProducts {
 ///
 /// Every CMT application goes through
 /// [`ConcreteTransformation::apply_traced`], which evaluates each pre-
-/// and postcondition afresh. [`MdaLifecycle::generate`] memoizes the
-/// last call's products — functional program and source, aspect
-/// sources, woven result — keyed by the model's content hash, the
-/// applied steps' fingerprint (each concern with its specialisation
-/// `Si`) and the bodies' fingerprint. A repeated `generate` at an
-/// unchanged state reuses them outright and pays only the artifact
-/// lookup; any other call generates and weaves the whole program with
-/// [`Weaver::weave`]. The memo holds one state: a `generate` at any
-/// other state replaces it.
+/// and postcondition afresh. [`MdaLifecycle::generate`] caches what it
+/// builds for a state — functional source, aspect sources, woven
+/// result and each backend's artifact — keyed by the model's content
+/// hash, the applied steps' fingerprint (each concern with its
+/// specialisation `Si`) and the bodies' fingerprint. A `generate` at a
+/// cached state is a lookup; a first backend at a cached state renders
+/// only its artifact; any other call generates and weaves the whole
+/// program with [`Weaver::weave`]. The cache holds the
+/// [`MdaLifecycle::CACHED_STATES`] most recently generated states and
+/// evicts the least recently used one.
 ///
 /// [`MdaLifecycle::undo_last`] reverts the undone step's change journal
-/// in place. Both caches are keyed by content, never by a revision
+/// in place. The cache is keyed by content, never by a revision
 /// counter, so an undo needs no cache reset: a restored state re-hits
 /// what was cached for it. Results are byte-identical to a cold weave
 /// and render in every case.
 ///
 /// The lifecycle is the repository's only writer, so its model always
-/// equals the repository's visible head commit. Both caches key on that
+/// equals the repository's visible head commit. The cache keys on that
 /// commit's hash and [`MdaLifecycle::snapshot_xmi`] returns its bytes,
 /// so no read exports the model.
 #[derive(Debug)]
@@ -284,23 +324,20 @@ pub struct MdaLifecycle {
     /// Parallel to `applied`.
     steps: Vec<StepState>,
     obs: comet_obs::Collector,
-    /// The products of the last `generate`.
-    products: RefCell<Option<StateProducts>>,
-    /// Weave-cache hits/misses, counted unconditionally (unlike the
-    /// `Collector` counters, which exist only when tracing is on) so
-    /// serving hosts can bridge them into metrics.
-    weave_hits: Cell<u64>,
-    weave_misses: Cell<u64>,
+    cache: RefCell<GenerateCache>,
     /// The per-lifecycle backend registry every `generate` dispatches
     /// through — one factory per tenant in the serving stack.
     factory: GeneratorFactory,
-    /// Content-addressed artifact cache over `(content hash, steps
-    /// fingerprint, bodies fingerprint, backend)`; its own hit/miss
-    /// counters feed [`MdaLifecycle::gen_cache_stats`].
-    gen_cache: RefCell<GenCache>,
 }
 
 impl MdaLifecycle {
+    /// How many states the generate cache holds. Eight covers the states
+    /// the serving workloads revisit (about seven per churning tenant,
+    /// two on the large lifecycle) and, with entries that keep no
+    /// functional program, stayed within the benchmark's peak-memory
+    /// bound where a larger entry at the same bound did not.
+    pub const CACHED_STATES: usize = 8;
+
     /// Starts a lifecycle from a PIM, committing it as the initial
     /// version.
     ///
@@ -421,11 +458,8 @@ impl MdaLifecycle {
             applied,
             steps,
             obs: comet_obs::Collector::disabled(),
-            products: RefCell::new(None),
-            weave_hits: Cell::new(0),
-            weave_misses: Cell::new(0),
+            cache: RefCell::default(),
             factory: GeneratorFactory::with_standard_backends(),
-            gen_cache: RefCell::new(GenCache::new()),
         }
     }
 
@@ -434,16 +468,17 @@ impl MdaLifecycle {
         matches!(self.repo, RepoBackend::Durable(_))
     }
 
-    /// Lifetime weave-cache `(hits, misses)` across every `generate`.
+    /// Lifetime weave-cache `(hits, misses)` across every `generate`: a
+    /// hit found the state's products cached, a miss wove them.
     pub fn weave_cache_stats(&self) -> (u64, u64) {
-        (self.weave_hits.get(), self.weave_misses.get())
+        self.cache.borrow().weave
     }
 
     /// Lifetime generation-cache `(hits, misses)` across every
-    /// `generate`, counted unconditionally like the weave-cache stats
-    /// so serving hosts can bridge them into metrics.
+    /// `generate`: a hit found the backend's artifact cached for the
+    /// state, a miss rendered it.
     pub fn gen_cache_stats(&self) -> (u64, u64) {
-        self.gen_cache.borrow().stats()
+        self.cache.borrow().gen
     }
 
     /// The backend registry this lifecycle generates through.
@@ -649,15 +684,15 @@ impl MdaLifecycle {
     /// The paper's code-generation phase: functional code generator for
     /// the functional model **plus** aspect generators for the concerns,
     /// then weaving with precedence = transformation order, then the
-    /// chosen `backend` rendering its artifact through the
-    /// content-addressed generation cache (an unchanged model is a
-    /// cache hit whose artifact is byte-identical to a cold render;
-    /// hits/misses surface as `gen.cache.hit|miss` trace counters and
-    /// via [`MdaLifecycle::gen_cache_stats`]).
+    /// chosen `backend` rendering its artifact.
     ///
-    /// At an unchanged state (same content, same steps, same bodies)
-    /// everything before the backend render is reused from the previous
-    /// call; a traced call still records the same spans and counters.
+    /// Everything is cached per state (same content, same steps, same
+    /// bodies): a repeat is a lookup whose results are byte-identical to
+    /// a cold call, and a traced repeat still records the cold call's
+    /// spans. Hits and misses surface as `weave.incremental.*` and
+    /// `gen.cache.hit|miss` trace counters and through
+    /// [`MdaLifecycle::weave_cache_stats`] and
+    /// [`MdaLifecycle::gen_cache_stats`].
     ///
     /// # Errors
     /// Propagates weaving failures.
@@ -668,121 +703,122 @@ impl MdaLifecycle {
     ) -> Result<GeneratedSystem, LifecycleError> {
         let obs = &self.obs;
         let phase = obs.begin_span("lifecycle", "generate", 0);
-        let mut memo = self.products.borrow_mut();
-        let products = match self.state_products(&mut memo, bodies) {
-            Ok(products) => products,
-            Err(e) => {
-                if obs.is_enabled() {
-                    obs.span_attr(phase, "outcome", &format!("error: {e}"));
-                }
-                obs.end_span(phase, 0);
-                return Err(e.into());
+        let key = (self.content_hash(), steps_fingerprint(&self.steps), bodies.fingerprint());
+        let mut cache = self.cache.borrow_mut();
+        let cached = cache.take(key);
+        let weave_hit = cached.is_some();
+        let products = match cached {
+            Some(products) => {
+                self.trace_hit(&products);
+                products
             }
+            None => match self.build_products(bodies) {
+                Ok(products) => products,
+                Err(e) => {
+                    if obs.is_enabled() {
+                        obs.span_attr(phase, "outcome", &format!("error: {e}"));
+                    }
+                    obs.end_span(phase, 0);
+                    return Err(e.into());
+                }
+            },
         };
-        // Backend dispatch through the per-lifecycle factory, behind
-        // the content-addressed cache.
-        let generator =
-            self.factory.get(backend).expect("standard factory registers every Backend variant");
-        let input = GenInput {
-            model: &self.model,
-            functional: &products.functional,
-            woven: &products.weave.program,
-            concerns: &products.concerns,
-            bodies,
-        };
-        let (content, steps, _) = products.key;
-        let (artifact, cache_hit) =
-            self.gen_cache.borrow_mut().render(generator, &input, content, steps);
-        if obs.is_enabled() {
-            obs.incr(if cache_hit { "gen.cache.hit" } else { "gen.cache.miss" }, 1);
-        }
-        obs.end_span(phase, 0);
-        Ok(GeneratedSystem {
-            functional: Arc::clone(&products.functional),
+        let products = cache.put(key, products);
+        let mut rendered = false;
+        let artifact = products
+            .artifacts
+            .entry(backend)
+            .or_insert_with(|| {
+                rendered = true;
+                let concerns: Vec<String> =
+                    self.applied.iter().map(|a| a.cmt.concern().to_owned()).collect();
+                let input = GenInput {
+                    model: &self.model,
+                    woven: &products.weave.program,
+                    concerns: &concerns,
+                    bodies,
+                };
+                let generator = self
+                    .factory
+                    .get(backend)
+                    .expect("standard factory registers every Backend variant");
+                generator.generate(&input)
+            })
+            .clone();
+        let system = GeneratedSystem {
             functional_source: Arc::clone(&products.functional_source),
             aspect_sources: Arc::clone(&products.aspect_sources),
             weave: Arc::clone(&products.weave),
             backend,
             artifact,
-        })
+        };
+        count(&mut cache.weave, weave_hit);
+        count(&mut cache.gen, !rendered);
+        if obs.is_enabled() {
+            // A hit re-weaves no class, a miss all of them.
+            let total = system.woven().classes.len() as u64;
+            let (counter, rewoven) = if weave_hit {
+                ("weave.incremental.hit", 0)
+            } else {
+                ("weave.incremental.miss", total)
+            };
+            obs.incr(counter, 1);
+            obs.incr("weave.incremental.rewoven", rewoven);
+            obs.incr("weave.incremental.total", total);
+            obs.incr(if rendered { "gen.cache.miss" } else { "gen.cache.hit" }, 1);
+        }
+        obs.end_span(phase, 0);
+        Ok(system)
     }
 
-    /// The backend-independent products of the current state, from
-    /// the memo when it was computed for this state, computed (and
-    /// memoized) otherwise.
-    fn state_products<'c>(
-        &self,
-        slot: &'c mut Option<StateProducts>,
-        bodies: &BodyProvider,
-    ) -> Result<&'c StateProducts, WeaveError> {
+    /// Generates and weaves the current state's products in full,
+    /// recording each phase when tracing is on.
+    fn build_products(&self, bodies: &BodyProvider) -> Result<StateProducts, WeaveError> {
         let obs = &self.obs;
-        let key = (self.content_hash(), steps_fingerprint(&self.steps), bodies.fingerprint());
-        let mut memo = slot.take().filter(|p| p.key == key);
-        if !obs.is_enabled() {
-            if let Some(products) = memo.take() {
-                self.weave_hits.set(self.weave_hits.get() + 1);
-                return Ok(slot.insert(products));
-            }
-        }
-        // Traced, a memo hit walks the same phases as a cold call so the
-        // spans and counters match; every product comes from the memo.
         let fspan = obs.begin_span("codegen", "functional", 0);
-        let functional = match &memo {
-            Some(p) => Arc::clone(&p.functional),
-            None => Arc::new(FunctionalGenerator::new().generate(&self.model, bodies)),
-        };
+        let functional = FunctionalGenerator::new().generate(&self.model, bodies);
         if obs.is_enabled() {
             obs.span_attr(fspan, "classes", &functional.classes.len().to_string());
         }
         obs.end_span(fspan, 0);
-        let mut fresh = None;
-        let weaver = match &memo {
-            Some(p) => &p.weaver,
-            None => &*fresh.insert(Weaver::new(self.aspects())),
-        };
-        let weave = match &memo {
-            Some(p) => Arc::clone(&p.weave),
-            None => Arc::new(weaver.weave(&functional)?),
-        };
+        let weaver = Weaver::new(self.aspects());
+        let weave = weaver.weave(&functional)?;
         weaver.record_trace(&weave, obs);
-        let total = functional.classes.len() as u64;
-        let (counter, rewoven) = if memo.is_some() {
-            self.weave_hits.set(self.weave_hits.get() + 1);
-            ("weave.incremental.hit", 0)
-        } else {
-            self.weave_misses.set(self.weave_misses.get() + 1);
-            ("weave.incremental.miss", total)
-        };
-        if obs.is_enabled() {
-            obs.incr(counter, 1);
-            obs.incr("weave.incremental.rewoven", rewoven);
-            obs.incr("weave.incremental.total", total);
-        }
         let rspan = obs.begin_span("codegen", "render:aspects", 0);
-        let aspect_sources: Arc<[(String, String)]> = match &memo {
-            Some(p) => Arc::clone(&p.aspect_sources),
-            None => {
-                let aspectj = AspectJBackend::new();
-                self.applied
-                    .iter()
-                    .map(|a| (a.aspect.name.clone(), aspectj.render(&a.aspect)))
-                    .collect()
-            }
-        };
+        let aspectj = AspectJBackend::new();
+        let aspect_sources: Arc<[(String, String)]> = self
+            .applied
+            .iter()
+            .map(|a| (a.aspect.name.clone(), aspectj.render(&a.aspect)))
+            .collect();
         if obs.is_enabled() {
             obs.span_attr(rspan, "aspects", &aspect_sources.len().to_string());
         }
         obs.end_span(rspan, 0);
-        let products = memo.unwrap_or_else(|| StateProducts {
-            key,
-            weaver: fresh.expect("built on a miss"),
+        Ok(StateProducts {
             functional_source: pretty_print(&functional).into(),
-            functional,
             aspect_sources,
-            weave,
-            concerns: self.applied.iter().map(|a| a.cmt.concern().to_owned()).collect(),
-        });
-        Ok(slot.insert(products))
+            weave: Arc::new(weave),
+            artifacts: BTreeMap::new(),
+        })
+    }
+
+    /// Records the spans of a cold call for cached `products`, so a
+    /// traced hit traces like the call that built them.
+    fn trace_hit(&self, products: &StateProducts) {
+        let obs = &self.obs;
+        if !obs.is_enabled() {
+            return;
+        }
+        // Weaving keeps one class per functional class.
+        let classes = products.weave.program.classes.len();
+        let fspan = obs.begin_span("codegen", "functional", 0);
+        obs.span_attr(fspan, "classes", &classes.to_string());
+        obs.end_span(fspan, 0);
+        Weaver::new(self.aspects()).record_trace(&products.weave, obs);
+        let rspan = obs.begin_span("codegen", "render:aspects", 0);
+        obs.span_attr(rspan, "aspects", &products.aspect_sources.len().to_string());
+        obs.end_span(rspan, 0);
     }
 
     /// The baseline the paper argues against: one monolithic generator
@@ -988,7 +1024,11 @@ mod tests {
         let first = mda.generate(&plain, Backend::JavaFunctional).unwrap();
         let other = mda.generate(&audited, Backend::JavaFunctional).unwrap();
         let expected = FunctionalGenerator::new().generate(mda.model(), &audited);
-        assert_eq!(*other.functional, expected, "the memo of other bodies was served");
+        assert_eq!(
+            *other.functional_source,
+            pretty_print(&expected),
+            "the products of other bodies were served"
+        );
         assert_ne!(first.functional_source, other.functional_source);
         assert_ne!(first.artifact, other.artifact);
         assert_eq!(*other.weave, Weaver::new(mda.aspects()).weave(&expected).unwrap());
@@ -1014,21 +1054,23 @@ mod tests {
         };
         let mut mda = full_lifecycle();
         mda.set_collector(comet_obs::Collector::enabled());
-        // A, B, A: the memo holds one bodies fingerprint, so none of the
-        // three is served from it.
-        for bodies in [&plain, &audited, &plain] {
+        // A, B, A: each bodies fingerprint is its own state, so A and B
+        // miss and re-weave in full, and the return to A is a hit.
+        for (bodies, hit) in [(&plain, false), (&audited, false), (&plain, true)] {
             let (counters, tree) = traced(&mda, bodies);
-            assert_eq!(counters.get("weave.incremental.miss"), Some(&1));
-            assert_eq!(counters.get("weave.incremental.hit"), None);
+            let (outcome, rewoven) = if hit { ("hit", 0) } else { ("miss", 1) };
+            assert_eq!(counters.get(&format!("weave.incremental.{outcome}")), Some(&1));
+            assert_eq!(counters.get(&format!("gen.cache.{outcome}")), Some(&1));
             let total = counters["weave.incremental.total"];
             assert!(total > 0);
-            assert_eq!(counters["weave.incremental.rewoven"], total, "a miss re-weaves in full");
+            assert_eq!(counters["weave.incremental.rewoven"], total * rewoven);
             let mut fresh = full_lifecycle();
             fresh.set_collector(comet_obs::Collector::enabled());
             let (_, cold) = traced(&fresh, bodies);
-            assert_eq!(tree, cold, "a miss traces as a fresh lifecycle's cold generate");
+            assert_eq!(tree, cold, "traces unlike a fresh lifecycle's cold generate");
         }
-        assert_eq!(mda.weave_cache_stats(), (0, 3));
+        assert_eq!(mda.weave_cache_stats(), (1, 2));
+        assert_eq!(mda.gen_cache_stats(), (1, 2));
     }
 
     #[test]
@@ -1097,14 +1139,14 @@ mod tests {
         let mut mda = MdaLifecycle::new(banking_pim(), fig2_workflow()).unwrap();
         mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
         let first = mda.generate(&bodies, Backend::JavaFunctional).unwrap();
-        // A rolled-back apply leaves the state, and so the memo, as is.
+        // A rolled-back apply leaves the state, and so its cache entry, as is.
         let bad_si =
             ParamSet::new().with("methods", ParamValue::from(vec!["Bank.launder".to_owned()]));
         assert!(mda.apply_concern(&transactions::pair(), bad_si).is_err());
         assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap(), first);
         assert_eq!(mda.weave_cache_stats(), (1, 1));
         // Undo and re-apply the same step with no generate between: the
-        // state is the memo's again.
+        // cached state again.
         mda.undo_last().unwrap();
         mda.apply_concern(&distribution::pair(), dist_si()).unwrap();
         assert_eq!(mda.generate(&bodies, Backend::JavaFunctional).unwrap(), first);

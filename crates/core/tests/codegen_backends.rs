@@ -2,7 +2,8 @@
 //! content-addressed generation cache across the full stack: every
 //! backend renders the complete functional element set from a real
 //! lifecycle, served systems stay equal to from-scratch generation
-//! under arbitrary apply/undo/generate interleavings, the lifecycle's
+//! and the cache's hit/miss counts follow a least-recently-used model
+//! under arbitrary apply/undo/bodies/generate interleavings, the lifecycle's
 //! content address always matches an export of its model (in memory,
 //! durable and after recovery), and serve runs with backend-weighted
 //! `Generate` traffic remain shard-invariant with the gen cache
@@ -16,7 +17,7 @@ use comet::{
 use comet_aop::{parse_pointcut, Advice, AdviceKind, Weaver};
 use comet_aspectgen::{AspectBackend, AspectBuilder, AspectJBackend, ConcernPair};
 use comet_codegen::marks::intrinsics;
-use comet_codegen::{pretty_print, Block, Expr, FunctionalGenerator, Stmt};
+use comet_codegen::{pretty_print, Block, BodyProvider, Expr, FunctionalGenerator, Stmt};
 use comet_obs::fnv1a64;
 use comet_serve::{RunConfig, ServeError, WorkloadPlan, WorkloadPlanError};
 use comet_transform::{ParamSchema, ParamSet, ParamValue, TransformationBuilder};
@@ -71,30 +72,22 @@ fn full_lifecycle() -> MdaLifecycle {
 }
 
 /// Recomputes everything `generate` returns for `mda`'s current state
-/// from scratch — the functional generator, a full weave over
-/// `mda.aspects()`, AspectJ rendering and the backend through a factory
-/// with no cache — the oracle every served system must equal, field by
-/// field.
-fn direct_system(mda: &MdaLifecycle, backend: Backend) -> GeneratedSystem {
-    let bodies = banking_bodies();
-    let functional = FunctionalGenerator::new().generate(mda.model(), &bodies);
+/// and `bodies` from scratch — the functional generator, a full weave
+/// over `mda.aspects()`, AspectJ rendering and the backend through a
+/// factory with no cache — the oracle every served system must equal,
+/// field by field.
+fn direct_system(mda: &MdaLifecycle, bodies: &BodyProvider, backend: Backend) -> GeneratedSystem {
+    let functional = FunctionalGenerator::new().generate(mda.model(), bodies);
     let aspects = mda.aspects();
     let weave = Weaver::new(aspects.clone()).weave(&functional).expect("weaves");
     let aspectj = AspectJBackend::new();
     let aspect_sources = aspects.iter().map(|a| (a.name.clone(), aspectj.render(a))).collect();
     let concerns: Vec<String> = mda.applied().iter().map(|a| a.cmt.concern().to_owned()).collect();
     let factory = GeneratorFactory::with_standard_backends();
-    let input = GenInput {
-        model: mda.model(),
-        functional: &functional,
-        woven: &weave.program,
-        concerns: &concerns,
-        bodies: &bodies,
-    };
+    let input = GenInput { model: mda.model(), woven: &weave.program, concerns: &concerns, bodies };
     let artifact = factory.get(backend).expect("standard backend").generate(&input);
     GeneratedSystem {
         functional_source: pretty_print(&functional).into(),
-        functional: Arc::new(functional),
         aspect_sources,
         weave: Arc::new(weave),
         backend,
@@ -154,7 +147,7 @@ fn every_backend_renders_the_full_lifecycle_element_set() {
 fn cached_artifacts_match_direct_renders_and_rehit_after_undo() {
     let mda = &mut full_lifecycle();
     let first = mda.generate(&banking_bodies(), Backend::RustSkeleton).unwrap();
-    assert_eq!(first, direct_system(mda, Backend::RustSkeleton));
+    assert_eq!(first, direct_system(mda, &banking_bodies(), Backend::RustSkeleton));
     // Repeat at an unchanged model: a hit, byte-identical.
     let again = mda.generate(&banking_bodies(), Backend::RustSkeleton).unwrap();
     assert_eq!(first, again);
@@ -164,7 +157,7 @@ fn cached_artifacts_match_direct_renders_and_rehit_after_undo() {
     mda.undo_last().unwrap();
     let undone = mda.generate(&banking_bodies(), Backend::RustSkeleton).unwrap();
     assert_ne!(first.artifact, undone.artifact);
-    assert_eq!(undone, direct_system(mda, Backend::RustSkeleton));
+    assert_eq!(undone, direct_system(mda, &banking_bodies(), Backend::RustSkeleton));
 }
 
 /// An `audit` concern whose aspect logs the `Si` value `msg` on entry
@@ -212,52 +205,121 @@ fn re_specialised_step_at_unchanged_content_is_rendered_afresh() {
     for backend in Backend::ALL {
         let system = mda.generate(&bodies, backend).unwrap();
         assert!(!system.artifact.contains("ALPHA"), "{backend}: served the ALPHA step's artifact");
-        assert_eq!(system, direct_system(&mda, backend), "{backend}");
+        assert_eq!(system, direct_system(&mda, &bodies, backend), "{backend}");
+    }
+}
+
+/// The banking bodies with an audit call added to `Bank.getBalance`:
+/// a second provider, so the same model state has two bodies keys.
+fn audited_bodies() -> BodyProvider {
+    let log = Expr::intrinsic(intrinsics::LOG_EMIT, vec![Expr::str("info"), Expr::str("read")]);
+    banking_bodies().provide("Bank::getBalance", Block::of(vec![Stmt::Expr(log)]))
+}
+
+/// A generate-cache key as the test names it: the content hash, each
+/// applied step with its `Si`, and which bodies were supplied.
+type StateKey = (u64, Vec<String>, bool);
+
+/// The generate cache as a least-recently-used list of states, each
+/// with the backends rendered at it: predicts `weave_cache_stats()` and
+/// `gen_cache_stats()`.
+#[derive(Default)]
+struct CacheModel {
+    states: Vec<(StateKey, Vec<Backend>)>,
+    weave: (u64, u64),
+    gen: (u64, u64),
+}
+
+impl CacheModel {
+    fn generate(&mut self, key: StateKey, backend: Backend) {
+        let cached = self.states.iter().position(|(k, _)| *k == key);
+        let (key, mut backends) = match cached {
+            Some(at) => {
+                self.weave.0 += 1;
+                self.states.remove(at)
+            }
+            None => {
+                self.weave.1 += 1;
+                if self.states.len() == MdaLifecycle::CACHED_STATES {
+                    self.states.remove(0);
+                }
+                (key, Vec::new())
+            }
+        };
+        if backends.contains(&backend) {
+            self.gen.0 += 1;
+        } else {
+            self.gen.1 += 1;
+            backends.push(backend);
+        }
+        self.states.push((key, backends));
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Lying-revision guard, end to end: across arbitrary interleavings
-    /// of apply / undo / generate, every system served (memo and cache
-    /// hits or cold renders alike) equals, in every field, the same
-    /// state generated from scratch with no cache at all.
+    /// of apply / undo / bodies switch / generate, every system served
+    /// (cache hits or cold renders alike) equals, in every field, the
+    /// same state generated from scratch with no cache at all, and the
+    /// hit/miss counts are those of a least-recently-used cache of
+    /// `CACHED_STATES` states. The fig. 2 steps, an `audit` step bound
+    /// to one of two `Si` that leave the same content, and two bodies
+    /// providers give 12 states, more than the cache holds.
     #[test]
     fn cache_served_artifacts_equal_direct_renders(
-        ops in prop::collection::vec(0usize..6, 1..14),
+        ops in prop::collection::vec(0usize..8, 20..80),
     ) {
-        let mut mda = MdaLifecycle::new(executable_banking_pim(), fig2_workflow()).unwrap();
+        let workflow = fig2_workflow().step("audit", false);
+        let mut mda = MdaLifecycle::new(executable_banking_pim(), workflow).unwrap();
         let steps = fig2_steps();
-        let mut next_step = 0usize;
+        let audit = |msg: &str| ParamSet::new().with("msg", ParamValue::from(msg));
+        let mut audited = false;
+        let mut model = CacheModel::default();
         for op in ops {
+            let applied = mda.applied().len();
             match op {
-                // Apply the next planned concern, if any remain.
-                0 => {
-                    if next_step < steps.len() {
-                        let (name, si) = &steps[next_step];
+                // Apply the next planned step, if any remain; the audit
+                // step takes its `Si` from the op.
+                0 | 1 => {
+                    if applied < steps.len() {
+                        let (name, si) = &steps[applied];
                         let pair = comet_concerns::by_name(name).expect("standard concern");
                         mda.apply_concern(&pair, si.clone()).unwrap();
-                        next_step += 1;
+                    } else if applied == steps.len() {
+                        let si = audit(if op == 0 { "ALPHA" } else { "BETA" });
+                        mda.apply_concern(&audit_pair(), si).unwrap();
                     }
                 }
                 // Undo the most recent application, if any.
-                1 => {
-                    if next_step > 0 {
+                2 => {
+                    if applied > 0 {
                         mda.undo_last().unwrap();
-                        next_step -= 1;
                     }
                 }
+                // Switch to the other bodies provider.
+                3 => audited = !audited,
                 // Generate with one of the four backends.
                 k => {
-                    let backend = Backend::ALL[(k - 2) % Backend::ALL.len()];
-                    let system = mda.generate(&banking_bodies(), backend).unwrap();
-                    let oracle = direct_system(&mda, backend);
+                    let backend = Backend::ALL[k - 4];
+                    let bodies = if audited { audited_bodies() } else { banking_bodies() };
+                    let system = mda.generate(&bodies, backend).unwrap();
+                    let oracle = direct_system(&mda, &bodies, backend);
                     prop_assert_eq!(&system, &oracle, "{} diverged from oracle", backend);
+                    let steps = mda.applied().iter().map(|a| a.cmt.full_name()).collect();
+                    model.generate((mda.content_hash(), steps, audited), backend);
+                    prop_assert_eq!(mda.weave_cache_stats(), model.weave);
+                    prop_assert_eq!(mda.gen_cache_stats(), model.gen);
                 }
             }
         }
     }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The content address never drifts from the model: after every
     /// apply, undo, generate and snapshot read — in memory, journalled,
@@ -294,7 +356,7 @@ proptest! {
                 }
                 2 => {
                     let system = mda.generate(&banking_bodies(), Backend::Report).unwrap();
-                    prop_assert_eq!(&system, &direct_system(&mda, Backend::Report));
+                    prop_assert_eq!(&system, &direct_system(&mda, &banking_bodies(), Backend::Report));
                 }
                 3 => {
                     let snapshot = mda.snapshot_xmi().to_owned();

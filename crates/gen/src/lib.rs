@@ -14,22 +14,16 @@
 //! | `rust-skeleton`   | a typed Rust skeleton lowered from the woven IR, intrinsic calls preserved |
 //! | `report`          | a deterministic model + concern summary (text + JSON) |
 //!
-//! On top sits [`GenCache`], a content-addressed artifact cache: key =
-//! `(fnv1a64 over the canonical XMI export, fingerprint of the supplied
-//! method bodies, backend id, applied-concern list in precedence
-//! order)`, value = the rendered artifact bytes. The caller supplies
-//! the content hash — the lifecycle reuses the one its repository
-//! commit already computed — so a `Generate` request against an
-//! unchanged model is one map lookup whose artifact is byte-identical
-//! to a cold render, under the same hashing discipline the durable
-//! segment store uses for snapshot identity.
+//! Backends are deterministic, so their artifacts can be cached by
+//! content: the lifecycle (`comet::MdaLifecycle`) keeps each state's
+//! artifacts, per backend, under the state's content hash, steps
+//! fingerprint and bodies fingerprint, and serves a repeat byte-identical
+//! to a cold render.
 
-mod cache;
 mod java;
 mod report;
 mod rust_skeleton;
 
-pub use cache::GenCache;
 pub use java::{JavaFunctionalBackend, JavaMonolithicBackend};
 pub use report::ReportBackend;
 pub use rust_skeleton::{RustSkeletonBackend, RustType};
@@ -81,16 +75,14 @@ impl fmt::Display for Backend {
 }
 
 /// Everything a backend may consult when rendering: the refined model,
-/// the functional program, the woven program (functional + aspects),
-/// the applied-concern names in §3 precedence order, and the method
-/// bodies the functional generator was given.
+/// the woven program (functional + aspects), the applied-concern names
+/// in §3 precedence order, and the method bodies the functional
+/// generator was given.
 #[derive(Debug, Clone, Copy)]
 pub struct GenInput<'a> {
     /// The refined (most-specialized) model the programs were generated
     /// from.
     pub model: &'a Model,
-    /// The functional program (no concern code).
-    pub functional: &'a Program,
     /// The woven program: functional code + aspect advice.
     pub woven: &'a Program,
     /// Applied concern names, in application (precedence) order.
@@ -101,7 +93,7 @@ pub struct GenInput<'a> {
 
 /// One code-generation target. Implementations must be deterministic:
 /// the same [`GenInput`] renders byte-identical artifacts, which is
-/// what makes the content-addressed [`GenCache`] sound.
+/// what makes caching artifacts by content sound.
 pub trait Generator {
     /// Stable backend id; must agree with [`Backend::id`] for standard
     /// backends.
@@ -187,12 +179,11 @@ mod tests {
     use comet_codegen::FunctionalGenerator;
     use comet_model::sample::banking_pim;
 
-    fn input_fixture() -> (Model, Program, Program, Vec<String>, BodyProvider) {
+    fn input_fixture() -> (Model, Program, Vec<String>, BodyProvider) {
         let model = banking_pim();
         let bodies = BodyProvider::default();
-        let functional = FunctionalGenerator::new().generate(&model, &bodies);
-        let woven = functional.clone();
-        (model, functional, woven, vec!["distribution".into()], bodies)
+        let woven = FunctionalGenerator::new().generate(&model, &bodies);
+        (model, woven, vec!["distribution".into()], bodies)
     }
 
     #[test]
@@ -238,14 +229,8 @@ mod tests {
 
     #[test]
     fn every_backend_mentions_every_class_and_method() {
-        let (model, functional, woven, concerns, bodies) = input_fixture();
-        let input = GenInput {
-            model: &model,
-            functional: &functional,
-            woven: &woven,
-            concerns: &concerns,
-            bodies: &bodies,
-        };
+        let (model, woven, concerns, bodies) = input_fixture();
+        let input = GenInput { model: &model, woven: &woven, concerns: &concerns, bodies: &bodies };
         let factory = GeneratorFactory::with_standard_backends();
         for generator in factory.backends() {
             let artifact = generator.generate(&input);
@@ -273,14 +258,8 @@ mod tests {
 
     #[test]
     fn rendering_is_deterministic() {
-        let (model, functional, woven, concerns, bodies) = input_fixture();
-        let input = GenInput {
-            model: &model,
-            functional: &functional,
-            woven: &woven,
-            concerns: &concerns,
-            bodies: &bodies,
-        };
+        let (model, woven, concerns, bodies) = input_fixture();
+        let input = GenInput { model: &model, woven: &woven, concerns: &concerns, bodies: &bodies };
         let factory = GeneratorFactory::with_standard_backends();
         for generator in factory.backends() {
             assert_eq!(generator.generate(&input), generator.generate(&input));
@@ -304,13 +283,7 @@ mod tests {
         ));
         let woven = Weaver::new(vec![aspect]).weave(&functional).expect("weaves").program;
         let concerns = vec!["logging".to_owned()];
-        let input = GenInput {
-            model: &model,
-            functional: &functional,
-            woven: &woven,
-            concerns: &concerns,
-            bodies: &bodies,
-        };
+        let input = GenInput { model: &model, woven: &woven, concerns: &concerns, bodies: &bodies };
         let artifact = RustSkeletonBackend.generate(&input);
         assert!(artifact.contains("pub struct"), "{artifact}");
         assert!(artifact.contains("rt::intrinsic(\"log.emit\""), "{artifact}");

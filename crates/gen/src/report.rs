@@ -141,13 +141,8 @@ mod tests {
         let bodies = BodyProvider::default();
         let program = FunctionalGenerator::new().generate(&model, &bodies);
         let concerns = vec!["distribution".to_owned(), "transactions".to_owned()];
-        let input = GenInput {
-            model: &model,
-            functional: &program,
-            woven: &program,
-            concerns: &concerns,
-            bodies: &bodies,
-        };
+        let input =
+            GenInput { model: &model, woven: &program, concerns: &concerns, bodies: &bodies };
         let first = ReportBackend.generate(&input);
         assert_eq!(first, ReportBackend.generate(&input));
         assert!(first.contains("concerns applied (precedence order): distribution, transactions"));

@@ -98,7 +98,6 @@ mod tests {
                         .ok_or_else(|| ServeError::UnknownBackend(backend.clone()))?;
                     let input = comet_gen::GenInput {
                         model: &self.model,
-                        functional: &self.program,
                         woven: &self.program,
                         concerns: &self.applied,
                         bodies: &self.bodies,

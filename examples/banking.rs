@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example banking`
 
 use comet::MdaLifecycle;
-use comet_codegen::{Block, BodyProvider, Expr, IrBinOp, IrType, Stmt};
+use comet_codegen::{Block, BodyProvider, Expr, FunctionalGenerator, IrBinOp, IrType, Stmt};
 use comet_concerns::{distribution, security, transactions};
 use comet_interp::{Interp, Value};
 use comet_model::{Model, ModelBuilder, Primitive, TypeRef};
@@ -141,9 +141,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ----- code level: functional codegen + aspect weaving -------------
     let system = mda.generate(&bodies(), comet::Backend::JavaFunctional)?;
+    let functional = FunctionalGenerator::new().generate(mda.model(), &bodies());
     println!(
         "functional: {} stmts | woven: {} stmts | advice applications: {}",
-        system.functional.statement_count(),
+        functional.statement_count(),
         system.woven().statement_count(),
         system.weave_trace().len()
     );

@@ -9,7 +9,7 @@
 
 use comet::MdaLifecycle;
 use comet_aop::{parse_pointcut, Advice, AdviceKind, Aspect, Weaver};
-use comet_codegen::{Block, BodyProvider, Expr, IrBinOp, Stmt};
+use comet_codegen::{Block, BodyProvider, Expr, FunctionalGenerator, IrBinOp, Stmt};
 use comet_concerns::persistence;
 use comet_interp::{Interp, Value};
 use comet_model::{Model, ModelBuilder, Primitive, TypeRef};
@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Code level: the lifecycle-generated aspects PLUS a hand-written
     // audit aspect restricted to the checkout control flow.
-    let system = mda.generate(&bodies(), comet::Backend::JavaFunctional)?;
+    let functional = FunctionalGenerator::new().generate(mda.model(), &bodies());
     let audit = Aspect::new("checkout-audit").with_advice(Advice::new(
         AdviceKind::Before,
         parse_pointcut("execution(Item.adjust) && cflow(execution(Warehouse.checkout))")?,
@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ));
     let mut aspects = mda.aspects();
     aspects.push(audit);
-    let woven = Weaver::new(aspects).weave(&system.functional)?.program;
+    let woven = Weaver::new(aspects).weave(&functional)?.program;
 
     // Execution.
     let mut interp = Interp::new(woven);

@@ -9,6 +9,7 @@
 mod common;
 
 use comet::MdaLifecycle;
+use comet_codegen::FunctionalGenerator;
 use comet_concerns::transactions;
 use comet_interp::{Interp, Value};
 use comet_workflow::WorkflowModel;
@@ -80,8 +81,8 @@ fn without_the_aspect_the_same_crash_corrupts_state() {
     let workflow = WorkflowModel::new("e1").step("transactions", false);
     let mut mda = MdaLifecycle::new(executable_banking_pim(), workflow).unwrap();
     mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
-    let system = mda.generate(&banking_bodies(), comet::Backend::JavaFunctional).unwrap();
-    let mut interp = Interp::new((*system.functional).clone());
+    let mut interp =
+        Interp::new(FunctionalGenerator::new().generate(mda.model(), &banking_bodies()));
     let (bank, a1, a2) = setup_bank(&mut interp);
     let _ =
         interp.call(bank, "transfer", vec![Value::from("A-1"), Value::from("A-2"), Value::Int(13)]);

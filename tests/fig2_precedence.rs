@@ -9,6 +9,7 @@ mod common;
 
 use comet::MdaLifecycle;
 use comet_aop::Weaver;
+use comet_codegen::FunctionalGenerator;
 use comet_concerns::{distribution, security, transactions};
 use comet_interp::{Interp, Value};
 use comet_workflow::WorkflowModel;
@@ -189,7 +190,7 @@ fn the_weaver_honours_a_manually_permuted_aspect_list() {
     let system_fwd = mda.generate(&banking_bodies(), comet::Backend::JavaFunctional).unwrap();
     let mut aspects = mda.aspects();
     aspects.reverse();
-    let functional = system_fwd.functional.clone();
+    let functional = FunctionalGenerator::new().generate(mda.model(), &banking_bodies());
     let reversed = Weaver::new(aspects).weave(&functional).unwrap();
     let bank = reversed.program.find_class("Bank").unwrap();
     let public = bank.find_method("transfer").unwrap();

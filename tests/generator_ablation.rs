@@ -9,6 +9,7 @@ mod common;
 
 use comet::MdaLifecycle;
 use comet_aop::concern_metrics;
+use comet_codegen::FunctionalGenerator;
 use comet_concerns::{distribution, security, transactions};
 use comet_interp::{Interp, InterpError, Value};
 use comet_transform::{ParamSet, ParamValue};
@@ -95,7 +96,8 @@ fn woven_system_localizes_concern_code_baseline_tangles_it() {
     let prefixes = &["tx", "sec", "net", "log"];
 
     // The functional program contains no concern code at all.
-    let functional_metrics = concern_metrics(&system.functional, prefixes);
+    let functional = FunctionalGenerator::new().generate(mda.model(), &bodies);
+    let functional_metrics = concern_metrics(&functional, prefixes);
     let total: usize = functional_metrics.concerns.values().map(|m| m.statements).sum();
     assert_eq!(total, 0, "functional program is concern-free");
 
@@ -139,14 +141,15 @@ fn changing_one_concern_parameter_regenerates_only_that_aspect() {
         )
         .unwrap();
         let system = mda.generate(&bodies, comet::Backend::JavaFunctional).unwrap();
+        let functional = FunctionalGenerator::new().generate(mda.model(), &bodies);
         let mono = mda.generate_monolithic(&bodies);
-        (system, mono)
+        (system, functional, mono)
     };
-    let (sys_rc, mono_rc) = build("read-committed");
-    let (sys_ser, mono_ser) = build("serializable");
+    let (sys_rc, functional_rc, mono_rc) = build("read-committed");
+    let (sys_ser, functional_ser, mono_ser) = build("serializable");
 
     // Functional artifact identical across the parameter change.
-    assert_eq!(sys_rc.functional, sys_ser.functional);
+    assert_eq!(functional_rc, functional_ser);
     assert_eq!(sys_rc.functional_source, sys_ser.functional_source);
     // Only the aspect artifact changed.
     assert_ne!(sys_rc.aspect_sources, sys_ser.aspect_sources);

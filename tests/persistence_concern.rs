@@ -5,7 +5,7 @@
 mod common;
 
 use comet::MdaLifecycle;
-use comet_codegen::{Block, BodyProvider, Expr, IrBinOp, Stmt};
+use comet_codegen::{Block, BodyProvider, Expr, FunctionalGenerator, IrBinOp, Stmt};
 use comet_concerns::persistence;
 use comet_interp::{Interp, Value};
 use comet_model::{ModelBuilder, Primitive};
@@ -89,9 +89,10 @@ fn monolithic_baseline_is_equivalent() {
 
 #[test]
 fn functional_program_knows_nothing_about_the_store() {
-    let system = lifecycle().generate(&bodies(), comet::Backend::JavaFunctional).unwrap();
+    let mda = lifecycle();
+    let system = mda.generate(&bodies(), comet::Backend::JavaFunctional).unwrap();
     assert!(!system.functional_source.contains("store."));
-    let mut interp = Interp::new((*system.functional).clone());
+    let mut interp = Interp::new(FunctionalGenerator::new().generate(mda.model(), &bodies()));
     let item = interp.create("Item").unwrap();
     interp.set_field(&item, "sku", Value::from("SKU-7")).unwrap();
     interp.call(item.clone(), "receive", vec![Value::Int(10)]).unwrap();
