@@ -3,11 +3,11 @@
 //! Two measurements over the same growing model chain:
 //!
 //! 1. **Commit throughput** — commits/second into the in-memory
-//!    `Repository` versus the durable backend (segment append + fsync,
+//!    `Repository` versus a journalled one (segment append + fsync,
 //!    WAL append + fsync per commit). The ratio is the price of the
 //!    write-ahead guarantee.
 //! 2. **Recovery time vs journal length** — wall-clock time for
-//!    `DurableRepository::open` (full WAL replay + segment-store index
+//!    `Repository::open` (full WAL replay + segment-store index
 //!    rebuild with per-frame hash verification) as the journal grows.
 //!    Replay is linear in the journal, which the sweep makes visible.
 //! 3. **Recovery of an apply/undo churn journal** — the same record
@@ -21,7 +21,7 @@
 //! directory).
 
 use comet_model::Model;
-use comet_repo::{DurableRepository, RecoveryReport, Repository};
+use comet_repo::{RecoveryReport, Repository};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -76,12 +76,12 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("comet-bench-persist-{}-{tag}", std::process::id()))
 }
 
-/// Median `DurableRepository::open` time over the journal in `dir`, and
+/// Median `Repository::open` time over the journal in `dir`, and
 /// the recovery report of the last open.
 fn time_open(dir: &Path) -> (f64, RecoveryReport) {
     let mut last = RecoveryReport::default();
     let secs = median_secs(|| {
-        let (repo, report) = DurableRepository::open(black_box(dir)).expect("opens");
+        let (repo, report) = Repository::open(black_box(dir)).expect("opens");
         assert!(report.clean(), "bench journal must replay cleanly");
         last = report;
         black_box(repo);
@@ -99,7 +99,7 @@ fn write_churn_journal(dir: &Path, records: usize) -> usize {
         base.add_class(root, &format!("Base{i}")).expect("unique class name");
     }
     let steps = version_chain_from(&base, *CHURN_DEPTHS.iter().max().expect("non-empty"));
-    let mut repo = DurableRepository::create(dir, "persist-bench").expect("creates");
+    let mut repo = Repository::create(dir, "persist-bench").expect("creates");
     repo.commit(&base, "base", None).expect("commits");
     // `Some(i)` applies step `i`, `None` undoes one step.
     let ops =
@@ -132,7 +132,7 @@ fn main() {
     let durable_secs = median_secs(|| {
         let dir = scratch("commit");
         let _ = std::fs::remove_dir_all(&dir);
-        let mut repo = DurableRepository::create(&dir, "persist-bench").expect("creates");
+        let mut repo = Repository::create(&dir, "persist-bench").expect("creates");
         for (i, v) in versions.iter().enumerate() {
             black_box(repo.commit(v, &format!("v{i}"), None).expect("commits"));
         }
@@ -146,7 +146,7 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
         let chain = version_chain(journal_commits);
         {
-            let mut repo = DurableRepository::create(&dir, "persist-bench").expect("creates");
+            let mut repo = Repository::create(&dir, "persist-bench").expect("creates");
             for (i, v) in chain.iter().enumerate() {
                 repo.commit(v, &format!("v{i}"), None).expect("commits");
             }

@@ -62,7 +62,7 @@ use comet_codegen::{BodyProvider, FunctionalGenerator};
 use comet_middleware::FaultPlan;
 use comet_model::sample::banking_pim;
 use comet_obs::{Collector, ProvenanceIndex, Trace};
-use comet_repo::ColorReport;
+use comet_repo::{ColorReport, Repository};
 use comet_serve::WorkloadPlan;
 use comet_transform::{ParamSet, ParamValue};
 use comet_workflow::WorkflowModel;
@@ -144,7 +144,7 @@ fn usage_text() -> &'static str {
      comet-cli serve [--workload plan.toml] [--shards N] [--seed N] [--faults plan.toml] \
      [--threads N] [--trace out.json] [--json] [--data-dir DIR] [--kill tenant@N] \
      [--metrics out.prom|out.json] [--slo]\n  \
-     comet-cli repo fsck <data-dir>\n  \
+     comet-cli repo fsck <data-dir>   (truncates torn journal tails, then verifies)\n  \
      comet-cli provenance <element> --trace out.json\n  \
      comet-cli metrics [--json]\n  \
      comet-cli interactions [--json]"
@@ -851,7 +851,9 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 /// per-tenant journals. Replays each write-ahead log, verifies every
 /// commit's snapshot bytes against its content hash in the segment
 /// store, and checks branch/tag referential integrity; exits non-zero
-/// when any journal is corrupt.
+/// when any journal is corrupt. The replay is [`Repository::open`], so
+/// the check also repairs: a torn tail in either file is truncated,
+/// and the report counts the bytes.
 fn cmd_repo(args: &[String]) -> Result<(), CliError> {
     let usage = "usage: comet-cli repo fsck <data-dir>";
     match args.first().map(String::as_str) {
@@ -864,13 +866,13 @@ fn cmd_repo(args: &[String]) -> Result<(), CliError> {
         return Err(usage_err(format!("repo fsck: unexpected argument `{}`", args[2])));
     }
     let mut journals = Vec::new();
-    if comet_repo::DurableRepository::exists(&dir) {
+    if Repository::exists(&dir) {
         journals.push(dir.clone());
     } else {
         let entries = std::fs::read_dir(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         let mut dirs: Vec<_> = entries
             .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| comet_repo::DurableRepository::exists(p))
+            .filter(|p| Repository::exists(p))
             .collect();
         dirs.sort();
         journals.extend(dirs);
@@ -880,8 +882,8 @@ fn cmd_repo(args: &[String]) -> Result<(), CliError> {
     }
     let mut corrupt = 0usize;
     for journal in &journals {
-        let report = comet_repo::DurableRepository::fsck(journal)
-            .map_err(|e| format!("{}: {e}", journal.display()))?;
+        let report =
+            Repository::fsck(journal).map_err(|e| format!("{}: {e}", journal.display()))?;
         println!("{}:", journal.display());
         print!("{report}");
         if !report.ok() {

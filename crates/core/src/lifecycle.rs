@@ -9,9 +9,7 @@ use comet_gen::{Backend, GenInput, GeneratorFactory};
 use comet_middleware::{FaultHook, MiddlewareError};
 use comet_model::{Model, ModelDelta, UndoLog};
 use comet_obs::{fnv1a64, fnv1a64_extend};
-use comet_repo::{
-    ColorReport, Commit, CommitId, DurableRepository, RecoveryReport, RepoError, Repository,
-};
+use comet_repo::{ColorReport, Commit, RecoveryReport, RepoError, Repository};
 use comet_transform::{ConcreteTransformation, ParamSet, TransformError};
 use comet_workflow::{WorkflowBuildError, WorkflowEngine, WorkflowError, WorkflowModel};
 use std::cell::RefCell;
@@ -155,53 +153,6 @@ impl GeneratedSystem {
     }
 }
 
-/// The repository behind a lifecycle: either the plain in-memory
-/// versioned store, or the durable log-structured backend that journals
-/// every commit and undo before applying it in memory. Both expose the
-/// same `Repository` view for reads; writes go through the backend so
-/// the durable variant never misses a journal entry.
-#[derive(Debug)]
-enum RepoBackend {
-    Memory(Repository),
-    Durable(DurableRepository),
-}
-
-impl RepoBackend {
-    fn as_repository(&self) -> &Repository {
-        match self {
-            RepoBackend::Memory(r) => r,
-            RepoBackend::Durable(d) => d.repo(),
-        }
-    }
-
-    fn commit_with_delta(
-        &mut self,
-        model: &Model,
-        message: &str,
-        concern: Option<&str>,
-        delta: ModelDelta,
-    ) -> Result<CommitId, RepoError> {
-        match self {
-            RepoBackend::Memory(r) => r.commit_with_delta(model, message, concern, delta),
-            RepoBackend::Durable(d) => d.commit_with_delta(model, message, concern, delta),
-        }
-    }
-
-    fn undo(&mut self) -> Option<Result<Model, RepoError>> {
-        match self {
-            RepoBackend::Memory(r) => r.undo(),
-            RepoBackend::Durable(d) => d.undo(),
-        }
-    }
-
-    fn undo_head(&mut self) -> Option<Result<(), RepoError>> {
-        match self {
-            RepoBackend::Memory(r) => r.undo_head(),
-            RepoBackend::Durable(d) => d.undo_head(),
-        }
-    }
-}
-
 /// The private bookkeeping of one applied step, parallel to
 /// [`AppliedConcern`].
 #[derive(Debug)]
@@ -318,7 +269,7 @@ fn count(stats: &mut (u64, u64), hit: bool) {
 #[derive(Debug)]
 pub struct MdaLifecycle {
     model: Model,
-    repo: RepoBackend,
+    repo: Repository,
     workflow: WorkflowEngine,
     applied: Vec<AppliedConcern>,
     /// Parallel to `applied`.
@@ -348,7 +299,7 @@ impl MdaLifecycle {
         let engine = WorkflowEngine::try_new(workflow)?;
         let mut repo = Repository::new(format!("{}-models", pim.name()));
         repo.commit(&pim, "initial PIM", None)?;
-        Ok(Self::assemble(pim, RepoBackend::Memory(repo), engine, Vec::new(), Vec::new()))
+        Ok(Self::assemble(pim, repo, engine, Vec::new(), Vec::new()))
     }
 
     /// Starts a lifecycle whose repository journals every operation to
@@ -366,9 +317,9 @@ impl MdaLifecycle {
         dir: &Path,
     ) -> Result<Self, LifecycleError> {
         let engine = WorkflowEngine::try_new(workflow)?;
-        let mut repo = DurableRepository::create(dir, &format!("{}-models", pim.name()))?;
+        let mut repo = Repository::create(dir, &format!("{}-models", pim.name()))?;
         repo.commit(&pim, "initial PIM", None)?;
-        Ok(Self::assemble(pim, RepoBackend::Durable(repo), engine, Vec::new(), Vec::new()))
+        Ok(Self::assemble(pim, repo, engine, Vec::new(), Vec::new()))
     }
 
     /// Rebuilds a lifecycle from the durable journal in `dir`:
@@ -407,7 +358,7 @@ impl MdaLifecycle {
         F: Fn(&str) -> Option<(ConcernPair, ParamSet)>,
     {
         let mut engine = WorkflowEngine::try_new(workflow)?;
-        let (repo, report) = DurableRepository::open(dir)?;
+        let (repo, report) = Repository::open(dir)?;
         let model = match repo.head_model() {
             Some(model) => model?,
             None => {
@@ -439,14 +390,14 @@ impl MdaLifecycle {
             steps.push(StepState::new(None, &steps, &cmt));
             applied.push(AppliedConcern { cmt, aspect, report: delta });
         }
-        Ok((Self::assemble(model, RepoBackend::Durable(repo), engine, applied, steps), report))
+        Ok((Self::assemble(model, repo, engine, applied, steps), report))
     }
 
     /// Builds the lifecycle around `model`, which must equal `repo`'s
     /// visible head commit, with one commit below it per applied step.
     fn assemble(
         model: Model,
-        repo: RepoBackend,
+        repo: Repository,
         workflow: WorkflowEngine,
         applied: Vec<AppliedConcern>,
         steps: Vec<StepState>,
@@ -463,9 +414,10 @@ impl MdaLifecycle {
         }
     }
 
-    /// Whether the repository journals to disk.
+    /// Whether the repository journals to disk
+    /// ([`Repository::is_durable`]).
     pub fn is_durable(&self) -> bool {
-        matches!(self.repo, RepoBackend::Durable(_))
+        self.repo.is_durable()
     }
 
     /// Lifetime weave-cache `(hits, misses)` across every `generate`: a
@@ -488,10 +440,7 @@ impl MdaLifecycle {
 
     /// WAL durability barriers issued so far; 0 for in-memory repos.
     pub fn wal_fsyncs(&self) -> u64 {
-        match &self.repo {
-            RepoBackend::Memory(_) => 0,
-            RepoBackend::Durable(d) => d.wal_fsyncs(),
-        }
+        self.repo.wal_fsyncs()
     }
 
     /// Attaches a trace collector: every subsequent
@@ -534,9 +483,11 @@ impl MdaLifecycle {
         self.repository().head().expect("a lifecycle always has a head commit")
     }
 
-    /// The model repository (versions, tags, diffs).
+    /// The model repository (versions, tags, diffs). It journals every
+    /// write when the lifecycle came from [`MdaLifecycle::new_durable`]
+    /// or [`MdaLifecycle::recover`]; a clone of it has no journal.
     pub fn repository(&self) -> &Repository {
-        self.repo.as_repository()
+        &self.repo
     }
 
     /// The workflow engine (guidance).
@@ -839,7 +790,7 @@ impl MdaLifecycle {
 }
 
 /// The repository's one-shot fault points (`repo.commit`, `repo.undo`,
-/// and the durable backend's compensation append), so tests fail the
+/// and a journalled repository's compensation append), so tests fail the
 /// lifecycle's next write without a handle on its repository.
 impl FaultHook for MdaLifecycle {
     fn fault_points(&self) -> Vec<&'static str> {
@@ -847,10 +798,7 @@ impl FaultHook for MdaLifecycle {
     }
 
     fn arm_fault(&mut self, point: &str) -> Result<(), MiddlewareError> {
-        match &mut self.repo {
-            RepoBackend::Memory(r) => r.arm_fault(point),
-            RepoBackend::Durable(d) => d.arm_fault(point),
-        }
+        self.repo.arm_fault(point)
     }
 }
 

@@ -40,7 +40,7 @@ use comet_codegen::BodyProvider;
 use comet_interaction::{build_matrix, pair_key, InteractionMatrix};
 use comet_middleware::{FaultLog, FaultPlan, Middleware, MiddlewareConfig};
 use comet_obs::{fnv1a64, Collector};
-use comet_repo::DurableRepository;
+use comet_repo::Repository;
 use comet_serve::{
     EngineFactory, QuerySelector, Request, RunConfig, ServeError, TenantEngine, WorkloadPlan,
     WorkloadPlanError,
@@ -253,7 +253,7 @@ impl BankingSession {
             // A journal already present means a previous run (or a
             // previous process) served this tenant: resume from it
             // instead of starting over.
-            Some(dir) if DurableRepository::exists(dir) => {
+            Some(dir) if Repository::exists(dir) => {
                 MdaLifecycle::recover(dir, workflow, serve_resolver)
                     .expect("journalled tenant state recovers")
                     .0
@@ -326,7 +326,7 @@ impl BankingSession {
             .data_dir
             .as_ref()
             .ok_or_else(|| LifecycleError::Recovery("kill points require a data dir".to_owned()))?;
-        DurableRepository::simulate_torn_tail(dir)?;
+        Repository::simulate_torn_tail(dir)?;
         let (mut mda, _report) =
             MdaLifecycle::recover(dir, self.profile.workflow.clone(), serve_resolver)?;
         mda.set_collector(self.obs.clone());
@@ -470,7 +470,7 @@ impl TenantEngine for BankingSession {
 /// Creates [`BankingSession`]s for the server core. Construction runs
 /// interaction analysis over the workflow steps once and builds the
 /// banking method bodies once; every session shares the resulting
-/// [`ServeProfile`] and bodies.
+/// `ServeProfile` and bodies.
 pub struct BankingFactory {
     seed: u64,
     fault_plan: Option<FaultPlan>,

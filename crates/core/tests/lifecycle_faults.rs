@@ -296,7 +296,7 @@ fn recovery_refuses_a_journal_whose_oldest_commit_names_a_concern() {
     let dir = tmp("no-base");
     let mut distributed = banking_pim();
     distribution::pair().specialize(dist_si()).unwrap().0.apply(&mut distributed).unwrap();
-    let mut repo = comet_repo::DurableRepository::create(&dir, "bank").unwrap();
+    let mut repo = comet_repo::Repository::create(&dir, "bank").unwrap();
     repo.commit(&distributed, "distribution", Some("distribution")).unwrap();
     drop(repo);
     // Undoing the one journalled step would have no commit to land on.
@@ -341,7 +341,7 @@ fn durable_in_place_undo_journals_exactly_one_undo_record() {
     let model = mda.model().clone();
     drop(mda);
     // The record is a plain `Undo`: replay lands where memory did.
-    let (repo, report) = comet_repo::DurableRepository::open(&dir).unwrap();
+    let (repo, report) = comet_repo::Repository::open(&dir).unwrap();
     assert_eq!(report.records_replayed, 5, "init, three commits, one undo");
     assert_eq!(repo.head_model().unwrap().unwrap(), model);
     drop(repo);

@@ -8,7 +8,7 @@
 use comet::{run_banking_serve, run_banking_serve_durable, KillPoint, MdaLifecycle};
 use comet_middleware::FaultPlan;
 use comet_model::sample::banking_pim;
-use comet_repo::DurableRepository;
+use comet_repo::Repository;
 use comet_serve::{ServeOutcome, WorkloadPlan};
 use comet_transform::{ParamSet, ParamValue};
 use comet_workflow::WorkflowModel;
@@ -120,7 +120,7 @@ fn served_tenants_leave_fsck_clean_journals_and_resume_across_restarts() {
     assert_eq!(recoveries, 0);
     assert!(first.report.completed > 0);
     for tenant in plan.tenant_names() {
-        let fsck = DurableRepository::fsck(&dir.join(&tenant)).expect("journal opens");
+        let fsck = Repository::fsck(&dir.join(&tenant)).expect("journal opens");
         assert!(fsck.ok(), "tenant {tenant} journal corrupt after clean run:\n{fsck}");
     }
     // A second run over the same data dir resumes every tenant from its
@@ -130,7 +130,7 @@ fn served_tenants_leave_fsck_clean_journals_and_resume_across_restarts() {
     assert_eq!(recoveries, 0, "resuming from a clean journal is not a crash recovery");
     assert!(second.report.completed > 0);
     for tenant in plan.tenant_names() {
-        let fsck = DurableRepository::fsck(&dir.join(&tenant)).expect("journal opens");
+        let fsck = Repository::fsck(&dir.join(&tenant)).expect("journal opens");
         assert!(fsck.ok(), "tenant {tenant} journal corrupt after resumed run:\n{fsck}");
     }
     std::fs::remove_dir_all(&dir).expect("scratch dir removable");
@@ -194,7 +194,7 @@ fn lifecycle_recovers_applied_concerns_and_keeps_refining() {
     let (pair, si) = resolver("transactions").unwrap();
     twin.apply_concern(&pair, si).unwrap();
     assert_eq!(mda.model(), twin.model());
-    let fsck = DurableRepository::fsck(&dir).expect("journal opens");
+    let fsck = Repository::fsck(&dir).expect("journal opens");
     assert!(fsck.ok(), "journal corrupt after recovered refinement:\n{fsck}");
     std::fs::remove_dir_all(&dir).expect("scratch dir removable");
 }
@@ -208,7 +208,7 @@ fn torn_journal_tail_recovers_to_the_last_committed_step() {
         mda.apply_concern(&pair, si).unwrap();
     }
     // Crash mid-append: the journal claims a record it never delivered.
-    DurableRepository::simulate_torn_tail(&dir).unwrap();
+    Repository::simulate_torn_tail(&dir).unwrap();
     let (mda, report) = MdaLifecycle::recover(&dir, fig2_workflow(), resolver).unwrap();
     assert!(!report.clean(), "the torn tail must be detected and truncated");
     assert_eq!(mda.applied().len(), 1, "the committed step survives the torn tail");

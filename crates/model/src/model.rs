@@ -19,14 +19,14 @@ use std::collections::BTreeMap;
 /// has an owner that exists, ids are never reused, and sibling names are
 /// unique per kind (for named elements).
 ///
-/// Queries are answered from a [`ModelIndex`](crate::index::ModelIndex)
-/// built on first use and kept current after that: every mutation
+/// Queries are answered from a model index (`ModelIndex`) built on
+/// first use and kept current after that: every mutation
 /// choke point reports the ids it touches, and the next query patches
 /// just those into the index (see `index.rs` for the maintenance
 /// rules). The index is derived data: it is ignored by `PartialEq` and
 /// reset — not copied — by `Clone`.
 ///
-/// The same choke points feed an optional change [`Journal`] (see
+/// The same choke points feed an optional change journal (see
 /// `journal.rs`): between [`Model::begin_journal`] and
 /// [`Model::commit_journal`] every mutation records an inverse
 /// operation, and [`Model::rollback_journal`] unwinds the segment in

@@ -15,11 +15,13 @@
 //! * [`ColorReport`] — the per-concern element listing a visual tool
 //!   would render as colors, plus the remaining-concern hint the paper
 //!   suggests;
-//! * [`DurableRepository`] — the same repository backed by an
-//!   append-only, content-addressed [`SegmentStore`] and a write-ahead
-//!   journal ([`Wal`]): every operation is shipped to disk before it is
-//!   applied in memory, and open replays the journal, truncating torn
-//!   tails, back to the last completed operation.
+//! * durability without a second type: [`Repository::create`] and
+//!   [`Repository::open`] give the repository a journal — an
+//!   append-only, content-addressed segment store plus a write-ahead
+//!   log ([`Wal`]). Each mutator then ships its operation to disk before
+//!   applying it in memory, and open replays the journal, truncating
+//!   torn tails, back to the last completed operation. A clone keeps
+//!   the in-memory state only and never writes to the journal.
 //!
 //! ## Example
 //!
@@ -54,5 +56,4 @@ pub use repo::{
     Commit, CommitId, RepoError, Repository, FAULT_POINT_COMMIT, FAULT_POINT_UNDO,
     FAULT_POINT_WAL_COMPENSATION,
 };
-pub use segment::{SegmentId, SegmentOpenReport, SegmentStore};
 pub use wal::{CheckpointCommit, CheckpointState, Wal, WalOpenReport, WalRecord};

@@ -1,7 +1,8 @@
-//! Crash recovery: the durable, log-structured repository backend.
+//! Crash recovery: the journal that makes a [`Repository`] durable.
 //!
-//! A [`DurableRepository`] is a plain in-memory [`Repository`] whose
-//! every mutation is shipped to disk *first*:
+//! A repository made by [`Repository::create`] or [`Repository::open`]
+//! holds a journal, and each of its mutators ships the operation to
+//! disk *first*:
 //!
 //! 1. the snapshot bytes go to the append-only
 //!    [`SegmentStore`](crate::segment::SegmentStore) (content-addressed
@@ -12,8 +13,8 @@
 //! A crash between (1) and (2) leaves an orphan segment — garbage that
 //! compaction reclaims, never corruption. A crash *during* (1) or (2)
 //! leaves a torn tail that the checksummed framing detects and
-//! truncates on the next open. [`DurableRepository::open`] therefore
-//! recovers exactly the state of the last completed operation.
+//! truncates on the next open. [`Repository::open`] therefore recovers
+//! exactly the state of the last completed operation.
 //!
 //! Replay applies commit records from the segment bytes without any
 //! XMI work. Undo and redo records only move the head position, through
@@ -24,7 +25,7 @@
 //! contents — therefore replays in time linear in its records plus a
 //! few decodes, not one full decode per undo.
 //!
-//! Recovery invariants (checked by [`DurableRepository::fsck`]):
+//! Recovery invariants (checked by [`Repository::fsck`]):
 //!
 //! * every WAL commit record resolves to a byte-verified segment;
 //! * replaying the WAL yields a repository whose branch histories,
@@ -35,22 +36,25 @@
 //!   checkpoint WAL lands first and resolves against the old *and* the
 //!   new segment store (live snapshots keep their `(hash, ordinal)`
 //!   address), so a crash between the renames still recovers — see
-//!   [`DurableRepository::compact`].
+//!   [`Repository::compact`].
 
-use crate::repo::{decode, Commit, CommitId, RepoError, Repository, Step};
+use crate::repo::{decode, Commit, RepoError, Repository, Step};
 use crate::segment::{SegmentId, SegmentStore};
 use crate::wal::{CheckpointCommit, CheckpointState, Wal, WalRecord};
-use comet_middleware::{FaultHook, MiddlewareError};
-use comet_model::{Model, ModelDelta};
-use comet_xmi::export_model;
+use comet_model::ModelDelta;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const WAL_FILE: &str = "wal.log";
 const SEGMENTS_FILE: &str = "segments.log";
+
+/// The former name of the journalled repository, kept only because the
+/// benchmark harness in `e2ebench/` still calls
+/// `DurableRepository::open` and `DurableRepository::fsck`; it goes when
+/// ROADMAP item 9 moves the harness.
+pub type DurableRepository = Repository;
 
 fn io_err(e: std::io::Error) -> RepoError {
     RepoError::Storage(format!("io: {e}"))
@@ -65,7 +69,7 @@ fn sync_dir(dir: &Path) -> Result<(), RepoError> {
     Ok(())
 }
 
-/// What [`DurableRepository::open`] rebuilt and repaired.
+/// What [`Repository::open`] rebuilt and repaired.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// WAL records replayed.
@@ -104,7 +108,8 @@ pub struct CompactionReport {
 /// directory.
 #[derive(Debug, Clone, Default)]
 pub struct FsckReport {
-    /// The recovery the check performed to get a view of the state.
+    /// The recovery the check performed to get a view of the state,
+    /// including the torn tail bytes it truncated.
     pub recovery: RecoveryReport,
     /// Live commits reachable after replay.
     pub commits: usize,
@@ -153,15 +158,9 @@ impl fmt::Display for FsckReport {
     }
 }
 
-/// A [`Repository`] backed by a write-ahead journal and a
-/// content-addressed segment store; survives crashes at any byte
-/// boundary.
-///
-/// Read access goes through `Deref<Target = Repository>`; every
-/// mutating operation has a mirror here that journals first.
-#[derive(Debug)]
-pub struct DurableRepository {
-    repo: Repository,
+/// A repository's on-disk half: the write-ahead log, the segment store
+/// it references, and their directory.
+pub(crate) struct Journal {
     wal: Wal,
     segments: SegmentStore,
     dir: PathBuf,
@@ -172,144 +171,26 @@ pub struct DurableRepository {
     poisoned: Option<String>,
 }
 
-/// The in-memory repository's one-shot fault points; arming one
-/// writes nothing to the journal.
-impl FaultHook for DurableRepository {
-    fn fault_points(&self) -> Vec<&'static str> {
-        self.repo.fault_points()
-    }
-
-    fn arm_fault(&mut self, point: &str) -> Result<(), MiddlewareError> {
-        self.repo.arm_fault(point)
-    }
-}
-
-impl Deref for DurableRepository {
-    type Target = Repository;
-
-    fn deref(&self) -> &Repository {
-        &self.repo
+/// Shows the journal's identity, not its file positions or counters,
+/// so a reopened repository debug-prints like the live one it recovers.
+impl fmt::Debug for Journal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Journal")
+            .field("dir", &self.dir)
+            .field("poisoned", &self.poisoned)
+            .finish_non_exhaustive()
     }
 }
 
-impl DurableRepository {
-    /// True when `dir` already holds a journal.
-    pub fn exists(dir: &Path) -> bool {
-        dir.join(WAL_FILE).is_file()
-    }
-
-    /// The directory holding this repository's files.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Durability barriers issued by the journal since this handle
-    /// opened — one `sync_data` per appended record. Serving hosts
-    /// bridge this into their metrics.
-    pub fn wal_fsyncs(&self) -> u64 {
+impl Journal {
+    pub(crate) fn fsyncs(&self) -> u64 {
         self.wal.fsyncs()
     }
 
-    /// Read view of the replayed repository (also available via
-    /// `Deref`).
-    pub fn repo(&self) -> &Repository {
-        &self.repo
-    }
-
-    /// Creates a fresh durable repository in `dir` (created if absent).
-    ///
-    /// # Errors
-    /// Fails when `dir` already holds a journal, or on I/O failure.
-    pub fn create(dir: &Path, name: &str) -> Result<DurableRepository, RepoError> {
-        if Self::exists(dir) {
-            return Err(RepoError::Storage(format!(
-                "refusing to create over an existing journal in {}",
-                dir.display()
-            )));
-        }
-        std::fs::create_dir_all(dir).map_err(io_err)?;
-        let (segments, _) = SegmentStore::open(dir.join(SEGMENTS_FILE)).map_err(io_err)?;
-        let mut wal = Wal::open_at(dir.join(WAL_FILE), 0).map_err(io_err)?;
-        wal.append(&WalRecord::Init { name: name.to_owned() }).map_err(io_err)?;
-        Ok(DurableRepository {
-            repo: Repository::new(name),
-            wal,
-            segments,
-            dir: dir.to_owned(),
-            poisoned: None,
-        })
-    }
-
-    /// Opens an existing durable repository, replaying the journal over
-    /// the segment store. Torn tails in either file are truncated; the
-    /// state recovered is exactly that of the last completed operation.
-    ///
-    /// # Errors
-    /// Fails when no journal exists, when a commit record references a
-    /// missing segment (real corruption, not a torn tail), or on I/O
-    /// failure.
-    pub fn open(dir: &Path) -> Result<(DurableRepository, RecoveryReport), RepoError> {
-        if !Self::exists(dir) {
-            return Err(RepoError::Storage(format!("no journal in {}", dir.display())));
-        }
-        let (mut segments, seg_report) =
-            SegmentStore::open(dir.join(SEGMENTS_FILE)).map_err(io_err)?;
-        let wal_path = dir.join(WAL_FILE);
-        let (records, wal_report, end) = Wal::read_all(&wal_path).map_err(io_err)?;
-        let mut repo: Option<Repository> = None;
-        let mut landings = LandingCheck::default();
-        for record in &records {
-            replay(&mut repo, record, &mut segments, &mut landings)?;
-        }
-        let repo = repo.ok_or_else(|| {
-            RepoError::Storage(format!("journal in {} has no init record", dir.display()))
-        })?;
-        let wal = Wal::open_at(wal_path, end).map_err(io_err)?;
-        let report = RecoveryReport {
-            records_replayed: records.len(),
-            wal_truncated_bytes: wal_report.truncated_bytes,
-            segments: seg_report.segments,
-            segment_truncated_bytes: seg_report.truncated_bytes,
-            snapshots_decoded: landings.decoded,
-        };
-        Ok((DurableRepository { repo, wal, segments, dir: dir.to_owned(), poisoned: None }, report))
-    }
-
-    /// Commits a snapshot of `model`; see [`Repository::commit`].
-    ///
-    /// # Errors
-    /// Fails on injected faults or I/O failure.
-    pub fn commit(
-        &mut self,
-        model: &Model,
-        message: &str,
-        concern: Option<&str>,
-    ) -> Result<CommitId, RepoError> {
-        self.commit_inner(model, message, concern, None)
-    }
-
-    /// Commits with a journal-reported delta; see
-    /// [`Repository::commit_with_delta`]. Unlike the in-memory path,
-    /// the durable backend **verifies** an empty delta against the
-    /// exported bytes and hard-errors on a lie — a stale snapshot
-    /// persisted under a wrong hash would poison every later recovery.
-    ///
-    /// # Errors
-    /// Fails on a lying empty delta, injected faults, or I/O failure.
-    pub fn commit_with_delta(
-        &mut self,
-        model: &Model,
-        message: &str,
-        concern: Option<&str>,
-        delta: ModelDelta,
-    ) -> Result<CommitId, RepoError> {
-        self.commit_inner(model, message, concern, Some(delta))
-    }
-
-    /// Guard run before every mutation: once a compensating append has
-    /// failed, the on-disk journal no longer matches memory and any
-    /// further append would bake the divergence into the next recovery.
-    fn check_poisoned(&self) -> Result<(), RepoError> {
+    /// Once a compensating append has failed, the on-disk journal no
+    /// longer matches memory and any further append would bake the
+    /// divergence into the next recovery.
+    pub(crate) fn check_poisoned(&self) -> Result<(), RepoError> {
         match &self.poisoned {
             Some(why) => Err(RepoError::Storage(format!(
                 "durable repository poisoned ({why}); reopen the directory to recover the \
@@ -319,114 +200,49 @@ impl DurableRepository {
         }
     }
 
-    fn commit_inner(
+    pub(crate) fn append(&mut self, record: &WalRecord) -> Result<(), RepoError> {
+        self.wal.append(record).map_err(io_err)
+    }
+
+    /// Journals a commit: the snapshot bytes to the segment store
+    /// first, then the record that references them.
+    pub(crate) fn commit(
         &mut self,
-        model: &Model,
+        snapshot: &str,
+        hash: u64,
         message: &str,
         concern: Option<&str>,
-        delta: Option<ModelDelta>,
-    ) -> Result<CommitId, RepoError> {
-        self.check_poisoned()?;
-        if self.repo.take_commit_fault() {
-            return Err(RepoError::Storage("injected commit failure".to_owned()));
-        }
-        // Always export: the durable backend trades the empty-delta
-        // snapshot-reuse optimization for verification.
-        let snapshot = export_model(model);
-        let hash = comet_obs::fnv1a64(snapshot.as_bytes());
-        if delta.as_ref().is_some_and(ModelDelta::is_empty) {
-            if let Some(parent) = self.repo.head() {
-                if parent.hash != hash || *parent.snapshot != *snapshot {
-                    return Err(RepoError::Storage(format!(
-                        "empty ModelDelta for `{message}` but the model content differs \
-                         from parent commit {} — refusing to journal a lying delta",
-                        parent.id
-                    )));
-                }
-            }
-        }
+        delta: Option<&ModelDelta>,
+    ) -> Result<(), RepoError> {
         let seg = self.segments.append(snapshot.as_bytes()).map_err(io_err)?;
-        self.wal
-            .append(&WalRecord::Commit {
-                message: message.to_owned(),
-                concern: concern.map(str::to_owned),
-                hash,
-                ordinal: seg.ordinal,
-                delta: delta.clone(),
-            })
-            .map_err(io_err)?;
-        Ok(self.repo.commit_raw(snapshot.into(), hash, message, concern, delta))
+        self.append(&WalRecord::Commit {
+            message: message.to_owned(),
+            concern: concern.map(str::to_owned),
+            hash,
+            ordinal: seg.ordinal,
+            delta: delta.cloned(),
+        })
     }
 
-    /// Journals and applies an undo; see [`Repository::undo`].
-    pub fn undo(&mut self) -> Option<Result<Model, RepoError>> {
-        self.journal_undo(Repository::undo)
-    }
-
-    /// Journals and applies a head-only undo; see
-    /// [`Repository::undo_head`]. The journal record is the same `Undo`
-    /// [`undo`](Self::undo) appends, so replay cannot tell them apart.
-    pub fn undo_head(&mut self) -> Option<Result<(), RepoError>> {
-        self.journal_undo(Repository::undo_head)
-    }
-
-    /// Appends an `Undo` record, then runs the in-memory `step`;
-    /// compensates the record when the step fails.
-    fn journal_undo<T>(
+    /// Appends `record` to cancel a just-journalled undo/redo whose
+    /// in-memory half failed with `cause` (`fault` fails the append, as
+    /// the armed compensation fault point). If the compensating append
+    /// itself fails, the journal has permanently diverged from memory —
+    /// it is poisoned (every later mutation refuses) and the combined
+    /// failure is returned instead of the bare in-memory error, so the
+    /// caller sees the divergence rather than a silently different
+    /// recovery.
+    pub(crate) fn compensate(
         &mut self,
-        step: fn(&mut Repository) -> Option<Result<T, RepoError>>,
-    ) -> Option<Result<T, RepoError>> {
-        if let Err(e) = self.check_poisoned() {
-            return Some(Err(e));
-        }
-        if self.repo.undo_depth() == 0 {
-            return None;
-        }
-        if self.repo.take_undo_fault() {
-            return Some(Err(RepoError::Storage("injected undo failure".to_owned())));
-        }
-        if let Err(e) = self.wal.append(&WalRecord::Undo) {
-            return Some(Err(io_err(e)));
-        }
-        match step(&mut self.repo) {
-            Some(Err(e)) => {
-                // The in-memory undo did not happen; compensate the
-                // journal so replay matches memory.
-                Some(Err(self.compensate(WalRecord::Redo, "undo", e)))
-            }
-            other => other,
-        }
-    }
-
-    /// Journals and applies a redo; see [`Repository::redo`].
-    pub fn redo(&mut self) -> Option<Result<Model, RepoError>> {
-        if let Err(e) = self.check_poisoned() {
-            return Some(Err(e));
-        }
-        if self.repo.redo_depth() == 0 {
-            return None;
-        }
-        if let Err(e) = self.wal.append(&WalRecord::Redo) {
-            return Some(Err(io_err(e)));
-        }
-        match self.repo.redo() {
-            Some(Err(e)) => Some(Err(self.compensate(WalRecord::Undo, "redo", e))),
-            other => other,
-        }
-    }
-
-    /// Appends the record cancelling a just-journalled undo/redo whose
-    /// in-memory half failed. If the compensating append itself fails,
-    /// the journal has permanently diverged from memory — the handle is
-    /// poisoned (every later mutation refuses) and the combined failure
-    /// is returned instead of the bare in-memory error, so the caller
-    /// sees the divergence rather than a silently different recovery.
-    fn compensate(&mut self, record: WalRecord, op: &str, cause: RepoError) -> RepoError {
-        let fault = self.repo.take_compensation_fault();
+        record: &WalRecord,
+        op: &str,
+        cause: RepoError,
+        fault: bool,
+    ) -> RepoError {
         let result = if fault {
             Err(std::io::Error::other("injected compensation failure"))
         } else {
-            self.wal.append(&record)
+            self.wal.append(record)
         };
         match result {
             Ok(()) => cause,
@@ -440,52 +256,77 @@ impl DurableRepository {
             }
         }
     }
+}
 
-    /// Journals and applies a branch creation; see
-    /// [`Repository::branch`].
-    ///
-    /// # Errors
-    /// Fails when the branch exists or on I/O failure.
-    pub fn branch(&mut self, name: &str) -> Result<(), RepoError> {
-        self.check_poisoned()?;
-        if self.repo.branch_names().contains(&name) {
-            return Err(RepoError::BranchExists(name.to_owned()));
-        }
-        self.wal.append(&WalRecord::Branch { name: name.to_owned() }).map_err(io_err)?;
-        self.repo.branch(name)
+impl Repository {
+    /// True when `dir` already holds a journal.
+    pub fn exists(dir: &Path) -> bool {
+        dir.join(WAL_FILE).is_file()
     }
 
-    /// Journals and applies a branch switch; see
-    /// [`Repository::switch_branch`].
+    /// Creates a fresh journalled repository in `dir` (created if
+    /// absent).
     ///
     /// # Errors
-    /// Fails when the branch is unknown or on I/O failure.
-    pub fn switch_branch(&mut self, name: &str) -> Result<(), RepoError> {
-        self.check_poisoned()?;
-        if !self.repo.branch_names().contains(&name) {
-            return Err(RepoError::UnknownBranch(name.to_owned()));
+    /// Fails when `dir` already holds a journal, or on I/O failure.
+    pub fn create(dir: &Path, name: &str) -> Result<Repository, RepoError> {
+        if Self::exists(dir) {
+            return Err(RepoError::Storage(format!(
+                "refusing to create over an existing journal in {}",
+                dir.display()
+            )));
         }
-        self.wal.append(&WalRecord::SwitchBranch { name: name.to_owned() }).map_err(io_err)?;
-        self.repo.switch_branch(name)
+        std::fs::create_dir_all(dir).map_err(io_err)?;
+        let (segments, _) = SegmentStore::open(dir.join(SEGMENTS_FILE)).map_err(io_err)?;
+        let mut wal = Wal::open_at(dir.join(WAL_FILE), 0).map_err(io_err)?;
+        wal.append(&WalRecord::Init { name: name.to_owned() }).map_err(io_err)?;
+        let mut repo = Repository::new(name);
+        repo.journal = Some(Journal { wal, segments, dir: dir.to_owned(), poisoned: None });
+        Ok(repo)
     }
 
-    /// Journals and applies a tag; see [`Repository::tag`].
+    /// Opens an existing journalled repository, replaying the journal
+    /// over the segment store. Torn tails in either file are truncated;
+    /// the state recovered is exactly that of the last completed
+    /// operation.
     ///
     /// # Errors
-    /// Fails when there is no head or on I/O failure.
-    pub fn tag(&mut self, name: &str) -> Result<CommitId, RepoError> {
-        self.check_poisoned()?;
-        if self.repo.head().is_none() {
-            return Err(RepoError::UnknownCommit(0));
+    /// Fails when no journal exists, when a commit record references a
+    /// missing segment (real corruption, not a torn tail), or on I/O
+    /// failure.
+    pub fn open(dir: &Path) -> Result<(Repository, RecoveryReport), RepoError> {
+        if !Self::exists(dir) {
+            return Err(RepoError::Storage(format!("no journal in {}", dir.display())));
         }
-        self.wal.append(&WalRecord::Tag { name: name.to_owned() }).map_err(io_err)?;
-        self.repo.tag(name)
+        let (mut segments, seg_report) =
+            SegmentStore::open(dir.join(SEGMENTS_FILE)).map_err(io_err)?;
+        let wal_path = dir.join(WAL_FILE);
+        let (records, wal_report, end) = Wal::read_all(&wal_path).map_err(io_err)?;
+        let mut repo: Option<Repository> = None;
+        let mut landings = LandingCheck::default();
+        for record in &records {
+            replay(&mut repo, record, &mut segments, &mut landings)?;
+        }
+        let mut repo = repo.ok_or_else(|| {
+            RepoError::Storage(format!("journal in {} has no init record", dir.display()))
+        })?;
+        let wal = Wal::open_at(wal_path, end).map_err(io_err)?;
+        repo.journal = Some(Journal { wal, segments, dir: dir.to_owned(), poisoned: None });
+        let report = RecoveryReport {
+            records_replayed: records.len(),
+            wal_truncated_bytes: wal_report.truncated_bytes,
+            segments: seg_report.segments,
+            segment_truncated_bytes: seg_report.truncated_bytes,
+            snapshots_decoded: landings.decoded,
+        };
+        Ok((repo, report))
     }
 
-    /// Rewrites both files: live segments only, one checkpoint record
-    /// instead of the full operation history. Reclaims segments no
-    /// commit references (orphans from crashes between segment append
-    /// and WAL append, and snapshots of garbage-collected commits).
+    /// Rewrites both journal files: live segments only, one checkpoint
+    /// record instead of the full operation history. Reclaims segments
+    /// no commit references (orphans from crashes between segment
+    /// append and WAL append, and snapshots of garbage-collected
+    /// commits).
     ///
     /// ## Crash safety
     ///
@@ -508,18 +349,23 @@ impl DurableRepository {
     ///   failing every later open.
     ///
     /// # Errors
-    /// Propagates I/O failures; on error the original files are intact.
+    /// Fails without a journal or on a poisoned one; propagates I/O
+    /// failures, and on error the original files are intact.
     pub fn compact(&mut self) -> Result<CompactionReport, RepoError> {
-        self.check_poisoned()?;
-        let seg_tmp = self.dir.join("segments.log.compact");
-        let wal_tmp = self.dir.join("wal.log.compact");
+        let Some(journal) = &mut self.journal else {
+            return Err(RepoError::Storage("an in-memory repository has no journal".to_owned()));
+        };
+        journal.check_poisoned()?;
+        let dir = journal.dir.clone();
+        let seg_tmp = dir.join("segments.log.compact");
+        let wal_tmp = dir.join("wal.log.compact");
         let _ = std::fs::remove_file(&seg_tmp);
         let _ = std::fs::remove_file(&wal_tmp);
         let (mut new_segments, _) = SegmentStore::open(&seg_tmp).map_err(io_err)?;
-        let live_hashes: BTreeSet<u64> = self.repo.commits.values().map(|c| c.hash).collect();
+        let live_hashes: BTreeSet<u64> = self.commits.values().map(|c| c.hash).collect();
         for &hash in &live_hashes {
             for ordinal in 0.. {
-                match self.segments.get(SegmentId { hash, ordinal }).map_err(io_err)? {
+                match journal.segments.get(SegmentId { hash, ordinal }).map_err(io_err)? {
                     None => break,
                     Some(bytes) => {
                         new_segments.append(&bytes).map_err(io_err)?;
@@ -527,8 +373,8 @@ impl DurableRepository {
                 }
             }
         }
-        let mut commits = Vec::with_capacity(self.repo.commits.len());
-        for c in self.repo.commits.values() {
+        let mut commits = Vec::with_capacity(self.commits.len());
+        for c in self.commits.values() {
             // Dedupe hit against the copy above — returns the preserved
             // (hash, ordinal) address.
             let seg = new_segments.append(c.snapshot.as_bytes()).map_err(io_err)?;
@@ -543,25 +389,20 @@ impl DurableRepository {
             });
         }
         let state = CheckpointState {
-            name: self.repo.name.clone(),
-            next_id: self.repo.next_id,
-            current_branch: self.repo.current_branch.clone(),
-            position: self.repo.position as u64,
+            name: self.name.clone(),
+            next_id: self.next_id,
+            current_branch: self.current_branch.clone(),
+            position: self.position as u64,
             commits,
-            branches: self
-                .repo
-                .branches
-                .iter()
-                .map(|(name, ids)| (name.clone(), ids.clone()))
-                .collect(),
-            tags: self.repo.tags.iter().map(|(name, id)| (name.clone(), *id)).collect(),
+            branches: self.branches.iter().map(|(name, ids)| (name.clone(), ids.clone())).collect(),
+            tags: self.tags.iter().map(|(name, id)| (name.clone(), *id)).collect(),
         };
         let mut new_wal = Wal::open_at(&wal_tmp, 0).map_err(io_err)?;
         new_wal.append(&WalRecord::Checkpoint(state)).map_err(io_err)?;
         drop(new_wal);
-        let (_, old_wal_report, _) = Wal::read_all(self.wal.path()).map_err(io_err)?;
+        let (_, old_wal_report, _) = Wal::read_all(journal.wal.path()).map_err(io_err)?;
         let report = CompactionReport {
-            segments_dropped: self.segments.len() - new_segments.len(),
+            segments_dropped: journal.segments.len() - new_segments.len(),
             segments_kept: new_segments.len(),
             wal_records_folded: old_wal_report.records,
         };
@@ -569,14 +410,14 @@ impl DurableRepository {
         // Publish: checkpoint first (resolves against both stores), the
         // segment store second, a directory fsync between and after so
         // the renames reach disk in that order.
-        std::fs::rename(&wal_tmp, self.dir.join(WAL_FILE)).map_err(io_err)?;
-        sync_dir(&self.dir)?;
-        std::fs::rename(&seg_tmp, self.dir.join(SEGMENTS_FILE)).map_err(io_err)?;
-        sync_dir(&self.dir)?;
-        let (segments, _) = SegmentStore::open(self.dir.join(SEGMENTS_FILE)).map_err(io_err)?;
-        let (_, _, end) = Wal::read_all(&self.dir.join(WAL_FILE)).map_err(io_err)?;
-        self.segments = segments;
-        self.wal = Wal::open_at(self.dir.join(WAL_FILE), end).map_err(io_err)?;
+        std::fs::rename(&wal_tmp, dir.join(WAL_FILE)).map_err(io_err)?;
+        sync_dir(&dir)?;
+        std::fs::rename(&seg_tmp, dir.join(SEGMENTS_FILE)).map_err(io_err)?;
+        sync_dir(&dir)?;
+        let (segments, _) = SegmentStore::open(dir.join(SEGMENTS_FILE)).map_err(io_err)?;
+        let (_, _, end) = Wal::read_all(&dir.join(WAL_FILE)).map_err(io_err)?;
+        journal.segments = segments;
+        journal.wal = Wal::open_at(dir.join(WAL_FILE), end).map_err(io_err)?;
         Ok(report)
     }
 
@@ -590,36 +431,39 @@ impl DurableRepository {
         Wal::append_torn(&dir.join(WAL_FILE)).map_err(io_err)
     }
 
-    /// Consistency check: recovers the state (read-only view), verifies
-    /// every commit resolves to a byte-verified segment, that branch
-    /// histories and tags only reference live commits, and counts the
-    /// unreachable segments compaction would reclaim.
+    /// Consistency check of the journal in `dir`. It recovers the state
+    /// through [`open`](Self::open), which **repairs** what it reads:
+    /// torn tails in the WAL and the segment store are truncated, and
+    /// [`FsckReport::recovery`] says how many bytes went. It then
+    /// verifies that every commit resolves to a byte-verified segment
+    /// and that branch histories and tags only reference live commits,
+    /// and counts the unreachable segments compaction would reclaim.
     ///
     /// # Errors
     /// Fails only when the directory cannot be opened at all; found
     /// inconsistencies are reported in
     /// [`FsckReport::problems`], not as `Err`.
     pub fn fsck(dir: &Path) -> Result<FsckReport, RepoError> {
-        let (mut dur, recovery) = Self::open(dir)?;
+        let (mut repo, recovery) = Self::open(dir)?;
+        let mut journal = repo.journal.take().expect("open attaches a journal");
         let mut report = FsckReport {
             recovery,
-            commits: dur.repo.commits.len(),
-            branches: dur.repo.branches.len(),
-            tags: dur.repo.tags.len(),
+            commits: repo.commits.len(),
+            branches: repo.branches.len(),
+            tags: repo.tags.len(),
             ..FsckReport::default()
         };
         let mut live: BTreeSet<SegmentId> = BTreeSet::new();
-        let commits: Vec<(CommitId, u64, Arc<str>)> =
-            dur.repo.commits.values().map(|c| (c.id, c.hash, c.snapshot_shared())).collect();
-        for (id, hash, snapshot) in &commits {
+        for (id, commit) in &repo.commits {
+            let (hash, snapshot) = (commit.hash, commit.snapshot.as_bytes());
             let mut found = false;
             // Locate the segment holding this commit's bytes (ordinal
             // scan: collisions are possible, aliasing is not).
             for ordinal in 0.. {
-                match dur.segments.get(SegmentId { hash: *hash, ordinal }).map_err(io_err)? {
+                match journal.segments.get(SegmentId { hash, ordinal }).map_err(io_err)? {
                     None => break,
-                    Some(bytes) if bytes == snapshot.as_bytes() => {
-                        live.insert(SegmentId { hash: *hash, ordinal });
+                    Some(bytes) if bytes == snapshot => {
+                        live.insert(SegmentId { hash, ordinal });
                         found = true;
                         break;
                     }
@@ -629,26 +473,26 @@ impl DurableRepository {
             if !found {
                 report.problems.push(format!("commit {id}: snapshot missing from segment store"));
             }
-            if comet_obs::fnv1a64(snapshot.as_bytes()) != *hash {
+            if comet_obs::fnv1a64(snapshot) != hash {
                 report.problems.push(format!("commit {id}: content hash mismatch"));
             }
         }
-        for (name, ids) in &dur.repo.branches {
+        for (name, ids) in &repo.branches {
             for id in ids {
-                if !dur.repo.commits.contains_key(id) {
+                if !repo.commits.contains_key(id) {
                     report.problems.push(format!("branch `{name}` references unknown commit {id}"));
                 }
             }
         }
-        if dur.repo.position > dur.repo.branches[&dur.repo.current_branch].len() {
+        if repo.position > repo.branches[&repo.current_branch].len() {
             report.problems.push("head position past the end of the current branch".to_owned());
         }
-        for (name, id) in &dur.repo.tags {
-            if !dur.repo.commits.contains_key(id) {
+        for (name, id) in &repo.tags {
+            if !repo.commits.contains_key(id) {
                 report.problems.push(format!("tag `{name}` references unknown commit {id}"));
             }
         }
-        report.unreachable_segments = dur.segments.len() - live.len();
+        report.unreachable_segments = journal.segments.len() - live.len();
         Ok(report)
     }
 }
@@ -785,12 +629,18 @@ fn repository_from_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comet_middleware::FaultHook;
     use comet_model::sample::banking_pim;
+    use comet_model::Model;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("comet-durable-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn journal(dur: &mut Repository) -> &mut Journal {
+        dur.journal.as_mut().expect("a journalled repository")
     }
 
     fn two_models() -> (Model, Model) {
@@ -817,40 +667,100 @@ mod tests {
     fn create_commit_reopen_recovers_everything() {
         let dir = tmp("basic");
         let (v1, v2) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         dur.commit(&v2, "distribution", Some("distribution")).unwrap();
         dur.tag("psm-v1").unwrap();
         dur.undo().unwrap().unwrap();
         dur.branch("experiment").unwrap();
         dur.switch_branch("main").unwrap();
-        let before = dur.repo().clone();
+        let before = dur.clone();
         drop(dur);
-        let (dur, report) = DurableRepository::open(&dir).unwrap();
+        let (dur, report) = Repository::open(&dir).unwrap();
         assert!(report.clean());
         assert_eq!(report.records_replayed, 7);
-        assert_same_state(&before, dur.repo());
+        assert_same_state(&before, &dur);
         assert_eq!(dur.head_model().unwrap().unwrap(), v2);
         assert_eq!(dur.checkout_tag("psm-v1").unwrap(), v2);
+    }
+
+    #[test]
+    fn a_clone_of_a_journalled_repository_never_writes_the_journal() {
+        let dir = tmp("clone");
+        let (v1, v2) = two_models();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
+        dur.commit(&v1, "initial", None).unwrap();
+        let (fsyncs, wal_len) =
+            (dur.wal_fsyncs(), std::fs::metadata(dir.join(WAL_FILE)).unwrap().len());
+        let mut clone = dur.clone();
+        assert!(!clone.is_durable());
+        clone.commit(&v2, "on the clone", Some("distribution")).unwrap();
+        clone.undo().unwrap().unwrap();
+        clone.redo().unwrap().unwrap();
+        clone.branch("clone-only").unwrap();
+        clone.tag("clone-tag").unwrap();
+        assert_eq!(clone.wal_fsyncs(), 0);
+        assert_eq!(dur.wal_fsyncs(), fsyncs);
+        assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), wal_len);
+        drop(dur);
+        let (dur, report) = Repository::open(&dir).unwrap();
+        assert_eq!(report.records_replayed, 2, "init and the original's one commit");
+        assert_eq!(dur.len(), 1);
+    }
+
+    #[test]
+    fn a_failed_journal_append_leaves_memory_untouched() {
+        let dir = tmp("append-fails");
+        let (v1, v2) = two_models();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
+        dur.commit(&v1, "initial", None).unwrap();
+        dur.commit(&v2, "distribution", Some("distribution")).unwrap();
+        dur.undo().unwrap().unwrap();
+        let before = dur.clone();
+        journal(&mut dur).wal = Wal::read_only(&dir.join(WAL_FILE)).unwrap();
+        // Each mutator journals before it applies, so a refused append
+        // leaves memory where the journal is.
+        let refused = |dur: &Repository, err: RepoError| {
+            assert!(matches!(err, RepoError::Storage(_)), "{err}");
+            assert_same_state(&before, dur);
+        };
+        let err = dur.commit(&v2, "lost", None).unwrap_err();
+        refused(&dur, err);
+        let err = dur.undo().unwrap().unwrap_err();
+        refused(&dur, err);
+        let err = dur.redo().unwrap().unwrap_err();
+        refused(&dur, err);
+        let err = dur.undo_head().unwrap().unwrap_err();
+        refused(&dur, err);
+        let err = dur.branch("lost").unwrap_err();
+        refused(&dur, err);
+        let err = dur.switch_branch("main").unwrap_err();
+        refused(&dur, err);
+        let err = dur.tag("lost").unwrap_err();
+        refused(&dur, err);
+        assert!(journal(&mut dur).poisoned.is_none(), "a refused primary append diverges nothing");
+        drop(dur);
+        let (dur, _) = Repository::open(&dir).unwrap();
+        assert_same_state(&before, &dur);
     }
 
     #[test]
     fn torn_wal_tail_recovers_to_last_complete_operation() {
         let dir = tmp("torn");
         let (v1, v2) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         dur.commit(&v2, "distribution", Some("distribution")).unwrap();
-        let before = dur.repo().clone();
+        let before = dur.clone();
         drop(dur);
-        DurableRepository::simulate_torn_tail(&dir).unwrap();
-        let (mut dur, report) = DurableRepository::open(&dir).unwrap();
+        Repository::simulate_torn_tail(&dir).unwrap();
+        let (mut dur, report) = Repository::open(&dir).unwrap();
         assert!(report.wal_truncated_bytes > 0);
-        assert_same_state(&before, dur.repo());
+        assert_same_state(&before, &dur);
         // The journal is clean again: new operations append and survive.
         dur.undo().unwrap().unwrap();
         drop(dur);
-        let (dur, report) = DurableRepository::open(&dir).unwrap();
+        let (dur, report) = Repository::open(&dir).unwrap();
         assert!(report.clean());
         assert_eq!(dur.head_model().unwrap().unwrap(), v1);
     }
@@ -859,7 +769,7 @@ mod tests {
     fn durable_backend_hard_errors_on_lying_empty_delta() {
         let dir = tmp("lying");
         let (v1, v2) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         let err = dur
             .commit_with_delta(&v2, "lying", Some("distribution"), ModelDelta::default())
@@ -873,7 +783,7 @@ mod tests {
         // durable path must leave no trace of it.
         assert_eq!(dur.len(), 1);
         drop(dur);
-        let (dur, _) = DurableRepository::open(&dir).unwrap();
+        let (dur, _) = Repository::open(&dir).unwrap();
         assert_eq!(dur.len(), 1);
         assert_eq!(dur.head_model().unwrap().unwrap(), v1);
         // An honest empty delta (model genuinely unchanged) is fine.
@@ -886,19 +796,19 @@ mod tests {
     fn identical_snapshots_share_one_segment() {
         let dir = tmp("dedupe");
         let (v1, _) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "a", None).unwrap();
         dur.commit(&v1, "b", None).unwrap();
         dur.commit(&v1, "c", None).unwrap();
         assert_eq!(dur.len(), 3, "three commits");
-        assert_eq!(dur.segments.len(), 1, "one deduped segment");
+        assert_eq!(journal(&mut dur).segments.len(), 1, "one deduped segment");
     }
 
     #[test]
     fn compaction_reclaims_orphaned_segments_and_survives_reopen() {
         let dir = tmp("compact");
         let (v1, v2) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         // Orphan a commit: undo + commit truncates v2's snapshot out.
         dur.commit(&v2, "doomed", Some("distribution")).unwrap();
@@ -907,24 +817,24 @@ mod tests {
         v3.add_class(v3.root(), "Other").unwrap();
         dur.commit(&v3, "alternative", None).unwrap();
         assert_eq!(dur.len(), 2);
-        assert_eq!(dur.segments.len(), 3, "v2's segment is now garbage");
-        let before = dur.repo().clone();
+        assert_eq!(journal(&mut dur).segments.len(), 3, "v2's segment is now garbage");
+        let before = dur.clone();
         let report = dur.compact().unwrap();
         assert_eq!(report.segments_dropped, 1);
         assert_eq!(report.segments_kept, 2);
         assert!(report.wal_records_folded >= 5);
-        assert_same_state(&before, dur.repo());
+        assert_same_state(&before, &dur);
         // Post-compaction state must replay from the checkpoint alone.
         drop(dur);
-        let (mut dur, open_report) = DurableRepository::open(&dir).unwrap();
+        let (mut dur, open_report) = Repository::open(&dir).unwrap();
         assert!(open_report.clean());
         assert_eq!(open_report.records_replayed, 1, "one checkpoint record");
-        assert_same_state(&before, dur.repo());
+        assert_same_state(&before, &dur);
         assert_eq!(dur.head_model().unwrap().unwrap(), v3);
         // And it keeps accepting operations afterwards.
         dur.commit(&v2, "after-compaction", None).unwrap();
         drop(dur);
-        let (dur, _) = DurableRepository::open(&dir).unwrap();
+        let (dur, _) = Repository::open(&dir).unwrap();
         assert_eq!(dur.head_model().unwrap().unwrap(), v2);
     }
 
@@ -932,7 +842,7 @@ mod tests {
     fn crash_between_compaction_renames_still_recovers() {
         let dir = tmp("compact-crash");
         let (v1, v2) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         // Garbage to reclaim: the GC'd commit's segment only exists in
         // the pre-compaction store, which is exactly what made the old
@@ -944,7 +854,7 @@ mod tests {
         dur.commit(&v3, "alternative", None).unwrap();
         let old_wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
         let old_segments = std::fs::read(dir.join(SEGMENTS_FILE)).unwrap();
-        let before = dur.repo().clone();
+        let before = dur.clone();
         dur.compact().unwrap();
         let new_wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
         let new_segments = std::fs::read(dir.join(SEGMENTS_FILE)).unwrap();
@@ -961,14 +871,14 @@ mod tests {
             std::fs::create_dir_all(&crash_dir).unwrap();
             std::fs::write(crash_dir.join(WAL_FILE), wal).unwrap();
             std::fs::write(crash_dir.join(SEGMENTS_FILE), segments).unwrap();
-            let (mut dur, _) = DurableRepository::open(&crash_dir)
+            let (mut dur, _) = Repository::open(&crash_dir)
                 .unwrap_or_else(|e| panic!("{label}: open failed: {e}"));
-            assert_same_state(&before, dur.repo());
+            assert_same_state(&before, &dur);
             assert_eq!(dur.head_model().unwrap().unwrap(), v3, "{label}");
             // The recovered repository keeps accepting operations.
             dur.commit(&v2, "after-crash", None).unwrap();
             drop(dur);
-            let report = DurableRepository::fsck(&crash_dir).unwrap();
+            let report = Repository::fsck(&crash_dir).unwrap();
             assert!(report.ok(), "{label}: {report}");
         }
     }
@@ -977,14 +887,14 @@ mod tests {
     fn compensated_failed_undo_keeps_journal_matching_memory() {
         let dir = tmp("compensate");
         let (v1, v2) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         dur.commit(&v2, "distribution", Some("distribution")).unwrap();
         // Corrupt — in memory only — the snapshot undo would restore,
         // so the in-memory undo fails *after* its journal record is
         // already appended and the compensating append must cancel it.
-        let first = *dur.repo.commits.keys().next().unwrap();
-        dur.repo.commits.get_mut(&first).unwrap().snapshot = "<not xmi".into();
+        let first = *dur.commits.keys().next().unwrap();
+        dur.commits.get_mut(&first).unwrap().snapshot = "<not xmi".into();
         let err = dur.undo().unwrap().unwrap_err();
         assert!(matches!(err, RepoError::Corrupt(_)), "unexpected error: {err}");
         // Compensation succeeded: the handle stays usable...
@@ -992,7 +902,7 @@ mod tests {
         drop(dur);
         // ...and replay (Undo cancelled by Redo) lands on the pre-undo
         // head, matching what memory saw.
-        let (dur, _) = DurableRepository::open(&dir).unwrap();
+        let (dur, _) = Repository::open(&dir).unwrap();
         assert_eq!(dur.head_model().unwrap().unwrap(), v2);
         assert_eq!(dur.checkout_tag("still-alive").unwrap(), v2);
     }
@@ -1001,7 +911,7 @@ mod tests {
     fn compensated_failed_redo_keeps_journal_matching_memory() {
         let dir = tmp("compensate-redo");
         let (v1, v2) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         dur.commit(&v2, "distribution", Some("distribution")).unwrap();
         dur.undo().unwrap().unwrap();
@@ -1009,26 +919,28 @@ mod tests {
         // the in-memory redo fails after its journal record is appended,
         // and must leave the head where it was for the compensating
         // `Undo` to cancel exactly that record.
-        let last = *dur.repo.commits.keys().last().unwrap();
-        dur.repo.commits.get_mut(&last).unwrap().snapshot = "<not xmi".into();
+        let last = *dur.commits.keys().last().unwrap();
+        dur.commits.get_mut(&last).unwrap().snapshot = "<not xmi".into();
         let err = dur.redo().unwrap().unwrap_err();
         assert!(matches!(err, RepoError::Corrupt(_)), "unexpected error: {err}");
         assert_eq!(dur.undo_depth(), 1, "a failed redo must not move the head");
         dur.tag("still-alive").unwrap();
-        let live = dur.repo().clone();
+        let live = dur.clone();
         drop(dur);
         // Replay: Undo, Redo cancelled by Undo — the head memory saw.
-        let (dur, _) = DurableRepository::open(&dir).unwrap();
-        assert_same_state(&live, dur.repo());
+        let (dur, _) = Repository::open(&dir).unwrap();
+        assert_same_state(&live, &dur);
         assert_eq!(dur.head_model().unwrap().unwrap(), v1);
         assert_eq!(dur.checkout_tag("still-alive").unwrap(), v1);
     }
 
     /// Journals a commit of `bytes` straight into the segment store and
     /// the WAL, bypassing the export a real commit performs.
-    fn journal_raw_commit(dur: &mut DurableRepository, bytes: &[u8]) {
-        let seg = dur.segments.append(bytes).unwrap();
-        dur.wal
+    fn journal_raw_commit(dur: &mut Repository, bytes: &[u8]) {
+        let journal = journal(dur);
+        let seg = journal.segments.append(bytes).unwrap();
+        journal
+            .wal
             .append(&WalRecord::Commit {
                 message: "raw".to_owned(),
                 concern: None,
@@ -1043,15 +955,15 @@ mod tests {
     fn undo_landing_on_undecodable_snapshot_still_fails_open() {
         let dir = tmp("corrupt-undo");
         let (v1, _) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         // A checksum-valid segment that is not XMI, then a good commit
         // on top: the commit records replay fine, the undo lands on the
         // bad snapshot.
         journal_raw_commit(&mut dur, b"<not xmi");
         journal_raw_commit(&mut dur, comet_xmi::export_model(&v1).as_bytes());
-        dur.wal.append(&WalRecord::Undo).unwrap();
+        journal(&mut dur).wal.append(&WalRecord::Undo).unwrap();
         drop(dur);
-        let err = DurableRepository::open(&dir).unwrap_err();
+        let err = Repository::open(&dir).unwrap_err();
         assert!(matches!(err, RepoError::Corrupt(_)), "unexpected error: {err}");
     }
 
@@ -1059,14 +971,14 @@ mod tests {
     fn redo_landing_on_undecodable_snapshot_still_fails_open() {
         let dir = tmp("corrupt-redo");
         let (v1, _) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         journal_raw_commit(&mut dur, comet_xmi::export_model(&v1).as_bytes());
         journal_raw_commit(&mut dur, b"<not xmi");
         // The undo lands on the good snapshot; the redo on the bad one.
-        dur.wal.append(&WalRecord::Undo).unwrap();
-        dur.wal.append(&WalRecord::Redo).unwrap();
+        journal(&mut dur).wal.append(&WalRecord::Undo).unwrap();
+        journal(&mut dur).wal.append(&WalRecord::Redo).unwrap();
         drop(dur);
-        let err = DurableRepository::open(&dir).unwrap_err();
+        let err = Repository::open(&dir).unwrap_err();
         assert!(matches!(err, RepoError::Corrupt(_)), "unexpected error: {err}");
     }
 
@@ -1074,7 +986,7 @@ mod tests {
     fn replay_decodes_each_landed_content_once() {
         let dir = tmp("decode-once");
         let (v1, v2) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         for i in 0..20 {
             // Churn over two contents: every undo lands on v1 and every
@@ -1086,18 +998,18 @@ mod tests {
         }
         dur.undo().unwrap().unwrap();
         drop(dur);
-        let (dur, report) = DurableRepository::open(&dir).unwrap();
+        let (dur, report) = Repository::open(&dir).unwrap();
         assert_eq!(report.segments, 2);
         assert_eq!(report.snapshots_decoded, 2, "one decode per distinct landed content");
         assert_eq!(dur.undo_depth(), 0);
         drop(dur);
         // A commit-only journal decodes nothing.
         let dir = tmp("decode-none");
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         dur.commit(&v2, "distribution", None).unwrap();
         drop(dur);
-        let (_, report) = DurableRepository::open(&dir).unwrap();
+        let (_, report) = Repository::open(&dir).unwrap();
         assert_eq!(report.snapshots_decoded, 0);
     }
 
@@ -1105,11 +1017,11 @@ mod tests {
     fn failed_compensation_poisons_the_handle() {
         let dir = tmp("poison");
         let (v1, v2) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         dur.commit(&v2, "distribution", Some("distribution")).unwrap();
-        let first = *dur.repo.commits.keys().next().unwrap();
-        dur.repo.commits.get_mut(&first).unwrap().snapshot = "<not xmi".into();
+        let first = *dur.commits.keys().next().unwrap();
+        dur.commits.get_mut(&first).unwrap().snapshot = "<not xmi".into();
         dur.arm_fault(crate::repo::FAULT_POINT_WAL_COMPENSATION).unwrap();
         let err = dur.undo().unwrap().unwrap_err();
         assert!(
@@ -1133,7 +1045,7 @@ mod tests {
         // the intact on-disk snapshots: head steps back — the recovery
         // honours the journal, and the divergence was surfaced, not
         // silent.
-        let (dur, report) = DurableRepository::open(&dir).unwrap();
+        let (dur, report) = Repository::open(&dir).unwrap();
         assert!(report.clean());
         assert_eq!(dur.head_model().unwrap().unwrap(), v1);
     }
@@ -1142,7 +1054,7 @@ mod tests {
     fn head_only_undo_journals_one_undo_and_compensates_like_undo() {
         let dir = tmp("undo-head");
         let (v1, v2) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         dur.commit(&v2, "distribution", Some("distribution")).unwrap();
         dur.commit(&v1, "back", None).unwrap();
@@ -1153,8 +1065,8 @@ mod tests {
         // Drop — in memory only — the commit the next undo lands on, so
         // the in-memory step fails after its record is appended and the
         // compensating `Redo` must cancel it.
-        let first = *dur.repo.commits.keys().next().unwrap();
-        let landing = dur.repo.commits.remove(&first).unwrap();
+        let first = *dur.commits.keys().next().unwrap();
+        let landing = dur.commits.remove(&first).unwrap();
         assert_eq!(dur.undo_head().unwrap().unwrap_err(), RepoError::UnknownCommit(first));
         assert_eq!(dur.wal_fsyncs(), fsyncs + 3, "undo record plus its compensation");
         assert_eq!(dur.head().unwrap().message, "distribution", "a failed step moved the head");
@@ -1162,12 +1074,12 @@ mod tests {
         dur.arm_fault(crate::repo::FAULT_POINT_WAL_COMPENSATION).unwrap();
         let err = dur.undo_head().unwrap().unwrap_err();
         assert!(matches!(&err, RepoError::Storage(d) if d.contains("no longer matches")), "{err}");
-        assert!(dur.poisoned.is_some());
-        dur.repo.commits.insert(first, landing);
+        assert!(journal(&mut dur).poisoned.is_some());
+        dur.commits.insert(first, landing);
         drop(dur);
         // Replay: the compensated pair cancels; the un-compensated undo
         // stands — exactly as for `undo`.
-        let (dur, _) = DurableRepository::open(&dir).unwrap();
+        let (dur, _) = Repository::open(&dir).unwrap();
         assert_eq!(dur.head().unwrap().message, "initial");
         assert_eq!(dur.head_model().unwrap().unwrap(), v1);
     }
@@ -1176,13 +1088,13 @@ mod tests {
     fn fsck_reports_health_and_garbage() {
         let dir = tmp("fsck");
         let (v1, v2) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         dur.commit(&v2, "doomed", None).unwrap();
         dur.undo().unwrap().unwrap();
         dur.commit(&v2, "kept", None).unwrap();
         drop(dur);
-        let report = DurableRepository::fsck(&dir).unwrap();
+        let report = Repository::fsck(&dir).unwrap();
         assert!(report.ok(), "{report}");
         assert_eq!(report.commits, 2);
         // "doomed" was GC'd in memory but its segment bytes equal
@@ -1196,17 +1108,17 @@ mod tests {
     fn injected_faults_fail_before_touching_the_journal() {
         let dir = tmp("faults");
         let (v1, v2) = two_models();
-        let mut dur = DurableRepository::create(&dir, "bank").unwrap();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         dur.arm_fault(crate::repo::FAULT_POINT_COMMIT).unwrap();
         assert!(matches!(dur.commit(&v2, "x", None), Err(RepoError::Storage(_))));
         dur.arm_fault(crate::repo::FAULT_POINT_UNDO).unwrap();
         assert!(matches!(dur.undo(), Some(Err(RepoError::Storage(_)))));
-        let before = dur.repo().clone();
+        let before = dur.clone();
         drop(dur);
         // Neither faulted operation reached the journal.
-        let (dur, report) = DurableRepository::open(&dir).unwrap();
+        let (dur, report) = Repository::open(&dir).unwrap();
         assert!(report.clean());
-        assert_same_state(&before, dur.repo());
+        assert_same_state(&before, &dur);
     }
 }

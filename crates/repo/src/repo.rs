@@ -1,5 +1,8 @@
-//! The repository proper: XMI snapshots, branches, tags, undo/redo.
+//! The repository proper: XMI snapshots, branches, tags, undo/redo,
+//! and each mutator's journalling when the repository has a journal.
 
+use crate::recover::Journal;
+use crate::wal::WalRecord;
 use comet_middleware::{FaultHook, MiddlewareError};
 use comet_model::{Model, ModelDelta};
 use comet_obs::fnv1a64;
@@ -12,9 +15,9 @@ use std::sync::Arc;
 pub const FAULT_POINT_COMMIT: &str = "repo.commit";
 /// Fault point name: the next undo fails ([`FaultHook`]).
 pub const FAULT_POINT_UNDO: &str = "repo.undo";
-/// Fault point name: the durable backend's next *compensating* journal
-/// append fails ([`FaultHook`]) — exercises the journal-divergence
-/// poisoning path in `DurableRepository`.
+/// Fault point name: a journalled repository's next *compensating*
+/// journal append fails ([`FaultHook`]) — exercises the
+/// journal-divergence poisoning path.
 pub const FAULT_POINT_WAL_COMPENSATION: &str = "repo.wal.compensation";
 
 /// Identifier of a commit within one repository.
@@ -106,7 +109,13 @@ pub(crate) enum Step {
 ///
 /// Undo/redo is a position pointer into the current branch's history;
 /// committing after an undo truncates the redo tail (like an editor).
-#[derive(Debug, Clone)]
+///
+/// [`Repository::new`] keeps everything in memory.
+/// [`Repository::create`] and [`Repository::open`] attach a journal:
+/// every mutator then ships its operation to disk before applying it,
+/// and a crash at any byte boundary reopens to the last completed
+/// operation (see the `recover` module).
+#[derive(Debug)]
 pub struct Repository {
     pub(crate) name: String,
     pub(crate) commits: BTreeMap<CommitId, Commit>,
@@ -118,14 +127,37 @@ pub struct Repository {
     pub(crate) position: usize,
     pub(crate) tags: BTreeMap<String, CommitId>,
     /// Fault injection for lifecycle consistency tests: when set, the
-    /// next commit / undo fails with [`RepoError::Storage`].
+    /// next commit / undo / compensating append fails with
+    /// [`RepoError::Storage`].
     fail_next_commit: bool,
     fail_next_undo: bool,
     fail_next_compensation: bool,
+    /// The on-disk journal; `None` for an in-memory repository.
+    pub(crate) journal: Option<Journal>,
+}
+
+/// Copies the in-memory state only. The clone has no journal, so it
+/// can never write to the files of the repository it was cloned from.
+impl Clone for Repository {
+    fn clone(&self) -> Self {
+        Repository {
+            name: self.name.clone(),
+            commits: self.commits.clone(),
+            next_id: self.next_id,
+            branches: self.branches.clone(),
+            current_branch: self.current_branch.clone(),
+            position: self.position,
+            tags: self.tags.clone(),
+            fail_next_commit: self.fail_next_commit,
+            fail_next_undo: self.fail_next_undo,
+            fail_next_compensation: self.fail_next_compensation,
+            journal: None,
+        }
+    }
 }
 
 impl Repository {
-    /// Creates an empty repository with a `main` branch.
+    /// Creates an empty in-memory repository with a `main` branch.
     pub fn new(name: impl Into<String>) -> Self {
         let mut branches = BTreeMap::new();
         branches.insert("main".to_owned(), Vec::new());
@@ -140,6 +172,7 @@ impl Repository {
             fail_next_commit: false,
             fail_next_undo: false,
             fail_next_compensation: false,
+            journal: None,
         }
     }
 
@@ -157,12 +190,34 @@ impl Repository {
         self.branches.get(&self.current_branch).expect("current branch always exists")
     }
 
+    /// Whether every mutation is journalled to disk.
+    pub fn is_durable(&self) -> bool {
+        self.journal.is_some()
+    }
+
+    /// Durability barriers the journal issued since this handle opened —
+    /// one `sync_data` per appended record; 0 without a journal. Serving
+    /// hosts bridge this into their metrics.
+    pub fn wal_fsyncs(&self) -> u64 {
+        self.journal.as_ref().map_or(0, Journal::fsyncs)
+    }
+
+    /// Guard run before every mutation: a poisoned journal refuses.
+    fn check_poisoned(&self) -> Result<(), RepoError> {
+        self.journal.as_ref().map_or(Ok(()), Journal::check_poisoned)
+    }
+
+    /// Appends `record` to the journal, if there is one.
+    fn journal(&mut self, record: &WalRecord) -> Result<(), RepoError> {
+        self.journal.as_mut().map_or(Ok(()), |journal| journal.append(record))
+    }
+
     /// Commits a snapshot of `model` on the current branch. Truncates any
     /// redo tail first.
     ///
     /// # Errors
-    /// Fails only when a storage fault is injected (`Result` kept for
-    /// storage-backed versions).
+    /// Fails on an injected storage fault, and with a journal on a
+    /// poisoned journal or I/O failure.
     pub fn commit(
         &mut self,
         model: &Model,
@@ -173,14 +228,19 @@ impl Repository {
     }
 
     /// Commits with a known element-level delta over the parent (the
-    /// transformation journal's summary). Two gains over
-    /// [`Repository::commit`]: the delta is stored on the commit for
-    /// decode-free history queries, and an **empty** delta skips the
-    /// O(model) XMI export entirely by reusing the parent's snapshot —
-    /// a model identical to its parent serializes identically.
+    /// transformation journal's summary), stored on the commit for
+    /// decode-free history queries.
+    ///
+    /// In memory, an **empty** delta skips the O(model) XMI export by
+    /// reusing the parent's snapshot — a model identical to its parent
+    /// serializes identically — and the claim is verified in debug
+    /// builds only. With a journal the commit always exports and
+    /// **verifies** an empty delta against the bytes: a stale snapshot
+    /// persisted under a wrong hash would poison every later recovery.
     ///
     /// # Errors
-    /// Fails only when a storage fault is injected.
+    /// As [`commit`](Self::commit); with a journal also on a lying
+    /// empty delta.
     pub fn commit_with_delta(
         &mut self,
         model: &Model,
@@ -198,18 +258,13 @@ impl Repository {
         concern: Option<&str>,
         delta: Option<ModelDelta>,
     ) -> Result<CommitId, RepoError> {
-        if self.take_commit_fault() {
+        self.check_poisoned()?;
+        if std::mem::take(&mut self.fail_next_commit) {
             return Err(RepoError::Storage("injected commit failure".to_owned()));
         }
-        let parent_visible = self.head();
-        let reuse_parent =
-            parent_visible.filter(|_| delta.as_ref().map(ModelDelta::is_empty).unwrap_or(false));
-        let (snapshot, hash) = match reuse_parent {
-            Some(p) => {
-                // A lying journal (empty delta over a changed model)
-                // would persist a stale snapshot under a wrong hash; the
-                // durable backend refuses it outright, the in-memory hot
-                // path verifies in debug builds only.
+        let parent = self.head().filter(|_| delta.as_ref().is_some_and(ModelDelta::is_empty));
+        let (snapshot, hash): (Arc<str>, u64) = match parent {
+            Some(p) if self.journal.is_none() => {
                 debug_assert_eq!(
                     fnv1a64(export_model(model).as_bytes()),
                     p.hash,
@@ -217,37 +272,32 @@ impl Repository {
                      differs from parent commit {}",
                     p.id
                 );
-                (p.snapshot.clone(), p.hash)
+                (p.snapshot_shared(), p.hash)
             }
-            None => {
+            _ => {
                 let snapshot = export_model(model);
                 let hash = fnv1a64(snapshot.as_bytes());
+                // Only a journalled commit reaches here with a parent.
+                if let Some(p) = parent.filter(|p| p.hash != hash || *p.snapshot != *snapshot) {
+                    return Err(RepoError::Storage(format!(
+                        "empty ModelDelta for `{message}` but the model content differs \
+                         from parent commit {} — refusing to journal a lying delta",
+                        p.id
+                    )));
+                }
                 (snapshot.into(), hash)
             }
         };
+        if let Some(journal) = &mut self.journal {
+            journal.commit(&snapshot, hash, message, concern, delta.as_ref())?;
+        }
         Ok(self.commit_raw(snapshot, hash, message, concern, delta))
     }
 
-    /// Consumes the armed one-shot commit fault, if any.
-    pub(crate) fn take_commit_fault(&mut self) -> bool {
-        std::mem::take(&mut self.fail_next_commit)
-    }
-
-    /// Consumes the armed one-shot undo fault, if any.
-    pub(crate) fn take_undo_fault(&mut self) -> bool {
-        std::mem::take(&mut self.fail_next_undo)
-    }
-
-    /// Consumes the armed one-shot compensation-append fault, if any.
-    pub(crate) fn take_compensation_fault(&mut self) -> bool {
-        std::mem::take(&mut self.fail_next_compensation)
-    }
-
-    /// The infallible commit core shared by the in-memory path (which
-    /// exports the snapshot itself) and the durable backend / WAL
-    /// replay (which bring pre-serialized bytes): truncates the redo
-    /// tail, inserts the commit, advances the head, and garbage-collects
-    /// commits the truncation orphaned.
+    /// The infallible commit core shared by [`commit`](Self::commit)
+    /// and journal replay (which brings the stored bytes): truncates the
+    /// redo tail, inserts the commit, advances the head, and
+    /// garbage-collects commits the truncation orphaned.
     pub(crate) fn commit_raw(
         &mut self,
         snapshot: Arc<str>,
@@ -359,17 +409,54 @@ impl Repository {
     /// snapshot it lands on — for a caller that restores that commit's
     /// model itself (the lifecycle reverting the undone step's change
     /// journal). `None` when there is nothing to undo; atomic like
-    /// [`undo`](Self::undo), and it fails on the same armed fault.
+    /// [`undo`](Self::undo), and it fails on the same armed fault. Its
+    /// journal record is the same `Undo` [`undo`](Self::undo) appends,
+    /// so replay cannot tell them apart.
     pub fn undo_head(&mut self) -> Option<Result<(), RepoError>> {
-        self.step(Step::Back, |_| Ok(()))
+        self.journalled_step(Step::Back, |_| Ok(()))
     }
 
     /// One undo/redo step that decodes the snapshot it lands on.
     fn step_model(&mut self, dir: Step) -> Option<Result<Model, RepoError>> {
-        let landed = self.step(dir, |commit| commit.map(decode).transpose())?;
+        let landed = self.journalled_step(dir, |commit| commit.map(decode).transpose())?;
         // Undoing the initial commit lands on the root: the "model before
         // anything" is not stored; report an empty model of the same name.
         Some(landed.map(|model| model.unwrap_or_else(|| Model::new(self.name.clone()))))
+    }
+
+    /// The undo/redo mutator: takes an armed undo fault, journals the
+    /// step, then runs [`step`](Self::step). When the in-memory step
+    /// fails after its record was appended, the inverse record cancels
+    /// it so replay matches memory; if that compensating append fails
+    /// too, the journal is poisoned and the divergence is returned.
+    fn journalled_step<T>(
+        &mut self,
+        dir: Step,
+        check: impl FnOnce(Option<&Commit>) -> Result<T, RepoError>,
+    ) -> Option<Result<T, RepoError>> {
+        if let Err(e) = self.check_poisoned() {
+            return Some(Err(e));
+        }
+        let (depth, record, inverse, op) = match dir {
+            Step::Back => (self.undo_depth(), WalRecord::Undo, WalRecord::Redo, "undo"),
+            Step::Forward => (self.redo_depth(), WalRecord::Redo, WalRecord::Undo, "redo"),
+        };
+        if depth == 0 {
+            return None;
+        }
+        if dir == Step::Back && std::mem::take(&mut self.fail_next_undo) {
+            return Some(Err(RepoError::Storage("injected undo failure".to_owned())));
+        }
+        if let Err(e) = self.journal(&record) {
+            return Some(Err(e));
+        }
+        match (self.step(dir, check)?, &mut self.journal) {
+            (Err(cause), Some(journal)) => {
+                let fault = std::mem::take(&mut self.fail_next_compensation);
+                Some(Err(journal.compensate(&inverse, op, cause, fault)))
+            }
+            (landed, _) => Some(landed),
+        }
     }
 
     /// The position-step core under [`undo`](Self::undo),
@@ -387,9 +474,6 @@ impl Repository {
             Step::Forward if self.position < self.branch_history().len() => self.position + 1,
             Step::Forward => return None,
         };
-        if dir == Step::Back && self.take_undo_fault() {
-            return Some(Err(RepoError::Storage("injected undo failure".to_owned())));
-        }
         let landed = match target.checked_sub(1) {
             None => None,
             Some(index) => {
@@ -421,11 +505,14 @@ impl Repository {
     /// switches to it.
     ///
     /// # Errors
-    /// Fails when the branch exists.
+    /// Fails when the branch exists, and with a journal on a poisoned
+    /// journal or I/O failure.
     pub fn branch(&mut self, name: &str) -> Result<(), RepoError> {
+        self.check_poisoned()?;
         if self.branches.contains_key(name) {
             return Err(RepoError::BranchExists(name.to_owned()));
         }
+        self.journal(&WalRecord::Branch { name: name.to_owned() })?;
         let visible: Vec<CommitId> = self.branch_history()[..self.position].to_vec();
         self.branches.insert(name.to_owned(), visible);
         self.current_branch = name.to_owned();
@@ -436,11 +523,14 @@ impl Repository {
     /// Switches to an existing branch (head = its full history).
     ///
     /// # Errors
-    /// Fails when the branch is unknown.
+    /// Fails when the branch is unknown, and with a journal on a
+    /// poisoned journal or I/O failure.
     pub fn switch_branch(&mut self, name: &str) -> Result<(), RepoError> {
+        self.check_poisoned()?;
         if !self.branches.contains_key(name) {
             return Err(RepoError::UnknownBranch(name.to_owned()));
         }
+        self.journal(&WalRecord::SwitchBranch { name: name.to_owned() })?;
         self.current_branch = name.to_owned();
         self.position = self.branch_history().len();
         Ok(())
@@ -454,9 +544,12 @@ impl Repository {
     /// Tags the current visible head.
     ///
     /// # Errors
-    /// Fails when there is no head.
+    /// Fails when there is no head, and with a journal on a poisoned
+    /// journal or I/O failure.
     pub fn tag(&mut self, name: &str) -> Result<CommitId, RepoError> {
+        self.check_poisoned()?;
         let head = self.head().ok_or(RepoError::UnknownCommit(0))?.id;
+        self.journal(&WalRecord::Tag { name: name.to_owned() })?;
         self.tags.insert(name.to_owned(), head);
         Ok(head)
     }
@@ -502,8 +595,8 @@ impl Repository {
 /// the next commit fail with [`RepoError::Storage`] without touching
 /// any state; [`FAULT_POINT_UNDO`] does the same for the next undo
 /// without moving the head position;
-/// [`FAULT_POINT_WAL_COMPENSATION`] fails the durable backend's next
-/// compensating journal append (the write that re-aligns the journal
+/// [`FAULT_POINT_WAL_COMPENSATION`] fails a journalled repository's
+/// next compensating journal append (the write that re-aligns the journal
 /// with memory after an in-memory undo/redo failure).
 impl FaultHook for Repository {
     fn fault_points(&self) -> Vec<&'static str> {

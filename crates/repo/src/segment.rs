@@ -22,13 +22,51 @@ use comet_obs::fnv1a64;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Frame header size: u32 length + u64 hash.
-const HEADER: u64 = 12;
+pub(crate) const HEADER: u64 = 12;
 /// Upper bound on a single segment payload (corruption guard: a mangled
 /// length field must not trigger a gigabyte allocation).
 const MAX_SEGMENT: u32 = 64 * 1024 * 1024;
+
+/// `len` as a frame's length field, or `InvalidInput` when the reader
+/// would reject a frame that long as corruption (over `max`). Writers
+/// check it before writing anything, so they never acknowledge a frame
+/// the next open would truncate.
+pub(crate) fn frame_len(len: usize, max: u32) -> io::Result<u32> {
+    u32::try_from(len).ok().filter(|&len| len <= max).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("a {len}-byte payload exceeds the {max}-byte frame bound"),
+        )
+    })
+}
+
+/// One frame, `[u32 len][u64 hash][payload]` — the segment store's and
+/// the WAL's on-disk unit.
+pub(crate) fn frame(len: u32, hash: u64, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(HEADER as usize + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(&hash.to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// The frame at `pos` — its hash and payload — or `None` when the bytes
+/// from `pos` on are not one complete frame of at most `max` payload
+/// bytes whose payload hashes to its header.
+pub(crate) fn read_frame(bytes: &[u8], pos: usize, max: u32) -> Option<(u64, &[u8])> {
+    let header = bytes.get(pos..pos + HEADER as usize)?;
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+    if len > max {
+        return None;
+    }
+    let hash = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
+    let start = pos + HEADER as usize;
+    let payload = bytes.get(start..start + len as usize)?;
+    (fnv1a64(payload) == hash).then_some((hash, payload))
+}
 
 /// Address of one stored payload: content hash plus the ordinal among
 /// same-hash segments (0 for all payloads until a collision happens).
@@ -61,7 +99,6 @@ pub struct SegmentOpenReport {
 #[derive(Debug)]
 pub struct SegmentStore {
     file: File,
-    path: PathBuf,
     /// End of the last verified frame (= append position).
     end: u64,
     index: BTreeMap<u64, Vec<SegRef>>,
@@ -85,26 +122,18 @@ impl SegmentStore {
         let mut index: BTreeMap<u64, Vec<SegRef>> = BTreeMap::new();
         let mut report = SegmentOpenReport::default();
         let mut pos: u64 = 0;
-        while pos < file_len {
-            let Some(frame) = read_frame(&bytes, pos) else { break };
-            index
-                .entry(frame.hash)
-                .or_default()
-                .push(SegRef { offset: pos + HEADER, len: frame.len });
+        while let Some((hash, payload)) = read_frame(&bytes, pos as usize, MAX_SEGMENT) {
+            let len = payload.len() as u32;
+            index.entry(hash).or_default().push(SegRef { offset: pos + HEADER, len });
             report.segments += 1;
-            pos += HEADER + u64::from(frame.len);
+            pos += HEADER + u64::from(len);
         }
         if pos < file_len {
             report.truncated_bytes = file_len - pos;
             file.set_len(pos)?;
         }
         file.seek(SeekFrom::Start(pos))?;
-        Ok((SegmentStore { file, path, end: pos, index }, report))
-    }
-
-    /// The file backing this store.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok((SegmentStore { file, end: pos, index }, report))
     }
 
     /// Number of stored segments (post-dedupe).
@@ -112,20 +141,17 @@ impl SegmentStore {
         self.index.values().map(Vec::len).sum()
     }
 
-    /// True when no segment is stored.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// Appends `payload`, deduplicating against stored segments with the
     /// same hash by **comparing the full bytes** — a 64-bit hash
     /// collision yields a new ordinal, never an alias.
     ///
     /// # Errors
-    /// Propagates I/O failures; the in-memory index is only updated
-    /// after the frame (header + payload) reached the file.
+    /// `InvalidInput`, before anything is written, for a payload over
+    /// the 64 MiB segment bound; otherwise propagates I/O failures. The
+    /// in-memory index is only updated after the frame (header +
+    /// payload) reached the file.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<SegmentId> {
-        assert!(payload.len() as u64 <= u64::from(MAX_SEGMENT), "segment payload too large");
+        let len = frame_len(payload.len(), MAX_SEGMENT)?;
         let hash = fnv1a64(payload);
         if let Some(refs) = self.index.get(&hash) {
             for (ordinal, seg) in refs.clone().iter().enumerate() {
@@ -134,14 +160,11 @@ impl SegmentStore {
                 }
             }
         }
-        let mut frame = Vec::with_capacity(HEADER as usize + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&hash.to_le_bytes());
-        frame.extend_from_slice(payload);
+        let frame = frame(len, hash, payload);
         self.file.seek(SeekFrom::Start(self.end))?;
         self.file.write_all(&frame)?;
         self.file.sync_data()?;
-        let seg = SegRef { offset: self.end + HEADER, len: payload.len() as u32 };
+        let seg = SegRef { offset: self.end + HEADER, len };
         self.end += frame.len() as u64;
         let refs = self.index.entry(hash).or_default();
         refs.push(seg);
@@ -167,28 +190,6 @@ impl SegmentStore {
         self.file.read_exact(&mut buf)?;
         Ok(buf)
     }
-}
-
-struct Frame {
-    hash: u64,
-    len: u32,
-}
-
-/// Decodes and verifies the frame at `pos`, or `None` when the bytes
-/// from `pos` on are not one complete, checksum-valid frame.
-fn read_frame(bytes: &[u8], pos: u64) -> Option<Frame> {
-    let pos = pos as usize;
-    let header = bytes.get(pos..pos + HEADER as usize)?;
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    if len > MAX_SEGMENT {
-        return None;
-    }
-    let hash = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-    let payload = bytes.get(pos + HEADER as usize..pos + HEADER as usize + len as usize)?;
-    if fnv1a64(payload) != hash {
-        return None;
-    }
-    Some(Frame { hash, len })
 }
 
 #[cfg(test)]
@@ -257,6 +258,26 @@ mod tests {
             let b = store.append(b"beta").unwrap();
             assert_eq!(store.get(b).unwrap().unwrap(), b"beta");
         }
+    }
+
+    #[test]
+    fn a_payload_over_the_bound_is_refused_before_any_write() {
+        let path = tmp("oversized");
+        let (mut store, _) = SegmentStore::open(&path).unwrap();
+        let a = store.append(b"alpha").unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // Zeroed and never read: the bound is checked before hashing.
+        let oversized = vec![0u8; MAX_SEGMENT as usize + 1];
+        let err = store.append(&oversized).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        drop(oversized);
+        assert_eq!(std::fs::read(&path).unwrap(), before, "nothing was written");
+        assert_eq!(store.len(), 1);
+        // The reader agrees: the store reopens with what it acknowledged.
+        drop(store);
+        let (mut store, report) = SegmentStore::open(&path).unwrap();
+        assert_eq!(report, SegmentOpenReport { segments: 1, truncated_bytes: 0 });
+        assert_eq!(store.get(a).unwrap().unwrap(), b"alpha");
     }
 
     #[test]

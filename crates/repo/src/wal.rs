@@ -1,7 +1,7 @@
 //! The write-ahead journal: every repository mutation is shipped to
 //! disk *before* it is applied in memory.
 //!
-//! Records are framed exactly like segments —
+//! Records are framed exactly like segments, by the same code —
 //! `[u32 payload len][u64 FNV-1a of payload][payload]` — and the reader
 //! stops at the first incomplete or checksum-failing frame: a crash in
 //! the middle of an append loses at most the in-flight record, never an
@@ -17,14 +17,13 @@
 //! record would be corruption).
 
 use crate::repo::CommitId;
+use crate::segment::{frame, frame_len, read_frame, HEADER};
 use comet_model::{ElementId, ModelDelta};
 use comet_obs::fnv1a64;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Frame header size: u32 length + u64 checksum.
-const HEADER: u64 = 12;
 /// Corruption guard for the length field.
 const MAX_RECORD: u32 = 256 * 1024 * 1024;
 
@@ -406,6 +405,15 @@ impl Wal {
         Ok(Wal { file, path, end, fsyncs: 0 })
     }
 
+    /// A handle on the journal at `path` whose every append fails, as
+    /// on a read-only or full disk.
+    #[cfg(test)]
+    pub(crate) fn read_only(path: &Path) -> io::Result<Wal> {
+        let file = File::open(path)?;
+        let end = file.metadata()?.len();
+        Ok(Wal { file, path: path.to_owned(), end, fsyncs: 0 })
+    }
+
     /// The file backing this journal.
     pub fn path(&self) -> &Path {
         &self.path
@@ -414,13 +422,12 @@ impl Wal {
     /// Appends one record and flushes it to disk.
     ///
     /// # Errors
-    /// Propagates I/O failures.
+    /// `InvalidInput`, before anything is written, for a record over
+    /// the 256 MiB bound [`Wal::read_all`] reads; otherwise propagates
+    /// I/O failures.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
         let payload = record.encode();
-        let mut frame = Vec::with_capacity(HEADER as usize + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let frame = frame(frame_len(payload.len(), MAX_RECORD)?, fnv1a64(&payload), &payload);
         self.file.seek(SeekFrom::Start(self.end))?;
         self.file.write_all(&frame)?;
         self.file.sync_data()?;
@@ -445,10 +452,8 @@ impl Wal {
     /// Propagates I/O failures.
     pub fn append_torn(path: &Path) -> io::Result<()> {
         let payload = WalRecord::Undo.encode();
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&64u32.to_le_bytes()); // claims 64 payload bytes
-        frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload); // ...delivers 1
+        // Claims 64 payload bytes, delivers 1.
+        let frame = frame(64, fnv1a64(&payload), &payload);
         let mut file = OpenOptions::new().append(true).create(true).open(path)?;
         file.write_all(&frame)?;
         file.sync_data()?;
@@ -471,24 +476,11 @@ impl Wal {
         let mut records = Vec::new();
         let mut report = WalOpenReport::default();
         let mut pos: usize = 0;
-        while let Some(header) = bytes.get(pos..pos + HEADER as usize) {
-            let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-            if len > MAX_RECORD {
-                break;
-            }
-            let checksum = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-            let Some(payload) =
-                bytes.get(pos + HEADER as usize..pos + HEADER as usize + len as usize)
-            else {
-                break;
-            };
-            if fnv1a64(payload) != checksum {
-                break;
-            }
+        while let Some((_, payload)) = read_frame(&bytes, pos, MAX_RECORD) {
             let Some(record) = WalRecord::decode(payload) else { break };
             records.push(record);
             report.records += 1;
-            pos += HEADER as usize + len as usize;
+            pos += HEADER as usize + payload.len();
         }
         report.truncated_bytes = (bytes.len() - pos) as u64;
         Ok((records, report, pos as u64))
@@ -606,6 +598,15 @@ mod tests {
         let (records, report, _) = Wal::read_all(&path).unwrap();
         assert_eq!(records, vec![WalRecord::Init { name: "r".into() }, WalRecord::Undo]);
         assert_eq!(report.truncated_bytes, 0);
+    }
+
+    #[test]
+    fn the_writer_refuses_what_the_reader_would_truncate() {
+        // The length is checked before a frame is built, so the bound
+        // is tested on the length alone, without a 256 MiB record.
+        assert_eq!(frame_len(MAX_RECORD as usize, MAX_RECORD).unwrap(), MAX_RECORD);
+        let err = frame_len(MAX_RECORD as usize + 1, MAX_RECORD).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
     }
 
     #[test]

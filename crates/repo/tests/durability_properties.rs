@@ -7,7 +7,7 @@
 //! each landed content only once.
 
 use comet_model::{Model, ModelDelta};
-use comet_repo::{DurableRepository, Repository, Wal};
+use comet_repo::{Repository, Wal};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,7 +31,7 @@ fn fingerprint(repo: &Repository) -> String {
 
 /// Drives one opcode against the durable repository and the working
 /// model; returns `true` when the op journaled a WAL record.
-fn drive(dur: &mut DurableRepository, model: &mut Model, op: u8, i: usize) -> bool {
+fn drive(dur: &mut Repository, model: &mut Model, op: u8, i: usize) -> bool {
     match op % 8 {
         0 | 1 => {
             let root = model.root();
@@ -94,12 +94,12 @@ fn drive(dur: &mut DurableRepository, model: &mut Model, op: u8, i: usize) -> bo
 /// directory and the fingerprint after every journaled record (index k
 /// = state after k+1 records, the init record included).
 fn build(dir: &Path, ops: &[u8]) -> Vec<String> {
-    let mut dur = DurableRepository::create(dir, "bank").expect("create");
-    let mut states = vec![fingerprint(dur.repo())];
+    let mut dur = Repository::create(dir, "bank").expect("create");
+    let mut states = vec![fingerprint(&dur)];
     let mut model = Model::new("bank");
     for (i, &op) in ops.iter().enumerate() {
         if drive(&mut dur, &mut model, op, i) {
-            states.push(fingerprint(dur.repo()));
+            states.push(fingerprint(&dur));
         }
     }
     states
@@ -112,11 +112,11 @@ proptest! {
     fn close_then_reopen_preserves_every_state(ops in prop::collection::vec(any::<u8>(), 1..16)) {
         let dir = tmp_dir("reopen");
         let states = build(&dir, &ops);
-        let (dur, report) = DurableRepository::open(&dir).expect("reopen");
+        let (dur, report) = Repository::open(&dir).expect("reopen");
         prop_assert!(report.clean());
         prop_assert_eq!(report.records_replayed, states.len());
-        prop_assert_eq!(&fingerprint(dur.repo()), states.last().expect("non-empty"));
-        let fsck = DurableRepository::fsck(&dir).expect("fsck runs");
+        prop_assert_eq!(&fingerprint(&dur), states.last().expect("non-empty"));
+        let fsck = Repository::fsck(&dir).expect("fsck runs");
         prop_assert!(fsck.ok(), "{}", fsck);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -127,14 +127,14 @@ proptest! {
     ) {
         let dir = tmp_dir("compact");
         let states = build(&dir, &ops);
-        let (mut dur, _) = DurableRepository::open(&dir).expect("reopen");
+        let (mut dur, _) = Repository::open(&dir).expect("reopen");
         dur.compact().expect("compaction");
-        prop_assert_eq!(&fingerprint(dur.repo()), states.last().expect("non-empty"));
+        prop_assert_eq!(&fingerprint(&dur), states.last().expect("non-empty"));
         drop(dur);
-        let (dur, report) = DurableRepository::open(&dir).expect("post-compaction open");
+        let (dur, report) = Repository::open(&dir).expect("post-compaction open");
         prop_assert!(report.clean());
         prop_assert_eq!(report.records_replayed, 1);
-        prop_assert_eq!(&fingerprint(dur.repo()), states.last().expect("non-empty"));
+        prop_assert_eq!(&fingerprint(&dur), states.last().expect("non-empty"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -151,13 +151,13 @@ proptest! {
             // Reading never panics and yields a strict record prefix.
             let (records, _, end) = Wal::read_all(&wal_path).expect("read");
             prop_assert!(end <= cut as u64, "cut at {cut}");
-            match DurableRepository::open(&dir) {
+            match Repository::open(&dir) {
                 Ok((dur, report)) => {
                     let k = report.records_replayed;
                     prop_assert_eq!(k, records.len(), "cut at {}", cut);
                     // Recovery = the state after the last complete record.
                     prop_assert_eq!(
-                        &fingerprint(dur.repo()),
+                        &fingerprint(&dur),
                         &states[k - 1],
                         "cut at {}",
                         cut
@@ -193,7 +193,7 @@ proptest! {
     ) {
         let dir = tmp_dir("churn");
         let models = contents(distinct);
-        let mut dur = DurableRepository::create(&dir, "bank").expect("create");
+        let mut dur = Repository::create(&dir, "bank").expect("create");
         for (i, op) in ops.iter().enumerate() {
             match op {
                 // Mostly commit/undo/redo; the odd tag pins a commit
@@ -218,15 +218,15 @@ proptest! {
                 }
             }
         }
-        let live = fingerprint(dur.repo());
+        let live = fingerprint(&dur);
         drop(dur);
-        let (dur, report) = DurableRepository::open(&dir).expect("reopen");
+        let (dur, report) = Repository::open(&dir).expect("reopen");
         prop_assert!(report.clean());
-        prop_assert_eq!(&fingerprint(dur.repo()), &live);
+        prop_assert_eq!(&fingerprint(&dur), &live);
         // Every landed content decodes at most once per open.
         prop_assert!(report.snapshots_decoded <= distinct, "{:?}", report);
         prop_assert!(report.snapshots_decoded <= report.segments, "{:?}", report);
-        let fsck = DurableRepository::fsck(&dir).expect("fsck runs");
+        let fsck = Repository::fsck(&dir).expect("fsck runs");
         prop_assert!(fsck.ok(), "{}", fsck);
         let _ = std::fs::remove_dir_all(&dir);
     }
