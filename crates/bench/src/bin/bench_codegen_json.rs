@@ -15,45 +15,25 @@
 //! byte-identical across shard counts with `gen.cache.hit` live in the
 //! trace counters.
 //!
-//! The JSON records the host's cores and the measured revision
-//! (`git describe --always --dirty`, `unknown` outside a checkout).
-//!
 //! Usage: `cargo run --release -p comet-bench --bin bench_codegen_json
 //! [output-path]` (default `BENCH_codegen.json` in the working
 //! directory).
 
 use comet::{run_banking_serve, MdaLifecycle};
+use comet_bench::harness::{median_secs, median_secs_after, Report};
+use comet_bench::obj;
 use comet_codegen::BodyProvider;
 use comet_gen::Backend;
-use comet_serve::WorkloadPlan;
+use comet_serve::{RunConfig, WorkloadPlan};
 use comet_transform::{ParamSet, ParamValue};
 use comet_workflow::WorkflowModel;
 use std::hint::black_box;
-use std::process::Command;
-use std::time::Instant;
 
 const CLASSES: usize = 100;
 const METHODS: usize = 6;
-const WARMUP: usize = 2;
-const SAMPLES: usize = 9;
+const REPS: (usize, usize) = (2, 9);
 const SHARDS: [usize; 3] = [1, 2, 4];
 const HIT_GATE: f64 = 50.0;
-
-/// Median wall-clock seconds of `SAMPLES` runs (after `WARMUP` runs).
-fn median_secs(mut run: impl FnMut()) -> f64 {
-    for _ in 0..WARMUP {
-        run();
-    }
-    let mut times: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let t0 = Instant::now();
-            run();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[times.len() / 2]
-}
 
 /// The concern bindings on `synthetic(CLASSES, 2,
 /// METHODS)`: every standard concern, each on its own classes.
@@ -118,23 +98,7 @@ fn refined_lifecycle() -> MdaLifecycle {
     mda
 }
 
-/// The measured code's revision: `git describe --always --dirty`, or
-/// `unknown` outside a git checkout.
-fn revision() -> String {
-    Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map_or_else(
-            || "unknown".to_owned(),
-            |out| String::from_utf8_lossy(&out.stdout).trim().to_owned(),
-        )
-}
-
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_codegen.json".to_owned());
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let aspects = lifecycle_bindings().len();
     let bodies = BodyProvider::default();
 
@@ -156,20 +120,24 @@ fn main() {
         assert_eq!(first.aspect_sources, again.aspect_sources);
 
         eprintln!("timing {backend} cold generate ...");
-        // One fresh lifecycle per run, built untimed and dropped after.
-        let mut fresh: Vec<MdaLifecycle> =
-            (0..WARMUP + SAMPLES).map(|_| refined_lifecycle()).collect();
-        let mut spent = Vec::with_capacity(fresh.len());
-        let cold = median_secs(|| {
-            let mda = fresh.pop().expect("one fresh lifecycle per run");
-            black_box(generate(black_box(&mda)));
-            assert_eq!(mda.gen_cache_stats(), (0, 1));
-            spent.push(mda);
-        });
-        drop(spent);
+        // One fresh lifecycle per run, built untimed; the last run's
+        // lifecycle is dropped by the next, untimed, setup.
+        let cold = median_secs_after(
+            REPS,
+            &mut None,
+            |spent| {
+                spent.take();
+                refined_lifecycle()
+            },
+            |spent, mda| {
+                black_box(generate(black_box(&mda)));
+                assert_eq!(mda.gen_cache_stats(), (0, 1));
+                *spent = Some(mda);
+            },
+        );
 
         eprintln!("timing {backend} generate at an unchanged state ...");
-        let hit = median_secs(|| {
+        let hit = median_secs(REPS, || {
             let (hits, _) = warm.gen_cache_stats();
             black_box(generate(black_box(&warm)));
             assert_eq!(warm.gen_cache_stats().0, hits + 1);
@@ -178,11 +146,13 @@ fn main() {
         let ratio = cold / hit;
         worst_ratio = worst_ratio.min(ratio);
         eprintln!("  {backend}: cold {cold:.6}s, hit {hit:.6}s, ratio {ratio:.1}x");
-        backend_rows.push(format!(
-            "    {{\"backend\": \"{backend}\", \"artifact_bytes\": {}, \"cold_median_secs\": \
-             {cold:.6}, \"hit_median_secs\": {hit:.6}, \"hit_speedup\": {ratio:.3}}}",
-            first.artifact.len()
-        ));
+        backend_rows.push(obj! {
+            "backend": backend.id(),
+            "artifact_bytes": first.artifact.len(),
+            "cold_median_secs": cold,
+            "hit_median_secs": hit,
+            "hit_speedup": ratio,
+        });
     }
 
     // Serve steady-state sweep: backend-weighted Generate traffic,
@@ -190,9 +160,10 @@ fn main() {
     let mut plan = WorkloadPlan::new(7);
     plan.mix.generate = 2.0;
     plan.mix.generate_backends = Backend::ALL.iter().map(|b| (b.id().to_owned(), 1.0)).collect();
-    let baseline = run_banking_serve(&plan, SHARDS[0], None, true).expect("valid plan");
+    let traced = RunConfig { traced: true, metrics: false };
+    let baseline = run_banking_serve(&plan, SHARDS[0], None, &traced).expect("valid plan");
     for shards in SHARDS {
-        let outcome = run_banking_serve(&plan, shards, None, true).expect("valid plan");
+        let outcome = run_banking_serve(&plan, shards, None, &traced).expect("valid plan");
         assert_eq!(baseline.report, outcome.report, "report diverged at {shards} shards");
         assert_eq!(baseline.trace, outcome.trace, "trace diverged at {shards} shards");
     }
@@ -205,27 +176,30 @@ fn main() {
     let mut serve_medians = Vec::new();
     for shards in SHARDS {
         eprintln!("timing serve steady state at {shards} shard(s) ...");
-        let secs = median_secs(|| {
-            black_box(run_banking_serve(black_box(&plan), shards, None, false).expect("valid"));
+        let secs = median_secs(REPS, || {
+            let cfg = RunConfig::default();
+            black_box(run_banking_serve(black_box(&plan), shards, None, &cfg).expect("valid"));
         });
-        serve_medians.push(format!("    {{\"shards\": {shards}, \"median_secs\": {secs:.6}}}"));
+        serve_medians.push(obj! {"shards": shards, "median_secs": secs});
     }
 
-    let json = format!(
-        "{{\n  \"experiment\": \"e14_codegen_backends\",\n  \"host_cores\": {cores},\n  \
-         \"revision\": \"{}\",\n  \"workload\": {{\"classes\": {CLASSES}, \"methods_per_class\": \
-         {METHODS}, \"concern_aspects\": {aspects}}},\n  \"backends\": [\n{}\n  ],\n  \
-         \"worst_hit_speedup\": {worst_ratio:.3},\n  \"serve_steady_state\": \
-         {{\n    \"plan\": \"WorkloadPlan(7), generate weight 2.0, all backends weighted \
-         1.0\",\n    \
-         \"gen_cache_counters\": {{\"hit\": {gen_hits}, \"miss\": {gen_misses}}},\n    \
-         \"report_identical_across_shards\": true,\n    \"shard_sweep\": [\n{}\n    ]\n  }}\n}}\n",
-        revision(),
-        backend_rows.join(",\n"),
-        serve_medians.join(",\n"),
-    );
-    std::fs::write(&out_path, &json).expect("writable output path");
-    println!("{json}");
+    let out_path = Report::new("e14_codegen_backends")
+        .with(
+            "workload",
+            obj! {"classes": CLASSES, "methods_per_class": METHODS, "concern_aspects": aspects},
+        )
+        .with("backends", backend_rows)
+        .with("worst_hit_speedup", worst_ratio)
+        .with(
+            "serve_steady_state",
+            obj! {
+                "plan": "WorkloadPlan(7), generate weight 2.0, all backends weighted 1.0",
+                "gen_cache_counters": obj! {"hit": gen_hits, "miss": gen_misses},
+                "report_identical_across_shards": true,
+                "shard_sweep": serve_medians,
+            },
+        )
+        .write("BENCH_codegen.json");
     eprintln!("wrote {out_path} (worst hit speedup {worst_ratio:.1}x)");
     assert!(
         worst_ratio >= HIT_GATE,

@@ -16,31 +16,14 @@
 //! `BENCH_interaction.json` in the working directory).
 
 use comet::serve_interaction_matrix;
+use comet_bench::harness::{median_secs, Report};
+use comet_bench::obj;
 use std::hint::black_box;
-use std::time::Instant;
 
-const WARMUP: usize = 1;
-const SAMPLES: usize = 5;
+const REPS: (usize, usize) = (1, 5);
 const LOOKUPS: usize = 100_000;
 
-/// Median wall-clock seconds of `SAMPLES` runs (after `WARMUP` runs).
-fn median_secs(mut run: impl FnMut()) -> f64 {
-    for _ in 0..WARMUP {
-        run();
-    }
-    let mut times: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let t0 = Instant::now();
-            run();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[times.len() / 2]
-}
-
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_interaction.json".to_owned());
     let steps: Vec<String> =
         comet_concerns::standard_pairs().iter().map(|p| p.concern().to_owned()).collect();
 
@@ -50,13 +33,13 @@ fn main() {
     let order_sensitive = matrix.required_orders().len();
 
     eprintln!("timing matrix build over {} concerns ({cells} cells) ...", steps.len());
-    let build_secs = median_secs(|| {
+    let build_secs = median_secs(REPS, || {
         black_box(serve_interaction_matrix(black_box(&steps)).expect("valid bindings"));
     });
 
     eprintln!("timing admission verdict lookups ...");
     let names = matrix.concerns().to_vec();
-    let lookup_secs = median_secs(|| {
+    let lookup_secs = median_secs(REPS, || {
         let mut hits = 0usize;
         for i in 0..LOOKUPS {
             let a = &names[i % names.len()];
@@ -69,11 +52,19 @@ fn main() {
     });
     let lookup_ns = lookup_secs / LOOKUPS as f64 * 1e9;
 
-    let json = format!(
-        "{{\n  \"experiment\": \"pr8_interaction_admission\",\n  \"matrix\": {{\"concerns\": {}, \"cells\": {cells}, \"conflicts\": {conflicts}, \"order_sensitive\": {order_sensitive}}},\n  \"build_median_secs\": {build_secs:.6},\n  \"lookup_median_ns\": {lookup_ns:.1},\n  \"lookups_per_sample\": {LOOKUPS}\n}}\n",
-        steps.len(),
-    );
-    std::fs::write(&out_path, &json).expect("writable output path");
-    println!("{json}");
+    let out_path = Report::new("pr8_interaction_admission")
+        .with(
+            "matrix",
+            obj! {
+                "concerns": steps.len(),
+                "cells": cells,
+                "conflicts": conflicts,
+                "order_sensitive": order_sensitive,
+            },
+        )
+        .with("build_median_secs", build_secs)
+        .with("lookup_median_ns", lookup_ns)
+        .with("lookups_per_sample", LOOKUPS)
+        .write("BENCH_interaction.json");
     eprintln!("wrote {out_path} (build {build_secs:.3}s, lookup {lookup_ns:.0}ns)");
 }

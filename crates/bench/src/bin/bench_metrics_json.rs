@@ -15,32 +15,16 @@
 //! [output-path]` (default `BENCH_metrics.json` in the working
 //! directory).
 
-use comet::run_banking_serve_cfg;
+use comet::run_banking_serve;
+use comet_bench::harness::{median_secs, Report};
+use comet_bench::obj;
 use comet_serve::{RunConfig, SampleMode, SloPolicy, WorkloadPlan};
 use std::hint::black_box;
-use std::time::Instant;
 
 const SHARDS: usize = 4;
 const THREADS: usize = 8;
-const WARMUP: usize = 1;
-const SAMPLES: usize = 5;
+const REPS: (usize, usize) = (1, 5);
 const OVERHEAD_BUDGET: f64 = 1.05;
-
-/// Median wall-clock seconds of `SAMPLES` runs (after `WARMUP` runs).
-fn median_secs(mut run: impl FnMut()) -> f64 {
-    for _ in 0..WARMUP {
-        run();
-    }
-    let mut times: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let t0 = Instant::now();
-            run();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[times.len() / 2]
-}
 
 /// The workload: enough tenants to spread over the shards, a mixed
 /// request stream so every histogram family fills.
@@ -58,7 +42,6 @@ fn bench_plan() -> WorkloadPlan {
 }
 
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_metrics.json".to_owned());
     let plan = bench_plan();
     let mut slo_plan = bench_plan();
     slo_plan.slo = Some(SloPolicy::default());
@@ -69,13 +52,12 @@ fn main() {
     // Determinism gate: the metrics snapshot must not depend on the
     // shard count.
     let cfg_metrics = RunConfig { traced: false, metrics: true };
-    let baseline = pool
-        .install(|| run_banking_serve_cfg(&slo_plan, 1, None, &cfg_metrics))
-        .expect("valid plan");
+    let baseline =
+        pool.install(|| run_banking_serve(&slo_plan, 1, None, &cfg_metrics)).expect("valid plan");
     let base_prom = baseline.metrics.as_ref().expect("metrics on").to_prometheus();
     for shards in [2usize, 4, 8] {
         let other = pool
-            .install(|| run_banking_serve_cfg(&slo_plan, shards, None, &cfg_metrics))
+            .install(|| run_banking_serve(&slo_plan, shards, None, &cfg_metrics))
             .expect("valid plan");
         assert_eq!(
             base_prom,
@@ -86,9 +68,9 @@ fn main() {
     }
 
     let time = |plan: &WorkloadPlan, cfg: RunConfig| {
-        median_secs(|| {
+        median_secs(REPS, || {
             black_box(
-                pool.install(|| run_banking_serve_cfg(black_box(plan), SHARDS, None, &cfg))
+                pool.install(|| run_banking_serve(black_box(plan), SHARDS, None, &cfg))
                     .expect("valid plan"),
             );
         })
@@ -105,12 +87,26 @@ fn main() {
 
     let overhead = on / off;
     let sampling_ratio = traced_sampled / traced_full;
-    let json = format!(
-        "{{\n  \"experiment\": \"pr9_metrics_overhead\",\n  \"workload\": {{\"tenants\": {}, \"clients\": {}, \"requests_per_client\": {}, \"seed\": {}, \"shards\": {SHARDS}, \"threads\": {THREADS}}},\n  \"metrics_off_secs\": {off:.6},\n  \"metrics_on_secs\": {on:.6},\n  \"metrics_overhead\": {overhead:.4},\n  \"overhead_budget\": {OVERHEAD_BUDGET},\n  \"trace_full_secs\": {traced_full:.6},\n  \"trace_sampled_secs\": {traced_sampled:.6},\n  \"sampled_vs_full\": {sampling_ratio:.4}\n}}\n",
-        plan.tenants, plan.clients, plan.requests, plan.seed,
-    );
-    std::fs::write(&out_path, &json).expect("writable output path");
-    println!("{json}");
+    let out_path = Report::new("pr9_metrics_overhead")
+        .with(
+            "workload",
+            obj! {
+                "tenants": plan.tenants,
+                "clients": plan.clients,
+                "requests_per_client": plan.requests,
+                "seed": plan.seed,
+                "shards": SHARDS,
+                "threads": THREADS,
+            },
+        )
+        .with("metrics_off_secs", off)
+        .with("metrics_on_secs", on)
+        .with("metrics_overhead", overhead)
+        .with("overhead_budget", OVERHEAD_BUDGET)
+        .with("trace_full_secs", traced_full)
+        .with("trace_sampled_secs", traced_sampled)
+        .with("sampled_vs_full", sampling_ratio)
+        .write("BENCH_metrics.json");
     assert!(
         overhead <= OVERHEAD_BUDGET,
         "metrics overhead {overhead:.4}x exceeds the {OVERHEAD_BUDGET}x budget"

@@ -17,103 +17,19 @@
 //! Usage: `cargo run --release -p comet-bench --bin bench_obs_json
 //! [output-path]` (default `BENCH_obs.json` in the working directory).
 
-use comet::chaos::{banking_bodies, executable_banking_pim, workload, INITIAL_BALANCES};
-use comet_aop::{Aspect, Weaver};
-use comet_codegen::FunctionalGenerator;
+use comet::chaos::{workload, INITIAL_BALANCES};
+use comet_bench::harness::{median_secs, Report};
+use comet_bench::{obj, run_transfers, woven_banking};
 use comet_interp::{Interp, Value};
-use comet_middleware::MiddlewareConfig;
 use comet_obs::Collector;
-use comet_transform::{ParamSet, ParamValue};
 use std::hint::black_box;
-use std::time::Instant;
 
 const TRANSFERS: u32 = 200;
-const WARMUP: usize = 2;
-const SAMPLES: usize = 9;
+const REPS: (usize, usize) = (2, 9);
 
-/// Median wall-clock seconds of `SAMPLES` runs (after `WARMUP` runs).
-fn median_secs(mut run: impl FnMut()) -> f64 {
-    for _ in 0..WARMUP {
-        run();
-    }
-    let mut times: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let t0 = Instant::now();
-            run();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[times.len() / 2]
-}
-
-fn dist_si() -> ParamSet {
-    ParamSet::new()
-        .with("server_class", ParamValue::from("Bank"))
-        .with("node", ParamValue::from("server"))
-        .with("operations", ParamValue::from(vec!["transfer".to_owned(), "getBalance".to_owned()]))
-}
-
-fn tx_si() -> ParamSet {
-    ParamSet::new()
-        .with("methods", ParamValue::from(vec!["Bank.transfer".to_owned()]))
-        .with("isolation", ParamValue::from("serializable"))
-}
-
-fn ft_si() -> ParamSet {
-    ParamSet::new()
-        .with("methods", ParamValue::from(vec!["Bank.transfer".to_owned()]))
-        .with("idempotent", ParamValue::from(vec!["Bank.transfer".to_owned()]))
-}
-
-/// Builds the woven banking interpreter (dist+ft+tx) and the object
-/// handles the workload needs.
-fn build_interp() -> (Interp, Value, Value, Value) {
-    let mut model = executable_banking_pim();
-    let mut aspects: Vec<Aspect> = Vec::new();
-    for name in ["distribution", "faulttolerance", "transactions"] {
-        let pair = comet_concerns::by_name(name).expect("standard concern");
-        let si = match name {
-            "distribution" => dist_si(),
-            "transactions" => tx_si(),
-            _ => ft_si(),
-        };
-        let (cmt, ca) = pair.specialize(si).expect("valid Si");
-        cmt.apply(&mut model).expect("preconditions hold");
-        aspects.push(ca);
-    }
-    let functional = FunctionalGenerator::new().generate(&model, &banking_bodies());
-    let woven = Weaver::new(aspects).weave(&functional).expect("weaves").program;
-    let mut interp = Interp::with_config(woven, MiddlewareConfig::default());
-    interp.add_node("client");
-    interp.add_node("server");
-    let bank = interp.create_on("Bank", "server").expect("generated");
-    let a1 = interp.create_on("Account", "server").expect("generated");
-    let a2 = interp.create_on("Account", "server").expect("generated");
-    interp.set_field(&a1, "number", Value::from("A-1")).expect("field");
-    interp.set_field(&a2, "number", Value::from("A-2")).expect("field");
-    interp.set_field(&bank, "a1", a1.clone()).expect("field");
-    interp.set_field(&bank, "a2", a2.clone()).expect("field");
-    interp.set_field(&a1, "balance", Value::Int(INITIAL_BALANCES.0)).expect("field");
-    interp.set_field(&a2, "balance", Value::Int(INITIAL_BALANCES.1)).expect("field");
-    interp.call(bank.clone(), "registerRemote", vec![]).expect("distribution applied");
-    interp.middleware_mut().bus.set_current_node("client").expect("node exists");
-    (interp, bank, a1, a2)
-}
-
-/// The seed's workload driver: no tracing calls at all.
-fn run_plain(interp: &mut Interp, bank: &Value, a1: &Value, a2: &Value) {
-    interp.set_field(a1, "balance", Value::Int(INITIAL_BALANCES.0)).expect("field");
-    interp.set_field(a2, "balance", Value::Int(INITIAL_BALANCES.1)).expect("field");
-    for i in 0..TRANSFERS {
-        let (from, to, amount) = workload(i);
-        let args = vec![Value::from(from), Value::from(to), Value::Int(amount)];
-        black_box(interp.call(bank.clone(), "transfer", args).expect("fault-free call"));
-    }
-}
-
-/// The instrumented driver: the chaos harness's per-call `runtime`
-/// span, guarded exactly as production code guards it.
+/// The instrumented driver: [`run_transfers`] plus the chaos harness's
+/// per-call `runtime` span, guarded exactly as production code guards
+/// it.
 fn run_traced(interp: &mut Interp, bank: &Value, a1: &Value, a2: &Value, obs: &Collector) {
     interp.set_field(a1, "balance", Value::Int(INITIAL_BALANCES.0)).expect("field");
     interp.set_field(a2, "balance", Value::Int(INITIAL_BALANCES.1)).expect("field");
@@ -134,20 +50,19 @@ fn run_traced(interp: &mut Interp, bank: &Value, a1: &Value, a2: &Value, obs: &C
 }
 
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_obs.json".to_owned());
-
-    let (mut interp, bank, a1, a2) = build_interp();
+    let (mut interp, bank, a1, a2) =
+        woven_banking(&["distribution", "faulttolerance", "transactions"]);
 
     eprintln!("timing plain workload (no tracing calls) ...");
-    let plain = median_secs(|| run_plain(&mut interp, &bank, &a1, &a2));
+    let plain = median_secs(REPS, || run_transfers(&mut interp, &bank, &a1, &a2, TRANSFERS));
 
     eprintln!("timing instrumented driver, collector disabled ...");
     let disabled_obs = Collector::disabled();
     interp.set_collector(disabled_obs.clone());
-    let disabled = median_secs(|| run_traced(&mut interp, &bank, &a1, &a2, &disabled_obs));
+    let disabled = median_secs(REPS, || run_traced(&mut interp, &bank, &a1, &a2, &disabled_obs));
 
     eprintln!("timing instrumented driver, collector enabled ...");
-    let enabled = median_secs(|| {
+    let enabled = median_secs(REPS, || {
         let obs = Collector::enabled();
         interp.set_collector(obs.clone());
         run_traced(&mut interp, &bank, &a1, &a2, &obs);
@@ -156,7 +71,7 @@ fn main() {
 
     eprintln!("timing instrumented driver, collector enabled + chrome export ...");
     let mut trace_bytes = 0usize;
-    let exporting = median_secs(|| {
+    let exporting = median_secs(REPS, || {
         let obs = Collector::enabled();
         interp.set_collector(obs.clone());
         run_traced(&mut interp, &bank, &a1, &a2, &obs);
@@ -165,14 +80,44 @@ fn main() {
         black_box(json);
     });
 
-    let json = format!(
-        "{{\n  \"experiment\": \"pr4_observability_overhead\",\n  \"workload\": {{\"transfers\": {TRANSFERS}, \"concerns\": \"distribution+faulttolerance+transactions\"}},\n  \"plain\": {{\"impl\": \"no tracing calls, disabled collector attached\", \"median_secs\": {plain:.6}}},\n  \"disabled\": {{\"impl\": \"instrumented driver, disabled collector (one branch per probe)\", \"median_secs\": {disabled:.6}, \"overhead_ratio\": {:.3}}},\n  \"enabled\": {{\"impl\": \"instrumented driver, enabled collector (spans+events+counters)\", \"median_secs\": {enabled:.6}, \"overhead_ratio\": {:.3}}},\n  \"exporting\": {{\"impl\": \"enabled + chrome trace-event serialization\", \"median_secs\": {exporting:.6}, \"overhead_ratio\": {:.3}, \"trace_bytes\": {trace_bytes}}}\n}}\n",
-        disabled / plain,
-        enabled / plain,
-        exporting / plain,
-    );
-    std::fs::write(&out_path, &json).expect("writable output path");
-    println!("{json}");
+    let out_path = Report::new("pr4_observability_overhead")
+        .with(
+            "workload",
+            obj! {
+                "transfers": u64::from(TRANSFERS),
+                "concerns": "distribution+faulttolerance+transactions",
+            },
+        )
+        .with(
+            "plain",
+            obj! {"impl": "no tracing calls, disabled collector attached", "median_secs": plain},
+        )
+        .with(
+            "disabled",
+            obj! {
+                "impl": "instrumented driver, disabled collector (one branch per probe)",
+                "median_secs": disabled,
+                "overhead_ratio": disabled / plain,
+            },
+        )
+        .with(
+            "enabled",
+            obj! {
+                "impl": "instrumented driver, enabled collector (spans+events+counters)",
+                "median_secs": enabled,
+                "overhead_ratio": enabled / plain,
+            },
+        )
+        .with(
+            "exporting",
+            obj! {
+                "impl": "enabled + chrome trace-event serialization",
+                "median_secs": exporting,
+                "overhead_ratio": exporting / plain,
+                "trace_bytes": trace_bytes,
+            },
+        )
+        .write("BENCH_obs.json");
     eprintln!(
         "wrote {out_path} (disabled {:.3}x, enabled {:.3}x, exporting {:.3}x vs plain)",
         disabled / plain,

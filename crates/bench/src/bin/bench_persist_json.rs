@@ -20,11 +20,12 @@
 //! [output-path]` (default `BENCH_persist.json` in the working
 //! directory).
 
+use comet_bench::harness::{median_secs, Report};
+use comet_bench::obj;
 use comet_model::Model;
 use comet_repo::{RecoveryReport, Repository};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 const COMMITS: usize = 200;
 const RECOVERY_SWEEP: [usize; 3] = [50, 200, 800];
@@ -34,24 +35,7 @@ const CHURN_BASE_CLASSES: usize = 20;
 /// The churn journal applies this many steps, then undoes them all, in
 /// turn.
 const CHURN_DEPTHS: [usize; 3] = [1, 2, 3];
-const WARMUP: usize = 1;
-const SAMPLES: usize = 5;
-
-/// Median wall-clock seconds of `SAMPLES` runs (after `WARMUP` runs).
-fn median_secs(mut run: impl FnMut()) -> f64 {
-    for _ in 0..WARMUP {
-        run();
-    }
-    let mut times: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let t0 = Instant::now();
-            run();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[times.len() / 2]
-}
+const REPS: (usize, usize) = (1, 5);
 
 /// A chain of `n` model versions, each adding one class to the last —
 /// every commit carries a distinct snapshot, so the segment store's
@@ -80,7 +64,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// the recovery report of the last open.
 fn time_open(dir: &Path) -> (f64, RecoveryReport) {
     let mut last = RecoveryReport::default();
-    let secs = median_secs(|| {
+    let secs = median_secs(REPS, || {
         let (repo, report) = Repository::open(black_box(dir)).expect("opens");
         assert!(report.clean(), "bench journal must replay cleanly");
         last = report;
@@ -120,16 +104,15 @@ fn write_churn_journal(dir: &Path, records: usize) -> usize {
 }
 
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_persist.json".to_owned());
     let versions = version_chain(COMMITS);
 
-    let memory_secs = median_secs(|| {
+    let memory_secs = median_secs(REPS, || {
         let mut repo = Repository::new("persist-bench");
         for (i, v) in versions.iter().enumerate() {
             black_box(repo.commit(v, &format!("v{i}"), None).expect("commits"));
         }
     });
-    let durable_secs = median_secs(|| {
+    let durable_secs = median_secs(REPS, || {
         let dir = scratch("commit");
         let _ = std::fs::remove_dir_all(&dir);
         let mut repo = Repository::create(&dir, "persist-bench").expect("creates");
@@ -152,12 +135,12 @@ fn main() {
             }
         }
         let (secs, report) = time_open(&dir);
-        recovery_lines.push(format!(
-            "    {{\"commits\": {journal_commits}, \"median_secs\": {secs:.6}, \
-             \"replays_per_sec\": {:.1}, \"snapshots_decoded\": {}}}",
-            journal_commits as f64 / secs,
-            report.snapshots_decoded,
-        ));
+        recovery_lines.push(obj! {
+            "commits": journal_commits,
+            "median_secs": secs,
+            "replays_per_sec": journal_commits as f64 / secs,
+            "snapshots_decoded": report.snapshots_decoded,
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -168,30 +151,30 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
         let undos = write_churn_journal(&dir, records);
         let (secs, report) = time_open(&dir);
-        churn_lines.push(format!(
-            "    {{\"records\": {records}, \"undos\": {undos}, \"median_secs\": {secs:.6}, \
-             \"replays_per_sec\": {:.1}, \"snapshots_decoded\": {}}}",
-            records as f64 / secs,
-            report.snapshots_decoded,
-        ));
+        churn_lines.push(obj! {
+            "records": records,
+            "undos": undos,
+            "median_secs": secs,
+            "replays_per_sec": records as f64 / secs,
+            "snapshots_decoded": report.snapshots_decoded,
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"experiment\": \"pr7_persistence\",\n  \"host_cores\": {cores},\n  \
-         \"commit_throughput\": {{\"commits\": {COMMITS}, \"memory_secs\": {memory_secs:.6}, \
-         \"durable_secs\": {durable_secs:.6}, \
-         \"memory_commits_per_sec\": {:.1}, \"durable_commits_per_sec\": {:.1}, \
-         \"durable_overhead_x\": {:.3}}},\n  \"recovery\": [\n{}\n  ],\n  \
-         \"churn_recovery\": [\n{}\n  ]\n}}\n",
-        COMMITS as f64 / memory_secs,
-        COMMITS as f64 / durable_secs,
-        durable_secs / memory_secs,
-        recovery_lines.join(",\n"),
-        churn_lines.join(",\n"),
-    );
-    std::fs::write(&out_path, &json).expect("writable output path");
-    println!("{json}");
+    let out_path = Report::new("pr7_persistence")
+        .with(
+            "commit_throughput",
+            obj! {
+                "commits": COMMITS,
+                "memory_secs": memory_secs,
+                "durable_secs": durable_secs,
+                "memory_commits_per_sec": COMMITS as f64 / memory_secs,
+                "durable_commits_per_sec": COMMITS as f64 / durable_secs,
+                "durable_overhead_x": durable_secs / memory_secs,
+            },
+        )
+        .with("recovery", recovery_lines)
+        .with("churn_recovery", churn_lines)
+        .write("BENCH_persist.json");
     eprintln!("wrote {out_path} (durable overhead {:.2}x)", durable_secs / memory_secs);
 }

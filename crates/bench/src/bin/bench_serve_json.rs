@@ -2,41 +2,26 @@
 //! multi-tenant serving core.
 //!
 //! One fixed apply-heavy workload (every tenant walks the full
-//! refinement workflow, generates code, and answers queries) is run at
-//! 1, 2, 4, and 8 shards on an 8-thread pool. Shards execute in real
-//! parallelism, so wall-clock time should fall as shards grow — while
-//! the `ServeReport` stays byte-identical at every shard count, which
-//! the sweep asserts before timing anything.
+//! refinement workflow, generates code, and answers queries) runs on a
+//! pool of one thread per host core. The `ServeReport` must stay
+//! byte-identical at 1, 2, 4 and 8 shards, which the sweep asserts
+//! before timing anything; the timed sweep then stops at the host's
+//! core count, since shards beyond it share cores and add no
+//! parallelism, so a "speedup" there would only measure scheduling.
+//! `speedup_4_shards` is `null` on hosts with fewer than 4 cores.
 //!
 //! Usage: `cargo run --release -p comet-bench --bin bench_serve_json
 //! [output-path]` (default `BENCH_serve.json` in the working
 //! directory).
 
 use comet::run_banking_serve;
-use comet_serve::WorkloadPlan;
+use comet_bench::harness::{host_cores, median_secs, Report};
+use comet_bench::obj;
+use comet_serve::{RunConfig, WorkloadPlan};
 use std::hint::black_box;
-use std::time::Instant;
 
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
-const THREADS: usize = 8;
-const WARMUP: usize = 1;
-const SAMPLES: usize = 5;
-
-/// Median wall-clock seconds of `SAMPLES` runs (after `WARMUP` runs).
-fn median_secs(mut run: impl FnMut()) -> f64 {
-    for _ in 0..WARMUP {
-        run();
-    }
-    let mut times: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let t0 = Instant::now();
-            run();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[times.len() / 2]
-}
+const REPS: (usize, usize) = (1, 5);
 
 /// The sweep workload: enough tenants to spread over 8 shards, an
 /// apply/generate-heavy mix so each request does real lifecycle work.
@@ -54,59 +39,57 @@ fn sweep_plan() -> WorkloadPlan {
 }
 
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_serve.json".to_owned());
     let plan = sweep_plan();
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(THREADS).build().expect("pool builds");
+    let threads = host_cores();
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool builds");
+    let serve = |shards| {
+        pool.install(|| run_banking_serve(&plan, shards, None, &RunConfig::default()))
+            .expect("valid plan")
+    };
 
     // Determinism gate: the report must not depend on the shard count.
-    let baseline =
-        pool.install(|| run_banking_serve(&plan, 1, None, false)).expect("valid plan").report;
+    let baseline = serve(1).report;
     for shards in SHARDS {
-        let report = pool
-            .install(|| run_banking_serve(&plan, shards, None, false))
-            .expect("valid plan")
-            .report;
-        assert_eq!(baseline, report, "report diverged at {shards} shards");
+        assert_eq!(baseline, serve(shards).report, "report diverged at {shards} shards");
     }
 
     let mut medians = Vec::new();
-    for shards in SHARDS {
+    for shards in SHARDS.into_iter().filter(|&shards| shards <= threads) {
         eprintln!("timing serve at {shards} shard(s) ...");
-        let secs = median_secs(|| {
-            black_box(
-                pool.install(|| run_banking_serve(black_box(&plan), shards, None, false))
-                    .expect("valid plan"),
-            );
-        });
-        medians.push(secs);
+        medians.push((shards, median_secs(REPS, || drop(black_box(serve(black_box(shards)))))));
     }
 
-    let shard_lines: Vec<String> = SHARDS
+    let one_shard = medians[0].1;
+    let speedup_4 = medians.iter().find(|(shards, _)| *shards == 4).map(|(_, s)| one_shard / s);
+    let sweep = medians
         .iter()
-        .zip(&medians)
-        .map(|(shards, secs)| {
-            format!(
-                "    {{\"shards\": {shards}, \"median_secs\": {secs:.6}, \"speedup_vs_1\": {:.3}}}",
-                medians[0] / secs
-            )
+        .map(|&(shards, secs)| {
+            obj! {"shards": shards, "median_secs": secs, "speedup_vs_1": one_shard / secs}
         })
-        .collect();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"experiment\": \"pr5_serve_shard_sweep\",\n  \"workload\": {{\"tenants\": {}, \"clients\": {}, \"requests_per_client\": {}, \"seed\": {}, \"threads\": {THREADS}, \"host_cores\": {cores}}},\n  \"report\": {{\"issued\": {}, \"completed\": {}, \"ok\": {}, \"p50_us\": {}, \"p99_us\": {}}},\n  \"sweep\": [\n{}\n  ],\n  \"speedup_4_shards\": {:.3}\n}}\n",
-        plan.tenants,
-        plan.clients,
-        plan.requests,
-        plan.seed,
-        baseline.issued,
-        baseline.completed,
-        baseline.ok,
-        baseline.p50_us,
-        baseline.p99_us,
-        shard_lines.join(",\n"),
-        medians[0] / medians[2],
-    );
-    std::fs::write(&out_path, &json).expect("writable output path");
-    println!("{json}");
-    eprintln!("wrote {out_path} (1→4 shard speedup {:.2}x)", medians[0] / medians[2]);
+        .collect::<Vec<_>>();
+    let out_path = Report::new("pr5_serve_shard_sweep")
+        .with(
+            "workload",
+            obj! {
+                "tenants": plan.tenants,
+                "clients": plan.clients,
+                "requests_per_client": plan.requests,
+                "seed": plan.seed,
+                "threads": threads,
+            },
+        )
+        .with(
+            "report",
+            obj! {
+                "issued": baseline.issued,
+                "completed": baseline.completed,
+                "ok": baseline.ok,
+                "p50_us": baseline.p50_us,
+                "p99_us": baseline.p99_us,
+            },
+        )
+        .with("sweep", sweep)
+        .with("speedup_4_shards", speedup_4)
+        .write("BENCH_serve.json");
+    eprintln!("wrote {out_path} (1→4 shard speedup {speedup_4:?})");
 }

@@ -23,7 +23,8 @@
 //! directory).
 
 use comet::MdaLifecycle;
-use comet_bench::synthetic;
+use comet_bench::harness::{median_secs, median_secs_after, Report};
+use comet_bench::{obj, synthetic};
 use comet_model::{Model, UndoLog};
 use comet_repo::Repository;
 use comet_transform::{
@@ -31,47 +32,17 @@ use comet_transform::{
 };
 use comet_workflow::WorkflowModel;
 use std::hint::black_box;
-use std::time::Instant;
 
 const SIZES: [usize; 4] = [10, 50, 100, 200];
 const ATTRS: usize = 4;
 const OPS: usize = 4;
-const WARMUP: usize = 2;
-const SAMPLES: usize = 9;
+const REPS: (usize, usize) = (2, 9);
 /// The `apply_by_size` models: `synthetic(classes, APPLY_ATTRS,
 /// APPLY_OPS)`, lifecycle-large's shape.
 const APPLY_ATTRS: usize = 3;
 const APPLY_OPS: usize = 6;
 /// Classes the logging binding targets (`C<k>.*` each).
 const LOG_TARGETS: usize = 8;
-
-/// Median wall-clock seconds of `SAMPLES` runs (after `WARMUP` runs).
-fn median_secs(mut run: impl FnMut()) -> f64 {
-    median_secs_after(&mut (), |_| (), |_, ()| run())
-}
-
-/// [`median_secs`] of `run` on `state`, each run fed by an untimed
-/// `setup` on the same state.
-fn median_secs_after<S, I>(
-    state: &mut S,
-    mut setup: impl FnMut(&mut S) -> I,
-    mut run: impl FnMut(&mut S, I),
-) -> f64 {
-    for _ in 0..WARMUP {
-        let input = setup(state);
-        run(state, input);
-    }
-    let mut times: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let input = setup(state);
-            let t0 = Instant::now();
-            run(state, input);
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[times.len() / 2]
-}
 
 /// Applies `cmt` to `model` under a journal and commits the result to
 /// `repo`, as `MdaLifecycle::apply_concern` does; returns the step's
@@ -136,6 +107,7 @@ fn logging_apply(classes: usize) -> (usize, f64) {
     let si = ParamSet::new().with("targets", ParamValue::from(targets));
     mda.apply_concern(&logging, si.clone()).expect("applies");
     let secs = median_secs_after(
+        REPS,
         &mut mda,
         |mda| mda.undo_last().expect("undoes"),
         |mda, ()| {
@@ -146,7 +118,6 @@ fn logging_apply(classes: usize) -> (usize, f64) {
 }
 
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_transform.json".to_owned());
     let failing = failing_cmt();
     let ok = succeeding_cmt();
 
@@ -186,49 +157,56 @@ fn main() {
         // restore the model. `apply` replays the journal (O(delta));
         // `apply_cloned` restores a full upfront clone (O(model)).
         eprintln!("[{classes} classes] timing clone rollback (before) ...");
-        let before = median_secs(|| {
+        let before = median_secs(REPS, || {
             let _ = black_box(failing.apply_cloned(black_box(&mut model)));
         });
         eprintln!("[{classes} classes] timing journal rollback (after) ...");
-        let after = median_secs(|| {
+        let after = median_secs(REPS, || {
             let _ = black_box(failing.apply(black_box(&mut model)));
         });
         let speedup = before / after;
         if classes == 100 {
             speedup_at_100 = speedup;
         }
-        rollback_rows.push(format!(
-            "    {{\"classes\": {classes}, \"elements\": {elements}, \"before_median_secs\": {before:.9}, \"after_median_secs\": {after:.9}, \"speedup\": {speedup:.3}}}"
-        ));
+        rollback_rows.push(obj! {
+            "classes": classes,
+            "elements": elements,
+            "before_median_secs": before,
+            "after_median_secs": after,
+            "speedup": speedup,
+        });
 
         // Success path: each run starts from a fresh clone (identical
         // overhead in both arms); the arms differ in report derivation —
         // journal summary versus before/after full-model sweep.
         eprintln!("[{classes} classes] timing sweep-report apply (before) ...");
-        let s_before = median_secs(|| {
+        let s_before = median_secs(REPS, || {
             let mut m = model.clone();
             black_box(ok.apply_cloned(black_box(&mut m)).expect("applies"));
         });
         eprintln!("[{classes} classes] timing journal-report apply (after) ...");
-        let s_after = median_secs(|| {
+        let s_after = median_secs(REPS, || {
             let mut m = model.clone();
             black_box(ok.apply(black_box(&mut m)).expect("applies"));
         });
-        success_rows.push(format!(
-            "    {{\"classes\": {classes}, \"elements\": {elements}, \"before_median_secs\": {s_before:.9}, \"after_median_secs\": {s_after:.9}, \"speedup\": {:.3}}}",
-            s_before / s_after
-        ));
+        success_rows.push(obj! {
+            "classes": classes,
+            "elements": elements,
+            "before_median_secs": s_before,
+            "after_median_secs": s_after,
+            "speedup": s_before / s_after,
+        });
 
         // Undo of one committed application: each run re-applies and
         // re-commits the step untimed, then times only the undo.
         let mut state = (model.clone(), repo_at(&model));
         let step = |(model, repo): &mut (Model, Repository)| apply_and_commit(&ok, model, repo);
         eprintln!("[{classes} classes] timing decode undo (before) ...");
-        let decode = median_secs_after(&mut state, step, |(model, repo), _log| {
+        let decode = median_secs_after(REPS, &mut state, step, |(model, repo), _log| {
             *model = black_box(repo.undo().expect("one step").expect("decodes"));
         });
         eprintln!("[{classes} classes] timing revert undo (after) ...");
-        let revert = median_secs_after(&mut state, step, |(model, repo), log| {
+        let revert = median_secs_after(REPS, &mut state, step, |(model, repo), log| {
             repo.undo_head().expect("one step").expect("steps");
             model.revert(black_box(log));
         });
@@ -236,32 +214,60 @@ fn main() {
         if classes == 100 {
             undo_speedup_at_100 = undo_speedup;
         }
-        undo_rows.push(format!(
-            "    {{\"classes\": {classes}, \"elements\": {elements}, \"decode_median_secs\": {decode:.9}, \"revert_median_secs\": {revert:.9}, \"speedup\": {undo_speedup:.3}}}"
-        ));
+        undo_rows.push(obj! {
+            "classes": classes,
+            "elements": elements,
+            "decode_median_secs": decode,
+            "revert_median_secs": revert,
+            "speedup": undo_speedup,
+        });
     }
 
-    let apply_rows: Vec<String> = SIZES
+    let apply_rows: Vec<_> = SIZES
         .iter()
         .map(|&classes| {
             eprintln!("[{classes} classes] timing logging apply ...");
             let (elements, secs) = logging_apply(classes);
-            format!(
-                "    {{\"classes\": {classes}, \"elements\": {elements}, \"median_secs\": {secs:.9}}}"
-            )
+            obj! {"classes": classes, "elements": elements, "median_secs": secs}
         })
         .collect();
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"experiment\": \"e11_transform_rollback\",\n  \"host_cores\": {cores},\n  \"workload\": {{\"sizes\": [10, 50, 100, 200], \"attrs_per_class\": {ATTRS}, \"ops_per_class\": {OPS}, \"body\": \"constant 3-element delta, then induced failure\"}},\n  \"before\": \"apply_cloned (upfront clone, restore on failure, before/after sweep report)\",\n  \"after\": \"apply (change journal: inverse-op rollback, journal-derived report)\",\n  \"decode\": \"undo of one committed apply: Repository::undo, importing the landed XMI snapshot\",\n  \"revert\": \"undo of one committed apply: Repository::undo_head + Model::revert of the apply's UndoLog\",\n  \"apply\": \"MdaLifecycle::apply_concern of logging on {LOG_TARGETS} classes' operations, synthetic(classes, {APPLY_ATTRS}, {APPLY_OPS}), after an untimed undo_last\",\n  \"rollback\": [\n{}\n  ],\n  \"successful_apply\": [\n{}\n  ],\n  \"undo\": [\n{}\n  ],\n  \"apply_by_size\": [\n{}\n  ]\n}}\n",
-        rollback_rows.join(",\n"),
-        success_rows.join(",\n"),
-        undo_rows.join(",\n"),
-        apply_rows.join(",\n"),
-    );
-    std::fs::write(&out_path, &json).expect("writable output path");
-    println!("{json}");
+    let out_path = Report::new("e11_transform_rollback")
+        .with(
+            "workload",
+            obj! {
+                "sizes": SIZES.to_vec(),
+                "attrs_per_class": ATTRS,
+                "ops_per_class": OPS,
+                "body": "constant 3-element delta, then induced failure",
+            },
+        )
+        .with(
+            "before",
+            "apply_cloned (upfront clone, restore on failure, before/after sweep report)",
+        )
+        .with("after", "apply (change journal: inverse-op rollback, journal-derived report)")
+        .with(
+            "decode",
+            "undo of one committed apply: Repository::undo, importing the landed XMI snapshot",
+        )
+        .with(
+            "revert",
+            "undo of one committed apply: Repository::undo_head + Model::revert of the apply's \
+             UndoLog",
+        )
+        .with(
+            "apply",
+            format!(
+                "MdaLifecycle::apply_concern of logging on {LOG_TARGETS} classes' operations, \
+                 synthetic(classes, {APPLY_ATTRS}, {APPLY_OPS}), after an untimed undo_last"
+            ),
+        )
+        .with("rollback", rollback_rows)
+        .with("successful_apply", success_rows)
+        .with("undo", undo_rows)
+        .with("apply_by_size", apply_rows)
+        .write("BENCH_transform.json");
     eprintln!(
         "wrote {out_path} (rollback speedup at 100 classes: {speedup_at_100:.2}x, undo: \
          {undo_speedup_at_100:.2}x)"

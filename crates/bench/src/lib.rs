@@ -1,112 +1,94 @@
-//! # comet-bench — shared workloads for the experiment benchmarks
+//! # comet-bench — the experiment benchmarks
 //!
-//! One Criterion bench target exists per experiment in DESIGN.md's
-//! index (E1–E10). This library holds the workload builders they share:
-//! the executable banking system (PIM + functional bodies), standard
-//! parameter sets, and synthetic scaling models.
+//! Every number the reproduction reports comes from one of the
+//! `bench_*_json` bins, each writing one committed `BENCH_*.json`
+//! through the shared [`harness`]. This library holds that harness and
+//! the workload builders the bins share: the executable banking system
+//! (PIM + functional bodies, from [`comet::chaos`]), standard parameter
+//! sets, and synthetic scaling models.
 
-use comet_codegen::{Block, BodyProvider, Expr, IrBinOp, IrType, LValue, Stmt};
-use comet_model::{Model, ModelBuilder, Primitive, TypeRef};
+use comet_codegen::{Block, Expr, IrBinOp, Stmt};
+use comet_interp::{Interp, Value};
 use comet_transform::{ParamSet, ParamValue};
 
+pub mod harness;
+
+pub use comet::chaos::{banking_bodies, dist_si, executable_banking_pim, tx_si};
 pub use comet_model::sample::synthetic;
-
-/// The executable banking PIM (same shape as the integration-test
-/// fixture): `Bank` with two `Account` references, `transfer` and
-/// `getBalance`.
-pub fn executable_banking_pim() -> Model {
-    let mut model = ModelBuilder::new("bank")
-        .class("Account", |c| {
-            c.attribute("number", Primitive::Str)?.attribute("balance", Primitive::Int)
-        })
-        .expect("valid model")
-        .build();
-    let account = model.find_class("Account").expect("just added");
-    let root = model.root();
-    let bank = model.add_class(root, "Bank").expect("valid");
-    model.add_attribute(bank, "a1", TypeRef::Element(account)).expect("valid");
-    model.add_attribute(bank, "a2", TypeRef::Element(account)).expect("valid");
-    let transfer = model.add_operation(bank, "transfer").expect("valid");
-    for p in ["from", "to"] {
-        model.add_parameter(transfer, p, Primitive::Str.into()).expect("valid");
-    }
-    model.add_parameter(transfer, "amount", Primitive::Int.into()).expect("valid");
-    model.set_return_type(transfer, Primitive::Bool.into()).expect("valid");
-    let get_balance = model.add_operation(bank, "getBalance").expect("valid");
-    model.add_parameter(get_balance, "number", Primitive::Str.into()).expect("valid");
-    model.set_return_type(get_balance, Primitive::Int.into()).expect("valid");
-    model
-}
-
-fn select_account(var: &str, number_param: &str) -> Vec<Stmt> {
-    vec![
-        Stmt::local(var, IrType::Object("Account".into()), Expr::this_field("a1")),
-        Stmt::If {
-            cond: Expr::binary(
-                IrBinOp::Ne,
-                Expr::Field { recv: Box::new(Expr::var(var)), name: "number".into() },
-                Expr::var(number_param),
-            ),
-            then_block: Block::of(vec![Stmt::set_var(var, Expr::this_field("a2"))]),
-            else_block: None,
-        },
-    ]
-}
-
-/// Functional bodies for [`executable_banking_pim`].
-pub fn banking_bodies() -> BodyProvider {
-    let field =
-        |obj: &str, name: &str| Expr::Field { recv: Box::new(Expr::var(obj)), name: name.into() };
-    let mut transfer = Vec::new();
-    transfer.extend(select_account("src", "from"));
-    transfer.extend(select_account("dst", "to"));
-    transfer.extend([
-        Stmt::If {
-            cond: Expr::binary(IrBinOp::Lt, field("src", "balance"), Expr::var("amount")),
-            then_block: Block::of(vec![Stmt::Throw(Expr::str("insufficient funds"))]),
-            else_block: None,
-        },
-        Stmt::Assign {
-            target: LValue::Field { recv: Expr::var("src"), name: "balance".into() },
-            value: Expr::binary(IrBinOp::Sub, field("src", "balance"), Expr::var("amount")),
-        },
-        Stmt::Assign {
-            target: LValue::Field { recv: Expr::var("dst"), name: "balance".into() },
-            value: Expr::binary(IrBinOp::Add, field("dst", "balance"), Expr::var("amount")),
-        },
-        Stmt::ret(Expr::bool(true)),
-    ]);
-    let mut get_balance = select_account("acc", "number");
-    get_balance.push(Stmt::ret(field("acc", "balance")));
-    BodyProvider::new()
-        .provide("Bank::transfer", Block::of(transfer))
-        .provide("Bank::getBalance", Block::of(get_balance))
-}
-
-/// Standard distribution `Si` for the banking workload.
-pub fn dist_si() -> ParamSet {
-    ParamSet::new()
-        .with("server_class", ParamValue::from("Bank"))
-        .with("node", ParamValue::from("server"))
-        .with("operations", ParamValue::from(vec!["transfer".to_owned(), "getBalance".to_owned()]))
-}
-
-/// Standard transactions `Si` for the banking workload.
-pub fn tx_si() -> ParamSet {
-    ParamSet::new().with("methods", ParamValue::from(vec!["Bank.transfer".to_owned()]))
-}
 
 /// Standard security `Si` for the banking workload.
 pub fn sec_si() -> ParamSet {
     ParamSet::new().with("protected", ParamValue::from(vec!["Bank.transfer:teller".to_owned()]))
 }
 
+/// The fault-tolerance `Si` the overhead bins weave: `Bank.transfer`,
+/// retried as idempotent.
+pub fn ft_si() -> ParamSet {
+    ParamSet::new()
+        .with("methods", ParamValue::from(vec!["Bank.transfer".to_owned()]))
+        .with("idempotent", ParamValue::from(vec!["Bank.transfer".to_owned()]))
+}
+
+/// The banking PIM refined by `concerns` (each one of distribution,
+/// transactions and fault tolerance, with its standard `Si`), its
+/// functional program, and the concrete aspects in application order.
+pub fn refined_banking(concerns: &[&str]) -> (comet_codegen::Program, Vec<comet_aop::Aspect>) {
+    let mut model = executable_banking_pim();
+    let aspects = concerns
+        .iter()
+        .map(|&name| {
+            let si = match name {
+                "distribution" => dist_si(),
+                "transactions" => tx_si(),
+                _ => ft_si(),
+            };
+            let pair = comet_concerns::by_name(name).expect("standard concern");
+            let (cmt, ca) = pair.specialize(si).expect("valid Si");
+            cmt.apply(&mut model).expect("preconditions hold");
+            ca
+        })
+        .collect();
+    (comet_codegen::FunctionalGenerator::new().generate(&model, &banking_bodies()), aspects)
+}
+
+/// [`refined_banking`] woven and instantiated: the interpreter on the
+/// client node, the remote bank and the two accounts.
+pub fn woven_banking(concerns: &[&str]) -> (Interp, Value, Value, Value) {
+    let (functional, aspects) = refined_banking(concerns);
+    let woven = comet_aop::Weaver::new(aspects).weave(&functional).expect("weaves").program;
+    let mut interp = Interp::new(woven);
+    interp.add_node("client");
+    interp.add_node("server");
+    let bank = interp.create_on("Bank", "server").expect("generated");
+    let a1 = interp.create_on("Account", "server").expect("generated");
+    let a2 = interp.create_on("Account", "server").expect("generated");
+    interp.set_field(&a1, "number", Value::from("A-1")).expect("field");
+    interp.set_field(&a2, "number", Value::from("A-2")).expect("field");
+    interp.set_field(&bank, "a1", a1.clone()).expect("field");
+    interp.set_field(&bank, "a2", a2.clone()).expect("field");
+    interp.call(bank.clone(), "registerRemote", vec![]).expect("distribution applied");
+    interp.middleware_mut().bus.set_current_node("client").expect("node exists");
+    (interp, bank, a1, a2)
+}
+
+/// One run of the fault-free transfer workload ([`comet::chaos::workload`],
+/// which never transfers 13, the amount the functional body crashes
+/// on): resets both balances to [`comet::chaos::INITIAL_BALANCES`],
+/// then makes `transfers` calls.
+pub fn run_transfers(interp: &mut Interp, bank: &Value, a1: &Value, a2: &Value, transfers: u32) {
+    use comet::chaos::{workload, INITIAL_BALANCES};
+    interp.set_field(a1, "balance", Value::Int(INITIAL_BALANCES.0)).expect("field");
+    interp.set_field(a2, "balance", Value::Int(INITIAL_BALANCES.1)).expect("field");
+    for i in 0..transfers {
+        let (from, to, amount) = workload(i);
+        let args = vec![Value::from(from), Value::from(to), Value::Int(amount)];
+        std::hint::black_box(interp.call(bank.clone(), "transfer", args).expect("fault-free call"));
+    }
+}
+
 /// Instantiates the banking object graph; returns `(interp, bank)` ready
 /// for `transfer` calls (alice logged in, executing on the server node).
-pub fn ready_interp(
-    program: comet_codegen::Program,
-) -> (comet_interp::Interp, comet_interp::Value) {
-    use comet_interp::{Interp, Value};
+pub fn ready_interp(program: comet_codegen::Program) -> (Interp, Value) {
     let mut interp = Interp::new(program);
     interp.add_node("client");
     interp.add_node("server");

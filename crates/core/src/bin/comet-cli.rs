@@ -53,9 +53,7 @@
 //! prints its report and then exits non-zero.
 
 use comet::chaos::{run_banking_chaos_traced, ChaosConfig, FtOrder};
-use comet::{
-    run_banking_serve_cfg, run_banking_serve_durable_cfg, KillPoint, MdaLifecycle, Wizard,
-};
+use comet::{run_banking_serve, run_banking_serve_durable, KillPoint, MdaLifecycle, Wizard};
 use comet_aop::{concern_metrics, Weaver};
 use comet_aspectgen::{AspectBackend, AspectJBackend};
 use comet_codegen::{BodyProvider, FunctionalGenerator};
@@ -784,12 +782,12 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         metrics: metrics_path.is_some() || slo,
     };
     let outcome = match &data_dir {
-        None => with_pool(threads, || run_banking_serve_cfg(&plan, shards, fault_plan, &cfg))?
+        None => with_pool(threads, || run_banking_serve(&plan, shards, fault_plan, &cfg))?
             .map_err(|e| e.to_string())?,
         Some(dir) => {
             let dir = std::path::PathBuf::from(dir);
             let (outcome, recoveries) = with_pool(threads, || {
-                run_banking_serve_durable_cfg(&plan, shards, fault_plan, &cfg, &dir, kill)
+                run_banking_serve_durable(&plan, shards, fault_plan, &cfg, &dir, kill)
             })?
             .map_err(|e| e.to_string())?;
             if recoveries > 0 {

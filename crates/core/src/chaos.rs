@@ -296,14 +296,18 @@ pub fn banking_bodies() -> BodyProvider {
         .provide("Bank::getBalance", Block::of(get_balance))
 }
 
-fn dist_si() -> ParamSet {
+/// The distribution `Si` for the banking workload: `Bank` served on
+/// node `server`, both operations remote.
+pub fn dist_si() -> ParamSet {
     ParamSet::new()
         .with("server_class", ParamValue::from("Bank"))
         .with("node", ParamValue::from("server"))
         .with("operations", ParamValue::from(vec!["transfer".to_owned(), "getBalance".to_owned()]))
 }
 
-fn tx_si() -> ParamSet {
+/// The transactions `Si` for the banking workload: `Bank.transfer`,
+/// serializable.
+pub fn tx_si() -> ParamSet {
     ParamSet::new()
         .with("methods", ParamValue::from(vec!["Bank.transfer".to_owned()]))
         .with("isolation", ParamValue::from("serializable"))

@@ -58,9 +58,8 @@ pub use chaos::{run_banking_chaos, run_banking_chaos_traced, ChaosConfig, ChaosR
 pub use comet_gen::{Backend, GenInput, Generator, GeneratorFactory};
 pub use lifecycle::{AppliedConcern, GeneratedSystem, LifecycleError, MdaLifecycle};
 pub use serve::{
-    run_banking_serve, run_banking_serve_cfg, run_banking_serve_durable,
-    run_banking_serve_durable_cfg, serve_interaction_matrix, BankingFactory, BankingSession,
-    KillPoint, SERVE_WORKFLOW,
+    run_banking_serve, run_banking_serve_durable, serve_interaction_matrix, BankingFactory,
+    BankingSession, KillPoint, SERVE_WORKFLOW,
 };
 pub use shipping::{ShippedPackage, ShippedStep, ShippingStrategy};
 pub use wizard::{Question, QuestionKind, Wizard};

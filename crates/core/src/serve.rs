@@ -551,24 +551,14 @@ impl EngineFactory for BankingFactory {
 
 /// Runs the banking workload end to end: validates the plan's workflow
 /// steps against the concern registry, builds the factory (which runs
-/// interaction analysis once), shards the tenants, executes, and
-/// returns the outcome. The entry point behind `comet-cli serve` and
-/// the integration tests.
-pub fn run_banking_serve(
-    plan: &WorkloadPlan,
-    shards: usize,
-    fault_plan: Option<FaultPlan>,
-    traced: bool,
-) -> Result<comet_serve::ServeOutcome, ServeError> {
-    run_banking_serve_cfg(plan, shards, fault_plan, &RunConfig { traced, metrics: false })
-}
-
-/// [`run_banking_serve`] with explicit collection switches
-/// ([`RunConfig`]): tracing and/or metrics.
+/// interaction analysis once), shards the tenants, executes with the
+/// collection switches in `cfg` (tracing and/or metrics), and returns
+/// the outcome. The entry point behind `comet-cli serve` and the
+/// integration tests.
 ///
 /// # Errors
 /// Propagates plan validation failures from the server core.
-pub fn run_banking_serve_cfg(
+pub fn run_banking_serve(
     plan: &WorkloadPlan,
     shards: usize,
     fault_plan: Option<FaultPlan>,
@@ -590,29 +580,6 @@ pub fn run_banking_serve_cfg(
 /// # Errors
 /// Propagates plan validation failures from the server core.
 pub fn run_banking_serve_durable(
-    plan: &WorkloadPlan,
-    shards: usize,
-    fault_plan: Option<FaultPlan>,
-    traced: bool,
-    data_dir: &Path,
-    kill: Option<KillPoint>,
-) -> Result<(comet_serve::ServeOutcome, u64), ServeError> {
-    run_banking_serve_durable_cfg(
-        plan,
-        shards,
-        fault_plan,
-        &RunConfig { traced, metrics: false },
-        data_dir,
-        kill,
-    )
-}
-
-/// [`run_banking_serve_durable`] with explicit collection switches
-/// ([`RunConfig`]): tracing and/or metrics.
-///
-/// # Errors
-/// Propagates plan validation failures from the server core.
-pub fn run_banking_serve_durable_cfg(
     plan: &WorkloadPlan,
     shards: usize,
     fault_plan: Option<FaultPlan>,

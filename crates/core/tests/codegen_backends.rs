@@ -11,8 +11,7 @@
 
 use comet::chaos::{banking_bodies, executable_banking_pim};
 use comet::{
-    run_banking_serve, run_banking_serve_cfg, Backend, GenInput, GeneratedSystem, GeneratorFactory,
-    MdaLifecycle,
+    run_banking_serve, Backend, GenInput, GeneratedSystem, GeneratorFactory, MdaLifecycle,
 };
 use comet_aop::{parse_pointcut, Advice, AdviceKind, Weaver};
 use comet_aspectgen::{AspectBackend, AspectBuilder, AspectJBackend, ConcernPair};
@@ -389,9 +388,9 @@ fn backend_weighted_serve_is_shard_invariant_with_observable_gen_cache() {
     plan.mix.generate = 2.0;
     plan.mix.generate_backends = Backend::ALL.iter().map(|b| (b.id().to_owned(), 1.0)).collect();
     let cfg = RunConfig { traced: true, metrics: true };
-    let baseline = run_banking_serve_cfg(&plan, 1, None, &cfg).expect("valid plan");
+    let baseline = run_banking_serve(&plan, 1, None, &cfg).expect("valid plan");
     for shards in [2usize, 4, 8] {
-        let other = run_banking_serve_cfg(&plan, shards, None, &cfg).expect("valid plan");
+        let other = run_banking_serve(&plan, shards, None, &cfg).expect("valid plan");
         assert_eq!(baseline.report, other.report, "report diverged at {shards} shards");
         assert_eq!(baseline.trace, other.trace, "trace diverged at {shards} shards");
         assert_eq!(baseline.metrics, other.metrics, "metrics diverged at {shards} shards");
@@ -427,7 +426,7 @@ fn backend_weighted_serve_is_shard_invariant_with_observable_gen_cache() {
 fn plans_naming_unknown_backends_are_rejected_at_validation() {
     let mut plan = WorkloadPlan::new(7);
     plan.mix.generate_backends = vec![("fortran-punchcards".to_owned(), 1.0)];
-    let err = run_banking_serve(&plan, 1, None, false).unwrap_err();
+    let err = run_banking_serve(&plan, 1, None, &RunConfig::default()).unwrap_err();
     match &err {
         ServeError::Plan(WorkloadPlanError::UnknownBackend(b)) => {
             assert_eq!(b, "fortran-punchcards");

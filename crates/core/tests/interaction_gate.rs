@@ -6,7 +6,7 @@
 
 use comet::{run_banking_serve, serve_interaction_matrix};
 use comet_interaction::Verdict;
-use comet_serve::{ServeError, ServeOutcome, WorkloadPlan, WorkloadPlanError};
+use comet_serve::{RunConfig, ServeError, ServeOutcome, WorkloadPlan, WorkloadPlanError};
 
 /// An apply-heavy plan over a custom serving workflow.
 fn plan_with_workflow(seed: u64, steps: &[&str]) -> WorkloadPlan {
@@ -19,7 +19,8 @@ fn plan_with_workflow(seed: u64, steps: &[&str]) -> WorkloadPlan {
 }
 
 fn run(plan: &WorkloadPlan, shards: usize) -> ServeOutcome {
-    run_banking_serve(plan, shards, None, false).expect("plan passes admission analysis")
+    run_banking_serve(plan, shards, None, &RunConfig::default())
+        .expect("plan passes admission analysis")
 }
 
 #[test]
@@ -100,7 +101,8 @@ fn default_workflow_never_trips_the_gate() {
 #[test]
 fn unknown_workflow_concern_is_a_typed_plan_error() {
     let plan = plan_with_workflow(7, &["transactions", "nosuchconcern"]);
-    let err = run_banking_serve(&plan, 1, None, false).expect_err("unknown concern must not serve");
+    let err = run_banking_serve(&plan, 1, None, &RunConfig::default())
+        .expect_err("unknown concern must not serve");
     match err {
         ServeError::Plan(WorkloadPlanError::UnknownConcern(c)) => {
             assert_eq!(c, "nosuchconcern");

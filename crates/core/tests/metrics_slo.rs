@@ -4,7 +4,7 @@
 //! (fault injections, weave-cache hits, WAL fsyncs), and tail-based
 //! trace sampling that keeps every faulted request's span tree.
 
-use comet::{run_banking_serve_cfg, run_banking_serve_durable_cfg};
+use comet::{run_banking_serve, run_banking_serve_durable};
 use comet_middleware::FaultPlan;
 use comet_serve::{RunConfig, SampleMode, ServeOutcome, SloPolicy, WorkloadPlan};
 use std::path::PathBuf;
@@ -32,7 +32,7 @@ fn run(
     faults: Option<FaultPlan>,
     cfg: &RunConfig,
 ) -> ServeOutcome {
-    run_banking_serve_cfg(plan, shards, faults, cfg).expect("valid plan")
+    run_banking_serve(plan, shards, faults, cfg).expect("valid plan")
 }
 
 fn commit_fault_plan() -> FaultPlan {
@@ -107,7 +107,7 @@ fn durable_runs_count_wal_fsyncs() {
     let cfg = RunConfig { traced: false, metrics: true };
     let dir = tmp("fsyncs");
     let (outcome, recoveries) =
-        run_banking_serve_durable_cfg(&plan, 2, None, &cfg, &dir, None).expect("valid plan");
+        run_banking_serve_durable(&plan, 2, None, &cfg, &dir, None).expect("valid plan");
     assert_eq!(recoveries, 0);
     let snap = outcome.metrics.as_ref().expect("metrics on");
     let fsyncs: u64 = snap

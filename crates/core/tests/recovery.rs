@@ -9,11 +9,13 @@ use comet::{run_banking_serve, run_banking_serve_durable, KillPoint, MdaLifecycl
 use comet_middleware::FaultPlan;
 use comet_model::sample::banking_pim;
 use comet_repo::Repository;
-use comet_serve::{ServeOutcome, WorkloadPlan};
+use comet_serve::{RunConfig, ServeOutcome, WorkloadPlan};
 use comet_transform::{ParamSet, ParamValue};
 use comet_workflow::WorkflowModel;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+const TRACED: RunConfig = RunConfig { traced: true, metrics: false };
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -54,8 +56,9 @@ fn kill_t01_at(at_request: u64) -> KillPoint {
 
 fn run_durable(plan: &WorkloadPlan, shards: usize, kill: Option<KillPoint>) -> (ServeOutcome, u64) {
     let dir = tmp("run");
-    let out = run_banking_serve_durable(plan, shards, Some(commit_fault_plan()), true, &dir, kill)
-        .expect("valid plan");
+    let out =
+        run_banking_serve_durable(plan, shards, Some(commit_fault_plan()), &TRACED, &dir, kill)
+            .expect("valid plan");
     std::fs::remove_dir_all(&dir).expect("scratch dir removable");
     out
 }
@@ -79,7 +82,7 @@ fn crashed_tenant_recovers_byte_identically_across_shard_counts() {
     // ...and identical to the in-memory engine: journalling is free of
     // observable behaviour.
     let in_memory =
-        run_banking_serve(&plan, 1, Some(commit_fault_plan()), true).expect("valid plan");
+        run_banking_serve(&plan, 1, Some(commit_fault_plan()), &TRACED).expect("valid plan");
     assert_eq!(in_memory.report, baselines[0].report);
     assert_eq!(in_memory.trace, baselines[0].trace);
 }
@@ -116,7 +119,8 @@ fn served_tenants_leave_fsck_clean_journals_and_resume_across_restarts() {
     let plan = generate_free_plan();
     let dir = tmp("restart");
     let (first, recoveries) =
-        run_banking_serve_durable(&plan, 2, None, false, &dir, None).expect("valid plan");
+        run_banking_serve_durable(&plan, 2, None, &RunConfig::default(), &dir, None)
+            .expect("valid plan");
     assert_eq!(recoveries, 0);
     assert!(first.report.completed > 0);
     for tenant in plan.tenant_names() {
@@ -126,7 +130,8 @@ fn served_tenants_leave_fsck_clean_journals_and_resume_across_restarts() {
     // A second run over the same data dir resumes every tenant from its
     // journal instead of starting over, and completes normally.
     let (second, recoveries) =
-        run_banking_serve_durable(&plan, 2, None, false, &dir, None).expect("valid plan");
+        run_banking_serve_durable(&plan, 2, None, &RunConfig::default(), &dir, None)
+            .expect("valid plan");
     assert_eq!(recoveries, 0, "resuming from a clean journal is not a crash recovery");
     assert!(second.report.completed > 0);
     for tenant in plan.tenant_names() {

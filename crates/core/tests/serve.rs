@@ -5,10 +5,11 @@
 
 use comet::{run_banking_serve, SERVE_WORKFLOW};
 use comet_middleware::FaultPlan;
-use comet_serve::{ServeOutcome, WorkloadPlan};
+use comet_serve::{RunConfig, ServeOutcome, WorkloadPlan};
 
 fn run(plan: &WorkloadPlan, shards: usize, faults: Option<FaultPlan>) -> ServeOutcome {
-    run_banking_serve(plan, shards, faults, true).expect("valid plan")
+    run_banking_serve(plan, shards, faults, &RunConfig { traced: true, metrics: false })
+        .expect("valid plan")
 }
 
 fn commit_fault_plan() -> FaultPlan {

@@ -325,10 +325,21 @@ mod tests {
     use crate::clock::SimClock;
     use crate::faults::{FaultKind, FaultPlan};
 
-    fn tmp(name: &str) -> PathBuf {
+    /// `comet-store-<pid>-<name>` under the system temp dir: empty
+    /// when made, removed when dropped, so a test leaves nothing behind
+    /// whether it passes or panics.
+    struct TempDir(PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmp(name: &str) -> TempDir {
         let dir = std::env::temp_dir().join(format!("comet-store-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        TempDir(dir)
     }
 
     #[test]
@@ -371,14 +382,14 @@ mod tests {
     fn durable_store_recovers_documents_on_reopen() {
         let dir = tmp("reopen");
         let mut s: StoreService<String> = StoreService::new();
-        s.persist_to(&dir).unwrap();
+        s.persist_to(&dir.0).unwrap();
         s.save("model/v1", "<xmi v1/>".to_owned()).unwrap();
         s.save("model/v2", "<xmi v2/>".to_owned()).unwrap();
         s.save("model/head", "<xmi v2/>".to_owned()).unwrap();
         assert!(s.delete("model/v1"));
         drop(s);
         let mut s: StoreService<String> = StoreService::new();
-        let recovered = s.persist_to(&dir).unwrap();
+        let recovered = s.persist_to(&dir.0).unwrap();
         assert_eq!(recovered, 2);
         assert_eq!(s.keys(), vec!["model/head", "model/v2"]);
         assert_eq!(s.load("model/v2").unwrap().as_deref(), Some("<xmi v2/>"));
@@ -389,7 +400,7 @@ mod tests {
     fn torn_write_through_is_discarded_on_recovery() {
         let dir = tmp("torn");
         let mut s: StoreService<String> = StoreService::new();
-        s.persist_to(&dir).unwrap();
+        s.persist_to(&dir.0).unwrap();
         s.save("kept", "survives".to_owned()).unwrap();
         s.arm_fault(FAULT_POINT_STORE_TORN).unwrap();
         // The torn save still "succeeds" — the simulated crash happens
@@ -398,7 +409,7 @@ mod tests {
         assert_eq!(s.load("lost").unwrap().as_deref(), Some("never lands"));
         drop(s);
         let mut s: StoreService<String> = StoreService::new();
-        let recovered = s.persist_to(&dir).unwrap();
+        let recovered = s.persist_to(&dir.0).unwrap();
         assert_eq!(recovered, 1, "the torn document must not recover");
         assert_eq!(s.keys(), vec!["kept"]);
         // The torn file's slot is clean again: a retry of the save
@@ -406,7 +417,7 @@ mod tests {
         s.save("lost", "second try".to_owned()).unwrap();
         drop(s);
         let mut s: StoreService<String> = StoreService::new();
-        assert_eq!(s.persist_to(&dir).unwrap(), 2);
+        assert_eq!(s.persist_to(&dir.0).unwrap(), 2);
         assert_eq!(s.load("lost").unwrap().as_deref(), Some("second try"));
     }
 
@@ -420,7 +431,8 @@ mod tests {
         ));
         assert!(matches!(s.arm_fault("store.meteor"), Err(MiddlewareError::UnknownFaultPoint(_))));
         assert!(!s.is_durable());
-        s.persist_to(&tmp("arm")).unwrap();
+        let dir = tmp("arm");
+        s.persist_to(&dir.0).unwrap();
         assert!(s.is_durable());
         s.arm_fault(FAULT_POINT_STORE_TORN).unwrap();
     }

@@ -1,7 +1,7 @@
 //! A minimal hand-rolled JSON reader, just enough to load the Chrome
-//! trace files this crate itself emits (the workspace vendors no serde;
-//! every serializer in the repo is hand-rolled the same way — see the
-//! `bench_*_json` bins and the fault plan's TOML-subset parser).
+//! trace files this crate itself emits, and the value type the
+//! report emitters (the `bench_*_json` bins among them) render through;
+//! the workspace vendors no serde.
 //!
 //! Object member order is preserved, so `parse(emit(t))` re-emits byte
 //! identically — the round-trip property the test suite pins.

@@ -48,6 +48,8 @@ mod colors;
 mod recover;
 mod repo;
 mod segment;
+#[cfg(test)]
+mod test_dir;
 mod wal;
 
 pub use colors::ColorReport;

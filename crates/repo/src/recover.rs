@@ -629,14 +629,13 @@ fn repository_from_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TempDir;
     use comet_middleware::FaultHook;
     use comet_model::sample::banking_pim;
     use comet_model::Model;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("comet-durable-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tmp(name: &str) -> TempDir {
+        TempDir::new("durable", name)
     }
 
     fn journal(dur: &mut Repository) -> &mut Journal {
@@ -868,7 +867,7 @@ mod tests {
             ("complete", &new_wal, &new_segments),
         ] {
             let crash_dir = tmp(&format!("compact-crash-{label}"));
-            std::fs::create_dir_all(&crash_dir).unwrap();
+            std::fs::create_dir_all(&*crash_dir).unwrap();
             std::fs::write(crash_dir.join(WAL_FILE), wal).unwrap();
             std::fs::write(crash_dir.join(SEGMENTS_FILE), segments).unwrap();
             let (mut dur, _) = Repository::open(&crash_dir)

@@ -195,17 +195,20 @@ impl SegmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TempDir;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("comet-seg-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("segments.log")
+    /// The store file in a fresh scratch directory, which lives as
+    /// long as the returned guard.
+    fn tmp(name: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new("seg", name);
+        std::fs::create_dir_all(&*dir).unwrap();
+        let path = dir.join("segments.log");
+        (dir, path)
     }
 
     #[test]
     fn append_get_round_trip_and_dedupe() {
-        let path = tmp("round");
+        let (_dir, path) = tmp("round");
         let (mut store, report) = SegmentStore::open(&path).unwrap();
         assert_eq!(report, SegmentOpenReport::default());
         let a = store.append(b"alpha").unwrap();
@@ -220,7 +223,7 @@ mod tests {
 
     #[test]
     fn reopen_rebuilds_the_index() {
-        let path = tmp("reopen");
+        let (_dir, path) = tmp("reopen");
         let (mut store, _) = SegmentStore::open(&path).unwrap();
         let a = store.append(b"alpha").unwrap();
         let b = store.append(b"beta").unwrap();
@@ -234,7 +237,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_on_open() {
-        let path = tmp("torn");
+        let (_dir, path) = tmp("torn");
         let (mut store, _) = SegmentStore::open(&path).unwrap();
         let a = store.append(b"alpha").unwrap();
         drop(store);
@@ -262,7 +265,7 @@ mod tests {
 
     #[test]
     fn a_payload_over_the_bound_is_refused_before_any_write() {
-        let path = tmp("oversized");
+        let (_dir, path) = tmp("oversized");
         let (mut store, _) = SegmentStore::open(&path).unwrap();
         let a = store.append(b"alpha").unwrap();
         let before = std::fs::read(&path).unwrap();
@@ -282,7 +285,7 @@ mod tests {
 
     #[test]
     fn colliding_hashes_keep_distinct_payloads() {
-        let path = tmp("collide");
+        let (_dir, path) = tmp("collide");
         let (mut store, _) = SegmentStore::open(&path).unwrap();
         // Force a collision by editing the index: append two distinct
         // payloads, then verify ordinal addressing keeps them apart even

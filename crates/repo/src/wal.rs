@@ -490,12 +490,15 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TempDir;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("comet-wal-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("wal.log")
+    /// The WAL file in a fresh scratch directory, which lives as long
+    /// as the returned guard.
+    fn tmp(name: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new("wal", name);
+        std::fs::create_dir_all(&*dir).unwrap();
+        let path = dir.join("wal.log");
+        (dir, path)
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -554,7 +557,7 @@ mod tests {
 
     #[test]
     fn append_then_read_all_round_trips() {
-        let path = tmp("round");
+        let (_dir, path) = tmp("round");
         let mut wal = Wal::open_at(&path, 0).unwrap();
         for record in sample_records() {
             wal.append(&record).unwrap();
@@ -566,7 +569,7 @@ mod tests {
 
     #[test]
     fn truncation_at_every_byte_recovers_a_prefix() {
-        let path = tmp("tear");
+        let (_dir, path) = tmp("tear");
         let mut wal = Wal::open_at(&path, 0).unwrap();
         for record in sample_records() {
             wal.append(&record).unwrap();
@@ -585,7 +588,7 @@ mod tests {
 
     #[test]
     fn torn_append_is_discarded_and_writes_resume() {
-        let path = tmp("resume");
+        let (_dir, path) = tmp("resume");
         let mut wal = Wal::open_at(&path, 0).unwrap();
         wal.append(&WalRecord::Init { name: "r".into() }).unwrap();
         drop(wal);
@@ -611,7 +614,7 @@ mod tests {
 
     #[test]
     fn checksum_corruption_stops_the_reader() {
-        let path = tmp("chk");
+        let (_dir, path) = tmp("chk");
         let mut wal = Wal::open_at(&path, 0).unwrap();
         wal.append(&WalRecord::Init { name: "r".into() }).unwrap();
         wal.append(&WalRecord::Undo).unwrap();

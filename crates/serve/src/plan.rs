@@ -317,7 +317,8 @@ impl WorkloadPlan {
     ///
     /// The substrate does not depend on `comet-concerns`, so callers
     /// inject the registry as a predicate (`comet::run_banking_serve`
-    /// passes `|c| by_name(c).is_some()`). Rejecting unknown names here
+    /// and `comet::run_banking_serve_durable` pass
+    /// `|c| by_name(c).is_some()`). Rejecting unknown names here
     /// — at plan-parse/admission time — keeps a typo from surfacing as
     /// a per-request engine failure deep inside a serving run.
     ///
@@ -340,7 +341,8 @@ impl WorkloadPlan {
     /// generator registry — the same injected-predicate pattern as
     /// [`validate_concerns`](WorkloadPlan::validate_concerns), and for
     /// the same reason: the substrate does not depend on `comet-gen`,
-    /// so `comet::run_banking_serve` passes
+    /// so `comet::run_banking_serve` and
+    /// `comet::run_banking_serve_durable` pass
     /// `|b| comet_gen::Backend::parse(b).is_some()`. Rejecting a typo
     /// here keeps it from surfacing as a per-request
     /// `ServeError::UnknownBackend` deep inside a serving run.
