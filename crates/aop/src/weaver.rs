@@ -216,8 +216,8 @@ impl Weaver {
     ///
     /// Kept deliberately: it is the differential oracle for
     /// [`Weaver::weave`] (the property suite asserts byte-identical
-    /// output) and the "before" baseline in `e10_weaver` /
-    /// `BENCH_weaver.json`. Not deprecated, but new code should call
+    /// output) and the "before" baseline in `BENCH_weaver.json` and
+    /// `BENCH_faults.json`. Not deprecated, but new code should call
     /// [`Weaver::weave`].
     ///
     /// # Errors
