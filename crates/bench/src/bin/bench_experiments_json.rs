@@ -42,7 +42,6 @@ use comet_middleware::{Middleware, MiddlewareConfig};
 use comet_model::{Model, ModelDelta};
 use comet_ocl::{evaluate_bool, parse, Context};
 use comet_repo::{ColorReport, Repository};
-use comet_transform::{ParamSet, ParamValue};
 use comet_workflow::{OrderConstraint, WorkflowEngine, WorkflowModel};
 use comet_xmi::{export_model, import_model};
 use std::hint::black_box;
@@ -277,12 +276,11 @@ fn e5() -> JsonValue {
     let monolithic = us(|| {
         black_box(mda.generate_monolithic(black_box(&bodies)));
     });
+    // A changed isolation level regenerates only the transactions
+    // aspect: one specialization of its pair.
     let pair = transactions::pair();
     let aspect_only = us(|| {
-        let si = ParamSet::new()
-            .with("methods", ParamValue::from(vec!["Bank.transfer".to_owned()]))
-            .with("isolation", ParamValue::from("serializable"));
-        black_box(pair.specialize(black_box(si)).expect("valid Si"));
+        black_box(pair.specialize(black_box(tx_si())).expect("valid Si"));
     });
     obj! {
         "functional_plus_weave_us": cold_generate_us(&ORDER),
