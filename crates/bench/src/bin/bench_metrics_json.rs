@@ -11,19 +11,27 @@
 //!    `PerTenantHash{rate: 1/16}` sampling, which discards most tenants'
 //!    span trees at the end of each service batch.
 //!
+//! Each comparison times its two sides in alternating samples, on a
+//! pool of one thread per host core, each sample a batch of runs about
+//! [`SAMPLE_SECS`] long: a slow phase of a shared host then lands on
+//! both sides instead of on whichever side it ran in.
+//!
 //! Usage: `cargo run --release -p comet-bench --bin bench_metrics_json
 //! [output-path]` (default `BENCH_metrics.json` in the working
 //! directory).
 
 use comet::run_banking_serve;
-use comet_bench::harness::{median_secs, Report};
+use comet_bench::harness::{host_cores, Report};
 use comet_bench::obj;
 use comet_serve::{RunConfig, SampleMode, SloPolicy, WorkloadPlan};
 use std::hint::black_box;
+use std::time::Instant;
 
 const SHARDS: usize = 4;
-const THREADS: usize = 8;
-const REPS: (usize, usize) = (1, 5);
+/// Alternating sample pairs per comparison, after one untimed pair.
+const PAIRS: usize = 9;
+/// Wall time one timed sample aims at.
+const SAMPLE_SECS: f64 = 0.15;
 const OVERHEAD_BUDGET: f64 = 1.05;
 
 /// The workload: enough tenants to spread over the shards, a mixed
@@ -47,7 +55,8 @@ fn main() {
     slo_plan.slo = Some(SloPolicy::default());
     let mut sampled_plan = bench_plan();
     sampled_plan.sampling = SampleMode::PerTenantHash { rate: 1.0 / 16.0 };
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(THREADS).build().expect("pool builds");
+    let threads = host_cores();
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool builds");
 
     // Determinism gate: the metrics snapshot must not depend on the
     // shard count.
@@ -67,23 +76,21 @@ fn main() {
         assert_eq!(baseline.report.slo, other.report.slo, "verdicts diverged at {shards} shards");
     }
 
-    let time = |plan: &WorkloadPlan, cfg: RunConfig| {
-        median_secs(REPS, || {
-            black_box(
-                pool.install(|| run_banking_serve(black_box(plan), SHARDS, None, &cfg))
-                    .expect("valid plan"),
-            );
-        })
+    let run = |plan: &WorkloadPlan, cfg: &RunConfig| {
+        black_box(
+            pool.install(|| run_banking_serve(black_box(plan), SHARDS, None, cfg))
+                .expect("valid plan"),
+        );
     };
+    let off_cfg = RunConfig { traced: false, metrics: false };
+    let on_cfg = RunConfig { traced: false, metrics: true };
+    let traced_cfg = RunConfig { traced: true, metrics: false };
 
-    eprintln!("timing metrics-off baseline ...");
-    let off = time(&plan, RunConfig { traced: false, metrics: false });
-    eprintln!("timing metrics-on run ...");
-    let on = time(&slo_plan, RunConfig { traced: false, metrics: true });
-    eprintln!("timing full-trace run ...");
-    let traced_full = time(&plan, RunConfig { traced: true, metrics: false });
-    eprintln!("timing sampled-trace run (rate 1/16) ...");
-    let traced_sampled = time(&sampled_plan, RunConfig { traced: true, metrics: false });
+    eprintln!("timing metrics off vs on ...");
+    let (off, on) = alternating(|| run(&plan, &off_cfg), || run(&slo_plan, &on_cfg));
+    eprintln!("timing full vs sampled (rate 1/16) trace ...");
+    let (traced_full, traced_sampled) =
+        alternating(|| run(&plan, &traced_cfg), || run(&sampled_plan, &traced_cfg));
 
     let overhead = on / off;
     let sampling_ratio = traced_sampled / traced_full;
@@ -96,7 +103,7 @@ fn main() {
                 "requests_per_client": plan.requests,
                 "seed": plan.seed,
                 "shards": SHARDS,
-                "threads": THREADS,
+                "threads": threads,
             },
         )
         .with("metrics_off_secs", off)
@@ -114,4 +121,36 @@ fn main() {
     eprintln!(
         "wrote {out_path} (metrics overhead {overhead:.3}x, sampled trace {sampling_ratio:.3}x of full)"
     );
+}
+
+/// Median seconds per run of `a` and of `b`, from [`PAIRS`] pairs of
+/// samples that alternate which side runs first. Each sample runs a
+/// batch sized by one untimed run of each side to about
+/// [`SAMPLE_SECS`].
+fn alternating(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let secs_of = |f: &mut dyn FnMut(), runs: usize| {
+        let t0 = Instant::now();
+        for _ in 0..runs {
+            f();
+        }
+        t0.elapsed().as_secs_f64() / runs as f64
+    };
+    let trial = secs_of(&mut a, 1).max(secs_of(&mut b, 1));
+    let batch = (SAMPLE_SECS / trial.max(1e-9)).clamp(1.0, 1e4) as usize;
+    let (mut a_secs, mut b_secs) = (Vec::new(), Vec::new());
+    for pair in 0..PAIRS {
+        if pair % 2 == 0 {
+            a_secs.push(secs_of(&mut a, batch));
+            b_secs.push(secs_of(&mut b, batch));
+        } else {
+            b_secs.push(secs_of(&mut b, batch));
+            a_secs.push(secs_of(&mut a, batch));
+        }
+    }
+    (median(a_secs), median(b_secs))
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
+    xs[xs.len() / 2]
 }

@@ -41,18 +41,42 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The measured code's revision: `git describe --always --dirty`, or
-/// `unknown` outside a git checkout.
+/// The measured code's revision: `git describe --always`, suffixed
+/// `-dirty` when a tracked file other than a root `BENCH_*.json` has
+/// uncommitted changes, or `unknown` outside a git checkout. The BENCH
+/// files are what the bins write, so running them one after another
+/// does not mark the later ones' revision dirty.
 pub fn revision() -> String {
-    Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map_or_else(
-            || "unknown".to_owned(),
-            |out| String::from_utf8_lossy(&out.stdout).trim().to_owned(),
-        )
+    let git = |args: &[&str]| {
+        Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim_end().to_owned())
+    };
+    let Some(described) = git(&["describe", "--always"]) else {
+        return "unknown".to_owned();
+    };
+    // Porcelain paths are relative to the repository root.
+    let status = git(&["status", "--porcelain", "--untracked-files=no"]);
+    if status.is_none_or(|status| status.lines().any(changes_measured_code)) {
+        format!("{described}-dirty")
+    } else {
+        described
+    }
+}
+
+/// Whether one `git status --porcelain` line changes anything but a
+/// BENCH file at the repository root.
+fn changes_measured_code(line: &str) -> bool {
+    // A rename lists both paths: `orig -> path`.
+    line.get(3..).unwrap_or(line).split(" -> ").any(|path| {
+        let path = path.trim_matches('"');
+        let bench_file =
+            !path.contains('/') && path.starts_with("BENCH_") && path.ends_with(".json");
+        !bench_file
+    })
 }
 
 /// A value a report member can hold. Floats keep four significant
@@ -181,6 +205,25 @@ mod tests {
         );
         assert_eq!((setups, runs), (7, 7));
         assert!(secs < 0.02, "setup time leaked into the sample: {secs}");
+    }
+
+    #[test]
+    fn only_root_bench_files_leave_the_revision_clean() {
+        for line in
+            [" M BENCH_transform.json", "M  BENCH_persist.json", "R  BENCH_a.json -> BENCH_b.json"]
+        {
+            assert!(!changes_measured_code(line), "{line}");
+        }
+        for line in [
+            " M crates/model/src/model.rs",
+            " M crates/bench/BENCH_x.json",
+            " M BENCH_notes.md",
+            "R  BENCH_x.json -> notes.json",
+            "R  notes.json -> BENCH_x.json",
+            " D Cargo.lock",
+        ] {
+            assert!(changes_measured_code(line), "{line}");
+        }
     }
 
     #[test]

@@ -100,6 +100,9 @@ fn check_content_address(mda: &MdaLifecycle) -> Result<(), TestCaseError> {
     let export = export_model(mda.model());
     prop_assert_eq!(mda.snapshot_xmi(), export.as_str());
     prop_assert_eq!(mda.content_hash(), fnv1a64(export.as_bytes()));
+    // Both sides above may come from the model's fragment cache; a
+    // clone has none, so its export renders every element afresh.
+    prop_assert_eq!(mda.snapshot_xmi(), export_model(&mda.model().clone()));
     Ok(())
 }
 
@@ -359,6 +362,7 @@ proptest! {
                 }
                 3 => {
                     let snapshot = mda.snapshot_xmi().to_owned();
+                    prop_assert_eq!(&snapshot, &export_model(&mda.model().clone()));
                     prop_assert_eq!(snapshot, export_model(mda.model()));
                 }
                 // Crash and recover (durable only): the rebuilt

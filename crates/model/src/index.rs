@@ -35,6 +35,10 @@
 //!   caches keyed on it still see every mutation. Cloning a model
 //!   resets the clone's cache (the index is derived data, never
 //!   copied), and model equality ignores the cache entirely.
+//! * **Other per-id state.** The same touch drops the element's
+//!   rendered fragment (`fragment.rs`) and, once a validation has
+//!   passed, adds the id to the ids the next one checks
+//!   (`validate.rs`). Both work whether or not an index exists.
 //!
 //! Every indexed query has a `*_scan` twin in `query.rs` preserving the
 //! original full-scan implementation; the property tests in
@@ -44,19 +48,27 @@
 //! index equals a fresh [`ModelIndex::build`] after every op.
 
 use crate::element::{Element, ElementKind};
+use crate::fragment::Fragments;
 use crate::id::ElementId;
+use crate::kinds::TypeRef;
 use crate::model::Model;
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::Hash;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// The index slot living inside every [`Model`], plus its revision
-/// counter.
+/// counter and the other state derived per touched id: the rendered
+/// fragments (`fragment.rs`) and the ids touched since the last
+/// passing validation (`validate.rs`).
 #[derive(Debug, Default)]
 pub(crate) struct IndexCache {
     revision: u64,
     slot: RwLock<Slot>,
+    pub(crate) fragments: Mutex<Fragments>,
+    /// Ids touched since [`Model::validate`] last passed; `None` while
+    /// no validation has passed on this instance.
+    pub(crate) unchecked: Mutex<Option<BTreeSet<ElementId>>>,
 }
 
 #[derive(Debug, Default)]
@@ -69,13 +81,19 @@ struct Slot {
 
 impl IndexCache {
     /// Records that a mutation changes element `id`, whose state before
-    /// the change `filed` returns (`None`: absent): bumps the revision
-    /// and, once an index exists, queues `id` for the next patch. Only
-    /// the first touch since that patch calls `filed` — its state is
-    /// the one the index holds. Takes `&mut self` — mutation always
-    /// happens under `&mut Model` — so neither needs the lock.
+    /// the change `filed` returns (`None`: absent): bumps the revision,
+    /// drops the element's rendered fragment, adds `id` to the ids the
+    /// next validation checks and, once an index exists, queues `id`
+    /// for the next patch. Only the first touch since that patch calls
+    /// `filed` — its state is the one the index holds. Takes `&mut
+    /// self` — mutation always happens under `&mut Model` — so none of
+    /// this needs a lock.
     pub(crate) fn touch(&mut self, id: ElementId, filed: impl FnOnce() -> Option<Element>) {
         self.revision += 1;
+        self.fragments.get_mut().expect("fragment lock poisoned").drop_id(id);
+        if let Some(unchecked) = self.unchecked.get_mut().expect("validation lock poisoned") {
+            unchecked.insert(id);
+        }
         let slot = self.slot.get_mut().expect("index lock poisoned");
         if slot.index.is_some() {
             slot.pending.entry(id).or_insert_with(filed);
@@ -121,6 +139,9 @@ pub(crate) struct ModelIndex {
     pub classifier_by_name: HashMap<String, Vec<ElementId>>,
     /// Simple name → class ids with that name.
     pub class_by_name: HashMap<String, Vec<ElementId>>,
+    /// Element → ids of the elements that refer to it other than as
+    /// owner: type references and relationship endpoints.
+    pub referrers: HashMap<ElementId, Vec<ElementId>>,
 }
 
 #[cfg(test)]
@@ -190,6 +211,9 @@ impl ModelIndex {
         for s in &e.core().stereotypes {
             edit_at(&mut self.stereotyped, s.as_str(), id, insert);
         }
+        for target in references(e).into_iter().flatten() {
+            edit_at(&mut self.referrers, &target, id, insert);
+        }
         match e.kind() {
             ElementKind::Constraint(c) => {
                 edit_at(&mut self.constraints_on, &c.constrained, id, insert);
@@ -242,6 +266,25 @@ impl ModelIndex {
             ancestors.insert(c, out);
         }
         self.ancestors = ancestors;
+    }
+}
+
+/// The ids `e` refers to other than its owner: its type reference or
+/// its relationship endpoints.
+fn references(e: &Element) -> [Option<ElementId>; 2] {
+    let typed = |ty: TypeRef| match ty {
+        TypeRef::Element(id) => [Some(id), None],
+        TypeRef::Primitive(_) => [None, None],
+    };
+    match e.kind() {
+        ElementKind::Attribute(a) => typed(a.ty),
+        ElementKind::Operation(o) => typed(o.return_type),
+        ElementKind::Parameter(p) => typed(p.ty),
+        ElementKind::Association(a) => [Some(a.ends[0].class), Some(a.ends[1].class)],
+        ElementKind::Generalization(g) => [Some(g.child), Some(g.parent)],
+        ElementKind::Dependency(d) => [Some(d.client), Some(d.supplier)],
+        ElementKind::Constraint(c) => [Some(c.constrained), None],
+        _ => [None, None],
     }
 }
 

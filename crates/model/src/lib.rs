@@ -34,6 +34,7 @@ mod builder;
 mod delta;
 mod element;
 mod error;
+mod fragment;
 mod id;
 mod index;
 mod journal;

@@ -214,7 +214,7 @@ impl Journal {
         concern: Option<&str>,
         delta: Option<&ModelDelta>,
     ) -> Result<(), RepoError> {
-        let seg = self.segments.append(snapshot.as_bytes()).map_err(io_err)?;
+        let seg = self.segments.append_hashed(snapshot.as_bytes(), hash).map_err(io_err)?;
         self.append(&WalRecord::Commit {
             message: message.to_owned(),
             concern: concern.map(str::to_owned),
@@ -368,7 +368,7 @@ impl Repository {
                 match journal.segments.get(SegmentId { hash, ordinal }).map_err(io_err)? {
                     None => break,
                     Some(bytes) => {
-                        new_segments.append(&bytes).map_err(io_err)?;
+                        new_segments.append_hashed(&bytes, hash).map_err(io_err)?;
                     }
                 }
             }
@@ -377,7 +377,7 @@ impl Repository {
         for c in self.commits.values() {
             // Dedupe hit against the copy above — returns the preserved
             // (hash, ordinal) address.
-            let seg = new_segments.append(c.snapshot.as_bytes()).map_err(io_err)?;
+            let seg = new_segments.append_hashed(c.snapshot.as_bytes(), c.hash).map_err(io_err)?;
             commits.push(CheckpointCommit {
                 id: c.id,
                 parent: c.parent,

@@ -1,6 +1,6 @@
 //! The XMI codec: `comet-model` ⇄ XMI-1.2-flavoured XML.
 
-use crate::xml::{parse_xml, write_xml, XmlError, XmlNode};
+use crate::xml::{parse_xml, write_close, write_node, write_open, XmlError, XmlNode, DECLARATION};
 use comet_model::{
     AggregationKind, AssociationData, AssociationEnd, AttributeData, ClassData, ConstraintData,
     DataTypeData, DependencyData, Direction, Element, ElementCore, ElementId, ElementKind,
@@ -262,22 +262,35 @@ fn element_node(e: &Element) -> XmlNode {
 }
 
 /// Exports a model as an XMI document string.
+///
+/// The document lists every element in id order, each written from
+/// that element alone, so it is the header, the per-element fragments
+/// and the footer. The fragments come from the model's rendering cache
+/// ([`Model::render_fragments`]): only elements touched since the last
+/// export render again. The bytes are those of writing the whole
+/// document tree with [`write_xml`](crate::write_xml).
 pub fn export_model(model: &Model) -> String {
-    let mut content = XmlNode::new("UML:Model")
+    let xmi = XmlNode::new("XMI")
+        .attr("xmi.version", "1.2")
+        .attr("xmlns:UML", "org.omg.xmi.namespace.UML");
+    let header = XmlNode::new("XMI.header")
+        .child(XmlNode::new("XMI.documentation").attr("exporter", "comet-xmi"));
+    let content = XmlNode::new("XMI.content");
+    let uml_model = XmlNode::new("UML:Model")
         .attr("name", model.name().to_owned())
         .attr("root", id_str(model.root()));
-    for e in model.iter() {
-        content = content.child(element_node(e));
-    }
-    let doc = XmlNode::new("XMI")
-        .attr("xmi.version", "1.2")
-        .attr("xmlns:UML", "org.omg.xmi.namespace.UML")
-        .child(
-            XmlNode::new("XMI.header")
-                .child(XmlNode::new("XMI.documentation").attr("exporter", "comet-xmi")),
-        )
-        .child(XmlNode::new("XMI.content").child(content));
-    write_xml(&doc)
+    let mut out = String::from(DECLARATION);
+    write_open(&xmi, 0, &mut out);
+    write_node(&header, 1, &mut out);
+    write_open(&content, 1, &mut out);
+    // The root package is always an element, so `UML:Model` always has
+    // children and opens rather than self-closes.
+    write_open(&uml_model, 2, &mut out);
+    model.render_fragments("comet-xmi", |e, out| write_node(&element_node(e), 3, out), &mut out);
+    write_close(&uml_model, 2, &mut out);
+    write_close(&content, 1, &mut out);
+    write_close(&xmi, 0, &mut out);
+    out
 }
 
 fn attr_bool(node: &XmlNode, key: &str) -> Result<bool, XmiError> {
@@ -404,6 +417,48 @@ pub fn import_model(source: &str) -> Result<Model, XmiError> {
 mod tests {
     use super::*;
     use comet_model::sample::{auction_pim, banking_pim, synthetic};
+
+    /// The whole document as one node tree, written by `write_xml`: how
+    /// `export_model` wrote it before it streamed cached fragments.
+    fn tree_export(model: &Model) -> String {
+        let mut content = XmlNode::new("UML:Model")
+            .attr("name", model.name().to_owned())
+            .attr("root", id_str(model.root()));
+        for e in model.iter() {
+            content = content.child(element_node(e));
+        }
+        let doc = XmlNode::new("XMI")
+            .attr("xmi.version", "1.2")
+            .attr("xmlns:UML", "org.omg.xmi.namespace.UML")
+            .child(
+                XmlNode::new("XMI.header")
+                    .child(XmlNode::new("XMI.documentation").attr("exporter", "comet-xmi")),
+            )
+            .child(XmlNode::new("XMI.content").child(content));
+        crate::xml::write_xml(&doc)
+    }
+
+    #[test]
+    fn export_writes_the_bytes_of_the_whole_tree() {
+        let mut m = banking_pim();
+        let bank = m.find_class("Bank").unwrap();
+        m.element_mut(bank).unwrap().core_mut().doc = "quotes \" ' & <tags>".into();
+        m.set_tag(bank, "list", TagValue::List(vec![TagValue::Int(1), TagValue::Real(0.5)]))
+            .unwrap();
+        for model in [m, auction_pim(), synthetic(30, 2, 2), Model::new("empty & <root>")] {
+            assert_eq!(export_model(&model), tree_export(&model), "cold");
+            assert_eq!(export_model(&model), tree_export(&model), "warm");
+        }
+        // After writes, a warm export still writes the tree's bytes.
+        let mut m = synthetic(5, 1, 1);
+        let _ = export_model(&m);
+        let c1 = m.find_class("C1").unwrap();
+        m.apply_stereotype(c1, "Remote").unwrap();
+        m.remove_element(m.find_class("C3").unwrap()).unwrap();
+        m.set_name("renamed");
+        m.add_class(m.root(), "Late").unwrap();
+        assert_eq!(export_model(&m), tree_export(&m));
+    }
 
     #[test]
     fn banking_round_trip() {

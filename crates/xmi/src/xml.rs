@@ -83,17 +83,59 @@ fn escape(s: &str, out: &mut String) {
     }
 }
 
+/// The declaration every written document starts with.
+pub(crate) const DECLARATION: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
+
 /// Serializes a node tree to a document string with an XML declaration.
 pub fn write_xml(root: &XmlNode) -> String {
-    let mut out = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
+    let mut out = String::from(DECLARATION);
     write_node(root, 0, &mut out);
     out
 }
 
-fn write_node(node: &XmlNode, indent: usize, out: &mut String) {
+/// Writes `node` and its subtree at `indent` levels.
+pub(crate) fn write_node(node: &XmlNode, indent: usize, out: &mut String) {
+    write_start(node, indent, out);
+    if node.children.is_empty() && node.text.is_empty() {
+        out.push_str("/>\n");
+        return;
+    }
+    out.push('>');
+    escape(&node.text, out);
+    if !node.children.is_empty() {
+        out.push('\n');
+        for c in &node.children {
+            write_node(c, indent + 1, out);
+        }
+        push_indent(indent, out);
+    }
+    write_end(node, out);
+}
+
+/// Writes what [`write_node`] writes before the children of `node`, a
+/// node whose children the caller writes itself: it must get at least
+/// one and carry no text. [`write_close`] writes what comes after them.
+pub(crate) fn write_open(node: &XmlNode, indent: usize, out: &mut String) {
+    debug_assert!(node.text.is_empty(), "an opened node carries no text");
+    write_start(node, indent, out);
+    out.push_str(">\n");
+}
+
+/// Closes a node [`write_open`] opened at `indent`.
+pub(crate) fn write_close(node: &XmlNode, indent: usize, out: &mut String) {
+    push_indent(indent, out);
+    write_end(node, out);
+}
+
+fn push_indent(indent: usize, out: &mut String) {
     for _ in 0..indent {
         out.push_str("  ");
     }
+}
+
+/// The indent, `<`, name and attributes of the start tag.
+fn write_start(node: &XmlNode, indent: usize, out: &mut String) {
+    push_indent(indent, out);
     out.push('<');
     out.push_str(&node.name);
     for (k, v) in &node.attrs {
@@ -103,23 +145,9 @@ fn write_node(node: &XmlNode, indent: usize, out: &mut String) {
         escape(v, out);
         out.push('"');
     }
-    if node.children.is_empty() && node.text.is_empty() {
-        out.push_str("/>\n");
-        return;
-    }
-    out.push('>');
-    if !node.text.is_empty() {
-        escape(&node.text, out);
-    }
-    if !node.children.is_empty() {
-        out.push('\n');
-        for c in &node.children {
-            write_node(c, indent + 1, out);
-        }
-        for _ in 0..indent {
-            out.push_str("  ");
-        }
-    }
+}
+
+fn write_end(node: &XmlNode, out: &mut String) {
     out.push_str("</");
     out.push_str(&node.name);
     out.push_str(">\n");

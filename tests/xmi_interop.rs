@@ -23,6 +23,12 @@ fn refined_psm_round_trips_with_all_marks() {
     let xmi = export_model(mda.model());
     let back = import_model(&xmi).unwrap();
     assert_eq!(&back, mda.model());
+    // The export above and the committed snapshot come from the model's
+    // fragment cache, warmed by each step's commit; a clone's export
+    // renders every element afresh and must write the same bytes.
+    let cold = export_model(&mda.model().clone());
+    assert_eq!(xmi, cold);
+    assert_eq!(mda.snapshot_xmi(), cold);
     // The marks specifically survive.
     let bank = back.find_class("Bank").unwrap();
     assert!(back.has_stereotype(bank, "Remote").unwrap());
