@@ -35,30 +35,6 @@ impl From<ParamError> for AspectGenError {
     }
 }
 
-/// A generic aspect GA_Ci: an aspect template specialized by the same
-/// parameter set `Si` as the paired generic model transformation.
-pub trait GenericAspect: Send + Sync {
-    /// Aspect name, e.g. `"transactions-aspect"`.
-    fn name(&self) -> &str;
-
-    /// The concern dimension the aspect implements at code level.
-    fn concern(&self) -> &str;
-
-    /// The parameter schema; must accept the same `Si` as the paired
-    /// transformation ([`crate::ConcernPair`] enforces this at
-    /// specialization time by validating once and passing the effective
-    /// set to both sides).
-    fn parameter_schema(&self) -> ParamSchema;
-
-    /// Produces the concrete aspect CA_Ci for the given (already
-    /// validated) parameters.
-    ///
-    /// # Errors
-    /// Returns [`AspectGenError`] when the parameters cannot be turned
-    /// into advice (e.g. a pointcut template renders invalid).
-    fn specialize(&self, params: &ParamSet) -> Result<Aspect, AspectGenError>;
-}
-
 type AdviceFn = dyn Fn(&ParamSet) -> Result<Vec<Advice>, AspectGenError> + Send + Sync;
 
 /// Closure-based [`GenericAspect`] builder.
@@ -121,8 +97,8 @@ impl AspectBuilder {
     ///
     /// # Panics
     /// Panics when no advice function was provided.
-    pub fn build(self) -> Arc<dyn GenericAspect> {
-        Arc::new(FnAspect {
+    pub fn build(self) -> Arc<GenericAspect> {
+        Arc::new(GenericAspect {
             name: self.name,
             concern: self.concern,
             schema: self.schema,
@@ -131,27 +107,42 @@ impl AspectBuilder {
     }
 }
 
-struct FnAspect {
+/// A generic aspect GA_Ci: an aspect template specialized by the same
+/// parameter set `Si` as the paired generic model transformation. Built
+/// by [`AspectBuilder`].
+pub struct GenericAspect {
     name: String,
     concern: String,
     schema: ParamSchema,
     advice_fn: Box<AdviceFn>,
 }
 
-impl GenericAspect for FnAspect {
-    fn name(&self) -> &str {
+impl GenericAspect {
+    /// Aspect name, e.g. `"transactions-aspect"`.
+    pub fn name(&self) -> &str {
         &self.name
     }
 
-    fn concern(&self) -> &str {
+    /// The concern dimension the aspect implements at code level.
+    pub fn concern(&self) -> &str {
         &self.concern
     }
 
-    fn parameter_schema(&self) -> ParamSchema {
-        self.schema.clone()
+    /// The parameter schema; must accept the same `Si` as the paired
+    /// transformation ([`crate::ConcernPair`] enforces this at
+    /// specialization time by validating once and passing the effective
+    /// set to both sides).
+    pub fn parameter_schema(&self) -> &ParamSchema {
+        &self.schema
     }
 
-    fn specialize(&self, params: &ParamSet) -> Result<Aspect, AspectGenError> {
+    /// Produces the concrete aspect CA_Ci for the given (already
+    /// validated) parameters.
+    ///
+    /// # Errors
+    /// Returns [`AspectGenError`] when the parameters cannot be turned
+    /// into advice (e.g. a pointcut template renders invalid).
+    pub fn specialize(&self, params: &ParamSet) -> Result<Aspect, AspectGenError> {
         let advices = (self.advice_fn)(params)?;
         let mut aspect = Aspect::new(format!("{}{}", self.name, params.angle_signature()));
         aspect.advices = advices;
@@ -166,7 +157,7 @@ mod tests {
     use comet_codegen::Block;
     use comet_transform::ParamValue;
 
-    fn ga() -> Arc<dyn GenericAspect> {
+    fn ga() -> Arc<GenericAspect> {
         AspectBuilder::new("tx-aspect", "transactions")
             .schema(ParamSchema::new().str_list("methods", true))
             .advice_fn(|params| {

@@ -14,15 +14,15 @@
 //!   [`specialize`](ConcernPair::specialize) hands **one** `Si` to both
 //!   sides and returns the `(CMT_Ci, CA_Ci)` pair;
 //! * [`AspectBuilder`] — closure-based GA construction;
-//! * [`AspectBackend`] — "aspect generator plug-ins for specific
-//!   technology platforms": renders a concrete aspect as a platform
-//!   artifact. [`AspectJBackend`] emits AspectJ-flavoured source text;
-//!   actual execution weaves the IR via `comet-aop`.
+//! * [`AspectJBackend`] — the paper's "aspect generator plug-ins for
+//!   specific technology platforms", for its one platform: renders a
+//!   concrete aspect as AspectJ-flavoured source text; actual execution
+//!   weaves the IR via `comet-aop`.
 
 mod backend;
 mod generic;
 mod pair;
 
-pub use backend::{AspectBackend, AspectJBackend};
+pub use backend::AspectJBackend;
 pub use generic::{AspectBuilder, AspectGenError, GenericAspect};
 pub use pair::ConcernPair;

@@ -17,8 +17,8 @@ use std::sync::Arc;
 /// semantic-coupling objection, answered).
 #[derive(Clone)]
 pub struct ConcernPair {
-    gmt: Arc<dyn GenericTransformation>,
-    ga: Arc<dyn GenericAspect>,
+    gmt: Arc<GenericTransformation>,
+    ga: Arc<GenericAspect>,
 }
 
 impl fmt::Debug for ConcernPair {
@@ -33,7 +33,7 @@ impl ConcernPair {
     /// # Panics
     /// Panics when the two sides disagree on the concern name — the
     /// pairing is 1–1 per concern dimension by construction.
-    pub fn new(gmt: Arc<dyn GenericTransformation>, ga: Arc<dyn GenericAspect>) -> Self {
+    pub fn new(gmt: Arc<GenericTransformation>, ga: Arc<GenericAspect>) -> Self {
         assert_eq!(
             gmt.concern(),
             ga.concern(),
@@ -48,12 +48,12 @@ impl ConcernPair {
     }
 
     /// The generic transformation side.
-    pub fn transformation(&self) -> &Arc<dyn GenericTransformation> {
+    pub fn transformation(&self) -> &Arc<GenericTransformation> {
         &self.gmt
     }
 
     /// The generic aspect side.
-    pub fn aspect(&self) -> &Arc<dyn GenericAspect> {
+    pub fn aspect(&self) -> &Arc<GenericAspect> {
         &self.ga
     }
 

@@ -55,7 +55,7 @@
 use comet::chaos::{run_banking_chaos_traced, ChaosConfig, FtOrder};
 use comet::{run_banking_serve, run_banking_serve_durable, KillPoint, MdaLifecycle, Wizard};
 use comet_aop::{concern_metrics, Weaver};
-use comet_aspectgen::{AspectBackend, AspectJBackend};
+use comet_aspectgen::AspectJBackend;
 use comet_codegen::{BodyProvider, FunctionalGenerator};
 use comet_middleware::FaultPlan;
 use comet_model::sample::banking_pim;
@@ -599,7 +599,7 @@ fn cmd_pipeline(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `comet-cli generate`: runs the Fig. 2 pipeline and renders the
-/// woven system through the named generation backend. The factory and
+/// woven system through the named generation backend. The backends and
 /// content-addressed cache are the same ones the serving layer drives,
 /// so the artifact printed here is byte-identical to what a serving
 /// tenant's `Generate` request produces at the same model state.
@@ -623,9 +623,8 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
         }
     }
     if list {
-        let factory = comet::GeneratorFactory::with_standard_backends();
-        for generator in factory.backends() {
-            println!("{:<16} {}", generator.id(), generator.describe());
+        for backend in comet::Backend::ALL {
+            println!("{:<16} {}", backend.id(), backend.describe());
         }
         return Ok(());
     }

@@ -133,44 +133,6 @@ impl ChaosReport {
     pub fn degraded_gracefully(&self) -> bool {
         self.hard_failures.is_empty() && self.invariant_violations.is_empty()
     }
-
-    /// Bridges this report into `reg` record-for-record, so a chaos run
-    /// exports through the same Prometheus/JSON pipeline as a serving
-    /// run: outcome and platform totals become counters, and every
-    /// fault-log entry increments `comet_chaos_fault_events_total`
-    /// labelled by its event type.
-    pub fn record_metrics(&self, reg: &mut comet_metrics::MetricsRegistry) {
-        let total = |reg: &mut comet_metrics::MetricsRegistry, name: &str, v: u64| {
-            let h = reg.counter(name, &[]);
-            reg.add(h, v);
-        };
-        total(reg, "comet_chaos_attempted_total", u64::from(self.attempted));
-        total(reg, "comet_chaos_succeeded_total", u64::from(self.succeeded));
-        total(reg, "comet_chaos_typed_failures_total", self.typed_failures.len() as u64);
-        total(reg, "comet_chaos_hard_failures_total", self.hard_failures.len() as u64);
-        total(
-            reg,
-            "comet_chaos_invariant_violations_total",
-            self.invariant_violations.len() as u64,
-        );
-        total(reg, "comet_chaos_tx_committed_total", self.tx.committed);
-        total(reg, "comet_chaos_tx_rolled_back_total", self.tx.rolled_back);
-        total(reg, "comet_chaos_bus_delivered_total", self.bus.delivered);
-        total(reg, "comet_chaos_bus_lost_total", self.bus.lost);
-        for record in self.fault_log.records() {
-            use comet_middleware::FaultEvent;
-            let event = match &record.event {
-                FaultEvent::Injected { .. } => "injected",
-                FaultEvent::ArmedFired { .. } => "armed_fired",
-                FaultEvent::Healed { .. } => "healed",
-                FaultEvent::BreakerOpened { .. } => "breaker_opened",
-                FaultEvent::BreakerHalfOpen { .. } => "breaker_half_open",
-                FaultEvent::BreakerClosed { .. } => "breaker_closed",
-            };
-            let h = reg.counter("comet_chaos_fault_events_total", &[("event", event)]);
-            reg.add(h, 1);
-        }
-    }
 }
 
 impl fmt::Display for ChaosReport {

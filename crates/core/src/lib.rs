@@ -55,7 +55,7 @@ mod shipping;
 mod wizard;
 
 pub use chaos::{run_banking_chaos, run_banking_chaos_traced, ChaosConfig, ChaosReport, FtOrder};
-pub use comet_gen::{Backend, GenInput, Generator, GeneratorFactory};
+pub use comet_gen::{Backend, GenInput};
 pub use lifecycle::{AppliedConcern, GeneratedSystem, LifecycleError, MdaLifecycle};
 pub use serve::{
     run_banking_serve, run_banking_serve_durable, serve_interaction_matrix, BankingFactory,

@@ -1,11 +1,11 @@
 //! The MDA lifecycle engine: the paper's Fig. 1 pipeline end to end.
 
 use comet_aop::{Aspect, WeaveError, WeaveResult, Weaver, WovenJoinPoint};
-use comet_aspectgen::{AspectBackend, AspectGenError, AspectJBackend, ConcernPair};
+use comet_aspectgen::{AspectGenError, AspectJBackend, ConcernPair};
 use comet_codegen::{
     pretty_print, BodyProvider, FunctionalGenerator, MonolithicGenerator, Program,
 };
-use comet_gen::{Backend, GenInput, GeneratorFactory};
+use comet_gen::{Backend, GenInput};
 use comet_middleware::{FaultHook, MiddlewareError};
 use comet_model::{Model, ModelDelta, UndoLog};
 use comet_obs::{fnv1a64, fnv1a64_extend};
@@ -276,9 +276,6 @@ pub struct MdaLifecycle {
     steps: Vec<StepState>,
     obs: comet_obs::Collector,
     cache: RefCell<GenerateCache>,
-    /// The per-lifecycle backend registry every `generate` dispatches
-    /// through — one factory per tenant in the serving stack.
-    factory: GeneratorFactory,
 }
 
 impl MdaLifecycle {
@@ -410,7 +407,6 @@ impl MdaLifecycle {
             steps,
             obs: comet_obs::Collector::disabled(),
             cache: RefCell::default(),
-            factory: GeneratorFactory::with_standard_backends(),
         }
     }
 
@@ -431,11 +427,6 @@ impl MdaLifecycle {
     /// state, a miss rendered it.
     pub fn gen_cache_stats(&self) -> (u64, u64) {
         self.cache.borrow().gen
-    }
-
-    /// The backend registry this lifecycle generates through.
-    pub fn generator_factory(&self) -> &GeneratorFactory {
-        &self.factory
     }
 
     /// WAL durability barriers issued so far; 0 for in-memory repos.
@@ -689,11 +680,7 @@ impl MdaLifecycle {
                     concerns: &concerns,
                     bodies,
                 };
-                let generator = self
-                    .factory
-                    .get(backend)
-                    .expect("standard factory registers every Backend variant");
-                generator.generate(&input)
+                backend.render(&input)
             })
             .clone();
         let system = GeneratedSystem {
@@ -1038,7 +1025,6 @@ mod tests {
         // A different backend at the same revision is its own entry.
         mda.generate(&bodies, Backend::Report).unwrap();
         assert_eq!(mda.gen_cache_stats(), (1, 2));
-        assert_eq!(mda.generator_factory().len(), Backend::ALL.len());
     }
 
     #[test]

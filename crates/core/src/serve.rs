@@ -23,7 +23,7 @@
 //!
 //! Because each tenant owns a private [`MdaLifecycle`], the lifecycle's
 //! incrementality caches (the per-state weave memo and the
-//! content-addressed generation cache behind the generator factory)
+//! content-addressed generation cache in front of `Backend::render`)
 //! are **per-tenant automatically**: a steady-state tenant
 //! that repeats `Generate` at an unchanged model revision pays one
 //! cold weave + render and then hits both caches

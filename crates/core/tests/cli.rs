@@ -100,6 +100,19 @@ fn concerns_lists_the_standard_library() {
 }
 
 #[test]
+fn generate_lists_the_four_backends() {
+    let out = cli().args(["generate", "--list-backends"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "java-functional  Java-flavoured woven system source (functional generator + woven aspects)\n\
+         java-monolithic  tangled monolithic Java baseline (concern code inlined from the PSM marks)\n\
+         rust-skeleton    typed Rust skeleton lowered from the woven IR (intrinsics preserved as rt:: calls)\n\
+         report           deterministic model + concern summary (element counts, advised join points, tangling)\n"
+    );
+}
+
+#[test]
 fn run_fault_free_reports_all_successes() {
     let out = cli().args(["run", "--seed", "9", "--transfers", "6"]).output().unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));

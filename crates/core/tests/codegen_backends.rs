@@ -1,4 +1,4 @@
-//! Integration tests for the generator factory and the
+//! Integration tests for the generation backends and the
 //! content-addressed generation cache across the full stack: every
 //! backend renders the complete functional element set from a real
 //! lifecycle, served systems stay equal to from-scratch generation
@@ -10,11 +10,9 @@
 //! observable in both trace counters and the Prometheus exposition.
 
 use comet::chaos::{banking_bodies, executable_banking_pim};
-use comet::{
-    run_banking_serve, Backend, GenInput, GeneratedSystem, GeneratorFactory, MdaLifecycle,
-};
+use comet::{run_banking_serve, Backend, GenInput, GeneratedSystem, MdaLifecycle};
 use comet_aop::{parse_pointcut, Advice, AdviceKind, Weaver};
-use comet_aspectgen::{AspectBackend, AspectBuilder, AspectJBackend, ConcernPair};
+use comet_aspectgen::{AspectBuilder, AspectJBackend, ConcernPair};
 use comet_codegen::marks::intrinsics;
 use comet_codegen::{pretty_print, Block, BodyProvider, Expr, FunctionalGenerator, Stmt};
 use comet_obs::fnv1a64;
@@ -72,8 +70,8 @@ fn full_lifecycle() -> MdaLifecycle {
 
 /// Recomputes everything `generate` returns for `mda`'s current state
 /// and `bodies` from scratch — the functional generator, a full weave
-/// over `mda.aspects()`, AspectJ rendering and the backend through a
-/// factory with no cache — the oracle every served system must equal,
+/// over `mda.aspects()`, AspectJ rendering and the backend with no
+/// cache — the oracle every served system must equal,
 /// field by field.
 fn direct_system(mda: &MdaLifecycle, bodies: &BodyProvider, backend: Backend) -> GeneratedSystem {
     let functional = FunctionalGenerator::new().generate(mda.model(), bodies);
@@ -82,9 +80,8 @@ fn direct_system(mda: &MdaLifecycle, bodies: &BodyProvider, backend: Backend) ->
     let aspectj = AspectJBackend::new();
     let aspect_sources = aspects.iter().map(|a| (a.name.clone(), aspectj.render(a))).collect();
     let concerns: Vec<String> = mda.applied().iter().map(|a| a.cmt.concern().to_owned()).collect();
-    let factory = GeneratorFactory::with_standard_backends();
     let input = GenInput { model: mda.model(), woven: &weave.program, concerns: &concerns, bodies };
-    let artifact = factory.get(backend).expect("standard backend").generate(&input);
+    let artifact = backend.render(&input);
     GeneratedSystem {
         functional_source: pretty_print(&functional).into(),
         aspect_sources,

@@ -153,17 +153,3 @@ fn tail_on_error_keeps_every_faulted_request_and_stays_deterministic() {
     // And the report itself is untouched by sampling.
     assert_eq!(sampled.report, full.report);
 }
-
-#[test]
-fn chaos_reports_bridge_into_the_same_exposition_pipeline() {
-    let report = comet::run_banking_chaos(&comet::ChaosConfig::default()).expect("chaos runs");
-    let mut reg = comet_metrics::MetricsRegistry::enabled();
-    report.record_metrics(&mut reg);
-    let prom = reg.snapshot().to_prometheus();
-    assert!(prom.contains("comet_chaos_attempted_total 12"), "{prom}");
-    assert!(prom.contains("comet_chaos_tx_committed_total"), "{prom}");
-    // Same report, same exposition — the bridge is a pure function.
-    let mut reg2 = comet_metrics::MetricsRegistry::enabled();
-    report.record_metrics(&mut reg2);
-    assert_eq!(prom, reg2.snapshot().to_prometheus());
-}

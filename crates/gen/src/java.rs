@@ -3,47 +3,21 @@
 //! monolithic baseline it argues against. Both reuse `comet-codegen` —
 //! the IR home — and differ only in which program they print.
 
-use crate::{GenInput, Generator};
+use crate::GenInput;
 use comet_codegen::{pretty_print, MonolithicGenerator};
 
 /// `java-functional`: the woven system source — functional code with
 /// the applied concerns' advice woven in. This is the artifact the
 /// original single-target `comet-codegen` pipeline produced; it is now
 /// one backend among peers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JavaFunctionalBackend;
-
-impl Generator for JavaFunctionalBackend {
-    fn id(&self) -> &'static str {
-        "java-functional"
-    }
-
-    fn describe(&self) -> &'static str {
-        "Java-flavoured woven system source (functional generator + woven aspects)"
-    }
-
-    fn generate(&self, input: &GenInput<'_>) -> String {
-        pretty_print(input.woven)
-    }
+pub(crate) fn render_functional(input: &GenInput<'_>) -> String {
+    pretty_print(input.woven)
 }
 
 /// `java-monolithic`: the tangled baseline — concern behaviour inlined
 /// into every affected class by [`MonolithicGenerator`], regenerated
 /// from the most-specialized PSM. Experiment E5's control arm.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JavaMonolithicBackend;
-
-impl Generator for JavaMonolithicBackend {
-    fn id(&self) -> &'static str {
-        "java-monolithic"
-    }
-
-    fn describe(&self) -> &'static str {
-        "tangled monolithic Java baseline (concern code inlined from the PSM marks)"
-    }
-
-    fn generate(&self, input: &GenInput<'_>) -> String {
-        let program = MonolithicGenerator::new().generate(input.model, input.bodies);
-        pretty_print(&program)
-    }
+pub(crate) fn render_monolithic(input: &GenInput<'_>) -> String {
+    let program = MonolithicGenerator::new().generate(input.model, input.bodies);
+    pretty_print(&program)
 }

@@ -1,9 +1,9 @@
-//! `comet-gen` — the **generator factory**: every code-generation
-//! target in the suite lives behind one [`Generator`] trait, registered
-//! in a [`GeneratorFactory`] keyed by a [`Backend`] id. This is the
-//! "generic" half of *Generic* Concern-Oriented Model Transformations
-//! made concrete: the PSM → code step is a pluggable transformation
-//! chosen per request, not a hard-wired printer.
+//! `comet-gen` — the code generators: every code-generation target in
+//! the suite is one variant of the closed [`Backend`] enum, which
+//! describes and renders itself. This is the "generic" half of
+//! *Generic* Concern-Oriented Model Transformations made concrete: the
+//! PSM → code step is a transformation chosen per request, not a
+//! hard-wired printer.
 //!
 //! Standard backends:
 //!
@@ -24,9 +24,7 @@ mod java;
 mod report;
 mod rust_skeleton;
 
-pub use java::{JavaFunctionalBackend, JavaMonolithicBackend};
-pub use report::ReportBackend;
-pub use rust_skeleton::{RustSkeletonBackend, RustType};
+pub use rust_skeleton::RustType;
 
 use comet_codegen::{BodyProvider, Program};
 use comet_model::Model;
@@ -66,6 +64,36 @@ impl Backend {
     pub fn parse(id: &str) -> Option<Backend> {
         Backend::ALL.into_iter().find(|b| b.id() == id)
     }
+
+    /// One-line human description for `--list-backends`.
+    pub fn describe(self) -> &'static str {
+        match self {
+            Backend::JavaFunctional => {
+                "Java-flavoured woven system source (functional generator + woven aspects)"
+            }
+            Backend::JavaMonolithic => {
+                "tangled monolithic Java baseline (concern code inlined from the PSM marks)"
+            }
+            Backend::RustSkeleton => {
+                "typed Rust skeleton lowered from the woven IR (intrinsics preserved as rt:: calls)"
+            }
+            Backend::Report => {
+                "deterministic model + concern summary (element counts, advised join points, tangling)"
+            }
+        }
+    }
+
+    /// Renders the artifact. Deterministic: the same [`GenInput`]
+    /// renders byte-identical artifacts, which is what makes caching
+    /// artifacts by content sound.
+    pub fn render(self, input: &GenInput<'_>) -> String {
+        match self {
+            Backend::JavaFunctional => java::render_functional(input),
+            Backend::JavaMonolithic => java::render_monolithic(input),
+            Backend::RustSkeleton => rust_skeleton::render(input),
+            Backend::Report => report::render(input),
+        }
+    }
 }
 
 impl fmt::Display for Backend {
@@ -89,87 +117,6 @@ pub struct GenInput<'a> {
     pub concerns: &'a [String],
     /// Method bodies supplied to the functional generator.
     pub bodies: &'a BodyProvider,
-}
-
-/// One code-generation target. Implementations must be deterministic:
-/// the same [`GenInput`] renders byte-identical artifacts, which is
-/// what makes caching artifacts by content sound.
-pub trait Generator {
-    /// Stable backend id; must agree with [`Backend::id`] for standard
-    /// backends.
-    fn id(&self) -> &'static str;
-    /// One-line human description for `--list-backends`.
-    fn describe(&self) -> &'static str;
-    /// Renders the artifact.
-    fn generate(&self, input: &GenInput<'_>) -> String;
-}
-
-/// The backend registry, in the style of the RAISE transformation
-/// factory: ask it for a transformer by domain ([`Backend`]) or by raw
-/// id, or iterate the registered set for listings.
-pub struct GeneratorFactory {
-    registry: Vec<Box<dyn Generator + Send + Sync>>,
-}
-
-impl GeneratorFactory {
-    /// An empty registry (for tests that register custom backends).
-    pub fn new() -> Self {
-        GeneratorFactory { registry: Vec::new() }
-    }
-
-    /// The standard registry: all four [`Backend::ALL`] targets.
-    pub fn with_standard_backends() -> Self {
-        let mut factory = GeneratorFactory::new();
-        factory.register(Box::new(JavaFunctionalBackend));
-        factory.register(Box::new(JavaMonolithicBackend));
-        factory.register(Box::new(RustSkeletonBackend));
-        factory.register(Box::new(ReportBackend));
-        factory
-    }
-
-    /// Registers a backend; a later registration with the same id wins
-    /// over an earlier one (lookup is last-registered-first).
-    pub fn register(&mut self, generator: Box<dyn Generator + Send + Sync>) {
-        self.registry.push(generator);
-    }
-
-    /// Looks a backend up by enum variant.
-    pub fn get(&self, backend: Backend) -> Option<&(dyn Generator + Send + Sync)> {
-        self.by_id(backend.id())
-    }
-
-    /// Looks a backend up by raw id (the plan-TOML / CLI spelling).
-    pub fn by_id(&self, id: &str) -> Option<&(dyn Generator + Send + Sync)> {
-        self.registry.iter().rev().find(|g| g.id() == id).map(Box::as_ref)
-    }
-
-    /// The registered backends, in registration order.
-    pub fn backends(&self) -> impl Iterator<Item = &(dyn Generator + Send + Sync)> {
-        self.registry.iter().map(Box::as_ref)
-    }
-
-    /// Number of registered backends.
-    pub fn len(&self) -> usize {
-        self.registry.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.registry.is_empty()
-    }
-}
-
-impl Default for GeneratorFactory {
-    fn default() -> Self {
-        GeneratorFactory::with_standard_backends()
-    }
-}
-
-impl fmt::Debug for GeneratorFactory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ids: Vec<&str> = self.registry.iter().map(|g| g.id()).collect();
-        f.debug_struct("GeneratorFactory").field("backends", &ids).finish()
-    }
 }
 
 #[cfg(test)]
@@ -196,50 +143,17 @@ mod tests {
     }
 
     #[test]
-    fn standard_factory_registers_all_backends() {
-        let factory = GeneratorFactory::with_standard_backends();
-        assert_eq!(factory.len(), Backend::ALL.len());
-        assert!(!factory.is_empty());
-        for backend in Backend::ALL {
-            let generator = factory.get(backend).expect("registered");
-            assert_eq!(generator.id(), backend.id());
-            assert!(!generator.describe().is_empty());
-        }
-        assert!(factory.by_id("cobol").is_none());
-    }
-
-    #[test]
-    fn later_registration_shadows_earlier() {
-        struct Custom;
-        impl Generator for Custom {
-            fn id(&self) -> &'static str {
-                "report"
-            }
-            fn describe(&self) -> &'static str {
-                "custom report"
-            }
-            fn generate(&self, _input: &GenInput<'_>) -> String {
-                "custom".into()
-            }
-        }
-        let mut factory = GeneratorFactory::with_standard_backends();
-        factory.register(Box::new(Custom));
-        assert_eq!(factory.by_id("report").expect("present").describe(), "custom report");
-    }
-
-    #[test]
     fn every_backend_mentions_every_class_and_method() {
         let (model, woven, concerns, bodies) = input_fixture();
         let input = GenInput { model: &model, woven: &woven, concerns: &concerns, bodies: &bodies };
-        let factory = GeneratorFactory::with_standard_backends();
-        for generator in factory.backends() {
-            let artifact = generator.generate(&input);
+        for backend in Backend::ALL {
+            let artifact = backend.render(&input);
             for class_id in model.classes() {
                 let class = model.element(class_id).expect("class exists");
                 assert!(
                     artifact.contains(class.name()),
                     "backend {} omits class {}",
-                    generator.id(),
+                    backend.id(),
                     class.name()
                 );
                 for op_id in model.operations_of(class_id) {
@@ -247,7 +161,7 @@ mod tests {
                     assert!(
                         artifact.contains(op.name()),
                         "backend {} omits method {}.{}",
-                        generator.id(),
+                        backend.id(),
                         class.name(),
                         op.name()
                     );
@@ -260,9 +174,8 @@ mod tests {
     fn rendering_is_deterministic() {
         let (model, woven, concerns, bodies) = input_fixture();
         let input = GenInput { model: &model, woven: &woven, concerns: &concerns, bodies: &bodies };
-        let factory = GeneratorFactory::with_standard_backends();
-        for generator in factory.backends() {
-            assert_eq!(generator.generate(&input), generator.generate(&input));
+        for backend in Backend::ALL {
+            assert_eq!(backend.render(&input), backend.render(&input));
         }
     }
 
@@ -284,7 +197,7 @@ mod tests {
         let woven = Weaver::new(vec![aspect]).weave(&functional).expect("weaves").program;
         let concerns = vec!["logging".to_owned()];
         let input = GenInput { model: &model, woven: &woven, concerns: &concerns, bodies: &bodies };
-        let artifact = RustSkeletonBackend.generate(&input);
+        let artifact = Backend::RustSkeleton.render(&input);
         assert!(artifact.contains("pub struct"), "{artifact}");
         assert!(artifact.contains("rt::intrinsic(\"log.emit\""), "{artifact}");
     }

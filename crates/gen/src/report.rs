@@ -4,9 +4,9 @@
 //! as human-readable text followed by a machine-readable JSON document
 //! produced through the shared `comet_obs::JsonValue` writer. Useful as
 //! a cheap "what would generation see?" probe and as the third,
-//! structurally different target proving the factory generic.
+//! structurally different target proving generation generic.
 
-use crate::{GenInput, Generator};
+use crate::GenInput;
 use comet_aop::concern_metrics;
 use comet_obs::JsonValue;
 use std::fmt::Write as _;
@@ -16,117 +16,103 @@ use std::fmt::Write as _;
 const CONCERN_PREFIXES: [&str; 5] = ["net", "tx", "sec", "log", "lock"];
 
 /// `report`: deterministic model + concern summary (text + JSON).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReportBackend;
-
-impl Generator for ReportBackend {
-    fn id(&self) -> &'static str {
-        "report"
+pub(crate) fn render(input: &GenInput<'_>) -> String {
+    let model = input.model;
+    let classes = model.classes();
+    let mut attributes = 0usize;
+    let mut operations = 0usize;
+    for &class_id in &classes {
+        attributes += model.attributes_of(class_id).len();
+        operations += model.operations_of(class_id).len();
     }
+    let metrics = concern_metrics(input.woven, &CONCERN_PREFIXES);
 
-    fn describe(&self) -> &'static str {
-        "deterministic model + concern summary (element counts, advised join points, tangling)"
+    let mut out = String::new();
+    let _ = writeln!(out, "comet-gen report — model `{}`", model.name());
+    let _ = writeln!(
+        out,
+        "elements: {} total (classes={} associations={} packages={} attributes={} \
+         operations={})",
+        model.len(),
+        classes.len(),
+        model.associations().len(),
+        model.packages().len(),
+        attributes,
+        operations
+    );
+    if input.concerns.is_empty() {
+        let _ = writeln!(out, "concerns applied: none");
+    } else {
+        let _ = writeln!(out, "concerns applied (precedence order): {}", input.concerns.join(", "));
     }
-
-    fn generate(&self, input: &GenInput<'_>) -> String {
-        let model = input.model;
-        let classes = model.classes();
-        let mut attributes = 0usize;
-        let mut operations = 0usize;
-        for &class_id in &classes {
-            attributes += model.attributes_of(class_id).len();
-            operations += model.operations_of(class_id).len();
-        }
-        let metrics = concern_metrics(input.woven, &CONCERN_PREFIXES);
-
-        let mut out = String::new();
-        let _ = writeln!(out, "comet-gen report — model `{}`", model.name());
-        let _ = writeln!(
-            out,
-            "elements: {} total (classes={} associations={} packages={} attributes={} \
-             operations={})",
-            model.len(),
-            classes.len(),
-            model.associations().len(),
-            model.packages().len(),
-            attributes,
-            operations
-        );
-        if input.concerns.is_empty() {
-            let _ = writeln!(out, "concerns applied: none");
-        } else {
-            let _ =
-                writeln!(out, "concerns applied (precedence order): {}", input.concerns.join(", "));
-        }
-        let _ = writeln!(out, "inventory:");
-        for &class_id in &classes {
-            let class = match model.element(class_id) {
-                Ok(element) => element,
-                Err(_) => continue,
-            };
-            let methods: Vec<String> = model
-                .operations_of(class_id)
-                .into_iter()
-                .filter_map(|op| model.element(op).ok().map(|o| o.name().to_owned()))
-                .collect();
-            let _ = writeln!(out, "  class {}: {}", class.name(), methods.join(", "));
-        }
-        let _ = writeln!(
-            out,
-            "woven program: {} classes, {} methods, {} statements",
-            input.woven.classes.len(),
-            metrics.total_methods,
-            metrics.total_statements
-        );
-        let _ = writeln!(out, "advised join points per concern:");
-        for (prefix, m) in &metrics.concerns {
-            let _ = writeln!(
-                out,
-                "  {prefix}: classes={} methods={} stmts={}",
-                m.scattered_classes, m.scattered_methods, m.statements
-            );
-        }
-        let _ = writeln!(out, "tangling ratio: {:.6}", metrics.tangling_ratio());
-
-        let advised = metrics
-            .concerns
-            .iter()
-            .map(|(prefix, m)| {
-                (
-                    prefix.clone(),
-                    JsonValue::Obj(vec![
-                        ("scattered_classes".into(), JsonValue::Num(m.scattered_classes as f64)),
-                        ("advised_methods".into(), JsonValue::Num(m.scattered_methods as f64)),
-                        ("statements".into(), JsonValue::Num(m.statements as f64)),
-                    ]),
-                )
-            })
+    let _ = writeln!(out, "inventory:");
+    for &class_id in &classes {
+        let class = match model.element(class_id) {
+            Ok(element) => element,
+            Err(_) => continue,
+        };
+        let methods: Vec<String> = model
+            .operations_of(class_id)
+            .into_iter()
+            .filter_map(|op| model.element(op).ok().map(|o| o.name().to_owned()))
             .collect();
-        let json = JsonValue::Obj(vec![
-            ("model".into(), JsonValue::Str(model.name().to_owned())),
-            (
-                "elements".into(),
-                JsonValue::Obj(vec![
-                    ("total".into(), JsonValue::Num(model.len() as f64)),
-                    ("classes".into(), JsonValue::Num(classes.len() as f64)),
-                    ("associations".into(), JsonValue::Num(model.associations().len() as f64)),
-                    ("packages".into(), JsonValue::Num(model.packages().len() as f64)),
-                    ("attributes".into(), JsonValue::Num(attributes as f64)),
-                    ("operations".into(), JsonValue::Num(operations as f64)),
-                ]),
-            ),
-            (
-                "concerns".into(),
-                JsonValue::Arr(input.concerns.iter().map(|c| JsonValue::Str(c.clone())).collect()),
-            ),
-            ("advised".into(), JsonValue::Obj(advised)),
-            ("tangling_ratio".into(), JsonValue::Fixed(metrics.tangling_ratio(), 6)),
-        ]);
-        let _ = writeln!(out, "--- json ---");
-        out.push_str(&json.to_pretty());
-        out.push('\n');
-        out
+        let _ = writeln!(out, "  class {}: {}", class.name(), methods.join(", "));
     }
+    let _ = writeln!(
+        out,
+        "woven program: {} classes, {} methods, {} statements",
+        input.woven.classes.len(),
+        metrics.total_methods,
+        metrics.total_statements
+    );
+    let _ = writeln!(out, "advised join points per concern:");
+    for (prefix, m) in &metrics.concerns {
+        let _ = writeln!(
+            out,
+            "  {prefix}: classes={} methods={} stmts={}",
+            m.scattered_classes, m.scattered_methods, m.statements
+        );
+    }
+    let _ = writeln!(out, "tangling ratio: {:.6}", metrics.tangling_ratio());
+
+    let advised = metrics
+        .concerns
+        .iter()
+        .map(|(prefix, m)| {
+            (
+                prefix.clone(),
+                JsonValue::Obj(vec![
+                    ("scattered_classes".into(), JsonValue::Num(m.scattered_classes as f64)),
+                    ("advised_methods".into(), JsonValue::Num(m.scattered_methods as f64)),
+                    ("statements".into(), JsonValue::Num(m.statements as f64)),
+                ]),
+            )
+        })
+        .collect();
+    let json = JsonValue::Obj(vec![
+        ("model".into(), JsonValue::Str(model.name().to_owned())),
+        (
+            "elements".into(),
+            JsonValue::Obj(vec![
+                ("total".into(), JsonValue::Num(model.len() as f64)),
+                ("classes".into(), JsonValue::Num(classes.len() as f64)),
+                ("associations".into(), JsonValue::Num(model.associations().len() as f64)),
+                ("packages".into(), JsonValue::Num(model.packages().len() as f64)),
+                ("attributes".into(), JsonValue::Num(attributes as f64)),
+                ("operations".into(), JsonValue::Num(operations as f64)),
+            ]),
+        ),
+        (
+            "concerns".into(),
+            JsonValue::Arr(input.concerns.iter().map(|c| JsonValue::Str(c.clone())).collect()),
+        ),
+        ("advised".into(), JsonValue::Obj(advised)),
+        ("tangling_ratio".into(), JsonValue::Fixed(metrics.tangling_ratio(), 6)),
+    ]);
+    let _ = writeln!(out, "--- json ---");
+    out.push_str(&json.to_pretty());
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]
@@ -143,8 +129,8 @@ mod tests {
         let concerns = vec!["distribution".to_owned(), "transactions".to_owned()];
         let input =
             GenInput { model: &model, woven: &program, concerns: &concerns, bodies: &bodies };
-        let first = ReportBackend.generate(&input);
-        assert_eq!(first, ReportBackend.generate(&input));
+        let first = render(&input);
+        assert_eq!(first, render(&input));
         assert!(first.contains("concerns applied (precedence order): distribution, transactions"));
         assert!(first.contains("inventory:"));
         let json_part = first.split("--- json ---\n").nth(1).expect("json section");

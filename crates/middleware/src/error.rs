@@ -93,8 +93,6 @@ pub enum MiddlewareError {
     },
     /// An unknown fault point was passed to a fault hook.
     UnknownFaultPoint(String),
-    /// The durable store backend failed an I/O operation.
-    StorageIo(String),
 }
 
 impl fmt::Display for MiddlewareError {
@@ -144,7 +142,6 @@ impl fmt::Display for MiddlewareError {
                 write!(f, "circuit open for `{callee}`")
             }
             MiddlewareError::UnknownFaultPoint(p) => write!(f, "unknown fault point `{p}`"),
-            MiddlewareError::StorageIo(detail) => write!(f, "durable store i/o: {detail}"),
         }
     }
 }

@@ -66,7 +66,7 @@ pub use logging::{LogRecord, LogService};
 pub use naming::{NamingService, Registration};
 pub use plan_text::{plan_lines, PlanLine, PlanLineError};
 pub use security::{AuditEntry, SecurityManager};
-pub use store::{StoreBytes, StoreService, StoreStats, FAULT_POINT_STORE_TORN};
+pub use store::{StoreService, StoreStats};
 pub use tx::{
     recover, RecoveredState, TransactionManager, TwoPhaseOutcome, TxId, TxStats, UndoEntry,
     WalRecord,

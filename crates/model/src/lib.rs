@@ -43,7 +43,6 @@ mod model;
 mod query;
 pub mod sample;
 mod validate;
-mod visitor;
 
 pub use builder::{ClassBuilder, ModelBuilder, OperationBuilder};
 pub use delta::ModelDelta;
@@ -59,7 +58,6 @@ pub use kinds::{
 };
 pub use model::Model;
 pub use validate::{Violation, ViolationKind};
-pub use visitor::{walk, Visitor};
 
 /// Tag key under which an element records the concern that introduced it.
 ///

@@ -50,9 +50,9 @@ mod tests {
 
     /// A deliberately boring engine: counts operations, fails on
     /// demand, applies concerns from a fixed workflow list. Its
-    /// `Generate` path is real, though — requests route through a
-    /// `comet_gen::GeneratorFactory` over a tiny model, so even the
-    /// substrate-level tests exercise backend dispatch and the typed
+    /// `Generate` path is real, though — requests resolve through
+    /// `comet_gen::Backend::parse` and render over a tiny model, so even
+    /// the substrate-level tests exercise backend dispatch and the typed
     /// [`ServeError::UnknownBackend`] path.
     struct MockEngine {
         workflow: Vec<String>,
@@ -61,7 +61,6 @@ mod tests {
         /// Fail every Nth execute (0 = never).
         fail_every: u64,
         executed: u64,
-        factory: comet_gen::GeneratorFactory,
         model: comet_model::Model,
         program: comet_codegen::Program,
         bodies: comet_codegen::BodyProvider,
@@ -92,9 +91,7 @@ mod tests {
                     Ok(format!("undone:{undone}"))
                 }
                 Request::Generate { backend } => {
-                    let generator = self
-                        .factory
-                        .by_id(backend)
+                    let target = comet_gen::Backend::parse(backend)
                         .ok_or_else(|| ServeError::UnknownBackend(backend.clone()))?;
                     let input = comet_gen::GenInput {
                         model: &self.model,
@@ -102,7 +99,7 @@ mod tests {
                         concerns: &self.applied,
                         bodies: &self.bodies,
                     };
-                    let artifact = generator.generate(&input);
+                    let artifact = target.render(&input);
                     Ok(format!("generated:{backend}:{}", artifact.len()))
                 }
                 Request::Query(_) => unreachable!("queries go through execute_queries"),
@@ -162,7 +159,6 @@ mod tests {
                 applied: Vec::new(),
                 fail_every: self.fail_every,
                 executed: 0,
-                factory: comet_gen::GeneratorFactory::with_standard_backends(),
                 model,
                 program,
                 bodies,

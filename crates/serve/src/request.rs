@@ -52,9 +52,8 @@ pub enum Request {
     /// Undo the most recent applied concern.
     UndoLast,
     /// Run functional + aspect generation, weave the current model, and
-    /// render the artifact with the named generation backend (resolved
-    /// against the host's `GeneratorFactory`; an unknown id is a typed
-    /// [`ServeError::UnknownBackend`]).
+    /// render the artifact with the named generation backend (an
+    /// unknown id is a typed [`ServeError::UnknownBackend`]).
     Generate {
         /// Backend id, e.g. `"java-functional"` or `"rust-skeleton"`.
         backend: String,

@@ -1,8 +1,7 @@
-//! A closure-based [`GenericTransformation`] builder, used by tests,
-//! examples and simple concerns.
+//! The generic transformation GMT_Ci and its closure-based builder.
 
 use crate::params::{ParamSchema, ParamSet};
-use crate::transform::{GenericTransformation, MappingKind, TransformError};
+use crate::transform::TransformError;
 use comet_model::Model;
 use std::sync::Arc;
 
@@ -13,7 +12,6 @@ type CondFn = dyn Fn(&ParamSet) -> Vec<String> + Send + Sync;
 pub struct TransformationBuilder {
     name: String,
     concern: String,
-    kind: MappingKind,
     schema: ParamSchema,
     pre: Vec<String>,
     post: Vec<String>,
@@ -28,7 +26,6 @@ impl TransformationBuilder {
         TransformationBuilder {
             name: name.to_owned(),
             concern: concern.to_owned(),
-            kind: MappingKind::PimToPsm,
             schema: ParamSchema::new(),
             pre: Vec::new(),
             post: Vec::new(),
@@ -36,12 +33,6 @@ impl TransformationBuilder {
             post_fn: None,
             body: None,
         }
-    }
-
-    /// Sets the MDA mapping kind (default PIM-to-PSM).
-    pub fn mapping_kind(mut self, kind: MappingKind) -> Self {
-        self.kind = kind;
-        self
     }
 
     /// Sets the parameter schema.
@@ -95,11 +86,10 @@ impl TransformationBuilder {
     /// # Panics
     /// Panics when no body was provided — a transformation without a body
     /// is a programming error, caught at construction.
-    pub fn build(self) -> Arc<dyn GenericTransformation> {
-        Arc::new(FnTransformation {
+    pub fn build(self) -> Arc<GenericTransformation> {
+        Arc::new(GenericTransformation {
             name: self.name,
             concern: self.concern,
-            kind: self.kind,
             schema: self.schema,
             pre: self.pre,
             post: self.post,
@@ -110,10 +100,13 @@ impl TransformationBuilder {
     }
 }
 
-struct FnTransformation {
+/// A generic model transformation GMT_Ci: one concern dimension, a typed
+/// parameter schema, and parameter-specialized OCL conditions. Built by
+/// [`TransformationBuilder`]; its body must be a deterministic function
+/// of `(model, params)`.
+pub struct GenericTransformation {
     name: String,
     concern: String,
-    kind: MappingKind,
     schema: ParamSchema,
     pre: Vec<String>,
     post: Vec<String>,
@@ -122,24 +115,25 @@ struct FnTransformation {
     body: Box<Body>,
 }
 
-impl GenericTransformation for FnTransformation {
-    fn name(&self) -> &str {
+impl GenericTransformation {
+    /// Transformation name, e.g. `"distribution"`.
+    pub fn name(&self) -> &str {
         &self.name
     }
 
-    fn concern(&self) -> &str {
+    /// The concern dimension this transformation refines.
+    pub fn concern(&self) -> &str {
         &self.concern
     }
 
-    fn mapping_kind(&self) -> MappingKind {
-        self.kind
+    /// The parameter schema (the declared `P_ik` slots).
+    pub fn parameter_schema(&self) -> &ParamSchema {
+        &self.schema
     }
 
-    fn parameter_schema(&self) -> ParamSchema {
-        self.schema.clone()
-    }
-
-    fn preconditions(&self, params: &ParamSet) -> Vec<String> {
+    /// OCL preconditions, specialized by `params`: the fixed ones, then
+    /// the generated ones. All must hold on the input model.
+    pub(crate) fn preconditions(&self, params: &ParamSet) -> Vec<String> {
         let mut out = self.pre.clone();
         if let Some(f) = &self.pre_fn {
             out.extend(f(params));
@@ -147,7 +141,9 @@ impl GenericTransformation for FnTransformation {
         out
     }
 
-    fn postconditions(&self, params: &ParamSet) -> Vec<String> {
+    /// OCL postconditions, specialized by `params`. All must hold on the
+    /// output model.
+    pub(crate) fn postconditions(&self, params: &ParamSet) -> Vec<String> {
         let mut out = self.post.clone();
         if let Some(f) = &self.post_fn {
             out.extend(f(params));
@@ -155,7 +151,16 @@ impl GenericTransformation for FnTransformation {
         out
     }
 
-    fn transform(&self, model: &mut Model, params: &ParamSet) -> Result<(), TransformError> {
+    /// Runs the body. The engine calls it between the condition checks
+    /// and concern-colors the elements it creates.
+    ///
+    /// # Errors
+    /// Domain failures as [`TransformError::Custom`], or model errors.
+    pub(crate) fn transform(
+        &self,
+        model: &mut Model,
+        params: &ParamSet,
+    ) -> Result<(), TransformError> {
         (self.body)(model, params)
     }
 }
@@ -170,7 +175,6 @@ mod tests {
     #[test]
     fn specialized_conditions_from_params() {
         let gmt = TransformationBuilder::new("t", "c")
-            .mapping_kind(MappingKind::PimToPim)
             .schema(ParamSchema::new().string("class", true, None))
             .precondition("true")
             .preconditions_fn(|p| {
@@ -193,7 +197,6 @@ mod tests {
                 Ok(())
             })
             .build();
-        assert_eq!(gmt.mapping_kind(), MappingKind::PimToPim);
 
         let ok =
             specialize(Arc::clone(&gmt), ParamSet::new().with("class", ParamValue::from("Bank")))

@@ -13,8 +13,7 @@
 //!   closed over validated parameters, applied atomically with
 //!   precondition checking, automatic concern "coloring" of created
 //!   elements, well-formedness re-validation and postcondition checking
-//!   (failures roll the model back);
-//! * [`MappingKind`] — the four MDA mapping types (Section 2).
+//!   (failures roll the model back).
 //!
 //! ## Example
 //!
@@ -49,8 +48,6 @@ mod builder;
 mod params;
 mod transform;
 
-pub use builder::TransformationBuilder;
+pub use builder::{GenericTransformation, TransformationBuilder};
 pub use params::{ParamError, ParamSchema, ParamSet, ParamSpec, ParamType, ParamValue};
-pub use transform::{
-    specialize, ConcreteTransformation, GenericTransformation, MappingKind, TransformError,
-};
+pub use transform::{specialize, ConcreteTransformation, TransformError};

@@ -1,79 +1,13 @@
-//! The transformation trait, specialization, and the application engine
-//! with pre/postcondition checking and automatic concern coloring.
+//! Specialization, and the application engine with pre/postcondition
+//! checking and automatic concern coloring.
 
-use crate::params::{ParamError, ParamSchema, ParamSet};
+use crate::builder::GenericTransformation;
+use crate::params::{ParamError, ParamSet};
 use comet_model::{Model, ModelDelta};
 use comet_obs::Collector;
 use comet_ocl::{evaluate_bool, Context, OclError};
 use std::fmt;
 use std::sync::Arc;
-
-/// The four MDA model-to-model mapping types (paper, Section 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MappingKind {
-    /// Platform-independent refinement.
-    PimToPim,
-    /// Projection onto an execution infrastructure.
-    PimToPsm,
-    /// Platform-dependent refinement.
-    PsmToPsm,
-    /// Abstraction of an implementation back to a PIM.
-    PsmToPim,
-}
-
-impl fmt::Display for MappingKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            MappingKind::PimToPim => "PIM-to-PIM",
-            MappingKind::PimToPsm => "PIM-to-PSM",
-            MappingKind::PsmToPsm => "PSM-to-PSM",
-            MappingKind::PsmToPim => "PSM-to-PIM",
-        };
-        f.write_str(s)
-    }
-}
-
-/// A generic model transformation GMT_Ci: one concern dimension, a typed
-/// parameter schema, and parameter-specialized OCL conditions.
-///
-/// Implementations must be deterministic functions of `(model, params)`.
-pub trait GenericTransformation: Send + Sync {
-    /// Transformation name, e.g. `"distribution"`.
-    fn name(&self) -> &str;
-
-    /// The concern dimension this transformation refines.
-    fn concern(&self) -> &str;
-
-    /// Which of the four MDA mapping types this is.
-    fn mapping_kind(&self) -> MappingKind {
-        MappingKind::PimToPsm
-    }
-
-    /// The parameter schema (the declared `P_ik` slots).
-    fn parameter_schema(&self) -> ParamSchema;
-
-    /// OCL preconditions, already specialized by `params`. All must hold
-    /// on the input model.
-    fn preconditions(&self, params: &ParamSet) -> Vec<String> {
-        let _ = params;
-        Vec::new()
-    }
-
-    /// OCL postconditions, already specialized by `params`. All must hold
-    /// on the output model.
-    fn postconditions(&self, params: &ParamSet) -> Vec<String> {
-        let _ = params;
-        Vec::new()
-    }
-
-    /// The transformation body. Runs between condition checks; created
-    /// elements are concern-colored automatically by the engine.
-    ///
-    /// # Errors
-    /// Implementations report domain failures as
-    /// [`TransformError::Custom`] or propagate model errors.
-    fn transform(&self, model: &mut Model, params: &ParamSet) -> Result<(), TransformError>;
-}
 
 /// Failures of specialization or application.
 #[derive(Debug)]
@@ -149,7 +83,7 @@ impl From<comet_model::ModelError> for TransformError {
 /// parameter set.
 #[derive(Clone)]
 pub struct ConcreteTransformation {
-    gmt: Arc<dyn GenericTransformation>,
+    gmt: Arc<GenericTransformation>,
     params: ParamSet,
 }
 
@@ -165,7 +99,7 @@ impl fmt::Debug for ConcreteTransformation {
 /// # Errors
 /// Propagates [`ParamError`] from schema validation.
 pub fn specialize(
-    gmt: Arc<dyn GenericTransformation>,
+    gmt: Arc<GenericTransformation>,
     params: ParamSet,
 ) -> Result<ConcreteTransformation, ParamError> {
     let effective = gmt.parameter_schema().validate(&params)?;
@@ -174,7 +108,7 @@ pub fn specialize(
 
 impl ConcreteTransformation {
     /// The underlying generic transformation.
-    pub fn generic(&self) -> &Arc<dyn GenericTransformation> {
+    pub fn generic(&self) -> &Arc<GenericTransformation> {
         &self.gmt
     }
 
@@ -370,10 +304,10 @@ impl ConcreteTransformation {
 mod tests {
     use super::*;
     use crate::builder::TransformationBuilder;
-    use crate::params::ParamValue;
+    use crate::params::{ParamSchema, ParamValue};
     use comet_model::sample::banking_pim;
 
-    fn add_class_gmt() -> Arc<dyn GenericTransformation> {
+    fn add_class_gmt() -> Arc<GenericTransformation> {
         TransformationBuilder::new("add-class", "testing")
             .schema(ParamSchema::new().string("name", true, None))
             .precondition("Class.allInstances()->notEmpty()")
@@ -546,11 +480,5 @@ mod tests {
         assert_eq!(traced, plain);
         assert_eq!(a, b);
         assert!(obs.take().is_empty());
-    }
-
-    #[test]
-    fn mapping_kind_display() {
-        assert_eq!(MappingKind::PimToPsm.to_string(), "PIM-to-PSM");
-        assert_eq!(MappingKind::PsmToPim.to_string(), "PSM-to-PIM");
     }
 }
