@@ -24,8 +24,6 @@ mod java;
 mod report;
 mod rust_skeleton;
 
-pub use rust_skeleton::RustType;
-
 use comet_codegen::{BodyProvider, Program};
 use comet_model::Model;
 use std::fmt;

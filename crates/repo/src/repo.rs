@@ -195,9 +195,11 @@ impl Repository {
         self.journal.is_some()
     }
 
-    /// Durability barriers the journal issued since this handle opened —
-    /// one `sync_data` per appended record; 0 without a journal. Serving
-    /// hosts bridge this into their metrics.
+    /// Durability barriers the write-ahead log issued since this handle
+    /// opened — one `sync_data` per appended record; 0 without a
+    /// journal. The segment store's syncs are not counted: it syncs only
+    /// when a commit brings content it does not hold yet. Serving hosts
+    /// bridge this into their metrics.
     pub fn wal_fsyncs(&self) -> u64 {
         self.journal.as_ref().map_or(0, Journal::fsyncs)
     }
