@@ -103,44 +103,24 @@ fn default_body(ret: &IrType) -> Block {
 
 /// The functional code generator of the paper's proposal: it projects the
 /// *functional* view out of the (possibly marked) model — concern
-/// stereotypes and `comet.*` tags are stripped unless
-/// [`FunctionalGenerator::with_marks`] opts in — and emits one IR class
+/// stereotypes and `comet.*` tags are stripped, keeping the functional
+/// artifact independent of concern parameters — and emits one IR class
 /// per model class.
 #[derive(Debug, Clone, Default)]
-pub struct FunctionalGenerator {
-    accessors: bool,
-    keep_marks: bool,
-}
+pub struct FunctionalGenerator;
 
 impl FunctionalGenerator {
-    /// Creates a generator with default options (no accessors; concern
-    /// marks stripped).
+    /// Creates a generator.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Also generates `getX`/`setX` accessors for every attribute, unless
-    /// an operation with the same name already exists in the model.
-    pub fn with_accessors(mut self) -> Self {
-        self.accessors = true;
-        self
-    }
-
-    /// Carries concern stereotypes and `comet.*` tags into IR annotations
-    /// instead of stripping them (for annotation-based pointcuts). The
-    /// default strips them, keeping the functional artifact independent
-    /// of concern parameters.
-    pub fn with_marks(mut self) -> Self {
-        self.keep_marks = true;
-        self
+        Self
     }
 
     fn keep_stereotype(&self, name: &str) -> bool {
-        self.keep_marks || !crate::marks::CONCERN_STEREOTYPES.contains(&name)
+        !crate::marks::CONCERN_STEREOTYPES.contains(&name)
     }
 
     fn keep_tag(&self, key: &str) -> bool {
-        self.keep_marks || !crate::marks::is_concern_tag(key)
+        !crate::marks::is_concern_tag(key)
     }
 
     /// Generates the program for `model`, pulling functional bodies from
@@ -221,51 +201,9 @@ impl FunctionalGenerator {
                     .unwrap_or_else(|| default_body(&method.ret));
                 class.methods.push(method);
             }
-            if self.accessors {
-                self.add_accessors(model, class_id, &mut class);
-            }
             program.classes.push(class);
         }
         program
-    }
-
-    fn add_accessors(
-        &self,
-        model: &Model,
-        class_id: comet_model::ElementId,
-        class: &mut ClassDecl,
-    ) {
-        let fields: Vec<(String, IrType)> =
-            class.fields.iter().map(|f| (f.name.clone(), f.ty.clone())).collect();
-        for (name, ty) in fields {
-            let cap = capitalize(&name);
-            let getter = format!("get{cap}");
-            let setter = format!("set{cap}");
-            if model.find_operation(class_id, &getter).is_none()
-                && class.find_method(&getter).is_none()
-            {
-                let mut g = MethodDecl::new(&getter);
-                g.ret = ty.clone();
-                g.body = Block::of(vec![Stmt::ret(Expr::this_field(&name))]);
-                class.methods.push(g);
-            }
-            if model.find_operation(class_id, &setter).is_none()
-                && class.find_method(&setter).is_none()
-            {
-                let mut s = MethodDecl::new(&setter);
-                s.params.push(Param::new("value", ty));
-                s.body = Block::of(vec![Stmt::set_this_field(&name, Expr::var("value"))]);
-                class.methods.push(s);
-            }
-        }
-    }
-}
-
-fn capitalize(s: &str) -> String {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(c) => c.to_uppercase().collect::<String>() + chars.as_str(),
-        None => String::new(),
     }
 }
 
@@ -325,40 +263,19 @@ mod tests {
     }
 
     #[test]
-    fn stereotypes_become_annotations_with_tag_params_when_kept() {
+    fn concern_marks_are_stripped_and_other_stereotypes_kept() {
         let mut m = banking_pim();
         let bank = m.find_class("Bank").unwrap();
         let transfer = m.find_operation(bank, "transfer").unwrap();
         m.apply_stereotype(transfer, "Transactional").unwrap();
         m.set_tag(transfer, "comet.tx.isolation", "serializable").unwrap();
-        // Default: concern marks stripped from the functional artifact.
+        // Concern marks are stripped from the functional artifact.
         let stripped = FunctionalGenerator::new().generate(&m, &BodyProvider::default());
         assert!(!stripped.find_method("Bank", "transfer").unwrap().has_annotation("Transactional"));
-        // Opt-in: marks carried for annotation-based pointcuts.
-        let p = FunctionalGenerator::new().with_marks().generate(&m, &BodyProvider::default());
-        let method = p.find_method("Bank", "transfer").unwrap();
-        assert!(method.has_annotation("Transactional"));
-        assert_eq!(
-            method.annotation("Transactional").unwrap().params["comet.tx.isolation"],
-            "serializable"
-        );
         // Non-concern stereotypes survive stripping.
         m.apply_stereotype(transfer, "Entity").unwrap();
         let stripped2 = FunctionalGenerator::new().generate(&m, &BodyProvider::default());
         assert!(stripped2.find_method("Bank", "transfer").unwrap().has_annotation("Entity"));
-    }
-
-    #[test]
-    fn accessors_generated_without_clobbering_model_operations() {
-        let m = banking_pim();
-        let p = FunctionalGenerator::new().with_accessors().generate(&m, &BodyProvider::default());
-        let account = p.find_class("Account").unwrap();
-        // `getBalance` exists as a *model* operation; the accessor pass
-        // must not duplicate it.
-        let count = account.methods.iter().filter(|mm| mm.name == "getBalance").count();
-        assert_eq!(count, 1);
-        assert!(account.find_method("setBalance").is_some());
-        assert!(account.find_method("getNumber").is_some());
     }
 
     #[test]

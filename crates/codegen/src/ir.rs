@@ -540,24 +540,6 @@ impl Expr {
     pub fn binary(op: IrBinOp, lhs: Expr, rhs: Expr) -> Expr {
         Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
     }
-
-    /// Returns true when a [`Expr::Proceed`] occurs anywhere inside.
-    pub fn contains_proceed(&self) -> bool {
-        match self {
-            Expr::Proceed(_) => true,
-            Expr::Field { recv, .. } => recv.contains_proceed(),
-            Expr::Call { recv, args, .. } => {
-                recv.as_ref().is_some_and(|r| r.contains_proceed())
-                    || args.iter().any(Expr::contains_proceed)
-            }
-            Expr::New { args, .. } | Expr::Intrinsic { args, .. } | Expr::ListLit(args) => {
-                args.iter().any(Expr::contains_proceed)
-            }
-            Expr::Binary { lhs, rhs, .. } => lhs.contains_proceed() || rhs.contains_proceed(),
-            Expr::Unary { operand, .. } => operand.contains_proceed(),
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -593,17 +575,6 @@ mod tests {
             },
         ]);
         assert_eq!(b.statement_count(), 1 + (1 + 1 + 2) + (1 + 1 + 1));
-    }
-
-    #[test]
-    fn contains_proceed_deep() {
-        let e = Expr::binary(
-            IrBinOp::Add,
-            Expr::int(1),
-            Expr::call(Expr::This, "f", vec![Expr::Proceed(vec![])]),
-        );
-        assert!(e.contains_proceed());
-        assert!(!Expr::int(1).contains_proceed());
     }
 
     #[test]

@@ -174,22 +174,6 @@ fn register_body(node: &str, registry: &str) -> Block {
     ])
 }
 
-/// Convenience "wizard": derives the `operations` list for `class` from
-/// the model (all its public operations), the way the paper's
-/// concern-oriented configuration wizard would pre-fill the dialog.
-pub fn suggest_operations(model: &comet_model::Model, class_name: &str) -> Vec<String> {
-    let Some(class) = model.find_class(class_name) else {
-        return Vec::new();
-    };
-    model
-        .operations_of(class)
-        .into_iter()
-        .filter_map(|op| model.element(op).ok())
-        .filter(|e| e.core().visibility == comet_model::Visibility::Public)
-        .map(|e| e.name().to_owned())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,14 +237,6 @@ mod tests {
             m.element(bank).unwrap().core().tag(TAG_DIST_REGISTRY).unwrap().as_str(),
             Some("Bank")
         );
-    }
-
-    #[test]
-    fn suggest_operations_wizard() {
-        let m = banking_pim();
-        let ops = suggest_operations(&m, "Bank");
-        assert_eq!(ops, vec!["transfer", "openAccount", "audit"]);
-        assert!(suggest_operations(&m, "Ghost").is_empty());
     }
 
     #[test]

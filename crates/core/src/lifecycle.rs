@@ -332,7 +332,9 @@ impl MdaLifecycle {
     ///    back to its [`ConcernPair`] and specialisation decisions `Si`
     ///    so the concrete aspect can be regenerated (aspect generation
     ///    is a pure function of the pair and `Si`, so the regenerated
-    ///    aspects are identical to the pre-crash ones). Undone steps
+    ///    aspects are identical to the pre-crash ones). Each
+    ///    re-specialised step must carry the name its commit journalled
+    ///    (`cmt.full_name()`, which includes `Si`). Undone steps
     ///    were journalled as undos and replay as such, leaving them out
     ///    of the visible history exactly as a live `undo_last` would.
     ///
@@ -344,8 +346,8 @@ impl MdaLifecycle {
     /// Fails when the workflow model is malformed, `dir` has no
     /// journal, the journal has no visible commit, its oldest visible
     /// commit names a concern (undoing every step must land on a
-    /// concern-free base), or `resolve` does not know a journalled
-    /// concern.
+    /// concern-free base), `resolve` does not know a journalled
+    /// concern, or it returns an `Si` other than the journalled one.
     pub fn recover<F>(
         dir: &Path,
         workflow: WorkflowModel,
@@ -371,18 +373,31 @@ impl MdaLifecycle {
         }
         let mut applied = Vec::new();
         let mut steps: Vec<StepState> = Vec::new();
-        let journalled: Vec<(String, ModelDelta)> = repo
+        let journalled: Vec<(String, String, ModelDelta)> = repo
             .log()
             .iter()
-            .filter_map(|c| c.concern.clone().map(|n| (n, c.delta.clone().unwrap_or_default())))
+            .filter_map(|c| {
+                let delta = c.delta.clone().unwrap_or_default();
+                c.concern.clone().map(|n| (n, c.message.clone(), delta))
+            })
             .collect();
-        for (concern, delta) in journalled {
+        for (step, (concern, message, delta)) in journalled.into_iter().enumerate() {
             let (pair, si) = resolve(&concern).ok_or_else(|| {
                 LifecycleError::Recovery(format!(
                     "no resolver entry for journalled concern `{concern}`"
                 ))
             })?;
             let (cmt, aspect) = pair.specialize(si)?;
+            // The commit message is the step's `full_name`, which carries
+            // its `Si`: one `Si` must specialise both the journalled model
+            // refinement and the regenerated aspect.
+            let name = cmt.full_name();
+            if name != message {
+                return Err(LifecycleError::Recovery(format!(
+                    "step {} re-specialised as `{name}` but journalled as `{message}`",
+                    step + 1
+                )));
+            }
             engine.record(&concern)?;
             steps.push(StepState::new(None, &steps, &cmt));
             applied.push(AppliedConcern { cmt, aspect, report: delta });
@@ -776,9 +791,9 @@ impl MdaLifecycle {
     }
 }
 
-/// The repository's one-shot fault points (`repo.commit`, `repo.undo`,
-/// and a journalled repository's compensation append), so tests fail the
-/// lifecycle's next write without a handle on its repository.
+/// The repository's one-shot fault points (`repo.commit`, `repo.undo`),
+/// so tests fail the lifecycle's next write without a handle on its
+/// repository.
 impl FaultHook for MdaLifecycle {
     fn fault_points(&self) -> Vec<&'static str> {
         self.repository().fault_points()
@@ -792,7 +807,7 @@ impl FaultHook for MdaLifecycle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comet_concerns::{distribution, security, transactions};
+    use comet_concerns::{distribution, logging, security, transactions};
     use comet_model::sample::banking_pim;
     use comet_transform::ParamValue;
     use comet_workflow::WorkflowModel;
@@ -825,6 +840,38 @@ mod tests {
         mda.apply_concern(&transactions::pair(), tx_si()).unwrap();
         mda.apply_concern(&security::pair(), sec_si()).unwrap();
         mda
+    }
+
+    /// Logging's `Si` targeting every operation of the synthetic classes
+    /// `C{i}` for `i` in `classes`.
+    fn logging_si(classes: std::ops::Range<usize>) -> ParamSet {
+        let targets: Vec<String> = classes.map(|i| format!("C{i}.*")).collect();
+        ParamSet::new().with("targets", ParamValue::from(targets))
+    }
+
+    #[test]
+    fn recovery_refuses_a_resolver_whose_si_differs_from_the_journal() {
+        let dir = std::env::temp_dir()
+            .join(format!("comet-lifecycle-{}-si-mismatch", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let workflow = || WorkflowModel::new("log").step("logging", false);
+        let model = comet_model::sample::synthetic(20, 3, 6);
+        let mut mda = MdaLifecycle::new_durable(model, workflow(), &dir).unwrap();
+        mda.apply_concern(&logging::pair(), logging_si(0..8)).unwrap();
+        let journalled = mda.applied()[0].cmt.full_name();
+        drop(mda);
+        let err =
+            MdaLifecycle::recover(&dir, workflow(), |_| Some((logging::pair(), logging_si(8..16))))
+                .expect_err("a re-specialised step that differs from its commit is refused");
+        let LifecycleError::Recovery(detail) = &err else { panic!("unexpected error: {err}") };
+        assert!(detail.contains("step 1") && detail.contains(&journalled), "{detail}");
+        assert!(detail.contains("C8.*"), "{detail}");
+        // The journalled Si recovers.
+        let (mda, _) =
+            MdaLifecycle::recover(&dir, workflow(), |_| Some((logging::pair(), logging_si(0..8))))
+                .unwrap();
+        assert_eq!(mda.applied()[0].cmt.full_name(), journalled);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

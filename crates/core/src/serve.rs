@@ -520,7 +520,7 @@ impl BankingFactory {
     }
 
     /// Arms a deterministic crash (requires a data dir).
-    pub fn with_kill(mut self, kill: KillPoint) -> Self {
+    fn with_kill(mut self, kill: KillPoint) -> Self {
         self.kill = Some(kill);
         self
     }

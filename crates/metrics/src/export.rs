@@ -1,7 +1,7 @@
-//! Snapshot exporters: Prometheus text exposition, JSON (through the
-//! shared `comet_obs::JsonValue` writer) and a sorted text table.
+//! Snapshot exporters: Prometheus text exposition and JSON (through the
+//! shared `comet_obs::JsonValue` writer).
 //!
-//! All three iterate the snapshot's `BTreeMap`s, so output is sorted
+//! Both iterate the snapshot's `BTreeMap`s, so output is sorted
 //! by series name and label set — a pure function of the snapshot.
 
 use std::fmt::Write as _;
@@ -159,43 +159,6 @@ impl MetricsSnapshot {
         ]);
         doc.to_pretty()
     }
-
-    /// A sorted, human-scannable text table.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        for (key, v) in &self.counters {
-            let _ = writeln!(out, "counter   {} = {}", key.render(), v);
-        }
-        for (key, v) in &self.gauges {
-            let _ = writeln!(out, "gauge     {} = {}", key.render(), v);
-        }
-        for (key, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "histogram {} count={} sum={} min={} max={} p50={} p99={}",
-                key.render(),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.percentile(50.0),
-                h.percentile(99.0)
-            );
-        }
-        for (key, w) in &self.windows {
-            let (good, bad) = w.totals();
-            let _ = writeln!(
-                out,
-                "window    {} width={}µs good={} bad={} cells={}",
-                key.render(),
-                w.window_us,
-                good,
-                bad,
-                w.cells.len()
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -244,14 +207,5 @@ mod tests {
             .expect("histogram present");
         assert_eq!(hist.get("count").and_then(|v| v.as_u64()), Some(4));
         assert_eq!(text, snap.to_json(), "exporter is a pure function");
-    }
-
-    #[test]
-    fn table_is_sorted_and_complete() {
-        let text = sample().to_table();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("counter   comet_serve_requests_total"));
-        assert!(lines[2].contains("count=4"));
     }
 }

@@ -18,8 +18,8 @@
 //!   `comet_obs::Collector`.
 //! * [`MetricsSnapshot`] — the immutable view, mergeable in
 //!   tenant-name order (merge is associative and commutative), with
-//!   three exporters: Prometheus text exposition, JSON through the
-//!   shared `comet_obs::JsonValue` writer, and a sorted text table.
+//!   two exporters: Prometheus text exposition and JSON through the
+//!   shared `comet_obs::JsonValue` writer.
 //! * [`SloPolicy`] / [`SloVerdict`] — per-tenant latency-percentile
 //!   targets and error budgets evaluated into burn rates with pure
 //!   integer math (milli-units, ppm budgets).

@@ -46,7 +46,7 @@ impl SloPolicy {
 
     /// Error budget as integer parts-per-million (min 1, so burn
     /// rates never divide by zero).
-    pub fn budget_ppm(&self) -> u64 {
+    fn budget_ppm(&self) -> u64 {
         ((self.error_budget * 1_000_000.0).round() as u64).max(1)
     }
 

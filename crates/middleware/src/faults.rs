@@ -253,13 +253,6 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan can never inject anything.
-    pub fn is_inert(&self) -> bool {
-        self.schedule.is_empty()
-            && self.latency_probability == 0.0
-            && self.probabilities.values().all(|p| *p == 0.0)
-    }
-
     /// Parses the TOML-subset plan format:
     ///
     /// ```toml
@@ -441,23 +434,6 @@ impl FaultLog {
     pub fn breaker_opens(&self) -> usize {
         self.records.iter().filter(|r| matches!(r.event, FaultEvent::BreakerOpened { .. })).count()
     }
-
-    /// Appends another log's records, renumbering their `seq` past this
-    /// log's tail so the merged log stays monotonic. Sim times are kept
-    /// as recorded — merged logs (e.g. per-tenant serving sessions)
-    /// each ran on their own clock. Absorbing the same logs in the same
-    /// order is pure, so shard-parallel runs that merge in tenant order
-    /// agree byte for byte.
-    pub fn absorb(&mut self, other: &FaultLog) {
-        let base = self.records.len() as u64;
-        self.records.extend(
-            other
-                .records
-                .iter()
-                .enumerate()
-                .map(|(i, r)| FaultRecord { seq: base + i as u64, ..r.clone() }),
-        );
-    }
 }
 
 /// A component exposing named one-shot fault points. This is the single
@@ -608,12 +584,12 @@ impl FaultInjector {
 
     /// True when `node` is currently partitioned (ignores pending heals;
     /// call [`FaultInjector::check`] or let sim time pass to heal).
-    pub fn is_partitioned(&self, node: &str) -> bool {
+    fn is_partitioned(&self, node: &str) -> bool {
         self.partitioned.get(node).is_some_and(|&until| self.now_us() < until)
     }
 
     /// True when `node` is currently crashed.
-    pub fn is_crashed(&self, node: &str) -> bool {
+    fn is_crashed(&self, node: &str) -> bool {
         self.crashed.get(node).is_some_and(|&until| self.now_us() < until)
     }
 
@@ -951,30 +927,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_renumbers_and_preserves_order() {
-        let rec = |seq, at_us, node: &str| FaultRecord {
-            seq,
-            at_us,
-            event: FaultEvent::Healed { node: node.into() },
-        };
-        let mut merged = FaultLog::default();
-        let a = FaultLog { records: vec![rec(0, 10, "a0"), rec(1, 20, "a1")] };
-        let b = FaultLog { records: vec![rec(0, 5, "b0")] };
-        merged.absorb(&a);
-        merged.absorb(&b);
-        let seqs: Vec<u64> = merged.records().iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, [0, 1, 2]);
-        // Per-log clocks are preserved, not rewritten.
-        assert_eq!(merged.records()[2].at_us, 5);
-        assert!(matches!(&merged.records()[2].event, FaultEvent::Healed { node } if node == "b0"));
-        // Pure: same inputs, same order, same log.
-        let mut again = FaultLog::default();
-        again.absorb(&a);
-        again.absorb(&b);
-        assert_eq!(merged, again);
-    }
-
-    #[test]
     fn plan_toml_round_trip() {
         let text = r#"
             seed = 7            # comment
@@ -1004,8 +956,6 @@ mod tests {
                 kind: FaultKind::Partition { node: "server".into(), for_us: 3000 },
             }
         );
-        assert!(!plan.is_inert());
-        assert!(FaultPlan::new(1).is_inert());
     }
 
     #[test]

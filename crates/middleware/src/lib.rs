@@ -15,7 +15,7 @@
 //! * [`TransactionManager`] — flat transactions with undo logs (generic
 //!   over the stored value type), two-phase commit across nodes with
 //!   vote-failure injection;
-//! * [`SecurityManager`] — principals, roles, ACL checks, an audit log;
+//! * [`SecurityManager`] — principals, roles, ACL checks, a denial count;
 //! * [`LogService`] — levelled log records;
 //! * [`SimClock`] — the logical clock everything advances.
 //!
@@ -65,7 +65,7 @@ pub use locks::{LockManager, LockStats};
 pub use logging::{LogRecord, LogService};
 pub use naming::{NamingService, Registration};
 pub use plan_text::{plan_lines, PlanLine, PlanLineError};
-pub use security::{AuditEntry, SecurityManager};
+pub use security::SecurityManager;
 pub use store::{StoreService, StoreStats};
 pub use tx::{
     recover, RecoveredState, TransactionManager, TwoPhaseOutcome, TxId, TxStats, UndoEntry,

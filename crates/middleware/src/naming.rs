@@ -63,11 +63,6 @@ impl NamingService {
         self.bindings.get(name).ok_or_else(|| MiddlewareError::NameNotBound(name.to_owned()))
     }
 
-    /// Removes a binding; returns whether it existed.
-    pub fn unbind(&mut self, name: &str) -> bool {
-        self.bindings.remove(name).is_some()
-    }
-
     /// All bound names, sorted.
     pub fn names(&self) -> Vec<&str> {
         self.bindings.keys().map(String::as_str).collect()
@@ -98,9 +93,7 @@ mod tests {
             &Registration { node: "server".into(), object_key: 7 }
         );
         assert_eq!(n.len(), 1);
-        assert!(n.unbind("bank"));
-        assert!(!n.unbind("bank"));
-        assert!(matches!(n.lookup("bank"), Err(MiddlewareError::NameNotBound(_))));
+        assert!(matches!(n.lookup("ghost"), Err(MiddlewareError::NameNotBound(_))));
     }
 
     #[test]

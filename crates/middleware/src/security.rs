@@ -1,20 +1,7 @@
-//! Principals, roles, ACL checks and an audit log.
+//! Principals, roles, ACL checks and a count of denied accesses.
 
 use crate::error::MiddlewareError;
 use std::collections::BTreeMap;
-
-/// One audit record: an access decision.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuditEntry {
-    /// The principal (empty when unauthenticated).
-    pub principal: String,
-    /// Required role.
-    pub role: String,
-    /// Resource accessed.
-    pub resource: String,
-    /// Whether access was granted.
-    pub granted: bool,
-}
 
 /// The security manager: principal database, a login stack (so remote
 /// calls can run as a different principal and restore the caller), and
@@ -23,7 +10,7 @@ pub struct AuditEntry {
 pub struct SecurityManager {
     principals: BTreeMap<String, Vec<String>>,
     login_stack: Vec<String>,
-    audit: Vec<AuditEntry>,
+    denials: usize,
 }
 
 impl SecurityManager {
@@ -55,60 +42,41 @@ impl SecurityManager {
     }
 
     /// The current principal, if any.
-    pub fn current_principal(&self) -> Option<&str> {
+    fn current_principal(&self) -> Option<&str> {
         self.login_stack.last().map(String::as_str)
     }
 
     /// True when `principal` holds `role`.
-    pub fn has_role(&self, principal: &str, role: &str) -> bool {
+    fn has_role(&self, principal: &str, role: &str) -> bool {
         self.principals.get(principal).map(|roles| roles.iter().any(|r| r == role)).unwrap_or(false)
     }
 
-    /// Checks that the current principal holds `role`; records an audit
-    /// entry either way.
+    /// Checks that the current principal holds `role`; counts a denial
+    /// when it does not.
     ///
     /// # Errors
     /// [`MiddlewareError::NotAuthenticated`] with no login;
     /// [`MiddlewareError::AccessDenied`] when the role is missing.
     pub fn check(&mut self, role: &str, resource: &str) -> Result<(), MiddlewareError> {
-        let principal = match self.current_principal() {
-            Some(p) => p.to_owned(),
-            None => {
-                self.audit.push(AuditEntry {
-                    principal: String::new(),
-                    role: role.to_owned(),
-                    resource: resource.to_owned(),
-                    granted: false,
-                });
-                return Err(MiddlewareError::NotAuthenticated);
-            }
+        let Some(principal) = self.current_principal() else {
+            self.denials += 1;
+            return Err(MiddlewareError::NotAuthenticated);
         };
-        let granted = self.has_role(&principal, role);
-        self.audit.push(AuditEntry {
-            principal: principal.clone(),
+        if self.has_role(principal, role) {
+            return Ok(());
+        }
+        let principal = principal.to_owned();
+        self.denials += 1;
+        Err(MiddlewareError::AccessDenied {
+            principal,
             role: role.to_owned(),
             resource: resource.to_owned(),
-            granted,
-        });
-        if granted {
-            Ok(())
-        } else {
-            Err(MiddlewareError::AccessDenied {
-                principal,
-                role: role.to_owned(),
-                resource: resource.to_owned(),
-            })
-        }
-    }
-
-    /// The audit log, oldest first.
-    pub fn audit_log(&self) -> &[AuditEntry] {
-        &self.audit
+        })
     }
 
     /// Number of denied accesses recorded.
     pub fn denials(&self) -> usize {
-        self.audit.iter().filter(|e| !e.granted).count()
+        self.denials
     }
 }
 
@@ -132,10 +100,7 @@ mod tests {
         s.login("bob").unwrap();
         let err = s.check("teller", "Bank.transfer").unwrap_err();
         assert!(matches!(err, MiddlewareError::AccessDenied { .. }));
-        assert_eq!(s.audit_log().len(), 2);
         assert_eq!(s.denials(), 1);
-        assert!(s.audit_log()[0].granted);
-        assert!(!s.audit_log()[1].granted);
     }
 
     #[test]
@@ -143,7 +108,6 @@ mod tests {
         let mut s = mgr();
         assert!(matches!(s.check("teller", "x"), Err(MiddlewareError::NotAuthenticated)));
         assert_eq!(s.denials(), 1);
-        assert_eq!(s.audit_log()[0].principal, "");
     }
 
     #[test]

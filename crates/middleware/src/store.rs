@@ -103,11 +103,6 @@ impl<V: Clone> StoreService<V> {
             }
         }
     }
-
-    /// Deletes a document; returns whether it existed.
-    pub fn delete(&mut self, key: &str) -> bool {
-        self.documents.remove(key).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -127,8 +122,6 @@ mod tests {
         assert_eq!(s.load("a/1").unwrap(), Some(20));
         assert_eq!(s.load("ghost").unwrap(), None);
         assert_eq!(s.keys(), vec!["a/1", "a/2"]);
-        assert!(s.delete("a/1"));
-        assert!(!s.delete("a/1"));
         let st = s.stats();
         assert_eq!((st.saves, st.loads, st.misses, st.faulted), (3, 1, 1, 0));
     }

@@ -265,9 +265,9 @@ impl<V: Clone> TransactionManager<V> {
     /// # Errors
     /// `VotedAbort` when 2PC failed, and `FaultInjected` when the fault
     /// injector perturbs the commit; in both cases the transaction stays
-    /// *active* and the caller must apply the undo log (see
-    /// [`TransactionManager::take_undo_log`]) and roll back. Unknown or
-    /// finished transactions fail accordingly.
+    /// *active* and the caller must roll back and apply the undo log
+    /// [`TransactionManager::rollback`] returns. Unknown or finished
+    /// transactions fail accordingly.
     pub fn commit(&mut self, tx: TxId) -> Result<TwoPhaseOutcome, MiddlewareError> {
         // Unknown/finished errors win over injected ones.
         self.tx_mut_active(tx)?;
@@ -322,18 +322,6 @@ impl<V: Clone> TransactionManager<V> {
         self.current.retain(|&c| c != tx);
         self.stats.rolled_back += 1;
         self.wal.push(WalRecord::Rollback(tx));
-        Ok(undo)
-    }
-
-    /// Takes the undo log of an *active* transaction without changing its
-    /// state (used by the 2PC abort path before calling `rollback`).
-    ///
-    /// # Errors
-    /// Fails when the transaction is unknown or finished.
-    pub fn take_undo_log(&mut self, tx: TxId) -> Result<Vec<UndoEntry<V>>, MiddlewareError> {
-        let t = self.tx_mut_active(tx)?;
-        let mut undo = t.undo.clone();
-        undo.reverse();
         Ok(undo)
     }
 
@@ -392,8 +380,7 @@ mod tests {
         assert!(matches!(err, MiddlewareError::FaultInjected { ref op } if op == "tx.commit"));
         // Exactly the vote-abort contract: active, undo intact.
         assert!(m.is_active(tx));
-        assert_eq!(m.take_undo_log(tx).unwrap().len(), 1);
-        m.rollback(tx).unwrap();
+        assert_eq!(m.rollback(tx).unwrap().len(), 1);
         // A later commit attempt (occurrence 2, unscheduled) succeeds.
         let tx2 = m.begin("rc").unwrap();
         assert!(m.commit(tx2).is_ok());
@@ -475,10 +462,7 @@ mod tests {
         assert_eq!(m.stats().two_phase_aborts, 1);
         // Transaction is still active; caller rolls back and applies undo.
         assert!(m.is_active(tx));
-        let undo = m.take_undo_log(tx).unwrap();
-        assert_eq!(undo.len(), 1);
-        let undo2 = m.rollback(tx).unwrap();
-        assert_eq!(undo, undo2);
+        assert_eq!(m.rollback(tx).unwrap().len(), 1);
     }
 
     #[test]

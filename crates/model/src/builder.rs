@@ -60,15 +60,6 @@ impl ModelBuilder {
         Ok(self)
     }
 
-    /// Adds an empty class to the current package.
-    ///
-    /// # Errors
-    /// Propagates [`crate::ModelError`] from the underlying model.
-    pub fn empty_class(mut self, name: &str) -> Result<Self> {
-        self.model.add_class(self.current_package, name)?;
-        Ok(self)
-    }
-
     /// Adds a generalization `child -> parent` by class simple names.
     ///
     /// # Errors
@@ -194,7 +185,7 @@ mod tests {
                     .stereotype("Entity")
             })
             .unwrap()
-            .empty_class("Customer")
+            .class("Customer", |c| Ok(c))
             .unwrap()
             .generalization("Order", "Customer")
             .unwrap()
@@ -215,7 +206,7 @@ mod tests {
         let m = ModelBuilder::new("app")
             .package("domain")
             .unwrap()
-            .empty_class("Thing")
+            .class("Thing", |c| Ok(c))
             .unwrap()
             .build();
         assert!(m.find_by_qualified_name("app::domain::Thing").is_some());

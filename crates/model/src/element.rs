@@ -183,14 +183,6 @@ impl Element {
         self.core.owner
     }
 
-    /// Downcast helper: class payload.
-    pub fn as_class(&self) -> Option<&ClassData> {
-        match &self.kind {
-            ElementKind::Class(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// Downcast helper: attribute payload.
     pub fn as_attribute(&self) -> Option<&AttributeData> {
         match &self.kind {
@@ -288,7 +280,6 @@ mod tests {
     #[test]
     fn downcasts() {
         let e = sample();
-        assert!(e.as_class().is_some());
         assert!(e.as_attribute().is_none());
         assert!(e.is_classifier());
         assert_eq!(e.kind().kind_name(), "Class");

@@ -127,11 +127,6 @@ impl Journal {
         self.mutated.push(BTreeSet::new());
     }
 
-    /// Current nesting depth.
-    pub(crate) fn depth(&self) -> usize {
-        self.savepoints.len()
-    }
-
     /// Whether a `Mutate` pre-image for `id` is still wanted in the
     /// innermost segment. Callers check this *before* cloning the
     /// pre-image so the duplicate case costs a set lookup, not a clone.

@@ -194,14 +194,6 @@ impl TagValue {
             _ => None,
         }
     }
-
-    /// Returns the list payload, if any.
-    pub fn as_list(&self) -> Option<&[TagValue]> {
-        match self {
-            TagValue::List(l) => Some(l),
-            _ => None,
-        }
-    }
 }
 
 impl From<&str> for TagValue {
@@ -460,7 +452,6 @@ mod tests {
         assert_eq!(TagValue::from(true).as_bool(), Some(true));
         assert_eq!(TagValue::Int(1).as_str(), None);
         let l = TagValue::List(vec![TagValue::Int(1), TagValue::Int(2)]);
-        assert_eq!(l.as_list().unwrap().len(), 2);
         assert_eq!(l.to_string(), "[1, 2]");
     }
 

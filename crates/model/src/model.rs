@@ -643,11 +643,6 @@ impl Model {
         self.journal.is_some()
     }
 
-    /// Open journal segments (0 when no journal is active).
-    pub fn journal_depth(&self) -> usize {
-        self.journal.as_ref().map(Journal::depth).unwrap_or(0)
-    }
-
     /// Elements created since the innermost open segment began and
     /// still present, in id order. Empty when no journal is active.
     ///
@@ -1001,7 +996,6 @@ mod tests {
         m.begin_journal();
         let a = m.add_class(m.root(), "A").unwrap();
         m.begin_journal();
-        assert_eq!(m.journal_depth(), 2);
         m.add_class(m.root(), "B").unwrap();
         // Inner rollback drops B but keeps A.
         m.rollback_journal().unwrap();

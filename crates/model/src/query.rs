@@ -6,9 +6,9 @@
 //! `index.rs`), and a `*_scan` twin
 //! preserving the original full-arena scan. The scans are the
 //! differential oracles for the property tests in
-//! `tests/index_properties.rs` and the "before" baseline for the
-//! `e6_repository` benchmarks; new code should always use the indexed
-//! form.
+//! `tests/index_properties.rs` and the "before" baseline of
+//! `bench_weaver_json`'s query rows; new code should always use the
+//! indexed form.
 
 use crate::element::{Element, ElementKind};
 use crate::id::ElementId;

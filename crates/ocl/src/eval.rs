@@ -28,7 +28,7 @@ impl<'m> Context<'m> {
     }
 
     /// Returns a context extended with one more variable binding.
-    pub fn with_binding(&self, name: impl Into<String>, value: Value) -> Self {
+    fn with_binding(&self, name: impl Into<String>, value: Value) -> Self {
         let mut bindings = self.bindings.clone();
         bindings.insert(name.into(), value);
         Context { model: self.model, self_value: self.self_value.clone(), bindings }

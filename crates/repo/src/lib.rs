@@ -54,8 +54,5 @@ mod wal;
 
 pub use colors::ColorReport;
 pub use recover::{CompactionReport, DurableRepository, FsckReport, RecoveryReport};
-pub use repo::{
-    Commit, CommitId, RepoError, Repository, FAULT_POINT_COMMIT, FAULT_POINT_UNDO,
-    FAULT_POINT_WAL_COMPENSATION,
-};
+pub use repo::{Commit, CommitId, RepoError, Repository, FAULT_POINT_COMMIT, FAULT_POINT_UNDO};
 pub use wal::{CheckpointCommit, CheckpointState, Wal, WalOpenReport, WalRecord};

@@ -1,24 +1,31 @@
 //! Crash recovery: the journal that makes a [`Repository`] durable.
 //!
 //! A repository made by [`Repository::create`] or [`Repository::open`]
-//! holds a journal, and each of its mutators ships the operation to
-//! disk *first*:
+//! holds a journal, and each of its mutators runs in one order: check,
+//! journal, apply.
 //!
-//! 1. the snapshot bytes go to the append-only
+//! 1. the precondition is checked — for undo and redo, the commit the
+//!    head lands on is found (and decoded, except by the head-only
+//!    undo);
+//! 2. a commit's snapshot bytes go to the append-only
 //!    [`SegmentStore`](crate::segment::SegmentStore) (content-addressed
 //!    by FNV-1a, full-byte-verified dedupe),
-//! 2. the operation record goes to the [`Wal`](crate::wal::Wal),
-//! 3. only then is the in-memory state updated.
+//! 3. the operation record goes to the [`Wal`](crate::wal::Wal),
+//! 4. only then is the in-memory state updated, and that step cannot
+//!    fail.
 //!
-//! A crash between (1) and (2) leaves an orphan segment — garbage that
-//! compaction reclaims, never corruption. A crash *during* (1) or (2)
+//! A record therefore reaches the WAL only for an operation whose check
+//! has already passed, so no failed check needs a compensating record.
+//!
+//! A crash between (2) and (3) leaves an orphan segment — garbage that
+//! compaction reclaims, never corruption. A crash *during* (2) or (3)
 //! leaves a torn tail that the checksummed framing detects and
 //! truncates on the next open. [`Repository::open`] therefore recovers
 //! exactly the state of the last completed operation.
 //!
 //! Replay applies commit records from the segment bytes without any
-//! XMI work. Undo and redo records only move the head position, through
-//! the same step core as [`Repository::undo`]/[`Repository::redo`]; the
+//! XMI work. Undo and redo records only move the head position, found
+//! as [`Repository::undo`]/[`Repository::redo`] find it; the
 //! snapshot each one lands on is still XMI-imported as a corruption
 //! check, but each distinct content only once per open (keyed by hash
 //! plus full bytes). A churn journal — many undos over a handful of
@@ -164,40 +171,19 @@ pub(crate) struct Journal {
     wal: Wal,
     segments: SegmentStore,
     dir: PathBuf,
-    /// Set when the journal is known to have diverged from memory (a
-    /// compensating append failed after its primary append succeeded).
-    /// Every later mutation refuses with this reason: widening the
-    /// divergence would silently corrupt the next recovery.
-    poisoned: Option<String>,
 }
 
 /// Shows the journal's identity, not its file positions or counters,
 /// so a reopened repository debug-prints like the live one it recovers.
 impl fmt::Debug for Journal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Journal")
-            .field("dir", &self.dir)
-            .field("poisoned", &self.poisoned)
-            .finish_non_exhaustive()
+        f.debug_struct("Journal").field("dir", &self.dir).finish_non_exhaustive()
     }
 }
 
 impl Journal {
     pub(crate) fn fsyncs(&self) -> u64 {
         self.wal.fsyncs()
-    }
-
-    /// Once a compensating append has failed, the on-disk journal no
-    /// longer matches memory and any further append would bake the
-    /// divergence into the next recovery.
-    pub(crate) fn check_poisoned(&self) -> Result<(), RepoError> {
-        match &self.poisoned {
-            Some(why) => Err(RepoError::Storage(format!(
-                "durable repository poisoned ({why}); reopen the directory to recover the \
-                 journalled state"
-            ))),
-            None => Ok(()),
-        }
     }
 
     pub(crate) fn append(&mut self, record: &WalRecord) -> Result<(), RepoError> {
@@ -222,39 +208,6 @@ impl Journal {
             ordinal: seg.ordinal,
             delta: delta.cloned(),
         })
-    }
-
-    /// Appends `record` to cancel a just-journalled undo/redo whose
-    /// in-memory half failed with `cause` (`fault` fails the append, as
-    /// the armed compensation fault point). If the compensating append
-    /// itself fails, the journal has permanently diverged from memory —
-    /// it is poisoned (every later mutation refuses) and the combined
-    /// failure is returned instead of the bare in-memory error, so the
-    /// caller sees the divergence rather than a silently different
-    /// recovery.
-    pub(crate) fn compensate(
-        &mut self,
-        record: &WalRecord,
-        op: &str,
-        cause: RepoError,
-        fault: bool,
-    ) -> RepoError {
-        let result = if fault {
-            Err(std::io::Error::other("injected compensation failure"))
-        } else {
-            self.wal.append(record)
-        };
-        match result {
-            Ok(()) => cause,
-            Err(comp) => {
-                let why = format!(
-                    "in-memory {op} failed ({cause}) and the compensating journal append also \
-                     failed ({comp}) — the journal no longer matches memory"
-                );
-                self.poisoned = Some(why.clone());
-                RepoError::Storage(why)
-            }
-        }
     }
 }
 
@@ -281,7 +234,7 @@ impl Repository {
         let mut wal = Wal::open_at(dir.join(WAL_FILE), 0).map_err(io_err)?;
         wal.append(&WalRecord::Init { name: name.to_owned() }).map_err(io_err)?;
         let mut repo = Repository::new(name);
-        repo.journal = Some(Journal { wal, segments, dir: dir.to_owned(), poisoned: None });
+        repo.journal = Some(Journal { wal, segments, dir: dir.to_owned() });
         Ok(repo)
     }
 
@@ -311,7 +264,7 @@ impl Repository {
             RepoError::Storage(format!("journal in {} has no init record", dir.display()))
         })?;
         let wal = Wal::open_at(wal_path, end).map_err(io_err)?;
-        repo.journal = Some(Journal { wal, segments, dir: dir.to_owned(), poisoned: None });
+        repo.journal = Some(Journal { wal, segments, dir: dir.to_owned() });
         let report = RecoveryReport {
             records_replayed: records.len(),
             wal_truncated_bytes: wal_report.truncated_bytes,
@@ -349,13 +302,12 @@ impl Repository {
     ///   failing every later open.
     ///
     /// # Errors
-    /// Fails without a journal or on a poisoned one; propagates I/O
-    /// failures, and on error the original files are intact.
+    /// Fails without a journal; propagates I/O failures, and on error
+    /// the original files are intact.
     pub fn compact(&mut self) -> Result<CompactionReport, RepoError> {
         let Some(journal) = &mut self.journal else {
             return Err(RepoError::Storage("an in-memory repository has no journal".to_owned()));
         };
-        journal.check_poisoned()?;
         let dir = journal.dir.clone();
         let seg_tmp = dir.join("segments.log.compact");
         let wal_tmp = dir.join("wal.log.compact");
@@ -528,9 +480,9 @@ impl LandingCheck {
 }
 
 /// Applies one journal record to the repository being rebuilt. Undo
-/// and redo move the head through the same step core as
-/// [`Repository::undo`]/[`Repository::redo`], with `landings` in place
-/// of a decode whose model replay would only drop.
+/// and redo find their landing as [`Repository::undo`]/[`Repository::redo`]
+/// do, with `landings` in place of a decode whose model replay would
+/// only drop, and then move the head.
 fn replay(
     repo: &mut Option<Repository>,
     record: &WalRecord,
@@ -551,8 +503,10 @@ fn replay(
         }
         WalRecord::Undo | WalRecord::Redo => {
             let dir = if matches!(record, WalRecord::Undo) { Step::Back } else { Step::Forward };
-            if let Some(Err(e)) = need(repo)?.step(dir, |landed| landings.check(landed)) {
-                return Err(e);
+            let repo = need(repo)?;
+            if let Some(target) = repo.step_target(dir) {
+                landings.check(repo.commit_at(target)?)?;
+                repo.position = target;
             }
         }
         WalRecord::Branch { name } => {
@@ -629,6 +583,7 @@ fn repository_from_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repo::CommitId;
     use crate::test_dir::TempDir;
     use comet_middleware::FaultHook;
     use comet_model::sample::banking_pim;
@@ -737,7 +692,6 @@ mod tests {
         refused(&dur, err);
         let err = dur.tag("lost").unwrap_err();
         refused(&dur, err);
-        assert!(journal(&mut dur).poisoned.is_none(), "a refused primary append diverges nothing");
         drop(dur);
         let (dur, _) = Repository::open(&dir).unwrap();
         assert_same_state(&before, &dur);
@@ -1013,44 +967,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_compensation_poisons_the_handle() {
-        let dir = tmp("poison");
-        let (v1, v2) = two_models();
-        let mut dur = Repository::create(&dir, "bank").unwrap();
-        dur.commit(&v1, "initial", None).unwrap();
-        dur.commit(&v2, "distribution", Some("distribution")).unwrap();
-        let first = *dur.commits.keys().next().unwrap();
-        dur.commits.get_mut(&first).unwrap().snapshot = "<not xmi".into();
-        dur.arm_fault(crate::repo::FAULT_POINT_WAL_COMPENSATION).unwrap();
-        let err = dur.undo().unwrap().unwrap_err();
-        assert!(
-            matches!(&err, RepoError::Storage(d) if d.contains("no longer matches memory")),
-            "unexpected error: {err}"
-        );
-        // The journal diverged from memory; every further mutation must
-        // refuse rather than widen the divergence.
-        let poisoned = |e: &RepoError| matches!(e, RepoError::Storage(d) if d.contains("poisoned"));
-        assert!(poisoned(&dur.commit(&v1, "x", None).unwrap_err()));
-        assert!(poisoned(&dur.undo().unwrap().unwrap_err()));
-        assert!(poisoned(&dur.redo().unwrap().unwrap_err()));
-        assert!(poisoned(&dur.branch("b").unwrap_err()));
-        assert!(poisoned(&dur.switch_branch("main").unwrap_err()));
-        assert!(poisoned(&dur.tag("t").unwrap_err()));
-        assert!(poisoned(&dur.compact().unwrap_err()));
-        // Reads still work on the poisoned handle.
-        assert_eq!(dur.len(), 2);
-        drop(dur);
-        // Reopening replays the journalled (un-compensated) undo over
-        // the intact on-disk snapshots: head steps back — the recovery
-        // honours the journal, and the divergence was surfaced, not
-        // silent.
-        let (dur, report) = Repository::open(&dir).unwrap();
-        assert!(report.clean());
-        assert_eq!(dur.head_model().unwrap().unwrap(), v1);
-    }
-
-    #[test]
-    fn head_only_undo_journals_one_undo_and_compensates_like_undo() {
+    fn head_only_undo_journals_one_undo() {
         let dir = tmp("undo-head");
         let (v1, v2) = two_models();
         let mut dur = Repository::create(&dir, "bank").unwrap();
@@ -1061,26 +978,55 @@ mod tests {
         dur.undo_head().unwrap().unwrap();
         assert_eq!(dur.wal_fsyncs(), fsyncs + 1, "one journal record per undo");
         assert_eq!(dur.head().unwrap().message, "distribution");
-        // Drop — in memory only — the commit the next undo lands on, so
-        // the in-memory step fails after its record is appended and the
-        // compensating `Redo` must cancel it.
-        let first = *dur.commits.keys().next().unwrap();
-        let landing = dur.commits.remove(&first).unwrap();
-        assert_eq!(dur.undo_head().unwrap().unwrap_err(), RepoError::UnknownCommit(first));
-        assert_eq!(dur.wal_fsyncs(), fsyncs + 3, "undo record plus its compensation");
-        assert_eq!(dur.head().unwrap().message, "distribution", "a failed step moved the head");
-        // A failed compensation poisons the handle, as for `undo`.
-        dur.arm_fault(crate::repo::FAULT_POINT_WAL_COMPENSATION).unwrap();
-        let err = dur.undo_head().unwrap().unwrap_err();
-        assert!(matches!(&err, RepoError::Storage(d) if d.contains("no longer matches")), "{err}");
-        assert!(journal(&mut dur).poisoned.is_some());
-        dur.commits.insert(first, landing);
         drop(dur);
-        // Replay: the compensated pair cancels; the un-compensated undo
-        // stands — exactly as for `undo`.
+        // Replay reads the head-only undo as a plain `Undo`.
         let (dur, _) = Repository::open(&dir).unwrap();
-        assert_eq!(dur.head().unwrap().message, "initial");
-        assert_eq!(dur.head_model().unwrap().unwrap(), v1);
+        assert_eq!(dur.head().unwrap().message, "distribution");
+        assert_eq!(dur.head_model().unwrap().unwrap(), v2);
+    }
+
+    #[test]
+    fn failed_steps_journal_nothing() {
+        let dir = tmp("failed-steps");
+        let (v1, v2) = two_models();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
+        dur.commit(&v1, "initial", None).unwrap();
+        dur.commit(&v2, "distribution", Some("distribution")).unwrap();
+        dur.commit(&v1, "back", None).unwrap();
+        dur.undo().unwrap().unwrap();
+        // Undo now lands on "initial", redo on "back".
+        let ids: Vec<CommitId> = dur.commits.keys().copied().collect();
+        let (first, last) = (ids[0], ids[2]);
+        let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        let fsyncs = dur.wal_fsyncs();
+        let journalled_nothing = |err: RepoError, dur: &Repository, expected: &str| {
+            let kind = format!("{err:?}");
+            assert!(kind.starts_with(expected), "{kind}");
+            assert!(std::fs::read(dir.join(WAL_FILE)).unwrap() == wal, "{kind}: wal.log changed");
+            assert_eq!(dur.wal_fsyncs(), fsyncs, "{kind}");
+            assert_eq!(dur.head().unwrap().message, "distribution", "{kind}");
+        };
+        // Undecodable landings, in memory only.
+        let saved = [first, last].map(|id| dur.commits[&id].clone());
+        for id in [first, last] {
+            dur.commits.get_mut(&id).unwrap().snapshot = "<not xmi".into();
+        }
+        journalled_nothing(dur.undo().unwrap().unwrap_err(), &dur, "Corrupt");
+        journalled_nothing(dur.redo().unwrap().unwrap_err(), &dur, "Corrupt");
+        // Missing landing commits.
+        for id in [first, last] {
+            dur.commits.remove(&id);
+        }
+        journalled_nothing(dur.undo().unwrap().unwrap_err(), &dur, "UnknownCommit");
+        journalled_nothing(dur.undo_head().unwrap().unwrap_err(), &dur, "UnknownCommit");
+        journalled_nothing(dur.redo().unwrap().unwrap_err(), &dur, "UnknownCommit");
+        for commit in saved {
+            dur.commits.insert(commit.id, commit);
+        }
+        let live = dur.clone();
+        drop(dur);
+        let (dur, _) = Repository::open(&dir).unwrap();
+        assert_same_state(&live, &dur);
     }
 
     #[test]

@@ -15,10 +15,6 @@ use std::sync::Arc;
 pub const FAULT_POINT_COMMIT: &str = "repo.commit";
 /// Fault point name: the next undo fails ([`FaultHook`]).
 pub const FAULT_POINT_UNDO: &str = "repo.undo";
-/// Fault point name: a journalled repository's next *compensating*
-/// journal append fails ([`FaultHook`]) — exercises the
-/// journal-divergence poisoning path.
-pub const FAULT_POINT_WAL_COMPENSATION: &str = "repo.wal.compensation";
 
 /// Identifier of a commit within one repository.
 pub type CommitId = u64;
@@ -127,11 +123,9 @@ pub struct Repository {
     pub(crate) position: usize,
     pub(crate) tags: BTreeMap<String, CommitId>,
     /// Fault injection for lifecycle consistency tests: when set, the
-    /// next commit / undo / compensating append fails with
-    /// [`RepoError::Storage`].
+    /// next commit / undo fails with [`RepoError::Storage`].
     fail_next_commit: bool,
     fail_next_undo: bool,
-    fail_next_compensation: bool,
     /// The on-disk journal; `None` for an in-memory repository.
     pub(crate) journal: Option<Journal>,
 }
@@ -150,7 +144,6 @@ impl Clone for Repository {
             tags: self.tags.clone(),
             fail_next_commit: self.fail_next_commit,
             fail_next_undo: self.fail_next_undo,
-            fail_next_compensation: self.fail_next_compensation,
             journal: None,
         }
     }
@@ -171,7 +164,6 @@ impl Repository {
             tags: BTreeMap::new(),
             fail_next_commit: false,
             fail_next_undo: false,
-            fail_next_compensation: false,
             journal: None,
         }
     }
@@ -204,11 +196,6 @@ impl Repository {
         self.journal.as_ref().map_or(0, Journal::fsyncs)
     }
 
-    /// Guard run before every mutation: a poisoned journal refuses.
-    fn check_poisoned(&self) -> Result<(), RepoError> {
-        self.journal.as_ref().map_or(Ok(()), Journal::check_poisoned)
-    }
-
     /// Appends `record` to the journal, if there is one.
     fn journal(&mut self, record: &WalRecord) -> Result<(), RepoError> {
         self.journal.as_mut().map_or(Ok(()), |journal| journal.append(record))
@@ -218,8 +205,8 @@ impl Repository {
     /// redo tail first.
     ///
     /// # Errors
-    /// Fails on an injected storage fault, and with a journal on a
-    /// poisoned journal or I/O failure.
+    /// Fails on an injected storage fault, and with a journal on I/O
+    /// failure.
     pub fn commit(
         &mut self,
         model: &Model,
@@ -260,7 +247,6 @@ impl Repository {
         concern: Option<&str>,
         delta: Option<ModelDelta>,
     ) -> Result<CommitId, RepoError> {
-        self.check_poisoned()?;
         if std::mem::take(&mut self.fail_next_commit) {
             return Err(RepoError::Storage("injected commit failure".to_owned()));
         }
@@ -363,12 +349,16 @@ impl Repository {
 
     /// The visible head commit of the current branch, if any.
     pub fn head(&self) -> Option<&Commit> {
-        let history = self.branch_history();
-        if self.position == 0 {
-            None
-        } else {
-            self.commits.get(&history[self.position - 1])
-        }
+        self.commit_at(self.position).ok().flatten()
+    }
+
+    /// The commit a head at `position` on the current branch shows
+    /// (`None` at the root). Fails when the history names a commit the
+    /// repository no longer holds.
+    pub(crate) fn commit_at(&self, position: usize) -> Result<Option<&Commit>, RepoError> {
+        let Some(index) = position.checked_sub(1) else { return Ok(None) };
+        let id = self.branch_history()[index];
+        self.commits.get(&id).map(Some).ok_or(RepoError::UnknownCommit(id))
     }
 
     /// Checks out the model at the visible head.
@@ -392,8 +382,8 @@ impl Repository {
     /// `None` when there is nothing to undo.
     ///
     /// Atomic: on any `Err` — storage fault or snapshot corruption —
-    /// the head position does not move, so callers never need a
-    /// compensating [`redo`](Self::redo).
+    /// the head position does not move and nothing is journalled, so
+    /// callers never need a compensating [`redo`](Self::redo).
     pub fn undo(&mut self) -> Option<Result<Model, RepoError>> {
         self.step_model(Step::Back)
     }
@@ -402,7 +392,7 @@ impl Repository {
     /// model, or `None` when there is nothing to redo.
     ///
     /// Atomic like [`undo`](Self::undo): on a snapshot-corruption `Err`
-    /// the head position does not move.
+    /// the head position does not move and nothing is journalled.
     pub fn redo(&mut self) -> Option<Result<Model, RepoError>> {
         self.step_model(Step::Forward)
     }
@@ -426,71 +416,39 @@ impl Repository {
         Some(landed.map(|model| model.unwrap_or_else(|| Model::new(self.name.clone()))))
     }
 
-    /// The undo/redo mutator: takes an armed undo fault, journals the
-    /// step, then runs [`step`](Self::step). When the in-memory step
-    /// fails after its record was appended, the inverse record cancels
-    /// it so replay matches memory; if that compensating append fails
-    /// too, the journal is poisoned and the divergence is returned.
+    /// The undo/redo mutator, in the order every mutator follows: it
+    /// takes an armed undo fault, runs `check` on the commit the head
+    /// lands on, journals the step, and only then moves the head — which
+    /// cannot fail. A record therefore reaches the journal only for a
+    /// step that has already succeeded.
     fn journalled_step<T>(
         &mut self,
         dir: Step,
         check: impl FnOnce(Option<&Commit>) -> Result<T, RepoError>,
     ) -> Option<Result<T, RepoError>> {
-        if let Err(e) = self.check_poisoned() {
-            return Some(Err(e));
-        }
-        let (depth, record, inverse, op) = match dir {
-            Step::Back => (self.undo_depth(), WalRecord::Undo, WalRecord::Redo, "undo"),
-            Step::Forward => (self.redo_depth(), WalRecord::Redo, WalRecord::Undo, "redo"),
-        };
-        if depth == 0 {
-            return None;
-        }
+        let target = self.step_target(dir)?;
         if dir == Step::Back && std::mem::take(&mut self.fail_next_undo) {
             return Some(Err(RepoError::Storage("injected undo failure".to_owned())));
         }
-        if let Err(e) = self.journal(&record) {
-            return Some(Err(e));
-        }
-        match (self.step(dir, check)?, &mut self.journal) {
-            (Err(cause), Some(journal)) => {
-                let fault = std::mem::take(&mut self.fail_next_compensation);
-                Some(Err(journal.compensate(&inverse, op, cause, fault)))
-            }
-            (landed, _) => Some(landed),
-        }
+        let checked = self.commit_at(target).and_then(check);
+        Some(checked.and_then(|landed| {
+            let record = if dir == Step::Back { WalRecord::Undo } else { WalRecord::Redo };
+            self.journal(&record)?;
+            self.position = target;
+            Ok(landed)
+        }))
     }
 
-    /// The position-step core under [`undo`](Self::undo),
-    /// [`redo`](Self::redo) and journal replay: finds the commit one
-    /// step in `dir` lands on (`None` at the root), runs `check` on it,
-    /// and moves the head only when `check` succeeds. Returns `None`
-    /// when there is nothing to step over.
-    pub(crate) fn step<T>(
-        &mut self,
-        dir: Step,
-        check: impl FnOnce(Option<&Commit>) -> Result<T, RepoError>,
-    ) -> Option<Result<T, RepoError>> {
-        let target = match dir {
-            Step::Back => self.position.checked_sub(1)?,
-            Step::Forward if self.position < self.branch_history().len() => self.position + 1,
-            Step::Forward => return None,
-        };
-        let landed = match target.checked_sub(1) {
-            None => None,
-            Some(index) => {
-                let id = self.branch_history()[index];
-                match self.commits.get(&id) {
-                    None => return Some(Err(RepoError::UnknownCommit(id))),
-                    some => some,
-                }
+    /// The head position one step in `dir`, or `None` when there is
+    /// nothing to step over. Shared by [`undo`](Self::undo),
+    /// [`redo`](Self::redo) and journal replay.
+    pub(crate) fn step_target(&self, dir: Step) -> Option<usize> {
+        match dir {
+            Step::Back => self.position.checked_sub(1),
+            Step::Forward => {
+                (self.position < self.branch_history().len()).then_some(self.position + 1)
             }
-        };
-        let checked = check(landed);
-        if checked.is_ok() {
-            self.position = target;
         }
-        Some(checked)
     }
 
     /// Number of undoable steps.
@@ -507,10 +465,8 @@ impl Repository {
     /// switches to it.
     ///
     /// # Errors
-    /// Fails when the branch exists, and with a journal on a poisoned
-    /// journal or I/O failure.
+    /// Fails when the branch exists, and with a journal on I/O failure.
     pub fn branch(&mut self, name: &str) -> Result<(), RepoError> {
-        self.check_poisoned()?;
         if self.branches.contains_key(name) {
             return Err(RepoError::BranchExists(name.to_owned()));
         }
@@ -525,10 +481,9 @@ impl Repository {
     /// Switches to an existing branch (head = its full history).
     ///
     /// # Errors
-    /// Fails when the branch is unknown, and with a journal on a
-    /// poisoned journal or I/O failure.
+    /// Fails when the branch is unknown, and with a journal on I/O
+    /// failure.
     pub fn switch_branch(&mut self, name: &str) -> Result<(), RepoError> {
-        self.check_poisoned()?;
         if !self.branches.contains_key(name) {
             return Err(RepoError::UnknownBranch(name.to_owned()));
         }
@@ -546,10 +501,8 @@ impl Repository {
     /// Tags the current visible head.
     ///
     /// # Errors
-    /// Fails when there is no head, and with a journal on a poisoned
-    /// journal or I/O failure.
+    /// Fails when there is no head, and with a journal on I/O failure.
     pub fn tag(&mut self, name: &str) -> Result<CommitId, RepoError> {
-        self.check_poisoned()?;
         let head = self.head().ok_or(RepoError::UnknownCommit(0))?.id;
         self.journal(&WalRecord::Tag { name: name.to_owned() })?;
         self.tags.insert(name.to_owned(), head);
@@ -596,20 +549,17 @@ impl Repository {
 /// runtime behind [`FaultHook`]: arming [`FAULT_POINT_COMMIT`] makes
 /// the next commit fail with [`RepoError::Storage`] without touching
 /// any state; [`FAULT_POINT_UNDO`] does the same for the next undo
-/// without moving the head position;
-/// [`FAULT_POINT_WAL_COMPENSATION`] fails a journalled repository's
-/// next compensating journal append (the write that re-aligns the journal
-/// with memory after an in-memory undo/redo failure).
+/// without moving the head position. Both fire before anything is
+/// journalled.
 impl FaultHook for Repository {
     fn fault_points(&self) -> Vec<&'static str> {
-        vec![FAULT_POINT_COMMIT, FAULT_POINT_UNDO, FAULT_POINT_WAL_COMPENSATION]
+        vec![FAULT_POINT_COMMIT, FAULT_POINT_UNDO]
     }
 
     fn arm_fault(&mut self, point: &str) -> Result<(), MiddlewareError> {
         match point {
             FAULT_POINT_COMMIT => self.fail_next_commit = true,
             FAULT_POINT_UNDO => self.fail_next_undo = true,
-            FAULT_POINT_WAL_COMPENSATION => self.fail_next_compensation = true,
             other => return Err(MiddlewareError::UnknownFaultPoint(other.to_owned())),
         }
         Ok(())
@@ -800,10 +750,7 @@ mod tests {
     #[test]
     fn fault_hook_arms_one_shot_failures() {
         let (mut repo, _v1, v2) = repo_with_two_versions();
-        assert_eq!(
-            repo.fault_points(),
-            vec![FAULT_POINT_COMMIT, FAULT_POINT_UNDO, FAULT_POINT_WAL_COMPENSATION]
-        );
+        assert_eq!(repo.fault_points(), vec![FAULT_POINT_COMMIT, FAULT_POINT_UNDO]);
         repo.arm_fault(FAULT_POINT_COMMIT).unwrap();
         assert!(matches!(repo.commit(&v2, "x", None), Err(RepoError::Storage(_))));
         // One-shot: the retry goes through.

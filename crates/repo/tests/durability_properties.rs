@@ -1,7 +1,8 @@
 //! Property tests for the durable backend: arbitrary operation
 //! sequences survive close → reopen with identical repository state,
 //! and a WAL torn at *every* byte boundary recovers to exactly the
-//! state after the last complete record — never a panic, never
+//! state after the last complete record (in the zero tail past the
+//! last record, a sample of the cuts reopens the repository) — never a panic, never
 //! corruption. A churn-biased variant replays long commit/undo/redo
 //! runs over a few repeated contents, the journals whose replay decodes
 //! each landed content only once.
@@ -146,12 +147,27 @@ proptest! {
         let states = build(&dir, &ops);
         let wal_path = dir.join("wal.log");
         let full = std::fs::read(&wal_path).expect("wal exists");
-        for cut in 0..=full.len() {
-            std::fs::write(&wal_path, &full[..cut]).expect("truncate");
+        let (_, _, logical_end) = Wal::read_all(&wal_path).expect("read");
+        let logical_end = logical_end as usize;
+        let wal = std::fs::OpenOptions::new().write(true).open(&wal_path).expect("wal opens");
+        // Longest cut first, so each cut is one truncation of the last.
+        for cut in (0..=full.len()).rev() {
+            wal.set_len(cut as u64).expect("truncate");
             // Reading never panics and yields a strict record prefix.
             let (records, _, end) = Wal::read_all(&wal_path).expect("read");
             prop_assert!(end <= cut as u64, "cut at {cut}");
-            match Repository::open(&dir) {
+            // Every cut into the zero tail reopens to the same state, so
+            // past the first and last 64 tail bytes only every 61st cut
+            // reopens the repository.
+            let in_tail = cut - logical_end.min(cut);
+            if in_tail > 64 && full.len() - cut > 64 && in_tail % 61 != 0 {
+                prop_assert_eq!(records.len(), states.len(), "cut at {}", cut);
+                continue;
+            }
+            let reopened = Repository::open(&dir);
+            // Opening repairs the file it reads; put the cut back.
+            std::fs::write(&wal_path, &full[..cut]).expect("restore the cut");
+            match reopened {
                 Ok((dur, report)) => {
                     let k = report.records_replayed;
                     prop_assert_eq!(k, records.len(), "cut at {}", cut);

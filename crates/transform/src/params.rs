@@ -119,7 +119,7 @@ impl ParamSchema {
     }
 
     /// Adds an arbitrary spec, builder style.
-    pub fn param(mut self, spec: ParamSpec) -> Self {
+    fn param(mut self, spec: ParamSpec) -> Self {
         self.specs.push(spec);
         self
     }

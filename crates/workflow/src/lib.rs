@@ -29,7 +29,6 @@
 //! # }
 //! ```
 
-use comet_transform::ConcreteTransformation;
 use std::fmt;
 
 /// Ordering constraints between planned concerns.
@@ -349,18 +348,6 @@ impl WorkflowEngine {
         }
     }
 
-    /// Records a concrete transformation by its concern — the convenience
-    /// used by the MDA lifecycle.
-    ///
-    /// # Errors
-    /// Same as [`WorkflowEngine::record`].
-    pub fn record_transformation(
-        &mut self,
-        cmt: &ConcreteTransformation,
-    ) -> Result<(), WorkflowError> {
-        self.record(cmt.concern())
-    }
-
     /// Checks a whole sequence against the plan without mutating state.
     /// Allocation-light: the hypothetical steps are tracked as borrows
     /// on top of the live state instead of cloning the whole model and
@@ -456,17 +443,6 @@ mod tests {
         assert!(e.validate_sequence(&["distribution", "security"]).is_ok());
         assert!(e.validate_sequence(&["security"]).is_err());
         assert!(e.applied().is_empty());
-    }
-
-    #[test]
-    fn record_transformation_uses_concern() {
-        let gmt = comet_transform::TransformationBuilder::new("t", "transactions")
-            .body(|_, _| Ok(()))
-            .build();
-        let cmt = comet_transform::specialize(gmt, comet_transform::ParamSet::new()).unwrap();
-        let mut e = WorkflowEngine::new(fig2_model());
-        e.record_transformation(&cmt).unwrap();
-        assert_eq!(e.applied(), &["transactions".to_owned()]);
     }
 
     #[test]
