@@ -1,9 +1,10 @@
 //! Per-class pointcut-match tables, built inside the one weaving unit.
 //!
-//! The naive weaver re-evaluates every aspect's every pointcut at every
-//! join-point shadow it visits — for call shadows that means once per
-//! *statement*, so a method that calls `log` in a loop body pays the
-//! full pointcut tree again for each occurrence. The weaving unit
+//! Evaluating every aspect's every pointcut at every join-point shadow,
+//! as the test-only reference weaver (`weaver/naive.rs`) does, means
+//! once per *statement* for call shadows, so a method that calls `log`
+//! in a loop body pays the full pointcut tree again for each
+//! occurrence. The weaving unit
 //! (`weave_classes` in `weaver.rs`) instead builds one class's tables
 //! with `index_class` right before it weaves that class:
 //!
@@ -34,8 +35,8 @@
 //! class, where the weaver already serializes applications by aspect
 //! precedence order. Hence classes are independent units of work:
 //! weaving them in any order — or concurrently — produces the same
-//! program as the sequential weaver, which the differential property
-//! tests in `tests/weaver_properties.rs` check output-byte-for-byte.
+//! program as the sequential reference weaver, which the differential
+//! property tests in `weaver/properties.rs` check byte for byte.
 
 use crate::advice::{AdviceKind, Aspect};
 use crate::weaver::call_at_statement;
@@ -66,9 +67,8 @@ pub(crate) struct MethodMatches {
 /// Call advice candidates: only before/after participate at call
 /// shadows (validation rejects user around/afterX there; the
 /// synthesized cflow instrumentation may legitimately carry around
-/// advice whose inner pointcut selects calls, and the naive weaver
-/// ignores it at call shadows — so exclude it here for identical
-/// output).
+/// advice whose inner pointcut selects calls, which call shadows
+/// ignore — so exclude it here).
 pub(crate) fn call_advice_candidates(aspects: &[&Aspect]) -> Vec<(usize, usize)> {
     aspects
         .iter()

@@ -27,13 +27,12 @@
 //! class's pointcut-match tables (see `index.rs`, also for the
 //! critical-pair argument that classes are independent units of work)
 //! and weaves the class against them, cloning it once. The trace is
-//! assembled phase-by-phase in class order, so output and trace are
-//! byte-identical to the sequential reference implementation
-//! [`Weaver::weave_naive`], which is retained as the differential
-//! oracle for the property tests and as the "before" benchmark
-//! baseline. The worker thread count follows the ambient rayon pool:
-//! wrap the call in `ThreadPool::install` (as `comet-cli --threads`
-//! does) to pin it.
+//! assembled phase by phase in class order: all call records, then all
+//! execution records. The unit tests pin output and trace byte for byte
+//! against a sequential reference weaver kept in test code
+//! (`weaver/naive.rs`, checked by `weaver/properties.rs`). The worker
+//! thread count follows the ambient rayon pool: wrap the call in
+//! `ThreadPool::install` (as `comet-cli --threads` does) to pin it.
 //!
 //! The weave itself records nothing. [`Weaver::record_trace`] derives
 //! the weave's spans and events from a finished [`WeaveResult`], so a
@@ -153,8 +152,8 @@ impl Weaver {
     pub fn weave(&self, program: &Program) -> Result<WeaveResult, WeaveError> {
         let instrumentation = self.validate_and_instrument()?;
         let aspects = effective_aspects(&self.aspects, instrumentation.as_ref());
-        // Reassemble in class order with the naive weaver's global phase
-        // order: all call records first, then all execution records.
+        // Reassemble in class order with one global phase order: all
+        // call records first, then all execution records.
         let mut out = Program::new(program.name.clone());
         let mut trace = Vec::new();
         let mut exec_traces = Vec::with_capacity(program.classes.len());
@@ -209,30 +208,6 @@ impl Weaver {
             obs.end_span(span, 0);
         }
         obs.end_span(pass, 0);
-    }
-
-    /// The sequential reference weaver: re-evaluates every pointcut at
-    /// every shadow and clones the whole program up front.
-    ///
-    /// Kept deliberately: it is the differential oracle for
-    /// [`Weaver::weave`] (the property suite asserts byte-identical
-    /// output) and the "before" baseline in `BENCH_weaver.json` and
-    /// `BENCH_faults.json`. Not deprecated, but new code should call
-    /// [`Weaver::weave`].
-    ///
-    /// # Errors
-    /// Same conditions as [`Weaver::weave`].
-    pub fn weave_naive(&self, program: &Program) -> Result<WeaveResult, WeaveError> {
-        let instrumentation = self.validate_and_instrument()?;
-        let aspects = effective_aspects(&self.aspects, instrumentation.as_ref());
-        let mut woven = program.clone();
-        let mut trace = Vec::new();
-        // Calls first: execution weaving moves functional bodies into
-        // `__`-suffixed helpers, which the call pass (correctly) skips as
-        // containers, so call shadows must be found before that move.
-        naive_weave_calls(&aspects, &mut woven, &mut trace);
-        naive_weave_executions(&aspects, &mut woven, &mut trace);
-        Ok(WeaveResult { program: woven, trace })
     }
 
     /// Validates advice kinds at call shadows and cflow positions, and
@@ -346,9 +321,8 @@ fn weave_class(
         woven.methods[mi].body = Block::of(new_stmts);
     }
 
-    // Execution pass, after the call pass (same phase order as the
-    // naive weaver: the functional helper must reify the call-woven
-    // body).
+    // Execution pass, after the call pass: the functional helper must
+    // reify the call-woven body.
     let mut execs = Vec::new();
     for (mi, method) in class.methods.iter().enumerate() {
         let mm = &matches[mi];
@@ -366,9 +340,10 @@ fn weave_class(
 }
 
 /// Emits `stmt` into `out`, wrapped with the advice the call table
-/// matched for its callee. Structurally identical to the naive
-/// [`naive_weave_call_stmt`], with the per-shadow pointcut evaluation
-/// replaced by a table lookup.
+/// matched for its callee. Call shadows are only recognized at
+/// statement position (the IR has no statement-level expression
+/// evaluation order to exploit); structured statements are recursed
+/// into so nested shadows are found.
 fn rewrite_call_stmt(
     stmt: &Stmt,
     mm: &MethodMatches,
@@ -484,7 +459,7 @@ fn rewrite_call_stmt(
 }
 
 // ---------------------------------------------------------------------
-// Shared execution-layer construction (naive and indexed paths)
+// Execution-layer construction
 // ---------------------------------------------------------------------
 
 /// Applies the matched execution advice for `method_name` to `class`:
@@ -628,214 +603,6 @@ fn apply_execution_layers(
     } else {
         Block::of(vec![Stmt::ret(delegate_call)])
     };
-}
-
-// ---------------------------------------------------------------------
-// Naive reference implementation (differential oracle + "before" bench)
-// ---------------------------------------------------------------------
-
-fn naive_weave_executions(
-    aspects: &[&Aspect],
-    program: &mut Program,
-    trace: &mut Vec<WovenJoinPoint>,
-) {
-    for class_idx in 0..program.classes.len() {
-        let method_names: Vec<String> =
-            program.classes[class_idx].methods.iter().map(|m| m.name.clone()).collect();
-        for method_name in method_names {
-            naive_weave_one_execution(
-                aspects,
-                &mut program.classes[class_idx],
-                &method_name,
-                trace,
-            );
-        }
-    }
-}
-
-fn naive_weave_one_execution(
-    aspects: &[&Aspect],
-    class: &mut ClassDecl,
-    method_name: &str,
-    trace: &mut Vec<WovenJoinPoint>,
-) {
-    // Already-woven methods (their functional helper exists) are left
-    // alone: weaving is idempotent per method.
-    if class.find_method(&format!("{method_name}__functional")).is_some()
-        || method_name.contains("__")
-    {
-        return;
-    }
-    // Gather matching advice per aspect, preserving aspect order —
-    // evaluated from scratch for every method, which is exactly what the
-    // match tables exist to avoid.
-    let method_snapshot =
-        class.find_method(method_name).expect("caller iterates real names").clone();
-    let mut layers: Vec<(usize, Vec<&Advice>)> = Vec::new();
-    for (k, aspect) in aspects.iter().enumerate() {
-        let matching: Vec<&Advice> = aspect
-            .advices
-            .iter()
-            .filter(|a| a.pointcut.matches_execution(class, &method_snapshot))
-            .collect();
-        if !matching.is_empty() {
-            layers.push((k, matching));
-        }
-    }
-    if layers.is_empty() {
-        return;
-    }
-    let aspect_names: Vec<&str> = aspects.iter().map(|a| a.name.as_str()).collect();
-    apply_execution_layers(class, method_name, &layers, &aspect_names, trace);
-}
-
-fn naive_weave_calls(aspects: &[&Aspect], program: &mut Program, trace: &mut Vec<WovenJoinPoint>) {
-    for class_idx in 0..program.classes.len() {
-        for method_idx in 0..program.classes[class_idx].methods.len() {
-            let class_snapshot = program.classes[class_idx].clone();
-            let method_snapshot = class_snapshot.methods[method_idx].clone();
-            // Skip advice-generated helpers as *containers*: their
-            // call statements are delegation plumbing.
-            if method_snapshot.name.contains("__") {
-                continue;
-            }
-            let mut new_stmts = Vec::new();
-            for stmt in &method_snapshot.body.stmts {
-                naive_weave_call_stmt(
-                    aspects,
-                    stmt,
-                    &class_snapshot,
-                    &method_snapshot,
-                    &mut new_stmts,
-                    trace,
-                );
-            }
-            program.classes[class_idx].methods[method_idx].body = Block::of(new_stmts);
-        }
-    }
-}
-
-/// Emits `stmt` into `out`, surrounded by any matching call advice.
-/// Call shadows are only recognized at statement position (the IR has
-/// no statement-level expression evaluation order to exploit).
-fn naive_weave_call_stmt(
-    aspects: &[&Aspect],
-    stmt: &Stmt,
-    class: &ClassDecl,
-    method: &MethodDecl,
-    out: &mut Vec<Stmt>,
-    trace: &mut Vec<WovenJoinPoint>,
-) {
-    let callee = call_at_statement(stmt);
-    let Some((callee_class, callee_name)) = callee else {
-        // Recurse into structured statements so nested shadows are
-        // found.
-        match stmt {
-            Stmt::If { cond, then_block, else_block } => {
-                let mut tb = Vec::new();
-                for s in &then_block.stmts {
-                    naive_weave_call_stmt(aspects, s, class, method, &mut tb, trace);
-                }
-                let eb = else_block.as_ref().map(|b| {
-                    let mut v = Vec::new();
-                    for s in &b.stmts {
-                        naive_weave_call_stmt(aspects, s, class, method, &mut v, trace);
-                    }
-                    Block::of(v)
-                });
-                out.push(Stmt::If {
-                    cond: cond.clone(),
-                    then_block: Block::of(tb),
-                    else_block: eb,
-                });
-            }
-            Stmt::While { cond, body } => {
-                let mut v = Vec::new();
-                for s in &body.stmts {
-                    naive_weave_call_stmt(aspects, s, class, method, &mut v, trace);
-                }
-                out.push(Stmt::While { cond: cond.clone(), body: Block::of(v) });
-            }
-            Stmt::TryCatch { body, var, handler, finally } => {
-                let mut b = Vec::new();
-                for s in &body.stmts {
-                    naive_weave_call_stmt(aspects, s, class, method, &mut b, trace);
-                }
-                let mut h = Vec::new();
-                for s in &handler.stmts {
-                    naive_weave_call_stmt(aspects, s, class, method, &mut h, trace);
-                }
-                let fin = finally.as_ref().map(|fb| {
-                    let mut v = Vec::new();
-                    for s in &fb.stmts {
-                        naive_weave_call_stmt(aspects, s, class, method, &mut v, trace);
-                    }
-                    Block::of(v)
-                });
-                out.push(Stmt::TryCatch {
-                    body: Block::of(b),
-                    var: var.clone(),
-                    handler: Block::of(h),
-                    finally: fin,
-                });
-            }
-            Stmt::Block(b) => {
-                let mut v = Vec::new();
-                for s in &b.stmts {
-                    naive_weave_call_stmt(aspects, s, class, method, &mut v, trace);
-                }
-                out.push(Stmt::Block(Block::of(v)));
-            }
-            other => out.push(other.clone()),
-        }
-        return;
-    };
-    if callee_name.contains("__") {
-        out.push(stmt.clone());
-        return;
-    }
-    let callee_class_ref = callee_class.as_deref();
-    let mut befores = Vec::new();
-    let mut afters = Vec::new();
-    for aspect in aspects {
-        for advice in &aspect.advices {
-            if !advice.pointcut.selects_calls() {
-                continue;
-            }
-            if advice.pointcut.matches_call(class, method, callee_class_ref, &callee_name) {
-                let record = WovenJoinPoint {
-                    class: class.name.clone(),
-                    method: method.name.clone(),
-                    aspect: aspect.name.clone(),
-                    kind: advice.kind,
-                    shadow: Shadow::Call { callee: callee_name.clone() },
-                };
-                match advice.kind {
-                    AdviceKind::Before => {
-                        befores.extend(guarded_stmts(advice));
-                        trace.push(record);
-                    }
-                    AdviceKind::After => {
-                        afters.extend(guarded_stmts(advice));
-                        trace.push(record);
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    if befores.is_empty() && afters.is_empty() {
-        out.push(stmt.clone());
-        return;
-    }
-    let jp = format!("{}.{}", callee_class.clone().unwrap_or_else(|| "*".into()), callee_name);
-    out.push(Stmt::Block(Block::of(
-        std::iter::once(Stmt::local("__jp", IrType::Str, Expr::str(jp)))
-            .chain(befores)
-            .chain(std::iter::once(stmt.clone()))
-            .chain(afters)
-            .collect(),
-    )));
 }
 
 fn jp_record(
@@ -1035,362 +802,9 @@ fn subst_proceed_expr(expr: &mut Expr, inner: &str, params: &[Expr]) {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pointcut::parse_pointcut;
-    use comet_codegen::{check_program, Param};
+mod naive;
+#[cfg(test)]
+mod properties;
 
-    fn sample_program() -> Program {
-        let mut p = Program::new("app");
-        let mut bank = ClassDecl::new("Bank");
-        let mut transfer = MethodDecl::new("transfer");
-        transfer.params.push(Param::new("amount", IrType::Int));
-        transfer.ret = IrType::Bool;
-        transfer.body = Block::of(vec![Stmt::ret(Expr::bool(true))]);
-        bank.methods.push(transfer);
-        let mut audit = MethodDecl::new("audit");
-        audit.body = Block::of(vec![Stmt::Expr(Expr::call_this("helper", vec![]))]);
-        bank.methods.push(audit);
-        bank.methods.push(MethodDecl::new("helper"));
-        p.classes.push(bank);
-        p
-    }
-
-    fn log_stmt(tag: &str) -> Stmt {
-        Stmt::Expr(Expr::intrinsic("log.emit", vec![Expr::str("info"), Expr::str(tag)]))
-    }
-
-    #[test]
-    fn before_advice_wraps_execution() {
-        let aspect = Aspect::new("logging").with_advice(Advice::new(
-            AdviceKind::Before,
-            parse_pointcut("execution(Bank.transfer)").unwrap(),
-            Block::of(vec![log_stmt("before")]),
-        ));
-        let result = Weaver::new(vec![aspect]).weave(&sample_program()).unwrap();
-        assert_eq!(result.trace.len(), 1);
-        assert_eq!(result.trace[0].kind, AdviceKind::Before);
-        let bank = result.program.find_class("Bank").unwrap();
-        assert!(bank.find_method("transfer__functional").is_some());
-        assert!(bank.find_method("transfer__layer_0").is_some());
-        // Public signature unchanged.
-        let public = bank.find_method("transfer").unwrap();
-        assert_eq!(public.ret, IrType::Bool);
-        assert_eq!(public.params.len(), 1);
-        assert!(check_program(&result.program).is_empty());
-    }
-
-    #[test]
-    fn no_matching_advice_leaves_program_untouched() {
-        let aspect = Aspect::new("logging").with_advice(Advice::new(
-            AdviceKind::Before,
-            parse_pointcut("execution(Nothing.matches)").unwrap(),
-            Block::of(vec![log_stmt("before")]),
-        ));
-        let p = sample_program();
-        let result = Weaver::new(vec![aspect]).weave(&p).unwrap();
-        assert_eq!(result.program, p);
-        assert!(result.trace.is_empty());
-    }
-
-    #[test]
-    fn around_advice_substitutes_proceed() {
-        let aspect = Aspect::new("tx").with_advice(Advice::new(
-            AdviceKind::Around,
-            parse_pointcut("execution(Bank.transfer)").unwrap(),
-            Block::of(vec![
-                Stmt::Expr(Expr::intrinsic("tx.begin", vec![Expr::str("rc")])),
-                Stmt::local("r", IrType::Bool, Expr::Proceed(vec![])),
-                Stmt::Expr(Expr::intrinsic("tx.commit", vec![])),
-                Stmt::ret(Expr::var("r")),
-            ]),
-        ));
-        let result = Weaver::new(vec![aspect]).weave(&sample_program()).unwrap();
-        let bank = result.program.find_class("Bank").unwrap();
-        let around = bank.find_method("transfer__around_0_0").unwrap();
-        // Proceed was replaced by a call to the functional helper with the
-        // original parameter forwarded.
-        let has_call = around.body.stmts.iter().any(|s| {
-            matches!(
-                s,
-                Stmt::Local { init: Some(Expr::Call { method, args, .. }), .. }
-                    if method == "transfer__functional"
-                        && args == &vec![Expr::var("amount")]
-            )
-        });
-        assert!(has_call, "{:?}", around.body);
-        assert!(check_program(&result.program).is_empty());
-    }
-
-    #[test]
-    fn precedence_first_aspect_is_outermost() {
-        let outer = Aspect::new("outer").with_advice(Advice::new(
-            AdviceKind::Before,
-            parse_pointcut("execution(Bank.transfer)").unwrap(),
-            Block::of(vec![log_stmt("outer")]),
-        ));
-        let inner = Aspect::new("inner").with_advice(Advice::new(
-            AdviceKind::Before,
-            parse_pointcut("execution(Bank.transfer)").unwrap(),
-            Block::of(vec![log_stmt("inner")]),
-        ));
-        let result = Weaver::new(vec![outer, inner]).weave(&sample_program()).unwrap();
-        let bank = result.program.find_class("Bank").unwrap();
-        // The public method delegates to layer_0 (outer aspect), which
-        // delegates to layer_1 (inner aspect).
-        let public = bank.find_method("transfer").unwrap();
-        let delegates_to = |m: &MethodDecl| -> Option<String> {
-            m.body.stmts.iter().find_map(|s| match s {
-                Stmt::Return(Some(Expr::Call { method, .. })) => Some(method.clone()),
-                Stmt::Local { init: Some(Expr::Call { method, .. }), .. } => Some(method.clone()),
-                Stmt::Expr(Expr::Call { method, .. }) => Some(method.clone()),
-                _ => None,
-            })
-        };
-        assert_eq!(delegates_to(public).unwrap(), "transfer__layer_0");
-        let layer0 = bank.find_method("transfer__layer_0").unwrap();
-        assert_eq!(delegates_to(layer0).unwrap(), "transfer__layer_1");
-        let layer1 = bank.find_method("transfer__layer_1").unwrap();
-        assert_eq!(delegates_to(layer1).unwrap(), "transfer__functional");
-    }
-
-    #[test]
-    fn after_throwing_and_finally_structure() {
-        let aspect = Aspect::new("x")
-            .with_advice(Advice::new(
-                AdviceKind::AfterThrowing,
-                parse_pointcut("execution(Bank.transfer)").unwrap(),
-                Block::of(vec![log_stmt("boom")]),
-            ))
-            .with_advice(Advice::new(
-                AdviceKind::After,
-                parse_pointcut("execution(Bank.transfer)").unwrap(),
-                Block::of(vec![log_stmt("finally")]),
-            ));
-        let result = Weaver::new(vec![aspect]).weave(&sample_program()).unwrap();
-        let bank = result.program.find_class("Bank").unwrap();
-        let layer = bank.find_method("transfer__layer_0").unwrap();
-        let has_try = layer.body.stmts.iter().any(|s| {
-            matches!(s, Stmt::TryCatch { handler, finally, .. }
-                if !handler.stmts.is_empty() && finally.is_some())
-        });
-        assert!(has_try);
-        assert_eq!(result.trace.len(), 2);
-    }
-
-    #[test]
-    fn call_advice_wraps_statement_calls() {
-        let aspect = Aspect::new("client-log")
-            .with_advice(Advice::new(
-                AdviceKind::Before,
-                parse_pointcut("call(*.helper)").unwrap(),
-                Block::of(vec![log_stmt("pre-call")]),
-            ))
-            .with_advice(Advice::new(
-                AdviceKind::After,
-                parse_pointcut("call(*.helper)").unwrap(),
-                Block::of(vec![log_stmt("post-call")]),
-            ));
-        let result = Weaver::new(vec![aspect]).weave(&sample_program()).unwrap();
-        let audit = result.program.find_method("Bank", "audit").unwrap();
-        // The call statement became a block: [__jp, before, call, after].
-        match &audit.body.stmts[0] {
-            Stmt::Block(b) => assert_eq!(b.stmts.len(), 4),
-            other => panic!("expected block, got {other:?}"),
-        }
-        assert_eq!(result.trace.len(), 2);
-        assert!(matches!(&result.trace[0].shadow, Shadow::Call { callee } if callee == "helper"));
-    }
-
-    #[test]
-    fn around_at_call_shadow_is_rejected() {
-        let aspect = Aspect::new("bad").with_advice(Advice::new(
-            AdviceKind::Around,
-            parse_pointcut("call(*.helper)").unwrap(),
-            Block::of(vec![Stmt::ret(Expr::Proceed(vec![]))]),
-        ));
-        let err = Weaver::new(vec![aspect]).weave(&sample_program()).unwrap_err();
-        assert!(matches!(err, WeaveError::UnsupportedCallAdvice { .. }));
-        assert!(err.to_string().contains("around"));
-    }
-
-    #[test]
-    fn weaving_twice_does_not_re_advise_helpers() {
-        let aspect = Aspect::new("logging").with_advice(Advice::new(
-            AdviceKind::Before,
-            parse_pointcut("execution(Bank.transfer)").unwrap(),
-            Block::of(vec![log_stmt("before")]),
-        ));
-        let weaver = Weaver::new(vec![aspect]);
-        let once = weaver.weave(&sample_program()).unwrap();
-        let twice = weaver.weave(&once.program).unwrap();
-        // The public method matches again (it kept its name) but is
-        // detected as already woven, so the second weave is a no-op.
-        assert_eq!(once.trace.len(), 1);
-        assert!(twice.trace.is_empty());
-        assert_eq!(twice.program, once.program);
-        assert!(check_program(&twice.program).is_empty());
-    }
-
-    #[test]
-    fn void_method_weaving() {
-        let mut p = Program::new("app");
-        let mut c = ClassDecl::new("A");
-        let mut m = MethodDecl::new("fire");
-        m.body = Block::of(vec![Stmt::Expr(Expr::intrinsic(
-            "log.emit",
-            vec![Expr::str("info"), Expr::str("core")],
-        ))]);
-        c.methods.push(m);
-        p.classes.push(c);
-        let aspect = Aspect::new("x").with_advice(Advice::new(
-            AdviceKind::AfterReturning,
-            parse_pointcut("execution(A.fire)").unwrap(),
-            Block::of(vec![log_stmt("done")]),
-        ));
-        let result = Weaver::new(vec![aspect]).weave(&p).unwrap();
-        let layer = result.program.find_method("A", "fire__layer_0").unwrap();
-        // Void: no __result local, call then advice then plain return.
-        assert!(layer.body.stmts.iter().all(|s| !matches!(
-            s,
-            Stmt::Local { name, .. } if name == "__result"
-        )));
-        assert!(check_program(&result.program).is_empty());
-    }
-
-    /// A mixed-shadow program exercising every advice kind, calls in
-    /// nested statements, cflow, and multiple classes.
-    fn mixed_program() -> Program {
-        let mut p = sample_program();
-        let mut teller = ClassDecl::new("Teller");
-        let mut serve = MethodDecl::new("serve");
-        serve.params.push(Param::new("n", IrType::Int));
-        serve.body = Block::of(vec![
-            Stmt::Expr(Expr::call_this("audit", vec![])),
-            Stmt::While {
-                cond: Expr::bool(true),
-                body: Block::of(vec![Stmt::Expr(Expr::call_this("audit", vec![]))]),
-            },
-            Stmt::If {
-                cond: Expr::bool(false),
-                then_block: Block::of(vec![Stmt::Expr(Expr::call_this("transfer", vec![]))]),
-                else_block: Some(Block::of(vec![Stmt::Return(None)])),
-            },
-        ]);
-        teller.methods.push(serve);
-        p.classes.push(teller);
-        p
-    }
-
-    fn mixed_aspects() -> Vec<Aspect> {
-        vec![
-            Aspect::new("log")
-                .with_advice(Advice::new(
-                    AdviceKind::Before,
-                    parse_pointcut("execution(*.*)").unwrap(),
-                    Block::of(vec![log_stmt("b")]),
-                ))
-                .with_advice(Advice::new(
-                    AdviceKind::After,
-                    parse_pointcut("call(*.audit)").unwrap(),
-                    Block::of(vec![log_stmt("post")]),
-                )),
-            Aspect::new("tx").with_advice(Advice::new(
-                AdviceKind::Around,
-                parse_pointcut("execution(Bank.transfer) && cflow(execution(Teller.serve))")
-                    .unwrap(),
-                Block::of(vec![Stmt::ret(Expr::Proceed(vec![]))]),
-            )),
-            Aspect::new("audit").with_advice(Advice::new(
-                AdviceKind::AfterReturning,
-                parse_pointcut("execution(Bank.*) && args(1)").unwrap(),
-                Block::of(vec![log_stmt("ret")]),
-            )),
-        ]
-    }
-
-    /// A weave recorded on `obs`, the way the lifecycle traces one.
-    fn traced_weave(weaver: &Weaver, p: &Program, obs: &comet_obs::Collector) -> WeaveResult {
-        let result = weaver.weave(p).unwrap();
-        weaver.record_trace(&result, obs);
-        result
-    }
-
-    #[test]
-    fn record_trace_records_one_event_per_join_point() {
-        let weaver = Weaver::new(mixed_aspects());
-        let p = mixed_program();
-        let obs = comet_obs::Collector::enabled();
-        let traced = traced_weave(&weaver, &p, &obs);
-        let plain = weaver.weave(&p).unwrap();
-        assert_eq!(traced, plain, "tracing must not perturb the weave");
-        let trace = obs.take();
-        let advice_events: Vec<&comet_obs::Event> =
-            trace.events.iter().filter(|e| e.name == "weave.advice").collect();
-        assert_eq!(advice_events.len(), plain.trace.len());
-        // Every event sits inside a class span under the weave pass.
-        let pass = &trace.spans[0];
-        assert_eq!(pass.name, "weave");
-        assert_eq!(
-            comet_obs::Trace::attr(&pass.attrs, "joinpoints"),
-            Some(plain.trace.len().to_string().as_str())
-        );
-        for e in &advice_events {
-            let class_span = &trace.spans[e.span.unwrap() as usize];
-            assert!(class_span.name.starts_with("class:"), "{class_span:?}");
-            assert_eq!(class_span.parent, Some(pass.id));
-        }
-        // Determinism across runs and thread counts.
-        let retrace = |threads: usize| {
-            let obs = comet_obs::Collector::enabled();
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-            pool.install(|| traced_weave(&weaver, &p, &obs));
-            obs.take()
-        };
-        assert_eq!(retrace(1), retrace(4));
-    }
-
-    #[test]
-    fn weave_and_traced_weave_equal_naive_across_the_parallel_cutoff() {
-        let weaver = Weaver::new(mixed_aspects());
-        let mut p = mixed_program();
-        for i in 0..PARALLEL_MIN_CLASSES {
-            let mut copy = p.classes[i % 2].clone();
-            copy.name = format!("{}{i}", copy.name);
-            p.classes.push(copy);
-        }
-        let reference = weaver.weave_naive(&p).unwrap();
-        // One thread takes the sequential side, two and four the rayon side.
-        for threads in [1, 2, 4] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-            let full = pool.install(|| weaver.weave(&p)).unwrap();
-            let obs = comet_obs::Collector::enabled();
-            let traced = pool.install(|| traced_weave(&weaver, &p, &obs));
-            assert_eq!(full, reference, "weave diverged at {threads} threads");
-            assert_eq!(traced, reference, "traced weave diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn indexed_weave_equals_naive_on_mixed_program() {
-        let weaver = Weaver::new(mixed_aspects());
-        let p = mixed_program();
-        let indexed = weaver.weave(&p).unwrap();
-        let naive = weaver.weave_naive(&p).unwrap();
-        assert_eq!(indexed.program, naive.program);
-        assert_eq!(indexed.trace, naive.trace);
-        assert!(check_program(&indexed.program).is_empty());
-    }
-
-    #[test]
-    fn indexed_weave_equals_naive_under_pinned_thread_counts() {
-        let weaver = Weaver::new(mixed_aspects());
-        let p = mixed_program();
-        let reference = weaver.weave_naive(&p).unwrap();
-        for threads in [1, 2, 4] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-            let woven = pool.install(|| weaver.weave(&p)).unwrap();
-            assert_eq!(woven, reference, "diverged at {threads} threads");
-        }
-    }
-}
+#[cfg(test)]
+mod tests;

@@ -8,8 +8,7 @@
 //!   admission/record, deadline bookkeeping on every call), no fault
 //!   plan installed either way;
 //! * **weave cost** — weaving the three-aspect set (including the FT
-//!   around-advice) with the indexed parallel `weave` versus the
-//!   sequential `weave_naive` baseline.
+//!   around-advice) with `Weaver::weave`.
 //!
 //! Usage: `cargo run --release -p comet-bench --bin bench_faults_json
 //! [output-path]` (default `BENCH_faults.json` in the working
@@ -39,20 +38,12 @@ fn main() {
         run_transfers(&mut ft_interp, &ft_bank, &ft_a1, &ft_a2, TRANSFERS);
     });
 
-    // Weave cost of the FT-bearing aspect set: indexed parallel weave
-    // versus the sequential full-scan baseline.
+    // Weave cost of the FT-bearing aspect set.
     let (functional, aspects) = refined_banking(&ft_concerns);
     let weaver = Weaver::new(aspects);
-    let a = weaver.weave(&functional).expect("weaves");
-    let b = weaver.weave_naive(&functional).expect("weaves");
-    assert_eq!(a.program, b.program, "indexed and naive weaves diverged");
-    let shadows = a.trace.len();
+    let shadows = weaver.weave(&functional).expect("weaves").trace.len();
 
-    eprintln!("timing weave_naive (before) ...");
-    let weave_before = median_secs(REPS, || {
-        black_box(weaver.weave_naive(black_box(&functional)).expect("weaves"));
-    });
-    eprintln!("timing weave (after) ...");
+    eprintln!("timing weave ...");
     let weave_after = median_secs(REPS, || {
         black_box(weaver.weave(black_box(&functional)).expect("weaves"));
     });
@@ -83,12 +74,10 @@ fn main() {
             "weave",
             obj! {
                 "advice_applications": shadows,
-                "before": obj! {"impl": "weave_naive (sequential full-scan)", "median_secs": weave_before},
                 "after": obj! {
                     "impl": "weave (per-class match tables + per-class parallel)",
                     "median_secs": weave_after,
                 },
-                "speedup": weave_before / weave_after,
             },
         )
         .write("BENCH_faults.json");

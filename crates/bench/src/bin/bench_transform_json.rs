@@ -1,10 +1,10 @@
 //! Emits `BENCH_transform.json`: machine-readable numbers for the
-//! transformation engine's two rollback strategies — "before" is the
-//! retained clone-and-restore engine
-//! ([`ConcreteTransformation::apply_cloned`]), "after" the
-//! delta-journaled engine ([`ConcreteTransformation::apply`]) — across
-//! synthetic model sizes. The journal pays O(delta) on failure where
-//! the clone engine pays O(model), so the gap widens with model size.
+//! transformation engine's rollback and report across synthetic model
+//! sizes — "after" is the delta-journaled engine
+//! ([`ConcreteTransformation::apply`]), "before" the clone-and-sweep
+//! scheme it replaced, written inline here on the same body
+//! ([`clone_and_sweep`]). The journal pays O(delta) on failure where
+//! the clone pays O(model), so the gap widens with model size.
 //!
 //! The `undo` rows time stepping back over one committed application
 //! of the same body: "decode" is the repository undo that imports the
@@ -25,7 +25,7 @@
 use comet::MdaLifecycle;
 use comet_bench::harness::{median_secs, median_secs_after, Report};
 use comet_bench::{obj, synthetic};
-use comet_model::{Model, UndoLog};
+use comet_model::{Model, ModelDelta, UndoLog};
 use comet_repo::Repository;
 use comet_transform::{
     specialize, ConcreteTransformation, ParamSet, ParamValue, TransformError, TransformationBuilder,
@@ -77,6 +77,25 @@ fn small_delta(model: &mut Model) -> Result<(), TransformError> {
     Ok(())
 }
 
+/// The clone-and-sweep scheme on [`small_delta`]: an upfront clone,
+/// restored when `fail`; otherwise the report swept from before and
+/// after ([`ModelDelta::between`]), the created ids coloured and the
+/// model validated, as `apply` does.
+fn clone_and_sweep(model: &mut Model, fail: bool) -> Option<ModelDelta> {
+    let before = model.clone();
+    small_delta(model).expect("applies");
+    if fail {
+        *model = before;
+        return None;
+    }
+    let delta = ModelDelta::between(&before, model);
+    for &id in &delta.created {
+        model.mark_concern(id, "bench").expect("created ids exist");
+    }
+    model.validate().expect("well formed");
+    Some(delta)
+}
+
 fn failing_cmt() -> ConcreteTransformation {
     let gmt = TransformationBuilder::new("bench-fail", "bench")
         .body(|model, _| {
@@ -121,14 +140,14 @@ fn main() {
     let failing = failing_cmt();
     let ok = succeeding_cmt();
 
-    // Sanity: both engines agree on success report, model, and on
+    // Sanity: both schemes agree on success report, model, and on
     // failure restoring the pristine input.
     {
         let pristine = synthetic(20, ATTRS, OPS);
         let mut a = pristine.clone();
         let mut b = pristine.clone();
         let ra = ok.apply(&mut a).expect("applies");
-        let rb = ok.apply_cloned(&mut b).expect("applies");
+        let rb = clone_and_sweep(&mut b, false).expect("applies");
         assert_eq!(ra, rb, "journal and sweep reports diverged");
         assert_eq!(a, b, "journal and clone final models diverged");
         let mut f = pristine.clone();
@@ -155,10 +174,10 @@ fn main() {
 
         // Failure path: body succeeds, then errors — the engine must
         // restore the model. `apply` replays the journal (O(delta));
-        // `apply_cloned` restores a full upfront clone (O(model)).
+        // `clone_and_sweep` restores a full upfront clone (O(model)).
         eprintln!("[{classes} classes] timing clone rollback (before) ...");
         let before = median_secs(REPS, || {
-            let _ = black_box(failing.apply_cloned(black_box(&mut model)));
+            black_box(clone_and_sweep(black_box(&mut model), true));
         });
         eprintln!("[{classes} classes] timing journal rollback (after) ...");
         let after = median_secs(REPS, || {
@@ -182,7 +201,7 @@ fn main() {
         eprintln!("[{classes} classes] timing sweep-report apply (before) ...");
         let s_before = median_secs(REPS, || {
             let mut m = model.clone();
-            black_box(ok.apply_cloned(black_box(&mut m)).expect("applies"));
+            black_box(clone_and_sweep(black_box(&mut m), false).expect("applies"));
         });
         eprintln!("[{classes} classes] timing journal-report apply (after) ...");
         let s_after = median_secs(REPS, || {
@@ -244,7 +263,7 @@ fn main() {
         )
         .with(
             "before",
-            "apply_cloned (upfront clone, restore on failure, before/after sweep report)",
+            "clone_and_sweep (upfront clone, restore on failure, before/after sweep report)",
         )
         .with("after", "apply (change journal: inverse-op rollback, journal-derived report)")
         .with(

@@ -1,10 +1,9 @@
-//! Emits `BENCH_weaver.json`: machine-readable before/after numbers for
-//! the weaver pipeline on the E10 100-class / 8-aspect workload —
-//! "before" is the retained sequential full-scan weaver
-//! (`Weaver::weave_naive`), "after" the per-class match-table parallel
-//! weaver (`Weaver::weave`) — plus a worker-thread sweep, E10's scaling
-//! rows (weave time against join-point shadows and against aspects, and
-//! one pointcut match), and the E6 repository-query comparison.
+//! Emits `BENCH_weaver.json`: the weave time of the per-class
+//! match-table parallel weaver (`Weaver::weave`) on the E10 100-class /
+//! 8-aspect workload, plus a worker-thread sweep, E10's scaling rows
+//! (weave time against join-point shadows and against aspects, and one
+//! pointcut match), and the E6 repository-query comparison: full scans
+//! over `Model::iter()` against the indexed queries.
 //!
 //! Usage: `cargo run --release -p comet-bench --bin bench_weaver_json
 //! [output-path]` (default `BENCH_weaver.json` in the working
@@ -14,7 +13,7 @@ use comet_aop::{parse_pointcut, Advice, AdviceKind, Aspect, Weaver};
 use comet_bench::harness::{host_cores, median_secs, Report};
 use comet_bench::{obj, synthetic, weaver_aspects, weaver_program};
 use comet_codegen::{Block, ClassDecl, Expr, IrType, MethodDecl, Param, Program, Stmt};
-use comet_model::Model;
+use comet_model::{Element, ElementId, ElementKind, Model};
 use std::hint::black_box;
 
 const CLASSES: usize = 100;
@@ -29,16 +28,34 @@ const ASPECT_COUNTS: [usize; 3] = [1, 4, 16];
 /// Pointcut matches per timed sample: one match takes nanoseconds.
 const MATCHES: u32 = 100_000;
 
-/// The e6 `queries_*` access pattern: per-class feature walks, ancestor
-/// closures, and a stereotype lookup over a synthetic model.
-fn query_walk_scan(m: &Model) -> usize {
+/// The e6 `queries_*` access pattern — per-class feature walks,
+/// ancestor closures, and a stereotype lookup over a synthetic model —
+/// answered by full scans of `Model::iter()`, as before the model index.
+fn query_walk_iter(m: &Model) -> usize {
+    let owned = |c: ElementId, kind: &str| {
+        m.iter().filter(|e| e.owner() == Some(c) && e.kind().kind_name() == kind).count()
+    };
+    let parents = |c: ElementId| -> Vec<ElementId> {
+        m.iter()
+            .filter_map(|e| match e.kind() {
+                ElementKind::Generalization(g) if g.child == c => Some(g.parent),
+                _ => None,
+            })
+            .collect()
+    };
     let mut touched = 0usize;
-    for c in m.classes_scan() {
-        touched += m.operations_of_scan(c).len();
-        touched += m.attributes_of_scan(c).len();
-        touched += m.ancestors_of_scan(c).len();
+    for c in m.iter().filter(|e| e.kind().kind_name() == "Class").map(Element::id) {
+        touched += owned(c, "Operation") + owned(c, "Attribute");
+        let (mut ancestors, mut frontier) = (Vec::new(), parents(c));
+        while let Some(p) = frontier.pop() {
+            if !ancestors.contains(&p) {
+                ancestors.push(p);
+                frontier.extend(parents(p));
+            }
+        }
+        touched += ancestors.len();
     }
-    touched + m.stereotyped_scan("Remote").len()
+    touched + m.iter().filter(|e| e.core().has_stereotype("Remote")).count()
 }
 
 fn query_walk_indexed(m: &Model) -> usize {
@@ -97,18 +114,8 @@ fn main() {
     let program = weaver_program(CLASSES, METHODS);
     let weaver = Weaver::new(weaver_aspects(ASPECTS));
 
-    // Sanity: both paths agree before we time anything.
-    let a = weaver.weave(&program).expect("weaves");
-    let b = weaver.weave_naive(&program).expect("weaves");
-    assert_eq!(a.program, b.program, "indexed and naive weaves diverged");
-    assert_eq!(a.trace, b.trace, "indexed and naive traces diverged");
-    let shadows = a.trace.len();
-
-    eprintln!("timing naive (before) ...");
-    let before = median_secs(REPS, || {
-        black_box(weaver.weave_naive(black_box(&program)).expect("weaves"));
-    });
-    eprintln!("timing indexed (after) ...");
+    let shadows = weaver.weave(&program).expect("weaves").trace.len();
+    eprintln!("timing weave ...");
     let after = median_secs(REPS, || {
         black_box(weaver.weave(black_box(&program)).expect("weaves"));
     });
@@ -121,15 +128,11 @@ fn main() {
         }
         let pool =
             rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool builds");
-        eprintln!("timing indexed with {threads} thread(s) ...");
+        eprintln!("timing weave with {threads} thread(s) ...");
         let t = median_secs(REPS, || {
             pool.install(|| black_box(weaver.weave(black_box(&program)).expect("weaves")));
         });
-        sweep_entries.push(obj! {
-            "threads": threads,
-            "median_secs": t,
-            "speedup_vs_before": before / t,
-        });
+        sweep_entries.push(obj! {"threads": threads, "median_secs": t});
     }
 
     eprintln!("timing weave scaling in shadows and in aspects ...");
@@ -157,19 +160,19 @@ fn main() {
         }
     }) / f64::from(MATCHES);
 
-    // The e6 repository-query comparison: scan twins versus the
+    // The e6 repository-query comparison: full scans versus the
     // ModelIndex-backed queries on a synthetic 200-class model.
     let mut model = synthetic(QUERY_CLASSES, 3, 3);
     let c0 = model.find_class("C0").expect("synthetic class");
     model.apply_stereotype(c0, "Remote").expect("exists");
     assert_eq!(
-        query_walk_scan(&model),
+        query_walk_iter(&model),
         query_walk_indexed(&model),
         "indexed and scan queries diverged"
     );
     eprintln!("timing query scans (before) ...");
     let q_before = median_secs(REPS, || {
-        black_box(query_walk_scan(black_box(&model)));
+        black_box(query_walk_iter(black_box(&model)));
     });
     eprintln!("timing indexed queries (after) ...");
     model.classes(); // warm the index; the timed loop measures steady-state reads
@@ -187,7 +190,6 @@ fn main() {
                 "advice_applications": shadows,
             },
         )
-        .with("before", obj! {"impl": "weave_naive (sequential full-scan)", "median_secs": before})
         .with(
             "after",
             obj! {
@@ -195,7 +197,6 @@ fn main() {
                 "median_secs": after,
             },
         )
-        .with("speedup", before / after)
         .with("thread_sweep", sweep_entries)
         .with(
             "scaling",
@@ -213,11 +214,11 @@ fn main() {
                     "classes": QUERY_CLASSES,
                     "pattern": "e6 queries: feature walks + ancestor closures + stereotype lookup",
                 },
-                "before": obj! {"impl": "full-scan `_scan` queries", "median_secs": q_before},
+                "before": obj! {"impl": "full scans of Model::iter()", "median_secs": q_before},
                 "after": obj! {"impl": "ModelIndex-backed queries (warm)", "median_secs": q_after},
                 "speedup": q_before / q_after,
             },
         )
         .write("BENCH_weaver.json");
-    eprintln!("wrote {out_path} (speedup {:.2}x)", before / after);
+    eprintln!("wrote {out_path} (weave {after:.4}s)");
 }

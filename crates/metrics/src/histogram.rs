@@ -41,64 +41,11 @@ pub fn bucket_upper(idx: usize) -> u64 {
     }
 }
 
-/// A dense, mutable histogram used at record time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram { counts: vec![0; NUM_BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-
-    /// Record one observation.
-    pub fn observe(&mut self, v: u64) {
-        self.counts[bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Freeze into a sparse, mergeable snapshot.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_upper(i), c))
-            .collect();
-        HistogramSnapshot {
-            count: self.count,
-            sum: self.sum,
-            min: if self.count == 0 { 0 } else { self.min },
-            max: self.max,
-            buckets,
-        }
-    }
-}
-
-/// An immutable histogram: exact total count/sum/min/max plus the
-/// non-zero buckets as `(inclusive_upper_bound, count)` pairs sorted
-/// by bound. Two runs observing the same values compare equal.
+/// A histogram: exact total count/sum/min/max plus the non-zero
+/// buckets as `(inclusive_upper_bound, count)` pairs sorted by bound.
+/// Observations insert straight into the sorted bucket list, so a
+/// series pays only for the buckets it uses. Two runs observing the
+/// same values compare equal.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Total number of observations.
@@ -114,6 +61,19 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Record one observation.
+    pub fn observe(&mut self, v: u64) {
+        let upper = bucket_upper(bucket_index(v));
+        match self.buckets.binary_search_by_key(&upper, |&(bound, _)| bound) {
+            Ok(at) => self.buckets[at].1 += 1,
+            Err(at) => self.buckets.insert(at, (upper, 1)),
+        }
+        self.min = if self.count == 0 { v } else { self.min.min(v) };
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
+        self.max = self.max.max(v);
+    }
+
     /// Merge another snapshot into this one. Associative and
     /// commutative: bucket counts add bucket-wise, extrema combine.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
@@ -220,11 +180,10 @@ mod tests {
 
     #[test]
     fn percentile_is_nearest_rank_on_bucket_bounds() {
-        let mut h = Histogram::new();
+        let mut s = HistogramSnapshot::default();
         for v in [1u64, 2, 3, 4, 1000] {
-            h.observe(v);
+            s.observe(v);
         }
-        let s = h.snapshot();
         assert_eq!(s.percentile(50.0), 3);
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 1000);
@@ -234,9 +193,9 @@ mod tests {
 
     #[test]
     fn merge_equals_observing_the_union() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut both = Histogram::new();
+        let mut a = HistogramSnapshot::default();
+        let mut b = HistogramSnapshot::default();
+        let mut both = HistogramSnapshot::default();
         for v in [3u64, 90, 700, 700, 16_000] {
             a.observe(v);
             both.observe(v);
@@ -245,8 +204,7 @@ mod tests {
             b.observe(v);
             both.observe(v);
         }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, both.snapshot());
+        a.merge(&b);
+        assert_eq!(a, both);
     }
 }

@@ -5,8 +5,9 @@
 //! shard/thread count. This crate extends that contract to aggregate
 //! telemetry. Everything here is *exact*:
 //!
-//! * [`Histogram`] — fixed-bucket log-linear latency histograms
-//!   (16 linear sub-buckets per power of two, relative error ≤ 1/16).
+//! * [`HistogramSnapshot`] — fixed-bucket log-linear latency
+//!   histograms (16 linear sub-buckets per power of two, relative
+//!   error ≤ 1/16), storing only their non-empty buckets.
 //!   No HDR-style auto-resizing, no DDSketch-style probabilistic
 //!   collapse: every observation lands in one statically determined
 //!   bucket via integer arithmetic, so bucket counts — and therefore
@@ -35,7 +36,7 @@ mod histogram;
 mod registry;
 mod slo;
 
-pub use histogram::{bucket_index, bucket_upper, Histogram, HistogramSnapshot, NUM_BUCKETS};
+pub use histogram::{bucket_index, bucket_upper, HistogramSnapshot, NUM_BUCKETS};
 pub use registry::{
     CounterHandle, GaugeHandle, HistogramHandle, MetricKey, MetricsRegistry, MetricsSnapshot,
     WindowHandle, WindowSnapshot,

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::histogram::HistogramSnapshot;
 
 /// A metric identity: name plus a label set sorted by label key, so
 /// identical series compare equal regardless of declaration order.
@@ -74,12 +74,6 @@ pub struct WindowHandle(u32);
 
 const NO_SLOT: u32 = u32::MAX;
 
-#[derive(Debug, Clone, Default)]
-struct WindowedCounter {
-    window_us: u64,
-    cells: BTreeMap<u64, (u64, u64)>, // index -> (good, bad)
-}
-
 /// A registry of metric instruments. Disabled registries hand out
 /// inert handles and every record call is a single branch, mirroring
 /// `comet_obs::Collector`'s enabled/disabled split.
@@ -90,9 +84,9 @@ pub struct MetricsRegistry {
     counter_index: BTreeMap<MetricKey, u32>,
     gauges: Vec<i64>,
     gauge_index: BTreeMap<MetricKey, u32>,
-    histograms: Vec<Histogram>,
+    histograms: Vec<HistogramSnapshot>,
     histogram_index: BTreeMap<MetricKey, u32>,
-    windows: Vec<WindowedCounter>,
+    windows: Vec<WindowSnapshot>,
     window_index: BTreeMap<MetricKey, u32>,
 }
 
@@ -167,7 +161,7 @@ impl MetricsRegistry {
             return HistogramHandle(slot);
         }
         let slot = self.histograms.len() as u32;
-        self.histograms.push(Histogram::new());
+        self.histograms.push(HistogramSnapshot::default());
         self.histogram_index.insert(key, slot);
         HistogramHandle(slot)
     }
@@ -190,7 +184,7 @@ impl MetricsRegistry {
             return WindowHandle(slot);
         }
         let slot = self.windows.len() as u32;
-        self.windows.push(WindowedCounter { window_us: window_us.max(1), cells: BTreeMap::new() });
+        self.windows.push(WindowSnapshot { window_us: window_us.max(1), cells: Vec::new() });
         self.window_index.insert(key, slot);
         WindowHandle(slot)
     }
@@ -203,11 +197,16 @@ impl MetricsRegistry {
             return;
         }
         let w = &mut self.windows[h.0 as usize];
-        let cell = w.cells.entry(at_us / w.window_us).or_insert((0, 0));
+        let index = at_us / w.window_us;
+        let at = w.cells.binary_search_by_key(&index, |&(i, _, _)| i).unwrap_or_else(|at| {
+            w.cells.insert(at, (index, 0, 0));
+            at
+        });
+        let cell = &mut w.cells[at];
         if good {
-            cell.0 += 1;
-        } else {
             cell.1 += 1;
+        } else {
+            cell.2 += 1;
         }
     }
 
@@ -219,17 +218,9 @@ impl MetricsRegistry {
         let histograms = self
             .histogram_index
             .iter()
-            .map(|(k, &s)| (k.clone(), self.histograms[s as usize].snapshot()));
-        let windows = self.window_index.iter().map(|(k, &s)| {
-            let w = &self.windows[s as usize];
-            (
-                k.clone(),
-                WindowSnapshot {
-                    window_us: w.window_us,
-                    cells: w.cells.iter().map(|(&i, &(g, b))| (i, g, b)).collect(),
-                },
-            )
-        });
+            .map(|(k, &s)| (k.clone(), self.histograms[s as usize].clone()));
+        let windows =
+            self.window_index.iter().map(|(k, &s)| (k.clone(), self.windows[s as usize].clone()));
         MetricsSnapshot {
             counters: counters.collect(),
             gauges: gauges.collect(),
@@ -239,8 +230,8 @@ impl MetricsRegistry {
     }
 }
 
-/// Frozen rolling-window contents: `(cell_index, good, bad)` triples
-/// sorted by cell index.
+/// Rolling-window contents: `(cell_index, good, bad)` triples sorted
+/// by cell index. The registry records into it directly.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WindowSnapshot {
     /// Cell width in sim µs.

@@ -132,14 +132,12 @@ impl fmt::Display for SloVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histogram::Histogram;
-
     fn hist(values: &[u64]) -> HistogramSnapshot {
-        let mut h = Histogram::new();
+        let mut h = HistogramSnapshot::default();
         for &v in values {
             h.observe(v);
         }
-        h.snapshot()
+        h
     }
 
     #[test]

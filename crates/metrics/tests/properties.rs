@@ -1,14 +1,14 @@
 //! Property suite for the deterministic histogram/snapshot algebra.
 
-use comet_metrics::{bucket_index, bucket_upper, Histogram, HistogramSnapshot, MetricsRegistry};
+use comet_metrics::{bucket_index, bucket_upper, HistogramSnapshot, MetricsRegistry};
 use proptest::prelude::*;
 
 fn hist(values: &[u64]) -> HistogramSnapshot {
-    let mut h = Histogram::new();
+    let mut h = HistogramSnapshot::default();
     for &v in values {
         h.observe(v);
     }
-    h.snapshot()
+    h
 }
 
 proptest! {

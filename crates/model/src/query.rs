@@ -1,16 +1,9 @@
-//! Read-only navigation and lookup helpers over a [`Model`].
-//!
-//! Each query comes in two flavours: the public method, answered from
-//! the maintained [`ModelIndex`](crate::index::ModelIndex) (built on
-//! first use, then patched with the ids each mutation touched — see
-//! `index.rs`), and a `*_scan` twin
-//! preserving the original full-arena scan. The scans are the
-//! differential oracles for the property tests in
-//! `tests/index_properties.rs` and the "before" baseline of
-//! `bench_weaver_json`'s query rows; new code should always use the
-//! indexed form.
+//! Read-only navigation and lookup helpers over a [`Model`], answered
+//! from the maintained [`ModelIndex`](crate::index::ModelIndex): built
+//! on first use, then patched with the ids each mutation touched (see
+//! `index.rs`). `tests/index_properties.rs` checks every query against
+//! a full scan of the element arena after random mutation sequences.
 
-use crate::element::{Element, ElementKind};
 use crate::id::ElementId;
 use crate::index::{ends, name_of};
 use crate::model::Model;
@@ -21,19 +14,9 @@ impl Model {
         self.elements_of_kind("Class")
     }
 
-    /// Full-scan reference for [`Model::classes`].
-    pub fn classes_scan(&self) -> Vec<ElementId> {
-        self.elements_of_kind_scan("Class")
-    }
-
     /// All interfaces, in id order.
     pub fn interfaces(&self) -> Vec<ElementId> {
         self.elements_of_kind("Interface")
-    }
-
-    /// Full-scan reference for [`Model::interfaces`].
-    pub fn interfaces_scan(&self) -> Vec<ElementId> {
-        self.elements_of_kind_scan("Interface")
     }
 
     /// All packages including the root, in id order.
@@ -41,19 +24,9 @@ impl Model {
         self.elements_of_kind("Package")
     }
 
-    /// Full-scan reference for [`Model::packages`].
-    pub fn packages_scan(&self) -> Vec<ElementId> {
-        self.elements_of_kind_scan("Package")
-    }
-
     /// All associations, in id order.
     pub fn associations(&self) -> Vec<ElementId> {
         self.elements_of_kind("Association")
-    }
-
-    /// Full-scan reference for [`Model::associations`].
-    pub fn associations_scan(&self) -> Vec<ElementId> {
-        self.elements_of_kind_scan("Association")
     }
 
     /// All elements of the given kind name (`"Class"`, `"Operation"`,
@@ -63,19 +36,9 @@ impl Model {
         self.index().by_kind.get(kind_name).cloned().unwrap_or_default()
     }
 
-    /// Full-scan reference for [`Model::elements_of_kind`].
-    pub fn elements_of_kind_scan(&self, kind_name: &str) -> Vec<ElementId> {
-        self.iter().filter(|e| e.kind().kind_name() == kind_name).map(Element::id).collect()
-    }
-
     /// All classifiers (classes, interfaces, data types, enumerations).
     pub fn classifiers(&self) -> Vec<ElementId> {
         self.index().classifiers.clone()
-    }
-
-    /// Full-scan reference for [`Model::classifiers`].
-    pub fn classifiers_scan(&self) -> Vec<ElementId> {
-        self.iter().filter(|e| e.is_classifier()).map(Element::id).collect()
     }
 
     /// Attributes owned by a classifier, in declaration (id) order.
@@ -83,29 +46,9 @@ impl Model {
         self.index().attributes.get(&classifier).cloned().unwrap_or_default()
     }
 
-    /// Full-scan reference for [`Model::attributes_of`].
-    pub fn attributes_of_scan(&self, classifier: ElementId) -> Vec<ElementId> {
-        self.iter()
-            .filter(|e| {
-                e.owner() == Some(classifier) && matches!(e.kind(), ElementKind::Attribute(_))
-            })
-            .map(Element::id)
-            .collect()
-    }
-
     /// Operations owned by a classifier, in declaration (id) order.
     pub fn operations_of(&self, classifier: ElementId) -> Vec<ElementId> {
         self.index().operations.get(&classifier).cloned().unwrap_or_default()
-    }
-
-    /// Full-scan reference for [`Model::operations_of`].
-    pub fn operations_of_scan(&self, classifier: ElementId) -> Vec<ElementId> {
-        self.iter()
-            .filter(|e| {
-                e.owner() == Some(classifier) && matches!(e.kind(), ElementKind::Operation(_))
-            })
-            .map(Element::id)
-            .collect()
     }
 
     /// Parameters of an operation, in declaration (id) order.
@@ -113,30 +56,9 @@ impl Model {
         self.index().parameters.get(&operation).cloned().unwrap_or_default()
     }
 
-    /// Full-scan reference for [`Model::parameters_of`].
-    pub fn parameters_of_scan(&self, operation: ElementId) -> Vec<ElementId> {
-        self.iter()
-            .filter(|e| {
-                e.owner() == Some(operation) && matches!(e.kind(), ElementKind::Parameter(_))
-            })
-            .map(Element::id)
-            .collect()
-    }
-
     /// Constraints attached to an element, in id order.
     pub fn constraints_on(&self, element: ElementId) -> Vec<ElementId> {
         self.index().constraints_on.get(&element).cloned().unwrap_or_default()
-    }
-
-    /// Full-scan reference for [`Model::constraints_on`].
-    pub fn constraints_on_scan(&self, element: ElementId) -> Vec<ElementId> {
-        self.iter()
-            .filter(|e| match e.kind() {
-                ElementKind::Constraint(c) => c.constrained == element,
-                _ => false,
-            })
-            .map(Element::id)
-            .collect()
     }
 
     /// Direct parents (generalization targets) of a classifier.
@@ -144,29 +66,9 @@ impl Model {
         ends(self.index().parents.get(&classifier))
     }
 
-    /// Full-scan reference for [`Model::parents_of`].
-    pub fn parents_of_scan(&self, classifier: ElementId) -> Vec<ElementId> {
-        self.iter()
-            .filter_map(|e| match e.kind() {
-                ElementKind::Generalization(g) if g.child == classifier => Some(g.parent),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Direct children (generalization sources) of a classifier.
     pub fn specializations_of(&self, classifier: ElementId) -> Vec<ElementId> {
         ends(self.index().specializations.get(&classifier))
-    }
-
-    /// Full-scan reference for [`Model::specializations_of`].
-    pub fn specializations_of_scan(&self, classifier: ElementId) -> Vec<ElementId> {
-        self.iter()
-            .filter_map(|e| match e.kind() {
-                ElementKind::Generalization(g) if g.parent == classifier => Some(g.child),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Transitive generalization ancestors, deduplicated, excluding the
@@ -175,28 +77,10 @@ impl Model {
         self.index().ancestors.get(&classifier).cloned().unwrap_or_default()
     }
 
-    /// Full-scan reference for [`Model::ancestors_of`].
-    pub fn ancestors_of_scan(&self, classifier: ElementId) -> Vec<ElementId> {
-        let mut out = Vec::new();
-        let mut frontier = self.parents_of_scan(classifier);
-        while let Some(p) = frontier.pop() {
-            if !out.contains(&p) {
-                out.push(p);
-                frontier.extend(self.parents_of_scan(p));
-            }
-        }
-        out
-    }
-
     /// Returns true when `child` equals or transitively specializes
     /// `ancestor`.
     pub fn is_kind_of(&self, child: ElementId, ancestor: ElementId) -> bool {
         child == ancestor || self.ancestors_of(child).contains(&ancestor)
-    }
-
-    /// Full-scan reference for [`Model::is_kind_of`].
-    pub fn is_kind_of_scan(&self, child: ElementId, ancestor: ElementId) -> bool {
-        child == ancestor || self.ancestors_of_scan(child).contains(&ancestor)
     }
 
     /// Finds the first classifier with the given simple name (id order).
@@ -204,21 +88,9 @@ impl Model {
         self.index().classifier_by_name.get(name).map(|ids| ids[0])
     }
 
-    /// Full-scan reference for [`Model::find_classifier`].
-    pub fn find_classifier_scan(&self, name: &str) -> Option<ElementId> {
-        self.iter().find(|e| e.is_classifier() && e.name() == name).map(Element::id)
-    }
-
     /// Finds a class by simple name.
     pub fn find_class(&self, name: &str) -> Option<ElementId> {
         self.index().class_by_name.get(name).map(|ids| ids[0])
-    }
-
-    /// Full-scan reference for [`Model::find_class`].
-    pub fn find_class_scan(&self, name: &str) -> Option<ElementId> {
-        self.iter()
-            .find(|e| matches!(e.kind(), ElementKind::Class(_)) && e.name() == name)
-            .map(Element::id)
     }
 
     /// Finds an operation `name` on classifier `classifier`.
@@ -231,13 +103,6 @@ impl Model {
             .find(|&op| name_of(self, op) == name)
     }
 
-    /// Full-scan reference for [`Model::find_operation`].
-    pub fn find_operation_scan(&self, classifier: ElementId, name: &str) -> Option<ElementId> {
-        self.operations_of_scan(classifier)
-            .into_iter()
-            .find(|&op| self.element(op).map(|e| e.name() == name).unwrap_or(false))
-    }
-
     /// Finds an attribute `name` on classifier `classifier`.
     pub fn find_attribute(&self, classifier: ElementId, name: &str) -> Option<ElementId> {
         self.index()
@@ -246,13 +111,6 @@ impl Model {
             .iter()
             .copied()
             .find(|&a| name_of(self, a) == name)
-    }
-
-    /// Full-scan reference for [`Model::find_attribute`].
-    pub fn find_attribute_scan(&self, classifier: ElementId, name: &str) -> Option<ElementId> {
-        self.attributes_of_scan(classifier)
-            .into_iter()
-            .find(|&a| self.element(a).map(|e| e.name() == name).unwrap_or(false))
     }
 
     /// Resolves a `::`-separated qualified name starting at the root
@@ -266,23 +124,9 @@ impl Model {
         }
         let mut cur = self.root();
         for seg in segments {
-            // Greedy per-segment resolution, exactly like the scan: the
-            // first (lowest-id) child with the segment name wins.
+            // Greedy per-segment resolution: the first (lowest-id) child
+            // with the segment name wins.
             cur = ix.children.get(&cur)?.iter().copied().find(|&c| name_of(self, c) == seg)?;
-        }
-        Some(cur)
-    }
-
-    /// Full-scan reference for [`Model::find_by_qualified_name`].
-    pub fn find_by_qualified_name_scan(&self, qname: &str) -> Option<ElementId> {
-        let mut segments = qname.split("::");
-        let first = segments.next()?;
-        if first != self.name() {
-            return None;
-        }
-        let mut cur = self.root();
-        for seg in segments {
-            cur = self.iter().find(|e| e.owner() == Some(cur) && e.name() == seg)?.id();
         }
         Some(cur)
     }
@@ -292,27 +136,9 @@ impl Model {
         self.index().stereotyped.get(stereotype).cloned().unwrap_or_default()
     }
 
-    /// Full-scan reference for [`Model::stereotyped`].
-    pub fn stereotyped_scan(&self, stereotype: &str) -> Vec<ElementId> {
-        self.iter().filter(|e| e.core().has_stereotype(stereotype)).map(Element::id).collect()
-    }
-
     /// Associations with at least one end attached to `classifier`.
     pub fn associations_of(&self, classifier: ElementId) -> Vec<ElementId> {
         self.index().associations_of.get(&classifier).cloned().unwrap_or_default()
-    }
-
-    /// Full-scan reference for [`Model::associations_of`].
-    pub fn associations_of_scan(&self, classifier: ElementId) -> Vec<ElementId> {
-        self.iter()
-            .filter(|e| match e.kind() {
-                ElementKind::Association(a) => {
-                    a.ends[0].class == classifier || a.ends[1].class == classifier
-                }
-                _ => false,
-            })
-            .map(Element::id)
-            .collect()
     }
 
     /// All enumerations, in id order (indexed).
@@ -351,7 +177,8 @@ mod tests {
         assert!(m.is_kind_of(d, a));
         assert!(m.is_kind_of(d, d));
         assert!(!m.is_kind_of(a, d));
-        assert_eq!(anc, m.ancestors_of_scan(d), "index must match the scan order");
+        // Worklist order: the last direct parent is expanded first.
+        assert_eq!(anc, vec![c, a, b]);
     }
 
     #[test]
@@ -414,7 +241,7 @@ mod tests {
         assert_eq!(m.classes(), vec![b], "index must forget removed classes");
         m.apply_stereotype(b, "Remote").unwrap();
         assert_eq!(m.stereotyped("Remote"), vec![b]);
-        assert_eq!(m.classes(), m.classes_scan());
+        assert_eq!(m.classes(), vec![b]);
         assert_eq!(m.children(m.root()), vec![b]);
     }
 }

@@ -2,13 +2,16 @@
 //! arbitrary sequence of API-level mutations (including removals,
 //! renames via `element_mut` and `set_name`, stereotypes, associations,
 //! generalizations, journal rollbacks and reverts of committed undo
-//! logs), every indexed query must answer exactly like its `*_scan`
-//! full-scan twin — same elements, same order. Queries are also
+//! logs), every indexed query must answer exactly like the full scan
+//! in `scan/mod.rs` — same elements, same order. Queries are also
 //! interleaved *between* mutations, so an index patch that misses a
 //! touched id shows up as a divergence.
 
+mod scan;
+
 use comet_model::{AssociationEnd, ElementId, Model, Primitive, UndoLog};
 use proptest::prelude::*;
+use scan::assert_index_matches_scans;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -187,80 +190,11 @@ fn apply_ops(ops: &[Op]) -> Model {
     m
 }
 
-/// Asserts every indexed query equals its scan twin on `m`.
-fn assert_index_matches_scans(m: &Model) -> Result<(), TestCaseError> {
-    prop_assert_eq!(m.classes(), m.classes_scan());
-    prop_assert_eq!(m.interfaces(), m.interfaces_scan());
-    prop_assert_eq!(m.packages(), m.packages_scan());
-    prop_assert_eq!(m.associations(), m.associations_scan());
-    prop_assert_eq!(m.classifiers(), m.classifiers_scan());
-    for kind in [
-        "Package",
-        "Class",
-        "Interface",
-        "DataType",
-        "Enumeration",
-        "Attribute",
-        "Operation",
-        "Parameter",
-        "Association",
-        "Generalization",
-        "Dependency",
-        "Constraint",
-    ] {
-        prop_assert_eq!(m.elements_of_kind(kind), m.elements_of_kind_scan(kind));
-    }
-    let every: Vec<ElementId> = m.iter().map(|e| e.id()).collect();
-    for &id in &every {
-        prop_assert_eq!(m.attributes_of(id), m.attributes_of_scan(id));
-        prop_assert_eq!(m.operations_of(id), m.operations_of_scan(id));
-        prop_assert_eq!(m.parameters_of(id), m.parameters_of_scan(id));
-        prop_assert_eq!(m.constraints_on(id), m.constraints_on_scan(id));
-        prop_assert_eq!(m.parents_of(id), m.parents_of_scan(id));
-        prop_assert_eq!(m.specializations_of(id), m.specializations_of_scan(id));
-        prop_assert_eq!(m.ancestors_of(id), m.ancestors_of_scan(id));
-        prop_assert_eq!(m.associations_of(id), m.associations_of_scan(id));
-        let children: Vec<ElementId> =
-            m.iter().filter(|e| e.owner() == Some(id)).map(|e| e.id()).collect();
-        prop_assert_eq!(m.children(id), children);
-        let name = m.element(id).expect("live id").name().to_owned();
-        prop_assert_eq!(m.find_classifier(&name), m.find_classifier_scan(&name));
-        prop_assert_eq!(m.find_class(&name), m.find_class_scan(&name));
-        if let Ok(qname) = m.qualified_name(id) {
-            prop_assert_eq!(
-                m.find_by_qualified_name(&qname),
-                m.find_by_qualified_name_scan(&qname)
-            );
-        }
-    }
-    for (a, b) in every.iter().zip(every.iter().rev()) {
-        prop_assert_eq!(m.is_kind_of(*a, *b), m.is_kind_of_scan(*a, *b));
-    }
-    // Stereotype and feature-name lookups over everything observed.
-    let mut stereotypes: Vec<String> =
-        m.iter().flat_map(|e| e.core().stereotypes.iter().cloned()).collect();
-    stereotypes.sort();
-    stereotypes.dedup();
-    for s in &stereotypes {
-        prop_assert_eq!(m.stereotyped(s), m.stereotyped_scan(s));
-    }
-    prop_assert_eq!(m.stereotyped("never-applied"), m.stereotyped_scan("never-applied"));
-    for &cl in &m.classifiers() {
-        for &f in m.attributes_of(cl).iter().chain(m.operations_of(cl).iter()) {
-            let fname = m.element(f).expect("live id").name().to_owned();
-            prop_assert_eq!(m.find_attribute(cl, &fname), m.find_attribute_scan(cl, &fname));
-            prop_assert_eq!(m.find_operation(cl, &fname), m.find_operation_scan(cl, &fname));
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The satellite property: after a random mutation sequence (with
-    /// index builds interleaved), every indexed query equals the naive
-    /// full scan.
+    /// After a random mutation sequence (with index builds
+    /// interleaved), every indexed query equals the full scan.
     #[test]
     fn indexed_queries_equal_scans_after_mutations(
         ops in prop::collection::vec(arb_op(), 0..50),

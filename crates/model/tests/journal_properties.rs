@@ -1,5 +1,6 @@
-//! Differential property tests for the change journal (`journal.rs`),
-//! mirroring the `_scan`-twin pattern of `index_properties.rs`:
+//! Differential property tests for the change journal (`journal.rs`).
+//! After every rollback, commit and revert, each indexed query must
+//! also still answer like the full scan in `scan/mod.rs`.
 //!
 //! * **rollback = clone restore**: after an arbitrary journaled
 //!   mutation sequence, `rollback_journal` must leave the model equal
@@ -13,8 +14,11 @@
 //!   elements reassembled by `Model::from_parts` — the model a snapshot
 //!   import builds, id watermark (max id + 1) included.
 
+mod scan;
+
 use comet_model::{AssociationEnd, ElementId, Model, ModelDelta, Primitive};
 use proptest::prelude::*;
+use scan::assert_index_matches_scans;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -173,6 +177,7 @@ proptest! {
         prop_assert!(!m.journal_active());
         prop_assert_eq!(&m, &snapshot, "rollback diverged from the clone snapshot");
         prop_assert_eq!(m.name(), snapshot.name());
+        assert_index_matches_scans(&m)?;
         // The id watermark must also be restored: both models hand out
         // the same id next.
         let mut a = m.clone();
@@ -199,6 +204,7 @@ proptest! {
         }
         let (delta, _) = m.commit_journal().expect("journal is active");
         prop_assert_eq!(delta, ModelDelta::between(&before, &m));
+        assert_index_matches_scans(&m)?;
     }
 
     #[test]
@@ -223,6 +229,7 @@ proptest! {
         prop_assert_eq!(&m, &mid, "inner rollback diverged from mid snapshot");
         m.rollback_journal().expect("outer segment");
         prop_assert_eq!(&m, &base, "outer rollback diverged from base snapshot");
+        assert_index_matches_scans(&m)?;
         prop_assert!(!m.journal_active());
     }
     #[test]
@@ -260,8 +267,10 @@ proptest! {
         let (_, two) = m.commit_journal().expect("second segment");
         m.revert(two.expect("outermost commit hands back its log"));
         prop_assert_eq!(&m, &mid, "reverting step two diverged from its reassembled pre-state");
+        assert_index_matches_scans(&m)?;
         m.revert(one.expect("outermost commit hands back its log"));
         prop_assert_eq!(&m, &base, "reverting step one diverged from its reassembled pre-state");
+        assert_index_matches_scans(&m)?;
         prop_assert!(!m.journal_active());
     }
 }

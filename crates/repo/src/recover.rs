@@ -837,41 +837,39 @@ mod tests {
     }
 
     #[test]
-    fn compensated_failed_undo_keeps_journal_matching_memory() {
-        let dir = tmp("compensate");
+    fn failed_undo_journals_nothing_and_reopens_to_memory() {
+        let dir = tmp("failed-undo");
         let (v1, v2) = two_models();
         let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         dur.commit(&v2, "distribution", Some("distribution")).unwrap();
-        // Corrupt — in memory only — the snapshot undo would restore,
-        // so the in-memory undo fails *after* its journal record is
-        // already appended and the compensating append must cancel it.
+        // Corrupt — in memory only — the snapshot undo would restore, so
+        // the landing check fails before anything is journalled.
         let first = *dur.commits.keys().next().unwrap();
         dur.commits.get_mut(&first).unwrap().snapshot = "<not xmi".into();
         let err = dur.undo().unwrap().unwrap_err();
         assert!(matches!(err, RepoError::Corrupt(_)), "unexpected error: {err}");
-        // Compensation succeeded: the handle stays usable...
+        // The handle stays usable...
         dur.tag("still-alive").unwrap();
         drop(dur);
-        // ...and replay (Undo cancelled by Redo) lands on the pre-undo
-        // head, matching what memory saw.
+        // ...and the reopened journal, which holds no Undo, lands on the
+        // pre-undo head, matching what memory saw.
         let (dur, _) = Repository::open(&dir).unwrap();
         assert_eq!(dur.head_model().unwrap().unwrap(), v2);
         assert_eq!(dur.checkout_tag("still-alive").unwrap(), v2);
     }
 
     #[test]
-    fn compensated_failed_redo_keeps_journal_matching_memory() {
-        let dir = tmp("compensate-redo");
+    fn failed_redo_journals_nothing_and_reopens_to_memory() {
+        let dir = tmp("failed-redo");
         let (v1, v2) = two_models();
         let mut dur = Repository::create(&dir, "bank").unwrap();
         dur.commit(&v1, "initial", None).unwrap();
         dur.commit(&v2, "distribution", Some("distribution")).unwrap();
         dur.undo().unwrap().unwrap();
-        // Corrupt — in memory only — the snapshot redo would restore:
-        // the in-memory redo fails after its journal record is appended,
-        // and must leave the head where it was for the compensating
-        // `Undo` to cancel exactly that record.
+        // Corrupt — in memory only — the snapshot redo would restore, so
+        // the landing check fails before anything is journalled and the
+        // head stays where it was.
         let last = *dur.commits.keys().last().unwrap();
         dur.commits.get_mut(&last).unwrap().snapshot = "<not xmi".into();
         let err = dur.redo().unwrap().unwrap_err();
@@ -880,7 +878,7 @@ mod tests {
         dur.tag("still-alive").unwrap();
         let live = dur.clone();
         drop(dur);
-        // Replay: Undo, Redo cancelled by Undo — the head memory saw.
+        // Replay holds the one Undo: the head memory saw.
         let (dur, _) = Repository::open(&dir).unwrap();
         assert_same_state(&live, &dur);
         assert_eq!(dur.head_model().unwrap().unwrap(), v1);

@@ -148,10 +148,7 @@ impl ConcreteTransformation {
     ///    back, restoring the model to its input state in O(delta).
     ///
     /// The [`ModelDelta`] is derived from the committed journal
-    /// segment, not from a before/after sweep of the whole arena. The
-    /// pre-journal clone-based engine is retained as
-    /// [`ConcreteTransformation::apply_cloned`] and serves as the
-    /// differential oracle in the test suite.
+    /// segment, not from a before/after sweep of the whole arena.
     ///
     /// # Errors
     /// See [`TransformError`]; the model is unchanged on every error.
@@ -216,25 +213,6 @@ impl ConcreteTransformation {
         result
     }
 
-    /// The pre-journal engine: snapshots the whole model up front,
-    /// restores the snapshot on failure, and derives the delta from a
-    /// before/after element sweep ([`ModelDelta::between`]). O(model) per application regardless
-    /// of how little the body touches — kept as the differential oracle
-    /// for [`ConcreteTransformation::apply`] and as the "before"
-    /// baseline in the transform benchmarks.
-    ///
-    /// # Errors
-    /// See [`TransformError`]; the model is unchanged on every error.
-    pub fn apply_cloned(&self, model: &mut Model) -> Result<ModelDelta, TransformError> {
-        self.check_conditions(model, self.preconditions(), /* pre: */ true)?;
-        let before = model.clone();
-        let result = self.apply_body_cloned(model, &before);
-        if result.is_err() {
-            *model = before;
-        }
-        result
-    }
-
     fn check_conditions(
         &self,
         model: &Model,
@@ -278,25 +256,6 @@ impl ConcreteTransformation {
             return Err(TransformError::WellFormedness(violations));
         }
         self.check_conditions(model, self.postconditions(), /* pre: */ false)
-    }
-
-    fn apply_body_cloned(
-        &self,
-        model: &mut Model,
-        before: &Model,
-    ) -> Result<ModelDelta, TransformError> {
-        self.gmt.transform(model, &self.params)?;
-        // Coloring touches only created elements, which `before` lacks,
-        // so the delta swept ahead of it is unchanged by it.
-        let delta = ModelDelta::between(before, model);
-        for id in &delta.created {
-            model.mark_concern(*id, self.gmt.concern())?;
-        }
-        if let Err(violations) = model.validate() {
-            return Err(TransformError::WellFormedness(violations));
-        }
-        self.check_conditions(model, self.postconditions(), /* pre: */ false)?;
-        Ok(delta)
     }
 }
 

@@ -1,13 +1,13 @@
-//! Differential tests for the two transformation engines:
+//! Differential tests for the transformation engine:
 //! [`ConcreteTransformation::apply`] (journal rollback, journal-derived
-//! report) against [`ConcreteTransformation::apply_cloned`] (the
-//! retained clone-and-sweep oracle). For arbitrary sequences of bodies
-//! and conditions — including failing ones — both engines must produce
-//! the same outcome, the same report, and byte-for-byte the same model
-//! after every step.
+//! report) against [`reference_apply`], a clone-and-sweep reference
+//! built here on the public API. For arbitrary sequences of bodies and
+//! conditions — including failing ones — both must produce the same
+//! outcome, the same report, and the same model after every step.
 
 use comet_model::sample::banking_pim;
-use comet_model::{Model, Primitive};
+use comet_model::{Model, ModelDelta, Primitive};
+use comet_ocl::{evaluate_bool, Context};
 use comet_transform::{
     specialize, ConcreteTransformation, ParamSet, TransformError, TransformationBuilder,
 };
@@ -119,21 +119,25 @@ fn run_body(model: &mut Model, ops: &[BodyOp]) -> Result<(), TransformError> {
 /// seeds pick from [`CONDITIONS`].
 type StepSpec = (Vec<BodyOp>, Outcome, Vec<u8>, Vec<u8>);
 
-fn build_cmt((ops, outcome, pres, posts): StepSpec) -> ConcreteTransformation {
-    let fail = matches!(outcome, Outcome::FailCustom);
-    let mut builder =
-        TransformationBuilder::new("prop-body", "prop-concern").body(move |model, _params| {
-            run_body(model, &ops)?;
-            if fail {
-                return Err(TransformError::Custom("injected body failure".into()));
-            }
-            Ok(())
-        });
+/// The step's body: its ops, then the injected failure if it has one.
+fn run_step(model: &mut Model, (ops, outcome, ..): &StepSpec) -> Result<(), TransformError> {
+    run_body(model, ops)?;
+    if matches!(outcome, Outcome::FailCustom) {
+        return Err(TransformError::Custom("injected body failure".into()));
+    }
+    Ok(())
+}
+
+fn build_cmt(step: &StepSpec) -> ConcreteTransformation {
+    let (_, outcome, pres, posts) = step;
+    let owned = step.clone();
+    let mut builder = TransformationBuilder::new("prop-body", "prop-concern")
+        .body(move |model, _params| run_step(model, &owned));
     for seed in pres {
-        builder = builder.precondition(CONDITIONS[seed as usize % CONDITIONS.len()]);
+        builder = builder.precondition(CONDITIONS[*seed as usize % CONDITIONS.len()]);
     }
     for seed in posts {
-        builder = builder.postcondition(CONDITIONS[seed as usize % CONDITIONS.len()]);
+        builder = builder.postcondition(CONDITIONS[*seed as usize % CONDITIONS.len()]);
     }
     match outcome {
         Outcome::FailPostcondition => builder = builder.postcondition("false"),
@@ -141,6 +145,51 @@ fn build_cmt((ops, outcome, pres, posts): StepSpec) -> ConcreteTransformation {
         _ => {}
     }
     specialize(builder.build(), ParamSet::new()).expect("empty schema validates")
+}
+
+/// Checks `conditions` on `model` the way `apply` reports them.
+fn check(
+    cmt: &ConcreteTransformation,
+    model: &Model,
+    conditions: Vec<String>,
+    pre: bool,
+) -> Result<(), TransformError> {
+    for condition in conditions {
+        let transformation = cmt.full_name();
+        match evaluate_bool(&condition, &Context::for_model(model)) {
+            Ok(true) => {}
+            Ok(false) if pre => {
+                return Err(TransformError::PreconditionFailed { transformation, condition })
+            }
+            Ok(false) => {
+                return Err(TransformError::PostconditionFailed { transformation, condition })
+            }
+            Err(source) => return Err(TransformError::Condition { condition, source }),
+        }
+    }
+    Ok(())
+}
+
+/// The reference engine: checks the preconditions, runs `body` on a
+/// clone, colours the ids it created, sweeps the report with
+/// [`ModelDelta::between`], validates, checks the postconditions, and
+/// keeps the clone only if all of that passed.
+fn reference_apply(
+    cmt: &ConcreteTransformation,
+    model: &mut Model,
+    body: impl FnOnce(&mut Model) -> Result<(), TransformError>,
+) -> Result<ModelDelta, TransformError> {
+    check(cmt, model, cmt.preconditions(), true)?;
+    let mut out = model.clone();
+    body(&mut out)?;
+    let delta = ModelDelta::between(model, &out);
+    for &id in &delta.created {
+        out.mark_concern(id, cmt.concern())?;
+    }
+    out.validate().map_err(TransformError::WellFormedness)?;
+    check(cmt, &out, cmt.postconditions(), false)?;
+    *model = out;
+    Ok(delta)
 }
 
 proptest! {
@@ -159,12 +208,12 @@ proptest! {
         ),
     ) {
         let mut journaled = banking_pim();
-        let mut cloned = banking_pim();
-        for (i, step) in steps.into_iter().enumerate() {
+        let mut reference = banking_pim();
+        for (i, step) in steps.iter().enumerate() {
             let before = journaled.clone();
             let cmt = build_cmt(step);
             let r1 = cmt.apply(&mut journaled);
-            let r2 = cmt.apply_cloned(&mut cloned);
+            let r2 = reference_apply(&cmt, &mut reference, |m| run_step(m, step));
             match (&r1, &r2) {
                 (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "reports diverged at step {}", i),
                 (Err(a), Err(b)) => {
@@ -179,7 +228,7 @@ proptest! {
                 }
                 _ => prop_assert!(false, "engines disagreed at step {i}: {r1:?} vs {r2:?}"),
             }
-            prop_assert_eq!(&journaled, &cloned, "models diverged at step {}", i);
+            prop_assert_eq!(&journaled, &reference, "models diverged at step {}", i);
             prop_assert!(!journaled.journal_active(), "apply leaked an open journal");
         }
     }
@@ -187,23 +236,22 @@ proptest! {
 
 #[test]
 fn journaled_apply_reports_and_colors_like_the_oracle() {
-    let gmt = TransformationBuilder::new("mixed", "audit")
-        .body(|model, _| {
-            let root = model.root();
-            let created = model.add_class(root, "AuditLog")?;
-            model.add_operation(created, "append")?;
-            let bank = model.find_class("Bank").expect("bank exists");
-            model.apply_stereotype(bank, "Audited")?;
-            let customer = model.find_class("Customer").expect("customer exists");
-            model.remove_element(customer)?;
-            Ok(())
-        })
-        .build();
+    fn body(model: &mut Model) -> Result<(), TransformError> {
+        let root = model.root();
+        let created = model.add_class(root, "AuditLog")?;
+        model.add_operation(created, "append")?;
+        let bank = model.find_class("Bank").expect("bank exists");
+        model.apply_stereotype(bank, "Audited")?;
+        let customer = model.find_class("Customer").expect("customer exists");
+        model.remove_element(customer)?;
+        Ok(())
+    }
+    let gmt = TransformationBuilder::new("mixed", "audit").body(|model, _| body(model)).build();
     let cmt = specialize(gmt, ParamSet::new()).unwrap();
     let mut a = banking_pim();
     let mut b = banking_pim();
     let ra = cmt.apply(&mut a).unwrap();
-    let rb = cmt.apply_cloned(&mut b).unwrap();
+    let rb = reference_apply(&cmt, &mut b, body).unwrap();
     assert_eq!(ra, rb);
     assert_eq!(a, b);
     assert_eq!(ra.created.len(), 2, "class + operation created");
@@ -217,7 +265,7 @@ fn journaled_apply_reports_and_colors_like_the_oracle() {
 fn failed_apply_preserves_id_watermark() {
     // After a rollback the next allocation must reuse the rolled-back
     // ids — otherwise repeated failed attempts leak id space and the
-    // journal path would diverge from clone restore.
+    // journal path would diverge from the reference's clone.
     let failing = specialize(
         TransformationBuilder::new("boom", "c")
             .body(|model, _| {
