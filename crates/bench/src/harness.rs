@@ -1,6 +1,7 @@
 //! The one timing and output harness every `bench_*_json` bin shares:
-//! median wall-clock timing, the `experiment`/`host_cores`/`revision`
-//! header, and a writer that renders through [`JsonValue`].
+//! median (and quartile) wall-clock timing, the
+//! `experiment`/`host_cores`/`revision` header, and a writer that
+//! renders through [`JsonValue`].
 
 pub use comet_obs::JsonValue;
 use std::process::Command;
@@ -10,25 +11,47 @@ use std::time::Instant;
 /// runs, after `warmup` untimed ones — `(warmup, samples)` is `reps`.
 /// Each run is fed by an untimed `setup` on the same state.
 pub fn median_secs_after<S, I>(
+    reps: (usize, usize),
+    state: &mut S,
+    setup: impl FnMut(&mut S) -> I,
+    run: impl FnMut(&mut S, I),
+) -> f64 {
+    quartiles(sample_secs_after(reps, state, setup, run))[1]
+}
+
+/// [`median_secs`] with the quartiles beside it: `[q1, median, q3]`
+/// ([`quartiles`]).
+pub fn quartile_secs(reps: (usize, usize), mut run: impl FnMut()) -> [f64; 3] {
+    quartiles(sample_secs_after(reps, &mut (), |_| (), |_, ()| run()))
+}
+
+/// `[q1, median, q3]` of non-empty `samples`, each one of the samples
+/// (of 5: the 2nd, 3rd and 4th smallest).
+pub fn quartiles(mut samples: Vec<f64>) -> [f64; 3] {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let n = samples.len();
+    [samples[(n - 1) / 4], samples[n / 2], samples[3 * n / 4]]
+}
+
+/// The timed runs of [`median_secs_after`].
+fn sample_secs_after<S, I>(
     (warmup, samples): (usize, usize),
     state: &mut S,
     mut setup: impl FnMut(&mut S) -> I,
     mut run: impl FnMut(&mut S, I),
-) -> f64 {
+) -> Vec<f64> {
     for _ in 0..warmup {
         let input = setup(state);
         run(state, input);
     }
-    let mut times: Vec<f64> = (0..samples)
+    (0..samples)
         .map(|_| {
             let input = setup(state);
             let t0 = Instant::now();
             run(state, input);
             t0.elapsed().as_secs_f64()
         })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[times.len() / 2]
+        .collect()
 }
 
 /// [`median_secs_after`] without a setup.

@@ -9,7 +9,15 @@
 //!    undo);
 //! 2. a commit's snapshot bytes go to the append-only
 //!    [`SegmentStore`](crate::segment::SegmentStore) (content-addressed
-//!    by FNV-1a, full-byte-verified dedupe),
+//!    by FNV-1a, full-byte-verified dedupe). The FNV-1a pass over the
+//!    snapshot is skipped only when the commit re-creates content this
+//!    handle journalled before: a commit with a delta whose *revisit
+//!    key* — FNV-1a over the head's hash and the delta's id lists —
+//!    names a content hash under which the store holds the snapshot's
+//!    exact bytes takes that segment's `(hash, ordinal)`. Without a key
+//!    (the first commit, a commit without a delta, a fresh handle) or on
+//!    a mismatch, the snapshot is hashed in full. Either way the same
+//!    bytes reach both files;
 //! 3. the operation record goes to the [`Wal`](crate::wal::Wal),
 //! 4. only then is the in-memory state updated, and that step cannot
 //!    fail.
@@ -49,7 +57,8 @@ use crate::repo::{decode, Commit, RepoError, Repository, Step};
 use crate::segment::{SegmentId, SegmentStore};
 use crate::wal::{CheckpointCommit, CheckpointState, Wal, WalRecord};
 use comet_model::ModelDelta;
-use std::collections::{BTreeMap, BTreeSet};
+use comet_obs::{fnv1a64, fnv1a64_extend};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -171,6 +180,10 @@ pub(crate) struct Journal {
     wal: Wal,
     segments: SegmentStore,
     dir: PathBuf,
+    /// Revisit key ([`revisit_key`]) of each commit this handle
+    /// journalled → the content hash that commit stored. Not rebuilt by
+    /// replay: a reopened handle starts empty.
+    revisits: HashMap<u64, u64>,
 }
 
 /// Shows the journal's identity, not its file positions or counters,
@@ -182,6 +195,10 @@ impl fmt::Debug for Journal {
 }
 
 impl Journal {
+    fn new(wal: Wal, segments: SegmentStore, dir: &Path) -> Journal {
+        Journal { wal, segments, dir: dir.to_owned(), revisits: HashMap::new() }
+    }
+
     pub(crate) fn fsyncs(&self) -> u64 {
         self.wal.fsyncs()
     }
@@ -190,25 +207,67 @@ impl Journal {
         self.wal.append(record).map_err(io_err)
     }
 
-    /// Journals a commit: the snapshot bytes to the segment store
-    /// first, then the record that references them.
+    /// Journals a commit and returns its content hash: the snapshot
+    /// bytes go to the segment store first, then the record that
+    /// references them.
+    ///
+    /// A commit on a `parent` (the head's hash) with a delta may
+    /// re-create content an earlier commit from the same parent and
+    /// delta ids stored. When its revisit key names a hash under which
+    /// [`SegmentStore::find`] matches the full bytes, that segment is
+    /// the commit's: no FNV-1a pass over the snapshot and no append.
+    /// Otherwise — no key, an unknown key, or a stale one whose bytes
+    /// differ — the snapshot is hashed and appended as before. Either
+    /// way the files get the same bytes.
     pub(crate) fn commit(
         &mut self,
         snapshot: &str,
-        hash: u64,
+        parent: Option<u64>,
         message: &str,
         concern: Option<&str>,
         delta: Option<&ModelDelta>,
-    ) -> Result<(), RepoError> {
-        let seg = self.segments.append_hashed(snapshot.as_bytes(), hash).map_err(io_err)?;
+    ) -> Result<u64, RepoError> {
+        let bytes = snapshot.as_bytes();
+        let key = parent.zip(delta).map(|(parent, delta)| revisit_key(parent, delta));
+        let stored = match key.and_then(|key| self.revisits.get(&key)) {
+            Some(&hash) => self.segments.find(bytes, hash).map_err(io_err)?,
+            None => None,
+        };
+        let seg = match stored {
+            Some(seg) => {
+                debug_assert_eq!(fnv1a64(bytes), seg.hash, "a revisit matched another hash");
+                seg
+            }
+            None => self.segments.append_hashed(bytes, fnv1a64(bytes)).map_err(io_err)?,
+        };
         self.append(&WalRecord::Commit {
             message: message.to_owned(),
             concern: concern.map(str::to_owned),
-            hash,
+            hash: seg.hash,
             ordinal: seg.ordinal,
             delta: delta.cloned(),
-        })
+        })?;
+        if let Some(key) = key {
+            self.revisits.insert(key, seg.hash);
+        }
+        Ok(seg.hash)
     }
+}
+
+/// FNV-1a over a commit's parent hash and its delta's id lists, each
+/// list led by its length: the same parent and the same touched ids
+/// give the same key, in O(delta) rather than O(snapshot). Two commits
+/// with one key may still differ in content, so a key only names a
+/// candidate hash for [`SegmentStore::find`] to confirm.
+fn revisit_key(parent: u64, delta: &ModelDelta) -> u64 {
+    let mut key = fnv1a64(&parent.to_le_bytes());
+    for ids in [&delta.created, &delta.modified, &delta.removed] {
+        key = fnv1a64_extend(key, &(ids.len() as u64).to_le_bytes());
+        for id in ids {
+            key = fnv1a64_extend(key, &id.raw().to_le_bytes());
+        }
+    }
+    key
 }
 
 impl Repository {
@@ -234,7 +293,7 @@ impl Repository {
         let mut wal = Wal::open_at(dir.join(WAL_FILE), 0).map_err(io_err)?;
         wal.append(&WalRecord::Init { name: name.to_owned() }).map_err(io_err)?;
         let mut repo = Repository::new(name);
-        repo.journal = Some(Journal { wal, segments, dir: dir.to_owned() });
+        repo.journal = Some(Journal::new(wal, segments, dir));
         Ok(repo)
     }
 
@@ -264,7 +323,7 @@ impl Repository {
             RepoError::Storage(format!("journal in {} has no init record", dir.display()))
         })?;
         let wal = Wal::open_at(wal_path, end).map_err(io_err)?;
-        repo.journal = Some(Journal { wal, segments, dir: dir.to_owned() });
+        repo.journal = Some(Journal::new(wal, segments, dir));
         let report = RecoveryReport {
             records_replayed: records.len(),
             wal_truncated_bytes: wal_report.truncated_bytes,
@@ -370,6 +429,8 @@ impl Repository {
         let (_, _, end) = Wal::read_all(&dir.join(WAL_FILE)).map_err(io_err)?;
         journal.segments = segments;
         journal.wal = Wal::open_at(dir.join(WAL_FILE), end).map_err(io_err)?;
+        // A key whose content was dropped could only miss from now on.
+        journal.revisits.retain(|_, hash| live_hashes.contains(hash));
         Ok(report)
     }
 
@@ -425,7 +486,7 @@ impl Repository {
             if !found {
                 report.problems.push(format!("commit {id}: snapshot missing from segment store"));
             }
-            if comet_obs::fnv1a64(snapshot) != hash {
+            if fnv1a64(snapshot) != hash {
                 report.problems.push(format!("commit {id}: content hash mismatch"));
             }
         }
@@ -695,6 +756,24 @@ mod tests {
         drop(dur);
         let (dur, _) = Repository::open(&dir).unwrap();
         assert_same_state(&before, &dur);
+    }
+
+    #[test]
+    fn a_revisit_key_is_recorded_only_once_its_commit_is_journalled() {
+        let dir = tmp("revisit-key");
+        let (v1, v2) = two_models();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
+        dur.commit(&v1, "initial", None).unwrap();
+        let delta = ModelDelta::between(&v1, &v2);
+        let key = revisit_key(dur.head().unwrap().hash, &delta);
+        let wal = Wal::read_only(&dir.join(WAL_FILE)).unwrap();
+        let wal = std::mem::replace(&mut journal(&mut dur).wal, wal);
+        dur.commit_with_delta(&v2, "refused", None, delta.clone()).unwrap_err();
+        assert!(journal(&mut dur).revisits.is_empty(), "a refused append records no key");
+        journal(&mut dur).wal = wal;
+        dur.commit_with_delta(&v2, "journalled", None, delta).unwrap();
+        let hash = dur.head().unwrap().hash;
+        assert_eq!(journal(&mut dur).revisits.get(&key), Some(&hash));
     }
 
     #[test]

@@ -226,6 +226,10 @@ impl Repository {
     /// builds only. With a journal the commit always exports and
     /// **verifies** an empty delta against the bytes: a stale snapshot
     /// persisted under a wrong hash would poison every later recovery.
+    /// With a journal, a commit that re-creates content this handle
+    /// already journalled from the same parent with the same delta ids
+    /// takes its hash from the stored segment, after a full-byte
+    /// compare, instead of hashing the snapshot.
     ///
     /// # Errors
     /// As [`commit`](Self::commit); with a journal also on a lying
@@ -250,8 +254,10 @@ impl Repository {
         if std::mem::take(&mut self.fail_next_commit) {
             return Err(RepoError::Storage("injected commit failure".to_owned()));
         }
-        let parent = self.head().filter(|_| delta.as_ref().is_some_and(ModelDelta::is_empty));
-        let (snapshot, hash): (Arc<str>, u64) = match parent {
+        let head = self.head();
+        let head_hash = head.map(|head| head.hash);
+        let parent = head.filter(|_| delta.as_ref().is_some_and(ModelDelta::is_empty));
+        let (snapshot, known_hash): (Arc<str>, Option<u64>) = match parent {
             Some(p) if self.journal.is_none() => {
                 debug_assert_eq!(
                     fnv1a64(export_model(model).as_bytes()),
@@ -260,25 +266,28 @@ impl Repository {
                      differs from parent commit {}",
                     p.id
                 );
-                (p.snapshot_shared(), p.hash)
+                (p.snapshot_shared(), Some(p.hash))
             }
             _ => {
                 let snapshot = export_model(model);
-                let hash = fnv1a64(snapshot.as_bytes());
-                // Only a journalled commit reaches here with a parent.
-                if let Some(p) = parent.filter(|p| p.hash != hash || *p.snapshot != *snapshot) {
+                // Only a journalled commit reaches here with a parent;
+                // equal bytes mean the parent's hash too.
+                if let Some(p) = parent.filter(|p| *p.snapshot != *snapshot) {
                     return Err(RepoError::Storage(format!(
                         "empty ModelDelta for `{message}` but the model content differs \
                          from parent commit {} — refusing to journal a lying delta",
                         p.id
                     )));
                 }
-                (snapshot.into(), hash)
+                (snapshot.into(), None)
             }
         };
-        if let Some(journal) = &mut self.journal {
-            journal.commit(&snapshot, hash, message, concern, delta.as_ref())?;
-        }
+        let hash = match &mut self.journal {
+            Some(journal) => {
+                journal.commit(&snapshot, head_hash, message, concern, delta.as_ref())?
+            }
+            None => known_hash.unwrap_or_else(|| fnv1a64(snapshot.as_bytes())),
+        };
         Ok(self.commit_raw(snapshot, hash, message, concern, delta))
     }
 

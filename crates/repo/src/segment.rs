@@ -12,11 +12,12 @@
 //! ## Collision safety
 //!
 //! FNV-1a is 64 bits, so two distinct snapshots *can* share a hash. The
-//! store never trusts the hash alone: [`SegmentStore::append_hashed`]
-//! compares the candidate bytes against every stored segment with the
-//! same hash and only dedupes on a **full byte match**. Colliding-but-different
-//! payloads are stored side by side and addressed by `(hash, ordinal)`
-//! — the [`SegmentId`] — so a collision can never alias two snapshots.
+//! store never trusts the hash alone: [`SegmentStore::find`], under
+//! every dedupe, compares the candidate bytes against every stored
+//! segment with the same hash and only matches on a **full byte
+//! match**. Colliding-but-different payloads are stored side by side
+//! and addressed by `(hash, ordinal)` — the [`SegmentId`] — so a
+//! collision can never alias two snapshots.
 
 use comet_obs::fnv1a64;
 use std::collections::BTreeMap;
@@ -141,11 +142,29 @@ impl SegmentStore {
         self.index.values().map(Vec::len).sum()
     }
 
-    /// Appends `payload`, deduplicating against stored segments with the
-    /// same hash by **comparing the full bytes** — a 64-bit hash
-    /// collision yields a new ordinal, never an alias. `hash` is the
-    /// payload's FNV-1a, which the caller already has (a commit hashes
-    /// its snapshot once); debug builds check it.
+    /// The stored segment under `hash` whose bytes equal `payload`, by
+    /// **comparing the full bytes** of each same-hash candidate in
+    /// ordinal order; `None` when no candidate matches. A match proves
+    /// that `hash` is `payload`'s FNV-1a, since every frame's payload
+    /// hashes to its address.
+    ///
+    /// # Errors
+    /// Propagates I/O failures.
+    pub(crate) fn find(&mut self, payload: &[u8], hash: u64) -> io::Result<Option<SegmentId>> {
+        if let Some(refs) = self.index.get(&hash) {
+            for (ordinal, seg) in refs.clone().iter().enumerate() {
+                if self.read_ref(*seg)? == payload {
+                    return Ok(Some(SegmentId { hash, ordinal: ordinal as u32 }));
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Appends `payload` unless [`find`](Self::find) locates its bytes
+    /// already — a 64-bit hash collision yields a new ordinal, never an
+    /// alias. `hash` is the payload's FNV-1a, which the caller already
+    /// has (a commit hashes its snapshot once); debug builds check it.
     ///
     /// # Errors
     /// `InvalidInput`, before anything is written, for a payload over
@@ -155,12 +174,8 @@ impl SegmentStore {
     pub(crate) fn append_hashed(&mut self, payload: &[u8], hash: u64) -> io::Result<SegmentId> {
         debug_assert_eq!(hash, fnv1a64(payload), "append_hashed given another payload's hash");
         let len = frame_len(payload.len(), MAX_SEGMENT)?;
-        if let Some(refs) = self.index.get(&hash) {
-            for (ordinal, seg) in refs.clone().iter().enumerate() {
-                if self.read_ref(*seg)? == payload {
-                    return Ok(SegmentId { hash, ordinal: ordinal as u32 });
-                }
-            }
+        if let Some(stored) = self.find(payload, hash)? {
+            return Ok(stored);
         }
         let frame = frame(len, hash, payload);
         self.file.seek(SeekFrom::Start(self.end))?;
