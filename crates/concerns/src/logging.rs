@@ -33,20 +33,25 @@ pub fn pair() -> ConcernPair {
         .schema(schema())
         .body(|model, params| {
             let level = params.str("level")?.to_owned();
+            // The body adds no class and renames none, so one read of
+            // the classes (in id order) serves every target.
+            let classes = model
+                .classes()
+                .into_iter()
+                .map(|class| Ok((class, model.element(class)?.name().to_owned())))
+                .collect::<Result<Vec<_>, TransformError>>()?;
             let mut matched_any = false;
             for target in params.str_list("targets")? {
                 let (class_pat, method_pat) =
                     split_method(target).map_err(TransformError::Custom)?;
                 let class_pattern = NamePattern::new(class_pat);
                 let method_pattern = NamePattern::new(method_pat);
-                for class in model.classes() {
-                    let class_name = model.element(class)?.name().to_owned();
-                    if !class_pattern.matches(&class_name) {
+                for (class, class_name) in &classes {
+                    if !class_pattern.matches(class_name) {
                         continue;
                     }
-                    for op in model.operations_of(class) {
-                        let op_name = model.element(op)?.name().to_owned();
-                        if method_pattern.matches(&op_name) {
+                    for op in model.operations_of(*class) {
+                        if method_pattern.matches(model.element(op)?.name()) {
                             model.apply_stereotype(op, STEREO_LOGGED)?;
                             model.set_tag(op, TAG_LOG_LEVEL, level.as_str())?;
                             matched_any = true;

@@ -2,9 +2,11 @@
 //!
 //! Section 3 of the paper requires "support for importing/exporting
 //! models in XMI format". This crate provides a dependency-free XML
-//! reader/writer ([`XmlNode`], [`parse_xml`], [`write_xml`]) and an
+//! reader ([`parse_xml`] into an [`XmlNode`] tree) and an
 //! XMI-1.2-flavoured codec between `comet-model` models and XML
-//! documents ([`export_model`], [`import_model`]).
+//! documents ([`export_model`], [`import_model`]). The export writes
+//! each element's tags straight into its output buffer; it builds no
+//! tree.
 //!
 //! Round-trip fidelity (`import(export(m)) == m`) is the contract, and
 //! is property-tested in the crate's test suite.
@@ -29,4 +31,4 @@ mod codec;
 mod xml;
 
 pub use codec::{export_model, import_model, XmiError};
-pub use xml::{parse_xml, write_xml, XmlError, XmlNode};
+pub use xml::{parse_xml, XmlError, XmlNode};

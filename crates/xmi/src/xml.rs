@@ -1,10 +1,11 @@
-//! Minimal XML: a node tree, an escaping writer, and a recursive-descent
-//! parser. Supports elements, attributes, text content, self-closing
-//! tags, comments, processing instructions/XML declarations (skipped),
-//! and the five predefined entities. No namespaces semantics (prefixes
-//! are kept as literal name parts), no DTDs, no CDATA.
+//! Minimal XML: a streaming, escaping tag writer, and a recursive-descent
+//! parser into a node tree. The parser supports elements, attributes,
+//! text content, self-closing tags, comments, processing
+//! instructions/XML declarations (skipped), and the five predefined
+//! entities. No namespaces semantics (prefixes are kept as literal name
+//! parts), no DTDs, no CDATA.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One XML element.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -26,13 +27,15 @@ impl XmlNode {
     }
 
     /// Adds an attribute, builder style.
-    pub fn attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.attrs.push((key.into(), value.into()));
         self
     }
 
     /// Adds a child, builder style.
-    pub fn child(mut self, child: XmlNode) -> Self {
+    #[cfg(test)]
+    pub(crate) fn child(mut self, child: XmlNode) -> Self {
         self.children.push(child);
         self
     }
@@ -70,7 +73,18 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// Whether `b` is one of the five characters [`escape`] replaces.
+fn needs_escape(b: u8) -> bool {
+    matches!(b, b'&' | b'<' | b'>' | b'"' | b'\'')
+}
+
+/// Appends `s` with the five predefined entities escaped; a value that
+/// holds none of them is copied whole.
 fn escape(s: &str, out: &mut String) {
+    if !s.bytes().any(needs_escape) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '&' => out.push_str("&amp;"),
@@ -86,71 +100,103 @@ fn escape(s: &str, out: &mut String) {
 /// The declaration every written document starts with.
 pub(crate) const DECLARATION: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
 
-/// Serializes a node tree to a document string with an XML declaration.
-pub fn write_xml(root: &XmlNode) -> String {
-    let mut out = String::from(DECLARATION);
-    write_node(root, 0, &mut out);
-    out
-}
-
-/// Writes `node` and its subtree at `indent` levels.
-pub(crate) fn write_node(node: &XmlNode, indent: usize, out: &mut String) {
-    write_start(node, indent, out);
-    if node.children.is_empty() && node.text.is_empty() {
-        out.push_str("/>\n");
-        return;
-    }
-    out.push('>');
-    escape(&node.text, out);
-    if !node.children.is_empty() {
-        out.push('\n');
-        for c in &node.children {
-            write_node(c, indent + 1, out);
-        }
-        push_indent(indent, out);
-    }
-    write_end(node, out);
-}
-
-/// Writes what [`write_node`] writes before the children of `node`, a
-/// node whose children the caller writes itself: it must get at least
-/// one and carry no text. [`write_close`] writes what comes after them.
-pub(crate) fn write_open(node: &XmlNode, indent: usize, out: &mut String) {
-    debug_assert!(node.text.is_empty(), "an opened node carries no text");
-    write_start(node, indent, out);
-    out.push_str(">\n");
-}
-
-/// Closes a node [`write_open`] opened at `indent`.
-pub(crate) fn write_close(node: &XmlNode, indent: usize, out: &mut String) {
-    push_indent(indent, out);
-    write_end(node, out);
-}
-
 fn push_indent(indent: usize, out: &mut String) {
     for _ in 0..indent {
         out.push_str("  ");
     }
 }
 
-/// The indent, `<`, name and attributes of the start tag.
-fn write_start(node: &XmlNode, indent: usize, out: &mut String) {
-    push_indent(indent, out);
-    out.push('<');
-    out.push_str(&node.name);
-    for (k, v) in &node.attrs {
-        out.push(' ');
-        out.push_str(k);
-        out.push_str("=\"");
-        escape(v, out);
-        out.push('"');
-    }
+/// A streaming writer for one element: [`Tag::open`] writes the indent
+/// and `<name`, [`Tag::attr`] appends attributes, [`Tag::child`] and
+/// [`Tag::content`] write what the element contains, and [`Tag::close`]
+/// ends it with `/>` if nothing was written inside and with `</name>`
+/// otherwise. Attributes go in the start tag, so every attribute must
+/// come before the first child. One element per line, two spaces per
+/// indent level, and no text content.
+#[must_use = "an opened tag must be closed"]
+pub(crate) struct Tag<'a> {
+    out: &'a mut String,
+    name: &'static str,
+    indent: usize,
+    /// Whether the start tag has been ended with `>` for content.
+    has_content: bool,
 }
 
-fn write_end(node: &XmlNode, out: &mut String) {
-    out.push_str("</");
-    out.push_str(&node.name);
-    out.push_str(">\n");
+impl<'a> Tag<'a> {
+    /// Starts element `name` at `indent` levels.
+    pub(crate) fn open(out: &'a mut String, indent: usize, name: &'static str) -> Self {
+        push_indent(indent, out);
+        out.push('<');
+        out.push_str(name);
+        Tag { out, name, indent, has_content: false }
+    }
+
+    /// Appends attribute `key` with `value` escaped.
+    pub(crate) fn attr(self, key: &str, value: &str) -> Self {
+        self.attr_with(key, |out| escape(value, out))
+    }
+
+    /// Appends attribute `key` with `value` as `Display` writes it,
+    /// unescaped: for numbers, ids and other values that cannot hold a
+    /// character XML escapes.
+    pub(crate) fn attr_display(self, key: &str, value: impl fmt::Display) -> Self {
+        self.attr_with(key, |out| {
+            let start = out.len();
+            // Writing to a `String` cannot fail.
+            let _ = write!(out, "{value}");
+            debug_assert!(!out.as_bytes()[start..].iter().any(|&b| needs_escape(b)));
+        })
+    }
+
+    fn attr_with(self, key: &str, value: impl FnOnce(&mut String)) -> Self {
+        debug_assert!(!self.has_content, "attribute `{key}` after the content of <{}>", self.name);
+        self.out.push(' ');
+        self.out.push_str(key);
+        self.out.push_str("=\"");
+        value(self.out);
+        self.out.push('"');
+        self
+    }
+
+    /// Writes child element `name` one level deeper, as `build` fills
+    /// in its attributes and children, and closes it.
+    pub(crate) fn child(
+        self,
+        name: &'static str,
+        build: impl for<'b> FnOnce(Tag<'b>) -> Tag<'b>,
+    ) -> Self {
+        self.content(|out, indent| build(Tag::open(out, indent, name)).close())
+    }
+
+    /// Lets `write` append complete child elements, each at the indent
+    /// it is given (one level deeper) and ending in a newline. If it
+    /// appends nothing, the element still self-closes.
+    pub(crate) fn content(mut self, write: impl FnOnce(&mut String, usize)) -> Self {
+        let start_tag_end = self.out.len();
+        if !self.has_content {
+            self.out.push_str(">\n");
+        }
+        let before = self.out.len();
+        write(self.out, self.indent + 1);
+        if self.out.len() > before {
+            self.has_content = true;
+        } else {
+            self.out.truncate(start_tag_end);
+        }
+        self
+    }
+
+    /// Ends the element.
+    pub(crate) fn close(self) {
+        if self.has_content {
+            push_indent(self.indent, self.out);
+            self.out.push_str("</");
+            self.out.push_str(self.name);
+            self.out.push_str(">\n");
+        } else {
+            self.out.push_str("/>\n");
+        }
+    }
 }
 
 /// Parses a document into its root element.
@@ -399,8 +445,60 @@ impl<'a> XmlParser<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serializes a node tree to a document string with an XML
+    /// declaration: the tree writer `Tag` replaced, kept as the byte
+    /// oracle the codec's tests compare the streaming export with.
+    pub(crate) fn write_xml(root: &XmlNode) -> String {
+        let mut out = String::from(DECLARATION);
+        write_node(root, 0, &mut out);
+        out
+    }
+
+    /// Escapes character by character, with no whole-value fast path.
+    fn escape_each(s: &str, out: &mut String) {
+        for c in s.chars() {
+            match c {
+                '&' => out.push_str("&amp;"),
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                '"' => out.push_str("&quot;"),
+                '\'' => out.push_str("&apos;"),
+                other => out.push(other),
+            }
+        }
+    }
+
+    fn write_node(node: &XmlNode, indent: usize, out: &mut String) {
+        push_indent(indent, out);
+        out.push('<');
+        out.push_str(&node.name);
+        for (k, v) in &node.attrs {
+            out.push(' ');
+            out.push_str(k);
+            out.push_str("=\"");
+            escape_each(v, out);
+            out.push('"');
+        }
+        if node.children.is_empty() && node.text.is_empty() {
+            out.push_str("/>\n");
+            return;
+        }
+        out.push('>');
+        escape_each(&node.text, out);
+        if !node.children.is_empty() {
+            out.push('\n');
+            for c in &node.children {
+                write_node(c, indent + 1, out);
+            }
+            push_indent(indent, out);
+        }
+        out.push_str("</");
+        out.push_str(&node.name);
+        out.push_str(">\n");
+    }
 
     #[test]
     fn writes_and_parses_round_trip() {
