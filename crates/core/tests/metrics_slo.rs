@@ -1,8 +1,10 @@
 //! Integration tests for the serve-time telemetry pipeline over real
 //! banking sessions: byte-identical metrics snapshots and SLO verdicts
 //! across shard counts, record-for-record bridging of engine counters
-//! (fault injections, weave-cache hits, WAL fsyncs), and tail-based
-//! trace sampling that keeps every faulted request's span tree.
+//! (fault injections, weave-cache hits, WAL fsyncs), tail-based trace
+//! sampling that keeps every faulted request's span tree, goldens of
+//! the exposition, and a check that metrics never change what they
+//! observe.
 
 use comet::{run_banking_serve, run_banking_serve_durable};
 use comet_middleware::FaultPlan;
@@ -63,6 +65,63 @@ fn metrics_and_slo_verdicts_are_byte_identical_across_shard_counts() {
         assert_eq!(baseline.report.slo, other.report.slo, "verdicts diverged at {shards} shards");
     }
     assert_eq!(baseline.report.slo.len(), plan.tenants, "one verdict per tenant");
+}
+
+/// The CI metrics smoke plan (`serve --seed 7 --metrics`) and the SLO
+/// plan under a commit fault, exported as Prometheus text and JSON at
+/// every shard count, against committed goldens. `UPDATE_GOLDEN=1`
+/// rewrites them from the 1-shard run.
+#[test]
+fn exposition_matches_the_goldens_at_every_shard_count() {
+    let cases = [
+        ("metrics_seed7", WorkloadPlan::new(7), None),
+        ("metrics_slo_commit_fault", slo_plan(7), Some(commit_fault_plan())),
+    ];
+    let cfg = RunConfig { traced: false, metrics: true };
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
+    for (name, plan, faults) in cases {
+        for shards in [1usize, 2, 4, 8] {
+            let outcome = run(&plan, shards, faults.clone(), &cfg);
+            let snap = outcome.metrics.as_ref().expect("metrics on");
+            for (ext, text) in [("prom", snap.to_prometheus()), ("json", snap.to_json())] {
+                let path = format!("{}/tests/golden/{name}.{ext}", env!("CARGO_MANIFEST_DIR"));
+                if update && shards == 1 {
+                    std::fs::write(&path, &text).unwrap();
+                    continue;
+                }
+                let golden = std::fs::read_to_string(&path)
+                    .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
+                assert!(
+                    text == golden,
+                    "{name}.{ext} drifted from the golden at {shards} shards; if the change \
+                     is intended, regenerate with UPDATE_GOLDEN=1 cargo test -p comet \
+                     --test metrics_slo"
+                );
+            }
+        }
+    }
+}
+
+/// Metrics observe a run and change nothing in it: without an `[slo]`
+/// section, the report and the trace are the same with metrics on and
+/// off, under faults and under tail sampling.
+#[test]
+fn metrics_leave_report_and_trace_unchanged() {
+    for sampling in [SampleMode::Always, SampleMode::TailOnError] {
+        let plan = WorkloadPlan { sampling, ..WorkloadPlan::new(7) };
+        for shards in [1usize, 4] {
+            let outcome = |metrics| {
+                let cfg = RunConfig { traced: true, metrics };
+                run(&plan, shards, Some(commit_fault_plan()), &cfg)
+            };
+            let (off, on) = (outcome(false), outcome(true));
+            assert!(off.metrics.is_none() && on.metrics.is_some());
+            assert!(on.report.failed > 0, "fault plan produced no failures");
+            assert_eq!(off.report, on.report, "{sampling:?} at {shards} shards");
+            assert_eq!(off.report.to_string(), on.report.to_string());
+            assert_eq!(off.trace, on.trace, "{sampling:?} at {shards} shards");
+        }
+    }
 }
 
 #[test]
