@@ -14,14 +14,16 @@
 //! Each comparison times its two sides in alternating samples, on a
 //! pool of one thread per host core, each sample a batch of runs about
 //! [`SAMPLE_SECS`] long: a slow phase of a shared host then lands on
-//! both sides instead of on whichever side it ran in.
+//! both sides instead of on whichever side it ran in. Each ratio is the
+//! ratio of the two sides' medians; the q1 and q3 of the per-pair
+//! ratios beside it show how far one pair can stray.
 //!
 //! Usage: `cargo run --release -p comet-bench --bin bench_metrics_json
 //! [output-path]` (default `BENCH_metrics.json` in the working
 //! directory).
 
 use comet::run_banking_serve;
-use comet_bench::harness::{host_cores, Report};
+use comet_bench::harness::{host_cores, quartiles, Report};
 use comet_bench::obj;
 use comet_serve::{RunConfig, SampleMode, SloPolicy, WorkloadPlan};
 use std::hint::black_box;
@@ -87,9 +89,10 @@ fn main() {
     let traced_cfg = RunConfig { traced: true, metrics: false };
 
     eprintln!("timing metrics off vs on ...");
-    let (off, on) = alternating(|| run(&plan, &off_cfg), || run(&slo_plan, &on_cfg));
+    let (off, on, [overhead_q1, _, overhead_q3]) =
+        alternating(|| run(&plan, &off_cfg), || run(&slo_plan, &on_cfg));
     eprintln!("timing full vs sampled (rate 1/16) trace ...");
-    let (traced_full, traced_sampled) =
+    let (traced_full, traced_sampled, [sampling_q1, _, sampling_q3]) =
         alternating(|| run(&plan, &traced_cfg), || run(&sampled_plan, &traced_cfg));
 
     let overhead = on / off;
@@ -109,10 +112,14 @@ fn main() {
         .with("metrics_off_secs", off)
         .with("metrics_on_secs", on)
         .with("metrics_overhead", overhead)
+        .with("metrics_overhead_pair_q1", overhead_q1)
+        .with("metrics_overhead_pair_q3", overhead_q3)
         .with("overhead_budget", OVERHEAD_BUDGET)
         .with("trace_full_secs", traced_full)
         .with("trace_sampled_secs", traced_sampled)
         .with("sampled_vs_full", sampling_ratio)
+        .with("sampled_vs_full_pair_q1", sampling_q1)
+        .with("sampled_vs_full_pair_q3", sampling_q3)
         .write("BENCH_metrics.json");
     assert!(
         overhead <= OVERHEAD_BUDGET,
@@ -123,11 +130,11 @@ fn main() {
     );
 }
 
-/// Median seconds per run of `a` and of `b`, from [`PAIRS`] pairs of
-/// samples that alternate which side runs first. Each sample runs a
-/// batch sized by one untimed run of each side to about
-/// [`SAMPLE_SECS`].
-fn alternating(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+/// Median seconds per run of `a` and of `b`, and the `[q1, median, q3]`
+/// of the per-pair ratios `b / a`, from [`PAIRS`] pairs of samples that
+/// alternate which side runs first. Each sample runs a batch sized by
+/// one untimed run of each side to about [`SAMPLE_SECS`].
+fn alternating(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64, [f64; 3]) {
     let secs_of = |f: &mut dyn FnMut(), runs: usize| {
         let t0 = Instant::now();
         for _ in 0..runs {
@@ -147,10 +154,6 @@ fn alternating(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
             a_secs.push(secs_of(&mut a, batch));
         }
     }
-    (median(a_secs), median(b_secs))
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
-    xs[xs.len() / 2]
+    let ratios = a_secs.iter().zip(&b_secs).map(|(a, b)| b / a).collect();
+    (quartiles(a_secs)[1], quartiles(b_secs)[1], quartiles(ratios))
 }

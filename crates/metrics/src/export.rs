@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use comet_obs::JsonValue;
 
 use crate::histogram::HistogramSnapshot;
-use crate::registry::{MetricKey, MetricsSnapshot, WindowSnapshot};
+use crate::snapshot::{MetricKey, MetricsSnapshot, WindowSnapshot};
 
 fn type_header(out: &mut String, last: &mut String, name: &str, kind: &str) {
     if last != name {
@@ -164,21 +164,22 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::MetricsRegistry;
 
     fn sample() -> MetricsSnapshot {
-        let mut r = MetricsRegistry::enabled();
-        let c = r.counter("comet_serve_requests_total", &[("tenant", "t00"), ("kind", "apply")]);
-        let g = r.gauge("comet_serve_queue_depth", &[("tenant", "t00")]);
-        let h = r.histogram("comet_serve_latency_us", &[("tenant", "t00")]);
-        let w = r.window("comet_serve_slo", &[("tenant", "t00")], 100);
-        r.add(c, 3);
-        r.set(g, 2);
+        let t = ("tenant", "t00");
+        let mut snap = MetricsSnapshot::default();
+        snap.counters
+            .insert(MetricKey::new("comet_serve_requests_total", &[("kind", "apply"), t]), 3);
+        snap.gauges.insert(MetricKey::new("comet_serve_queue_depth", &[t]), 2);
+        let mut latency = HistogramSnapshot::default();
+        let mut window = WindowSnapshot::new(100);
         for v in [5u64, 90, 90, 4000] {
-            r.observe(h, v);
-            r.record_window(w, v, v < 1000);
+            latency.observe(v);
+            window.record(v, v < 1000);
         }
-        r.snapshot()
+        snap.histograms.insert(MetricKey::new("comet_serve_latency_us", &[t]), latency);
+        snap.windows.insert(MetricKey::new("comet_serve_slo", &[t]), window);
+        snap
     }
 
     #[test]

@@ -13,14 +13,14 @@
 //!   bucket via integer arithmetic, so bucket counts — and therefore
 //!   snapshots, percentiles and SLO verdicts — are byte-identical
 //!   across runs and shard counts.
-//! * [`MetricsRegistry`] — counters, gauges, histograms and rolling
-//!   good/bad windows behind cheap integer handles, with the same
-//!   enabled/disabled single-branch fast path as
-//!   `comet_obs::Collector`.
-//! * [`MetricsSnapshot`] — the immutable view, mergeable in
-//!   tenant-name order (merge is associative and commutative), with
-//!   two exporters: Prometheus text exposition and JSON through the
-//!   shared `comet_obs::JsonValue` writer.
+//! * [`MetricsSnapshot`] — the labelled view of a run: counters,
+//!   histograms and rolling good/bad windows ([`WindowSnapshot`])
+//!   keyed by [`MetricKey`], with two exporters: Prometheus text
+//!   exposition and JSON through the shared `comet_obs::JsonValue`
+//!   writer. There is no registry: comet-serve records each tenant
+//!   into fixed meters (plain fields indexed by request kind, held as
+//!   an `Option`, so the metrics-off path is one branch) and labels
+//!   them into one snapshot per run, in tenant-name order.
 //! * [`SloPolicy`] / [`SloVerdict`] — per-tenant latency-percentile
 //!   targets and error budgets evaluated into burn rates with pure
 //!   integer math (milli-units, ppm budgets).
@@ -33,12 +33,9 @@
 
 mod export;
 mod histogram;
-mod registry;
 mod slo;
+mod snapshot;
 
 pub use histogram::{bucket_index, bucket_upper, HistogramSnapshot, NUM_BUCKETS};
-pub use registry::{
-    CounterHandle, GaugeHandle, HistogramHandle, MetricKey, MetricsRegistry, MetricsSnapshot,
-    WindowHandle, WindowSnapshot,
-};
 pub use slo::{SloPolicy, SloVerdict};
+pub use snapshot::{MetricKey, MetricsSnapshot, WindowSnapshot};

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::histogram::HistogramSnapshot;
-use crate::registry::WindowSnapshot;
+use crate::snapshot::WindowSnapshot;
 
 /// An SLO policy parsed from the workload plan's `[slo]` section.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,6 +1,6 @@
 //! Property suite for the deterministic histogram/snapshot algebra.
 
-use comet_metrics::{bucket_index, bucket_upper, HistogramSnapshot, MetricsRegistry};
+use comet_metrics::{bucket_index, bucket_upper, HistogramSnapshot, MetricKey, MetricsSnapshot};
 use proptest::prelude::*;
 
 fn hist(values: &[u64]) -> HistogramSnapshot {
@@ -76,37 +76,32 @@ proptest! {
     }
 
     #[test]
-    fn snapshot_merge_is_order_independent(
+    fn snapshot_is_independent_of_tenant_order(
         series in prop::collection::vec(
             (0u8..4, prop::collection::vec(0u64..100_000, 0..20)),
             1..5,
         ),
     ) {
-        // Build one registry per "shard", then fold the snapshots in
-        // two different orders: the result must be identical, which is
-        // what makes shard-count invariance possible upstream.
-        let shards: Vec<_> = series
-            .iter()
-            .map(|(tenant, values)| {
-                let mut r = MetricsRegistry::enabled();
+        // Label each tenant's series into one snapshot, visiting the
+        // tenants in two different orders: the result must be
+        // identical, which is what makes shard-count invariance
+        // possible upstream. A tenant drawn twice adds to its series.
+        let build = |order: &mut dyn Iterator<Item = &(u8, Vec<u64>)>| {
+            let mut snap = MetricsSnapshot::default();
+            for (tenant, values) in order {
                 let name = format!("t{tenant:02}");
-                let c = r.counter("req_total", &[("tenant", &name)]);
-                let h = r.histogram("lat_us", &[("tenant", &name)]);
+                let labels = [("tenant", name.as_str())];
+                *snap.counters.entry(MetricKey::new("req_total", &labels)).or_insert(0) +=
+                    values.len() as u64;
+                let h = snap.histograms.entry(MetricKey::new("lat_us", &labels)).or_default();
                 for &v in values {
-                    r.add(c, 1);
-                    r.observe(h, v);
+                    h.observe(v);
                 }
-                r.snapshot()
-            })
-            .collect();
-        let mut forward = comet_metrics::MetricsSnapshot::default();
-        for s in &shards {
-            forward.merge(s);
-        }
-        let mut backward = comet_metrics::MetricsSnapshot::default();
-        for s in shards.iter().rev() {
-            backward.merge(s);
-        }
+            }
+            snap
+        };
+        let forward = build(&mut series.iter());
+        let backward = build(&mut series.iter().rev());
         prop_assert_eq!(&forward, &backward);
         prop_assert_eq!(forward.to_prometheus(), backward.to_prometheus());
     }

@@ -31,7 +31,7 @@ pub struct ServeOutcome {
     pub report: ServeReport,
     /// Per-tenant traces merged in tenant order, if tracing was on.
     pub trace: Option<Trace>,
-    /// Per-tenant metrics merged in tenant order, if metrics were on.
+    /// Every tenant's labelled metrics, if metrics were on.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -67,12 +67,6 @@ impl<'a, F: EngineFactory> ServerCore<'a, F> {
         (fnv1a64(tenant.as_bytes()) % self.shards as u64) as usize
     }
 
-    /// Runs the whole workload to quiescence; shards execute in
-    /// parallel. `traced` turns on per-request span collection.
-    pub fn run(&self, traced: bool) -> ServeOutcome {
-        self.run_with(&RunConfig { traced, metrics: false })
-    }
-
     /// Runs the whole workload to quiescence with explicit collection
     /// switches; shards execute in parallel.
     pub fn run_with(&self, cfg: &RunConfig) -> ServeOutcome {
@@ -89,13 +83,12 @@ impl<'a, F: EngineFactory> ServerCore<'a, F> {
         // Canonical order: by tenant name, independent of grouping.
         outcomes.sort_by(|a, b| a.tenant.cmp(&b.tenant));
         let report = ServeReport::assemble(&outcomes);
-        // Fold metrics in tenant order; the snapshot merge is
-        // commutative anyway, but the canonical order keeps this
-        // honest-by-construction.
+        // Label every tenant's meters into one snapshot. Each series
+        // carries its tenant, so no two tenants' series collide.
         let mut metrics: Option<MetricsSnapshot> = None;
-        for o in &outcomes {
-            if let Some(m) = &o.metrics {
-                metrics.get_or_insert_with(MetricsSnapshot::default).merge(m);
+        for o in &mut outcomes {
+            if let Some(m) = o.meters.take() {
+                m.label_into(&o.tenant, &o.stats, metrics.get_or_insert_with(Default::default));
             }
         }
         let trace = if cfg.traced {

@@ -28,6 +28,7 @@
 
 mod core;
 mod error;
+mod meters;
 mod plan;
 mod report;
 mod request;
@@ -174,6 +175,8 @@ mod tests {
         }
     }
 
+    const TRACED: RunConfig = RunConfig { traced: true, metrics: false };
+
     fn plan(seed: u64) -> WorkloadPlan {
         let mut p = WorkloadPlan::new(seed);
         p.tenants = 5;
@@ -188,7 +191,7 @@ mod tests {
         let p = plan(7);
         let runs: Vec<_> = [1usize, 2, 4, 8]
             .iter()
-            .map(|&shards| ServerCore::new(&p, &factory, shards).unwrap().run(true))
+            .map(|&shards| ServerCore::new(&p, &factory, shards).unwrap().run_with(&TRACED))
             .collect();
         let first = &runs[0];
         assert!(first.report.completed > 0);
@@ -202,8 +205,8 @@ mod tests {
     #[test]
     fn different_seeds_diverge() {
         let factory = MockFactory { fail_every: 0 };
-        let a = ServerCore::new(&plan(7), &factory, 2).unwrap().run(false);
-        let b = ServerCore::new(&plan(8), &factory, 2).unwrap().run(false);
+        let a = ServerCore::new(&plan(7), &factory, 2).unwrap().run_with(&RunConfig::default());
+        let b = ServerCore::new(&plan(8), &factory, 2).unwrap().run_with(&RunConfig::default());
         assert_ne!(a.report, b.report);
     }
 
@@ -215,7 +218,7 @@ mod tests {
         p.limits.queue_depth = 1;
         p.service.think_us = 10; // hammer the queue
         p.service.jitter_us = 5;
-        let out = ServerCore::new(&p, &factory, 2).unwrap().run(false);
+        let out = ServerCore::new(&p, &factory, 2).unwrap().run_with(&RunConfig::default());
         let r = &out.report;
         assert!(r.rejected > 0, "tiny queue under load must reject: {r}");
         assert!(r.completed > 0);
@@ -233,7 +236,7 @@ mod tests {
         p.limits.queue_depth = 16;
         p.limits.deadline_us = 200; // far below typical service times
         p.service.think_us = 10;
-        let out = ServerCore::new(&p, &factory, 1).unwrap().run(false);
+        let out = ServerCore::new(&p, &factory, 1).unwrap().run_with(&RunConfig::default());
         let r = &out.report;
         assert!(r.deadline_dropped > 0, "{r}");
         assert_eq!(r.issued, r.completed + r.rejected + r.deadline_dropped);
@@ -242,13 +245,13 @@ mod tests {
     #[test]
     fn engine_failures_degrade_requests_not_the_run() {
         let factory = MockFactory { fail_every: 4 };
-        let out = ServerCore::new(&plan(7), &factory, 2).unwrap().run(false);
+        let out = ServerCore::new(&plan(7), &factory, 2).unwrap().run_with(&RunConfig::default());
         let r = &out.report;
         assert!(r.failed > 0);
         assert!(r.ok > 0);
         assert_eq!(r.completed, r.ok + r.failed);
         // Determinism holds under failures too.
-        let again = ServerCore::new(&plan(7), &factory, 4).unwrap().run(false);
+        let again = ServerCore::new(&plan(7), &factory, 4).unwrap().run_with(&RunConfig::default());
         assert_eq!(*r, again.report);
     }
 
@@ -267,7 +270,7 @@ mod tests {
         p.clients = 6;
         p.service.think_us = 10;
         p.limits.queue_depth = 8;
-        let out = ServerCore::new(&p, &factory, 1).unwrap().run(false);
+        let out = ServerCore::new(&p, &factory, 1).unwrap().run_with(&RunConfig::default());
         assert!(out.report.batches > 0, "{}", out.report);
         assert!(out.report.batched_queries >= 2 * out.report.batches);
     }
@@ -284,7 +287,7 @@ mod tests {
         ];
         let runs: Vec<_> = [1usize, 2, 4, 8]
             .iter()
-            .map(|&shards| ServerCore::new(&p, &factory, shards).unwrap().run(true))
+            .map(|&shards| ServerCore::new(&p, &factory, shards).unwrap().run_with(&TRACED))
             .collect();
         let first = &runs[0];
         for other in &runs[1..] {
@@ -316,7 +319,7 @@ mod tests {
         let mut p = plan(7);
         p.mix.generate = 5.0;
         p.mix.generate_backends = vec![("cobol-copybook".to_owned(), 1.0)];
-        let out = ServerCore::new(&p, &factory, 2).unwrap().run(true);
+        let out = ServerCore::new(&p, &factory, 2).unwrap().run_with(&TRACED);
         assert!(out.report.failed > 0, "{}", out.report);
         let trace = out.trace.as_ref().expect("traced run");
         assert!(
@@ -334,7 +337,7 @@ mod tests {
         let mut p = plan(7);
         p.mix.apply = 5.0;
         p.mix.undo = 0.0;
-        let out = ServerCore::new(&p, &factory, 2).unwrap().run(false);
+        let out = ServerCore::new(&p, &factory, 2).unwrap().run_with(&RunConfig::default());
         for t in out.report.tenants.values() {
             let expected = ["distribution", "transactions", "security"];
             assert_eq!(t.applied, expected[..t.applied.len()]);
@@ -344,7 +347,7 @@ mod tests {
     #[test]
     fn traces_tag_requests_with_tenants() {
         let factory = MockFactory { fail_every: 0 };
-        let out = ServerCore::new(&plan(7), &factory, 2).unwrap().run(true);
+        let out = ServerCore::new(&plan(7), &factory, 2).unwrap().run_with(&TRACED);
         let trace = out.trace.expect("traced run");
         let requests: Vec<_> = trace.spans.iter().filter(|s| s.name == "serve.request").collect();
         assert_eq!(
@@ -426,7 +429,7 @@ mod tests {
         assert!(rendered.contains("BREACH"), "{rendered}");
         assert!(out.report.to_json().contains("\"slo\""));
         // Without a policy the report renders without any slo section.
-        let bare = ServerCore::new(&plan(7), &factory, 2).unwrap().run(false);
+        let bare = ServerCore::new(&plan(7), &factory, 2).unwrap().run_with(&RunConfig::default());
         assert!(bare.report.slo.is_empty());
         assert!(!bare.report.to_json().contains("\"slo\""));
     }
@@ -435,7 +438,7 @@ mod tests {
     fn sampled_trace_spans_are_a_subset_of_the_full_trace() {
         let factory = MockFactory { fail_every: 4 };
         let mut p = plan(7);
-        let full = ServerCore::new(&p, &factory, 2).unwrap().run(true);
+        let full = ServerCore::new(&p, &factory, 2).unwrap().run_with(&TRACED);
         let full_keys = span_keys(full.trace.as_ref().unwrap());
         for mode in [
             SampleMode::Always,
@@ -444,7 +447,7 @@ mod tests {
             SampleMode::TailOnError,
         ] {
             p.sampling = mode;
-            let sampled = ServerCore::new(&p, &factory, 2).unwrap().run(true);
+            let sampled = ServerCore::new(&p, &factory, 2).unwrap().run_with(&TRACED);
             let keys = span_keys(sampled.trace.as_ref().unwrap());
             assert!(contained_in(&keys, &full_keys), "{mode:?} leaked spans");
             assert_eq!(
@@ -464,7 +467,7 @@ mod tests {
         let factory = MockFactory { fail_every: 4 };
         let mut p = plan(7);
         p.sampling = SampleMode::TailOnError;
-        let out = ServerCore::new(&p, &factory, 2).unwrap().run(true);
+        let out = ServerCore::new(&p, &factory, 2).unwrap().run_with(&TRACED);
         let trace = out.trace.as_ref().unwrap();
         let requests: Vec<_> = trace.spans.iter().filter(|s| s.name == "serve.request").collect();
         let errored = requests
@@ -479,12 +482,12 @@ mod tests {
         // is strictly smaller than the full one.
         let full = {
             p.sampling = SampleMode::Always;
-            ServerCore::new(&p, &factory, 2).unwrap().run(true)
+            ServerCore::new(&p, &factory, 2).unwrap().run_with(&TRACED)
         };
         assert!(trace.spans.len() < full.trace.as_ref().unwrap().spans.len());
         // And it is still shard-count invariant.
         p.sampling = SampleMode::TailOnError;
-        let again = ServerCore::new(&p, &factory, 8).unwrap().run(true);
+        let again = ServerCore::new(&p, &factory, 8).unwrap().run_with(&TRACED);
         assert_eq!(out.trace, again.trace);
     }
 
@@ -493,7 +496,7 @@ mod tests {
         let factory = MockFactory { fail_every: 0 };
         let mut p = plan(7);
         p.sampling = SampleMode::PerTenantHash { rate: 0.5 };
-        let out = ServerCore::new(&p, &factory, 2).unwrap().run(true);
+        let out = ServerCore::new(&p, &factory, 2).unwrap().run_with(&TRACED);
         let trace = out.trace.as_ref().unwrap();
         let mut kept: Vec<&str> = trace
             .spans

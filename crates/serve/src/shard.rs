@@ -41,13 +41,11 @@
 
 use crate::core::RunConfig;
 use crate::error::ServeError;
+use crate::meters::{kind_index, TenantMeters};
 use crate::plan::{SampleMode, WorkloadPlan, DEFAULT_BACKEND};
 use crate::report::TenantStats;
 use crate::request::{EngineFactory, QuerySelector, Request, TenantEngine};
-use comet_metrics::{
-    CounterHandle, HistogramHandle, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-    SloVerdict, WindowHandle,
-};
+use comet_metrics::SloVerdict;
 use comet_obs::{fnv1a64, fnv1a64_extend, Collector, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,8 +62,9 @@ pub(crate) struct TenantOutcome {
     pub latencies: Vec<u64>,
     /// The tenant's trace, when tracing was requested.
     pub trace: Option<Trace>,
-    /// The tenant's metrics snapshot, when metrics were requested.
-    pub metrics: Option<MetricsSnapshot>,
+    /// The tenant's meters, with the engine's counters, when metrics
+    /// were requested.
+    pub meters: Option<TenantMeters>,
     /// The tenant's SLO verdict, when the plan carries a policy.
     pub slo: Option<SloVerdict>,
 }
@@ -99,62 +98,6 @@ struct InService {
     oks: Vec<bool>,
 }
 
-/// The five request kinds, in [`kind_index`] order.
-const KINDS: [&str; 5] = ["apply", "undo", "generate", "query", "snapshot"];
-
-fn kind_index(req: &Request) -> usize {
-    match req {
-        Request::ApplyConcern { .. } => 0,
-        Request::UndoLast => 1,
-        Request::Generate { .. } => 2,
-        Request::Query(_) => 3,
-        Request::Snapshot => 4,
-    }
-}
-
-/// Pre-registered handles for every series the scheduler records.
-/// Registration happens once in `new()`, so the hot path is pure
-/// vector indexing (or a single branch when metrics are off).
-struct Meters {
-    requests: [CounterHandle; 5],
-    queue_wait: [HistogramHandle; 5],
-    service: [HistogramHandle; 5],
-    e2e: [HistogramHandle; 5],
-    rejections: CounterHandle,
-    sheds: CounterHandle,
-    failures: CounterHandle,
-    conflicts: CounterHandle,
-    trace_kept: CounterHandle,
-    trace_dropped: CounterHandle,
-    slo_window: WindowHandle,
-}
-
-impl Meters {
-    fn register(reg: &mut MetricsRegistry, tenant: &str, window_us: u64) -> Meters {
-        let per_kind_counter = |reg: &mut MetricsRegistry, name: &str| {
-            KINDS.map(|kind| reg.counter(name, &[("tenant", tenant), ("kind", kind)]))
-        };
-        let per_kind_hist = |reg: &mut MetricsRegistry, name: &str| {
-            KINDS.map(|kind| reg.histogram(name, &[("tenant", tenant), ("kind", kind)]))
-        };
-        let tenant_counter =
-            |reg: &mut MetricsRegistry, name: &str| reg.counter(name, &[("tenant", tenant)]);
-        Meters {
-            requests: per_kind_counter(reg, "comet_serve_requests_total"),
-            queue_wait: per_kind_hist(reg, "comet_serve_queue_wait_us"),
-            service: per_kind_hist(reg, "comet_serve_service_us"),
-            e2e: per_kind_hist(reg, "comet_serve_latency_us"),
-            rejections: tenant_counter(reg, "comet_serve_rejections_total"),
-            sheds: tenant_counter(reg, "comet_serve_deadline_sheds_total"),
-            failures: tenant_counter(reg, "comet_serve_failures_total"),
-            conflicts: tenant_counter(reg, "comet_serve_conflicts_total"),
-            trace_kept: tenant_counter(reg, "comet_serve_trace_sampled_total"),
-            trace_dropped: tenant_counter(reg, "comet_serve_trace_dropped_total"),
-            slo_window: reg.window("comet_serve_slo_requests", &[("tenant", tenant)], window_us),
-        }
-    }
-}
-
 pub(crate) struct TenantScheduler<'a, E: TenantEngine> {
     plan: &'a WorkloadPlan,
     tenant: String,
@@ -171,8 +114,7 @@ pub(crate) struct TenantScheduler<'a, E: TenantEngine> {
     stats: TenantStats,
     latencies: Vec<u64>,
     hash: u64,
-    metrics: MetricsRegistry,
-    meters: Meters,
+    meters: Option<TenantMeters>,
     /// This tenant's SLO latency target (`u64::MAX` without a policy).
     slo_target_us: u64,
     /// Pre-decided `PerTenantHash` verdict: the whole tenant samples
@@ -191,13 +133,8 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
             .map(|_| Client { next_us: 0, remaining: plan.requests, waiting: false })
             .collect();
         // An SLO policy implies metrics: verdicts need the histograms.
-        let mut metrics = if cfg.metrics || plan.slo.is_some() {
-            MetricsRegistry::enabled()
-        } else {
-            MetricsRegistry::disabled()
-        };
-        let window_us = plan.slo.as_ref().map_or(1_000_000, |s| s.window_us);
-        let meters = Meters::register(&mut metrics, tenant, window_us);
+        let meters = (cfg.metrics || plan.slo.is_some())
+            .then(|| TenantMeters::new(plan.slo.as_ref().map_or(1_000_000, |s| s.window_us)));
         let sample_tenant_kept = match plan.sampling {
             SampleMode::PerTenantHash { rate } => {
                 // FNV-1a's high bits barely move for short, similar
@@ -230,7 +167,6 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
             stats: TenantStats::default(),
             latencies: Vec::new(),
             hash: fnv1a64(&[]),
-            metrics,
             meters,
             slo_target_us: plan.slo.as_ref().map_or(u64::MAX, |s| s.target_for(tenant)),
             sample_tenant_kept,
@@ -269,41 +205,13 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
         }
         self.stats.applied = applied;
         self.stats.outcome_hash = self.hash;
-        let metrics = if self.metrics.is_enabled() {
-            // Bridge session-level counters into the registry,
-            // record-for-record: every middleware fault-log entry and
-            // every engine-exposed counter (weave-cache hits, WAL
-            // fsyncs, ...) lands in a `comet_serve_*_total` series.
-            let tenant = self.tenant.clone();
-            let faults =
-                self.metrics.counter("comet_serve_fault_injections_total", &[("tenant", &tenant)]);
-            self.metrics.add(faults, self.stats.fault_records);
-            for (name, value) in self.engine.counters() {
-                let series = format!("comet_serve_{name}_total");
-                let h = self.metrics.counter(&series, &[("tenant", &tenant)]);
-                self.metrics.add(h, value);
-            }
-            Some(self.metrics.snapshot())
-        } else {
-            None
-        };
-        let slo = match (&self.plan.slo, &metrics) {
-            (Some(policy), Some(snap)) => {
-                // The registry is per-tenant, so every latency series
-                // in it is ours: merge the per-kind end-to-end
-                // histograms into the tenant's latency distribution.
-                let mut latency = HistogramSnapshot::default();
-                for (key, h) in &snap.histograms {
-                    if key.name == "comet_serve_latency_us" {
-                        latency.merge(h);
-                    }
-                }
-                let window = snap
-                    .windows
-                    .iter()
-                    .find(|(key, _)| key.name == "comet_serve_slo_requests")
-                    .map(|(_, w)| w);
-                Some(policy.evaluate(&self.tenant, &latency, window))
+        let meters = self.meters.take().map(|mut m| {
+            m.engine = self.engine.counters();
+            m
+        });
+        let slo = match (&self.plan.slo, &meters) {
+            (Some(policy), Some(m)) => {
+                Some(policy.evaluate(&self.tenant, &m.latency(), Some(&m.slo)))
             }
             _ => None,
         };
@@ -312,7 +220,7 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
             stats: self.stats,
             latencies: self.latencies,
             trace: if self.obs.is_enabled() { Some(self.obs.take()) } else { None },
-            metrics,
+            meters,
             slo,
         }
     }
@@ -359,8 +267,9 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
                     ("retry_after_us".into(), retry_after_us.to_string()),
                 ],
             );
-            self.metrics.add(self.meters.rejections, 1);
-            self.metrics.record_window(self.meters.slo_window, self.now, false);
+            if let Some(m) = &mut self.meters {
+                m.slo.record(self.now, false);
+            }
             let backoff = retry_after_us + self.think_jitter();
             self.clients[client].next_us = self.now + backoff;
             return;
@@ -461,8 +370,9 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
                     ("waited_us".into(), waited.to_string()),
                 ],
             );
-            self.metrics.add(self.meters.sheds, 1);
-            self.metrics.record_window(self.meters.slo_window, self.now, false);
+            if let Some(m) = &mut self.meters {
+                m.slo.record(self.now, false);
+            }
             self.release(shed.client);
         }
         let Some(first) = self.queue.pop_front() else { return };
@@ -483,9 +393,10 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
         let jitter = self.rng.gen_range(0..=self.plan.service.jitter_us);
         // Pickup point: the queue-wait of every batch member ends here.
         let started_us = self.now;
-        for q in &batch {
-            self.metrics
-                .observe(self.meters.queue_wait[kind_index(&q.req)], started_us - q.enqueued_us);
+        if let Some(m) = &mut self.meters {
+            for q in &batch {
+                m.queue_wait[kind_index(&q.req)].observe(started_us - q.enqueued_us);
+            }
         }
         let (until, oks) = self.execute(&batch, base + jitter);
         self.in_service = Some(InService { until, started_us, batch, oks });
@@ -559,7 +470,6 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
                     // error degrades to display text for hashing.
                     if let ServeError::Conflict { .. } = err {
                         self.stats.conflicts += 1;
-                        self.metrics.add(self.meters.conflicts, 1);
                     }
                     Err(err.to_string())
                 }
@@ -577,7 +487,6 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
                 }
                 Err(err) => {
                     self.stats.failed += 1;
-                    self.metrics.add(self.meters.failures, 1);
                     self.fold(
                         format!("fail:{}:{}@{}:{err}", q.req.kind(), q.client, self.now).as_bytes(),
                     );
@@ -597,11 +506,15 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
                     any_err || faulted || breach
                 }
             };
-            if keep {
-                self.metrics.add(self.meters.trace_kept, 1);
-            } else {
+            if !keep {
                 self.obs.discard_to(mark);
-                self.metrics.add(self.meters.trace_dropped, 1);
+            }
+            if let Some(m) = &mut self.meters {
+                if keep {
+                    m.trace_kept += 1;
+                } else {
+                    m.trace_dropped += 1;
+                }
             }
         }
         (until, outcomes.iter().map(Result::is_ok).collect())
@@ -643,13 +556,14 @@ impl<'a, E: TenantEngine> TenantScheduler<'a, E> {
             self.stats.completed += 1;
             let e2e = at - q.enqueued_us;
             self.latencies.push(e2e);
-            let kind = kind_index(&q.req);
-            self.metrics.add(self.meters.requests[kind], 1);
-            self.metrics.observe(self.meters.service[kind], at - done.started_us);
-            self.metrics.observe(self.meters.e2e[kind], e2e);
-            // SLO accounting: a request is "good" only if it succeeded
-            // AND met the tenant's latency target.
-            self.metrics.record_window(self.meters.slo_window, at, ok && e2e <= self.slo_target_us);
+            if let Some(m) = &mut self.meters {
+                let kind = kind_index(&q.req);
+                m.service[kind].observe(at - done.started_us);
+                m.e2e[kind].observe(e2e);
+                // SLO accounting: a request is "good" only if it
+                // succeeded AND met the tenant's latency target.
+                m.slo.record(at, ok && e2e <= self.slo_target_us);
+            }
             self.release(q.client);
         }
         self.obs.incr("serve.completed", done.batch.len() as u64);

@@ -307,21 +307,26 @@ impl<'a> XmlParser<'a> {
                 "quot" => '"',
                 "apos" => '\'',
                 other => {
-                    if let Some(hex) = other.strip_prefix("#x") {
-                        char::from_u32(u32::from_str_radix(hex, 16).unwrap_or(0)).ok_or(
-                            XmlError { message: "bad char reference".into(), offset: at + i },
-                        )?
-                    } else if let Some(dec) = other.strip_prefix('#') {
-                        char::from_u32(dec.parse().unwrap_or(0)).ok_or(XmlError {
-                            message: "bad char reference".into(),
-                            offset: at + i,
-                        })?
-                    } else {
+                    let Some(number) = other.strip_prefix('#') else {
                         return Err(XmlError {
                             message: format!("unknown entity `&{other};`"),
                             offset: at + i,
                         });
-                    }
+                    };
+                    let (digits, radix) = match number.strip_prefix('x') {
+                        Some(hex) => (hex, 16),
+                        None => (number, 10),
+                    };
+                    // `from_str_radix` refuses an empty run but takes a
+                    // sign, so the digits are checked too.
+                    u32::from_str_radix(digits, radix)
+                        .ok()
+                        .filter(|_| digits.chars().all(|c| c.is_digit(radix)))
+                        .and_then(char::from_u32)
+                        .ok_or(XmlError {
+                            message: format!("bad char reference `&{other};`"),
+                            offset: at + i,
+                        })?
                 }
             });
             // Advance the iterator past the entity.
@@ -538,6 +543,17 @@ pub(crate) mod tests {
         let n = parse_xml("<a t=\"&lt;&amp;&gt;&quot;&apos;\">&#65;&#x42;</a>").unwrap();
         assert_eq!(n.get_attr("t"), Some("<&>\"'"));
         assert_eq!(n.text, "AB");
+    }
+
+    #[test]
+    fn malformed_char_references_are_errors() {
+        // A character reference is a non-empty run of ASCII digits that
+        // names a char; none of these decodes to U+0000.
+        for bad in ["&#xZZ;", "&#;", "&#x;", "&#12ab;", "&#x+41;", "&#+65;", "&#xD800;"] {
+            let e = parse_xml(&format!("<a>{bad}</a>")).unwrap_err();
+            assert_eq!(e.message, format!("bad char reference `{bad}`"));
+            assert_eq!(e.offset, 3, "{bad}");
+        }
     }
 
     #[test]
