@@ -16,14 +16,15 @@
 //! The `apply_by_size` rows time lifecycle-large's write on models of
 //! growing size: one committed 8-target `logging` apply through
 //! [`MdaLifecycle::apply_concern`], each sample taken after an untimed
-//! [`MdaLifecycle::undo_last`] of the same step.
+//! [`MdaLifecycle::undo_last`] of the same step; each row holds the
+//! median and quartiles of its samples.
 //!
 //! Usage: `cargo run --release -p comet-bench --bin bench_transform_json
 //! [output-path]` (default `BENCH_transform.json` in the working
 //! directory).
 
 use comet::MdaLifecycle;
-use comet_bench::harness::{median_secs, median_secs_after, Report};
+use comet_bench::harness::{median_secs, median_secs_after, quartile_secs_after, Report};
 use comet_bench::{obj, synthetic};
 use comet_model::{Model, ModelDelta, UndoLog};
 use comet_repo::Repository;
@@ -111,11 +112,11 @@ fn succeeding_cmt() -> ConcreteTransformation {
     specialize(gmt.build(), ParamSet::new()).expect("empty schema validates")
 }
 
-/// Median seconds of one committed `LOG_TARGETS`-target logging apply
-/// on `synthetic(classes, APPLY_ATTRS, APPLY_OPS)`, each sample taken
-/// after an untimed undo of the same step; also returns the model's
-/// element count.
-fn logging_apply(classes: usize) -> (usize, f64) {
+/// `[q1, median, q3]` seconds of one committed `LOG_TARGETS`-target
+/// logging apply on `synthetic(classes, APPLY_ATTRS, APPLY_OPS)`, each
+/// sample taken after an untimed undo of the same step; also returns
+/// the model's element count.
+fn logging_apply(classes: usize) -> (usize, [f64; 3]) {
     let model = synthetic(classes, APPLY_ATTRS, APPLY_OPS);
     let elements = model.len();
     let workflow = WorkflowModel::new("apply-by-size").step("logging", false);
@@ -125,7 +126,7 @@ fn logging_apply(classes: usize) -> (usize, f64) {
         (0..LOG_TARGETS).map(|k| format!("C{}.*", k * classes / LOG_TARGETS)).collect();
     let si = ParamSet::new().with("targets", ParamValue::from(targets));
     mda.apply_concern(&logging, si.clone()).expect("applies");
-    let secs = median_secs_after(
+    let secs = quartile_secs_after(
         REPS,
         &mut mda,
         |mda| mda.undo_last().expect("undoes"),
@@ -246,8 +247,14 @@ fn main() {
         .iter()
         .map(|&classes| {
             eprintln!("[{classes} classes] timing logging apply ...");
-            let (elements, secs) = logging_apply(classes);
-            obj! {"classes": classes, "elements": elements, "median_secs": secs}
+            let (elements, [q1, median, q3]) = logging_apply(classes);
+            obj! {
+                "classes": classes,
+                "elements": elements,
+                "median_secs": median,
+                "q1_secs": q1,
+                "q3_secs": q3,
+            }
         })
         .collect();
 
@@ -279,7 +286,10 @@ fn main() {
             "apply",
             format!(
                 "MdaLifecycle::apply_concern of logging on {LOG_TARGETS} classes' operations, \
-                 synthetic(classes, {APPLY_ATTRS}, {APPLY_OPS}), after an untimed undo_last"
+                 synthetic(classes, {APPLY_ATTRS}, {APPLY_OPS}), after an untimed undo_last. \
+                 The CMT's stereotype and tag writes cost their delta, but the in-memory \
+                 commit still hashes the whole snapshot (ROADMAP item 4), so the slope over \
+                 size falls only by the index refile share"
             ),
         )
         .with("rollback", rollback_rows)

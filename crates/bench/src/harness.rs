@@ -16,13 +16,24 @@ pub fn median_secs_after<S, I>(
     setup: impl FnMut(&mut S) -> I,
     run: impl FnMut(&mut S, I),
 ) -> f64 {
-    quartiles(sample_secs_after(reps, state, setup, run))[1]
+    quartile_secs_after(reps, state, setup, run)[1]
+}
+
+/// [`median_secs_after`] with the quartiles beside it: `[q1, median,
+/// q3]` ([`quartiles`]).
+pub fn quartile_secs_after<S, I>(
+    reps: (usize, usize),
+    state: &mut S,
+    setup: impl FnMut(&mut S) -> I,
+    run: impl FnMut(&mut S, I),
+) -> [f64; 3] {
+    quartiles(sample_secs_after(reps, state, setup, run))
 }
 
 /// [`median_secs`] with the quartiles beside it: `[q1, median, q3]`
 /// ([`quartiles`]).
 pub fn quartile_secs(reps: (usize, usize), mut run: impl FnMut()) -> [f64; 3] {
-    quartiles(sample_secs_after(reps, &mut (), |_| (), |_, ()| run()))
+    quartile_secs_after(reps, &mut (), |_| (), |_, ()| run())
 }
 
 /// `[q1, median, q3]` of non-empty `samples`, each one of the samples

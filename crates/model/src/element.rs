@@ -42,10 +42,15 @@ impl ElementCore {
     }
 
     /// Applies a stereotype; keeps the list sorted and duplicate-free.
-    pub fn apply_stereotype(&mut self, name: impl Into<String>) {
+    /// Returns whether it was absent.
+    pub fn apply_stereotype(&mut self, name: impl Into<String>) -> bool {
         let name = name.into();
-        if let Err(pos) = self.stereotypes.binary_search(&name) {
-            self.stereotypes.insert(pos, name);
+        match self.stereotypes.binary_search(&name) {
+            Ok(_) => false,
+            Err(pos) => {
+                self.stereotypes.insert(pos, name);
+                true
+            }
         }
     }
 

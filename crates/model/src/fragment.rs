@@ -6,7 +6,8 @@
 //! [`Model::render_fragments`] keeps each fragment after rendering it
 //! and drops it at the same per-id touch that keeps the model index
 //! current (element allocation, [`Model::element_mut`],
-//! [`Model::remove_element`], [`Model::set_name`], and the unwind loop
+//! [`Model::remove_element`], [`Model::set_name`],
+//! [`Model::apply_stereotype`], [`Model::set_tag`], and the unwind loop
 //! under [`Model::rollback_journal`] and [`Model::revert`]), so after a
 //! write only the touched ids render again.
 //!
@@ -39,7 +40,7 @@ impl Fragments {
 thread_local! {
     /// Ids rendered on this thread, in render order (the unit tests pin
     /// that a write re-renders only its touched ids).
-    static RENDERED: std::cell::RefCell<Vec<ElementId>> = const { std::cell::RefCell::new(Vec::new()) };
+    pub(crate) static RENDERED: std::cell::RefCell<Vec<ElementId>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl Model {

@@ -20,9 +20,18 @@
 //!   per id since the last patch is kept: its state is the one the
 //!   index filed. While no index has been built yet, nothing is
 //!   recorded.
+//! * **Marked elements.** [`Model::apply_stereotype`] and
+//!   [`Model::set_tag`], and the unwind of their typed journal ops,
+//!   change one field the index mostly does not read, so they queue no
+//!   refile ([`IndexCache::touch_marks`]). A tag write queues nothing;
+//!   no table reads tags. A stereotype write queues one edit of the
+//!   `stereotyped` table for its id, or nothing when a refile of the id
+//!   is already pending, since that refile files the element as it is
+//!   then.
 //! * **Patching.** The next query takes the slot's write lock and
-//!   patches the index in place (`Arc::make_mut`): for each pending id
-//!   it takes the recorded state's entries out and files the element
+//!   patches the index in place (`Arc::make_mut`): it applies the
+//!   queued `stereotyped` edits in write order, then, for each pending
+//!   id, takes the recorded state's entries out and files the element
 //!   as it is now. A build is the same filing over an empty index, so
 //!   the two cannot disagree.
 //! * **Order.** Every table is a sorted set: id vectors stay in id
@@ -38,7 +47,8 @@
 //! * **Other per-id state.** The same touch drops the element's
 //!   rendered fragment (`fragment.rs`) and, once a validation has
 //!   passed, adds the id to the ids the next one checks
-//!   (`validate.rs`). Both work whether or not an index exists.
+//!   (`validate.rs`). Both work whether or not an index exists. A
+//!   marking write drops the fragment too, but adds no id to check.
 //!
 //! The property tests in `tests/index_properties.rs` drive random
 //! mutation, rollback and revert sequences and assert every indexed
@@ -52,7 +62,7 @@ use crate::fragment::Fragments;
 use crate::id::ElementId;
 use crate::kinds::TypeRef;
 use crate::model::Model;
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, RwLock};
@@ -77,6 +87,10 @@ struct Slot {
     /// Ids touched since `index` was last patched, each with the element
     /// as `index` filed it (`None`: nothing is filed under the id).
     pending: BTreeMap<ElementId, Option<Element>>,
+    /// Edits of the `stereotyped` table: a stereotype put on (`true`)
+    /// or taken off (`false`) an id that was not in `pending` at the
+    /// time, in write order.
+    stereotype_edits: Vec<(ElementId, String, bool)>,
 }
 
 impl IndexCache {
@@ -96,7 +110,33 @@ impl IndexCache {
         }
         let slot = self.slot.get_mut().expect("index lock poisoned");
         if slot.index.is_some() {
-            slot.pending.entry(id).or_insert_with(filed);
+            slot.pending.entry(id).or_insert_with(|| {
+                #[cfg(test)]
+                REFILES.with(|n| n.set(n.get() + 1));
+                filed()
+            });
+        }
+    }
+
+    /// Records that a write changes only element `id`'s stereotypes or
+    /// tagged values: bumps the revision and drops the element's
+    /// rendered fragment as [`IndexCache::touch`] does, but queues no
+    /// refile and adds nothing to the ids the next validation checks —
+    /// no well-formedness rule reads either field. No table reads tags;
+    /// a stereotype change also goes to [`IndexCache::edit_stereotype`].
+    pub(crate) fn touch_marks(&mut self, id: ElementId) {
+        self.revision += 1;
+        self.fragments.get_mut().expect("fragment lock poisoned").drop_id(id);
+    }
+
+    /// Queues putting `id` into (`insert`) or taking it out of the
+    /// `stereotyped` entry of `name` at the next patch, once an index
+    /// exists — unless a refile of `id` is already pending and covers
+    /// it.
+    pub(crate) fn edit_stereotype(&mut self, id: ElementId, name: Cow<str>, insert: bool) {
+        let slot = self.slot.get_mut().expect("index lock poisoned");
+        if slot.index.is_some() && !slot.pending.contains_key(&id) {
+            slot.stereotype_edits.push((id, name.into_owned(), insert));
         }
     }
 
@@ -148,6 +188,9 @@ pub(crate) struct ModelIndex {
 thread_local! {
     /// Full builds on this thread (the unit tests pin that writes patch).
     static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Refiles queued on this thread (the unit tests pin that a marking
+    /// write queues none).
+    pub(crate) static REFILES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl ModelIndex {
@@ -164,9 +207,19 @@ impl ModelIndex {
         ix
     }
 
-    /// Refiles each touched id: takes the element out as it was filed
-    /// and files it as it is in `model` now (nothing, if it is gone).
-    fn patch(&mut self, model: &Model, touched: BTreeMap<ElementId, Option<Element>>) {
+    /// Applies the queued `stereotyped` edits, then refiles each touched
+    /// id: takes the element out as it was filed and files it as it is
+    /// in `model` now (nothing, if it is gone). The edits go first: a
+    /// refile queued after an edit recorded the element with it.
+    fn patch(
+        &mut self,
+        model: &Model,
+        stereotype_edits: impl Iterator<Item = (ElementId, String, bool)>,
+        touched: BTreeMap<ElementId, Option<Element>>,
+    ) {
+        for (id, name, insert) in stereotype_edits {
+            edit_at(&mut self.stereotyped, name.as_str(), id, insert);
+        }
         let mut reclose = false;
         for (id, filed) in touched {
             let now = model.element(id).ok();
@@ -339,16 +392,18 @@ impl Model {
         let slot = &self.cache().slot;
         {
             let slot = slot.read().expect("index lock poisoned");
-            if let (Some(ix), true) = (&slot.index, slot.pending.is_empty()) {
+            let current = slot.pending.is_empty() && slot.stereotype_edits.is_empty();
+            if let (Some(ix), true) = (&slot.index, current) {
                 return Arc::clone(ix);
             }
         }
         let mut slot = slot.write().expect("index lock poisoned");
-        let Slot { index, pending } = &mut *slot;
+        let Slot { index, pending, stereotype_edits } = &mut *slot;
         match index {
             Some(ix) => {
-                if !pending.is_empty() {
-                    Arc::make_mut(ix).patch(self, std::mem::take(pending));
+                if !pending.is_empty() || !stereotype_edits.is_empty() {
+                    let edits = stereotype_edits.drain(..);
+                    Arc::make_mut(ix).patch(self, edits, std::mem::take(pending));
                 }
                 Arc::clone(ix)
             }
@@ -513,6 +568,7 @@ mod tests {
             AddConstraint(u8),
             Rename(u8, u8),
             Stereotype(u8, u8),
+            Mark(u8, u8),
             Tag(u8),
             MoveOwner(u8, u8),
             RetargetAssociationEnd(u8, u8),
@@ -540,6 +596,7 @@ mod tests {
                 b().prop_map(Op::AddConstraint),
                 (b(), b()).prop_map(|(x, n)| Op::Rename(x, n)),
                 (b(), b()).prop_map(|(x, s)| Op::Stereotype(x, s)),
+                (b(), b()).prop_map(|(x, s)| Op::Mark(x, s)),
                 b().prop_map(Op::Tag),
                 (b(), b()).prop_map(|(x, o)| Op::MoveOwner(x, o)),
                 (b(), b()).prop_map(|(x, c)| Op::RetargetAssociationEnd(x, c)),
@@ -642,6 +699,11 @@ mod tests {
                         if !core.remove_stereotype(&s) {
                             core.apply_stereotype(s);
                         }
+                    }
+                }
+                Op::Mark(x, s) => {
+                    if let Some(x) = pick(&all, x) {
+                        m.apply_stereotype(x, &format!("s{}", s % 3)).unwrap();
                     }
                 }
                 Op::Tag(x) => {

@@ -67,6 +67,21 @@ impl PartialEq for Model {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Element pre-images cloned on this thread (the unit tests pin that
+    /// a marking write clones none).
+    pub(crate) static PRE_IMAGES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// A copy of `e` taken before a write: the state the index filed, or
+/// the journal's `Mutate` and `Remove` pre-image.
+fn pre_image(e: &Element) -> Element {
+    #[cfg(test)]
+    PRE_IMAGES.with(|n| n.set(n.get() + 1));
+    e.clone()
+}
+
 impl Model {
     /// Creates an empty model whose root package carries the model name.
     pub fn new(name: impl Into<String>) -> Self {
@@ -92,12 +107,15 @@ impl Model {
     /// Renames the model and its root package.
     pub fn set_name(&mut self, name: impl Into<String>) {
         let (root, elements) = (self.root, &self.elements);
-        self.cache.touch(root, || elements.get(&root).cloned());
+        self.cache.touch(root, || elements.get(&root).map(pre_image));
         let name = name.into();
         if let Some(j) = &mut self.journal {
             if j.wants_mutate(self.root) {
                 if let Some(root) = self.elements.get(&self.root) {
-                    j.record(JournalOp::Mutate { id: self.root, before: Box::new(root.clone()) });
+                    j.record(JournalOp::Mutate {
+                        id: self.root,
+                        before: Box::new(pre_image(root)),
+                    });
                 }
             }
             j.record(JournalOp::SetName { prev: self.name.clone() });
@@ -153,12 +171,12 @@ impl Model {
         // as conservatively; the commit-time summary filters out
         // borrows that never wrote.
         let e = self.elements.get_mut(&id).ok_or(ModelError::UnknownElement(id))?;
-        self.cache.touch(id, || Some(e.clone()));
+        self.cache.touch(id, || Some(pre_image(e)));
         if let Some(j) = &mut self.journal {
             // First borrow per segment snapshots; repeats cost a set
             // lookup instead of an element clone.
             if j.wants_mutate(id) {
-                j.record(JournalOp::Mutate { id, before: Box::new(e.clone()) });
+                j.record(JournalOp::Mutate { id, before: Box::new(pre_image(e)) });
             }
         }
         Ok(e)
@@ -545,7 +563,7 @@ impl Model {
         drop(ix);
         if let Some(j) = &mut self.journal {
             let before: Vec<Element> =
-                doomed.iter().filter_map(|d| self.elements.get(d).cloned()).collect();
+                doomed.iter().filter_map(|d| self.elements.get(d).map(pre_image)).collect();
             j.record(JournalOp::Remove { before });
         }
         for d in &doomed {
@@ -580,10 +598,23 @@ impl Model {
 
     /// Applies a stereotype to an element.
     ///
+    /// A marking write: it clones no pre-image, and journals the typed
+    /// `Stereotype` op only when the stereotype was absent. The index
+    /// files the one stereotype, and no validation rechecks the element
+    /// (no well-formedness rule reads stereotypes).
+    ///
     /// # Errors
     /// Fails when the id is unknown.
     pub fn apply_stereotype(&mut self, id: ElementId, stereotype: &str) -> Result<()> {
-        self.element_mut(id)?.core_mut().apply_stereotype(stereotype);
+        let e = self.elements.get_mut(&id).ok_or(ModelError::UnknownElement(id))?;
+        let added = e.core_mut().apply_stereotype(stereotype);
+        self.cache.touch_marks(id);
+        if added {
+            self.cache.edit_stereotype(id, stereotype.into(), true);
+            if let Some(j) = &mut self.journal {
+                j.record(JournalOp::Stereotype { id, name: stereotype.to_owned() });
+            }
+        }
         Ok(())
     }
 
@@ -597,10 +628,19 @@ impl Model {
 
     /// Sets a tagged value on an element.
     ///
+    /// A marking write: it clones no pre-image and journals the typed
+    /// `Tag` op with the key's previous value. No index table reads
+    /// tags and no validation rechecks the element.
+    ///
     /// # Errors
     /// Fails when the id is unknown.
     pub fn set_tag(&mut self, id: ElementId, key: &str, value: impl Into<TagValue>) -> Result<()> {
-        self.element_mut(id)?.core_mut().set_tag(key, value);
+        let e = self.elements.get_mut(&id).ok_or(ModelError::UnknownElement(id))?;
+        let prev = e.core_mut().set_tag(key, value);
+        self.cache.touch_marks(id);
+        if let Some(j) = &mut self.journal {
+            j.record(JournalOp::Tag { id, key: key.to_owned(), prev });
+        }
         Ok(())
     }
 
@@ -633,8 +673,8 @@ impl Model {
     /// segment so an outer rollback still unwinds them.
     pub fn begin_journal(&mut self) {
         match &mut self.journal {
-            Some(j) => j.push_savepoint(),
-            None => self.journal = Some(Journal::new()),
+            Some(j) => j.push_savepoint(self.next_id),
+            None => self.journal = Some(Journal::new(self.next_id)),
         }
     }
 
@@ -682,11 +722,8 @@ impl Model {
     /// undone, or `None` when no journal is active.
     pub fn rollback_journal(&mut self) -> Option<usize> {
         let j = self.journal.as_mut()?;
-        let cache = &mut self.cache;
         let (undone, finished) =
-            j.rollback(&mut self.elements, &mut self.next_id, &mut self.name, |id, filed| {
-                cache.touch(id, || filed)
-            });
+            j.rollback(&mut self.elements, &mut self.next_id, &mut self.name, &mut self.cache);
         if finished {
             self.journal = None;
         }
@@ -705,13 +742,12 @@ impl Model {
     /// journaled.
     pub fn revert(&mut self, log: UndoLog) {
         debug_assert!(self.journal.is_none(), "revert under an open journal segment");
-        let cache = &mut self.cache;
         journal::unwind(
             log.ops.into_iter(),
             &mut self.elements,
             &mut self.next_id,
             &mut self.name,
-            |id, filed| cache.touch(id, || filed),
+            &mut self.cache,
         );
         self.next_id = next_free_id(&self.elements);
     }
@@ -799,6 +835,7 @@ impl Default for Model {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
     fn root_is_created_and_immutable() {
@@ -1012,6 +1049,58 @@ mod tests {
         // ...so the outer rollback unwinds both A and C.
         m.rollback_journal().unwrap();
         assert_eq!(m, outer_snapshot);
+    }
+
+    /// A logging step's 48 stereotype and tag writes on lifecycle-large's
+    /// model, and the revert of their undo log, cost their delta: no
+    /// element pre-image, no index refile, no id for the next validation
+    /// to check, and exactly the 48 fragments rendered again.
+    #[test]
+    fn marking_writes_and_their_revert_cost_their_delta() {
+        use crate::fragment::RENDERED;
+        use crate::index::{ModelIndex, REFILES};
+        let mut m = crate::sample::synthetic(50, 3, 6);
+        assert!(m.validate().is_ok());
+        let render = |m: &Model| {
+            let mut out = String::new();
+            m.render_fragments("debug", |e, out| out.push_str(&format!("{e:?}\n")), &mut out);
+            out
+        };
+        let rendered = || {
+            let mut ids = RENDERED.with(|r| std::mem::take(&mut *r.borrow_mut()));
+            ids.sort();
+            ids
+        };
+        let costs = || (PRE_IMAGES.with(Cell::get), REFILES.with(Cell::get));
+        let unchecked = |m: &Model| m.cache().unchecked.lock().unwrap().as_ref().map(|u| u.len());
+        let warm = render(&m);
+        let _ = rendered();
+        let mut ops: Vec<ElementId> = (0..8)
+            .flat_map(|k| m.operations_of(m.find_class(&format!("C{}", k * 50 / 8)).unwrap()))
+            .collect();
+        ops.sort();
+        assert_eq!(ops.len(), 48);
+
+        let before = costs();
+        m.begin_journal();
+        for &op in &ops {
+            m.apply_stereotype(op, "Logged").unwrap();
+            m.set_tag(op, "log.level", "info").unwrap();
+        }
+        let (delta, log) = m.commit_journal().unwrap();
+        assert_eq!(delta.modified, ops);
+        assert_eq!((costs(), unchecked(&m)), (before, Some(0)));
+        assert_eq!(m.stereotyped("Logged"), ops, "the index files the stereotype");
+        assert_ne!(render(&m), warm);
+        assert_eq!(rendered(), ops);
+
+        m.revert(log.unwrap());
+        assert_eq!((costs(), unchecked(&m)), (before, Some(0)));
+        assert!(m.stereotyped("Logged").is_empty());
+        assert_eq!(render(&m), warm);
+        assert_eq!(rendered(), ops);
+        assert_eq!(*m.index(), ModelIndex::build(&m));
+        assert_eq!(m.validate(), m.clone().validate());
     }
 
     #[test]

@@ -81,6 +81,12 @@ impl Model {
     /// validation has passed on yet (a fresh clone, an unvalidated PIM)
     /// runs. The violation list is therefore always the full pass's.
     ///
+    /// Stereotypes and tagged values are never rechecked: no rule reads
+    /// either, so [`Model::apply_stereotype`] and [`Model::set_tag`] (and
+    /// the undo of their journal ops) add no id to the touched ids. A
+    /// write through [`Model::element_mut`] may change anything, so it
+    /// always does.
+    ///
     /// # Errors
     /// Returns the (non-empty) list of violations when the model is not
     /// well-formed.

@@ -8,30 +8,72 @@ use std::fmt;
 
 /// Evaluation context: the model, the optional `self` element, and
 /// variable bindings.
+///
+/// A `let` or iterator variable is bound in a frame: a context on the
+/// evaluator's stack that holds the one variable and borrows the
+/// context it was bound in. Binding costs no map copy and no name
+/// allocation, lookup walks the frames innermost first (so an inner
+/// variable shadows an outer one of the same name), and leaving the
+/// body drops the frame, so the outer binding is visible again.
 #[derive(Debug, Clone)]
 pub struct Context<'m> {
     model: &'m Model,
     self_value: Value,
     bindings: BTreeMap<String, Value>,
+    frame: Option<Frame<'m>>,
+}
+
+/// One variable bound over the context it was bound in.
+#[derive(Debug, Clone)]
+struct Frame<'m> {
+    var: &'m str,
+    value: Value,
+    outer: &'m Context<'m>,
 }
 
 impl<'m> Context<'m> {
     /// Context with no `self`; suitable for model-level constraints that
     /// only use `X.allInstances()` style queries.
     pub fn for_model(model: &'m Model) -> Self {
-        Context { model, self_value: Value::Undefined, bindings: BTreeMap::new() }
+        Context { model, self_value: Value::Undefined, bindings: BTreeMap::new(), frame: None }
     }
 
     /// Context whose `self` is the given element.
     pub fn for_element(model: &'m Model, element: ElementId) -> Self {
-        Context { model, self_value: Value::Element(element), bindings: BTreeMap::new() }
+        let self_value = Value::Element(element);
+        Context { model, self_value, bindings: BTreeMap::new(), frame: None }
     }
 
-    /// Returns a context extended with one more variable binding.
+    /// Returns a context extended with one more variable binding, for
+    /// tests that evaluate under an outer variable.
+    #[cfg(test)]
     fn with_binding(&self, name: impl Into<String>, value: Value) -> Self {
         let mut bindings = self.bindings.clone();
         bindings.insert(name.into(), value);
-        Context { model: self.model, self_value: self.self_value.clone(), bindings }
+        Context { bindings, ..self.clone() }
+    }
+
+    /// A frame binding `var` to `value` over this context.
+    fn bind<'f>(&'f self, var: &'f str, value: Value) -> Context<'f> {
+        Context {
+            model: self.model,
+            self_value: self.self_value.clone(),
+            bindings: BTreeMap::new(),
+            frame: Some(Frame { var, value, outer: self }),
+        }
+    }
+
+    /// The value bound to `name`: the innermost frame's, else the
+    /// context's own bindings.
+    fn lookup(&self, name: &str) -> Option<&Value> {
+        let mut ctx = self;
+        while let Some(frame) = &ctx.frame {
+            if frame.var == name {
+                return Some(&frame.value);
+            }
+            ctx = frame.outer;
+        }
+        ctx.bindings.get(name)
     }
 
     /// The model this context evaluates against.
@@ -150,7 +192,7 @@ pub fn evaluate(expr: &Expr, ctx: &Context<'_>) -> Result<Value, EvalError> {
         Expr::Bool(b) => Ok(Value::Bool(*b)),
         Expr::SelfRef => Ok(ctx.self_value.clone()),
         Expr::Var(name) => {
-            if let Some(v) = ctx.bindings.get(name) {
+            if let Some(v) = ctx.lookup(name) {
                 Ok(v.clone())
             } else if KIND_NAMES.contains(&name.as_str()) {
                 // Bare type literal; only meaningful as allInstances()
@@ -178,7 +220,7 @@ pub fn evaluate(expr: &Expr, ctx: &Context<'_>) -> Result<Value, EvalError> {
         Expr::Binary { op, lhs, rhs } => eval_binary(*op, lhs, rhs, ctx),
         Expr::Let { var, value, body } => {
             let v = evaluate(value, ctx)?;
-            evaluate(body, &ctx.with_binding(var.clone(), v))
+            evaluate(body, &ctx.bind(var, v))
         }
         Expr::If { cond, then_branch, else_branch } => {
             let c = evaluate(cond, ctx)?;
@@ -196,7 +238,7 @@ pub fn evaluate(expr: &Expr, ctx: &Context<'_>) -> Result<Value, EvalError> {
             // `TypeName.allInstances()` needs the unevaluated receiver.
             if method == "allInstances" {
                 if let Expr::Var(type_name) = recv.as_ref() {
-                    if !ctx.bindings.contains_key(type_name) {
+                    if ctx.lookup(type_name).is_none() {
                         return all_instances(type_name, ctx);
                     }
                 }
@@ -779,9 +821,8 @@ fn eval_iterator(
     body: &Expr,
     ctx: &Context<'_>,
 ) -> Result<Value, EvalError> {
-    let eval_body = |item: &Value| -> Result<Value, EvalError> {
-        evaluate(body, &ctx.with_binding(var.to_owned(), item.clone()))
-    };
+    let eval_body =
+        |item: &Value| -> Result<Value, EvalError> { evaluate(body, &ctx.bind(var, item.clone())) };
     match op {
         "forAll" => {
             for item in items {
@@ -1069,5 +1110,23 @@ mod tests {
             .as_bool()
             .unwrap());
         assert_eq!(eval_str("c", &ctx), Value::Int(99));
+    }
+
+    #[test]
+    fn an_inner_variable_shadows_an_outer_one_only_inside_its_scope() {
+        let m = banking_pim();
+        let ctx = Context::for_model(&m);
+        // After the inner `exists`, `x` is the outer class again.
+        let nested = "Class.allInstances()->forAll(x | \
+                      Operation.allInstances()->exists(x | x.kind = 'Operation') \
+                      and x.kind = 'Class')";
+        assert_eq!(eval_str(nested, &ctx), Value::Bool(true));
+        assert_eq!(eval_str("let y = 1 in (let y = 2 in y * 10) + y", &ctx), Value::Int(21));
+        let over_let = "let x = 5 in Class.allInstances()->forAll(x | x.kind = 'Class') and x = 5";
+        assert_eq!(eval_str(over_let, &ctx), Value::Bool(true));
+        assert_eq!(
+            err_str("Class.allInstances()->forAll(x | true) and x = 1", &ctx),
+            EvalError::UnknownVariable("x".into())
+        );
     }
 }
