@@ -14,6 +14,8 @@ use comet_middleware::{FaultKind, FaultOp, FaultPlan};
 use comet_obs::{Collector, Trace};
 use proptest::prelude::*;
 
+mod support;
+
 /// Seeds pinned in CI: the chaos job runs exactly these.
 const PINNED_SEEDS: [u64; 3] = [7, 1_234, 987_654_321];
 
@@ -260,13 +262,7 @@ fn golden_text_tree_for_pinned_seed_seven() {
     };
     let (_, trace) = traced(&cfg);
     let tree = trace.to_text_tree();
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chaos_seed7_tree.txt");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &tree).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
+    let golden = support::golden("chaos_seed7_tree.txt", &tree);
     assert_eq!(
         tree, golden,
         "seed-7 trace tree drifted from the golden; if the change is intended, \

@@ -12,6 +12,8 @@ use comet_serve::{RunConfig, SampleMode, ServeOutcome, SloPolicy, WorkloadPlan};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+mod support;
+
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
 /// A fresh scratch directory per call (parallel tests, one process).
@@ -70,7 +72,7 @@ fn metrics_and_slo_verdicts_are_byte_identical_across_shard_counts() {
 /// The CI metrics smoke plan (`serve --seed 7 --metrics`) and the SLO
 /// plan under a commit fault, exported as Prometheus text and JSON at
 /// every shard count, against committed goldens. `UPDATE_GOLDEN=1`
-/// rewrites them from the 1-shard run.
+/// rewrites them.
 #[test]
 fn exposition_matches_the_goldens_at_every_shard_count() {
     let cases = [
@@ -78,19 +80,12 @@ fn exposition_matches_the_goldens_at_every_shard_count() {
         ("metrics_slo_commit_fault", slo_plan(7), Some(commit_fault_plan())),
     ];
     let cfg = RunConfig { traced: false, metrics: true };
-    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     for (name, plan, faults) in cases {
         for shards in [1usize, 2, 4, 8] {
             let outcome = run(&plan, shards, faults.clone(), &cfg);
             let snap = outcome.metrics.as_ref().expect("metrics on");
             for (ext, text) in [("prom", snap.to_prometheus()), ("json", snap.to_json())] {
-                let path = format!("{}/tests/golden/{name}.{ext}", env!("CARGO_MANIFEST_DIR"));
-                if update && shards == 1 {
-                    std::fs::write(&path, &text).unwrap();
-                    continue;
-                }
-                let golden = std::fs::read_to_string(&path)
-                    .expect("golden file missing — run with UPDATE_GOLDEN=1 to create it");
+                let golden = support::golden(&format!("{name}.{ext}"), &text);
                 assert!(
                     text == golden,
                     "{name}.{ext} drifted from the golden at {shards} shards; if the change \
