@@ -1,21 +1,9 @@
 //! `comet-cli` — a command-line front-end for the COMET tool
 //! infrastructure: inspect models, list concerns and their parameters,
-//! apply concern transformations to XMI models, and emit aspect
-//! artifacts.
-//!
-//! ```text
-//! comet-cli new <out.xmi>                     write the sample banking PIM
-//! comet-cli inspect <model.xmi>               summary, validation, colors
-//! comet-cli concerns                          list concern pairs + parameters
-//! comet-cli apply <model.xmi> <concern> k=v... [-o out.xmi] [--aspect-out f.aj] [--dry-run]
-//! comet-cli weave <model.xmi> <concern> k=v... [--threads N]
-//! comet-cli pipeline [--threads N] [--faults plan.toml] [--seed N] [--trace out.json]
-//! comet-cli generate [--backend ID] [-o out] [--list-backends]
-//! comet-cli run [--faults plan.toml] [--seed N] [--order O] [--transfers N] [--trace out.json]
-//! comet-cli provenance <element> --trace out.json
-//! comet-cli metrics [--json]
-//! comet-cli interactions [--json]
-//! ```
+//! apply concern transformations to XMI models, run the Fig. 2
+//! pipeline, serve it to tenants and check their journals.
+//! `comet-cli help` lists every command with its synopsis; the list is
+//! built from the command table in this file, as is the dispatch.
 //!
 //! Parameters are `key=value`; list-valued parameters take
 //! comma-separated values (`methods=Bank.transfer,Account.withdraw`).
@@ -30,7 +18,7 @@
 //! ungracefully (hard error or a partial transfer observed). `--order`
 //! is `ft-outside-tx` (default) or `tx-outside-ft` — the §3 precedence
 //! choice. `--seed N` overrides the plan's seed. `pipeline --faults`
-//! appends the same chaos run after the Fig. 2 demo.
+//! (or `--seed`) appends the same chaos run after the Fig. 2 demo.
 //!
 //! `--trace out.json` attaches the observability collector to every
 //! pipeline layer and writes a Chrome trace-event file (loadable in
@@ -51,22 +39,27 @@
 //! standard concern library — the same matrix `serve` consults at
 //! admission time; a serve run whose plan trips a `conflicts` cell
 //! prints its report and then exits non-zero.
+//!
+//! Usage errors (unknown command, bad or leftover arguments) exit 2
+//! with the usage on stderr; a failing operation exits 1.
 
 use comet::chaos::{run_banking_chaos_traced, ChaosConfig, FtOrder};
 use comet::{run_banking_serve, run_banking_serve_durable, KillPoint, MdaLifecycle, Wizard};
-use comet_aop::{concern_metrics, Weaver};
+use comet_aop::{concern_metrics, Aspect, Weaver};
 use comet_aspectgen::AspectJBackend;
 use comet_codegen::{BodyProvider, FunctionalGenerator};
 use comet_middleware::FaultPlan;
-use comet_model::sample::banking_pim;
+use comet_model::{sample::banking_pim, Model};
 use comet_obs::{Collector, ProvenanceIndex, Trace};
 use comet_repo::{ColorReport, Repository};
 use comet_serve::WorkloadPlan;
-use comet_transform::{ParamSet, ParamValue};
+use comet_transform::{ConcreteTransformation, ParamSet, ParamValue};
 use comet_workflow::WorkflowModel;
 use comet_xmi::{export_model, import_model};
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// CLI failures, split by exit-code convention: `Usage` is caller error
 /// (unknown subcommand, bad flags) → usage on stderr, exit 2; `Failure`
@@ -82,38 +75,59 @@ impl From<String> for CliError {
     }
 }
 
-impl From<&str> for CliError {
-    fn from(message: &str) -> Self {
-        CliError::Failure(message.to_owned())
-    }
-}
-
 /// Shorthand for flag/argument mistakes.
 fn usage_err(message: impl Into<String>) -> CliError {
     CliError::Usage(message.into())
 }
 
+type Handler = fn(Args) -> Result<(), CliError>;
+
+/// Every command: its name, its synopsis (what follows the name in
+/// `help` and in its usage error) and its handler.
+const COMMANDS: [(&str, &str, Handler); 13] = [
+    ("new", "<out.xmi>", cmd_new),
+    ("inspect", "<model.xmi>", cmd_inspect),
+    ("concerns", "", cmd_concerns),
+    (
+        "apply",
+        "<model.xmi> <concern> [k=v ...] [-o out.xmi] [--aspect-out out.aj] [--dry-run]",
+        cmd_apply,
+    ),
+    ("weave", "<model.xmi> <concern> [k=v ...] [--threads N]", cmd_weave),
+    ("pipeline", "[--threads N] [--faults plan.toml] [--seed N] [--trace out.json]", cmd_pipeline),
+    ("generate", "[--backend ID] [-o out] [--list-backends]", cmd_generate),
+    (
+        "run",
+        "[--faults plan.toml] [--seed N] [--order ft-outside-tx|tx-outside-ft] [--transfers N] \
+         [--trace out.json]",
+        cmd_run,
+    ),
+    (
+        "serve",
+        "[--workload plan.toml] [--shards N] [--seed N] [--faults plan.toml] [--threads N] \
+         [--trace out.json] [--json] [--data-dir DIR] [--kill tenant@N] \
+         [--metrics out.prom|out.json] [--slo]",
+        cmd_serve,
+    ),
+    ("repo", "fsck <data-dir>   (truncates torn journal tails, then verifies)", cmd_repo),
+    ("provenance", "<element> --trace out.json", cmd_provenance),
+    ("metrics", "[--json]", cmd_metrics),
+    ("interactions", "[--json]", cmd_interactions),
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("new") => cmd_new(&args[1..]),
-        Some("inspect") => cmd_inspect(&args[1..]),
-        Some("concerns") => cmd_concerns(),
-        Some("apply") => cmd_apply(&args[1..]),
-        Some("weave") => cmd_weave(&args[1..]),
-        Some("pipeline") => cmd_pipeline(&args[1..]),
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("repo") => cmd_repo(&args[1..]),
-        Some("provenance") => cmd_provenance(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..]),
-        Some("interactions") => cmd_interactions(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
+    let mut args = std::env::args().skip(1);
+    let result = match args.next().as_deref() {
+        None | Some("help" | "--help" | "-h") => {
             println!("{}", usage_text());
             Ok(())
         }
-        Some(other) => Err(usage_err(format!("unknown command `{other}`"))),
+        Some(name) => match COMMANDS.iter().find(|(command, ..)| *command == name) {
+            Some(&(cmd, synopsis, handler)) => {
+                handler(Args { cmd, usage: usage_line(cmd, synopsis), rest: args.collect() })
+            }
+            None => Err(usage_err(format!("unknown command `{name}`"))),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -129,58 +143,132 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage_text() -> &'static str {
-    "comet-cli — concern-oriented model transformations meet AOP\n\n\
-     USAGE:\n  comet-cli new <out.xmi>\n  comet-cli inspect <model.xmi>\n  \
-     comet-cli concerns\n  comet-cli apply <model.xmi> <concern> [k=v ...] \
-     [-o out.xmi] [--aspect-out out.aj] [--dry-run]\n  \
-     comet-cli weave <model.xmi> <concern> [k=v ...] [--threads N]\n  \
-     comet-cli pipeline [--threads N] [--faults plan.toml] [--seed N] [--trace out.json]\n  \
-     comet-cli generate [--backend ID] [-o out] [--list-backends]\n  \
-     comet-cli run [--faults plan.toml] [--seed N] \
-     [--order ft-outside-tx|tx-outside-ft] [--transfers N] [--trace out.json]\n  \
-     comet-cli serve [--workload plan.toml] [--shards N] [--seed N] [--faults plan.toml] \
-     [--threads N] [--trace out.json] [--json] [--data-dir DIR] [--kill tenant@N] \
-     [--metrics out.prom|out.json] [--slo]\n  \
-     comet-cli repo fsck <data-dir>   (truncates torn journal tails, then verifies)\n  \
-     comet-cli provenance <element> --trace out.json\n  \
-     comet-cli metrics [--json]\n  \
-     comet-cli interactions [--json]"
+fn usage_line(cmd: &str, synopsis: &str) -> String {
+    format!("comet-cli {cmd} {synopsis}").trim_end().to_owned()
+}
+
+fn usage_text() -> String {
+    let mut text =
+        "comet-cli — concern-oriented model transformations meet AOP\n\nUSAGE:".to_owned();
+    for (cmd, synopsis, _) in COMMANDS {
+        text += &format!("\n  {}", usage_line(cmd, synopsis));
+    }
+    text
+}
+
+/// One command's arguments. Each reader removes what it reads, and
+/// `finish` takes the positionals and rejects whatever is left.
+struct Args {
+    /// What `finish` names in its errors: the command, or `repo fsck`.
+    cmd: &'static str,
+    /// The command's `help` line, the error for too few positionals.
+    usage: String,
+    rest: Vec<String>,
+}
+
+impl Args {
+    /// Removes every `flag value` pair; the last value wins. `what`
+    /// names the value in the error for a flag that ends the line.
+    fn value(&mut self, flag: &str, what: &str) -> Result<Option<String>, CliError> {
+        let mut value = None;
+        while let Some(i) = self.rest.iter().position(|a| a == flag) {
+            if i + 1 == self.rest.len() {
+                return Err(usage_err(format!("{flag} needs {what}")));
+            }
+            value = Some(self.rest.remove(i + 1));
+            self.rest.remove(i);
+        }
+        Ok(value)
+    }
+
+    /// [`Args::value`], parsed as a number.
+    fn number<T: FromStr>(&mut self, flag: &str, what: &str) -> Result<Option<T>, CliError> {
+        self.value(flag, what)?
+            .map(|n| n.parse().map_err(|_| usage_err(format!("{flag}: `{n}` is not a number"))))
+            .transpose()
+    }
+
+    /// A count of threads or shards, which must be at least 1.
+    fn count(&mut self, flag: &str) -> Result<Option<usize>, CliError> {
+        match self.number(flag, "a count")? {
+            Some(0) => Err(usage_err(format!("{flag} must be at least 1"))),
+            n => Ok(n),
+        }
+    }
+
+    /// Removes every `flag`; whether there was one.
+    fn switch(&mut self, flag: &str) -> bool {
+        let before = self.rest.len();
+        self.rest.retain(|a| a != flag);
+        self.rest.len() < before
+    }
+
+    /// Removes every `key=value` argument; the last value of a key wins.
+    fn params(&mut self) -> BTreeMap<String, String> {
+        let mut params = BTreeMap::new();
+        self.rest.retain(|arg| match arg.split_once('=') {
+            Some((k, v)) => {
+                params.insert(k.to_owned(), v.to_owned());
+                false
+            }
+            None => true,
+        });
+        params
+    }
+
+    /// The remaining arguments as exactly `N` positionals. A leftover
+    /// flag or an extra positional is `<cmd>: unexpected argument`; too
+    /// few is the usage line.
+    fn finish<const N: usize>(self) -> Result<[String; N], CliError> {
+        let extra = self.rest.iter().find(|a| a.starts_with("--")).or(self.rest.get(N));
+        if let Some(arg) = extra {
+            return Err(usage_err(format!("{}: unexpected argument `{arg}`", self.cmd)));
+        }
+        self.rest.try_into().map_err(|_| usage_err(format!("usage: {}", self.usage)))
+    }
+}
+
+/// Reads and parses the file at `path`; every error names the path.
+fn read_input<T, E: Display>(
+    path: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    parse(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Writes `trace` as a Chrome trace-event file and says so on stdout.
+fn write_trace(trace: &Trace, path: &str) -> Result<(), CliError> {
+    std::fs::write(path, trace.to_chrome_json()).map_err(|e| format!("{path}: {e}"))?;
+    println!(
+        "wrote trace to {path} ({} spans, {} events, {} counters) — load it in Perfetto",
+        trace.spans.len(),
+        trace.events.len(),
+        trace.counters.len()
+    );
+    Ok(())
 }
 
 /// Runs `op` with `--threads N` governing the weaver's parallel
 /// per-class fan-out: a dedicated rayon pool when a count was given,
 /// the global default (all cores) otherwise.
 fn with_pool<R>(threads: Option<usize>, op: impl FnOnce() -> R) -> Result<R, CliError> {
-    match threads {
-        None => Ok(op()),
-        Some(0) => Err(usage_err("--threads must be at least 1")),
-        Some(n) => {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build()
-                .map_err(|e| e.to_string())?;
-            Ok(pool.install(op))
-        }
-    }
+    let Some(n) = threads else { return Ok(op()) };
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(n).build().map_err(|e| e.to_string())?;
+    Ok(pool.install(op))
 }
 
-fn cmd_new(args: &[String]) -> Result<(), CliError> {
-    let path = args.first().ok_or_else(|| usage_err("usage: comet-cli new <out.xmi>"))?;
+fn cmd_new(args: Args) -> Result<(), CliError> {
+    let [path] = args.finish()?;
     let model = banking_pim();
-    std::fs::write(path, export_model(&model)).map_err(|e| e.to_string())?;
+    std::fs::write(&path, export_model(&model)).map_err(|e| e.to_string())?;
     println!("wrote sample PIM `{}` ({} elements) to {path}", model.name(), model.len());
     Ok(())
 }
 
-fn load(path: &str) -> Result<comet_model::Model, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    import_model(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
-    let path = args.first().ok_or_else(|| usage_err("usage: comet-cli inspect <model.xmi>"))?;
-    let model = load(path)?;
+fn cmd_inspect(args: Args) -> Result<(), CliError> {
+    let [path] = args.finish()?;
+    let model = read_input(&path, import_model)?;
     println!("model `{}`: {} elements", model.name(), model.len());
     println!(
         "  classes: {}, associations: {}, packages: {}",
@@ -197,30 +285,30 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    let colors = ColorReport::for_model(&model);
-    print!("{colors}");
-    for class_id in model.classes() {
-        let class = model.element(class_id).map_err(|e| e.to_string())?;
-        let stereo = if class.core().stereotypes.is_empty() {
+    print!("{}", ColorReport::for_model(&model));
+    let marks = |id| -> Result<(String, String), CliError> {
+        let element = model.element(id).map_err(|e| e.to_string())?;
+        let stereotypes = &element.core().stereotypes;
+        let marks = if stereotypes.is_empty() {
             String::new()
         } else {
-            format!(" «{}»", class.core().stereotypes.join(", "))
+            format!(" «{}»", stereotypes.join(", "))
         };
-        println!("  class {}{stereo}", class.name());
+        Ok((element.name().to_owned(), marks))
+    };
+    for class_id in model.classes() {
+        let (name, stereo) = marks(class_id)?;
+        println!("  class {name}{stereo}");
         for op in model.operations_of(class_id) {
-            let o = model.element(op).map_err(|e| e.to_string())?;
-            let marks = if o.core().stereotypes.is_empty() {
-                String::new()
-            } else {
-                format!(" «{}»", o.core().stereotypes.join(", "))
-            };
-            println!("    {}(){marks}", o.name());
+            let (name, stereo) = marks(op)?;
+            println!("    {name}(){stereo}");
         }
     }
     Ok(())
 }
 
-fn cmd_concerns() -> Result<(), CliError> {
+fn cmd_concerns(args: Args) -> Result<(), CliError> {
+    let [] = args.finish()?;
     for pair in comet_concerns::standard_pairs() {
         let wizard = Wizard::for_pair(&pair);
         println!("{}", pair.concern());
@@ -237,51 +325,28 @@ fn cmd_concerns() -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_apply(args: &[String]) -> Result<(), CliError> {
-    let mut positional = Vec::new();
-    let mut params: BTreeMap<String, String> = BTreeMap::new();
-    let mut out_path: Option<String> = None;
-    let mut aspect_out: Option<String> = None;
-    let mut dry_run = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-o" => {
-                out_path =
-                    Some(args.get(i + 1).ok_or_else(|| usage_err("-o needs a path"))?.clone());
-                i += 2;
-            }
-            "--aspect-out" => {
-                aspect_out = Some(
-                    args.get(i + 1).ok_or_else(|| usage_err("--aspect-out needs a path"))?.clone(),
-                );
-                i += 2;
-            }
-            "--dry-run" => {
-                dry_run = true;
-                i += 1;
-            }
-            arg if arg.contains('=') => {
-                let (k, v) = arg.split_once('=').expect("checked contains");
-                params.insert(k.to_owned(), v.to_owned());
-                i += 1;
-            }
-            other => {
-                positional.push(other.to_owned());
-                i += 1;
-            }
-        }
-    }
-    let [model_path, concern_name] = positional.as_slice() else {
-        return Err(usage_err("usage: comet-cli apply <model.xmi> <concern> [k=v ...]"));
-    };
-    let pair = comet_concerns::by_name(concern_name)
-        .ok_or_else(|| format!("unknown concern `{concern_name}` (see `comet-cli concerns`)"))?;
-    let mut model = load(model_path)?;
-
-    let wizard = Wizard::for_pair(&pair);
-    let si = wizard.collect(&params).map_err(|e| e.to_string())?;
+/// Loads the model and specializes the named concern with `params`:
+/// the CMT to apply to it and the paired concrete aspect.
+fn specialize(
+    model_path: &str,
+    concern: &str,
+    params: &BTreeMap<String, String>,
+) -> Result<(Model, ConcreteTransformation, Aspect), CliError> {
+    let pair = comet_concerns::by_name(concern)
+        .ok_or_else(|| format!("unknown concern `{concern}` (see `comet-cli concerns`)"))?;
+    let model = read_input(model_path, import_model)?;
+    let si = Wizard::for_pair(&pair).collect(params).map_err(|e| e.to_string())?;
     let (cmt, ca) = pair.specialize(si).map_err(|e| e.to_string())?;
+    Ok((model, cmt, ca))
+}
+
+fn cmd_apply(mut args: Args) -> Result<(), CliError> {
+    let out_path = args.value("-o", "a path")?;
+    let aspect_out = args.value("--aspect-out", "a path")?;
+    let dry_run = args.switch("--dry-run");
+    let params = args.params();
+    let [model_path, concern] = args.finish()?;
+    let (mut model, cmt, ca) = specialize(&model_path, &concern, &params)?;
     // Under --dry-run the apply happens inside an outer journal segment
     // (the engine's own segment nests into it), so the whole refinement
     // can be unwound after the report is printed.
@@ -311,7 +376,7 @@ fn cmd_apply(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let out = out_path.unwrap_or_else(|| model_path.clone());
+    let out = out_path.unwrap_or(model_path);
     std::fs::write(&out, export_model(&model)).map_err(|e| e.to_string())?;
     println!("wrote refined model to {out}");
 
@@ -323,47 +388,11 @@ fn cmd_apply(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn parse_threads(args: &[String]) -> Result<(Vec<String>, Option<usize>), CliError> {
-    let mut rest = Vec::new();
-    let mut threads = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--threads" {
-            let n = args.get(i + 1).ok_or_else(|| usage_err("--threads needs a count"))?;
-            threads = Some(
-                n.parse().map_err(|_| usage_err(format!("--threads: `{n}` is not a number")))?,
-            );
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    Ok((rest, threads))
-}
-
-fn cmd_weave(args: &[String]) -> Result<(), CliError> {
-    let (rest, threads) = parse_threads(args)?;
-    let mut positional = Vec::new();
-    let mut params: BTreeMap<String, String> = BTreeMap::new();
-    for arg in &rest {
-        match arg.split_once('=') {
-            Some((k, v)) => {
-                params.insert(k.to_owned(), v.to_owned());
-            }
-            None => positional.push(arg.clone()),
-        }
-    }
-    let [model_path, concern_name] = positional.as_slice() else {
-        return Err(usage_err(
-            "usage: comet-cli weave <model.xmi> <concern> [k=v ...] [--threads N]",
-        ));
-    };
-    let pair = comet_concerns::by_name(concern_name)
-        .ok_or_else(|| format!("unknown concern `{concern_name}` (see `comet-cli concerns`)"))?;
-    let mut model = load(model_path)?;
-    let si = Wizard::for_pair(&pair).collect(&params).map_err(|e| e.to_string())?;
-    let (cmt, ca) = pair.specialize(si).map_err(|e| e.to_string())?;
+fn cmd_weave(mut args: Args) -> Result<(), CliError> {
+    let threads = args.count("--threads")?;
+    let params = args.params();
+    let [model_path, concern] = args.finish()?;
+    let (mut model, cmt, ca) = specialize(&model_path, &concern, &params)?;
     cmt.apply(&mut model).map_err(|e| e.to_string())?;
     let functional = FunctionalGenerator::new().generate(&model, &BodyProvider::default());
     let weaver = Weaver::new(vec![ca]);
@@ -380,79 +409,18 @@ fn cmd_weave(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Extracts `--faults <plan.toml>` and `--seed <N>` from `args`,
-/// returning the remaining arguments and the resulting plan: the parsed
+/// Reads `--faults <plan.toml>` and `--seed <N>` for a chaos run: the
 /// plan file (re-seeded when `--seed` is given), an inert seeded plan
 /// for `--seed` alone, `None` when neither flag is present.
-fn parse_faults(args: &[String]) -> Result<(Vec<String>, Option<FaultPlan>), CliError> {
-    let mut rest = Vec::new();
-    let mut plan_path: Option<String> = None;
-    let mut seed: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--faults" => {
-                plan_path = Some(
-                    args.get(i + 1).ok_or_else(|| usage_err("--faults needs a path"))?.clone(),
-                );
-                i += 2;
-            }
-            "--seed" => {
-                let n = args.get(i + 1).ok_or_else(|| usage_err("--seed needs a number"))?;
-                seed = Some(
-                    n.parse().map_err(|_| usage_err(format!("--seed: `{n}` is not a number")))?,
-                );
-                i += 2;
-            }
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-            }
-        }
+fn chaos_plan(args: &mut Args) -> Result<Option<FaultPlan>, CliError> {
+    let path = args.value("--faults", "a path")?;
+    let seed = args.number("--seed", "a number")?;
+    let Some(path) = path else { return Ok(seed.map(FaultPlan::new)) };
+    let mut plan = read_input(&path, FaultPlan::parse_toml)?;
+    if let Some(s) = seed {
+        plan.seed = s;
     }
-    let plan = match plan_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-            let mut plan = FaultPlan::parse_toml(&text).map_err(|e| format!("{path}: {e}"))?;
-            if let Some(s) = seed {
-                plan.seed = s;
-            }
-            Some(plan)
-        }
-        None => seed.map(FaultPlan::new),
-    };
-    Ok((rest, plan))
-}
-
-/// Extracts `--trace <out.json>` from `args`, returning the remaining
-/// arguments and the output path.
-fn parse_trace(args: &[String]) -> Result<(Vec<String>, Option<String>), CliError> {
-    let mut rest = Vec::new();
-    let mut trace = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--trace" {
-            trace = Some(args.get(i + 1).ok_or_else(|| usage_err("--trace needs a path"))?.clone());
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    Ok((rest, trace))
-}
-
-/// Writes the collector's trace as a Chrome trace-event file.
-fn write_trace(obs: &Collector, path: &str) -> Result<(), CliError> {
-    let trace = obs.snapshot();
-    std::fs::write(path, trace.to_chrome_json()).map_err(|e| format!("{path}: {e}"))?;
-    println!(
-        "wrote trace to {path} ({} spans, {} events, {} counters) — load it in Perfetto",
-        trace.spans.len(),
-        trace.events.len(),
-        trace.counters.len()
-    );
-    Ok(())
+    Ok(Some(plan))
 }
 
 /// Runs the chaos harness and prints the report; `Err` when the run
@@ -476,103 +444,73 @@ fn run_chaos(
     if report.degraded_gracefully() {
         Ok(())
     } else {
-        Err("chaos run degraded ungracefully (see report above)".into())
+        Err("chaos run degraded ungracefully (see report above)".to_owned().into())
     }
 }
 
-fn cmd_run(args: &[String]) -> Result<(), CliError> {
-    let (rest, plan) = parse_faults(args)?;
-    let (rest, trace_path) = parse_trace(&rest)?;
-    let mut order = FtOrder::FtOutsideTx;
-    let mut transfers: Option<u32> = None;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--order" => {
-                order = match rest.get(i + 1).map(String::as_str) {
-                    Some("ft-outside-tx") => FtOrder::FtOutsideTx,
-                    Some("tx-outside-ft") => FtOrder::TxOutsideFt,
-                    other => {
-                        return Err(usage_err(format!(
-                            "--order must be `ft-outside-tx` or `tx-outside-ft`, got {other:?}"
-                        )))
-                    }
-                };
-                i += 2;
-            }
-            "--transfers" => {
-                let n = rest.get(i + 1).ok_or_else(|| usage_err("--transfers needs a count"))?;
-                transfers = Some(
-                    n.parse()
-                        .map_err(|_| usage_err(format!("--transfers: `{n}` is not a number")))?,
-                );
-                i += 2;
-            }
-            other => return Err(usage_err(format!("run: unexpected argument `{other}`"))),
+fn cmd_run(mut args: Args) -> Result<(), CliError> {
+    let plan = chaos_plan(&mut args)?;
+    let trace_path = args.value("--trace", "a path")?;
+    let order = match args.value("--order", "a value")?.as_deref() {
+        None | Some("ft-outside-tx") => FtOrder::FtOutsideTx,
+        Some("tx-outside-ft") => FtOrder::TxOutsideFt,
+        other => {
+            return Err(usage_err(format!(
+                "--order must be `ft-outside-tx` or `tx-outside-ft`, got {other:?}"
+            )))
         }
-    }
+    };
+    let transfers = args.number("--transfers", "a count")?;
+    let [] = args.finish()?;
     let obs = if trace_path.is_some() { Collector::enabled() } else { Collector::disabled() };
     let outcome = run_chaos(plan, order, transfers, &obs);
     if let Some(path) = trace_path {
-        write_trace(&obs, &path)?;
+        write_trace(&obs.snapshot(), &path)?;
     }
     outcome
 }
 
-/// The Fig. 2 demo's concern steps: distribution, transactions,
-/// security, each with its `Si`, shared by `pipeline` and `metrics`.
-fn fig2_steps() -> [(&'static str, ParamSet); 3] {
-    [
+/// The paper's Fig. 2 demo: distribution, transactions and security,
+/// each with its `Si`, refined onto the sample banking PIM and ready to
+/// generate. `pipeline`, `generate` and `metrics` all start here.
+fn fig2_lifecycle(obs: Collector) -> Result<MdaLifecycle, CliError> {
+    let list =
+        |items: &[&str]| ParamValue::from(items.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+    let steps = [
         (
             "distribution",
             ParamSet::new()
                 .with("server_class", ParamValue::from("Bank"))
                 .with("node", ParamValue::from("server"))
-                .with(
-                    "operations",
-                    ParamValue::from(vec!["transfer".to_owned(), "openAccount".to_owned()]),
-                ),
+                .with("operations", list(&["transfer", "openAccount"])),
         ),
-        (
-            "transactions",
-            ParamSet::new().with("methods", ParamValue::from(vec!["Bank.transfer".to_owned()])),
-        ),
-        (
-            "security",
-            ParamSet::new()
-                .with("protected", ParamValue::from(vec!["Bank.transfer:teller".to_owned()])),
-        ),
-    ]
+        ("transactions", ParamSet::new().with("methods", list(&["Bank.transfer"]))),
+        ("security", ParamSet::new().with("protected", list(&["Bank.transfer:teller"]))),
+    ];
+    let workflow =
+        steps.iter().fold(WorkflowModel::new("fig2"), |flow, (name, _)| flow.step(name, false));
+    let mut mda = MdaLifecycle::new(banking_pim(), workflow).map_err(|e| e.to_string())?;
+    mda.set_collector(obs);
+    for (name, si) in steps {
+        let pair = comet_concerns::by_name(name).expect("standard concern exists");
+        mda.apply_concern(&pair, si).map_err(|e| e.to_string())?;
+    }
+    Ok(mda)
 }
 
-fn cmd_pipeline(args: &[String]) -> Result<(), CliError> {
-    let (rest, plan) = parse_faults(args)?;
-    let (rest, threads) = parse_threads(&rest)?;
-    let (rest, trace_path) = parse_trace(&rest)?;
-    if !rest.is_empty() {
-        return Err(usage_err(
-            "usage: comet-cli pipeline [--threads N] [--faults plan.toml] [--seed N] \
-             [--trace out.json]",
-        ));
-    }
+fn cmd_pipeline(mut args: Args) -> Result<(), CliError> {
+    let plan = chaos_plan(&mut args)?;
+    let threads = args.count("--threads")?;
+    let trace_path = args.value("--trace", "a path")?;
+    let [] = args.finish()?;
     let obs = if trace_path.is_some() { Collector::enabled() } else { Collector::disabled() };
-    // The paper's Fig. 2 demo: distribution, transactions, security
-    // refined onto the sample banking PIM, then code generation +
-    // weaving.
-    let workflow = WorkflowModel::new("fig2")
-        .step("distribution", false)
-        .step("transactions", false)
-        .step("security", false);
-    let mut mda = MdaLifecycle::new(banking_pim(), workflow).map_err(|e| e.to_string())?;
-    mda.set_collector(obs.clone());
-    for (name, si) in fig2_steps() {
-        let pair = comet_concerns::by_name(name).expect("standard concern exists");
-        let applied = mda.apply_concern(&pair, si).map_err(|e| e.to_string())?;
+    let mda = fig2_lifecycle(obs.clone())?;
+    for step in mda.applied() {
         println!(
             "applied {} (created {}, modified {})",
-            applied.cmt.full_name(),
-            applied.report.created.len(),
-            applied.report.modified.len()
+            step.cmt.full_name(),
+            step.report.created.len(),
+            step.report.modified.len()
         );
     }
     let system = with_pool(threads, || {
@@ -593,7 +531,7 @@ fn cmd_pipeline(args: &[String]) -> Result<(), CliError> {
         Ok(())
     };
     if let Some(path) = trace_path {
-        write_trace(&obs, &path)?;
+        write_trace(&obs.snapshot(), &path)?;
     }
     chaos_outcome
 }
@@ -603,25 +541,11 @@ fn cmd_pipeline(args: &[String]) -> Result<(), CliError> {
 /// content-addressed cache are the same ones the serving layer drives,
 /// so the artifact printed here is byte-identical to what a serving
 /// tenant's `Generate` request produces at the same model state.
-fn cmd_generate(args: &[String]) -> Result<(), CliError> {
-    let mut backend_id: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut list = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--backend" => {
-                let id = iter.next().ok_or_else(|| usage_err("--backend needs a value"))?;
-                backend_id = Some(id.clone());
-            }
-            "-o" => {
-                let path = iter.next().ok_or_else(|| usage_err("-o needs a path"))?;
-                out = Some(path.clone());
-            }
-            "--list-backends" => list = true,
-            other => return Err(usage_err(format!("generate: unexpected argument `{other}`"))),
-        }
-    }
+fn cmd_generate(mut args: Args) -> Result<(), CliError> {
+    let backend_id = args.value("--backend", "a value")?;
+    let out = args.value("-o", "a path")?;
+    let list = args.switch("--list-backends");
+    let [] = args.finish()?;
     if list {
         for backend in comet::Backend::ALL {
             println!("{:<16} {}", backend.id(), backend.describe());
@@ -631,15 +555,7 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
     let id = backend_id.unwrap_or_else(|| comet_serve::DEFAULT_BACKEND.to_owned());
     let backend = comet::Backend::parse(&id)
         .ok_or_else(|| usage_err(format!("unknown backend `{id}` (try --list-backends)")))?;
-    let workflow = WorkflowModel::new("fig2")
-        .step("distribution", false)
-        .step("transactions", false)
-        .step("security", false);
-    let mut mda = MdaLifecycle::new(banking_pim(), workflow).map_err(|e| e.to_string())?;
-    for (name, si) in fig2_steps() {
-        let pair = comet_concerns::by_name(name).expect("standard concern exists");
-        mda.apply_concern(&pair, si).map_err(|e| e.to_string())?;
-    }
+    let mda = fig2_lifecycle(Collector::disabled())?;
     let system = mda.generate(&BodyProvider::default(), backend).map_err(|e| e.to_string())?;
     match out {
         Some(path) => {
@@ -653,8 +569,9 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
 
 /// `comet-cli serve`: the sharded multi-tenant serving harness over the
 /// banking lifecycle. Everything printed to stdout is derived from the
-/// shard-count-invariant `ServeReport`/trace, so CI can diff the output
-/// of `--shards 1` against `--shards 4` byte for byte.
+/// shard-count-invariant `ServeReport`/trace, so the output of
+/// `--shards 1` and `--shards 4` is byte-identical. `--seed` sets the
+/// workload plan's seed, not a fault plan's.
 ///
 /// `--data-dir DIR` journals every tenant's repository under
 /// `DIR/<tenant>/` (segment store + write-ahead log); a later `serve`
@@ -663,113 +580,38 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
 /// lifecycle at its Nth request — torn journal tail included — and
 /// recovers it from the log; the printed report is byte-identical to a
 /// run without the kill.
-fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    let mut workload: Option<String> = None;
-    let mut shards: usize = 1;
-    let mut seed: Option<u64> = None;
-    let mut faults: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut threads: Option<usize> = None;
-    let mut data_dir: Option<String> = None;
-    let mut kill: Option<KillPoint> = None;
-    let mut json = false;
-    let mut metrics_path: Option<String> = None;
-    let mut slo = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--data-dir" => {
-                data_dir = Some(
-                    args.get(i + 1).ok_or_else(|| usage_err("--data-dir needs a path"))?.clone(),
-                );
-                i += 2;
-            }
-            "--kill" => {
-                let spec = args.get(i + 1).ok_or_else(|| usage_err("--kill needs tenant@N"))?;
-                let (tenant, at) = spec
-                    .split_once('@')
-                    .ok_or_else(|| usage_err(format!("--kill: `{spec}` is not tenant@N")))?;
-                let at_request = at
-                    .parse()
-                    .map_err(|_| usage_err(format!("--kill: `{at}` is not a request number")))?;
-                kill = Some(KillPoint { tenant: tenant.to_owned(), at_request });
-                i += 2;
-            }
-            "--workload" => {
-                workload = Some(
-                    args.get(i + 1).ok_or_else(|| usage_err("--workload needs a path"))?.clone(),
-                );
-                i += 2;
-            }
-            "--shards" => {
-                let n = args.get(i + 1).ok_or_else(|| usage_err("--shards needs a count"))?;
-                shards =
-                    n.parse().map_err(|_| usage_err(format!("--shards: `{n}` is not a number")))?;
-                if shards == 0 {
-                    return Err(usage_err("--shards must be at least 1"));
-                }
-                i += 2;
-            }
-            "--seed" => {
-                let n = args.get(i + 1).ok_or_else(|| usage_err("--seed needs a number"))?;
-                seed = Some(
-                    n.parse().map_err(|_| usage_err(format!("--seed: `{n}` is not a number")))?,
-                );
-                i += 2;
-            }
-            "--faults" => {
-                faults = Some(
-                    args.get(i + 1).ok_or_else(|| usage_err("--faults needs a path"))?.clone(),
-                );
-                i += 2;
-            }
-            "--trace" => {
-                trace_path =
-                    Some(args.get(i + 1).ok_or_else(|| usage_err("--trace needs a path"))?.clone());
-                i += 2;
-            }
-            "--threads" => {
-                let n = args.get(i + 1).ok_or_else(|| usage_err("--threads needs a count"))?;
-                threads = Some(
-                    n.parse()
-                        .map_err(|_| usage_err(format!("--threads: `{n}` is not a number")))?,
-                );
-                i += 2;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--metrics" => {
-                metrics_path = Some(
-                    args.get(i + 1).ok_or_else(|| usage_err("--metrics needs a path"))?.clone(),
-                );
-                i += 2;
-            }
-            "--slo" => {
-                slo = true;
-                i += 1;
-            }
-            other => return Err(usage_err(format!("serve: unexpected argument `{other}`"))),
+fn cmd_serve(mut args: Args) -> Result<(), CliError> {
+    let data_dir = args.value("--data-dir", "a path")?;
+    let kill = match args.value("--kill", "tenant@N")? {
+        None => None,
+        Some(spec) => {
+            let (tenant, at) = spec
+                .split_once('@')
+                .ok_or_else(|| usage_err(format!("--kill: `{spec}` is not tenant@N")))?;
+            let at_request = at
+                .parse()
+                .map_err(|_| usage_err(format!("--kill: `{at}` is not a request number")))?;
+            Some(KillPoint { tenant: tenant.to_owned(), at_request })
         }
-    }
+    };
+    let workload = args.value("--workload", "a path")?;
+    let shards = args.count("--shards")?.unwrap_or(1);
+    let seed = args.number("--seed", "a number")?;
+    let faults = args.value("--faults", "a path")?;
+    let trace_path = args.value("--trace", "a path")?;
+    let threads = args.count("--threads")?;
+    let metrics_path = args.value("--metrics", "a path")?;
+    let json = args.switch("--json");
+    let slo = args.switch("--slo");
+    let [] = args.finish()?;
     let mut plan = match workload {
-        Some(path) => {
-            let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-            WorkloadPlan::parse_toml(&text).map_err(|e| format!("{path}: {e}"))?
-        }
+        Some(path) => read_input(&path, WorkloadPlan::parse_toml)?,
         None => WorkloadPlan::default(),
     };
     if let Some(s) = seed {
         plan.seed = s;
     }
-    let fault_plan = match faults {
-        Some(path) => {
-            let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-            Some(FaultPlan::parse_toml(&text).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None => None,
-    };
+    let fault_plan = faults.map(|path| read_input(&path, FaultPlan::parse_toml)).transpose()?;
     if kill.is_some() && data_dir.is_none() {
         return Err(usage_err("--kill requires --data-dir (recovery needs a journal)"));
     }
@@ -808,14 +650,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         println!("wrote metrics to {path}");
     }
     if let Some(path) = trace_path {
-        let trace = outcome.trace.expect("traced run returns a trace");
-        std::fs::write(&path, trace.to_chrome_json()).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "wrote trace to {path} ({} spans, {} events, {} counters) — load it in Perfetto",
-            trace.spans.len(),
-            trace.events.len(),
-            trace.counters.len()
-        );
+        write_trace(outcome.trace.as_ref().expect("traced run returns a trace"), &path)?;
     }
     // Admission-gate rejections fail the run loudly: the report above
     // shows what served, but a plan that tripped the interaction matrix
@@ -851,17 +686,17 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 /// when any journal is corrupt. The replay is [`Repository::open`], so
 /// the check also repairs: a torn tail in either file is truncated,
 /// and the report counts the bytes.
-fn cmd_repo(args: &[String]) -> Result<(), CliError> {
-    let usage = "usage: comet-cli repo fsck <data-dir>";
-    match args.first().map(String::as_str) {
-        Some("fsck") => {}
+fn cmd_repo(mut args: Args) -> Result<(), CliError> {
+    match args.rest.first().map(String::as_str) {
+        Some("fsck") => {
+            args.rest.remove(0);
+            args.cmd = "repo fsck";
+        }
         Some(other) => return Err(usage_err(format!("repo: unknown subcommand `{other}`"))),
-        None => return Err(usage_err(usage)),
+        None => return Err(usage_err(format!("usage: {}", args.usage))),
     }
-    let dir = std::path::PathBuf::from(args.get(1).ok_or_else(|| usage_err(usage))?);
-    if args.len() > 2 {
-        return Err(usage_err(format!("repo fsck: unexpected argument `{}`", args[2])));
-    }
+    let [dir] = args.finish()?;
+    let dir = std::path::PathBuf::from(dir);
     let mut journals = Vec::new();
     if Repository::exists(&dir) {
         journals.push(dir.clone());
@@ -894,21 +729,18 @@ fn cmd_repo(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_provenance(args: &[String]) -> Result<(), CliError> {
-    let (rest, trace_path) = parse_trace(args)?;
-    let [element] = rest.as_slice() else {
-        return Err(usage_err("usage: comet-cli provenance <element> --trace out.json"));
-    };
+fn cmd_provenance(mut args: Args) -> Result<(), CliError> {
+    let trace_path = args.value("--trace", "a path")?;
+    let [element] = args.finish()?;
     let path = trace_path.ok_or_else(|| {
         usage_err(
             "provenance needs --trace <out.json> (a file written by \
              `pipeline --trace` or `run --trace`)",
         )
     })?;
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-    let trace = Trace::from_chrome_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    let trace = read_input(&path, Trace::from_chrome_json)?;
     let index = ProvenanceIndex::build(&trace);
-    match index.query(element) {
+    match index.query(&element) {
         Some(report) => print!("{report}"),
         None => {
             println!("no provenance for `{element}` in {path} ({} indexed entries)", index.len())
@@ -917,28 +749,14 @@ fn cmd_provenance(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_metrics(args: &[String]) -> Result<(), CliError> {
-    let mut json = false;
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            other => return Err(usage_err(format!("metrics: unexpected argument `{other}`"))),
-        }
-    }
+fn cmd_metrics(mut args: Args) -> Result<(), CliError> {
+    let json = args.switch("--json");
+    let [] = args.finish()?;
     // Same Fig. 2 pipeline as `comet-cli pipeline`, measured instead of
     // narrated: scattering/tangling of the middleware concerns over the
     // woven program (the monolithic-equivalent artifact the paper's E5
     // experiment compares against).
-    let workflow = WorkflowModel::new("fig2")
-        .step("distribution", false)
-        .step("transactions", false)
-        .step("security", false);
-    let mut mda = MdaLifecycle::new(banking_pim(), workflow).map_err(|e| e.to_string())?;
-    for (name, si) in fig2_steps() {
-        let pair = comet_concerns::by_name(name).expect("standard concern exists");
-        mda.apply_concern(&pair, si).map_err(|e| e.to_string())?;
-    }
-    let system = mda
+    let system = fig2_lifecycle(Collector::disabled())?
         .generate(&BodyProvider::default(), comet::Backend::JavaFunctional)
         .map_err(|e| e.to_string())?;
     let report = concern_metrics(system.woven(), &["net", "tx", "sec", "log", "lock"]);
@@ -954,14 +772,9 @@ fn cmd_metrics(args: &[String]) -> Result<(), CliError> {
 /// the full standard concern library, exactly as the serving admission
 /// gate computes it (same probe PIM, same serving `Si` bindings) —
 /// every `commutes` cell is backed by the weave-both-orders oracle.
-fn cmd_interactions(args: &[String]) -> Result<(), CliError> {
-    let mut json = false;
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            other => return Err(usage_err(format!("interactions: unexpected argument `{other}`"))),
-        }
-    }
+fn cmd_interactions(mut args: Args) -> Result<(), CliError> {
+    let json = args.switch("--json");
+    let [] = args.finish()?;
     let steps: Vec<String> =
         comet_concerns::standard_pairs().iter().map(|p| p.concern().to_owned()).collect();
     let matrix = comet::serve_interaction_matrix(&steps).map_err(|e| e.to_string())?;
