@@ -32,7 +32,7 @@
 
 use comet::{Backend, MdaLifecycle};
 use comet_aop::{parse_pointcut, Advice, AdviceKind, Aspect, Weaver};
-use comet_bench::harness::{median_secs_after, JsonValue, Report};
+use comet_bench::harness::{quartile_secs_after, JsonValue, Report};
 use comet_bench::{
     banking_bodies, dist_si, executable_banking_pim, obj, ready_interp, sec_si, synthetic, tx_si,
 };
@@ -57,14 +57,15 @@ const SIZES: [usize; 3] = [10, 50, 200];
 /// Plan sizes (steps) of the E8 rows.
 const STEPS: [usize; 3] = [5, 20, 80];
 
-/// Median microseconds of one `op` on a value `fresh` builds untimed.
-/// One untimed trial sizes the batch each sample runs.
-fn us_each<T>(mut fresh: impl FnMut() -> T, mut op: impl FnMut(&mut T)) -> f64 {
+/// `[q1, median, q3]` microseconds of one `op` on a value `fresh` builds
+/// untimed, over `REPS.1` samples. One untimed trial sizes the batch
+/// each sample runs.
+fn us_each_spread<T>(mut fresh: impl FnMut() -> T, mut op: impl FnMut(&mut T)) -> [f64; 3] {
     let mut trial = fresh();
     let t0 = Instant::now();
     op(&mut trial);
     let batch = (SAMPLE_SECS / t0.elapsed().as_secs_f64().max(1e-9)).clamp(1.0, 1e5) as usize;
-    let secs = median_secs_after(
+    let secs = quartile_secs_after(
         REPS,
         &mut Vec::with_capacity(batch),
         |spent| {
@@ -78,7 +79,12 @@ fn us_each<T>(mut fresh: impl FnMut() -> T, mut op: impl FnMut(&mut T)) -> f64 {
             }
         },
     );
-    secs / batch as f64 * 1e6
+    secs.map(|s| s / batch as f64 * 1e6)
+}
+
+/// The median of [`us_each_spread`].
+fn us_each<T>(fresh: impl FnMut() -> T, op: impl FnMut(&mut T)) -> f64 {
+    us_each_spread(fresh, op)[1]
 }
 
 /// [`us_each`] for an `op` that needs no fresh input.
@@ -332,23 +338,41 @@ fn e7() -> JsonValue {
         .map(|classes| {
             let model = synthetic(classes, 3, 3);
             let xmi = export_model(&model);
+            // A clone carries no rendered fragments, so exporting it is a
+            // cold export; the clone is made untimed.
+            let export = us_each(
+                || model.clone(),
+                |m| {
+                    black_box(export_model(black_box(m)));
+                },
+            );
+            let export_warm = us(|| {
+                black_box(export_model(black_box(&model)));
+            });
+            let [import_q1, import, import_q3] = us_each_spread(
+                || (),
+                |()| {
+                    black_box(import_model(black_box(&xmi)).expect("valid document"));
+                },
+            );
+            let [round_trip_q1, round_trip, round_trip_q3] = us_each_spread(
+                || model.clone(),
+                |m| {
+                    black_box(import_model(&export_model(black_box(m))).expect("round trips"));
+                },
+            );
             obj! {
                 "classes": classes,
                 "xmi_bytes": xmi.len(),
-                // A clone carries no rendered fragments, so exporting
-                // it is a cold export; the clone is made untimed.
-                "export_us": us_each(|| model.clone(), |m| {
-                    black_box(export_model(black_box(m)));
-                }),
-                "export_warm_us": us(|| {
-                    black_box(export_model(black_box(&model)));
-                }),
-                "import_us": us(|| {
-                    black_box(import_model(black_box(&xmi)).expect("valid document"));
-                }),
-                "round_trip_us": us_each(|| model.clone(), |m| {
-                    black_box(import_model(&export_model(black_box(m))).expect("round trips"));
-                }),
+                "export_us": export,
+                "export_warm_us": export_warm,
+                "import_us": import,
+                "import_us_q1": import_q1,
+                "import_us_q3": import_q3,
+                "round_trip_us": round_trip,
+                "round_trip_us_q1": round_trip_q1,
+                "round_trip_us_q3": round_trip_q3,
+                "samples": REPS.1,
             }
         })
         .collect();

@@ -168,11 +168,12 @@ struct Args {
 
 impl Args {
     /// Removes every `flag value` pair; the last value wins. `what`
-    /// names the value in the error for a flag that ends the line.
+    /// names the value in the error for a flag that ends the line or is
+    /// followed by another flag.
     fn value(&mut self, flag: &str, what: &str) -> Result<Option<String>, CliError> {
         let mut value = None;
         while let Some(i) = self.rest.iter().position(|a| a == flag) {
-            if i + 1 == self.rest.len() {
+            if self.rest.get(i + 1).is_none_or(|v| v.starts_with("--")) {
                 return Err(usage_err(format!("{flag} needs {what}")));
             }
             value = Some(self.rest.remove(i + 1));

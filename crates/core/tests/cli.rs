@@ -542,6 +542,50 @@ fn inspect_of_a_refined_pim_matches_its_golden() {
     let _ = std::fs::remove_file(pim);
 }
 
+/// `apply` and `weave` over the sample PIM's XMI file, byte for byte;
+/// the scratch directory in the paths `apply` prints reads `<dir>`.
+#[test]
+fn apply_and_weave_over_an_xmi_file_match_their_goldens() {
+    let dir = temp_path("apply-weave");
+    std::fs::create_dir_all(&dir).unwrap();
+    let d = dir.to_str().unwrap();
+    let [pim, psm, aspect] = ["pim.xmi", "psm.xmi", "tx.aj"].map(|f| format!("{d}/{f}"));
+    stdout_of(&["new", &pim]);
+    let tx = ["transactions", "methods=Bank.transfer", "isolation=serializable"];
+    let apply =
+        stdout_of(&[&["apply", &pim][..], &tx, &["-o", &psm, "--aspect-out", &aspect]].concat())
+            .replace(d, "<dir>");
+    assert!(apply == support::golden("cli/apply_transactions.txt", &apply), "{apply}");
+    for threads in [&[][..], &["--threads", "1"]] {
+        let weave = stdout_of(&[&["weave", &pim][..], &tx, threads].concat());
+        assert!(weave == support::golden("cli/weave_transactions.txt", &weave), "{weave}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The crash-recovery run: a durable serve whose tenant `t01` is killed
+/// at its third request prints the recovery line and then the clean
+/// run's report; `repo fsck` of its data directory (which reads
+/// `<dir>`) finds every journal healthy; and a second serve over the
+/// same directory resumes the journalled lifecycles, at any shard count.
+#[test]
+fn a_killed_durable_serve_recovers_and_its_journals_check_and_resume() {
+    let dir = temp_path("recovery");
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().unwrap();
+    let serve = ["serve", "--seed", "7", "--data-dir", d];
+    let killed = stdout_of(&[&serve[..], &["--shards", "2", "--kill", "t01@3"]].concat());
+    let report = killed
+        .strip_prefix("recovered 1 crashed tenant lifecycle(s) from the journal\n")
+        .unwrap_or_else(|| panic!("no recovery line in {killed}"));
+    assert!(report == support::golden("cli/serve_seed7.txt", report), "{killed}");
+    let fsck = stdout_of(&["repo", "fsck", d]).replace(d, "<dir>");
+    assert!(fsck == support::golden("cli/fsck_killed_seed7.txt", &fsck), "{fsck}");
+    let resumed = stdout_of(&[&serve[..], &["--shards", "4"]].concat());
+    assert!(resumed == support::golden("cli/serve_seed7_resumed.txt", &resumed), "{resumed}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `serve --seed 7 --metrics` writes the exposition `metrics_slo.rs`
 /// pins for the same plan, in either format and at any shard count, and
 /// its stdout is the report plus one line naming the file.
@@ -609,6 +653,9 @@ fn malformed_invocations_report_their_first_error() {
         (&["serve", "--kill"], 2, "error: --kill needs tenant@N"),
         (&["serve", "--metrics"], 2, "error: --metrics needs a path"),
         (&["provenance", "Bank.transfer", "--trace"], 2, "error: --trace needs a path"),
+        // a value that is itself a flag
+        (&["serve", "--seed", "7", "--trace", "--json"], 2, "error: --trace needs a path"),
+        (&["run", "--faults", "--seed", "3"], 2, "error: --faults needs a path"),
         // not a number, or not of its form
         (&["pipeline", "--threads", "x"], 2, "error: --threads: `x` is not a number"),
         (&["run", "--seed", "-1"], 2, "error: --seed: `-1` is not a number"),

@@ -32,7 +32,10 @@
 //! exactly the state of the last completed operation.
 //!
 //! Replay applies commit records from the segment bytes without any
-//! XMI work. Undo and redo records only move the head position, found
+//! XMI work. It reads each segment once per open, and every commit that
+//! names the segment shares that one `Arc<str>`, so a journal that
+//! revisits a few contents many times costs a read per content, not per
+//! commit. Undo and redo records only move the head position, found
 //! as [`Repository::undo`]/[`Repository::redo`] find it; the
 //! snapshot each one lands on is still XMI-imported as a corruption
 //! check, but each distinct content only once per open (keyed by hash
@@ -316,8 +319,9 @@ impl Repository {
         let (records, wal_report, end) = Wal::read_all(&wal_path).map_err(io_err)?;
         let mut repo: Option<Repository> = None;
         let mut landings = LandingCheck::default();
+        let mut fetched = Fetched::new();
         for record in &records {
-            replay(&mut repo, record, &mut segments, &mut landings)?;
+            replay(&mut repo, record, &mut segments, &mut fetched, &mut landings)?;
         }
         let mut repo = repo.ok_or_else(|| {
             RepoError::Storage(format!("journal in {} has no init record", dir.display()))
@@ -548,6 +552,7 @@ fn replay(
     repo: &mut Option<Repository>,
     record: &WalRecord,
     segments: &mut SegmentStore,
+    fetched: &mut Fetched,
     landings: &mut LandingCheck,
 ) -> Result<(), RepoError> {
     fn need(repo: &mut Option<Repository>) -> Result<&mut Repository, RepoError> {
@@ -559,7 +564,7 @@ fn replay(
             *repo = Some(Repository::new(name.clone()));
         }
         WalRecord::Commit { message, concern, hash, ordinal, delta } => {
-            let snapshot = fetch_snapshot(segments, *hash, *ordinal)?;
+            let snapshot = fetch_snapshot(segments, fetched, *hash, *ordinal)?;
             need(repo)?.commit_raw(snapshot, *hash, message, concern.as_deref(), delta.clone());
         }
         WalRecord::Undo | WalRecord::Redo => {
@@ -580,34 +585,47 @@ fn replay(
             need(repo)?.tag(name)?;
         }
         WalRecord::Checkpoint(state) => {
-            *repo = Some(repository_from_checkpoint(state, segments)?);
+            *repo = Some(repository_from_checkpoint(state, segments, fetched)?);
         }
     }
     Ok(())
 }
 
+/// The segments one open has read, by address. Many commits name the
+/// same segment (a revisited state, an undo's redo), so each segment is
+/// read and UTF-8-checked once, and its commits share one `Arc<str>`.
+type Fetched = BTreeMap<SegmentId, Arc<str>>;
+
 fn fetch_snapshot(
     segments: &mut SegmentStore,
+    fetched: &mut Fetched,
     hash: u64,
     ordinal: u32,
 ) -> Result<Arc<str>, RepoError> {
-    let bytes = segments.get(SegmentId { hash, ordinal }).map_err(io_err)?.ok_or_else(|| {
+    let id = SegmentId { hash, ordinal };
+    if let Some(snapshot) = fetched.get(&id) {
+        return Ok(Arc::clone(snapshot));
+    }
+    let bytes = segments.get(id).map_err(io_err)?.ok_or_else(|| {
         RepoError::Storage(format!("commit references missing segment {hash:016x}/{ordinal}"))
     })?;
-    String::from_utf8(bytes)
+    let snapshot: Arc<str> = String::from_utf8(bytes)
         .map(Arc::from)
-        .map_err(|_| RepoError::Storage(format!("segment {hash:016x}/{ordinal} is not UTF-8")))
+        .map_err(|_| RepoError::Storage(format!("segment {hash:016x}/{ordinal} is not UTF-8")))?;
+    fetched.insert(id, Arc::clone(&snapshot));
+    Ok(snapshot)
 }
 
 fn repository_from_checkpoint(
     state: &CheckpointState,
     segments: &mut SegmentStore,
+    fetched: &mut Fetched,
 ) -> Result<Repository, RepoError> {
     let mut repo = Repository::new(state.name.clone());
     repo.next_id = state.next_id;
     repo.commits = BTreeMap::new();
     for c in &state.commits {
-        let snapshot = fetch_snapshot(segments, c.hash, c.ordinal)?;
+        let snapshot = fetch_snapshot(segments, fetched, c.hash, c.ordinal)?;
         repo.commits.insert(
             c.id,
             crate::repo::Commit {
@@ -1041,6 +1059,34 @@ mod tests {
         drop(dur);
         let (_, report) = Repository::open(&dir).unwrap();
         assert_eq!(report.snapshots_decoded, 0);
+    }
+
+    #[test]
+    fn replay_reads_each_segment_once() {
+        let dir = tmp("fetch-once");
+        let (v1, v2) = two_models();
+        let mut dur = Repository::create(&dir, "bank").unwrap();
+        for i in 0..5 {
+            dur.commit(&v1, &format!("v1 {i}"), None).unwrap();
+            dur.commit(&v2, &format!("v2 {i}"), Some("distribution")).unwrap();
+        }
+        drop(dur);
+        // Every commit of one content shares one snapshot, before and
+        // after compaction replaces the history with a checkpoint.
+        for compact in [false, true] {
+            let (mut dur, report) = Repository::open(&dir).unwrap();
+            assert_eq!((dur.commits.len(), report.segments), (10, 2));
+            let mut shared: Vec<&Arc<str>> = Vec::new();
+            for commit in dur.commits.values() {
+                if !shared.iter().any(|s| Arc::ptr_eq(s, &commit.snapshot)) {
+                    shared.push(&commit.snapshot);
+                }
+            }
+            assert_eq!(shared.len(), 2, "compacted: {compact}");
+            if !compact {
+                dur.compact().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The XMI codec: `comet-model` ⇄ XMI-1.2-flavoured XML.
 
-use crate::xml::{parse_xml, Tag, XmlError, XmlNode, DECLARATION};
+use crate::xml::{Event, Reader, Tag, XmlError, DECLARATION};
 use comet_model::{
     AggregationKind, AssociationData, AssociationEnd, AttributeData, ClassData, ConstraintData,
     DataTypeData, DependencyData, Direction, Element, ElementCore, ElementId, ElementKind,
@@ -41,23 +41,34 @@ impl From<XmlError> for XmiError {
     }
 }
 
-fn vis_str(v: Visibility) -> &'static str {
-    match v {
-        Visibility::Public => "public",
-        Visibility::Protected => "protected",
-        Visibility::Package => "package",
-        Visibility::Private => "private",
-    }
+/// Each visibility, parameter direction and aggregation kind beside the
+/// name XMI gives it.
+const VISIBILITIES: [(Visibility, &str); 4] = [
+    (Visibility::Public, "public"),
+    (Visibility::Protected, "protected"),
+    (Visibility::Package, "package"),
+    (Visibility::Private, "private"),
+];
+const DIRECTIONS: [(Direction, &str); 4] = [
+    (Direction::In, "in"),
+    (Direction::Out, "out"),
+    (Direction::InOut, "inout"),
+    (Direction::Return, "return"),
+];
+const AGGREGATIONS: [(AggregationKind, &str); 3] = [
+    (AggregationKind::None, "none"),
+    (AggregationKind::Shared, "shared"),
+    (AggregationKind::Composite, "composite"),
+];
+
+fn name_in<T: PartialEq>(names: &[(T, &'static str)], value: T) -> &'static str {
+    names.iter().find(|(v, _)| *v == value).map(|&(_, name)| name).expect("every variant is named")
 }
 
-fn parse_vis(s: &str) -> Result<Visibility, XmiError> {
-    match s {
-        "public" => Ok(Visibility::Public),
-        "protected" => Ok(Visibility::Protected),
-        "package" => Ok(Visibility::Package),
-        "private" => Ok(Visibility::Private),
-        other => Err(XmiError::Bad(format!("visibility `{other}`"))),
-    }
+/// The value `names` names `name`; `what` the value is, for the error.
+fn value_in<T: Copy>(names: &[(T, &str)], name: &str, what: &str) -> Result<T, XmiError> {
+    let value = names.iter().find(|(_, n)| *n == name).map(|&(value, _)| value);
+    value.ok_or_else(|| XmiError::Bad(format!("{what} `{name}`")))
 }
 
 fn parse_type(s: &str) -> Result<TypeRef, XmiError> {
@@ -72,15 +83,10 @@ fn parse_type(s: &str) -> Result<TypeRef, XmiError> {
 }
 
 fn parse_mult(s: &str) -> Result<Multiplicity, XmiError> {
-    let (lo, hi) =
-        s.split_once("..").ok_or_else(|| XmiError::Bad(format!("multiplicity `{s}`")))?;
-    let lower: u32 = lo.parse().map_err(|_| XmiError::Bad(format!("multiplicity `{s}`")))?;
-    let upper = if hi == "*" {
-        None
-    } else {
-        Some(hi.parse().map_err(|_| XmiError::Bad(format!("multiplicity `{s}`")))?)
-    };
-    Ok(Multiplicity { lower, upper })
+    let bad = || XmiError::Bad(format!("multiplicity `{s}`"));
+    let (lower, upper) = s.split_once("..").ok_or_else(bad)?;
+    let upper = if upper == "*" { None } else { Some(upper.parse().map_err(|_| bad())?) };
+    Ok(Multiplicity { lower: lower.parse().map_err(|_| bad())?, upper })
 }
 
 fn parse_id(s: &str) -> Result<ElementId, XmiError> {
@@ -89,59 +95,8 @@ fn parse_id(s: &str) -> Result<ElementId, XmiError> {
     Ok(ElementId::from_raw(n))
 }
 
-fn parse_tag_value(node: &XmlNode) -> Result<TagValue, XmiError> {
-    let ty = node.get_attr("type").ok_or_else(|| XmiError::Missing("tag type".into()))?;
-    let value = || node.get_attr("value").ok_or_else(|| XmiError::Missing("tag value".into()));
-    match ty {
-        "str" => Ok(TagValue::Str(value()?.to_owned())),
-        "int" => value()?.parse().map(TagValue::Int).map_err(|_| XmiError::Bad("int tag".into())),
-        "bool" => {
-            value()?.parse().map(TagValue::Bool).map_err(|_| XmiError::Bad("bool tag".into()))
-        }
-        "real" => {
-            value()?.parse().map(TagValue::Real).map_err(|_| XmiError::Bad("real tag".into()))
-        }
-        "list" => {
-            let mut items = Vec::new();
-            for c in node.find_children("UML:Value") {
-                items.push(parse_tag_value(c)?);
-            }
-            Ok(TagValue::List(items))
-        }
-        other => Err(XmiError::Bad(format!("tag type `{other}`"))),
-    }
-}
-
-fn parse_end(node: &XmlNode) -> Result<AssociationEnd, XmiError> {
-    Ok(AssociationEnd {
-        role: node.get_attr("role").unwrap_or_default().to_owned(),
-        class: parse_id(
-            node.get_attr("class").ok_or_else(|| XmiError::Missing("end class".into()))?,
-        )?,
-        multiplicity: parse_mult(
-            node.get_attr("multiplicity")
-                .ok_or_else(|| XmiError::Missing("end multiplicity".into()))?,
-        )?,
-        navigable: node
-            .get_attr("navigable")
-            .unwrap_or("true")
-            .parse()
-            .map_err(|_| XmiError::Bad("navigable".into()))?,
-        aggregation: match node.get_attr("aggregation").unwrap_or("none") {
-            "none" => AggregationKind::None,
-            "shared" => AggregationKind::Shared,
-            "composite" => AggregationKind::Composite,
-            other => return Err(XmiError::Bad(format!("aggregation `{other}`"))),
-        },
-    })
-}
-
 fn bool_str(b: bool) -> &'static str {
-    if b {
-        "true"
-    } else {
-        "false"
-    }
+    ["false", "true"][usize::from(b)]
 }
 
 /// An element id as XMI references it: `#` and the raw number.
@@ -205,14 +160,7 @@ fn end_attrs<'a>(tag: Tag<'a>, end: &AssociationEnd) -> Tag<'a> {
         .attr_display("class", Id(end.class))
         .attr_display("multiplicity", Mult(end.multiplicity))
         .attr("navigable", bool_str(end.navigable))
-        .attr(
-            "aggregation",
-            match end.aggregation {
-                AggregationKind::None => "none",
-                AggregationKind::Shared => "shared",
-                AggregationKind::Composite => "composite",
-            },
-        )
+        .attr("aggregation", name_in(&AGGREGATIONS, end.aggregation))
 }
 
 /// Writes `e` as one `UML:Element` at `indent` levels, straight into
@@ -225,7 +173,7 @@ fn write_element(e: &Element, indent: usize, out: &mut String) {
         .attr_display("xmi.id", Id(e.id()))
         .attr("kind", e.kind().kind_name())
         .attr("name", e.name())
-        .attr("visibility", vis_str(core.visibility));
+        .attr("visibility", name_in(&VISIBILITIES, core.visibility));
     if let Some(o) = e.owner() {
         tag = tag.attr_display("owner", Id(o));
     }
@@ -257,15 +205,9 @@ fn write_element(e: &Element, indent: usize, out: &mut String) {
             .attr("isStatic", bool_str(o.is_static))
             .attr("isAbstract", bool_str(o.is_abstract))
             .attr("isQuery", bool_str(o.is_query)),
-        ElementKind::Parameter(p) => tag.attr_display("type", TypeName(p.ty)).attr(
-            "direction",
-            match p.direction {
-                Direction::In => "in",
-                Direction::Out => "out",
-                Direction::InOut => "inout",
-                Direction::Return => "return",
-            },
-        ),
+        ElementKind::Parameter(p) => tag
+            .attr_display("type", TypeName(p.ty))
+            .attr("direction", name_in(&DIRECTIONS, p.direction)),
         ElementKind::Generalization(g) => {
             tag.attr_display("child", Id(g.child)).attr_display("parent", Id(g.parent))
         }
@@ -325,84 +267,99 @@ pub fn export_model(model: &Model) -> String {
     out
 }
 
-fn attr_bool(node: &XmlNode, key: &str) -> Result<bool, XmiError> {
-    node.get_attr(key)
-        .unwrap_or("false")
-        .parse()
-        .map_err(|_| XmiError::Bad(format!("boolean `{key}`")))
+/// The value of the last start tag's attribute `key`, or `missing`.
+fn required<'r>(r: &'r Reader<'_>, key: &str, missing: &str) -> Result<&'r str, XmiError> {
+    r.attr(key).ok_or_else(|| XmiError::Missing(missing.to_owned()))
 }
 
-fn parse_element(node: &XmlNode) -> Result<Element, XmiError> {
-    let id = parse_id(node.get_attr("xmi.id").ok_or_else(|| XmiError::Missing("xmi.id".into()))?)?;
-    let kind_name = node.get_attr("kind").ok_or_else(|| XmiError::Missing("kind".into()))?;
-    let mut core = ElementCore::new(
-        node.get_attr("name").unwrap_or_default(),
-        node.get_attr("owner").map(parse_id).transpose()?,
-    );
-    core.visibility = parse_vis(node.get_attr("visibility").unwrap_or("public"))?;
-    core.doc = node.get_attr("doc").unwrap_or_default().to_owned();
-    for s in node.find_children("UML:Stereotype") {
-        core.apply_stereotype(
-            s.get_attr("name").ok_or_else(|| XmiError::Missing("stereotype name".into()))?,
-        );
+fn attr_bool(r: &Reader<'_>, key: &str) -> Result<bool, XmiError> {
+    r.attr(key).unwrap_or("false").parse().map_err(|_| XmiError::Bad(format!("boolean `{key}`")))
+}
+
+fn parse_end(r: &Reader<'_>) -> Result<AssociationEnd, XmiError> {
+    Ok(AssociationEnd {
+        role: r.attr("role").unwrap_or_default().to_owned(),
+        class: parse_id(required(r, "class", "end class")?)?,
+        multiplicity: parse_mult(required(r, "multiplicity", "end multiplicity")?)?,
+        navigable: r
+            .attr("navigable")
+            .unwrap_or("true")
+            .parse()
+            .map_err(|_| XmiError::Bad("navigable".into()))?,
+        aggregation: value_in(
+            &AGGREGATIONS,
+            r.attr("aggregation").unwrap_or("none"),
+            "aggregation",
+        )?,
+    })
+}
+
+/// `read` of each child named `name` of the element `r` is in, in
+/// document order; the other children are skipped.
+fn children<'a, T>(
+    r: &mut Reader<'a>,
+    name: &str,
+    mut read: impl FnMut(&mut Reader<'a>) -> Result<T, XmiError>,
+) -> Result<Vec<T>, XmiError> {
+    let mut values = Vec::new();
+    r.each_child(|r, child| {
+        if child == name {
+            values.push(read(r)?);
+        }
+        Ok::<_, XmiError>(())
+    })?;
+    Ok(values)
+}
+
+/// The tagged value whose start tag `r` has just read: a scalar from its
+/// `type` and `value` attributes, a list from its `UML:Value` children.
+fn read_tag_value(r: &mut Reader<'_>) -> Result<TagValue, XmiError> {
+    let value = || required(r, "value", "tag value");
+    let bad = |ty| XmiError::Bad(format!("{ty} tag"));
+    match required(r, "type", "tag type")? {
+        "str" => Ok(TagValue::Str(value()?.to_owned())),
+        "int" => value()?.parse().map(TagValue::Int).map_err(|_| bad("int")),
+        "bool" => value()?.parse().map(TagValue::Bool).map_err(|_| bad("bool")),
+        "real" => value()?.parse().map(TagValue::Real).map_err(|_| bad("real")),
+        "list" => children(r, "UML:Value", read_tag_value).map(TagValue::List),
+        other => Err(XmiError::Bad(format!("tag type `{other}`"))),
     }
-    for t in node.find_children("UML:TaggedValue") {
-        let key = t.get_attr("key").ok_or_else(|| XmiError::Missing("tag key".into()))?;
-        core.set_tag(key, parse_tag_value(t)?);
-    }
-    let attr = |key: &str| -> Result<&str, XmiError> {
-        node.get_attr(key)
-            .ok_or_else(|| XmiError::Missing(format!("attribute `{key}` on {kind_name}")))
+}
+
+/// The kind `kind_name` names, with the data in the start tag `r` has
+/// just read: an enumeration without its literals, and `None` for an
+/// association, whose data is all in its `UML:End` children.
+fn start_kind(r: &Reader<'_>, kind_name: &str) -> Result<Option<ElementKind>, XmiError> {
+    let attr = |key: &str| {
+        r.attr(key).ok_or_else(|| XmiError::Missing(format!("attribute `{key}` on {kind_name}")))
     };
-    let kind = match kind_name {
+    Ok(Some(match kind_name {
         "Package" => ElementKind::Package(PackageData::default()),
         "Interface" => ElementKind::Interface(InterfaceData::default()),
         "DataType" => ElementKind::DataType(DataTypeData::default()),
         "Class" => ElementKind::Class(ClassData {
-            is_abstract: attr_bool(node, "isAbstract")?,
-            is_active: attr_bool(node, "isActive")?,
+            is_abstract: attr_bool(r, "isAbstract")?,
+            is_active: attr_bool(r, "isActive")?,
         }),
-        "Enumeration" => ElementKind::Enumeration(EnumerationData {
-            literals: node
-                .find_children("UML:Literal")
-                .map(|l| {
-                    l.get_attr("name")
-                        .map(str::to_owned)
-                        .ok_or_else(|| XmiError::Missing("literal name".into()))
-                })
-                .collect::<Result<_, _>>()?,
-        }),
+        "Enumeration" => ElementKind::Enumeration(EnumerationData::default()),
         "Attribute" => ElementKind::Attribute(AttributeData {
             ty: parse_type(attr("type")?)?,
             multiplicity: parse_mult(attr("multiplicity")?)?,
-            is_static: attr_bool(node, "isStatic")?,
-            is_read_only: attr_bool(node, "isReadOnly")?,
-            default: node.get_attr("default").map(str::to_owned),
+            is_static: attr_bool(r, "isStatic")?,
+            is_read_only: attr_bool(r, "isReadOnly")?,
+            default: r.attr("default").map(str::to_owned),
         }),
         "Operation" => ElementKind::Operation(OperationData {
             return_type: parse_type(attr("returnType")?)?,
-            is_static: attr_bool(node, "isStatic")?,
-            is_abstract: attr_bool(node, "isAbstract")?,
-            is_query: attr_bool(node, "isQuery")?,
+            is_static: attr_bool(r, "isStatic")?,
+            is_abstract: attr_bool(r, "isAbstract")?,
+            is_query: attr_bool(r, "isQuery")?,
         }),
         "Parameter" => ElementKind::Parameter(ParameterData {
             ty: parse_type(attr("type")?)?,
-            direction: match attr("direction")? {
-                "in" => Direction::In,
-                "out" => Direction::Out,
-                "inout" => Direction::InOut,
-                "return" => Direction::Return,
-                other => return Err(XmiError::Bad(format!("direction `{other}`"))),
-            },
+            direction: value_in(&DIRECTIONS, attr("direction")?, "direction")?,
         }),
-        "Association" => {
-            let ends: Vec<AssociationEnd> =
-                node.find_children("UML:End").map(parse_end).collect::<Result<_, _>>()?;
-            let [a, b]: [AssociationEnd; 2] = ends
-                .try_into()
-                .map_err(|_| XmiError::Bad("association needs exactly two ends".into()))?;
-            ElementKind::Association(AssociationData { ends: [a, b] })
-        }
+        "Association" => return Ok(None),
         "Generalization" => ElementKind::Generalization(GeneralizationData {
             child: parse_id(attr("child")?)?,
             parent: parse_id(attr("parent")?)?,
@@ -416,30 +373,90 @@ fn parse_element(node: &XmlNode) -> Result<Element, XmiError> {
             body: attr("body")?.to_owned(),
         }),
         other => return Err(XmiError::Bad(format!("element kind `{other}`"))),
+    }))
+}
+
+/// The `UML:Element` whose start tag `r` has just read. Its children are
+/// read as they come, and their faults are reported in a fixed order,
+/// whatever the document order: the stereotypes', then the tagged
+/// values', then the kind's attributes', then the literals' or ends'.
+fn read_element(r: &mut Reader<'_>) -> Result<Element, XmiError> {
+    let id = parse_id(required(r, "xmi.id", "xmi.id")?)?;
+    let kind_name = required(r, "kind", "kind")?;
+    let owner = r.attr("owner").map(parse_id).transpose()?;
+    let mut core = ElementCore::new(r.attr("name").unwrap_or_default(), owner);
+    core.visibility =
+        value_in(&VISIBILITIES, r.attr("visibility").unwrap_or("public"), "visibility")?;
+    core.doc = r.attr("doc").unwrap_or_default().to_owned();
+    let kind = start_kind(r, kind_name);
+    let (mut stereotypes, mut tags, mut literals, mut ends) = (vec![], vec![], vec![], vec![]);
+    let name = |r: &Reader<'_>, missing| required(r, "name", missing).map(str::to_owned);
+    r.each_child(|r, child| {
+        match child {
+            "UML:Stereotype" => stereotypes.push(name(r, "stereotype name")),
+            "UML:TaggedValue" => tags.push(
+                required(r, "key", "tag key")
+                    .map(str::to_owned)
+                    .and_then(|key| Ok((key, read_tag_value(r)?))),
+            ),
+            "UML:Literal" => literals.push(name(r, "literal name")),
+            "UML:End" => ends.push(parse_end(r)),
+            _ => {}
+        }
+        Ok::<_, XmiError>(())
+    })?;
+    for stereotype in stereotypes {
+        core.apply_stereotype(stereotype?);
+    }
+    core.tags.extend(tags.into_iter().collect::<Result<Vec<_>, _>>()?);
+    let kind = match kind? {
+        Some(ElementKind::Enumeration(_)) => ElementKind::Enumeration(EnumerationData {
+            literals: literals.into_iter().collect::<Result<_, _>>()?,
+        }),
+        Some(kind) => kind,
+        None => {
+            let ends: Vec<_> = ends.into_iter().collect::<Result<_, _>>()?;
+            let two = |_| XmiError::Bad("association needs exactly two ends".into());
+            ElementKind::Association(AssociationData { ends: ends.try_into().map_err(two)? })
+        }
     };
     Ok(Element::new(id, core, kind))
 }
 
-/// Imports a model from an XMI document string.
+/// The first `UML:Model` of the root `XMI` element's first
+/// `XMI.content`: the model's name, root and elements.
+fn read_document(r: &mut Reader<'_>) -> Result<(String, ElementId, Vec<Element>), XmiError> {
+    if r.next()? != Event::Start("XMI") {
+        return Err(XmiError::Missing("XMI document element".into()));
+    }
+    let (mut content, mut model) = (false, None);
+    r.each_child(|r, child| {
+        if child != "XMI.content" || std::mem::replace(&mut content, true) {
+            return Ok::<_, XmiError>(());
+        }
+        r.each_child(|r, child| {
+            if child == "UML:Model" && model.is_none() {
+                let name = required(r, "name", "model name")?.to_owned();
+                let root = parse_id(required(r, "root", "model root")?)?;
+                model = Some((name, root, children(r, "UML:Element", read_element)?));
+            }
+            Ok(())
+        })
+    })?;
+    r.finish()?;
+    model.ok_or_else(|| XmiError::Missing(if content { "UML:Model" } else { "XMI.content" }.into()))
+}
+
+/// Imports a model from an XMI document string, in one pass that builds
+/// each element from its tags, then validates it in full.
 ///
 /// # Errors
 /// Fails on malformed XML, unknown structure, or a model that does not
-/// validate.
+/// validate. An XML error anywhere wins over a decode error before it.
 pub fn import_model(source: &str) -> Result<Model, XmiError> {
-    let doc = parse_xml(source)?;
-    if doc.name != "XMI" {
-        return Err(XmiError::Missing("XMI document element".into()));
-    }
-    let content =
-        doc.find_child("XMI.content").ok_or_else(|| XmiError::Missing("XMI.content".into()))?;
-    let model_node =
-        content.find_child("UML:Model").ok_or_else(|| XmiError::Missing("UML:Model".into()))?;
-    let name = model_node.get_attr("name").ok_or_else(|| XmiError::Missing("model name".into()))?;
-    let root = parse_id(
-        model_node.get_attr("root").ok_or_else(|| XmiError::Missing("model root".into()))?,
-    )?;
-    let elements: Vec<Element> =
-        model_node.find_children("UML:Element").map(parse_element).collect::<Result<_, _>>()?;
+    let mut reader = Reader::new(source);
+    let (name, root, elements) = read_document(&mut reader)
+        .map_err(|e| reader.finish().map_or_else(XmiError::Xml, |()| e))?;
     Model::from_parts(name, root, elements).map_err(|violations| {
         XmiError::Invalid(violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("; "))
     })
@@ -448,9 +465,181 @@ pub fn import_model(source: &str) -> Result<Model, XmiError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::xml::tests::write_xml;
+    use crate::xml::tests::{parse_xml, write_xml, XmlNode};
     use comet_model::sample::{auction_pim, banking_pim, synthetic};
     use proptest::prelude::*;
+
+    // The tree reader's decode, as `import_model` ran it before it read
+    // the document in one pass: the differential oracle for the import.
+
+    fn tree_tag_value(node: &XmlNode) -> Result<TagValue, XmiError> {
+        let ty = node.get_attr("type").ok_or_else(|| XmiError::Missing("tag type".into()))?;
+        let value = || node.get_attr("value").ok_or_else(|| XmiError::Missing("tag value".into()));
+        match ty {
+            "str" => Ok(TagValue::Str(value()?.to_owned())),
+            "int" => {
+                value()?.parse().map(TagValue::Int).map_err(|_| XmiError::Bad("int tag".into()))
+            }
+            "bool" => {
+                value()?.parse().map(TagValue::Bool).map_err(|_| XmiError::Bad("bool tag".into()))
+            }
+            "real" => {
+                value()?.parse().map(TagValue::Real).map_err(|_| XmiError::Bad("real tag".into()))
+            }
+            "list" => {
+                let mut items = Vec::new();
+                for c in node.find_children("UML:Value") {
+                    items.push(tree_tag_value(c)?);
+                }
+                Ok(TagValue::List(items))
+            }
+            other => Err(XmiError::Bad(format!("tag type `{other}`"))),
+        }
+    }
+
+    fn tree_end(node: &XmlNode) -> Result<AssociationEnd, XmiError> {
+        Ok(AssociationEnd {
+            role: node.get_attr("role").unwrap_or_default().to_owned(),
+            class: parse_id(
+                node.get_attr("class").ok_or_else(|| XmiError::Missing("end class".into()))?,
+            )?,
+            multiplicity: parse_mult(
+                node.get_attr("multiplicity")
+                    .ok_or_else(|| XmiError::Missing("end multiplicity".into()))?,
+            )?,
+            navigable: node
+                .get_attr("navigable")
+                .unwrap_or("true")
+                .parse()
+                .map_err(|_| XmiError::Bad("navigable".into()))?,
+            aggregation: match node.get_attr("aggregation").unwrap_or("none") {
+                "none" => AggregationKind::None,
+                "shared" => AggregationKind::Shared,
+                "composite" => AggregationKind::Composite,
+                other => return Err(XmiError::Bad(format!("aggregation `{other}`"))),
+            },
+        })
+    }
+
+    fn tree_bool(node: &XmlNode, key: &str) -> Result<bool, XmiError> {
+        node.get_attr(key)
+            .unwrap_or("false")
+            .parse()
+            .map_err(|_| XmiError::Bad(format!("boolean `{key}`")))
+    }
+
+    fn tree_element(node: &XmlNode) -> Result<Element, XmiError> {
+        let id =
+            parse_id(node.get_attr("xmi.id").ok_or_else(|| XmiError::Missing("xmi.id".into()))?)?;
+        let kind_name = node.get_attr("kind").ok_or_else(|| XmiError::Missing("kind".into()))?;
+        let mut core = ElementCore::new(
+            node.get_attr("name").unwrap_or_default(),
+            node.get_attr("owner").map(parse_id).transpose()?,
+        );
+        core.visibility =
+            value_in(&VISIBILITIES, node.get_attr("visibility").unwrap_or("public"), "visibility")?;
+        core.doc = node.get_attr("doc").unwrap_or_default().to_owned();
+        for s in node.find_children("UML:Stereotype") {
+            core.apply_stereotype(
+                s.get_attr("name").ok_or_else(|| XmiError::Missing("stereotype name".into()))?,
+            );
+        }
+        for t in node.find_children("UML:TaggedValue") {
+            let key = t.get_attr("key").ok_or_else(|| XmiError::Missing("tag key".into()))?;
+            core.set_tag(key, tree_tag_value(t)?);
+        }
+        let attr = |key: &str| -> Result<&str, XmiError> {
+            node.get_attr(key)
+                .ok_or_else(|| XmiError::Missing(format!("attribute `{key}` on {kind_name}")))
+        };
+        let kind = match kind_name {
+            "Package" => ElementKind::Package(PackageData::default()),
+            "Interface" => ElementKind::Interface(InterfaceData::default()),
+            "DataType" => ElementKind::DataType(DataTypeData::default()),
+            "Class" => ElementKind::Class(ClassData {
+                is_abstract: tree_bool(node, "isAbstract")?,
+                is_active: tree_bool(node, "isActive")?,
+            }),
+            "Enumeration" => ElementKind::Enumeration(EnumerationData {
+                literals: node
+                    .find_children("UML:Literal")
+                    .map(|l| {
+                        l.get_attr("name")
+                            .map(str::to_owned)
+                            .ok_or_else(|| XmiError::Missing("literal name".into()))
+                    })
+                    .collect::<Result<_, _>>()?,
+            }),
+            "Attribute" => ElementKind::Attribute(AttributeData {
+                ty: parse_type(attr("type")?)?,
+                multiplicity: parse_mult(attr("multiplicity")?)?,
+                is_static: tree_bool(node, "isStatic")?,
+                is_read_only: tree_bool(node, "isReadOnly")?,
+                default: node.get_attr("default").map(str::to_owned),
+            }),
+            "Operation" => ElementKind::Operation(OperationData {
+                return_type: parse_type(attr("returnType")?)?,
+                is_static: tree_bool(node, "isStatic")?,
+                is_abstract: tree_bool(node, "isAbstract")?,
+                is_query: tree_bool(node, "isQuery")?,
+            }),
+            "Parameter" => ElementKind::Parameter(ParameterData {
+                ty: parse_type(attr("type")?)?,
+                direction: match attr("direction")? {
+                    "in" => Direction::In,
+                    "out" => Direction::Out,
+                    "inout" => Direction::InOut,
+                    "return" => Direction::Return,
+                    other => return Err(XmiError::Bad(format!("direction `{other}`"))),
+                },
+            }),
+            "Association" => {
+                let ends: Vec<AssociationEnd> =
+                    node.find_children("UML:End").map(tree_end).collect::<Result<_, _>>()?;
+                let [a, b]: [AssociationEnd; 2] = ends
+                    .try_into()
+                    .map_err(|_| XmiError::Bad("association needs exactly two ends".into()))?;
+                ElementKind::Association(AssociationData { ends: [a, b] })
+            }
+            "Generalization" => ElementKind::Generalization(GeneralizationData {
+                child: parse_id(attr("child")?)?,
+                parent: parse_id(attr("parent")?)?,
+            }),
+            "Dependency" => ElementKind::Dependency(DependencyData {
+                client: parse_id(attr("client")?)?,
+                supplier: parse_id(attr("supplier")?)?,
+            }),
+            "Constraint" => ElementKind::Constraint(ConstraintData {
+                constrained: parse_id(attr("constrained")?)?,
+                body: attr("body")?.to_owned(),
+            }),
+            other => return Err(XmiError::Bad(format!("element kind `{other}`"))),
+        };
+        Ok(Element::new(id, core, kind))
+    }
+
+    fn tree_import(source: &str) -> Result<Model, XmiError> {
+        let doc = parse_xml(source)?;
+        if doc.name != "XMI" {
+            return Err(XmiError::Missing("XMI document element".into()));
+        }
+        let content =
+            doc.find_child("XMI.content").ok_or_else(|| XmiError::Missing("XMI.content".into()))?;
+        let model_node =
+            content.find_child("UML:Model").ok_or_else(|| XmiError::Missing("UML:Model".into()))?;
+        let name =
+            model_node.get_attr("name").ok_or_else(|| XmiError::Missing("model name".into()))?;
+        let root = parse_id(
+            model_node.get_attr("root").ok_or_else(|| XmiError::Missing("model root".into()))?,
+        )?;
+        let elements: Vec<Element> =
+            model_node.find_children("UML:Element").map(tree_element).collect::<Result<_, _>>()?;
+        Model::from_parts(name, root, elements).map_err(|violations| {
+            XmiError::Invalid(
+                violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("; "),
+            )
+        })
+    }
 
     // The tree writer's element code, as `export_model` ran it before it
     // wrote straight into the buffer: the byte oracle for the export.
@@ -511,7 +700,7 @@ mod tests {
             .attr("xmi.id", id_str(e.id()))
             .attr("kind", e.kind().kind_name())
             .attr("name", e.name().to_owned())
-            .attr("visibility", vis_str(e.core().visibility));
+            .attr("visibility", name_in(&VISIBILITIES, e.core().visibility));
         if let Some(o) = e.owner() {
             node = node.attr("owner", id_str(o));
         }
@@ -839,6 +1028,35 @@ mod tests {
         }
     }
 
+    /// The banking PIM with one class added per entry of `kinds`, each
+    /// turned into that kind.
+    fn with_kinds(kinds: Vec<ElementKind>) -> Model {
+        let mut m = banking_pim();
+        for kind in kinds {
+            apply(&mut m, &Write::Add);
+            let added = m.iter().last().unwrap().id();
+            *m.element_mut(added).unwrap().kind_mut() = kind;
+        }
+        m
+    }
+
+    /// Sorts and dedupes each element's stereotypes, as
+    /// `ElementCore::apply_stereotype` keeps them and so the import
+    /// reads them back; `Write::Core` sets them as drawn.
+    fn sort_stereotypes(m: &mut Model) {
+        for id in m.iter().map(Element::id).collect::<Vec<_>>() {
+            let stereotypes = &mut m.element_mut(id).unwrap().core_mut().stereotypes;
+            stereotypes.sort();
+            stereotypes.dedup();
+        }
+    }
+
+    /// An import's result in a form that compares a model by its cold
+    /// export, where a NaN tag equals itself.
+    fn outcome(imported: &Result<Model, XmiError>) -> Result<String, &XmiError> {
+        imported.as_ref().map(export_model)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -851,12 +1069,7 @@ mod tests {
             kinds in prop::collection::vec(element_kind(), 0..14),
             writes in prop::collection::vec(write(), 1..12),
         ) {
-            let mut m = banking_pim();
-            for kind in kinds {
-                apply(&mut m, &Write::Add);
-                let added = m.iter().last().unwrap().id();
-                *m.element_mut(added).unwrap().kind_mut() = kind;
-            }
+            let mut m = with_kinds(kinds);
             prop_assert_eq!(export_model(&m), tree_export(&m), "cold");
             for w in &writes {
                 apply(&mut m, w);
@@ -864,6 +1077,65 @@ mod tests {
                 prop_assert_eq!(export_model(&m.clone()), want, "cold after {:?}", w);
                 prop_assert_eq!(export_model(&m), want, "warm after {:?}", w);
             }
+        }
+
+        /// The same models import back to themselves, and the streaming
+        /// import returns what the tree oracle's returns; a model that
+        /// does not validate is refused as invalid by both.
+        #[test]
+        fn streaming_import_round_trips_and_equals_the_tree_import(
+            kinds in prop::collection::vec(element_kind(), 0..14),
+            writes in prop::collection::vec(write(), 1..12),
+        ) {
+            let mut m = with_kinds(kinds);
+            for w in &writes {
+                apply(&mut m, w);
+                sort_stereotypes(&mut m);
+                let xmi = export_model(&m);
+                let imported = import_model(&xmi);
+                prop_assert_eq!(outcome(&imported), outcome(&tree_import(&xmi)), "after {:?}", w);
+                match imported {
+                    Ok(back) => {
+                        prop_assert_eq!(export_model(&back), xmi);
+                        // A NaN tag makes a model unequal to itself, and
+                        // XMI carries no id counter: the import restarts
+                        // it after the largest id.
+                        if m.clone() == m {
+                            prop_assert_eq!((back.name(), back.root()), (m.name(), m.root()));
+                            prop_assert!(back.iter().eq(m.iter()));
+                        }
+                    }
+                    Err(e) => {
+                        prop_assert!(matches!(e, XmiError::Invalid(_)), "{e}");
+                        prop_assert!(m.clone().validate().is_err());
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// An export cut short or with bytes flipped reads the same
+        /// through the streaming import and the tree oracle: the same
+        /// model, or the same error at the same place.
+        #[test]
+        fn cut_and_flipped_exports_read_alike(
+            kinds in prop::collection::vec(element_kind(), 0..6),
+            flips in prop::collection::vec((any::<u32>(), 1..=255u8), 0..3),
+            cut in (any::<bool>(), any::<u32>()),
+        ) {
+            let mut bytes = export_model(&with_kinds(kinds)).into_bytes();
+            for (at, mask) in flips {
+                let at = at as usize % bytes.len();
+                bytes[at] ^= mask;
+            }
+            if let (true, cut) = cut {
+                bytes.truncate(cut as usize % (bytes.len() + 1));
+            }
+            let doc = String::from_utf8_lossy(&bytes);
+            prop_assert_eq!(outcome(&import_model(&doc)), outcome(&tree_import(&doc)));
         }
     }
 

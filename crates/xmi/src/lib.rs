@@ -1,12 +1,12 @@
 //! # comet-xmi — XML infrastructure and XMI import/export
 //!
 //! Section 3 of the paper requires "support for importing/exporting
-//! models in XMI format". This crate provides a dependency-free XML
-//! reader ([`parse_xml`] into an [`XmlNode`] tree) and an
-//! XMI-1.2-flavoured codec between `comet-model` models and XML
-//! documents ([`export_model`], [`import_model`]). The export writes
-//! each element's tags straight into its output buffer; it builds no
-//! tree.
+//! models in XMI format". This crate provides an XMI-1.2-flavoured
+//! codec between `comet-model` models and XML documents
+//! ([`export_model`], [`import_model`]) over a dependency-free XML
+//! writer and pull reader. Neither direction builds a document tree:
+//! the export writes each element's tags straight into its buffer, and
+//! the import builds each element from the reader's events in one pass.
 //!
 //! Round-trip fidelity (`import(export(m)) == m`) is the contract, and
 //! is property-tested in the crate's test suite.
@@ -31,4 +31,4 @@ mod codec;
 mod xml;
 
 pub use codec::{export_model, import_model, XmiError};
-pub use xml::{parse_xml, XmlError, XmlNode};
+pub use xml::XmlError;

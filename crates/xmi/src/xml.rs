@@ -1,60 +1,13 @@
-//! Minimal XML: a streaming, escaping tag writer, and a recursive-descent
-//! parser into a node tree. The parser supports elements, attributes,
-//! text content, self-closing tags, comments, processing
-//! instructions/XML declarations (skipped), and the five predefined
-//! entities. No namespaces semantics (prefixes are kept as literal name
-//! parts), no DTDs, no CDATA.
+//! Minimal XML: a streaming, escaping tag writer, and a pull reader
+//! that yields start tags, text and end tags as slices of the source.
+//! The reader supports elements, attributes, text content, self-closing
+//! tags, comments, processing instructions/XML declarations (skipped),
+//! the five predefined entities and character references. No namespace
+//! semantics (prefixes are kept as literal name parts), no DTDs, no
+//! CDATA.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
-
-/// One XML element.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct XmlNode {
-    /// Element name (prefix kept verbatim, e.g. `UML:Model`).
-    pub name: String,
-    /// Attributes in document order.
-    pub attrs: Vec<(String, String)>,
-    /// Child elements in document order.
-    pub children: Vec<XmlNode>,
-    /// Concatenated text content directly under this element.
-    pub text: String,
-}
-
-impl XmlNode {
-    /// Creates an element with a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        XmlNode { name: name.into(), ..XmlNode::default() }
-    }
-
-    /// Adds an attribute, builder style.
-    #[cfg(test)]
-    pub(crate) fn attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.attrs.push((key.into(), value.into()));
-        self
-    }
-
-    /// Adds a child, builder style.
-    #[cfg(test)]
-    pub(crate) fn child(mut self, child: XmlNode) -> Self {
-        self.children.push(child);
-        self
-    }
-
-    /// Looks up an attribute value.
-    pub fn get_attr(&self, key: &str) -> Option<&str> {
-        self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    }
-
-    /// First child with the given name.
-    pub fn find_child(&self, name: &str) -> Option<&XmlNode> {
-        self.children.iter().find(|c| c.name == name)
-    }
-
-    /// All children with the given name.
-    pub fn find_children<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a XmlNode> {
-        self.children.iter().filter(move |c| c.name == name)
-    }
-}
 
 /// XML parse/serialize failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,259 +152,537 @@ impl<'a> Tag<'a> {
     }
 }
 
-/// Parses a document into its root element.
-///
-/// # Errors
-/// Returns [`XmlError`] describing the first syntax problem, or the
-/// first element nested more than 256 levels deep.
-pub fn parse_xml(source: &str) -> Result<XmlNode, XmlError> {
-    let mut p = XmlParser { src: source.as_bytes(), pos: 0, depth: 0 };
-    p.skip_prolog();
-    let root = p.element()?;
-    p.skip_misc();
-    if p.pos < p.src.len() {
-        return Err(p.err("trailing content after document element"));
-    }
-    Ok(root)
-}
-
-/// How deeply elements may nest before [`parse_xml`] rejects the
-/// document. The parser recurses once per level, so the bound keeps a
-/// hostile input from overflowing the stack; `export_model` writes five
-/// levels plus one per nested tagged-value list.
+/// How deeply elements may nest before the [`Reader`] rejects the
+/// document, which bounds the codec's recursion into nested tagged-value
+/// lists; `export_model` writes five levels plus one per nested list.
 const MAX_DEPTH: usize = 256;
 
-struct XmlParser<'a> {
-    src: &'a [u8],
-    pos: usize,
-    /// Elements currently open.
-    depth: usize,
+/// `raw` with its entity and character references decoded; `at` is
+/// the byte offset of `raw` in the document, for errors. A run without
+/// `&` is borrowed whole.
+fn unescape(raw: &str, at: usize) -> Result<Cow<'_, str>, XmlError> {
+    let Some(mut amp) = raw.find('&') else { return Ok(Cow::Borrowed(raw)) };
+    let mut out = String::with_capacity(raw.len());
+    let mut copied = 0;
+    loop {
+        out.push_str(&raw[copied..amp]);
+        let err = |message| XmlError { message, offset: at + amp };
+        let rest = &raw[amp + 1..];
+        let semi = rest.find(';').ok_or_else(|| err("unterminated entity".to_owned()))?;
+        out.push(match &rest[..semi] {
+            "amp" => '&',
+            "lt" => '<',
+            "gt" => '>',
+            "quot" => '"',
+            "apos" => '\'',
+            other => {
+                let Some(number) = other.strip_prefix('#') else {
+                    return Err(err(format!("unknown entity `&{other};`")));
+                };
+                let (digits, radix) =
+                    number.strip_prefix('x').map_or((number, 10), |hex| (hex, 16));
+                // `from_str_radix` refuses an empty run but takes a
+                // sign, so the digits are checked too.
+                u32::from_str_radix(digits, radix)
+                    .ok()
+                    .filter(|_| digits.chars().all(|c| c.is_digit(radix)))
+                    .and_then(char::from_u32)
+                    .ok_or_else(|| err(format!("bad char reference `&{other};`")))?
+            }
+        });
+        copied = amp + 2 + semi;
+        match raw[copied..].find('&') {
+            Some(next) => amp = copied + next,
+            None => break,
+        }
+    }
+    out.push_str(&raw[copied..]);
+    Ok(Cow::Owned(out))
 }
 
-impl<'a> XmlParser<'a> {
-    fn err(&self, message: &str) -> XmlError {
-        XmlError { message: message.to_owned(), offset: self.pos }
+/// What [`Reader::next`] read.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Event<'a> {
+    /// A start tag; [`Reader::attr`] reads its attributes.
+    Start(&'a str),
+    /// Text between tags, not all whitespace, references decoded.
+    Text(Cow<'a, str>),
+    /// The end of the innermost open element, also of a self-closing one.
+    End,
+    /// The end of the document, after the root element.
+    Eof,
+}
+
+/// A pull reader over one document. Names are slices of the source,
+/// and so are attribute values and text unless they hold a reference
+/// to decode. The first syntax error is the reader's last word: every
+/// later call returns it again.
+#[derive(Default)]
+pub(crate) struct Reader<'a> {
+    src: &'a str,
+    pos: usize,
+    /// Names of the open elements, outermost first.
+    open: Vec<&'a str>,
+    /// The last start tag's attributes, in document order.
+    attrs: Vec<(&'a str, Cow<'a, str>)>,
+    /// Whether the last start tag closed itself, so that its `End` is
+    /// the next event.
+    self_closed: bool,
+    /// Whether the root element has started.
+    started: bool,
+    failed: Option<XmlError>,
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn new(src: &'a str) -> Self {
+        Reader { src, ..Reader::default() }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+    /// The next event, or the first syntax error, an element nested past
+    /// [`MAX_DEPTH`] included.
+    pub(crate) fn next(&mut self) -> Result<Event<'a>, XmlError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let event = self.read_event();
+        if let Err(e) = &event {
+            self.failed = Some(e.clone());
+        }
+        event
     }
 
-    fn starts_with(&self, s: &str) -> bool {
-        self.src[self.pos..].starts_with(s.as_bytes())
+    /// The value of the last start tag's attribute `key`; the first one
+    /// if the tag repeats it.
+    pub(crate) fn attr(&self, key: &str) -> Option<&str> {
+        self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| &**v)
     }
 
-    fn skip_ws(&mut self) {
-        while self.peek().map(|c| (c as char).is_ascii_whitespace()).unwrap_or(false) {
-            self.pos += 1;
+    /// Calls `read` with the name of each child of the innermost open
+    /// element once its start tag is read, and reads on past the child's
+    /// end after each call, so `read` may leave any of the child unread.
+    pub(crate) fn each_child<E: From<XmlError>>(
+        &mut self,
+        mut read: impl FnMut(&mut Self, &'a str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        loop {
+            match self.next()? {
+                Event::Start(name) => {
+                    let depth = self.open.len();
+                    let read = read(self, name);
+                    while self.open.len() >= depth {
+                        self.next()?;
+                    }
+                    read?;
+                }
+                Event::Text(_) => {}
+                Event::End | Event::Eof => return Ok(()),
+            }
         }
     }
 
-    fn skip_prolog(&mut self) {
-        self.skip_misc();
+    /// Reads the rest of the document, checking it.
+    pub(crate) fn finish(&mut self) -> Result<(), XmlError> {
+        while self.next()? != Event::Eof {}
+        Ok(())
+    }
+
+    fn err(&self, message: impl Into<String>) -> XmlError {
+        XmlError { message: message.into(), offset: self.pos }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    fn rest(&self) -> &'a str {
+        &self.src[self.pos..]
+    }
+
+    fn skip_ws(&mut self) {
+        self.pos = self.src.len() - self.rest().trim_ascii_start().len();
+    }
+
+    /// Steps over `byte`, or fails with `message` where it should be.
+    fn expect(&mut self, byte: u8, message: &str) -> Result<(), XmlError> {
+        if self.peek() != Some(byte) {
+            return Err(self.err(message));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Moves past the first `close` from here on, or to the end.
+    fn skip_past(&mut self, close: &str) {
+        self.pos = self.rest().find(close).map_or(self.src.len(), |i| self.pos + i + close.len());
     }
 
     /// Skips whitespace, comments, PIs and the XML declaration.
     fn skip_misc(&mut self) {
         loop {
             self.skip_ws();
-            if self.starts_with("<?") {
-                while self.pos < self.src.len() && !self.starts_with("?>") {
-                    self.pos += 1;
-                }
-                self.pos = (self.pos + 2).min(self.src.len());
-            } else if self.starts_with("<!--") {
-                while self.pos < self.src.len() && !self.starts_with("-->") {
-                    self.pos += 1;
-                }
-                self.pos = (self.pos + 3).min(self.src.len());
+            if self.rest().starts_with("<?") {
+                self.skip_past("?>");
+            } else if self.rest().starts_with("<!--") {
+                self.skip_past("-->");
             } else {
                 return;
             }
         }
     }
 
-    fn name(&mut self) -> Result<String, XmlError> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            let ch = c as char;
-            if ch.is_ascii_alphanumeric() || matches!(ch, ':' | '_' | '-' | '.') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+    fn read_event(&mut self) -> Result<Event<'a>, XmlError> {
+        if std::mem::take(&mut self.self_closed) {
+            self.open.pop();
+            return Ok(Event::End);
         }
-        if self.pos == start {
+        if self.open.is_empty() {
+            self.skip_misc();
+            if !std::mem::replace(&mut self.started, true) {
+                return self.start_tag();
+            }
+            if self.pos < self.src.len() {
+                return Err(self.err("trailing content after document element"));
+            }
+            return Ok(Event::Eof);
+        }
+        loop {
+            let start = self.pos;
+            self.pos = self.rest().find('<').map_or(self.src.len(), |i| start + i);
+            let text = &self.src[start..self.pos];
+            if !text.trim_ascii().is_empty() {
+                return Ok(Event::Text(unescape(text, start)?));
+            }
+            let rest = self.rest();
+            if rest.is_empty() {
+                return Err(self.err("unexpected end of input in content"));
+            } else if !rest.starts_with("<!--") {
+                return if rest.starts_with("</") { self.end_tag() } else { self.start_tag() };
+            }
+            self.skip_past("-->");
+        }
+    }
+
+    fn name(&mut self) -> Result<&'a str, XmlError> {
+        let rest = self.rest();
+        let len = rest.bytes().position(|c| !c.is_ascii_alphanumeric() && !b":_-.".contains(&c));
+        let name = &rest[..len.unwrap_or(rest.len())];
+        if name.is_empty() {
             return Err(self.err("expected a name"));
         }
-        Ok(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
+        self.pos += name.len();
+        Ok(name)
     }
 
-    fn unescape(&self, raw: &str, at: usize) -> Result<String, XmlError> {
-        let mut out = String::with_capacity(raw.len());
-        let mut chars = raw.char_indices();
-        while let Some((i, c)) = chars.next() {
-            if c != '&' {
-                out.push(c);
-                continue;
-            }
-            let rest = &raw[i + 1..];
-            let semi = rest
-                .find(';')
-                .ok_or(XmlError { message: "unterminated entity".into(), offset: at + i })?;
-            let entity = &rest[..semi];
-            out.push(match entity {
-                "amp" => '&',
-                "lt" => '<',
-                "gt" => '>',
-                "quot" => '"',
-                "apos" => '\'',
-                other => {
-                    let Some(number) = other.strip_prefix('#') else {
-                        return Err(XmlError {
-                            message: format!("unknown entity `&{other};`"),
-                            offset: at + i,
-                        });
-                    };
-                    let (digits, radix) = match number.strip_prefix('x') {
-                        Some(hex) => (hex, 16),
-                        None => (number, 10),
-                    };
-                    // `from_str_radix` refuses an empty run but takes a
-                    // sign, so the digits are checked too.
-                    u32::from_str_radix(digits, radix)
-                        .ok()
-                        .filter(|_| digits.chars().all(|c| c.is_digit(radix)))
-                        .and_then(char::from_u32)
-                        .ok_or(XmlError {
-                            message: format!("bad char reference `&{other};`"),
-                            offset: at + i,
-                        })?
-                }
-            });
-            // Advance the iterator past the entity.
-            for _ in 0..=semi {
-                chars.next();
-            }
+    fn start_tag(&mut self) -> Result<Event<'a>, XmlError> {
+        if self.open.len() == MAX_DEPTH {
+            return Err(self.err(format!("elements nested deeper than {MAX_DEPTH}")));
         }
-        Ok(out)
-    }
-
-    fn attribute(&mut self) -> Result<(String, String), XmlError> {
-        let key = self.name()?;
-        self.skip_ws();
-        if self.peek() != Some(b'=') {
-            return Err(self.err("expected `=` in attribute"));
-        }
-        self.pos += 1;
-        self.skip_ws();
-        let quote = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => q,
-            _ => return Err(self.err("expected quoted attribute value")),
-        };
-        self.pos += 1;
-        let start = self.pos;
-        while self.peek().map(|c| c != quote).unwrap_or(false) {
-            self.pos += 1;
-        }
-        if self.peek() != Some(quote) {
-            return Err(self.err("unterminated attribute value"));
-        }
-        let raw = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        let value = self.unescape(&raw, start)?;
-        self.pos += 1;
-        Ok((key, value))
-    }
-
-    fn element(&mut self) -> Result<XmlNode, XmlError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.err(&format!("elements nested deeper than {MAX_DEPTH}")));
-        }
-        self.depth += 1;
-        let node = self.element_at_depth();
-        self.depth -= 1;
-        node
-    }
-
-    /// Parses one element and its content; [`XmlParser::element`]
-    /// accounts for its depth.
-    fn element_at_depth(&mut self) -> Result<XmlNode, XmlError> {
-        self.skip_ws();
-        if self.peek() != Some(b'<') {
-            return Err(self.err("expected `<`"));
-        }
-        self.pos += 1;
+        self.expect(b'<', "expected `<`")?;
         let name = self.name()?;
-        let mut node = XmlNode::new(name.clone());
+        self.attrs.clear();
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'/') => {
                     self.pos += 1;
-                    if self.peek() != Some(b'>') {
-                        return Err(self.err("expected `>` after `/`"));
-                    }
-                    self.pos += 1;
-                    return Ok(node);
-                }
-                Some(b'>') => {
-                    self.pos += 1;
+                    self.self_closed = true;
                     break;
                 }
+                Some(b'>') => break,
                 Some(_) => {
-                    let (k, v) = self.attribute()?;
-                    node.attrs.push((k, v));
+                    let attr = self.attribute()?;
+                    self.attrs.push(attr);
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
         }
-        // Content.
-        loop {
-            // Text run.
-            let start = self.pos;
-            while self.peek().map(|c| c != b'<').unwrap_or(false) {
-                self.pos += 1;
-            }
-            if self.pos > start {
-                let raw = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-                let text = self.unescape(&raw, start)?;
-                let trimmed = text.trim();
-                if !trimmed.is_empty() {
-                    node.text.push_str(trimmed);
-                }
-            }
-            if self.peek().is_none() {
-                return Err(self.err("unexpected end of input in content"));
-            }
-            if self.starts_with("<!--") {
-                while self.pos < self.src.len() && !self.starts_with("-->") {
-                    self.pos += 1;
-                }
-                self.pos = (self.pos + 3).min(self.src.len());
-                continue;
-            }
-            if self.starts_with("</") {
-                self.pos += 2;
-                let close = self.name()?;
-                if close != name {
-                    return Err(self.err(&format!("mismatched close tag `{close}` for `{name}`")));
-                }
-                self.skip_ws();
-                if self.peek() != Some(b'>') {
-                    return Err(self.err("expected `>` in close tag"));
-                }
-                self.pos += 1;
-                return Ok(node);
-            }
-            let child = self.element()?;
-            node.children.push(child);
+        // Only after a `/` can the tag go on with something else.
+        self.expect(b'>', "expected `>` after `/`")?;
+        self.open.push(name);
+        Ok(Event::Start(name))
+    }
+
+    fn attribute(&mut self) -> Result<(&'a str, Cow<'a, str>), XmlError> {
+        let key = self.name()?;
+        self.skip_ws();
+        self.expect(b'=', "expected `=` in attribute")?;
+        self.skip_ws();
+        let quote = self.rest().chars().next().filter(|q| matches!(q, '"' | '\''));
+        let quote = quote.ok_or_else(|| self.err("expected quoted attribute value"))?;
+        self.pos += 1;
+        let start = self.pos;
+        let Some(len) = self.rest().find(quote) else {
+            self.pos = self.src.len();
+            return Err(self.err("unterminated attribute value"));
+        };
+        self.pos += len + 1;
+        Ok((key, unescape(&self.src[start..start + len], start)?))
+    }
+
+    fn end_tag(&mut self) -> Result<Event<'a>, XmlError> {
+        self.pos += 2;
+        let close = self.name()?;
+        let open = self.open.pop().unwrap_or_default();
+        if close != open {
+            return Err(self.err(format!("mismatched close tag `{close}` for `{open}`")));
         }
+        self.skip_ws();
+        self.expect(b'>', "expected `>` in close tag")?;
+        Ok(Event::End)
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    /// One XML element of the tree [`parse_xml`] builds.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub(crate) struct XmlNode {
+        /// Element name (prefix kept verbatim, e.g. `UML:Model`).
+        pub(crate) name: String,
+        /// Attributes in document order.
+        pub(crate) attrs: Vec<(String, String)>,
+        /// Child elements in document order.
+        pub(crate) children: Vec<XmlNode>,
+        /// Concatenated text content directly under this element.
+        pub(crate) text: String,
+    }
+
+    impl XmlNode {
+        /// Creates an element with a name.
+        pub(crate) fn new(name: impl Into<String>) -> Self {
+            XmlNode { name: name.into(), ..XmlNode::default() }
+        }
+
+        /// Adds an attribute, builder style.
+        pub(crate) fn attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
+            self.attrs.push((key.into(), value.into()));
+            self
+        }
+
+        /// Adds a child, builder style.
+        pub(crate) fn child(mut self, child: XmlNode) -> Self {
+            self.children.push(child);
+            self
+        }
+
+        /// Looks up an attribute value.
+        pub(crate) fn get_attr(&self, key: &str) -> Option<&str> {
+            self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+        }
+
+        /// First child with the given name.
+        pub(crate) fn find_child(&self, name: &str) -> Option<&XmlNode> {
+            self.children.iter().find(|c| c.name == name)
+        }
+
+        /// All children with the given name.
+        pub(crate) fn find_children<'a>(
+            &'a self,
+            name: &'a str,
+        ) -> impl Iterator<Item = &'a XmlNode> {
+            self.children.iter().filter(move |c| c.name == name)
+        }
+    }
+
+    /// Parses a document into its root element, recursing once per level:
+    /// the tree parser [`Reader`] replaced, kept as the differential oracle
+    /// the codec's tests compare the streaming import with.
+    pub(crate) fn parse_xml(source: &str) -> Result<XmlNode, XmlError> {
+        let mut p = XmlParser { src: source.as_bytes(), pos: 0, depth: 0 };
+        p.skip_prolog();
+        let root = p.element()?;
+        p.skip_misc();
+        if p.pos < p.src.len() {
+            return Err(p.err("trailing content after document element"));
+        }
+        Ok(root)
+    }
+
+    struct XmlParser<'a> {
+        src: &'a [u8],
+        pos: usize,
+        /// Elements currently open.
+        depth: usize,
+    }
+
+    impl<'a> XmlParser<'a> {
+        fn err(&self, message: &str) -> XmlError {
+            XmlError { message: message.to_owned(), offset: self.pos }
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.src.get(self.pos).copied()
+        }
+
+        fn starts_with(&self, s: &str) -> bool {
+            self.src[self.pos..].starts_with(s.as_bytes())
+        }
+
+        fn skip_ws(&mut self) {
+            while self.peek().map(|c| (c as char).is_ascii_whitespace()).unwrap_or(false) {
+                self.pos += 1;
+            }
+        }
+
+        fn skip_prolog(&mut self) {
+            self.skip_misc();
+        }
+
+        /// Skips whitespace, comments, PIs and the XML declaration.
+        fn skip_misc(&mut self) {
+            loop {
+                self.skip_ws();
+                if self.starts_with("<?") {
+                    while self.pos < self.src.len() && !self.starts_with("?>") {
+                        self.pos += 1;
+                    }
+                    self.pos = (self.pos + 2).min(self.src.len());
+                } else if self.starts_with("<!--") {
+                    while self.pos < self.src.len() && !self.starts_with("-->") {
+                        self.pos += 1;
+                    }
+                    self.pos = (self.pos + 3).min(self.src.len());
+                } else {
+                    return;
+                }
+            }
+        }
+
+        fn name(&mut self) -> Result<String, XmlError> {
+            let start = self.pos;
+            while let Some(c) = self.peek() {
+                let ch = c as char;
+                if ch.is_ascii_alphanumeric() || matches!(ch, ':' | '_' | '-' | '.') {
+                    self.pos += 1;
+                } else {
+                    break;
+                }
+            }
+            if self.pos == start {
+                return Err(self.err("expected a name"));
+            }
+            Ok(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
+        }
+
+        fn unescape(&self, raw: &str, at: usize) -> Result<String, XmlError> {
+            unescape(raw, at).map(Cow::into_owned)
+        }
+
+        fn attribute(&mut self) -> Result<(String, String), XmlError> {
+            let key = self.name()?;
+            self.skip_ws();
+            if self.peek() != Some(b'=') {
+                return Err(self.err("expected `=` in attribute"));
+            }
+            self.pos += 1;
+            self.skip_ws();
+            let quote = match self.peek() {
+                Some(q @ (b'"' | b'\'')) => q,
+                _ => return Err(self.err("expected quoted attribute value")),
+            };
+            self.pos += 1;
+            let start = self.pos;
+            while self.peek().map(|c| c != quote).unwrap_or(false) {
+                self.pos += 1;
+            }
+            if self.peek() != Some(quote) {
+                return Err(self.err("unterminated attribute value"));
+            }
+            let raw = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
+            let value = self.unescape(&raw, start)?;
+            self.pos += 1;
+            Ok((key, value))
+        }
+
+        fn element(&mut self) -> Result<XmlNode, XmlError> {
+            if self.depth == MAX_DEPTH {
+                return Err(self.err(&format!("elements nested deeper than {MAX_DEPTH}")));
+            }
+            self.depth += 1;
+            let node = self.element_at_depth();
+            self.depth -= 1;
+            node
+        }
+
+        /// Parses one element and its content; [`XmlParser::element`]
+        /// accounts for its depth.
+        fn element_at_depth(&mut self) -> Result<XmlNode, XmlError> {
+            self.skip_ws();
+            if self.peek() != Some(b'<') {
+                return Err(self.err("expected `<`"));
+            }
+            self.pos += 1;
+            let name = self.name()?;
+            let mut node = XmlNode::new(name.clone());
+            loop {
+                self.skip_ws();
+                match self.peek() {
+                    Some(b'/') => {
+                        self.pos += 1;
+                        if self.peek() != Some(b'>') {
+                            return Err(self.err("expected `>` after `/`"));
+                        }
+                        self.pos += 1;
+                        return Ok(node);
+                    }
+                    Some(b'>') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    Some(_) => {
+                        let (k, v) = self.attribute()?;
+                        node.attrs.push((k, v));
+                    }
+                    None => return Err(self.err("unexpected end of input in tag")),
+                }
+            }
+            // Content.
+            loop {
+                // Text run.
+                let start = self.pos;
+                while self.peek().map(|c| c != b'<').unwrap_or(false) {
+                    self.pos += 1;
+                }
+                if self.pos > start {
+                    let raw = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
+                    let text = self.unescape(&raw, start)?;
+                    let trimmed = text.trim();
+                    if !trimmed.is_empty() {
+                        node.text.push_str(trimmed);
+                    }
+                }
+                if self.peek().is_none() {
+                    return Err(self.err("unexpected end of input in content"));
+                }
+                if self.starts_with("<!--") {
+                    while self.pos < self.src.len() && !self.starts_with("-->") {
+                        self.pos += 1;
+                    }
+                    self.pos = (self.pos + 3).min(self.src.len());
+                    continue;
+                }
+                if self.starts_with("</") {
+                    self.pos += 2;
+                    let close = self.name()?;
+                    if close != name {
+                        return Err(
+                            self.err(&format!("mismatched close tag `{close}` for `{name}`"))
+                        );
+                    }
+                    self.skip_ws();
+                    if self.peek() != Some(b'>') {
+                        return Err(self.err("expected `>` in close tag"));
+                    }
+                    self.pos += 1;
+                    return Ok(node);
+                }
+                let child = self.element()?;
+                node.children.push(child);
+            }
+        }
+    }
 
     /// Serializes a node tree to a document string with an XML
     /// declaration: the tree writer `Tag` replaced, kept as the byte
@@ -577,6 +808,106 @@ pub(crate) mod tests {
         // Far past the bound: a typed error, not a stack overflow.
         assert!(parse_xml(&nested(100_000)).is_err());
         assert!(parse_xml(&"<a>".repeat(100_000)).is_err());
+    }
+
+    /// Reads `doc` to its end; the number of events before `Eof`.
+    fn read_all(doc: &str) -> Result<usize, XmlError> {
+        let mut reader = Reader::new(doc);
+        let mut events = 0;
+        while reader.next()? != Event::Eof {
+            events += 1;
+        }
+        Ok(events)
+    }
+
+    #[test]
+    fn reader_yields_tags_attributes_and_text_as_slices() {
+        let doc = "<?xml version=\"1.0\"?>\n<a x=\"1\" t='&lt;b&gt;'>\n  <b/><!-- c -->hi &#65;<c y=\"2\"></c>\n</a>\n";
+        let mut r = Reader::new(doc);
+        assert_eq!(r.next(), Ok(Event::Start("a")));
+        assert_eq!((r.attr("x"), r.attr("t"), r.attr("z")), (Some("1"), Some("<b>"), None));
+        assert!(matches!(r.attrs[0].1, Cow::Borrowed(_)), "a value without `&` is borrowed");
+        assert_eq!(r.next(), Ok(Event::Start("b")));
+        assert_eq!(r.next(), Ok(Event::End), "a self-closing tag ends at once");
+        assert_eq!(r.next(), Ok(Event::Text(Cow::Owned("hi A".into()))));
+        assert_eq!(r.next(), Ok(Event::Start("c")));
+        assert_eq!(r.attr("y"), Some("2"));
+        assert_eq!(r.next(), Ok(Event::End));
+        assert_eq!(r.next(), Ok(Event::End));
+        assert_eq!(r.next(), Ok(Event::Eof));
+        assert_eq!(r.next(), Ok(Event::Eof));
+    }
+
+    #[test]
+    fn each_child_reads_past_what_its_callback_leaves() {
+        let mut r = Reader::new("<a><b><c/>text<d></d></b><e f=\"1\"/></a>");
+        r.next().unwrap();
+        let mut seen = Vec::new();
+        r.each_child(|r, name| {
+            seen.push((name, r.attr("f").map(str::to_owned)));
+            Ok::<_, XmlError>(())
+        })
+        .unwrap();
+        assert_eq!(seen, [("b", None), ("e", Some("1".to_owned()))]);
+        assert_eq!(r.next(), Ok(Event::Eof));
+    }
+
+    #[test]
+    fn the_first_error_is_returned_again() {
+        let mut r = Reader::new("<a><b></c></a>");
+        let e = r.finish().unwrap_err();
+        assert_eq!(e.message, "mismatched close tag `c` for `b`");
+        assert_eq!(r.next(), Err(e));
+    }
+
+    /// The reader and the tree parser accept the same documents and
+    /// fail on the same message at the same offset.
+    #[test]
+    fn reader_fails_where_the_tree_parser_fails() {
+        let nested = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        let mut docs: Vec<String> = [
+            "<a>",
+            "<a></b>",
+            "<a x=1/>",
+            "<a/><b/>",
+            "<a>&bogus;</a>",
+            "no tags",
+            "",
+            "<a/ >",
+            "<a x=\"1\"y='2'/>",
+            "<a x =\n \"&amp;\"/>",
+            "<a x=\"1",
+            "<a x=\"&amp\"/>",
+            "<a x>",
+            "<a",
+            "<a><!-- open</a>",
+            "<a><?pi?></a>",
+            "<a></a >",
+            "<a></a x>",
+            "<!-->x<a/>",
+            "<?>x<a/>",
+            "<?pi <a/>",
+            "<a/><!-- tail",
+            "<a/>  trailing",
+            "<1a/>",
+            "< a/>",
+            "<a>\u{e9}&#x1F980;</a>",
+            "<a>x</a",
+            "<a></>",
+            "<a b=\"&#;\"/>",
+        ]
+        .map(String::from)
+        .into();
+        for bad in ["&#xZZ;", "&#;", "&#x;", "&#12ab;", "&#x+41;", "&#+65;", "&#xD800;"] {
+            docs.push(format!("<a>{bad}</a>"));
+            docs.push(format!("<a v=\"x{bad}\"/>"));
+        }
+        docs.extend([nested(MAX_DEPTH), nested(MAX_DEPTH + 1), nested(100_000)]);
+        docs.push("<a>".repeat(100_000));
+        for doc in &docs {
+            let shown = &doc[..doc.len().min(40)];
+            assert_eq!(read_all(doc).map(|_| ()), parse_xml(doc).map(|_| ()), "{shown:?}");
+        }
     }
 
     #[test]
